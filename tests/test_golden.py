@@ -1,0 +1,86 @@
+"""Golden reference: every shipped scenario at a short horizon must
+reproduce the numbers in tests/data/golden.json.
+
+For each scenario the file holds E and E~ at every 50th recorded sample,
+E(T), the numeric entries of the report's `constants`, `lyapunov` and
+`decay` sections, and every `*pass` / `*_ok` bit of the report.  A value
+matches when it lies within 1e-10 times the larger of E(0) and the stored
+value (an energy-scale tolerance that turns relative for constants larger
+than the energy); a bit matches only exactly, and the set of stored keys
+must match too, so a section that appears or vanishes is caught.
+
+The file is written by tests/data/make_golden.py, which takes no options.
+Regenerate it only for a change that is meant to move the numbers.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from degenwave import config
+from degenwave.cli import simulate_config
+
+GOLDEN = Path(__file__).parent / "data" / "golden.json"
+OVERRIDES = ["integrator.t_final=2"]
+SAMPLE_EVERY = 50
+RTOL = 1e-10
+
+
+def _number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _pass_bits(tree, prefix=""):
+    out = {}
+    for key, val in tree.items():
+        path = f"{prefix}{key}"
+        if isinstance(val, dict):
+            out.update(_pass_bits(val, path + "."))
+        elif key.endswith("pass") or key.endswith("_ok"):
+            out[path] = None if val is None else bool(val)
+    return out
+
+
+def record(scenario: str) -> dict:
+    """The golden entry of one scenario, as computed by the current code."""
+    cfg = config.apply_overrides(config.load_config(scenario), OVERRIDES)
+    _, traj, report, _ = simulate_config(cfg)
+    e, et = traj.E, traj.E_tilde
+    values = {"samples": int(e.size), "E_T": float(e[-1])}
+    for k in range(0, e.size, SAMPLE_EVERY):
+        values[f"E[{k}]"] = float(e[k])
+        values[f"E_tilde[{k}]"] = float(et[k])
+    for section in ("constants", "lyapunov", "decay"):
+        for key, val in (report[section] or {}).items():
+            if _number(val):
+                values[f"{section}.{key}"] = (
+                    "nan" if math.isnan(val) else float(val))
+    return {"E0": float(e[0]), "values": values, "bits": _pass_bits(report)}
+
+
+def _load():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("scenario", config.SCENARIO_NAMES)
+def test_matches_golden(scenario):
+    ref = _load()[scenario]
+    got = record(scenario)
+    assert set(got["values"]) == set(ref["values"])
+    assert got["bits"] == ref["bits"]
+    bad = []
+    for key, want in ref["values"].items():
+        have = got["values"][key]
+        if want == "nan" or have == "nan":
+            ok = want == have
+        else:
+            ok = abs(have - want) <= RTOL * max(ref["E0"], abs(want))
+        if not ok:
+            bad.append(f"{key}: {have!r} vs golden {want!r}")
+    assert not bad, f"{scenario}: " + "; ".join(bad[:5])
+
+
+def test_golden_covers_every_scenario():
+    assert set(_load()) == set(config.SCENARIO_NAMES)

@@ -13,14 +13,11 @@ from .analysis import (
     decay_certificate,
     dissipation_audit,
     energy,
-    lyapunov,
     solve_auxiliary_elliptic,
 )
 from .delay_channel import (
     HistoryBuffer,
     TransportChannel,
-    channel_crosscheck,
-    history_sample,
     init_channel,
     transport_step,
 )
@@ -47,7 +44,6 @@ from .model import (
     validate_delay,
 )
 from .stepper import (
-    EnergySample,
     SimState,
     Trajectory,
     init_state,

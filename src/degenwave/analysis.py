@@ -22,14 +22,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .errors import InsufficientHorizon, NoStrictDamping, SolveFailure
-from .mesh import DiscreteOperators, Mesh
+from .errors import InsufficientHorizon, NoStrictDamping
+from .mesh import (
+    DiscreteOperators,
+    Mesh,
+    assemble_operators,
+    default_bc,
+    solve_symmetric_tridiagonal,
+)
 from .model import CoefficientSpec, DelaySpec, GainSet, StructuralConstants
 
 
@@ -40,23 +45,29 @@ def delta_trap_weights(n_delta: int) -> np.ndarray:
     return w
 
 
-def energy_parts(u, v, w, t, mesh, ops, gains, delay) -> dict:
-    """The four nonnegative quadratic blocks whose half-sum is the energy."""
+def energy_parts(u, v, w, tau: float, ops: DiscreteOperators,
+                 gains: GainSet) -> dict:
+    """The four nonnegative quadratic blocks whose half-sum is the energy.
+
+    tau weights the delay block: tau(t) for the energy and the
+    time-dependent norm ||U||_t^2 (the plain sum of the blocks), 1 for the
+    reference norm ||U||_H^2.
+    """
     wq = delta_trap_weights(w.size - 1)
     return {
         "kinetic": ops.mass_quadform(v),
         "elastic": ops.stiffness_quadform(u),
         "boundary": gains.beta * ops.a1 * float(u[-1]) ** 2,
-        "delay": gains.mu1 * ops.a1 * float(delay.tau(t)) * float(wq @ (w * w)),
+        "delay": gains.mu1 * ops.a1 * tau * float(wq @ (w * w)),
     }
 
 
 def energy(state, mesh: Mesh, ops: DiscreteOperators, gains: GainSet,
            delay: DelaySpec) -> float:
     """Total energy of a simulation state (see module docstring)."""
-    p = energy_parts(state.u, state.v, state.channel.w, state.t,
-                     mesh, ops, gains, delay)
-    return 0.5 * (p["kinetic"] + p["elastic"] + p["boundary"] + p["delay"])
+    e, _ = lyapunov_raw(state.u, state.v, state.channel.w, state.t, mesh, ops,
+                        gains, delay, None)
+    return e
 
 
 def _multiplier_block(u, v, w, t, mesh, ops, gains, delay, mu_a) -> float:
@@ -98,19 +109,13 @@ class LyapunovParams:
     eps_damping: float
 
 
-def lyapunov(state, mesh, ops, gains, delay, params: LyapunovParams) -> float:
-    """Modified functional E + eps * multiplier block."""
-    e, et = lyapunov_raw(state.u, state.v, state.channel.w, state.t,
-                         mesh, ops, gains, delay, params)
-    return et
-
-
 def lyapunov_raw(u, v, w, t, mesh, ops, gains, delay,
-                 params: LyapunovParams) -> tuple[float, float]:
-    """(E, E~) for raw arrays; used by the recorder and by synthetic tests."""
-    p = energy_parts(u, v, w, t, mesh, ops, gains, delay)
-    e = 0.5 * (p["kinetic"] + p["elastic"] + p["boundary"] + p["delay"])
-    if params.epsilon == 0.0:
+                 params: Optional[LyapunovParams]) -> tuple[float, float]:
+    """(E, E~) for raw arrays; used by the recorder and by synthetic tests.
+    Without params (or with epsilon 0) E~ is E."""
+    p = energy_parts(u, v, w, float(delay.tau(t)), ops, gains)
+    e = 0.5 * sum(p.values())
+    if params is None or params.epsilon == 0.0:
         return e, e
     block = _multiplier_block(u, v, w, t, mesh, ops, gains, delay, ops.mu_a)
     return e, e + params.epsilon * block
@@ -270,36 +275,24 @@ def solve_auxiliary_elliptic(spec: CoefficientSpec, beta: float, lam: float,
     from .model import structural_constants
 
     a1 = spec.a_of_1
+    ops = assemble_operators(spec, mesh, default_bc(spec))
     nodes = mesh.nodes
-    h = mesh.h
-    k = np.empty(mesh.N)
-    mid_k = np.asarray(spec.a(mesh.midpoints), dtype=float) / h
+    k = ops.k_cell.copy()
     for i in range(mesh.N):
         s = spec.inv_integral(float(nodes[i]), float(nodes[i + 1]))
-        k[i] = 1.0 / s if np.isfinite(s) and s > 0.0 else mid_k[i]
-
-    weak = spec.mu_a < 1.0
-    start = 1 if weak else 0
-    n = mesh.N + 1 - start
-    main = np.concatenate([k, [0.0]])[start:] + np.concatenate([[0.0], k])[start:]
-    main[-1] += beta * a1
-    upper = np.zeros(n)
-    upper[1:] = -k[start:]
-    rhs = np.zeros(n)
+        if np.isfinite(s) and s > 0.0:
+            k[i] = 1.0 / s
+    flux = replace(ops, k_cell=k)
+    start = ops.first_active
+    ab = flux.stiffness_banded(start)
+    ab[1, -1] += beta * a1
+    rhs = np.zeros(ab.shape[1])
     rhs[-1] = lam * a1
-    try:
-        sol = solve_banded((1, 1), np.vstack([upper, main, np.roll(upper, -1)]), rhs,
-                           check_finite=False)
-    except Exception as exc:  # pragma: no cover - guarded, should not occur
-        raise SolveFailure(f"elliptic solve failed: {exc}") from exc
     z = np.zeros(mesh.N + 1)
-    z[start:] = sol
+    z[start:] = solve_symmetric_tridiagonal(ab, rhs, "elliptic")
 
-    energy_sq = float(np.dot(k * np.diff(z), np.diff(z))) + beta * a1 * z[-1] ** 2
-    mass = np.zeros(mesh.N + 1)
-    mass[:-1] += 0.5 * h
-    mass[1:] += 0.5 * h
-    l2_sq = float(np.dot(mass * z, z))
+    energy_sq = flux.stiffness_quadform(z) + beta * a1 * z[-1] ** 2
+    l2_sq = ops.mass_quadform(z)
     consts = structural_constants(spec, beta)
     energy_bound = a1 * lam**2 / beta
     l2_bound = a1 * lam**2 / (beta * consts.coercivity_const)

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Verbs: simulate, sweep, converge, operator-check, elliptic-check.
-Exit codes: 0 success, 2 hypothesis/config validation failure, 3 audit
-failure under --strict.
+Exit codes: 0 success, 1 failure to write an output, 2 any package error
+(hypothesis/config validation failure), 3 audit failure under --strict.
+main() alone maps errors to exit codes and stderr messages.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import __version__, analysis, config as cfgmod, model, operator_checks, r
 from .errors import ConfigError, DegenwaveError, HypothesisError
 
 EXIT_OK = 0
+EXIT_IO = 1
 EXIT_HYPOTHESIS = 2
 EXIT_AUDIT = 3
 
@@ -176,7 +178,7 @@ def simulate_config(cfg: cfgmod.RunConfig, snapshots: bool = False):
     if store is not None:
         report["audits"]["snapshot_energy_max_rel_err"] = (
             store.recompute_energy_max_rel_err(
-                traj, setup.mesh, setup.ops, setup.gains, setup.delay
+                traj, setup.ops, setup.gains, setup.delay
             )
         )
     return setup, traj, report, store
@@ -203,28 +205,16 @@ def _strict_failures(report: dict) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = _load(args)
-        setup, traj, report, store = simulate_config(cfg, snapshots=args.snapshots)
-    except HypothesisError as exc:
-        print(f"hypothesis validation failed: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-
+    cfg = _load(args)
+    setup, traj, report, store = simulate_config(cfg, snapshots=args.snapshots)
     prefix = _out_prefix(args, cfg, Path(args.config).stem)
     csv_path = prefix.with_suffix(".csv")
     json_path = prefix.with_suffix(".json")
-    try:
-        reporting.write_trajectory_csv(traj, csv_path)
-        reporting.write_report(report, json_path)
-        if store is not None:
-            store.save(prefix.with_suffix(".snapshots.npz"))
-    except OSError as exc:
-        print(f"io failure: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {csv_path} ({len(traj.samples)} samples) and {json_path}")
+    reporting.write_trajectory_csv(traj, csv_path)
+    reporting.write_report(report, json_path)
+    if store is not None:
+        store.save(prefix.with_suffix(".snapshots.npz"))
+    print(f"wrote {csv_path} ({traj.t.size} samples) and {json_path}")
     e = traj.E
     print(f"E(0) = {e[0]:.6g}, E(T) = {e[-1]:.6g}, "
           f"damping_const = {report['constants']['damping_const']:.6g}")
@@ -306,22 +296,15 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _load(args)
-        axes = []
-        for spec_str in args.axis or []:
-            if "=" not in spec_str:
-                raise ConfigError(f"axis {spec_str!r} must be key=v1,v2,...")
-            key, vals = spec_str.split("=", 1)
-            axes.append((key.strip(), [v.strip() for v in vals.split(",")]))
-        jobs = args.jobs or int(os.environ.get("DEGENWAVE_JOBS", "1"))
-        rows = sweep_rows(cfg, axes, jobs=jobs)
-    except HypothesisError as exc:
-        print(f"hypothesis validation failed: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    cfg = _load(args)
+    axes = []
+    for spec_str in args.axis or []:
+        if "=" not in spec_str:
+            raise ConfigError(f"axis {spec_str!r} must be key=v1,v2,...")
+        key, vals = spec_str.split("=", 1)
+        axes.append((key.strip(), [v.strip() for v in vals.split(",")]))
+    jobs = args.jobs or int(os.environ.get("DEGENWAVE_JOBS", "1"))
+    rows = sweep_rows(cfg, axes, jobs=jobs)
     text = _rows_to_csv(rows)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -367,25 +350,19 @@ def converge_table(cfg: cfgmod.RunConfig, levels: int = 3,
         })
     orders = []
     for a, b in zip(diffs[:-1], diffs[1:]):
-        if a["dE"] == 0.0 and b["dE"] == 0.0:
+        if b["dE"] == 0.0:
             orders.append("exact")
-        elif b["dE"] == 0.0:
-            orders.append("exact")
+        elif a["dE"] == 0.0:
+            # the coarse pair coincides (e.g. both levels clamp n_delta to 8)
+            orders.append(math.nan)
         else:
             orders.append(math.log2(a["dE"] / b["dE"]))
     return {"levels": rows, "differences": diffs, "orders_E": orders}
 
 
 def cmd_converge(args) -> int:
-    try:
-        cfg = _load(args)
-        table = converge_table(cfg, levels=args.levels, start_n=args.start_n)
-    except HypothesisError as exc:
-        print(f"hypothesis validation failed: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    cfg = _load(args)
+    table = converge_table(cfg, levels=args.levels, start_n=args.start_n)
     text = reporting.report_json_text(table)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -402,15 +379,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_operator_check(args) -> int:
-    try:
-        cfg = _load(args)
-        setup = cfgmod.build_setup(cfg)
-    except HypothesisError as exc:
-        print(f"hypothesis validation failed: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    cfg = _load(args)
+    setup = cfgmod.build_setup(cfg)
     t_list = args.t if args.t else [0.0, cfg.integrator_t_final / 2.0,
                                     cfg.integrator_t_final]
     ctx = operator_checks.ProbeContext(
@@ -549,9 +519,18 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
+    except HypothesisError as exc:
+        print(f"hypothesis validation failed: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     except DegenwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except OSError as exc:
+        print(f"io failure: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -65,7 +65,6 @@ class RunConfig:
     initial_f0_amplitude: float = 1.0
 
     outputs_csv: Optional[str] = None
-    outputs_report: Optional[str] = None
 
     seed: int = 0
 
@@ -110,58 +109,46 @@ _KEYS = {
     "initial.f0": ("initial_f0", str),
     "initial.f0_amplitude": ("initial_f0_amplitude", float),
     "outputs.csv": ("outputs_csv", _str_opt),
-    "outputs.report": ("outputs_report", _str_opt),
     "seed": ("seed", int),
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
+def _parse_pair(pair: str, where: str) -> tuple[str, object]:
+    """Split `key=value`, look the key up and run its parser.
+
+    Returns (RunConfig attribute, parsed value); every failure is a
+    ConfigError that starts with `where` and names the key.
+    """
+    if "=" not in pair:
+        raise ConfigError(f"{where}expected 'key = value', got {pair!r}")
+    key, val = (part.strip() for part in pair.split("=", 1))
+    if key not in _KEYS:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    attr, parser = _KEYS[key]
+    try:
+        return attr, parser(val)
+    except ValueError as exc:
+        raise ConfigError(f"{where}bad value for {key}: {exc}") from exc
 
 
 def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
-    cfg = base or RunConfig()
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, parser = _KEYS[key]
-        try:
-            updates[attr] = parser(val)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    return replace(cfg, **updates)
+        if line:
+            attr, val = _parse_pair(line, f"line {lineno}: ")
+            updates[attr] = val
+    return replace(base or RunConfig(), **updates)
 
 
 def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
     """Apply repeated `key=value` strings on top of a config."""
-    updates = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override {pair!r} is not key=value")
-        key, val = (p.strip() for p in pair.split("=", 1))
-        if key not in _KEYS:
-            raise ConfigError(f"unknown override key {key!r}")
-        attr, parser = _KEYS[key]
-        try:
-            updates[attr] = parser(val)
-        except Exception as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from exc
-    return replace(cfg, **updates)
+    return replace(cfg, **dict(_parse_pair(p, "override: ") for p in pairs))
 
 
 def set_value(cfg: RunConfig, key: str, value) -> RunConfig:
     """Typed single-key override (used by sweep axes)."""
-    if key not in _KEYS:
-        raise ConfigError(f"unknown key {key!r}")
-    attr, parser = _KEYS[key]
-    return replace(cfg, **{attr: parser(str(value))})
+    attr, val = _parse_pair(f"{key}={value}", "")
+    return replace(cfg, **{attr: val})
 
 
 def to_text(cfg: RunConfig) -> str:
@@ -252,11 +239,6 @@ def build_delay(cfg: RunConfig) -> model.DelaySpec:
     raise ConfigError(f"unknown delay.kind {cfg.delay_kind!r}")
 
 
-def build_gains(cfg: RunConfig) -> model.GainSet:
-    return model.GainSet(mu1=cfg.gains_mu1, mu2=cfg.gains_mu2,
-                         beta=cfg.gains_beta)
-
-
 @dataclass(frozen=True)
 class RunSetup:
     """Validated, assembled objects for one run."""
@@ -291,7 +273,8 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         spec = build_coefficient(cfg)
         delay = build_delay(cfg)
         model.validate_delay(delay, horizon=max(cfg.integrator_t_final, 1.0))
-        gains = build_gains(cfg)
+        gains = model.GainSet(mu1=cfg.gains_mu1, mu2=cfg.gains_mu2,
+                              beta=cfg.gains_beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -134,15 +134,3 @@ class HistoryBuffer:
         for t in np.linspace(t_lo, 0.0, n):
             self.append(float(t), float(f0(t)))
 
-
-def history_sample(buffer: HistoryBuffer, s: float) -> float:
-    """Linear interpolation of the stored trace at time s."""
-    return buffer.sample(s)
-
-
-def channel_crosscheck(trajectory) -> float:
-    """Max over recorded samples of |w(1, t) - buffered u_t(t - tau(t), 1)|."""
-    disc = np.asarray(trajectory.channel_discrepancy, dtype=float)
-    if disc.size == 0:
-        return 0.0
-    return float(np.max(np.abs(disc)))

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
-from .errors import BadMeshParams, BcMismatch, ShapeMismatch
+from .errors import BadMeshParams, BcMismatch, ShapeMismatch, SolveFailure
 from .model import CoefficientSpec
 
 DIRICHLET_LEFT = "dirichlet_left"
@@ -110,6 +111,18 @@ class DiscreteOperators:
         if shift is not None:
             ab[1] += shift
         return ab
+
+
+def solve_symmetric_tridiagonal(ab: np.ndarray, rhs: np.ndarray,
+                                what: str) -> np.ndarray:
+    """Solve with a symmetric tridiagonal given in the [upper, main] banded
+    form of DiscreteOperators.stiffness_banded; a failed solve raises
+    SolveFailure naming `what`."""
+    full = np.vstack([ab[0], ab[1], np.roll(ab[0], -1)])
+    try:
+        return solve_banded((1, 1), full, rhs, check_finite=False)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SolveFailure(f"{what} solve failed: {exc}") from exc
 
 
 def assemble_operators(spec: CoefficientSpec, mesh: Mesh,

@@ -27,10 +27,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .errors import DomainViolation, SolveFailure
-from .mesh import DIRICHLET_LEFT, DiscreteOperators, Mesh
+from .analysis import energy_parts
+from .errors import DomainViolation
+from .mesh import (
+    DIRICHLET_LEFT,
+    DiscreteOperators,
+    Mesh,
+    solve_symmetric_tridiagonal,
+)
 from .model import DelaySpec, GainSet
 
 
@@ -54,34 +59,17 @@ def iota(delay: DelaySpec, t: float) -> float:
 
 
 def norm_t_sq(U, t: float, ctx: ProbeContext) -> float:
-    """Squared time-dependent state norm (trapezoid in delta)."""
+    """Squared time-dependent state norm (trapezoid in delta): twice the
+    energy of U at time t."""
     u, v, w = U
-    wq = _trap_weights(w.size - 1)
-    return (
-        ctx.ops.mass_quadform(v)
-        + ctx.ops.stiffness_quadform(u)
-        + ctx.gains.beta * ctx.ops.a1 * float(u[-1]) ** 2
-        + ctx.gains.mu1 * ctx.ops.a1 * float(ctx.delay.tau(t)) * float(wq @ (w * w))
-    )
+    return sum(energy_parts(u, v, w, float(ctx.delay.tau(t)), ctx.ops,
+                            ctx.gains).values())
 
 
 def norm_h_sq(U, ctx: ProbeContext) -> float:
     """Squared reference norm (no tau weight on the channel block)."""
     u, v, w = U
-    wq = _trap_weights(w.size - 1)
-    return (
-        ctx.ops.mass_quadform(v)
-        + ctx.ops.stiffness_quadform(u)
-        + ctx.gains.beta * ctx.ops.a1 * float(u[-1]) ** 2
-        + ctx.gains.mu1 * ctx.ops.a1 * float(wq @ (w * w))
-    )
-
-
-def _trap_weights(m: int) -> np.ndarray:
-    wq = np.full(m + 1, 1.0 / m)
-    wq[0] *= 0.5
-    wq[-1] *= 0.5
-    return wq
+    return sum(energy_parts(u, v, w, 1.0, ctx.ops, ctx.gains).values())
 
 
 def project_to_domain(U, ctx: ProbeContext):
@@ -100,30 +88,6 @@ def project_to_domain(U, ctx: ProbeContext):
     v[-1] = mean
     w[0] = mean
     return u, v, w
-
-
-@dataclass(frozen=True)
-class DiscreteGenerator:
-    """The frozen-time generator: blocks acting on (u, v, w) plus the
-    stabilizing shift.  A thin object view over generator_apply."""
-
-    t: float
-    ctx: ProbeContext
-
-    @property
-    def iota(self) -> float:
-        return iota(self.ctx.delay, self.t)
-
-    def apply(self, U, project: bool = True):
-        return generator_apply(U, self.t, self.ctx, project=project)
-
-    def apply_shifted(self, U, project: bool = True):
-        """(A(t) - iota(t) I) U, with both terms seeing the projected state."""
-        if project:
-            U = project_to_domain(U, self.ctx)
-        au, av, aw = generator_apply(U, self.t, self.ctx, project=False)
-        s = self.iota
-        return au - s * U[0], av - s * U[1], aw - s * U[2]
 
 
 def generator_apply(U, t: float, ctx: ProbeContext, project: bool = True):
@@ -283,20 +247,14 @@ def resolvent_solve(G, t: float, ctx: ProbeContext) -> ResolventResult:
     hload = float(bw @ h)
 
     start = ops.first_active
-    n = ops.n_nodes - start
     ab = ops.stiffness_banded(start, shift=ops.mass[start:])
     weight = gains.mu1 + gains.mu2 * a_d + gains.beta
     ab[1, -1] += ops.a1 * weight
     rhs = (ops.mass * (f + g))[start:]
     rhs[-1] += ops.a1 * ((gains.mu1 + gains.mu2 * a_d) * f[-1]
                          - gains.mu2 * hload)
-    full = np.vstack([ab[0], ab[1], np.roll(ab[0], -1)])
-    try:
-        sol = solve_banded((1, 1), full, rhs, check_finite=False)
-    except Exception as exc:
-        raise SolveFailure(f"resolvent solve failed: {exc}") from exc
     u = np.zeros(ops.n_nodes)
-    u[start:] = sol
+    u[start:] = solve_symmetric_tridiagonal(ab, rhs, "resolvent")
     v = u - f
     if start:
         v[0] = 0.0

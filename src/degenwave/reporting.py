@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-CSV_HEADER = "t,E,E_tilde,trace_v,trace_v_delayed,bc_residual,channel_discrepancy"
+from .analysis import energy_parts
+from .stepper import COLUMNS
 
 
 def _fmt(x: float) -> str:
@@ -21,12 +22,9 @@ def _fmt(x: float) -> str:
 
 
 def trajectory_csv_text(traj) -> str:
-    lines = [CSV_HEADER]
-    for s in traj.samples:
-        lines.append(",".join(_fmt(v) for v in (
-            s.t, s.E, s.E_tilde, s.trace_v, s.trace_v_delayed,
-            s.bc_residual, s.channel_discrepancy,
-        )))
+    rows = np.column_stack([getattr(traj, c) for c in COLUMNS]).tolist()
+    lines = [",".join(COLUMNS)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -87,16 +85,14 @@ class SnapshotStore:
             w=np.asarray(self.w),
         )
 
-    def recompute_energy_max_rel_err(self, traj, mesh, ops, gains, delay) -> float:
+    def recompute_energy_max_rel_err(self, traj, ops, gains, delay) -> float:
         """Max relative gap between recorded E and E recomputed from the
         stored snapshots."""
-        from .analysis import energy_parts
-
         worst = 0.0
-        for k, s in enumerate(traj.samples):
-            p = energy_parts(self.u[k], self.v[k], self.w[k], self.t[k],
-                             mesh, ops, gains, delay)
+        for k, e_rec in enumerate(traj.E.tolist()):
+            p = energy_parts(self.u[k], self.v[k], self.w[k],
+                             float(delay.tau(self.t[k])), ops, gains)
             e = 0.5 * sum(p.values())
-            denom = max(abs(s.E), 1e-300)
-            worst = max(worst, abs(e - s.E) / denom)
+            denom = max(abs(e_rec), 1e-300)
+            worst = max(worst, abs(e - e_rec) / denom)
         return worst

@@ -89,63 +89,33 @@ class SimState:
     buffer: HistoryBuffer
 
 
-@dataclass(frozen=True)
-class EnergySample:
-    t: float
-    E: float
-    E_tilde: float
-    trace_v: float
-    trace_v_delayed: float
-    bc_residual: float
-    channel_discrepancy: float
+# recorded columns, in the order of the recorder and of the CSV header/rows
+COLUMNS = ("t", "E", "E_tilde", "trace_v", "trace_v_delayed", "bc_residual",
+           "channel_discrepancy")
 
 
 @dataclass
 class Trajectory:
-    """Recorded samples plus the final state and run metadata."""
+    """Recorded columns (one array per name in COLUMNS, one entry per
+    recorded instant) plus the final state and run metadata."""
 
-    samples: list[EnergySample]
+    t: np.ndarray
+    E: np.ndarray
+    E_tilde: np.ndarray
+    trace_v: np.ndarray
+    trace_v_delayed: np.ndarray
+    bc_residual: np.ndarray
+    channel_discrepancy: np.ndarray
     fingerprint: str
     warnings: list[str]
     final_state: Optional[SimState] = None
     dt: float = 0.0
     n_space: int = 0
 
-    def _col(self, name):
-        return np.array([getattr(s, name) for s in self.samples])
-
-    @property
-    def t(self):
-        return self._col("t")
-
-    @property
-    def E(self):
-        return self._col("E")
-
-    @property
-    def E_tilde(self):
-        return self._col("E_tilde")
-
-    @property
-    def trace_v(self):
-        return self._col("trace_v")
-
-    @property
-    def trace_v_delayed(self):
-        return self._col("trace_v_delayed")
-
-    @property
-    def bc_residual(self):
-        return self._col("bc_residual")
-
-    @property
-    def channel_discrepancy(self):
-        return self._col("channel_discrepancy")
-
     @property
     def bc_residual_coeff(self) -> float:
         """Reported C in max bc_residual <= C (dt + 1/N)."""
-        if not self.samples or self.dt <= 0.0 or self.n_space <= 0:
+        if not self.t.size or self.dt <= 0.0 or self.n_space <= 0:
             return 0.0
         return float(np.max(self.bc_residual) / (self.dt + 1.0 / self.n_space))
 
@@ -225,12 +195,10 @@ class StepWorkspace:
 
 
 def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
-         ops: DiscreteOperators,
-         workspace: Optional[StepWorkspace] = None) -> SimState:
-    """Advance the coupled system by one implicit-midpoint step of size dt."""
+         ops: DiscreteOperators, workspace: StepWorkspace) -> SimState:
+    """Advance the coupled system by one implicit-midpoint step of size dt;
+    `workspace` holds the midpoint system factorized for this dt."""
     ws = workspace
-    if ws is None or ws.dt != dt:
-        ws = StepWorkspace.build(ops, gains, dt)
     t_mid = state.t + 0.5 * dt
     w_mid = state.buffer.sample(t_mid - float(delay.tau(t_mid)))
 
@@ -285,7 +253,7 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
         u0: Optional[Callable] = None, u1: Optional[Callable] = None,
         f0: Optional[Callable] = None,
         snapshot_sink: Optional[Callable] = None) -> Trajectory:
-    """Integrate to t_final, recording an EnergySample every record_every
+    """Integrate to t_final, recording the COLUMNS every record_every
     steps (plus the initial and final instants).
 
     When no Lyapunov parameters are supplied (or derivable: the modified
@@ -299,18 +267,14 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
         f0_amplitude=f0_amplitude, n_delta=n_delta, dt_hint=dt,
         u0=u0, u1=u1, f0=f0,
     )
-    if lyap is None:
-        lyap = analysis.LyapunovParams(
-            epsilon=0.0, equiv_lower=1.0, equiv_upper=1.0, damping_slack=0.0,
-            boundary_const=0.0, sandwich_coeff=0.0, eps_sandwich=0.0,
-            eps_damping=0.0,
-        )
     ws = StepWorkspace.build(ops, gains, dt)
     n_steps = int(round(t_final / dt)) if t_final > 0 else 0
-
-    samples: list[EnergySample] = []
+    n_rows = 1 + n_steps // record_every + (1 if n_steps % record_every else 0)
+    data = np.empty((len(COLUMNS), n_rows))
+    row = 0
 
     def record(st: SimState):
+        nonlocal row
         e, et = analysis.lyapunov_raw(
             st.u, st.v, st.channel.w, st.t, mesh, ops, gains, delay, lyap
         )
@@ -319,11 +283,9 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
         # realization the energy integrates; the buffered reference value is
         # recoverable as trace_v_delayed - channel_discrepancy
         w_chan = float(st.channel.w[-1])
-        samples.append(EnergySample(
-            t=st.t, E=e, E_tilde=et, trace_v=float(st.v[-1]),
-            trace_v_delayed=w_chan, bc_residual=res,
-            channel_discrepancy=w_chan - w_buf,
-        ))
+        data[:, row] = (st.t, e, et, float(st.v[-1]), w_chan, res,
+                        w_chan - w_buf)
+        row += 1
         if snapshot_sink is not None:
             snapshot_sink(st)
 
@@ -332,6 +294,6 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
         state = step(state, dt, gains, delay, ops, workspace=ws)
         if n % record_every == 0 or n == n_steps:
             record(state)
-    return Trajectory(samples=samples, fingerprint=fingerprint,
+    return Trajectory(**dict(zip(COLUMNS, data)), fingerprint=fingerprint,
                       warnings=warnings, final_state=state, dt=dt,
                       n_space=mesh.N)

@@ -26,7 +26,6 @@ from degenwave.analysis import (
     sandwich_audit,
 )
 from degenwave.cli import converge_table, main, simulate_config
-from degenwave.delay_channel import channel_crosscheck
 from degenwave.model import full_constants
 from degenwave.operator_checks import (
     ProbeContext,
@@ -187,7 +186,7 @@ def test_criterion_7_delay_realization_consistency():
         c = cfgmod.set_value(cfg, "channel.n_delta", n_delta)
         c = cfgmod.set_value(c, "integrator.dt", dt)
         _, traj, _, _ = simulate_config(c)
-        discs.append(channel_crosscheck(traj))
+        discs.append(float(np.max(np.abs(traj.channel_discrepancy))))
     ratios = [discs[i] / discs[i + 1] for i in range(len(discs) - 1)]
     ok = all(1.7 <= r <= 2.6 for r in ratios)
     crit(7, ok, f"crosscheck maxima {['%.2e' % d for d in discs]}, "

@@ -15,7 +15,6 @@ from degenwave.cli import (
     sweep_rows,
 )
 from degenwave.errors import ConfigError
-from degenwave.reporting import CSV_HEADER
 
 
 class TestConfigFormat:
@@ -124,7 +123,8 @@ class TestSimulateCli:
                       "--out", str(out)])
         assert rc == EXIT_OK
         csv = (out.with_suffix(".csv")).read_text().splitlines()
-        assert csv[0] == CSV_HEADER
+        assert csv[0] == ("t,E,E_tilde,trace_v,trace_v_delayed,"
+                          "bc_residual,channel_discrepancy")
         assert len(csv) > 10
         report = json.loads(out.with_suffix(".json").read_text())
         assert report["constants"]["strictly_damped"] is True
@@ -147,6 +147,14 @@ class TestSimulateCli:
                       "--set", "coefficient.alpha=2.0",
                       "--out", str(tmp_path / "x")])
         assert rc == EXIT_HYPOTHESIS
+
+    def test_unwritable_output_exit1(self, tmp_path, fast_args, capsys):
+        out = tmp_path / "run"
+        out.with_suffix(".csv").mkdir()  # the CSV target is a directory
+        rc = run_cli(["simulate", "--config", "baseline", *fast_args,
+                      "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("io failure: ")
 
     def test_margin_violation_runs_then_strict_fails(self, tmp_path, fast_args):
         out = tmp_path / "mv"
@@ -248,6 +256,15 @@ class TestSweep:
         parallel = sweep_rows(cfg, axes, jobs=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("axis", ["gains.mu2=abc", "mesh.n=12.5"])
+    def test_bad_axis_value_exit2(self, axis, tmp_path, capsys):
+        rc = run_cli(["sweep", "--config", "baseline", "--axis", axis,
+                      "--out", str(tmp_path / "sw.csv")])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert axis.split("=")[0] in err
+
     def test_jobs_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DEGENWAVE_JOBS", "2")
         out = tmp_path / "sw.csv"
@@ -269,6 +286,18 @@ class TestConverge:
         table = converge_table(cfg, levels=3, start_n=16)
         assert all(d["dE"] == 0.0 for d in table["differences"])
         assert table["orders_E"] == ["exact"]
+
+    def test_coincident_coarse_pair_order_nan(self):
+        # levels 0 and 1 both clamp n_delta to 8 and the state is the
+        # channel alone, so the first difference is exactly zero
+        cfg = cfgmod.load_config("baseline")
+        for k, v in [("integrator.t_final", 0), ("initial.preset", "zero"),
+                     ("initial.f0", "cosine")]:
+            cfg = cfgmod.set_value(cfg, k, v)
+        table = converge_table(cfg, levels=3, start_n=16)
+        assert table["differences"][0]["dE"] == 0.0
+        assert table["differences"][1]["dE"] > 0.0
+        assert math.isnan(table["orders_E"][0])
 
     def test_level_cardinality(self):
         cfg = cfgmod.load_config("baseline")

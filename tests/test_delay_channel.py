@@ -7,7 +7,6 @@ import pytest
 
 from degenwave import (
     HistoryBuffer,
-    history_sample,
     init_channel,
     make_delay,
     transport_step,
@@ -113,13 +112,13 @@ class TestHistoryBuffer:
         buf = HistoryBuffer(horizon=10.0)
         buf.append(0.0, 0.0)
         buf.append(1.0, 2.0)
-        assert history_sample(buf, 0.5) == 1.0
+        assert buf.sample(0.5) == 1.0
 
     def test_stored_point_exact(self):
         buf = HistoryBuffer(horizon=10.0)
         for t in [0.0, 0.3, 0.7, 1.1]:
             buf.append(t, math.sin(10 * t))
-        assert history_sample(buf, 0.7) == math.sin(7.0)
+        assert buf.sample(0.7) == math.sin(7.0)
 
     def test_sine_interp_error_bound(self):
         # linear interpolation error <= max|f''| dt^2 / 8 = 1.25e-7 for sin
@@ -129,7 +128,7 @@ class TestHistoryBuffer:
             buf.append(k * dt, math.sin(k * dt))
         rng = np.random.default_rng(2)
         worst = max(
-            abs(history_sample(buf, s) - math.sin(s))
+            abs(buf.sample(s) - math.sin(s))
             for s in rng.uniform(0.0, 5.0, 2000)
         )
         assert worst <= 2.5e-7
@@ -139,9 +138,9 @@ class TestHistoryBuffer:
         buf.append(0.0, 1.0)
         buf.append(0.5, 2.0)
         with pytest.raises(OutOfSpan):
-            history_sample(buf, -1.0)
+            buf.sample(-1.0)
         with pytest.raises(OutOfSpan):
-            history_sample(buf, 0.75001 + 1.0)
+            buf.sample(0.75001 + 1.0)
 
     def test_ring_semantics_keep_horizon(self):
         buf = HistoryBuffer(horizon=0.5)
@@ -151,7 +150,7 @@ class TestHistoryBuffer:
         t = buf.times
         assert t[-1] - t[0] >= 0.5
         assert t[0] <= t[-1] - 0.5 <= t[1] + 0.5  # head trimmed, span covered
-        assert history_sample(buf, t[-1] - 0.5) == pytest.approx(19499.0, abs=1.0)
+        assert buf.sample(t[-1] - 0.5) == pytest.approx(19499.0, abs=1.0)
 
     def test_strictly_increasing_enforced(self):
         buf = HistoryBuffer(horizon=1.0)
@@ -172,4 +171,4 @@ class TestCrossRealizations:
             t += 1e-2
             ch = transport_step(ch, 1.0, 0.0, 1e-2, inflow=c)
             buf.append(t, c)
-        assert abs(ch.w[-1] - history_sample(buf, t - 1.0)) < 1e-12
+        assert abs(ch.w[-1] - buf.sample(t - 1.0)) < 1e-12

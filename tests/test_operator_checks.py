@@ -15,7 +15,6 @@ from degenwave import (
 )
 from degenwave.errors import DomainViolation
 from degenwave.operator_checks import (
-    DiscreteGenerator,
     ProbeContext,
     channel_resolvent_weights,
     continuum_channel_weight,
@@ -62,24 +61,6 @@ class TestGeneratorApply:
 
     def test_iota_at_unit_constant_delay(self):
         assert iota(make_delay("constant", {"tau": 1.0}), 2.0) == 0.5
-
-    def test_generator_object_view(self):
-        from degenwave.operator_checks import project_to_domain
-
-        ctx = make_ctx(delay=make_delay("constant", {"tau": 1.0}))
-        gen = DiscreteGenerator(t=3.0, ctx=ctx)
-        assert gen.iota == 0.5
-        rng = np.random.default_rng(6)
-        U = project_to_domain(
-            (rng.standard_normal(65), rng.standard_normal(65),
-             rng.standard_normal(33)), ctx)
-        a1 = gen.apply(U)
-        a2 = generator_apply(U, 3.0, ctx)
-        for x, y in zip(a1, a2):
-            assert np.array_equal(x, y)
-        shifted = gen.apply_shifted(U)
-        for block, raw, applied in zip(shifted, U, a1):
-            assert np.allclose(block, applied - 0.5 * raw, atol=1e-12)
 
     def test_domain_violation_without_projection(self):
         ctx = make_ctx()

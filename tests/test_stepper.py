@@ -14,6 +14,7 @@ from degenwave import (
 from degenwave.analysis import delta_trap_weights, energy
 from degenwave.errors import IncompatibleInitialData
 from degenwave.stepper import (
+    COLUMNS,
     StepWorkspace,
     bc_residual,
     init_state,
@@ -80,8 +81,9 @@ class TestStep:
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
         state, _ = init_state(mesh, ops, g, DELAY, preset="zero")
+        ws = StepWorkspace.build(ops, g, 1e-3)
         for _ in range(5):
-            state = step(state, 1e-3, g, DELAY, ops)
+            state = step(state, 1e-3, g, DELAY, ops, workspace=ws)
         assert np.all(state.u == 0.0)
         assert np.all(state.v == 0.0)
         res, _ = bc_residual(state, g, DELAY, mesh, ops)
@@ -150,8 +152,8 @@ class TestRun:
         g = GainSet(2.0, 0.2, 1.0)
         traj = run(mesh, ops, g, DELAY, t_final=0.0, dt=1e-3,
                    preset="velocity-kick", n_delta=16)
-        assert len(traj.samples) == 1
-        assert traj.samples[0].t == 0.0
+        assert traj.t.size == 1
+        assert traj.t[0] == 0.0
 
     def test_sample_times_strictly_increasing(self):
         _, mesh, ops = make_ops(n=16)
@@ -159,6 +161,19 @@ class TestRun:
         traj = run(mesh, ops, g, DELAY, t_final=0.3, dt=1e-3, record_every=3,
                    preset="velocity-kick", n_delta=16)
         assert np.all(np.diff(traj.t) > 0.0)
+
+    def test_columns_cover_a_partial_last_stride(self):
+        # 300 steps recorded every 7th: 43 strided rows plus the final one
+        _, mesh, ops = make_ops(n=16)
+        g = GainSet(2.0, 0.2, 1.0)
+        traj = run(mesh, ops, g, DELAY, t_final=0.3, dt=1e-3, record_every=7,
+                   preset="velocity-kick", n_delta=16)
+        for name in COLUMNS:
+            col = getattr(traj, name)
+            assert col.shape == (44,)
+            assert np.all(np.isfinite(col))
+        assert traj.t[-2] == pytest.approx(0.294)
+        assert traj.t[-1] == pytest.approx(0.3)
 
     def test_splice_mismatch_recorded_run_completes(self):
         _, mesh, ops = make_ops(n=16)

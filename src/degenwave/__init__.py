@@ -17,8 +17,9 @@ from .analysis import (
 )
 from .delay_channel import (
     HistoryBuffer,
-    TransportChannel,
+    delta_grid,
     init_channel,
+    transport_speed,
     transport_step,
 )
 from .mesh import (

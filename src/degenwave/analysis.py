@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .delay_channel import delta_grid, delta_trap_weights
 from .errors import InsufficientHorizon, NoStrictDamping
 from .mesh import (
     DiscreteOperators,
@@ -36,13 +37,6 @@ from .mesh import (
     solve_symmetric_tridiagonal,
 )
 from .model import CoefficientSpec, DelaySpec, GainSet, StructuralConstants
-
-
-def delta_trap_weights(n_delta: int) -> np.ndarray:
-    w = np.full(n_delta + 1, 1.0 / n_delta)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 def energy_parts(u, v, w, tau: float, ops: DiscreteOperators,
@@ -65,7 +59,7 @@ def energy_parts(u, v, w, tau: float, ops: DiscreteOperators,
 def energy(state, mesh: Mesh, ops: DiscreteOperators, gains: GainSet,
            delay: DelaySpec) -> float:
     """Total energy of a simulation state (see module docstring)."""
-    e, _ = lyapunov_raw(state.u, state.v, state.channel.w, state.t, mesh, ops,
+    e, _ = lyapunov_raw(state.u, state.v, state.w, state.t, mesh, ops,
                         gains, delay, None)
     return e
 
@@ -79,10 +73,9 @@ def _multiplier_block(u, v, w, t, mesh, ops, gains, delay, mu_a) -> float:
     cross_x = float(np.dot(h, 2.0 * xmid * slope * vmid))
     cross_uv = 0.5 * mu_a * ops.mass_quadform(u, v)
     tau_t = float(delay.tau(t))
-    wq = delta_trap_weights(w.size - 1)
-    deltas = np.linspace(0.0, 1.0, w.size)
+    m = w.size - 1
     expw = gains.mu1 * ops.a1 * tau_t * float(
-        wq @ (np.exp(-2.0 * deltas * tau_t) * w * w)
+        delta_trap_weights(m) @ (np.exp(-2.0 * delta_grid(m) * tau_t) * w * w)
     )
     return cross_x + cross_uv + expw
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -303,8 +302,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"axis {spec_str!r} must be key=v1,v2,...")
         key, vals = spec_str.split("=", 1)
         axes.append((key.strip(), [v.strip() for v in vals.split(",")]))
-    jobs = args.jobs or int(os.environ.get("DEGENWAVE_JOBS", "1"))
-    rows = sweep_rows(cfg, axes, jobs=jobs)
+    rows = sweep_rows(cfg, axes, jobs=args.jobs)
     text = _rows_to_csv(rows)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -487,8 +485,8 @@ def make_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--axis", action="append", metavar="KEY=V1,V2,...",
                     help="sweep axis (repeatable, up to 3)")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: DEGENWAVE_JOBS or 1)")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (default: 1)")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("converge", help="self-convergence study")

@@ -204,41 +204,6 @@ def load_config(path_or_name: str, base: Optional[RunConfig] = None) -> RunConfi
 # --- building the simulation objects ---------------------------------------
 
 
-def build_coefficient(cfg: RunConfig) -> model.CoefficientSpec:
-    if cfg.coefficient_kind == "power":
-        return model.make_coefficient(
-            "power", {"alpha": cfg.coefficient_alpha, "scale": cfg.coefficient_scale}
-        )
-    if cfg.coefficient_kind == "power_times_factor":
-        return model.make_coefficient(
-            "power_times_factor",
-            {"alpha": cfg.coefficient_alpha, "factor": cfg.coefficient_factor,
-             "scale": cfg.coefficient_scale},
-        )
-    if cfg.coefficient_kind == "tabulated":
-        return model.make_coefficient(
-            "tabulated", {"xs": cfg.coefficient_xs, "values": cfg.coefficient_values}
-        )
-    raise ConfigError(f"unknown coefficient.kind {cfg.coefficient_kind!r}")
-
-
-def build_delay(cfg: RunConfig) -> model.DelaySpec:
-    if cfg.delay_kind == "constant":
-        return model.make_delay("constant", {"tau": cfg.delay_tau})
-    if cfg.delay_kind == "saturating_exponential":
-        return model.make_delay(
-            "saturating_exponential",
-            {"tau0": cfg.delay_tau0, "tau1": cfg.delay_tau1, "k": cfg.delay_k},
-        )
-    if cfg.delay_kind == "piecewise_smooth":
-        return model.make_delay(
-            "piecewise_smooth",
-            {"tau0": cfg.delay_tau0, "tau1": cfg.delay_tau1,
-             "rise_start": cfg.delay_rise_start, "rise_end": cfg.delay_rise_end},
-        )
-    raise ConfigError(f"unknown delay.kind {cfg.delay_kind!r}")
-
-
 @dataclass(frozen=True)
 class RunSetup:
     """Validated, assembled objects for one run."""
@@ -270,8 +235,16 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         raise ConfigError("integrator.record_every must be >= 1")
 
     try:
-        spec = build_coefficient(cfg)
-        delay = build_delay(cfg)
+        spec = model.make_coefficient(cfg.coefficient_kind, {
+            "alpha": cfg.coefficient_alpha, "scale": cfg.coefficient_scale,
+            "factor": cfg.coefficient_factor, "xs": cfg.coefficient_xs,
+            "values": cfg.coefficient_values,
+        })
+        delay = model.make_delay(cfg.delay_kind, {
+            "tau": cfg.delay_tau, "tau0": cfg.delay_tau0,
+            "tau1": cfg.delay_tau1, "k": cfg.delay_k,
+            "rise_start": cfg.delay_rise_start, "rise_end": cfg.delay_rise_end,
+        })
         model.validate_delay(delay, horizon=max(cfg.integrator_t_final, 1.0))
         gains = model.GainSet(mu1=cfg.gains_mu1, mu2=cfg.gains_mu2,
                               beta=cfg.gains_beta)

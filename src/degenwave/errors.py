@@ -48,6 +48,10 @@ class SolveFailure(DegenwaveError):
     """A linear system that should be definite failed to solve."""
 
 
+class NonFiniteState(DegenwaveError):
+    """The simulated state overflowed or became NaN (a blow-up)."""
+
+
 class NoStrictDamping(DegenwaveError):
     """Damping margin is not strictly positive; no decay certificate available."""
 

@@ -15,6 +15,11 @@ in the weak-degeneracy regime, u(0) = v(0) = 0.  Three probes are run:
 * surjectivity of I - A(t) by direct residuals on random right-hand sides;
 * the variable-norm ratio bound ||U||_t / ||U||_s <= e^{d |t-s| / (2 tau0)}.
 
+The transport block uses the channel's own nodes and speed
+(`delay_channel.delta_grid`, `delay_channel.transport_speed`), and the
+resolvent recovers its channel component with the stepper's implicit upwind
+solve (`delay_channel.transport_step` with dt = 1).
+
 For the quadratic form the transport block is paired through the
 cell-midpoint rule, whose summation by parts is exact, so every inequality
 of the continuous dissipativity argument holds verbatim for the discrete
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import energy_parts
+from .delay_channel import delta_grid, transport_speed, transport_step
 from .errors import DomainViolation
 from .mesh import (
     DIRICHLET_LEFT,
@@ -115,14 +121,12 @@ def generator_apply(U, t: float, ctx: ProbeContext, project: bool = True):
     if ctx.dirichlet:
         av[0] = 0.0
     m = w.size - 1
-    ddelta = 1.0 / m
-    delta = np.linspace(0.0, 1.0, m + 1)
-    tau = float(ctx.delay.tau(t))
-    taup = float(ctx.delay.tau_prime(t))
-    c = (delta * taup - 1.0) / tau
+    c = transport_speed(delta_grid(m), float(ctx.delay.tau(t)),
+                        float(ctx.delay.tau_prime(t)))
+    dw = np.diff(w) * m
     aw = np.empty_like(w)
-    aw[1:] = c[1:] * (w[1:] - w[:-1]) / ddelta
-    aw[0] = c[0] * (w[1] - w[0]) / ddelta
+    aw[1:] = -c[1:] * dw
+    aw[0] = -c[0] * dw[0]
     return au, av, aw
 
 
@@ -138,9 +142,9 @@ def quadratic_form(U, t: float, ctx: ProbeContext) -> float:
     val -= kcross + ops.a1 * v[-1] * (
         g.mu1 * v[-1] + g.mu2 * w[-1] + g.beta * u[-1]
     )
-    m = w.size - 1
-    half = (np.arange(m) + 0.5) / m
-    pair = float(np.dot((half * taup - 1.0),
+    delta = delta_grid(w.size - 1)
+    half = 0.5 * (delta[1:] + delta[:-1])
+    pair = float(np.dot(-tau * transport_speed(half, tau, taup),
                         0.5 * (w[1:] + w[:-1]) * (w[1:] - w[:-1])))
     val += g.mu1 * ops.a1 * pair
     return val - iota(ctx.delay, t) * norm_t_sq((u, v, w), t, ctx)
@@ -200,8 +204,7 @@ def channel_resolvent_weights(tau: float, taup: float, n_delta: int):
     """
     m = n_delta
     ddelta = 1.0 / m
-    delta = np.arange(1, m + 1) / m
-    c = (1.0 - delta * taup) / tau
+    c = transport_speed(delta_grid(m)[1:], tau, taup)
     rho = c / (ddelta + c)
     bcell = ddelta / (ddelta + c)
     suffix = np.concatenate([np.cumprod(rho[::-1])[::-1][1:], [1.0]])
@@ -235,9 +238,9 @@ def resolvent_solve(G, t: float, ctx: ProbeContext) -> ResolventResult:
     The u equation reduces, after eliminating v = u - f and the channel, to
     a symmetric positive definite tridiagonal system whose boundary weight
     mu1 + mu2 A_d + beta is positive whenever the gain condition holds.  The
-    channel component is recovered by the same backward recurrence the
-    weights came from, so all block residuals and the feedback identity are
-    exact to rounding.
+    channel component is recovered by the stepper's upwind solve with
+    dt = 1; the closed-form weights check it, so all block residuals and the
+    feedback identity are exact to rounding.
     """
     f, g, h = (np.asarray(x, dtype=float) for x in G)
     ops, gains = ctx.ops, ctx.gains
@@ -259,14 +262,7 @@ def resolvent_solve(G, t: float, ctx: ProbeContext) -> ResolventResult:
     if start:
         v[0] = 0.0
 
-    m = ctx.n_delta
-    ddelta = 1.0 / m
-    delta = np.arange(1, m + 1) / m
-    c = (1.0 - delta * taup) / tau
-    w = np.empty(m + 1)
-    w[0] = v[-1]
-    for i in range(1, m + 1):
-        w[i] = (ddelta * h[i] + c[i - 1] * w[i - 1]) / (ddelta + c[i - 1])
+    w = transport_step(h, tau, taup, 1.0, inflow=v[-1])
 
     # block residuals of (I - A) U = G, measured on the equation rows
     res_u = u - v - f
@@ -274,7 +270,8 @@ def resolvent_solve(G, t: float, ctx: ProbeContext) -> ResolventResult:
     mv[-1] += ops.a1 * (gains.mu1 * v[-1] + gains.mu2 * w[-1]
                         + gains.beta * u[-1])
     res_v = mv[start:] / ops.mass[start:]
-    res_w = w[1:] + c * (w[1:] - w[:-1]) / ddelta - h[1:]
+    c = transport_speed(delta_grid(ctx.n_delta)[1:], tau, taup)
+    res_w = w[1:] + c * np.diff(w) * ctx.n_delta - h[1:]
     scale = max(
         1.0,
         math.sqrt(norm_h_sq((f, g, h), ctx)),

@@ -74,7 +74,7 @@ class SnapshotStore:
         self.t.append(state.t)
         self.u.append(state.u.copy())
         self.v.append(state.v.copy())
-        self.w.append(state.channel.w.copy())
+        self.w.append(state.w.copy())
 
     def save(self, path) -> None:
         np.savez(

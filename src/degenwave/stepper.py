@@ -6,12 +6,16 @@ One step advances the semi-discrete system
     du/dt   = v,
 
 by the implicit midpoint rule, with the delayed trace taken explicitly from
-the history buffer at the midpoint time (it is known history, so no
+the history ring at the midpoint time (it is known history, so no
 iteration is needed and the local part keeps its unconditional stability).
 The resulting linear system is symmetric positive definite tridiagonal (the
 feedback only loads the last diagonal entry) and is factorized once per run.
 After the wave update the stretched-history channel performs its implicit
-upwind step and the buffer records the new trace.
+upwind step (`delay_channel.transport_step`, the solve the resolvent probe
+shares) and the ring records the new trace.
+
+Step n lands on t = n dt exactly: the ring sits on the same uniform grid and
+its newest index is the step counter.  `step` updates one SimState in place.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import analysis
-from .delay_channel import HistoryBuffer, TransportChannel, init_channel, transport_step
-from .errors import IncompatibleInitialData, SolveFailure
+from .delay_channel import HistoryBuffer, init_channel, transport_step
+from .errors import IncompatibleInitialData, NonFiniteState, SolveFailure
 from .mesh import DIRICHLET_LEFT, DiscreteOperators, Mesh
 from .model import DelaySpec, GainSet
 
@@ -80,12 +84,13 @@ def history_presets(amplitude: float = 1.0) -> dict[str, Callable]:
 
 @dataclass
 class SimState:
-    """Discrete state: nodal displacement/velocity, delay channel, history."""
+    """Discrete state: nodal displacement/velocity, delay channel profile w
+    on `delay_channel.delta_grid`, history ring.  `step` updates it in place."""
 
     t: float
     u: np.ndarray
     v: np.ndarray
-    channel: TransportChannel
+    w: np.ndarray
     buffer: HistoryBuffer
 
 
@@ -122,12 +127,14 @@ class Trajectory:
 
 def init_state(mesh: Mesh, ops: DiscreteOperators, gains: GainSet,
                delay: DelaySpec, preset: str = "zero", f0_preset: str = "zero",
-               f0_amplitude: float = 1.0, n_delta: int = 64, dt_hint: float = 1e-3,
+               f0_amplitude: float = 1.0, n_delta: int = 64, dt: float = 1e-3,
                u0: Optional[Callable] = None, u1: Optional[Callable] = None,
                f0: Optional[Callable] = None) -> tuple[SimState, list[str]]:
-    """Sample initial data onto the mesh and seed both delay realizations.
+    """Sample initial data onto the mesh and seed both delay realizations;
+    the history ring sits on the grid t_k = k dt of the step dt.
 
-    Preset names may be overridden by explicit callables.  Returns the state
+    Preset names may be overridden by explicit callables; their values are
+    copied, since stepping updates the state in place.  Returns the state
     and a list of compatibility warnings: a Dirichlet-regime u0 with
     u0(0) != 0 is an error, while a mismatch between u1(1) and the history
     at time 0 is legal (the solver is agnostic) and only recorded.
@@ -147,8 +154,8 @@ def init_state(mesh: Mesh, ops: DiscreteOperators, gains: GainSet,
         f0 = table[f0_preset]
 
     x = mesh.nodes
-    u = np.asarray(u0(x), dtype=float)
-    v = np.asarray(u1(x), dtype=float)
+    u = np.array(u0(x), dtype=float)
+    v = np.array(u1(x), dtype=float)
     if ops.bc_kind == DIRICHLET_LEFT:
         if abs(u[0]) > 1e-12:
             raise IncompatibleInitialData(
@@ -158,16 +165,15 @@ def init_state(mesh: Mesh, ops: DiscreteOperators, gains: GainSet,
         v[0] = 0.0
 
     tau0 = float(delay.tau(0.0))
-    channel = init_channel(f0, tau0, n_delta)
-    buffer = HistoryBuffer(horizon=delay.tau1 + 2.0 * dt_hint)
-    buffer.seed_history(f0, -tau0 - 2.0 * dt_hint, dt_hint)
+    w = init_channel(f0, tau0, n_delta)
+    buffer = HistoryBuffer(dt, horizon=delay.tau1 + 2.0 * dt, f0=f0)
 
     if abs(float(f0(0.0)) - float(v[-1])) > 1e-12:
         warnings.append(
             "history/velocity splice mismatch at t=0: "
             f"f0(0) = {float(f0(0.0)):.6g} vs u1(1) = {float(v[-1]):.6g}"
         )
-    return SimState(t=0.0, u=u, v=v, channel=channel, buffer=buffer), warnings
+    return SimState(t=0.0, u=u, v=v, w=w, buffer=buffer), warnings
 
 
 @dataclass
@@ -196,33 +202,33 @@ class StepWorkspace:
 
 def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
          ops: DiscreteOperators, workspace: StepWorkspace) -> SimState:
-    """Advance the coupled system by one implicit-midpoint step of size dt;
-    `workspace` holds the midpoint system factorized for this dt."""
+    """Advance the coupled system in place by one implicit-midpoint step of
+    size dt (the step of the state's history ring); `workspace` holds the
+    midpoint system factorized for this dt.  Returns the same state."""
     ws = workspace
-    t_mid = state.t + 0.5 * dt
-    w_mid = state.buffer.sample(t_mid - float(delay.tau(t_mid)))
+    buf, u, v = state.buffer, state.u, state.v
+    if dt != buf.dt:
+        raise ValueError(f"step dt {dt} differs from the history grid's {buf.dt}")
+    n = buf.last + 1
+    t_mid = (n - 0.5) * dt
+    tau_mid = float(delay.tau(t_mid))
+    w_mid = buf.sample(t_mid - tau_mid)
 
     start = ws.start
-    ku = ops.stiffness_matvec(state.u)
-    rhs = 2.0 * ws.mass_act * state.v[start:] - dt * ku[start:]
-    rhs[-1] -= dt * ops.a1 * (gains.beta * state.u[-1] + gains.mu2 * w_mid)
-    vbar_act = cho_solve_banded(ws.cho, rhs, check_finite=False)
+    ku = ops.stiffness_matvec(u)
+    rhs = 2.0 * ws.mass_act * v[start:] - dt * ku[start:]
+    rhs[-1] -= dt * ops.a1 * (gains.beta * u[-1] + gains.mu2 * w_mid)
+    vbar = cho_solve_banded(ws.cho, rhs, check_finite=False)
 
-    vbar = np.zeros_like(state.v)
-    vbar[start:] = vbar_act
-    v_new = 2.0 * vbar - state.v
-    if start:
-        v_new[0] = 0.0
-    u_new = state.u + dt * vbar
-    t_new = state.t + dt
-
-    channel = transport_step(
-        state.channel, float(delay.tau(t_mid)), float(delay.tau_prime(t_mid)),
-        dt, inflow=float(v_new[-1]),
-    )
-    state.buffer.append(t_new, float(v_new[-1]))
-    return SimState(t=t_new, u=u_new, v=v_new, channel=channel,
-                    buffer=state.buffer)
+    # a Dirichlet node (start = 1) is not active and keeps u = v = 0
+    v[start:] = 2.0 * vbar - v[start:]
+    u[start:] += dt * vbar
+    trace = float(v[-1])
+    state.t = n * dt
+    state.w = transport_step(state.w, tau_mid, float(delay.tau_prime(t_mid)),
+                             dt, inflow=trace)
+    buf.append(trace)
+    return state
 
 
 def bc_residual(state: SimState, gains: GainSet, delay: DelaySpec,
@@ -258,13 +264,16 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
 
     When no Lyapunov parameters are supplied (or derivable: the modified
     functional requires a strictly positive damping margin), E_tilde is
-    recorded as E itself.
+    recorded as E itself.  Raises NonFiniteState at the first recorded
+    instant whose energy is not finite: E is a positive-weighted sum of
+    squares of every entry of u, v and w, so it catches any overflow or NaN
+    in the state.
     """
     if t_final < 0.0 or dt <= 0.0 or record_every < 1:
         raise ValueError("need t_final >= 0, dt > 0, record_every >= 1")
     state, warnings = init_state(
         mesh, ops, gains, delay, preset=preset, f0_preset=f0_preset,
-        f0_amplitude=f0_amplitude, n_delta=n_delta, dt_hint=dt,
+        f0_amplitude=f0_amplitude, n_delta=n_delta, dt=dt,
         u0=u0, u1=u1, f0=f0,
     )
     ws = StepWorkspace.build(ops, gains, dt)
@@ -276,13 +285,18 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
     def record(st: SimState):
         nonlocal row
         e, et = analysis.lyapunov_raw(
-            st.u, st.v, st.channel.w, st.t, mesh, ops, gains, delay, lyap
+            st.u, st.v, st.w, st.t, mesh, ops, gains, delay, lyap
         )
+        if not math.isfinite(e):
+            last = (f"the last finite one was at t = {float(data[0, row - 1])!r}"
+                    if row else "no finite one was recorded")
+            raise NonFiniteState(
+                f"state is not finite at t = {st.t!r} (energy {e}); {last}")
         res, w_buf = bc_residual(st, gains, delay, mesh, ops)
         # the recorded delayed trace is the channel's outflow, the
         # realization the energy integrates; the buffered reference value is
         # recoverable as trace_v_delayed - channel_discrepancy
-        w_chan = float(st.channel.w[-1])
+        w_chan = float(st.w[-1])
         data[:, row] = (st.t, e, et, float(st.v[-1]), w_chan, res,
                         w_chan - w_buf)
         row += 1
@@ -291,7 +305,7 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
 
     record(state)
     for n in range(1, n_steps + 1):
-        state = step(state, dt, gains, delay, ops, workspace=ws)
+        step(state, dt, gains, delay, ops, workspace=ws)
         if n % record_every == 0 or n == n_steps:
             record(state)
     return Trajectory(**dict(zip(COLUMNS, data)), fingerprint=fingerprint,

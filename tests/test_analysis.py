@@ -28,7 +28,7 @@ from degenwave.analysis import (
 from degenwave.errors import NoStrictDamping
 from degenwave.model import full_constants
 from degenwave.stepper import SimState
-from degenwave.delay_channel import TransportChannel, HistoryBuffer
+from degenwave.delay_channel import HistoryBuffer
 
 
 SPEC = make_coefficient("power", {"alpha": 0.5})
@@ -55,8 +55,8 @@ class TestEnergy:
         gains = GainSet(1.0, 0.0, 1.0)
         n = mesh.N + 1
         state = SimState(t=0.0, u=np.zeros(n), v=np.zeros(n),
-                         channel=TransportChannel(w=np.ones(33)),
-                         buffer=HistoryBuffer(1.0))
+                         w=np.ones(33),
+                         buffer=HistoryBuffer(1e-3, 1.0, lambda s: 0.0))
         from degenwave import energy
 
         assert energy(state, mesh, ops, gains, delay) == pytest.approx(0.4, abs=1e-15)

@@ -148,6 +148,25 @@ class TestSimulateCli:
                       "--out", str(tmp_path / "x")])
         assert rc == EXIT_HYPOTHESIS
 
+    @pytest.mark.parametrize("key", ["coefficient.kind", "delay.kind"])
+    def test_unknown_kind_exit2(self, key, tmp_path, capsys):
+        rc = run_cli(["simulate", "--config", "baseline",
+                      "--set", f"{key}=bogus", "--out", str(tmp_path / "x")])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "'bogus'" in err
+
+    def test_non_finite_state_exit2(self, tmp_path, fast_args, capsys):
+        rc = run_cli(["simulate", "--config", "baseline", *fast_args,
+                      "--set", "initial.f0=constant",
+                      "--set", "initial.f0_amplitude=nan",
+                      "--out", str(tmp_path / "x")])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("error: state is not finite at t = 0.0")
+        assert "Traceback" not in err
+
     def test_unwritable_output_exit1(self, tmp_path, fast_args, capsys):
         out = tmp_path / "run"
         out.with_suffix(".csv").mkdir()  # the CSV target is a directory
@@ -264,16 +283,6 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert axis.split("=")[0] in err
-
-    def test_jobs_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEGENWAVE_JOBS", "2")
-        out = tmp_path / "sw.csv"
-        rc = run_cli(["sweep", "--config", "baseline",
-                      "--set", "mesh.n=32", "--set", "channel.n_delta=16",
-                      "--set", "integrator.t_final=0.25",
-                      "--axis", "gains.mu2=0,0.2", "--out", str(out)])
-        assert rc == EXIT_OK
-        assert len(out.read_text().splitlines()) == 3
 
 
 class TestConverge:

@@ -11,8 +11,9 @@ from degenwave import (
     make_coefficient,
     make_delay,
 )
-from degenwave.analysis import delta_trap_weights, energy
-from degenwave.errors import IncompatibleInitialData
+from degenwave.analysis import energy
+from degenwave.delay_channel import delta_trap_weights
+from degenwave.errors import IncompatibleInitialData, NonFiniteState
 from degenwave.stepper import (
     COLUMNS,
     StepWorkspace,
@@ -68,6 +69,20 @@ class TestInitState:
             init_state(mesh, ops, g, DELAY, u0=lambda x: 1.0 + x,
                        u1=lambda x: np.zeros_like(x))
 
+    def test_initial_data_copied(self):
+        # the step updates u in place, so a u0 returning the mesh's own
+        # nodes must not let stepping move the mesh
+        _, mesh, ops = make_ops()
+        g = GainSet(2.0, 0.2, 1.0)
+        nodes = mesh.nodes.copy()
+        state, _ = init_state(mesh, ops, g, DELAY, u0=lambda x: x,
+                              u1=lambda x: np.sin(np.pi * x))
+        ws = StepWorkspace.build(ops, g, 1e-3)
+        for _ in range(20):
+            step(state, 1e-3, g, DELAY, ops, workspace=ws)
+        assert not np.array_equal(state.u, nodes)
+        assert np.array_equal(mesh.nodes, nodes)
+
     def test_sine_bump_respects_left_bc(self):
         for alpha in [0.5, 1.5]:
             spec, mesh, ops = make_ops(alpha=alpha)
@@ -89,6 +104,16 @@ class TestStep:
         res, _ = bc_residual(state, g, DELAY, mesh, ops)
         assert res == 0.0
 
+    def test_updates_state_in_place(self):
+        _, mesh, ops = make_ops()
+        g = GainSet(2.0, 0.2, 1.0)
+        state, _ = init_state(mesh, ops, g, DELAY, preset="velocity-kick")
+        u, v = state.u, state.v
+        ws = StepWorkspace.build(ops, g, 1e-3)
+        assert step(state, 1e-3, g, DELAY, ops, workspace=ws) is state
+        assert state.u is u and state.v is v
+        assert state.t == 1e-3 and state.buffer.last == 1
+
     def test_coupling_invariant_exact(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
@@ -96,7 +121,7 @@ class TestStep:
         ws = StepWorkspace.build(ops, g, 1e-3)
         for _ in range(200):
             state = step(state, 1e-3, g, DELAY, ops, workspace=ws)
-            assert state.channel.w[0] == state.v[-1]
+            assert state.w[0] == state.v[-1]
 
     def test_monotone_energy_without_delayed_gain(self):
         # mu2 = 0: boundary damping cannot pump; the channel grid must
@@ -155,6 +180,23 @@ class TestRun:
         assert traj.t.size == 1
         assert traj.t[0] == 0.0
 
+    def test_final_time_exact(self):
+        # t = n dt from the step counter, not a running sum of dt
+        _, mesh, ops = make_ops(n=16)
+        g = GainSet(2.0, 0.2, 1.0)
+        traj = run(mesh, ops, g, DELAY, t_final=2.0, dt=1e-3, record_every=50,
+                   preset="velocity-kick", n_delta=16)
+        assert traj.t[-1] == 2.0
+        assert traj.final_state.t == 2.0
+
+    def test_non_finite_state_raises(self):
+        _, mesh, ops = make_ops(n=16)
+        g = GainSet(2.0, 0.2, 1.0)
+        u1 = lambda x: np.where(x > 0.5, np.nan, 0.0)
+        with pytest.raises(NonFiniteState, match="t = 0.0"):
+            run(mesh, ops, g, DELAY, t_final=0.1, dt=1e-3, u0=lambda x: 0 * x,
+                u1=u1, n_delta=16)
+
     def test_sample_times_strictly_increasing(self):
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
@@ -204,9 +246,9 @@ class TestRun:
                    preset="velocity-kick", n_delta=32)
         st = traj.final_state
         parts = weighted_norms(st.u, st.v, mesh, ops, beta=g.beta, a1=ops.a1)
-        wq = delta_trap_weights(st.channel.n_delta)
+        wq = delta_trap_weights(st.w.size - 1)
         delay_term = g.mu1 * ops.a1 * float(DELAY.tau(st.t)) * float(
-            wq @ (st.channel.w**2)
+            wq @ (st.w**2)
         )
         e = energy(st, mesh, ops, g, DELAY)
         assert e == pytest.approx(

@@ -32,9 +32,9 @@ from .errors import InsufficientHorizon, NoStrictDamping
 from .mesh import (
     DiscreteOperators,
     Mesh,
+    SPDTridiagonal,
     assemble_operators,
     default_bc,
-    solve_symmetric_tridiagonal,
 )
 from .model import CoefficientSpec, DelaySpec, GainSet, StructuralConstants
 
@@ -56,10 +56,10 @@ def energy_parts(u, v, w, tau: float, ops: DiscreteOperators,
     }
 
 
-def energy(state, mesh: Mesh, ops: DiscreteOperators, gains: GainSet,
+def energy(state, ops: DiscreteOperators, gains: GainSet,
            delay: DelaySpec) -> float:
     """Total energy of a simulation state (see module docstring)."""
-    e, _ = lyapunov_raw(state.u, state.v, state.w, state.t, mesh, ops,
+    e, _ = lyapunov_raw(state.u, state.v, state.w, state.t, None, ops,
                         gains, delay, None)
     return e
 
@@ -277,12 +277,12 @@ def solve_auxiliary_elliptic(spec: CoefficientSpec, beta: float, lam: float,
             k[i] = 1.0 / s
     flux = replace(ops, k_cell=k)
     start = ops.first_active
-    ab = flux.stiffness_banded(start)
-    ab[1, -1] += beta * a1
-    rhs = np.zeros(ab.shape[1])
+    main, off = flux.stiffness_tridiagonal(start)
+    main[-1] += beta * a1
+    rhs = np.zeros(main.size)
     rhs[-1] = lam * a1
     z = np.zeros(mesh.N + 1)
-    z[start:] = solve_symmetric_tridiagonal(ab, rhs, "elliptic")
+    z[start:] = SPDTridiagonal(main, off, "elliptic").solve(rhs)
 
     energy_sq = flux.stiffness_quadform(z) + beta * a1 * z[-1] ** 2
     l2_sq = ops.mass_quadform(z)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, config as cfgmod, model, operator_checks, reporting
-from .errors import ConfigError, DegenwaveError, HypothesisError
+from .errors import ConfigError, DegenwaveError, HypothesisError, InsufficientHorizon
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -47,10 +47,16 @@ def _out_prefix(args, cfg, default_stem: str) -> Path:
     return prefix
 
 
-def build_report(setup: cfgmod.RunSetup, traj, lyap, cert,
+def _write_text(path: str, text: str, note: str = "") -> None:
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text, encoding="utf-8")
+    print(f"wrote {path}{note}")
+
+
+def build_report(setup: cfgmod.RunSetup, consts, traj, lyap, cert,
                  sandwich_violation) -> dict:
     cfg = setup.cfg
-    consts = model.full_constants(setup.spec, setup.gains, setup.delay)
     e = traj.E
     e0 = float(e[0]) if e.size else 0.0
     t_final = cfg.integrator_t_final
@@ -157,8 +163,6 @@ def simulate_config(cfg: cfgmod.RunConfig, snapshots: bool = False):
         seed=cfg.seed, diss_trials=200, res_trials=40, ratio_trials=200,
     )
     if lyap is not None and traj.E.size >= 2:
-        from .errors import InsufficientHorizon
-
         with warnings.catch_warnings():
             # the shortfall is surfaced through the report and stdout here
             warnings.simplefilter("ignore", InsufficientHorizon)
@@ -172,7 +176,7 @@ def simulate_config(cfg: cfgmod.RunConfig, snapshots: bool = False):
                 "time; the envelope check covers only the recorded window"
             )
     sandwich = analysis.sandwich_audit(traj, lyap) if lyap is not None else None
-    report = build_report(setup, traj, lyap, cert, sandwich)
+    report = build_report(setup, consts, traj, lyap, cert, sandwich)
     report["operator_certificate"] = cert_ops
     if store is not None:
         report["audits"]["snapshot_energy_max_rel_err"] = (
@@ -305,9 +309,7 @@ def cmd_sweep(args) -> int:
     rows = sweep_rows(cfg, axes, jobs=args.jobs)
     text = _rows_to_csv(rows)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out} ({len(rows)} rows)")
+        _write_text(args.out, text, f" ({len(rows)} rows)")
     else:
         print(text, end="")
     return EXIT_OK
@@ -363,9 +365,7 @@ def cmd_converge(args) -> int:
     table = converge_table(cfg, levels=args.levels, start_n=args.start_n)
     text = reporting.report_json_text(table)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write_text(args.out, text)
     for row in table["levels"]:
         print(f"level {row['level']}: N={row['N']} dt={row['dt']:.3e} "
               f"E(T)={row['E_T']:.12e}")
@@ -377,6 +377,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_operator_check(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     cfg = _load(args)
     setup = cfgmod.build_setup(cfg)
     t_list = args.t if args.t else [0.0, cfg.integrator_t_final / 2.0,
@@ -391,9 +393,7 @@ def cmd_operator_check(args) -> int:
     )
     text = reporting.report_json_text(cert)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write_text(args.out, text)
     else:
         print(text, end="")
     print(f"certificate pass = {cert['pass']}")
@@ -432,13 +432,13 @@ def elliptic_table(alphas, betas, lams, n: int, scale: float = 1.0) -> dict:
 def cmd_elliptic_check(args) -> int:
     alphas = args.alphas or [0.25, 0.5, 0.75, 1.5]
     betas = args.betas or [0.5, 1.0, 2.0]
+    if not all(b > 0.0 for b in betas):
+        raise ConfigError(f"--betas must be positive, got {betas}")
     lams = [-1.0, 1.0]
     table = elliptic_table(alphas, betas, lams, n=args.n)
     text = reporting.report_json_text(table)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write_text(args.out, text)
     worst = max(
         (c["l2_error_vs_exact"] for c in table["cases"]
          if c["l2_error_vs_exact"] is not None),

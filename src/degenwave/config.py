@@ -13,6 +13,7 @@ Overrides are applied as repeated `--set key=value` on the command line.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -70,8 +71,15 @@ class RunConfig:
 
 
 # dotted config key -> RunConfig attribute and parser
+def _finite(s):
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"{s!r} is not a finite number")
+    return x
+
+
 def _float_opt(s):
-    return None if s in ("", "none", "None") else float(s)
+    return None if s in ("", "none", "None") else _finite(s)
 
 
 def _str_opt(s):
@@ -79,35 +87,35 @@ def _str_opt(s):
 
 
 def _floats(s):
-    return tuple(float(x) for x in str(s).replace(",", " ").split())
+    return tuple(_finite(x) for x in str(s).replace(",", " ").split())
 
 
 _KEYS = {
     "coefficient.kind": ("coefficient_kind", str),
-    "coefficient.alpha": ("coefficient_alpha", float),
-    "coefficient.scale": ("coefficient_scale", float),
+    "coefficient.alpha": ("coefficient_alpha", _finite),
+    "coefficient.scale": ("coefficient_scale", _finite),
     "coefficient.factor": ("coefficient_factor", _str_opt),
     "coefficient.xs": ("coefficient_xs", _floats),
     "coefficient.values": ("coefficient_values", _floats),
     "delay.kind": ("delay_kind", str),
-    "delay.tau": ("delay_tau", float),
-    "delay.tau0": ("delay_tau0", float),
-    "delay.tau1": ("delay_tau1", float),
-    "delay.k": ("delay_k", float),
-    "delay.rise_start": ("delay_rise_start", float),
-    "delay.rise_end": ("delay_rise_end", float),
-    "gains.mu1": ("gains_mu1", float),
-    "gains.mu2": ("gains_mu2", float),
-    "gains.beta": ("gains_beta", float),
+    "delay.tau": ("delay_tau", _finite),
+    "delay.tau0": ("delay_tau0", _finite),
+    "delay.tau1": ("delay_tau1", _finite),
+    "delay.k": ("delay_k", _finite),
+    "delay.rise_start": ("delay_rise_start", _finite),
+    "delay.rise_end": ("delay_rise_end", _finite),
+    "gains.mu1": ("gains_mu1", _finite),
+    "gains.mu2": ("gains_mu2", _finite),
+    "gains.beta": ("gains_beta", _finite),
     "mesh.n": ("mesh_n", int),
     "mesh.gamma": ("mesh_gamma", _float_opt),
     "channel.n_delta": ("channel_n_delta", int),
     "integrator.dt": ("integrator_dt", _float_opt),
-    "integrator.t_final": ("integrator_t_final", float),
+    "integrator.t_final": ("integrator_t_final", _finite),
     "integrator.record_every": ("integrator_record_every", int),
     "initial.preset": ("initial_preset", str),
     "initial.f0": ("initial_f0", str),
-    "initial.f0_amplitude": ("initial_f0_amplitude", float),
+    "initial.f0_amplitude": ("initial_f0_amplitude", _finite),
     "outputs.csv": ("outputs_csv", _str_opt),
     "seed": ("seed", int),
 }

@@ -9,10 +9,10 @@ solves the one-way transport
 with inflow w(0, t) = u_t(t, 1).  This module owns that design decision for
 the whole package: the channel nodes (`delta_grid`), their trapezoid weights
 (`delta_trap_weights`), the speed (`transport_speed`) and the implicit upwind
-solve (`transport_step`).  The stepper advances the channel with it, the
-generator probes take the transport block of A(t) from the same grid and
-speed, and the channel block of the resolvent (I - A(t))^{-1} is the same
-solve with dt = 1 and the old profile replaced by the load.
+solve (`transport_step`, a forward substitution by LAPACK ?tbtrs).  The
+stepper advances the channel with it, the generator probes take the
+transport block of A(t) from the same grid and speed, and the channel block
+of (I - A(t))^{-1} is the same solve with dt = 1 and the load for w.
 
 A raw history ring with linear interpolation on the uniform step grid
 t_k = k dt serves as the independent reference realization; agreement of
@@ -25,9 +25,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dtbtrs
 
-from .errors import OutOfSpan
+from .errors import OutOfSpan, SolveFailure
 
 
 @lru_cache(maxsize=8)
@@ -82,12 +82,12 @@ def transport_step(w: np.ndarray, tau: float, tau_prime: float, dt: float,
     ab = np.empty((2, m))
     ab[0] = 1.0 + lam
     ab[1, :-1] = -lam[1:]
-    rhs = w[1:].copy()
-    rhs[0] += lam[0] * inflow
-    out = np.empty_like(w)
+    out = w.copy()
     out[0] = inflow
-    out[1:] = solve_banded((1, 0), ab, rhs, overwrite_ab=True,
-                           overwrite_b=True, check_finite=False)
+    out[1] += lam[0] * inflow
+    out[1:], info = dtbtrs(ab, out[1:], uplo="L")
+    if info != 0:
+        raise SolveFailure(f"channel solve failed (tbtrs info {info})")
     return out
 
 

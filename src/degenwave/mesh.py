@@ -1,8 +1,12 @@
-"""Graded 1-d meshes and the discrete weighted forms.
+"""Graded 1-d meshes, the discrete weighted forms and their linear solves.
 
 Piecewise-linear elements with the coefficient sampled at element midpoints
 (the assembly never evaluates a'(x) or touches a(0)), a lumped trapezoidal
 mass, and an optional Dirichlet constraint at the degenerate endpoint.
+
+The midpoint step, the resolvent and the elliptic problem all solve this
+stiffness plus diagonal terms: `SPDTridiagonal` factors one such matrix
+once as L D L^T (LAPACK ?pttrf) and solves with the factors (?pttrs).
 """
 
 from __future__ import annotations
@@ -10,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import BadMeshParams, BcMismatch, ShapeMismatch, SolveFailure
+from .errors import BadMeshParams, BcMismatch, NonPositive, ShapeMismatch, SolveFailure
 from .model import CoefficientSpec
 
 DIRICHLET_LEFT = "dirichlet_left"
@@ -98,31 +102,33 @@ class DiscreteOperators:
             w = v
         return float(np.dot(self.mass * v, w))
 
-    def stiffness_banded(self, start: int, shift: np.ndarray | None = None):
-        """Symmetric banded form (rows [upper, main]) of K on nodes[start:],
-        optionally with a diagonal shift added."""
-        k = self.k_cell
-        n = self.n_nodes - start
-        main = np.zeros(n)
-        main[:] = np.concatenate([k, [0.0]])[start:] + np.concatenate([[0.0], k])[start:]
-        upper = np.zeros(n)
-        upper[1:] = -k[start:]
-        ab = np.vstack([upper, main])
-        if shift is not None:
-            ab[1] += shift
-        return ab
+    def stiffness_tridiagonal(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """(main, off) diagonals of K on nodes[start:], as new arrays."""
+        main = np.zeros(self.n_nodes)
+        main[:-1] += self.k_cell
+        main[1:] += self.k_cell
+        return main[start:], -self.k_cell[start:]
 
 
-def solve_symmetric_tridiagonal(ab: np.ndarray, rhs: np.ndarray,
-                                what: str) -> np.ndarray:
-    """Solve with a symmetric tridiagonal given in the [upper, main] banded
-    form of DiscreteOperators.stiffness_banded; a failed solve raises
-    SolveFailure naming `what`."""
-    full = np.vstack([ab[0], ab[1], np.roll(ab[0], -1)])
-    try:
-        return solve_banded((1, 1), full, rhs, check_finite=False)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SolveFailure(f"{what} solve failed: {exc}") from exc
+class SPDTridiagonal:
+    """SPD tridiagonal matrix (diagonals main, off), factored once as L D L^T.
+    Raises SolveFailure naming `what` unless every pivot in D is positive and
+    finite; ?pttrf itself lets a NaN pivot through."""
+
+    def __init__(self, main: np.ndarray, off: np.ndarray, what: str):
+        self.what = what
+        d, e, info = dpttrf(main, off)
+        if info != 0 or not np.all(np.isfinite(d) & (d > 0.0)):
+            raise SolveFailure(f"{what} system is singular, indefinite or "
+                               f"not finite (pttrf info {info})")
+        self._d, self._e = d, e
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution x of A x = rhs as a new array; rhs is not modified."""
+        x, info = dpttrs(self._d, self._e, rhs)
+        if info != 0:
+            raise SolveFailure(f"{self.what} solve failed (pttrs info {info})")
+        return x
 
 
 def assemble_operators(spec: CoefficientSpec, mesh: Mesh,
@@ -143,8 +149,6 @@ def assemble_operators(spec: CoefficientSpec, mesh: Mesh,
     h = mesh.h
     a_mid = np.asarray(spec.a(mesh.midpoints), dtype=float)
     if np.any(a_mid <= 0.0):
-        from .errors import NonPositive
-
         raise NonPositive("coefficient must be positive at element midpoints")
     mass = np.zeros(mesh.N + 1)
     mass[:-1] += 0.5 * h

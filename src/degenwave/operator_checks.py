@@ -36,12 +36,7 @@ import numpy as np
 from .analysis import energy_parts
 from .delay_channel import delta_grid, transport_speed, transport_step
 from .errors import DomainViolation
-from .mesh import (
-    DIRICHLET_LEFT,
-    DiscreteOperators,
-    Mesh,
-    solve_symmetric_tridiagonal,
-)
+from .mesh import DIRICHLET_LEFT, DiscreteOperators, Mesh, SPDTridiagonal
 from .model import DelaySpec, GainSet
 
 
@@ -250,14 +245,15 @@ def resolvent_solve(G, t: float, ctx: ProbeContext) -> ResolventResult:
     hload = float(bw @ h)
 
     start = ops.first_active
-    ab = ops.stiffness_banded(start, shift=ops.mass[start:])
+    main, off = ops.stiffness_tridiagonal(start)
+    main += ops.mass[start:]
     weight = gains.mu1 + gains.mu2 * a_d + gains.beta
-    ab[1, -1] += ops.a1 * weight
+    main[-1] += ops.a1 * weight
     rhs = (ops.mass * (f + g))[start:]
     rhs[-1] += ops.a1 * ((gains.mu1 + gains.mu2 * a_d) * f[-1]
                          - gains.mu2 * hload)
     u = np.zeros(ops.n_nodes)
-    u[start:] = solve_symmetric_tridiagonal(ab, rhs, "resolvent")
+    u[start:] = SPDTridiagonal(main, off, "resolvent").solve(rhs)
     v = u - f
     if start:
         v[0] = 0.0

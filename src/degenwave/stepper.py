@@ -8,11 +8,11 @@ One step advances the semi-discrete system
 by the implicit midpoint rule, with the delayed trace taken explicitly from
 the history ring at the midpoint time (it is known history, so no
 iteration is needed and the local part keeps its unconditional stability).
-The resulting linear system is symmetric positive definite tridiagonal (the
-feedback only loads the last diagonal entry) and is factorized once per run.
-After the wave update the stretched-history channel performs its implicit
-upwind step (`delay_channel.transport_step`, the solve the resolvent probe
-shares) and the ring records the new trace.
+The linear system is SPD tridiagonal (the feedback only loads the last
+diagonal entry): `StepWorkspace.build` factors it once per run as a
+`mesh.SPDTridiagonal`, and a step is one solve with the factors.  Then the
+stretched-history channel takes its upwind step (`transport_step`, the
+triangular solve the resolvent shares) and the ring records the trace.
 
 Step n lands on t = n dt exactly: the ring sits on the same uniform grid and
 its newest index is the step counter.  `step` updates one SimState in place.
@@ -25,12 +25,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import analysis
 from .delay_channel import HistoryBuffer, init_channel, transport_step
-from .errors import IncompatibleInitialData, NonFiniteState, SolveFailure
-from .mesh import DIRICHLET_LEFT, DiscreteOperators, Mesh
+from .errors import IncompatibleInitialData, NonFiniteState
+from .mesh import DIRICHLET_LEFT, DiscreteOperators, Mesh, SPDTridiagonal
 from .model import DelaySpec, GainSet
 
 
@@ -178,26 +177,18 @@ def init_state(mesh: Mesh, ops: DiscreteOperators, gains: GainSet,
 
 @dataclass
 class StepWorkspace:
-    """Per-run factorizations and scratch data for the implicit midpoint step."""
+    """The midpoint system of one run, factored once for the step dt."""
 
     dt: float
-    start: int
-    cho: tuple
-    mass_act: np.ndarray
+    system: SPDTridiagonal
 
     @classmethod
     def build(cls, ops: DiscreteOperators, gains: GainSet, dt: float) -> "StepWorkspace":
         start = ops.first_active
-        mass_act = ops.mass[start:]
-        ab = ops.stiffness_banded(start)
-        ab = ab * (0.5 * dt * dt)
-        ab[1] += 2.0 * mass_act
-        ab[1, -1] += dt * ops.a1 * (gains.mu1 + 0.5 * dt * gains.beta)
-        try:
-            cho = (cholesky_banded(ab, check_finite=False), False)
-        except Exception as exc:
-            raise SolveFailure(f"midpoint system not SPD: {exc}") from exc
-        return cls(dt=dt, start=start, cho=cho, mass_act=mass_act)
+        main, off = ops.stiffness_tridiagonal(start)
+        main = main * (0.5 * dt * dt) + 2.0 * ops.mass[start:]
+        main[-1] += dt * ops.a1 * (gains.mu1 + 0.5 * dt * gains.beta)
+        return cls(dt, SPDTridiagonal(main, off * (0.5 * dt * dt), "midpoint"))
 
 
 def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
@@ -205,20 +196,20 @@ def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
     """Advance the coupled system in place by one implicit-midpoint step of
     size dt (the step of the state's history ring); `workspace` holds the
     midpoint system factorized for this dt.  Returns the same state."""
-    ws = workspace
     buf, u, v = state.buffer, state.u, state.v
-    if dt != buf.dt:
-        raise ValueError(f"step dt {dt} differs from the history grid's {buf.dt}")
+    if not dt == buf.dt == workspace.dt:
+        raise ValueError(f"step dt {dt} differs from the history grid's {buf.dt} "
+                         f"or the workspace's {workspace.dt}")
     n = buf.last + 1
     t_mid = (n - 0.5) * dt
     tau_mid = float(delay.tau(t_mid))
     w_mid = buf.sample(t_mid - tau_mid)
 
-    start = ws.start
+    start = ops.first_active
     ku = ops.stiffness_matvec(u)
-    rhs = 2.0 * ws.mass_act * v[start:] - dt * ku[start:]
+    rhs = 2.0 * ops.mass[start:] * v[start:] - dt * ku[start:]
     rhs[-1] -= dt * ops.a1 * (gains.beta * u[-1] + gains.mu2 * w_mid)
-    vbar = cho_solve_banded(ws.cho, rhs, check_finite=False)
+    vbar = workspace.system.solve(rhs)
 
     # a Dirichlet node (start = 1) is not active and keeps u = v = 0
     v[start:] = 2.0 * vbar - v[start:]

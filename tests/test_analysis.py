@@ -59,7 +59,7 @@ class TestEnergy:
                          buffer=HistoryBuffer(1e-3, 1.0, lambda s: 0.0))
         from degenwave import energy
 
-        assert energy(state, mesh, ops, gains, delay) == pytest.approx(0.4, abs=1e-15)
+        assert energy(state, ops, gains, delay) == pytest.approx(0.4, abs=1e-15)
 
     def test_epsilon_zero_collapses_to_energy(self):
         spec, mesh, ops = assemble()

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from degenwave import config as cfgmod
+from degenwave import stepper
 from degenwave.cli import (
     EXIT_AUDIT,
     EXIT_HYPOTHESIS,
@@ -157,15 +158,30 @@ class TestSimulateCli:
         assert err.startswith("config error: ")
         assert "'bogus'" in err
 
-    def test_non_finite_state_exit2(self, tmp_path, fast_args, capsys):
+    def test_non_finite_state_exit2(self, tmp_path, fast_args, capsys,
+                                    monkeypatch):
+        # the config rejects non-finite numbers, so a NaN history comes from
+        # a patched preset
+        monkeypatch.setattr(stepper, "history_presets",
+                            lambda amplitude: {"constant": lambda s: math.nan})
         rc = run_cli(["simulate", "--config", "baseline", *fast_args,
                       "--set", "initial.f0=constant",
-                      "--set", "initial.f0_amplitude=nan",
                       "--out", str(tmp_path / "x")])
         assert rc == EXIT_HYPOTHESIS
         err = capsys.readouterr().err
         assert err.startswith("error: state is not finite at t = 0.0")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["integrator.dt", "integrator.t_final",
+                                     "coefficient.alpha"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_number_exit2(self, key, value, tmp_path, capsys):
+        rc = run_cli(["simulate", "--config", "baseline",
+                      "--set", f"{key}={value}", "--out", str(tmp_path / "x")])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: override: bad value for {key}: ")
+        assert "not a finite number" in err
 
     def test_unwritable_output_exit1(self, tmp_path, fast_args, capsys):
         out = tmp_path / "run"
@@ -351,6 +367,14 @@ class TestOperatorCheckCli:
                       "--strict", "--out", str(out)])
         assert rc == EXIT_AUDIT
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_bad_trials_exit2(self, trials, capsys):
+        rc = run_cli(["operator-check", "--config", "baseline",
+                      "--trials", trials])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --trials must be at least 1")
+
 
 class TestEllipticCli:
     def test_table(self, tmp_path):
@@ -360,3 +384,10 @@ class TestEllipticCli:
         table = json.loads(out.read_text())
         assert table["pass"] is True
         assert len(table["cases"]) == 24
+
+    @pytest.mark.parametrize("beta", ["0", "-1", "nan"])
+    def test_bad_beta_exit2(self, beta, capsys):
+        rc = run_cli(["elliptic-check", "--n", "16", "--betas", "1", beta])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --betas must be positive")

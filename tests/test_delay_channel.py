@@ -13,7 +13,7 @@ from degenwave import (
     transport_speed,
     transport_step,
 )
-from degenwave.errors import OutOfSpan
+from degenwave.errors import OutOfSpan, SolveFailure
 
 
 class TestInitChannel:
@@ -125,6 +125,11 @@ class TestSharedSolve:
         c = transport_speed(delta_grid(m)[1:], tau, taup)
         assert w[0] == 0.4
         assert np.max(np.abs(w[1:] + c * np.diff(w) * m - h[1:])) < 1e-12
+
+    def test_singular_system_raises(self):
+        # m = 2, dt = 1, tau' = 3: lam_1 = 2 (1 - 0.5 * 3) = -1, a zero pivot
+        with pytest.raises(SolveFailure, match="^channel solve failed"):
+            transport_step(np.zeros(3), 1.0, 3.0, 1.0, inflow=0.0)
 
     def test_delta_grid_read_only(self):
         grid = delta_grid(8)

@@ -11,7 +11,8 @@ from degenwave import (
     structural_constants,
     weighted_norms,
 )
-from degenwave.errors import BadMeshParams, BcMismatch, ShapeMismatch
+from degenwave.errors import BadMeshParams, BcMismatch, ShapeMismatch, SolveFailure
+from degenwave.mesh import SPDTridiagonal
 
 
 def full_stiffness(ops):
@@ -108,6 +109,49 @@ class TestAssembly:
             errs.append(abs(ops.stiffness_quadform(u) - exact))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.8
+
+
+class TestTridiagonal:
+    @pytest.mark.parametrize("alpha, bc", [(0.5, "dirichlet_left"),
+                                           (1.5, "natural_left")])
+    def test_diagonals_match_the_matvec(self, alpha, bc):
+        spec = make_coefficient("power", {"alpha": alpha})
+        ops = assemble_operators(spec, build_mesh(17, 1.3), bc)
+        K = full_stiffness(ops)
+        for start in (0, 1):
+            main, off = ops.stiffness_tridiagonal(start)
+            sub = K[start:, start:]
+            assert np.array_equal(main, np.diag(sub))
+            assert np.array_equal(off, np.diag(sub, 1))
+            assert np.array_equal(off, np.diag(sub, -1))
+            main[:] = 0.0  # new arrays: the operator is unchanged
+        assert np.array_equal(full_stiffness(ops), K)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 256, 1025])
+    def test_solve_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        off = rng.standard_normal(n - 1)
+        # diagonally dominant, hence positive definite
+        main = np.abs(rng.standard_normal(n)) + 0.1
+        main[:-1] += np.abs(off)
+        main[1:] += np.abs(off)
+        A = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+        rhs = rng.standard_normal(n)
+        before = rhs.copy()
+        x = SPDTridiagonal(main, off, "test").solve(rhs)
+        want = np.linalg.solve(A, rhs)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(rhs, before)
+
+    def test_indefinite_raises_naming_the_system(self):
+        with pytest.raises(SolveFailure, match="^resolvent system is singular, "
+                                               "indefinite or not finite"):
+            SPDTridiagonal(np.array([1.0, -1.0, 4.0]), np.ones(2), "resolvent")
+
+    def test_nan_diagonal_raises_naming_the_system(self):
+        # ?pttrf itself reports success on a NaN pivot
+        with pytest.raises(SolveFailure, match="^elliptic system"):
+            SPDTridiagonal(np.array([4.0, np.nan, 4.0]), np.ones(2), "elliptic")
 
 
 class TestWeightedNorms:

@@ -13,7 +13,7 @@ from degenwave import (
     make_coefficient,
     make_delay,
 )
-from degenwave.errors import DomainViolation
+from degenwave.errors import DomainViolation, SolveFailure
 from degenwave.operator_checks import (
     ProbeContext,
     channel_resolvent_weights,
@@ -160,6 +160,13 @@ class TestResolvent:
             rep = resolvent_probe(0.5, ctx, trials=50, seed=21)
             assert rep.max_residual <= 1e-8
             assert rep.max_boundary_identity <= 1e-8
+
+    def test_indefinite_system_raises(self):
+        # far outside the gain condition the boundary weight
+        # mu1 + mu2 A_d + beta is so negative that the u system is indefinite
+        ctx = make_ctx(gains=GainSet(2.0, -50.0, 1.0))
+        with pytest.raises(SolveFailure, match="^resolvent system"):
+            resolvent_solve((np.zeros(65), np.zeros(65), np.zeros(33)), 1.0, ctx)
 
 
 class TestNormRatio:

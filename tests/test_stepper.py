@@ -13,7 +13,7 @@ from degenwave import (
 )
 from degenwave.analysis import energy
 from degenwave.delay_channel import delta_trap_weights
-from degenwave.errors import IncompatibleInitialData, NonFiniteState
+from degenwave.errors import IncompatibleInitialData, NonFiniteState, SolveFailure
 from degenwave.stepper import (
     COLUMNS,
     StepWorkspace,
@@ -39,7 +39,7 @@ class TestInitState:
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
         state, warns = init_state(mesh, ops, g, DELAY, preset="zero")
-        assert energy(state, mesh, ops, g, DELAY) == 0.0
+        assert energy(state, ops, g, DELAY) == 0.0
         assert warns == []
 
     def test_ramp_energy_limit(self):
@@ -47,7 +47,7 @@ class TestInitState:
         spec, mesh, ops = make_ops(n=512, gamma=4.0 / 3.0)
         g = GainSet(2.0, 0.2, 1.0)
         state, _ = init_state(mesh, ops, g, DELAY, preset="ramp")
-        assert abs(energy(state, mesh, ops, g, DELAY) - 5.0 / 6.0) < 1e-3
+        assert abs(energy(state, ops, g, DELAY) - 5.0 / 6.0) < 1e-3
 
     def test_nonzero_history_adds_delay_term(self):
         # with f0 = const the initial energy gains mu1 a(1) tau(0) trap(w^2)/2,
@@ -57,7 +57,7 @@ class TestInitState:
         ref, _ = init_state(mesh, ops, g, DELAY, preset="ramp", f0_preset="zero")
         state, warns = init_state(mesh, ops, g, DELAY, preset="ramp",
                                   f0_preset="constant", f0_amplitude=0.8)
-        extra = energy(state, mesh, ops, g, DELAY) - energy(ref, mesh, ops, g, DELAY)
+        extra = energy(state, ops, g, DELAY) - energy(ref, ops, g, DELAY)
         expected = 0.5 * g.mu1 * ops.a1 * float(DELAY.tau(0.0)) * 0.8**2
         assert abs(extra - expected) < 1e-14
         assert any("splice" in w for w in warns)
@@ -113,6 +113,36 @@ class TestStep:
         assert step(state, 1e-3, g, DELAY, ops, workspace=ws) is state
         assert state.u is u and state.v is v
         assert state.t == 1e-3 and state.buffer.last == 1
+
+    def test_solve_matches_the_midpoint_equations(self):
+        # with mu2 = 0, one step satisfies every row of the midpoint equation
+        # M (v' - v) = -dt K ubar - dt a(1) e_N (mu1 vbar_N + beta ubar_N)
+        _, mesh, ops = make_ops(alpha=1.5)
+        g = GainSet(2.0, 0.0, 1.0)
+        dt = 1e-3
+        state, _ = init_state(mesh, ops, g, DELAY, preset="velocity-kick")
+        u0, v0 = state.u.copy(), state.v.copy()
+        step(state, dt, g, DELAY, ops, workspace=StepWorkspace.build(ops, g, dt))
+        ubar, vbar = 0.5 * (u0 + state.u), 0.5 * (v0 + state.v)
+        res = ops.mass * (state.v - v0) + dt * ops.stiffness_matvec(ubar)
+        res[-1] += dt * ops.a1 * (g.mu1 * vbar[-1] + g.beta * ubar[-1])
+        assert np.max(np.abs(res)) <= 1e-13 * np.max(np.abs(ops.mass * v0))
+
+    def test_dt_must_match_grid_and_workspace(self):
+        _, mesh, ops = make_ops()
+        g = GainSet(2.0, 0.2, 1.0)
+        state, _ = init_state(mesh, ops, g, DELAY, preset="velocity-kick", dt=1e-3)
+        other = StepWorkspace.build(ops, g, 2e-3)
+        with pytest.raises(ValueError, match="differs from"):
+            step(state, 1e-3, g, DELAY, ops, workspace=other)
+        with pytest.raises(ValueError, match="differs from"):
+            step(state, 2e-3, g, DELAY, ops, workspace=other)
+        assert state.t == 0.0 and state.buffer.last == 0
+
+    def test_nan_gain_raises_solve_failure(self):
+        _, mesh, ops = make_ops()
+        with pytest.raises(SolveFailure, match="^midpoint system"):
+            StepWorkspace.build(ops, GainSet(float("nan"), 0.0, 1.0), 1e-3)
 
     def test_coupling_invariant_exact(self):
         _, mesh, ops = make_ops()
@@ -250,7 +280,7 @@ class TestRun:
         delay_term = g.mu1 * ops.a1 * float(DELAY.tau(st.t)) * float(
             wq @ (st.w**2)
         )
-        e = energy(st, mesh, ops, g, DELAY)
+        e = energy(st, ops, g, DELAY)
         assert e == pytest.approx(
             0.5 * (sum(parts.values()) + delay_term), rel=1e-15, abs=1e-300
         )

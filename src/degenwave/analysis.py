@@ -47,37 +47,28 @@ def energy_parts(u, v, w, tau: float, ops: DiscreteOperators,
     time-dependent norm ||U||_t^2 (the plain sum of the blocks), 1 for the
     reference norm ||U||_H^2.
     """
-    wq = delta_trap_weights(w.size - 1)
+    return _energy_blocks(u, v, u[1:] - u[:-1], ops.mass * v, w * w, tau,
+                          ops, gains)
+
+
+def _energy_blocks(u, v, du, mv, ww, tau, ops, gains) -> dict:
+    # the energy blocks from the differences du of u, mv = M v and ww = w^2,
+    # which lyapunov_raw shares with the eps-block
     return {
-        "kinetic": ops.mass_quadform(v),
-        "elastic": ops.stiffness_quadform(u),
+        "kinetic": float(mv @ v),
+        "elastic": float((ops.k_cell * du) @ du),
         "boundary": gains.beta * ops.a1 * float(u[-1]) ** 2,
-        "delay": gains.mu1 * ops.a1 * tau * float(wq @ (w * w)),
+        "delay": gains.mu1 * ops.a1 * tau * float(
+            delta_trap_weights(ww.size - 1) @ ww),
     }
 
 
 def energy(state, ops: DiscreteOperators, gains: GainSet,
            delay: DelaySpec) -> float:
     """Total energy of a simulation state (see module docstring)."""
-    e, _ = lyapunov_raw(state.u, state.v, state.w, state.t, None, ops,
-                        gains, delay, None)
+    e, _ = lyapunov_raw(state.u, state.v, state.w, delay.tau(state.t), ops,
+                        gains, None)
     return e
-
-
-def _multiplier_block(u, v, w, t, mesh, ops, gains, delay, mu_a) -> float:
-    """The eps-block of the modified functional (no eps factor applied)."""
-    h = mesh.h
-    xmid = mesh.midpoints
-    slope = np.diff(u) / h
-    vmid = 0.5 * (v[:-1] + v[1:])
-    cross_x = float(np.dot(h, 2.0 * xmid * slope * vmid))
-    cross_uv = 0.5 * mu_a * ops.mass_quadform(u, v)
-    tau_t = float(delay.tau(t))
-    m = w.size - 1
-    expw = gains.mu1 * ops.a1 * tau_t * float(
-        delta_trap_weights(m) @ (np.exp(-2.0 * delta_grid(m) * tau_t) * w * w)
-    )
-    return cross_x + cross_uv + expw
 
 
 @dataclass(frozen=True)
@@ -102,16 +93,25 @@ class LyapunovParams:
     eps_damping: float
 
 
-def lyapunov_raw(u, v, w, t, mesh, ops, gains, delay,
+def lyapunov_raw(u, v, w, tau: float, ops: DiscreteOperators, gains: GainSet,
                  params: Optional[LyapunovParams]) -> tuple[float, float]:
-    """(E, E~) for raw arrays; used by the recorder and by synthetic tests.
-    Without params (or with epsilon 0) E~ is E."""
-    p = energy_parts(u, v, w, float(delay.tau(t)), ops, gains)
-    e = 0.5 * sum(p.values())
+    """(E, E~) of raw arrays with the delay tau = tau(t); used by the
+    recorder and by synthetic tests.  Without params (or with epsilon 0) E~
+    is E.  Both come from one difference of u, one M v and one w^2."""
+    du = u[1:] - u[:-1]
+    mv = ops.mass * v
+    ww = w * w
+    e = 0.5 * sum(_energy_blocks(u, v, du, mv, ww, tau, ops, gains).values())
     if params is None or params.epsilon == 0.0:
         return e, e
-    block = _multiplier_block(u, v, w, t, mesh, ops, gains, delay, ops.mu_a)
-    return e, e + params.epsilon * block
+    # the eps-block: sum over cells of h 2 x u_x v at the midpoint, which is
+    # x_mid du (v_i + v_{i+1}), plus (mu_a/2) u^T M v and the weighted reservoir
+    m = ww.size - 1
+    cross_x = float((ops.mesh.midpoints * du) @ (v[:-1] + v[1:]))
+    cross_uv = 0.5 * ops.mu_a * float(mv @ u)
+    expw = gains.mu1 * ops.a1 * tau * float(
+        delta_trap_weights(m) @ (np.exp((-2.0 * tau) * delta_grid(m)) * ww))
+    return e, e + params.epsilon * (cross_x + cross_uv + expw)
 
 
 def sandwich_coefficient(mu_a: float, a1: float, beta: float,

@@ -324,8 +324,10 @@ def converge_table(cfg: cfgmod.RunConfig, levels: int = 3,
     observed order."""
     if levels < 3:
         raise ConfigError("need at least 3 levels")
+    if start_n is not None and start_n < 1:
+        raise ConfigError(f"--start-n must be at least 1, got {start_n}")
     base = cfgmod.build_setup(cfg)
-    n0 = start_n or cfg.mesh_n
+    n0 = cfg.mesh_n if start_n is None else start_n
     rows = []
     for k in range(levels):
         n = n0 * 2**k

@@ -38,17 +38,23 @@ def delta_grid(m: int) -> np.ndarray:
     return grid
 
 
+@lru_cache(maxsize=8)
 def delta_trap_weights(m: int) -> np.ndarray:
-    """Trapezoid weights on delta_grid(m)."""
+    """Trapezoid weights on delta_grid(m) (shared, read-only)."""
     w = np.full(m + 1, 1.0 / m)
     w[0] *= 0.5
     w[-1] *= 0.5
+    w.flags.writeable = False
     return w
 
 
-def transport_speed(delta, tau: float, tau_prime: float):
-    """Transport speed c(delta) = (1 - delta tau') / tau of the channel."""
-    return (1.0 - delta * tau_prime) / tau
+def transport_speed(delta, tau: float, tau_prime: float, out=None):
+    """Transport speed c(delta) = (1 - delta tau') / tau of the channel,
+    written into the array `out` when one is given."""
+    c = np.multiply(delta, -tau_prime, out=out)
+    c += 1.0
+    c /= tau
+    return c
 
 
 def init_channel(f0, tau_at_0: float, n_delta: int) -> np.ndarray:
@@ -77,14 +83,17 @@ def transport_step(w: np.ndarray, tau: float, tau_prime: float, dt: float,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     m = w.size - 1
-    lam = (dt * m) * transport_speed(delta_grid(m)[1:], tau, tau_prime)
-    # lower-bidiagonal solve: (1 + lam_i) w'_i - lam_i w'_{i-1} = w_i
+    # lower-bidiagonal solve: (1 + lam_i) w'_i - lam_i w'_{i-1} = w_i; the
+    # band is filled in place (lam in row 0, -lam_{i+1} in row 1, then 1 +
+    # lam in row 0)
     ab = np.empty((2, m))
-    ab[0] = 1.0 + lam
-    ab[1, :-1] = -lam[1:]
+    lam = transport_speed(delta_grid(m)[1:], tau, tau_prime, out=ab[0])
+    lam *= dt * m
+    np.negative(lam[1:], out=ab[1, :-1])
     out = w.copy()
     out[0] = inflow
     out[1] += lam[0] * inflow
+    lam += 1.0
     out[1:], info = dtbtrs(ab, out[1:], uplo="L")
     if info != 0:
         raise SolveFailure(f"channel solve failed (tbtrs info {info})")

@@ -12,6 +12,7 @@ once as L D L^T (LAPACK ?pttrf) and solves with the factors (?pttrs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -31,13 +32,19 @@ class Mesh:
     grading_gamma: float
     N: int
 
-    @property
+    # element widths and midpoints are computed once and shared by every
+    # caller, so they are read-only
+    @cached_property
     def h(self) -> np.ndarray:
-        return np.diff(self.nodes)
+        h = np.diff(self.nodes)
+        h.flags.writeable = False
+        return h
 
-    @property
+    @cached_property
     def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        mid.flags.writeable = False
+        return mid
 
 
 def default_gamma(mu_a: float) -> float:
@@ -84,12 +91,7 @@ class DiscreteOperators:
 
     def stiffness_matvec(self, u: np.ndarray) -> np.ndarray:
         """K u on the full node set (the constrained node simply carries u=0)."""
-        k = self.k_cell
-        out = np.zeros_like(u)
-        du = k * (u[1:] - u[:-1])
-        out[:-1] -= du
-        out[1:] += du
-        return out
+        return add_stiffness_product(np.zeros_like(u), self.k_cell, u)
 
     def stiffness_quadform(self, u: np.ndarray, w: np.ndarray | None = None) -> float:
         """u^T K w (w defaults to u); equals sum_i k_i (du_i)(dw_i)."""
@@ -108,6 +110,16 @@ class DiscreteOperators:
         main[:-1] += self.k_cell
         main[1:] += self.k_cell
         return main[start:], -self.k_cell[start:]
+
+
+def add_stiffness_product(out: np.ndarray, k: np.ndarray,
+                          u: np.ndarray) -> np.ndarray:
+    """out += K u in place for the stiffness with cell conductances k (K is
+    linear in k, so k = -dt k_cell adds -dt K u); returns out."""
+    flux = k * (u[1:] - u[:-1])
+    out[:-1] -= flux
+    out[1:] += flux
+    return out
 
 
 class SPDTridiagonal:

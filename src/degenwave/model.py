@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DegeneracyOutOfRange,
     DelayHypothesisViolated,
+    HypothesisError,
     NonPositive,
 )
 
@@ -144,6 +145,14 @@ def degeneracy_mu_a(spec: CoefficientSpec, n_samples: int = 2001) -> float:
     return float(np.max(ratio))
 
 
+def _finite(error: type, **values: float) -> None:
+    """Raise `error` naming the first value that is NaN or infinite; every
+    ordered range check is False for NaN, so this runs before them."""
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise error(f"{name} must be a finite number, got {x}")
+
+
 def make_coefficient(kind: str, params: dict) -> CoefficientSpec:
     """Build and validate a coefficient family member.
 
@@ -152,8 +161,9 @@ def make_coefficient(kind: str, params: dict) -> CoefficientSpec:
       power_times_factor: alpha, factor (id in FACTORS), scale
       tabulated: xs, values (grids with xs[0] = 0, xs[-1] = 1, values[0] = 0)
 
-    Raises DegeneracyOutOfRange when the degeneracy index reaches 2, and
-    NonPositive when the coefficient fails positivity on (0, 1].
+    Raises DegeneracyOutOfRange when the degeneracy index reaches 2 (or
+    alpha is not finite), and NonPositive when the coefficient fails
+    positivity on (0, 1] (or a scale or table value is not finite).
 
     Tabulated data are interpolated by a shape-preserving spline; the
     degeneracy index is measured on that interpolant, which behaves linearly
@@ -162,6 +172,8 @@ def make_coefficient(kind: str, params: dict) -> CoefficientSpec:
     if kind == "power":
         alpha = float(params["alpha"])
         scale = float(params.get("scale", 1.0))
+        _finite(DegeneracyOutOfRange, alpha=alpha)
+        _finite(NonPositive, scale=scale)
         if alpha < 0.0:
             raise DegeneracyOutOfRange("power exponent must be >= 0")
         if alpha >= 2.0:
@@ -182,6 +194,7 @@ def make_coefficient(kind: str, params: dict) -> CoefficientSpec:
         scale = float(params.get("scale", 1.0))
         if factor not in FACTORS:
             raise ValueError(f"unknown factor id {factor!r}; have {sorted(FACTORS)}")
+        _finite(NonPositive, alpha=alpha, scale=scale)
         if alpha < 0.0 or scale <= 0.0:
             raise NonPositive("need alpha >= 0 and scale > 0")
         g, _ = FACTORS[factor]
@@ -203,10 +216,12 @@ def make_coefficient(kind: str, params: dict) -> CoefficientSpec:
         vals = np.asarray(params["values"], dtype=float)
         if xs.ndim != 1 or xs.shape != vals.shape or xs.size < 3:
             raise ValueError("tabulated coefficient needs matching 1-d grids")
-        if xs[0] != 0.0 or xs[-1] != 1.0 or np.any(np.diff(xs) <= 0):
+        if xs[0] != 0.0 or xs[-1] != 1.0 or not np.all(np.diff(xs) > 0):
             raise ValueError("xs must increase strictly from 0 to 1")
         if vals[0] != 0.0:
             raise NonPositive("tabulated coefficient must vanish at x = 0")
+        if not np.all(np.isfinite(vals)):
+            raise NonPositive("tabulated coefficient values must be finite")
         if np.any(vals[1:] <= 0.0):
             raise NonPositive("coefficient must be positive on (0, 1]")
         draft = CoefficientSpec(
@@ -224,6 +239,15 @@ def make_coefficient(kind: str, params: dict) -> CoefficientSpec:
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
 
+def _time_kernels(t):
+    """(t, exp, clip to [0, 1]) for evaluating a delay formula at t: plain
+    float arithmetic for a float t (the stepper's per-step calls), numpy for
+    anything else."""
+    if isinstance(t, float):
+        return t, math.exp, lambda s: min(max(s, 0.0), 1.0)
+    return np.asarray(t, dtype=float), np.exp, lambda s: np.clip(s, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class DelaySpec:
     """Nondecreasing delay tau(t) with envelope 0 < tau0 <= tau <= tau1 and
@@ -236,25 +260,27 @@ class DelaySpec:
     params: tuple = ()
 
     def tau(self, t):
-        t = np.asarray(t, dtype=float)
+        """tau(t): a float for a float t, an array for an array-like t."""
+        t, exp, clip01 = _time_kernels(t)
         if self.kind == "constant":
-            return np.full_like(t, self.tau0)
+            return self.tau0 + 0.0 * t
         if self.kind == "saturating_exponential":
             k = self.params[0]
-            return self.tau1 - (self.tau1 - self.tau0) * np.exp(-k * t)
+            return self.tau1 - (self.tau1 - self.tau0) * exp(-k * t)
         t0, t1 = self.params
-        s = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
+        s = clip01((t - t0) / (t1 - t0))
         return self.tau0 + (self.tau1 - self.tau0) * (3 * s**2 - 2 * s**3)
 
     def tau_prime(self, t):
-        t = np.asarray(t, dtype=float)
+        """tau'(t), typed like tau(t)."""
+        t, exp, clip01 = _time_kernels(t)
         if self.kind == "constant":
-            return np.zeros_like(t)
+            return 0.0 * t
         if self.kind == "saturating_exponential":
             k = self.params[0]
-            return k * (self.tau1 - self.tau0) * np.exp(-k * t)
+            return k * (self.tau1 - self.tau0) * exp(-k * t)
         t0, t1 = self.params
-        s = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
+        s = clip01((t - t0) / (t1 - t0))
         return (self.tau1 - self.tau0) * 6 * s * (1 - s) / (t1 - t0)
 
     def tau_second(self, t):
@@ -284,6 +310,7 @@ def make_delay(kind: str, params: dict) -> DelaySpec:
     """
     if kind == "constant":
         tau = float(params["tau"])
+        _finite(DelayHypothesisViolated, tau=tau)
         if tau <= 0.0:
             raise DelayHypothesisViolated("constant delay must be positive")
         return DelaySpec(kind="constant", tau0=tau, tau1=tau, d=0.0)
@@ -292,6 +319,7 @@ def make_delay(kind: str, params: dict) -> DelaySpec:
         tau0 = float(params["tau0"])
         tau1 = float(params["tau1"])
         k = float(params["k"])
+        _finite(DelayHypothesisViolated, tau0=tau0, tau1=tau1, k=k)
         if not (0.0 < tau0 <= tau1) or k < 0.0:
             raise DelayHypothesisViolated("need 0 < tau0 <= tau1 and k >= 0")
         d = k * (tau1 - tau0)
@@ -306,6 +334,8 @@ def make_delay(kind: str, params: dict) -> DelaySpec:
         tau1 = float(params["tau1"])
         t0 = float(params["rise_start"])
         t1 = float(params["rise_end"])
+        _finite(DelayHypothesisViolated, tau0=tau0, tau1=tau1, rise_start=t0,
+                rise_end=t1)
         if not (0.0 < tau0 <= tau1) or not (t1 > t0 >= 0.0):
             raise DelayHypothesisViolated("need 0 < tau0 <= tau1 and a rise window")
         d = 1.5 * (tau1 - tau0) / (t1 - t0)
@@ -339,7 +369,8 @@ class GainSet:
     mu2 on the delayed trace, beta > 0 on the displacement trace.
 
     mu1 = 0 (with mu2 = 0) is the conservative limit with a purely elastic
-    boundary; decay certification requires mu1 > 0.
+    boundary; decay certification requires mu1 > 0.  Every gain must be
+    finite (HypothesisError otherwise).
     """
 
     mu1: float
@@ -347,6 +378,7 @@ class GainSet:
     beta: float
 
     def __post_init__(self):
+        _finite(HypothesisError, mu1=self.mu1, mu2=self.mu2, beta=self.beta)
         if self.mu1 < 0.0:
             raise ValueError("mu1 must be nonnegative")
         if self.beta <= 0.0:

@@ -17,14 +17,14 @@ from .analysis import energy_parts
 from .stepper import COLUMNS
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
+# one CSV row: every column as %.16e (17 significant digits)
+_ROW_FORMAT = ",".join(["%.16e"] * len(COLUMNS))
 
 
 def trajectory_csv_text(traj) -> str:
     rows = np.column_stack([getattr(traj, c) for c in COLUMNS]).tolist()
     lines = [",".join(COLUMNS)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(_ROW_FORMAT % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

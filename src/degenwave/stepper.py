@@ -29,7 +29,13 @@ import numpy as np
 from . import analysis
 from .delay_channel import HistoryBuffer, init_channel, transport_step
 from .errors import IncompatibleInitialData, NonFiniteState
-from .mesh import DIRICHLET_LEFT, DiscreteOperators, Mesh, SPDTridiagonal
+from .mesh import (
+    DIRICHLET_LEFT,
+    DiscreteOperators,
+    Mesh,
+    SPDTridiagonal,
+    add_stiffness_product,
+)
 from .model import DelaySpec, GainSet
 
 
@@ -177,10 +183,14 @@ def init_state(mesh: Mesh, ops: DiscreteOperators, gains: GainSet,
 
 @dataclass
 class StepWorkspace:
-    """The midpoint system of one run, factored once for the step dt."""
+    """The midpoint system of one run, factored once for the step dt, and
+    the operator 2M - dt K of its right-hand side as the diagonal `mass2`
+    = 2M and the conductances `k_rhs` = -dt k_cell."""
 
     dt: float
     system: SPDTridiagonal
+    mass2: np.ndarray
+    k_rhs: np.ndarray
 
     @classmethod
     def build(cls, ops: DiscreteOperators, gains: GainSet, dt: float) -> "StepWorkspace":
@@ -188,7 +198,8 @@ class StepWorkspace:
         main, off = ops.stiffness_tridiagonal(start)
         main = main * (0.5 * dt * dt) + 2.0 * ops.mass[start:]
         main[-1] += dt * ops.a1 * (gains.mu1 + 0.5 * dt * gains.beta)
-        return cls(dt, SPDTridiagonal(main, off * (0.5 * dt * dt), "midpoint"))
+        return cls(dt, SPDTridiagonal(main, off * (0.5 * dt * dt), "midpoint"),
+                   2.0 * ops.mass, -dt * ops.k_cell)
 
 
 def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
@@ -202,39 +213,41 @@ def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
                          f"or the workspace's {workspace.dt}")
     n = buf.last + 1
     t_mid = (n - 0.5) * dt
-    tau_mid = float(delay.tau(t_mid))
+    tau_mid = delay.tau(t_mid)
     w_mid = buf.sample(t_mid - tau_mid)
 
+    # 2 M v - dt K u on every node; a Dirichlet node (start = 1) is not
+    # active and keeps u = v = 0
     start = ops.first_active
-    ku = ops.stiffness_matvec(u)
-    rhs = 2.0 * ops.mass[start:] * v[start:] - dt * ku[start:]
+    rhs = add_stiffness_product(workspace.mass2 * v, workspace.k_rhs, u)[start:]
     rhs[-1] -= dt * ops.a1 * (gains.beta * u[-1] + gains.mu2 * w_mid)
     vbar = workspace.system.solve(rhs)
 
-    # a Dirichlet node (start = 1) is not active and keeps u = v = 0
     v[start:] = 2.0 * vbar - v[start:]
     u[start:] += dt * vbar
     trace = float(v[-1])
     state.t = n * dt
-    state.w = transport_step(state.w, tau_mid, float(delay.tau_prime(t_mid)),
-                             dt, inflow=trace)
+    state.w = transport_step(state.w, tau_mid, delay.tau_prime(t_mid), dt,
+                             inflow=trace)
     buf.append(trace)
     return state
 
 
-def bc_residual(state: SimState, gains: GainSet, delay: DelaySpec,
-                mesh: Mesh, ops: DiscreteOperators) -> tuple[float, float]:
-    """(|feedback law residual|, delayed trace) at the current time.
+def bc_residual(state: SimState, gains: GainSet, tau: float,
+                mesh: Mesh) -> tuple[float, float]:
+    """(|feedback law residual|, delayed trace) at the current time, whose
+    delay is tau = tau(state.t).
 
     The displacement slope at x = 1 is the one-sided P1 flux of the last
     element, so the residual carries the scheme's O(dt + 1/N) consistency
     error by design.
     """
-    w_del = state.buffer.sample(state.t - float(delay.tau(state.t)))
-    flux = (state.u[-1] - state.u[-2]) / mesh.h[-1]
-    res = abs(gains.mu1 * state.v[-1] + gains.mu2 * w_del + flux
-              + gains.beta * state.u[-1])
-    return float(res), float(w_del)
+    w_del = state.buffer.sample(state.t - tau)
+    u_end, u_prev = float(state.u[-1]), float(state.u[-2])
+    flux = (u_end - u_prev) / float(mesh.h[-1])
+    res = abs(gains.mu1 * float(state.v[-1]) + gains.mu2 * w_del + flux
+              + gains.beta * u_end)
+    return res, w_del
 
 
 def default_dt(mesh: Mesh, a1: float) -> float:
@@ -275,15 +288,15 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
 
     def record(st: SimState):
         nonlocal row
-        e, et = analysis.lyapunov_raw(
-            st.u, st.v, st.w, st.t, mesh, ops, gains, delay, lyap
-        )
+        # one tau(t) per sample, shared by the energies and the residual
+        tau = delay.tau(st.t)
+        e, et = analysis.lyapunov_raw(st.u, st.v, st.w, tau, ops, gains, lyap)
         if not math.isfinite(e):
             last = (f"the last finite one was at t = {float(data[0, row - 1])!r}"
                     if row else "no finite one was recorded")
             raise NonFiniteState(
                 f"state is not finite at t = {st.t!r} (energy {e}); {last}")
-        res, w_buf = bc_residual(st, gains, delay, mesh, ops)
+        res, w_buf = bc_residual(st, gains, tau, mesh)
         # the recorded delayed trace is the channel's outflow, the
         # realization the energy integrates; the buffered reference value is
         # recoverable as trace_v_delayed - channel_discrepancy

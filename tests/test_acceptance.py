@@ -101,8 +101,8 @@ def test_criterion_2_lyapunov_sandwich(baseline_run):
             * 10.0 ** rng.integers(-3, 4)
         u[0] = v[0] = 0.0
         t = float(rng.uniform(0.0, 20.0))
-        e, et = lyapunov_raw(u, v, w, t, setup.mesh, setup.ops, setup.gains,
-                             setup.delay, lyap)
+        e, et = lyapunov_raw(u, v, w, setup.delay.tau(t), setup.ops,
+                             setup.gains, lyap)
         worst_rand = max(worst_rand, lyap.equiv_lower * e - et,
                          et - lyap.equiv_upper * e)
     ok = ok and worst_rand <= 0.0

@@ -69,7 +69,7 @@ class TestEnergy:
         u = rng.standard_normal(65)
         v = rng.standard_normal(65)
         w = rng.standard_normal(33)
-        e, et = lyapunov_raw(u, v, w, 1.0, mesh, ops, GAINS, DELAY, lyap0)
+        e, et = lyapunov_raw(u, v, w, DELAY.tau(1.0), ops, GAINS, lyap0)
         assert e == et
 
 
@@ -131,7 +131,7 @@ class TestSandwich:
             w = rng.uniform(-1, 1, 33) * 10.0 ** rng.integers(-2, 3)
             u[0] = v[0] = 0.0
             t = float(rng.uniform(0.0, 10.0))
-            e, et = lyapunov_raw(u, v, w, t, mesh, ops, GAINS, DELAY, lyap)
+            e, et = lyapunov_raw(u, v, w, DELAY.tau(t), ops, GAINS, lyap)
             assert lyap.equiv_lower * e <= et <= lyap.equiv_upper * e
 
 

@@ -230,6 +230,31 @@ class TestSimulateCli:
         assert target.with_suffix(".json").exists()
 
 
+class TestCsvFormat:
+    def test_row_format_matches_per_value_form(self):
+        # one "%.16e,..." % row per line against f"{x:.16e}" per value, on
+        # rows with nan, +-inf, -0.0, subnormals and the extremes
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        from degenwave.reporting import trajectory_csv_text
+
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310,
+                   2.2250738585072014e-308, 1.7976931348623157e308, 1.0 / 3.0]
+        rng = np.random.default_rng(5)
+        cols = {}
+        for i, c in enumerate(stepper.COLUMNS):
+            x = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+            x[:len(special)] = np.roll(special, i)
+            cols[c] = x
+        text = trajectory_csv_text(SimpleNamespace(**cols))
+        rows = zip(*(cols[c].tolist() for c in stepper.COLUMNS))
+        expected = [",".join(stepper.COLUMNS)]
+        expected += [",".join(f"{x:.16e}" for x in row) for row in rows]
+        assert text == "\n".join(expected) + "\n"
+
+
 class TestSweep:
     def small_cfg(self):
         cfg = cfgmod.load_config("baseline")
@@ -338,6 +363,13 @@ class TestConverge:
         with pytest.raises(ConfigError):
             converge_table(cfgmod.load_config("baseline"), levels=2)
 
+    @pytest.mark.parametrize("start_n", ["0", "-4"])
+    def test_bad_start_n_exit2(self, start_n, capsys):
+        rc = run_cli(["converge", "--config", "baseline", "--start-n", start_n])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err == f"config error: --start-n must be at least 1, got {start_n}\n"
+
 
 class TestOperatorCheckCli:
     def test_certificate_written(self, tmp_path):
@@ -384,6 +416,14 @@ class TestEllipticCli:
         table = json.loads(out.read_text())
         assert table["pass"] is True
         assert len(table["cases"]) == 24
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exit2(self, alpha, capsys):
+        rc = run_cli(["elliptic-check", "--n", "16", "--alphas", alpha])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis validation failed: alpha must be a "
+                              f"finite number, got {alpha}")
 
     @pytest.mark.parametrize("beta", ["0", "-1", "nan"])
     def test_bad_beta_exit2(self, beta, capsys):

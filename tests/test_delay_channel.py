@@ -13,6 +13,7 @@ from degenwave import (
     transport_speed,
     transport_step,
 )
+from degenwave.delay_channel import delta_trap_weights
 from degenwave.errors import OutOfSpan, SolveFailure
 
 
@@ -136,6 +137,14 @@ class TestSharedSolve:
         assert grid[0] == 0.0 and grid[-1] == 1.0 and grid.size == 9
         with pytest.raises(ValueError):
             grid[1] = 0.5
+
+    def test_trap_weights_shared_and_read_only(self):
+        wq = delta_trap_weights(8)
+        assert wq is delta_trap_weights(8)
+        assert wq.sum() == pytest.approx(1.0, abs=1e-15)
+        assert wq[0] == wq[-1] == 0.5 / 8
+        with pytest.raises(ValueError):
+            wq[1] = 0.0
 
 
 class TestHistoryBuffer:

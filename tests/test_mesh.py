@@ -44,6 +44,16 @@ class TestBuildMesh:
         j = np.arange(257)
         assert np.max(np.abs(m.nodes - (j / 256) ** (4.0 / 3.0))) <= 1e-14
 
+    def test_widths_and_midpoints_shared_and_read_only(self):
+        m = build_mesh(8, 2.0)
+        assert m.h is m.h and m.midpoints is m.midpoints
+        assert np.array_equal(m.h, np.diff(m.nodes))
+        assert np.array_equal(m.midpoints, 0.5 * (m.nodes[:-1] + m.nodes[1:]))
+        with pytest.raises(ValueError):
+            m.h[0] = 1.0
+        with pytest.raises(ValueError):
+            m.midpoints[0] = 1.0
+
     def test_bad_params(self):
         with pytest.raises(BadMeshParams):
             build_mesh(1, 1.0)

@@ -17,6 +17,7 @@ from degenwave import (
 from degenwave.errors import (
     DegeneracyOutOfRange,
     DelayHypothesisViolated,
+    HypothesisError,
     NonPositive,
 )
 
@@ -44,6 +45,22 @@ class TestCoefficient:
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(NonPositive):
             make_coefficient("power", {"alpha": 0.5, "scale": 0.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, value):
+        # every ordered range check is False for NaN, so NaN needs its own
+        with pytest.raises(DegeneracyOutOfRange, match="^alpha must be a finite"):
+            make_coefficient("power", {"alpha": value})
+        with pytest.raises(NonPositive, match="^scale must be a finite"):
+            make_coefficient("power", {"alpha": 0.5, "scale": value})
+        with pytest.raises(NonPositive, match="^alpha must be a finite"):
+            make_coefficient("power_times_factor",
+                             {"alpha": value, "factor": "one_plus_x"})
+        xs = np.linspace(0.0, 1.0, 5)
+        vals = xs.copy()
+        vals[2] = value
+        with pytest.raises(NonPositive):
+            make_coefficient("tabulated", {"xs": xs, "values": vals})
 
     def test_mu_a_exact_for_powers(self):
         for alpha in [0.0, 0.3, 0.7, 1.0, 1.9]:
@@ -112,6 +129,34 @@ class TestDelay:
         with pytest.raises(DelayHypothesisViolated):
             make_delay("saturating_exponential",
                        {"tau0": 0.5, "tau1": 1.0, "k": 3.0})
+
+    @pytest.mark.parametrize("kind,params,name", [
+        ("constant", {"tau": math.nan}, "tau"),
+        ("saturating_exponential", {"tau0": 0.5, "tau1": 1.0, "k": math.nan}, "k"),
+        ("saturating_exponential", {"tau0": 0.5, "tau1": math.inf, "k": 0.0},
+         "tau1"),
+        ("piecewise_smooth", {"tau0": 0.5, "tau1": 0.9, "rise_start": 1.0,
+                              "rise_end": math.nan}, "rise_end"),
+    ])
+    def test_non_finite_parameter_rejected(self, kind, params, name):
+        with pytest.raises(DelayHypothesisViolated,
+                           match=f"^{name} must be a finite number"):
+            make_delay(kind, params)
+
+    def test_float_and_array_times_agree(self):
+        # a float t takes plain float arithmetic, an array t numpy; same
+        # formula, so the two agree to rounding
+        for d in (make_delay("constant", {"tau": 0.7}),
+                  make_delay("saturating_exponential",
+                             {"tau0": 0.5, "tau1": 1.0, "k": 0.4}),
+                  make_delay("piecewise_smooth",
+                             {"tau0": 0.5, "tau1": 0.9, "rise_start": 1.0,
+                              "rise_end": 3.0})):
+            ts = np.linspace(0.0, 4.0, 41)
+            for f in (d.tau, d.tau_prime):
+                scalar = [f(float(t)) for t in ts]
+                assert all(type(x) is float for x in scalar)
+                assert np.allclose(scalar, f(ts), rtol=1e-15, atol=1e-15)
 
     def test_piecewise_smooth_bound(self):
         d = make_delay("piecewise_smooth",
@@ -183,6 +228,15 @@ class TestMargins:
             expect = mu1 > 2.0 * abs(mu2) / math.sqrt(1.0 - d)
             if abs(mu1 - 2.0 * abs(mu2) / math.sqrt(1.0 - d)) > 1e-12:
                 assert m.strictly_damped == expect
+
+
+class TestGainSet:
+    @pytest.mark.parametrize("field", ["mu1", "mu2", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_gain_rejected(self, field, value):
+        gains = {"mu1": 2.0, "mu2": 0.2, "beta": 1.0, field: value}
+        with pytest.raises(HypothesisError, match=f"^{field} must be a finite"):
+            GainSet(**gains)
 
 
 class TestStructuralConstants:

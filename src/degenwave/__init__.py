@@ -29,7 +29,6 @@ from .mesh import (
     build_mesh,
     default_bc,
     default_gamma,
-    weighted_norms,
 )
 from .model import (
     CoefficientSpec,

@@ -78,11 +78,14 @@ def transport_step(w: np.ndarray, tau: float, tau_prime: float, dt: float,
     Each new value is a convex combination of old values and the inflow, so
     the update obeys a discrete maximum principle.  With dt = 1 and w the
     load h, the result solves w + c w_delta = h, w(0) = inflow (the channel
-    block of the resolvent).  Returns a new array; w is not modified.
+    block of the resolvent).  w may also be an (m + 1, B) stack of profiles
+    with a length-B inflow: one solve with B right-hand sides, each column
+    equal to its own solve bit for bit.  Returns a new array in w's memory
+    layout; w is not modified.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    m = w.size - 1
+    m = w.shape[0] - 1
     # lower-bidiagonal solve: (1 + lam_i) w'_i - lam_i w'_{i-1} = w_i; the
     # band is filled in place (lam in row 0, -lam_{i+1} in row 1, then 1 +
     # lam in row 0)
@@ -90,7 +93,7 @@ def transport_step(w: np.ndarray, tau: float, tau_prime: float, dt: float,
     lam = transport_speed(delta_grid(m)[1:], tau, tau_prime, out=ab[0])
     lam *= dt * m
     np.negative(lam[1:], out=ab[1, :-1])
-    out = w.copy()
+    out = w.copy(order="K")
     out[0] = inflow
     out[1] += lam[0] * inflow
     lam += 1.0

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import BadMeshParams, BcMismatch, NonPositive, ShapeMismatch, SolveFailure
+from .errors import BadMeshParams, BcMismatch, NonPositive, SolveFailure
 from .model import CoefficientSpec
 
 DIRICHLET_LEFT = "dirichlet_left"
@@ -90,14 +90,16 @@ class DiscreteOperators:
         return 1 if self.bc_kind == DIRICHLET_LEFT else 0
 
     def stiffness_matvec(self, u: np.ndarray) -> np.ndarray:
-        """K u on the full node set (the constrained node simply carries u=0)."""
+        """K u on the full node set (the constrained node simply carries
+        u=0); u may be a stack of vectors, shape (..., n)."""
         return add_stiffness_product(np.zeros_like(u), self.k_cell, u)
 
-    def stiffness_quadform(self, u: np.ndarray, w: np.ndarray | None = None) -> float:
-        """u^T K w (w defaults to u); equals sum_i k_i (du_i)(dw_i)."""
+    def stiffness_quadform(self, u: np.ndarray, w: np.ndarray | None = None):
+        """u^T K w (w defaults to u); equals sum_i k_i (du_i)(dw_i).  Row by
+        row for stacks of shape (..., n), each row bit for bit its own."""
         if w is None:
             w = u
-        return float(np.dot(self.k_cell * np.diff(u), np.diff(w)))
+        return np.vecdot(self.k_cell * np.diff(u, axis=-1), np.diff(w, axis=-1))
 
     def mass_quadform(self, v: np.ndarray, w: np.ndarray | None = None) -> float:
         if w is None:
@@ -115,10 +117,11 @@ class DiscreteOperators:
 def add_stiffness_product(out: np.ndarray, k: np.ndarray,
                           u: np.ndarray) -> np.ndarray:
     """out += K u in place for the stiffness with cell conductances k (K is
-    linear in k, so k = -dt k_cell adds -dt K u); returns out."""
-    flux = k * (u[1:] - u[:-1])
-    out[:-1] -= flux
-    out[1:] += flux
+    linear in k, so k = -dt k_cell adds -dt K u), row by row for stacks of
+    shape (..., n); returns out."""
+    flux = k * (u[..., 1:] - u[..., :-1])
+    out[..., :-1] -= flux
+    out[..., 1:] += flux
     return out
 
 
@@ -174,22 +177,3 @@ def assemble_operators(spec: CoefficientSpec, mesh: Mesh,
 def default_bc(spec: CoefficientSpec) -> str:
     return DIRICHLET_LEFT if spec.mu_a < 1.0 else NATURAL_LEFT
 
-
-def weighted_norms(u: np.ndarray, v: np.ndarray, mesh: Mesh,
-                   ops: DiscreteOperators, beta: float, a1: float) -> dict:
-    """Quadratic parts of the state norm.
-
-    Returns h1a_part = u^T K u (the weighted gradient energy), l2_part =
-    v^T M v, and boundary_part = beta a(1) u(1)^2.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (mesh.N + 1,) or v.shape != (mesh.N + 1,):
-        raise ShapeMismatch(
-            f"expected vectors of length {mesh.N + 1}, got {u.shape} and {v.shape}"
-        )
-    return {
-        "h1a_part": ops.stiffness_quadform(u),
-        "l2_part": ops.mass_quadform(v),
-        "boundary_part": beta * a1 * float(u[-1]) ** 2,
-    }

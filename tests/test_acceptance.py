@@ -158,17 +158,16 @@ def test_criterion_6_operator_certificates(baseline_run):
     ctx = ProbeContext(mesh=setup.mesh, ops=setup.ops, gains=setup.gains,
                        delay=setup.delay, n_delta=setup.cfg.channel_n_delta)
     t0 = time.perf_counter()
-    worst_form = -math.inf
-    worst_res = worst_ident = worst_excess = 0.0
-    for t in [0.0, 5.0, 10.0]:
-        drep = dissipativity_probe(t, ctx, trials=500, seed=setup.cfg.seed)
-        worst_form = max(worst_form, drep.max_ratio)
-        rrep = resolvent_probe(t, ctx, trials=100, seed=setup.cfg.seed)
-        worst_res = max(worst_res, rrep.max_residual)
-        worst_ident = max(worst_ident, rrep.max_boundary_identity)
-    for s, t in [(0.0, 5.0), (5.0, 10.0), (0.0, 10.0)]:
-        nrep = norm_ratio_bound(t, s, ctx, trials=500, seed=setup.cfg.seed)
-        worst_excess = max(worst_excess, nrep.excess)
+    times = [0.0, 5.0, 10.0]
+    seed = setup.cfg.seed
+    dreps = dissipativity_probe(times, ctx, trials=500, seed=seed)
+    rreps = resolvent_probe(times, ctx, trials=100, seed=seed)
+    nreps = norm_ratio_bound([(0.0, 5.0), (5.0, 10.0), (0.0, 10.0)], ctx,
+                             trials=500, seed=seed)
+    worst_form = max(r.max_ratio for r in dreps)
+    worst_res = max(r.max_residual for r in rreps)
+    worst_ident = max(r.max_boundary_identity for r in rreps)
+    worst_excess = max(r.excess for r in nreps)
     elapsed = time.perf_counter() - t0
     ok = (worst_form <= 1e-8 and worst_res <= 1e-8 and worst_ident <= 1e-8
           and worst_excess <= 1e-12 and elapsed < 30.0)

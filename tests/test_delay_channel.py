@@ -127,6 +127,21 @@ class TestSharedSolve:
         assert w[0] == 0.4
         assert np.max(np.abs(w[1:] + c * np.diff(w) * m - h[1:])) < 1e-12
 
+    def test_stacked_load_equals_column_solves(self):
+        # an (m + 1, B) load with a length-B inflow is B solves at once,
+        # each column bit for bit its own solve
+        rng = np.random.default_rng(12)
+        m, tau, taup = 24, 0.7, 0.3
+        h = rng.standard_normal((5, m + 1))
+        inflow = rng.standard_normal(5)
+        w = transport_step(h.T, tau, taup, 1.0, inflow=inflow)
+        assert w.shape == (m + 1, 5)
+        for j in range(5):
+            one = transport_step(h[j], tau, taup, 1.0, inflow=float(inflow[j]))
+            assert np.array_equal(w[:, j], one)
+        assert np.array_equal(transport_step(h.T, tau, taup, 1e-2, inflow)[:, 3],
+                              transport_step(h[3], tau, taup, 1e-2, inflow[3]))
+
     def test_singular_system_raises(self):
         # m = 2, dt = 1, tau' = 3: lam_1 = 2 (1 - 0.5 * 3) = -1, a zero pivot
         with pytest.raises(SolveFailure, match="^channel solve failed"):

@@ -1,16 +1,17 @@
-"""Graded meshes, discrete operators, weighted norms."""
+"""Graded meshes, discrete operators, the weighted-norm blocks."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from degenwave import (
+    GainSet,
     assemble_operators,
     build_mesh,
     make_coefficient,
     structural_constants,
-    weighted_norms,
 )
+from degenwave.analysis import energy_parts
 from degenwave.errors import BadMeshParams, BcMismatch, ShapeMismatch, SolveFailure
 from degenwave.mesh import SPDTridiagonal
 
@@ -165,42 +166,51 @@ class TestTridiagonal:
 
 
 class TestWeightedNorms:
+    # the u and v blocks of the state norm, from analysis.energy_parts:
+    # "elastic" = u^T K u, "kinetic" = v^T M v, "boundary" = beta a(1) u(1)^2
+    GAINS = GainSet(1.0, 0.0, 1.0)
+
     def test_zero(self):
         spec = make_coefficient("power", {"alpha": 0.5})
         mesh = build_mesh(8, 1.0)
         ops = assemble_operators(spec, mesh, "dirichlet_left")
         z = np.zeros(9)
-        parts = weighted_norms(z, z, mesh, ops, beta=1.0, a1=1.0)
-        assert parts == {"h1a_part": 0.0, "l2_part": 0.0, "boundary_part": 0.0}
+        parts = energy_parts(z, z, np.zeros(5), 1.0, ops, self.GAINS)
+        assert parts == {"kinetic": 0.0, "elastic": 0.0, "boundary": 0.0,
+                         "delay": 0.0}
 
     def test_constant_velocity_exact(self):
         spec = make_coefficient("power", {"alpha": 0.5})
         for gamma in [1.0, 2.0, 3.5]:
             mesh = build_mesh(19, gamma)
             ops = assemble_operators(spec, mesh, "dirichlet_left")
-            parts = weighted_norms(np.zeros(20), np.ones(20), mesh, ops,
-                                   beta=1.0, a1=1.0)
-            assert abs(parts["l2_part"] - 1.0) < 1e-14
+            parts = energy_parts(np.zeros(20), np.ones(20), np.zeros(5), 1.0,
+                                 ops, self.GAINS)
+            assert abs(parts["kinetic"] - 1.0) < 1e-14
 
     def test_ramp_gradient_energy(self):
         # u = x with a = sqrt(x): integral of sqrt(x) is 2/3
         spec = make_coefficient("power", {"alpha": 0.5})
         mesh = build_mesh(512, 4.0 / 3.0)
         ops = assemble_operators(spec, mesh, "dirichlet_left")
-        parts = weighted_norms(mesh.nodes, np.zeros(513), mesh, ops,
-                               beta=1.0, a1=1.0)
-        assert abs(parts["h1a_part"] - 2.0 / 3.0) < 1e-3
+        parts = energy_parts(mesh.nodes, np.zeros(513), np.zeros(5), 1.0, ops,
+                             self.GAINS)
+        assert abs(parts["elastic"] - 2.0 / 3.0) < 1e-3
 
     def test_shape_mismatch(self):
         spec = make_coefficient("power", {"alpha": 0.5})
         mesh = build_mesh(8, 1.0)
         ops = assemble_operators(spec, mesh, "dirichlet_left")
         with pytest.raises(ShapeMismatch):
-            weighted_norms(np.zeros(5), np.zeros(9), mesh, ops, 1.0, 1.0)
+            energy_parts(np.zeros(5), np.zeros(9), np.zeros(5), 1.0, ops,
+                         self.GAINS)
+        with pytest.raises(ShapeMismatch):
+            energy_parts(np.zeros((3, 9)), np.zeros((3, 8)), np.zeros((3, 5)),
+                         1.0, ops, self.GAINS)
 
     def test_discrete_poincare_with_slack(self):
-        # l2_part <= 2 u(1)^2 + C_P * h1a_part, within the stated additive
-        # slack, on random vectors
+        # kinetic(u) <= 2 u(1)^2 + C_P * elastic(u), within the stated
+        # additive slack, on random vectors
         spec = make_coefficient("power", {"alpha": 0.5})
         consts = structural_constants(spec, beta=1.0)
         mesh = build_mesh(256, 4.0 / 3.0)
@@ -209,8 +219,8 @@ class TestWeightedNorms:
         for _ in range(200):
             u = rng.standard_normal(257)
             u[0] = 0.0
-            parts = weighted_norms(u, u, mesh, ops, beta=1.0, a1=1.0)
+            parts = energy_parts(u, u, np.zeros(5), 1.0, ops, self.GAINS)
             bound = (2.0 * u[-1] ** 2
-                     + consts.poincare_const * parts["h1a_part"]
-                     + 0.05 * (parts["h1a_part"] + u[-1] ** 2))
-            assert parts["l2_part"] <= bound
+                     + consts.poincare_const * parts["elastic"]
+                     + 0.05 * (parts["elastic"] + u[-1] ** 2))
+            assert parts["kinetic"] <= bound

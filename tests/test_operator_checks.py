@@ -13,8 +13,18 @@ from degenwave import (
     make_coefficient,
     make_delay,
 )
+from degenwave import operator_checks
+from degenwave.analysis import energy_parts
+from degenwave.delay_channel import (
+    delta_grid,
+    delta_trap_weights,
+    transport_speed,
+    transport_step,
+)
 from degenwave.errors import DomainViolation, SolveFailure
+from degenwave.mesh import SPDTridiagonal
 from degenwave.operator_checks import (
+    BLOCK_DOUBLES,
     ProbeContext,
     channel_resolvent_weights,
     continuum_channel_weight,
@@ -27,14 +37,15 @@ from degenwave.operator_checks import (
     norm_t_sq,
     resolvent_probe,
     resolvent_solve,
+    run_certificate,
 )
 
 DELAY = make_delay("saturating_exponential", {"tau0": 0.5, "tau1": 1.0, "k": 0.4})
 
 
 def make_ctx(n=64, n_delta=32, gains=GainSet(2.0, 0.2, 1.0), delay=DELAY,
-             alpha=0.5):
-    spec = make_coefficient("power", {"alpha": alpha})
+             alpha=0.5, scale=1.0):
+    spec = make_coefficient("power", {"alpha": alpha, "scale": scale})
     mesh = build_mesh(n, default_gamma(alpha))
     bc = "dirichlet_left" if alpha < 1 else "natural_left"
     ops = assemble_operators(spec, mesh, bc)
@@ -88,8 +99,9 @@ class TestGeneratorApply:
 class TestDissipativity:
     def test_pass_under_gain_condition(self):
         ctx = make_ctx()
-        for t in [0.0, 2.0, 8.0]:
-            rep = dissipativity_probe(t, ctx, trials=500, seed=7)
+        reps = dissipativity_probe([0.0, 2.0, 8.0], ctx, trials=500, seed=7)
+        assert len(reps) == 3
+        for rep in reps:
             assert rep.passed
             assert rep.max_ratio <= 1e-8
 
@@ -98,7 +110,7 @@ class TestDissipativity:
         # finds states with positive form value (reported, not asserted as a
         # theorem)
         ctx = make_ctx(gains=GainSet(2.0, 6.0, 1.0))
-        rep = dissipativity_probe(0.0, ctx, trials=500, seed=7)
+        [rep] = dissipativity_probe([0.0], ctx, trials=500, seed=7)
         assert rep.n_positive > 0
         assert not rep.passed
 
@@ -107,7 +119,7 @@ class TestDissipativity:
         passed_seen = False
         for mu2 in [3.0, 1.5, 1.0, 0.5, 0.2, 0.0]:
             ctx = make_ctx(gains=GainSet(2.0, mu2, 1.0))
-            rep = dissipativity_probe(0.0, ctx, trials=200, seed=13)
+            [rep] = dissipativity_probe([0.0], ctx, trials=200, seed=13)
             if passed_seen:
                 assert rep.passed
             passed_seen = passed_seen or rep.passed
@@ -157,7 +169,7 @@ class TestResolvent:
             delay = (make_delay("constant", {"tau": 0.8})
                      if taup_case == "constant-delay" else DELAY)
             ctx = make_ctx(delay=delay)
-            rep = resolvent_probe(0.5, ctx, trials=50, seed=21)
+            [rep] = resolvent_probe([0.5], ctx, trials=50, seed=21)
             assert rep.max_residual <= 1e-8
             assert rep.max_boundary_identity <= 1e-8
 
@@ -172,7 +184,7 @@ class TestResolvent:
 class TestNormRatio:
     def test_constant_delay_ratio_one(self):
         ctx = make_ctx(delay=make_delay("constant", {"tau": 0.7}))
-        rep = norm_ratio_bound(3.0, 1.0, ctx, trials=100, seed=5)
+        [rep] = norm_ratio_bound([(1.0, 3.0)], ctx, trials=100, seed=5)
         assert rep.max_ratio == pytest.approx(1.0, abs=1e-12)
         assert rep.excess == 0.0
 
@@ -193,7 +205,7 @@ class TestNormRatio:
 
     def test_stated_bound_with_margin(self):
         ctx = make_ctx()
-        rep = norm_ratio_bound(1.5, 0.5, ctx, trials=300, seed=10)
+        [rep] = norm_ratio_bound([(0.5, 1.5)], ctx, trials=300, seed=10)
         assert rep.excess == 0.0
         assert rep.bound_proof >= rep.bound_stated
 
@@ -201,7 +213,310 @@ class TestNormRatio:
 class TestGeneratorDrift:
     def test_finite_and_stable(self):
         ctx = make_ctx()
-        out = generator_drift_probe(2.0, ctx, trials=20, seed=2)
+        [out] = generator_drift_probe([2.0], ctx, trials=20, seed=2)
         vals = list(out.values())
         assert all(math.isfinite(v) for v in vals)
         assert max(vals) <= 10.0 * (min(vals) + 1e-12) + 1e-6
+
+
+# -- the one-trial-at-a-time algorithm, as the oracle of the stacked probes --
+# Every function below handles one state with 1-d arrays and Python floats;
+# the stacked probes must reproduce its maxima and counts bit for bit.
+
+
+def oracle_norm_sq(u, v, w, tau, ctx):
+    ops, g = ctx.ops, ctx.gains
+    du = u[1:] - u[:-1]
+    return (float((ops.mass * v) @ v) + float((ops.k_cell * du) @ du)
+            + g.beta * ops.a1 * float(u[-1]) ** 2
+            + g.mu1 * ops.a1 * tau * float(
+                delta_trap_weights(w.size - 1) @ (w * w)))
+
+
+def oracle_stiffness_matvec(u, ctx):
+    flux = ctx.ops.k_cell * (u[1:] - u[:-1])
+    out = np.zeros_like(u)
+    out[:-1] -= flux
+    out[1:] += flux
+    return out
+
+
+def oracle_project(u, v, w, ctx):
+    u, v, w = u.copy(), v.copy(), w.copy()
+    if ctx.dirichlet:
+        u[0] = 0.0
+        v[0] = 0.0
+    mean = 0.5 * (v[-1] + w[0])
+    v[-1] = mean
+    w[0] = mean
+    return u, v, w
+
+
+def oracle_draw(key, ctx):
+    rng = np.random.default_rng(key)
+    n = ctx.mesh.N + 1
+    return (rng.standard_normal(n), rng.standard_normal(n),
+            rng.standard_normal(ctx.n_delta + 1))
+
+
+def oracle_dissipativity(t, ctx, trials, seed, tol=1e-8):
+    ops, g, delay = ctx.ops, ctx.gains, ctx.delay
+    tau, taup = float(delay.tau(t)), float(delay.tau_prime(t))
+    worst, npos = -math.inf, 0
+    for k in range(trials):
+        u, v, w = oracle_draw([seed, k], ctx)
+        if k % 4 == 3:
+            u *= 0.0
+            v[:-1] *= 1e-3
+            w[1:-1] *= 1e-3
+        u, v, w = oracle_project(u, v, w, ctx)
+        den = oracle_norm_sq(u, v, w, tau, ctx)
+        if den == 0.0:
+            continue
+        kcross = float(np.dot(ops.k_cell * np.diff(u), np.diff(v)))
+        val = kcross + g.beta * ops.a1 * v[-1] * u[-1]
+        val -= kcross + ops.a1 * v[-1] * (g.mu1 * v[-1] + g.mu2 * w[-1]
+                                          + g.beta * u[-1])
+        delta = delta_grid(w.size - 1)
+        half = 0.5 * (delta[1:] + delta[:-1])
+        val += g.mu1 * ops.a1 * float(np.dot(
+            -tau * transport_speed(half, tau, taup),
+            0.5 * (w[1:] + w[:-1]) * (w[1:] - w[:-1])))
+        ratio = (val - iota(delay, t) * den) / den
+        worst = max(worst, ratio)
+        npos += ratio > tol
+    return worst, npos
+
+
+def oracle_resolvent(t, ctx, trials, seed):
+    ops, g = ctx.ops, ctx.gains
+    tau, taup = float(ctx.delay.tau(t)), float(ctx.delay.tau_prime(t))
+    m = ctx.n_delta
+    a_d, bw = channel_resolvent_weights(tau, taup, m)
+    start = ops.first_active
+    worst_res = worst_ident = 0.0
+    for k in range(trials):
+        f, gg, h = oracle_draw([seed, 7, k], ctx)
+        if ctx.dirichlet:
+            f[0] = 0.0
+        main, off = ops.stiffness_tridiagonal(start)
+        main += ops.mass[start:]
+        main[-1] += ops.a1 * (g.mu1 + g.mu2 * a_d + g.beta)
+        rhs = (ops.mass * (f + gg))[start:]
+        rhs[-1] += ops.a1 * ((g.mu1 + g.mu2 * a_d) * f[-1]
+                             - g.mu2 * float(bw @ h))
+        u = np.zeros(f.size)
+        u[start:] = SPDTridiagonal(main, off, "oracle").solve(rhs)
+        v = u - f
+        if start:
+            v[0] = 0.0
+        w = transport_step(h, tau, taup, 1.0, inflow=v[-1])
+        mv = ops.mass * (v - gg) + oracle_stiffness_matvec(u, ctx)
+        mv[-1] += ops.a1 * (g.mu1 * v[-1] + g.mu2 * w[-1] + g.beta * u[-1])
+        c = transport_speed(delta_grid(m)[1:], tau, taup)
+        res_w = w[1:] + c * np.diff(w) * m - h[1:]
+        scale = max(1.0, math.sqrt(oracle_norm_sq(f, gg, h, 1.0, ctx)))
+        residual = max(float(np.max(np.abs(u - v - f))),
+                       float(np.max(np.abs(mv[start:] / ops.mass[start:]))),
+                       float(np.max(np.abs(res_w)))) / scale
+        flux = (ops.mass * (u - f - gg)
+                + oracle_stiffness_matvec(u, ctx))[-1] / ops.a1
+        ident = abs(g.mu1 * v[-1] + g.mu2 * w[-1] + flux
+                    + g.beta * u[-1]) / scale
+        worst_res = max(worst_res, residual)
+        worst_ident = max(worst_ident, ident)
+    return worst_res, worst_ident
+
+
+def oracle_norm_ratio(s, t, ctx, trials, seed):
+    ta, tb = float(ctx.delay.tau(t)), float(ctx.delay.tau(s))
+    worst = 0.0
+    for k in range(trials):
+        U = oracle_draw([seed, 13, k], ctx)
+        b = oracle_norm_sq(*U, tb, ctx)
+        if b > 0.0:
+            worst = max(worst, math.sqrt(oracle_norm_sq(*U, ta, ctx) / b))
+    return worst
+
+
+def oracle_apply(u, v, w, t, ctx):
+    ops, g = ctx.ops, ctx.gains
+    av = -oracle_stiffness_matvec(u, ctx)
+    av[-1] -= ops.a1 * (g.mu1 * v[-1] + g.mu2 * w[-1] + g.beta * u[-1])
+    av /= ops.mass
+    if ctx.dirichlet:
+        av[0] = 0.0
+    m = w.size - 1
+    c = transport_speed(delta_grid(m), float(ctx.delay.tau(t)),
+                        float(ctx.delay.tau_prime(t)))
+    dw = np.diff(w) * m
+    aw = np.empty_like(w)
+    aw[1:] = -c[1:] * dw
+    aw[0] = -c[0] * dw[0]
+    return v.copy(), av, aw
+
+
+def oracle_drift(t, ctx, trials, seed, steps):
+    out = {}
+    zero = np.zeros(ctx.mesh.N + 1)
+    for hstep in steps:
+        worst = 0.0
+        for k in range(trials):
+            U = oracle_project(*oracle_draw([seed, 29, k], ctx), ctx)
+            a0 = oracle_apply(*U, t, ctx)
+            a1 = oracle_apply(*U, t + hstep, ctx)
+            graph = math.sqrt(oracle_norm_sq(*U, 1.0, ctx)
+                              + oracle_norm_sq(*a0, 1.0, ctx))
+            num = math.sqrt(oracle_norm_sq(zero, zero, (a1[2] - a0[2]) / hstep,
+                                           1.0, ctx))
+            if graph > 0.0:
+                worst = max(worst, num / graph)
+        out[hstep] = worst
+    return out
+
+
+ROWS_AT_64 = BLOCK_DOUBLES // 65
+# a(1) and the gains away from 1, so that a reordered product shows
+ORACLE_CTX = {
+    "weak": dict(scale=1.3, gains=GainSet(1.7, 0.3, 1.1)),
+    "strong": dict(alpha=1.5, scale=0.9, gains=GainSet(2.0, 0.2, 0.7)),
+    "violating": dict(scale=1.1, gains=GainSet(2.0, 6.0, 1.3)),
+}
+
+
+class TestStackedAgainstPerTrial:
+    # N = 64: a block holds ROWS_AT_64 trials; one count spills into a
+    # partial block, the other fits in a single short one
+    TIMES = [0.0, 0.7, 6.0]
+    PAIRS = [(0.0, 0.7), (0.7, 6.0), (0.0, 6.0)]
+
+    @pytest.mark.parametrize("trials", [2 * ROWS_AT_64 + 11, 37])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CTX))
+    def test_probes_equal_the_oracle(self, case, trials):
+        assert trials % ROWS_AT_64 != 0 and 37 < ROWS_AT_64
+        ctx = make_ctx(**ORACLE_CTX[case])
+        seed = 4
+        reps = dissipativity_probe(self.TIMES, ctx, trials=trials, seed=seed)
+        npos = 0
+        for t, rep in zip(self.TIMES, reps):
+            worst, n_positive = oracle_dissipativity(t, ctx, trials, seed)
+            assert (rep.max_ratio, rep.n_positive) == (worst, n_positive)
+            npos += n_positive
+        assert (npos > 0) == (case == "violating")
+        res_trials = trials // 3
+        reps = resolvent_probe(self.TIMES, ctx, trials=res_trials, seed=seed)
+        for t, rep in zip(self.TIMES, reps):
+            assert (rep.max_residual, rep.max_boundary_identity) == \
+                oracle_resolvent(t, ctx, res_trials, seed)
+        reps = norm_ratio_bound(self.PAIRS, ctx, trials=trials, seed=seed)
+        for (s, t), rep in zip(self.PAIRS, reps):
+            assert rep.max_ratio == oracle_norm_ratio(s, t, ctx, trials, seed)
+        steps = (1e-2, 1e-4)
+        drifts = generator_drift_probe(self.TIMES, ctx, trials=trials // 4,
+                                       seed=seed, steps=steps)
+        for t, drift in zip(self.TIMES, drifts):
+            assert drift == oracle_drift(t, ctx, trials // 4, seed, steps)
+
+    def test_energy_parts_stack_equals_rows(self):
+        ctx = make_ctx()
+        ops, g = ctx.ops, ctx.gains
+        rng = np.random.default_rng(17)
+        u, v = rng.standard_normal((2, 9, 65))
+        w = rng.standard_normal((9, 33))
+        taus = np.array([0.5, 0.83, 1.0])
+        stacked = energy_parts(u, v, w, taus[:, None], ops, g)
+        for j, tau in enumerate(taus.tolist()):
+            for i in range(9):
+                one = energy_parts(u[i], v[i], w[i], tau, ops, g)
+                for key, val in one.items():
+                    assert np.broadcast_to(stacked[key], (3, 9))[j, i] == val
+                du = u[i, 1:] - u[i, :-1]
+                assert one == {
+                    "kinetic": float((ops.mass * v[i]) @ v[i]),
+                    "elastic": float((ops.k_cell * du) @ du),
+                    "boundary": g.beta * ops.a1 * float(u[i, -1]) ** 2,
+                    "delay": g.mu1 * ops.a1 * tau * float(
+                        delta_trap_weights(32) @ (w[i] * w[i])),
+                }
+
+        # the boundary block is the float u(1) ** 2 (libm pow), which differs
+        # from u(1) * u(1) in about one value in a thousand: check many
+        small = make_ctx(n=8, n_delta=4)
+        u = rng.standard_normal((20000, 9))
+        boundary = energy_parts(u, u, u[:, :5], 1.0, small.ops,
+                                g)["boundary"]
+        assert boundary.tolist() == [g.beta * small.ops.a1 * x ** 2
+                                     for x in u[:, -1].tolist()]
+
+
+@pytest.mark.parametrize("probe, entries", [
+    (dissipativity_probe, [0.0]),
+    (resolvent_probe, [0.0]),
+    (norm_ratio_bound, [(0.0, 1.0)]),
+    (generator_drift_probe, [0.0]),
+], ids=["dissipativity", "resolvent", "norm_ratio", "drift"])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_no_trials_is_an_error_not_a_pass(probe, entries, trials):
+    with pytest.raises(ValueError, match="need at least one trial"):
+        probe(entries, make_ctx(n=16, n_delta=8), trials=trials)
+
+
+class TestRunCertificate:
+    TIME_PROBES = ("dissipativity_probe", "resolvent_probe",
+                   "generator_drift_probe")
+    PROBES = TIME_PROBES + ("norm_ratio_bound",)
+
+    def count(self, monkeypatch):
+        seen = {name: [] for name in self.PROBES}
+        for name in self.PROBES:
+            real = getattr(operator_checks, name)
+
+            def counted(entries, ctx, *args, _real=real, _name=name, **kw):
+                seen[_name].extend(entries)
+                return _real(entries, ctx, *args, **kw)
+
+            monkeypatch.setattr(operator_checks, name, counted)
+        return seen
+
+    def cert(self, t_list):
+        return run_certificate(make_ctx(n=16, n_delta=8), t_list, seed=3,
+                               diss_trials=9, res_trials=3, ratio_trials=9)
+
+    def test_each_distinct_time_and_pair_once(self, monkeypatch):
+        seen = self.count(monkeypatch)
+        cert = self.cert([0.0, 20.0])
+        # the closing pair (first, last) repeats the only consecutive pair
+        assert seen["norm_ratio_bound"] == [(0.0, 20.0)]
+        assert list(cert["claim3"]) == ["s=0,t=20"]
+        for name in self.TIME_PROBES:
+            assert seen[name] == [0.0, 20.0]
+
+    def test_repeated_times_add_no_work(self, monkeypatch):
+        once = self.cert([0.0, 20.0, 5.0])
+        seen = self.count(monkeypatch)
+        cert = self.cert([0.0, 20.0, 20.0, 5.0, 0.0, 5.0])
+        for name in self.TIME_PROBES:
+            assert seen[name] == [0.0, 20.0, 5.0]
+        assert seen["norm_ratio_bound"] == [
+            (0.0, 20.0), (20.0, 20.0), (20.0, 5.0), (5.0, 0.0), (0.0, 5.0)]
+        for claim in ("claim1", "claim2", "dAdt"):
+            assert cert[claim] == once[claim]
+        assert cert["claim3"]["s=0,t=20"] == once["claim3"]["s=0,t=20"]
+
+    def test_single_time_has_no_pairs(self, monkeypatch):
+        seen = self.count(monkeypatch)
+        cert = self.cert([2.0])
+        assert seen["dissipativity_probe"] == [2.0]
+        assert seen["norm_ratio_bound"] == [] and cert["claim3"] == {}
+
+    def test_one_repeated_time_is_one_pair(self, monkeypatch):
+        # the consecutive pair and the closing pair coincide
+        seen = self.count(monkeypatch)
+        cert = self.cert([2.0, 2.0])
+        assert seen["dissipativity_probe"] == [2.0]
+        assert seen["norm_ratio_bound"] == [(2.0, 2.0)]
+        assert cert["claim3"]["s=2,t=2"]["max_ratio"] == 1.0
+
+    def test_no_times_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one probe time"):
+            self.cert([])

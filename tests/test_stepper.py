@@ -11,7 +11,7 @@ from degenwave import (
     make_coefficient,
     make_delay,
 )
-from degenwave.analysis import energy
+from degenwave.analysis import energy, energy_parts
 from degenwave.delay_channel import delta_trap_weights
 from degenwave.errors import IncompatibleInitialData, NonFiniteState, SolveFailure
 from degenwave.stepper import (
@@ -289,16 +289,16 @@ class TestRun:
         assert np.array_equal(t1.final_state.u, t2.final_state.u)
 
     def test_energy_is_half_sum_of_parts(self):
-        # additivity of the recorded energy against weighted_norms plus the
-        # channel term, to machine precision
-        from degenwave import weighted_norms
-
+        # additivity of the recorded energy against the u and v blocks of
+        # energy_parts plus an independently summed channel term, to machine
+        # precision
         _, mesh, ops = make_ops(n=32)
         g = GainSet(2.0, 0.2, 1.0)
         traj = run(mesh, ops, g, DELAY, t_final=0.5, dt=1e-3, record_every=100,
                    preset="velocity-kick", n_delta=32)
         st = traj.final_state
-        parts = weighted_norms(st.u, st.v, mesh, ops, beta=g.beta, a1=ops.a1)
+        parts = energy_parts(st.u, st.v, np.zeros_like(st.w), 1.0, ops, g)
+        assert parts["delay"] == 0.0
         wq = delta_trap_weights(st.w.size - 1)
         delay_term = g.mu1 * ops.a1 * float(DELAY.tau(st.t)) * float(
             wq @ (st.w**2)

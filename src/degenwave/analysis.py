@@ -104,12 +104,17 @@ class LyapunovParams:
     eps_damping: float
 
 
-def lyapunov_raw(u, v, w, tau: float, ops: DiscreteOperators, gains: GainSet,
-                 params: Optional[LyapunovParams]) -> tuple[float, float]:
+def lyapunov_raw(u, v, w, tau, ops: DiscreteOperators, gains: GainSet,
+                 params: Optional[LyapunovParams]):
     """(E, E~) of raw arrays with the delay tau = tau(t); used by the
     recorder and by synthetic tests.  Without params (or with epsilon 0) E~
-    is E.  Both come from one difference of u, one M v and one w^2."""
-    du = u[1:] - u[:-1]
+    is E.  Both come from one difference of u, one M v and one w^2.
+
+    u, v and w may be stacks of states, shape (..., n), with tau an array
+    over the leading axes (one delay per row); E and E~ then have the
+    leading shape, and each row gets the bits it would get alone.
+    """
+    du = u[..., 1:] - u[..., :-1]
     mv = ops.mass * v
     ww = w * w
     e = 0.5 * sum(_energy_blocks(u, v, du, mv, ww, tau, ops, gains).values())
@@ -117,11 +122,12 @@ def lyapunov_raw(u, v, w, tau: float, ops: DiscreteOperators, gains: GainSet,
         return e, e
     # the eps-block: sum over cells of h 2 x u_x v at the midpoint, which is
     # x_mid du (v_i + v_{i+1}), plus (mu_a/2) u^T M v and the weighted reservoir
-    m = ww.size - 1
-    cross_x = float((ops.mesh.midpoints * du) @ (v[:-1] + v[1:]))
-    cross_uv = 0.5 * ops.mu_a * float(mv @ u)
-    expw = gains.mu1 * ops.a1 * tau * float(
-        delta_trap_weights(m) @ (np.exp((-2.0 * tau) * delta_grid(m)) * ww))
+    m = ww.shape[-1] - 1
+    cross_x = np.vecdot(ops.mesh.midpoints * du, v[..., :-1] + v[..., 1:])
+    cross_uv = 0.5 * ops.mu_a * np.vecdot(mv, u)
+    decay = np.exp(np.multiply.outer(-2.0 * np.asarray(tau), delta_grid(m)))
+    expw = gains.mu1 * ops.a1 * tau * np.vecdot(delta_trap_weights(m),
+                                                decay * ww)
     return e, e + params.epsilon * (cross_x + cross_uv + expw)
 
 

@@ -9,10 +9,13 @@ solves the one-way transport
 with inflow w(0, t) = u_t(t, 1).  This module owns that design decision for
 the whole package: the channel nodes (`delta_grid`), their trapezoid weights
 (`delta_trap_weights`), the speed (`transport_speed`) and the implicit upwind
-solve (`transport_step`, a forward substitution by LAPACK ?tbtrs).  The
-stepper advances the channel with it, the generator probes take the
-transport block of A(t) from the same grid and speed, and the channel block
-of (I - A(t))^{-1} is the same solve with dt = 1 and the load for w.
+solve (`transport_step`, a forward substitution by LAPACK ?tbtrs).  One call
+advances the channel by one step or by K steps at once: the K steps are one
+lower-banded system of bandwidth K, and K = 1 is the bidiagonal of a single
+step.  `stepper.step` takes one step, `stepper.run` solves its channel once
+per K steps (`channel_block_steps`), the generator probes take the transport
+block of A(t) from the same grid and speed, and the channel block of
+(I - A(t))^{-1} is the one-step solve with dt = 1 and the load for w.
 
 A raw history ring with linear interpolation on the uniform step grid
 t_k = k dt serves as the independent reference realization; agreement of
@@ -28,6 +31,11 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import OutOfSpan, SolveFailure
+
+# every stacked array of a block (a block of probe trials, of recorded
+# instants, the band of a K-step channel solve) holds about this many
+# doubles (64 KB), which bounds the working set of the blocked loops
+BLOCK_DOUBLES = 8192
 
 
 @lru_cache(maxsize=8)
@@ -64,9 +72,9 @@ def init_channel(f0, tau_at_0: float, n_delta: int) -> np.ndarray:
     return np.array([float(f0(-d * tau_at_0)) for d in delta_grid(n_delta)])
 
 
-def transport_step(w: np.ndarray, tau: float, tau_prime: float, dt: float,
-                   inflow: float) -> np.ndarray:
-    """One implicit upwind update of the stretched-history transport.
+def transport_step(w: np.ndarray, tau, tau_prime, dt: float,
+                   inflow) -> np.ndarray:
+    """Implicit upwind update(s) of the stretched-history transport.
 
     Information flows from delta = 0 (the current trace) toward delta = 1
     (the fully delayed trace):
@@ -82,25 +90,62 @@ def transport_step(w: np.ndarray, tau: float, tau_prime: float, dt: float,
     with a length-B inflow: one solve with B right-hand sides, each column
     equal to its own solve bit for bit.  Returns a new array in w's memory
     layout; w is not modified.
+
+    With length-K sequences tau, tau_prime and inflow (each step's delay
+    and its rate at the step's midpoint, and its inflow) and one profile w,
+    it takes K successive steps in one banded solve and returns the
+    (m + 1, K) profiles after each step.
+    The unknowns w_i^n are ordered delta-major, p = (i - 1) K + n - 1, and
+    row (i, n) reads (1 + lam_i^n) w_i^n - lam_i^n w_{i-1}^n - w_i^{n-1} = 0,
+    so the band is K wide.  The solve adds the two neighbours of an unknown
+    in another order than K single steps do; the columns agree with them to
+    rounding (an ulp or so of max |w|).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     m = w.shape[0] - 1
-    # lower-bidiagonal solve: (1 + lam_i) w'_i - lam_i w'_{i-1} = w_i; the
-    # band is filled in place (lam in row 0, -lam_{i+1} in row 1, then 1 +
-    # lam in row 0)
-    ab = np.empty((2, m))
-    lam = transport_speed(delta_grid(m)[1:], tau, tau_prime, out=ab[0])
+    delta = delta_grid(m)[1:]
+    steps = not isinstance(tau, float) and np.ndim(tau) == 1
+    k = len(tau) if steps else 1
+    if steps:
+        tau, tau_prime, inflow = (np.asarray(a, dtype=float)
+                                  for a in (tau, tau_prime, inflow))
+        if w.ndim != 1 or tau_prime.shape != (k,) or inflow.shape != (k,):
+            raise ValueError("K steps need one profile and K values of tau, "
+                             "tau' and the inflow")
+        delta = delta[:, None]
+    # the band, filled in place: 1 + lam on the diagonal (row 0), -1 on the
+    # first subdiagonal for step n - 1 of the same node (n >= 2), -lam of
+    # the next node on the k-th; lam is written to row 0 first
+    ab = np.zeros((k + 1, m * k))
+    lam = transport_speed(delta, tau, tau_prime,
+                          out=ab[0].reshape(m, k) if steps else ab[0])
     lam *= dt * m
-    np.negative(lam[1:], out=ab[1, :-1])
-    out = w.copy(order="K")
+    ab[1].reshape(m, k)[:, :-1] = -1.0
+    np.negative(lam[1:], out=ab[k, :-k].reshape(lam[1:].shape))
+    if steps:
+        out = np.zeros((m + 1, k))
+        out[:, 0] = w
+    else:
+        out = w.copy(order="K")
     out[0] = inflow
     out[1] += lam[0] * inflow
     lam += 1.0
-    out[1:], info = dtbtrs(ab, out[1:], uplo="L")
+    b = out[1:]
+    x, info = dtbtrs(ab, b.reshape(m * k) if steps else b, uplo="L")
     if info != 0:
         raise SolveFailure(f"channel solve failed (tbtrs info {info})")
+    b[...] = x.reshape(b.shape)
     return out
+
+
+def channel_block_steps(m: int) -> int:
+    """The K of a run's channel solves with m cells: the largest K whose
+    band, (K + 1) rows of m K, fits in BLOCK_DOUBLES (at least 1)."""
+    k = 1
+    while (k + 2) * m * (k + 1) <= BLOCK_DOUBLES:
+        k += 1
+    return k
 
 
 class HistoryBuffer:

@@ -29,7 +29,8 @@ Every probe takes the list of its times (of (s, t) pairs for the norm ratio)
 and returns one report per entry.  Trial k draws its random state once,
 from its own stream default_rng([seed, tag, k]), and that state serves every
 time (and every step size of the drift probe).  Trials are evaluated in
-blocks of rows, as stacked (B, n) arrays of at most BLOCK_DOUBLES entries,
+blocks of rows, as stacked (B, n) arrays of at most BLOCK_DOUBLES entries
+(the budget `delay_channel.BLOCK_DOUBLES` that the stepper's blocks share),
 with row-wise operations: the projection, the quadratic form, the energy
 blocks of ||.||_t and ||.||_H (`analysis.energy_parts`) and the residuals.
 Row-wise sums (np.vecdot) and the multi-right-hand-side LAPACK solves give
@@ -47,7 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import energy_parts
-from .delay_channel import delta_grid, transport_speed, transport_step
+from .delay_channel import (
+    BLOCK_DOUBLES,
+    delta_grid,
+    transport_speed,
+    transport_step,
+)
 from .errors import DomainViolation
 from .mesh import DIRICHLET_LEFT, DiscreteOperators, Mesh, SPDTridiagonal
 from .model import DelaySpec, GainSet
@@ -64,11 +70,6 @@ class ProbeContext:
     @property
     def dirichlet(self) -> bool:
         return self.ops.bc_kind == DIRICHLET_LEFT
-
-
-# every stacked (rows, n) array of a trial block holds at most this many
-# doubles (64 KB), which bounds the probes' working set
-BLOCK_DOUBLES = 8192
 
 
 def _trial_blocks(trials: int, key: tuple, sizes: tuple):

@@ -10,9 +10,19 @@ the history ring at the midpoint time (it is known history, so no
 iteration is needed and the local part keeps its unconditional stability).
 The linear system is SPD tridiagonal (the feedback only loads the last
 diagonal entry): `StepWorkspace.build` factors it once per run as a
-`mesh.SPDTridiagonal`, and a step is one solve with the factors.  Then the
-stretched-history channel takes its upwind step (`transport_step`, the
-triangular solve the resolvent shares) and the ring records the trace.
+`mesh.SPDTridiagonal`, and the wave part of a step is one solve with the
+factors plus the ring's new trace (`_wave_step`, shared by `step` and
+`run`).  The stretched-history channel then takes its implicit upwind step
+(`delay_channel.transport_step`, the triangular solve the resolvent shares).
+
+Only the wave step and the ring feed the feedback; the channel and the
+recorded columns are diagnostics, so `run` takes them off the step path.
+It keeps each step's midpoint delay, its rate and the trace, and advances
+the channel K steps per banded solve (`delay_channel.channel_block_steps`).
+Its recorder evaluates the recorded instants in blocks of
+BLOCK_DOUBLES // n_nodes rows, with row-wise operations that give each row
+the bits it would get alone.  `step` advances the channel at every call,
+so its state.w is always current.
 
 Step n lands on t = n dt exactly: the ring sits on the same uniform grid and
 its newest index is the step counter.  `step` updates one SimState in place.
@@ -27,7 +37,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analysis
-from .delay_channel import HistoryBuffer, init_channel, transport_step
+from .delay_channel import (
+    BLOCK_DOUBLES,
+    HistoryBuffer,
+    channel_block_steps,
+    init_channel,
+    transport_step,
+)
 from .errors import IncompatibleInitialData, NonFiniteState
 from .mesh import (
     DIRICHLET_LEFT,
@@ -202,15 +218,12 @@ class StepWorkspace:
                    2.0 * ops.mass, -dt * ops.k_cell)
 
 
-def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
-         ops: DiscreteOperators, workspace: StepWorkspace) -> SimState:
-    """Advance the coupled system in place by one implicit-midpoint step of
-    size dt (the step of the state's history ring); `workspace` holds the
-    midpoint system factorized for this dt.  Returns the same state."""
-    buf, u, v = state.buffer, state.u, state.v
-    if not dt == buf.dt == workspace.dt:
-        raise ValueError(f"step dt {dt} differs from the history grid's {buf.dt} "
-                         f"or the workspace's {workspace.dt}")
+def _wave_step(buf: HistoryBuffer, u: np.ndarray, v: np.ndarray, dt: float,
+               gains: GainSet, delay: DelaySpec, ops: DiscreteOperators,
+               workspace: StepWorkspace) -> tuple[float, float, float]:
+    """The part of a step the feedback needs: the midpoint solve updates u
+    and v in place and the ring records the new trace.  Returns the
+    midpoint time, its delay and the trace."""
     n = buf.last + 1
     t_mid = (n - 0.5) * dt
     tau_mid = delay.tau(t_mid)
@@ -220,39 +233,140 @@ def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
     # active and keeps u = v = 0
     start = ops.first_active
     rhs = add_stiffness_product(workspace.mass2 * v, workspace.k_rhs, u)[start:]
-    rhs[-1] -= dt * ops.a1 * (gains.beta * u[-1] + gains.mu2 * w_mid)
+    rhs[-1] -= dt * ops.a1 * (gains.beta * float(u[-1]) + gains.mu2 * w_mid)
     vbar = workspace.system.solve(rhs)
 
-    v[start:] = 2.0 * vbar - v[start:]
-    u[start:] += dt * vbar
+    # v' = 2 vbar - v and u' = u + dt vbar, in place
+    v_active = v[start:]
+    np.subtract(2.0 * vbar, v_active, out=v_active)
+    vbar *= dt
+    u[start:] += vbar
     trace = float(v[-1])
-    state.t = n * dt
+    buf.append(trace)
+    return t_mid, tau_mid, trace
+
+
+def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
+         ops: DiscreteOperators, workspace: StepWorkspace) -> SimState:
+    """Advance the coupled system in place by one implicit-midpoint step of
+    size dt (the step of the state's history ring); `workspace` holds the
+    midpoint system factorized for this dt.  Returns the same state."""
+    buf = state.buffer
+    if not dt == buf.dt == workspace.dt:
+        raise ValueError(f"step dt {dt} differs from the history grid's {buf.dt} "
+                         f"or the workspace's {workspace.dt}")
+    t_mid, tau_mid, trace = _wave_step(buf, state.u, state.v, dt, gains,
+                                       delay, ops, workspace)
+    state.t = buf.last * dt
     state.w = transport_step(state.w, tau_mid, delay.tau_prime(t_mid), dt,
                              inflow=trace)
-    buf.append(trace)
     return state
 
 
-def bc_residual(state: SimState, gains: GainSet, tau: float,
-                mesh: Mesh) -> tuple[float, float]:
-    """(|feedback law residual|, delayed trace) at the current time, whose
-    delay is tau = tau(state.t).
+def bc_residual(u, v, w_del, gains: GainSet, mesh: Mesh):
+    """|feedback law residual| of the state (u, v) whose delayed trace, the
+    ring's sample at t - tau(t), is w_del.
 
-    The displacement slope at x = 1 is the one-sided P1 flux of the last
-    element, so the residual carries the scheme's O(dt + 1/N) consistency
-    error by design.
+    u and v may be (rows, n) stacks with one w_del per row; each row gets
+    the bits it would get alone.  The displacement slope at x = 1 is the
+    one-sided P1 flux of the last element, so the residual carries the
+    scheme's O(dt + 1/N) consistency error by design.
     """
-    w_del = state.buffer.sample(state.t - tau)
-    u_end, u_prev = float(state.u[-1]), float(state.u[-2])
-    flux = (u_end - u_prev) / float(mesh.h[-1])
-    res = abs(gains.mu1 * float(state.v[-1]) + gains.mu2 * w_del + flux
-              + gains.beta * u_end)
-    return res, w_del
+    u_end = u[..., -1]
+    flux = (u_end - u[..., -2]) / mesh.h[-1]
+    return np.abs(gains.mu1 * v[..., -1] + gains.mu2 * w_del + flux
+                  + gains.beta * u_end)
 
 
 def default_dt(mesh: Mesh, a1: float) -> float:
     """Accuracy-motivated step: min(1e-3, 0.5 h_N / sqrt(a(1)))."""
     return min(1e-3, 0.5 * float(mesh.h[-1]) / math.sqrt(a1))
+
+
+def step_count(t_final: float, dt: float) -> tuple[int, Optional[str]]:
+    """The number of steps to t_final, and a warning naming the run's real
+    final time when t_final is not a whole number of steps (more than
+    1e-6 dt away from the grid)."""
+    n_steps = int(round(t_final / dt)) if t_final > 0 else 0
+    t_end = n_steps * dt
+    if abs(t_end - t_final) <= 1e-6 * dt:
+        return n_steps, None
+    return n_steps, (f"t_final = {t_final:.10g} is not a whole number of "
+                     f"steps dt = {dt:.10g}; the run ends at t = {t_end:.10g}")
+
+
+class _Recorder:
+    """The recorded instants of a run, evaluated in blocks into `data`.
+
+    `add` keeps what an instant needs that the run moves past: t, tau(t),
+    the ring's delayed sample and copies of u and v, plus the channel
+    profile or, while the channel lags, its column in the next channel
+    solve (`channel` fills those in).  `flush`, called when no instant
+    waits for the channel, evaluates the kept instants in blocks of
+    `block` rows, one row-wise call per column, and hands them in order to
+    the snapshot sink.  It raises NonFiniteState at the first instant whose
+    energy is not finite, after the sink has seen the instants before it.
+    """
+
+    def __init__(self, data, block, mesh, ops, gains, delay, lyap, sink,
+                 buffer):
+        self.data, self.block, self.mesh = data, block, mesh
+        self.ops, self.gains, self.delay, self.lyap = ops, gains, delay, lyap
+        self.sink, self.buffer = sink, buffer
+        self.row = 0
+        self.rows: list[list] = []
+
+    def add(self, t: float, u: np.ndarray, v: np.ndarray, w) -> None:
+        """Keep an instant; w is its channel profile or its column index."""
+        # one tau(t) per instant, shared by the energies and the residual
+        tau = self.delay.tau(t)
+        self.rows.append([t, tau, self.buffer.sample(t - tau), u.copy(),
+                          v.copy(), w])
+
+    def channel(self, profiles: np.ndarray) -> None:
+        for r in self.rows:
+            if isinstance(r[5], int):
+                r[5] = profiles[:, r[5]]
+
+    def flush(self, everything: bool = False) -> None:
+        """Evaluate every full block, and with `everything` the rest too."""
+        while len(self.rows) >= self.block or (everything and self.rows):
+            rows = self.rows[:self.block]
+            del self.rows[:self.block]
+            self._evaluate(rows)
+
+    def _evaluate(self, rows: list[list]) -> None:
+        t, tau, w_buf, u, v, w = (np.array(c) for c in zip(*rows))
+        e, et = analysis.lyapunov_raw(u, v, w, tau, self.ops, self.gains,
+                                      self.lyap)
+        r0, r1 = self.row, self.row + t.size
+        data = self.data
+        data[0, r0:r1] = t
+        bad = np.flatnonzero(~np.isfinite(e))
+        if bad.size:
+            b = r0 + int(bad[0])
+            self._emit(t, u, v, w, int(bad[0]))
+            last = (f"the last finite one was at t = {float(data[0, b - 1])!r}"
+                    if b else "no finite one was recorded")
+            raise NonFiniteState(f"state is not finite at t = "
+                                 f"{float(data[0, b])!r} (energy {e[bad[0]]}); "
+                                 f"{last}")
+        # the recorded delayed trace is the channel's outflow, the
+        # realization the energy integrates; the buffered reference value is
+        # recoverable as trace_v_delayed - channel_discrepancy
+        w_chan = w[:, -1]
+        data[1:, r0:r1] = (e, et, v[:, -1], w_chan,
+                           bc_residual(u, v, w_buf, self.gains, self.mesh),
+                           w_chan - w_buf)
+        self.row = r1
+        self._emit(t, u, v, w, t.size)
+
+    def _emit(self, t, u, v, w, stop: int) -> None:
+        # the sink sees each instant as a SimState whose arrays are valid
+        # during the call; its ring is the run's, which has moved on
+        if self.sink is not None:
+            for i in range(stop):
+                self.sink(SimState(float(t[i]), u[i], v[i], w[i], self.buffer))
 
 
 def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
@@ -266,12 +380,15 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
     """Integrate to t_final, recording the COLUMNS every record_every
     steps (plus the initial and final instants).
 
-    When no Lyapunov parameters are supplied (or derivable: the modified
-    functional requires a strictly positive damping margin), E_tilde is
-    recorded as E itself.  Raises NonFiniteState at the first recorded
-    instant whose energy is not finite: E is a positive-weighted sum of
-    squares of every entry of u, v and w, so it catches any overflow or NaN
-    in the state.
+    The run takes round(t_final / dt) steps; when t_final is not a whole
+    number of steps, a warning names the time the run ends at.  When no
+    Lyapunov parameters are supplied (or derivable: the modified functional
+    requires a strictly positive damping margin), E_tilde is recorded as E
+    itself.  Raises NonFiniteState at the first recorded instant whose
+    energy is not finite: E is a positive-weighted sum of squares of every
+    entry of u, v and w, so it catches any overflow or NaN in the state.
+    The snapshot sink, if any, receives every recorded instant, in order, as
+    a SimState with that instant's t, u, v and w (see `_Recorder`).
     """
     if t_final < 0.0 or dt <= 0.0 or record_every < 1:
         raise ValueError("need t_final >= 0, dt > 0, record_every >= 1")
@@ -281,37 +398,45 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
         u0=u0, u1=u1, f0=f0,
     )
     ws = StepWorkspace.build(ops, gains, dt)
-    n_steps = int(round(t_final / dt)) if t_final > 0 else 0
+    n_steps, note = step_count(t_final, dt)
+    if note is not None:
+        warnings.append(note)
     n_rows = 1 + n_steps // record_every + (1 if n_steps % record_every else 0)
     data = np.empty((len(COLUMNS), n_rows))
-    row = 0
+    buf, u, v = state.buffer, state.u, state.v
+    rec = _Recorder(data, max(1, BLOCK_DOUBLES // ops.n_nodes), mesh, ops,
+                    gains, delay, lyap, snapshot_sink, buf)
+    k_max = channel_block_steps(n_delta)
+    taus, tau_primes, traces = [], [], []
 
-    def record(st: SimState):
-        nonlocal row
-        # one tau(t) per sample, shared by the energies and the residual
-        tau = delay.tau(st.t)
-        e, et = analysis.lyapunov_raw(st.u, st.v, st.w, tau, ops, gains, lyap)
-        if not math.isfinite(e):
-            last = (f"the last finite one was at t = {float(data[0, row - 1])!r}"
-                    if row else "no finite one was recorded")
-            raise NonFiniteState(
-                f"state is not finite at t = {st.t!r} (energy {e}); {last}")
-        res, w_buf = bc_residual(st, gains, tau, mesh)
-        # the recorded delayed trace is the channel's outflow, the
-        # realization the energy integrates; the buffered reference value is
-        # recoverable as trace_v_delayed - channel_discrepancy
-        w_chan = float(st.w[-1])
-        data[:, row] = (st.t, e, et, float(st.v[-1]), w_chan, res,
-                        w_chan - w_buf)
-        row += 1
-        if snapshot_sink is not None:
-            snapshot_sink(st)
+    def solve_channel():
+        profiles = transport_step(state.w, taus, tau_primes, dt, traces)
+        state.w = profiles[:, -1].copy()
+        rec.channel(profiles)
+        for values in (taus, tau_primes, traces):
+            values.clear()
 
-    record(state)
+    rec.add(0.0, u, v, state.w)
     for n in range(1, n_steps + 1):
-        step(state, dt, gains, delay, ops, workspace=ws)
-        if n % record_every == 0 or n == n_steps:
-            record(state)
+        t_mid, tau_mid, trace = _wave_step(buf, u, v, dt, gains, delay, ops, ws)
+        finite = math.isfinite(trace)
+        if not finite and traces:
+            # the band's zeros would carry a non-finite inflow into the
+            # earlier steps of its block (0 * nan), so those are solved first
+            solve_channel()
+        taus.append(tau_mid)
+        tau_primes.append(delay.tau_prime(t_mid))
+        traces.append(trace)
+        recorded = n % record_every == 0 or n == n_steps
+        if recorded:
+            rec.add(n * dt, u, v, len(traces) - 1)
+        # a non-finite trace means a non-finite state from here on: stop at
+        # the instant just recorded, where the recorder raises
+        if len(traces) == k_max or n == n_steps or (recorded and not finite):
+            solve_channel()
+            rec.flush(everything=not finite)
+    rec.flush(everything=True)
+    state.t = n_steps * dt
     return Trajectory(**dict(zip(COLUMNS, data)), fingerprint=fingerprint,
                       warnings=warnings, final_state=state, dt=dt,
                       n_space=mesh.N)

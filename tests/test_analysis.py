@@ -135,6 +135,28 @@ class TestSandwich:
             assert lyap.equiv_lower * e <= et <= lyap.equiv_upper * e
 
 
+class TestStackedLyapunov:
+    @pytest.mark.parametrize("eps", [False, True])
+    def test_rows_equal_single_calls(self, eps):
+        # a stack of states with one tau per row gives each row the bits of
+        # its own 1-d call, for E and for E~
+        spec, mesh, ops = assemble(n=96)
+        lyap = lyap_for(SPEC, GAINS, DELAY) if eps else None
+        rng = np.random.default_rng(23)
+        rows = 37
+        u = rng.standard_normal((rows, 97))
+        v = rng.standard_normal((rows, 97))
+        w = rng.standard_normal((rows, 33))
+        u[:, 0] = v[:, 0] = 0.0
+        tau = np.array([DELAY.tau(t) for t in rng.uniform(0.0, 10.0, rows)])
+        e, et = lyapunov_raw(u, v, w, tau, ops, GAINS, lyap)
+        assert e.shape == et.shape == (rows,)
+        for i in range(rows):
+            e1, et1 = lyapunov_raw(u[i], v[i], w[i], float(tau[i]), ops,
+                                   GAINS, lyap)
+            assert e[i] == e1 and et[i] == et1
+
+
 class TestDissipationAudit:
     def test_zero_trajectory(self):
         traj = SimpleNamespace(

@@ -13,7 +13,7 @@ from degenwave import (
     transport_speed,
     transport_step,
 )
-from degenwave.delay_channel import delta_trap_weights
+from degenwave.delay_channel import channel_block_steps, delta_trap_weights
 from degenwave.errors import OutOfSpan, SolveFailure
 
 
@@ -107,6 +107,50 @@ class TestTransportStep:
             errs.append(max(abs(out[tp] - targets[tp]) for tp in probes))
         assert errs[0] < 0.05
         assert errs[0] / errs[1] > 1.5  # first-order refinement
+
+
+class TestKStepSolve:
+    @pytest.mark.parametrize("m", [16, 512])
+    def test_matches_one_step_calls(self, m):
+        # one banded solve of K steps against K bidiagonal steps with varying
+        # tau, tau' and inflow: the band adds the two neighbours of an unknown
+        # in another order, so they agree to rounding, not bit for bit
+        rng = np.random.default_rng(m)
+        k = channel_block_steps(m)
+        w = rng.standard_normal(m + 1)
+        taus = rng.uniform(0.5, 1.0, k)
+        tau_primes = rng.uniform(0.0, 0.4, k)
+        inflow = rng.standard_normal(k)
+        block = transport_step(w, taus, tau_primes, 1e-3, inflow)
+        assert block.shape == (m + 1, k)
+        one = w
+        for n in range(k):
+            one = transport_step(one, float(taus[n]), float(tau_primes[n]),
+                                 1e-3, inflow=float(inflow[n]))
+            ulp = np.finfo(float).eps * np.max(np.abs(one))
+            assert np.max(np.abs(block[:, n] - one)) <= 4.0 * ulp
+        assert np.array_equal(block[0], inflow)
+
+    def test_one_step_block_is_the_bidiagonal_step(self):
+        rng = np.random.default_rng(8)
+        w = rng.standard_normal(33)
+        block = transport_step(w, [0.8], [0.1], 1e-2, [0.5])
+        assert np.array_equal(block[:, 0], transport_step(w, 0.8, 0.1, 1e-2, 0.5))
+
+    def test_block_size_fits_the_budget(self):
+        from degenwave.delay_channel import BLOCK_DOUBLES
+
+        for m in [2, 16, 64, 512, 4096, 10**5]:
+            k = channel_block_steps(m)
+            assert k >= 1
+            assert (k + 1) * m * k <= BLOCK_DOUBLES or k == 1
+            assert (k + 2) * m * (k + 1) > BLOCK_DOUBLES
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="K steps"):
+            transport_step(np.zeros(9), [1.0, 1.0], [0.0], 1e-2, [0.0, 0.0])
+        with pytest.raises(ValueError, match="K steps"):
+            transport_step(np.zeros((9, 2)), [1.0], [0.0], 1e-2, [0.0])
 
 
 class TestSharedSolve:

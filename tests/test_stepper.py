@@ -21,6 +21,7 @@ from degenwave.stepper import (
     init_state,
     run,
     step,
+    step_count,
 )
 
 SPEC = make_coefficient("power", {"alpha": 0.5})
@@ -101,7 +102,8 @@ class TestStep:
             state = step(state, 1e-3, g, DELAY, ops, workspace=ws)
         assert np.all(state.u == 0.0)
         assert np.all(state.v == 0.0)
-        res, _ = bc_residual(state, g, DELAY.tau(state.t), mesh)
+        w_del = state.buffer.sample(state.t - DELAY.tau(state.t))
+        res = bc_residual(state.u, state.v, w_del, g, mesh)
         assert res == 0.0
 
     def test_updates_state_in_place(self):
@@ -364,3 +366,174 @@ class TestRecorder:
             assert abs(traj.E[row] - e) <= 1e-13 * e0
             assert abs(traj.E_tilde[row] - (e + lyap.epsilon * block)) <= 1e-13 * e0
             assert abs(traj.bc_residual[row] - res) <= 1e-13 * e0
+
+
+def _blocked_setup(record_every, n=32, n_delta=16, t_final=0.6):
+    from degenwave import config
+    from degenwave.analysis import choose_epsilon
+
+    cfg = config.apply_overrides(config.load_config("baseline"), [
+        f"mesh.n={n}", f"channel.n_delta={n_delta}",
+        f"integrator.t_final={t_final}", f"integrator.record_every={record_every}"])
+    setup = config.build_setup(cfg)
+    lyap = choose_epsilon(setup.spec, setup.gains.beta, setup.gains, setup.delay)
+    return cfg, setup, lyap
+
+
+def _step_by_step(cfg, setup, record_every):
+    """(t, u, v, w) at every recorded instant of `run`, from step() calls."""
+    state, _ = init_state(setup.mesh, setup.ops, setup.gains, setup.delay,
+                          preset=cfg.initial_preset, f0_preset=cfg.initial_f0,
+                          f0_amplitude=cfg.initial_f0_amplitude,
+                          n_delta=cfg.channel_n_delta, dt=setup.dt)
+    ws = StepWorkspace.build(setup.ops, setup.gains, setup.dt)
+    n_steps = int(round(cfg.integrator_t_final / setup.dt))
+    snaps = [(state.t, state.u.copy(), state.v.copy(), state.w.copy())]
+    for n in range(1, n_steps + 1):
+        step(state, setup.dt, setup.gains, setup.delay, setup.ops, workspace=ws)
+        if n % record_every == 0 or n == n_steps:
+            snaps.append((state.t, state.u.copy(), state.v.copy(), state.w.copy()))
+    return [np.array(c) for c in zip(*snaps)]
+
+
+class TestBlockedRun:
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_record_block_size_does_not_change_columns(self, monkeypatch,
+                                                       record_every):
+        # one recorded instant per block (the recorder's share of the block
+        # budget set to one state) against the default block: every column
+        # bit for bit.  The channel's K comes from delay_channel's copy of
+        # the budget and stays as it is.
+        from degenwave import config, stepper
+
+        cfg, setup, lyap = _blocked_setup(record_every)
+        ref = config.run_from_setup(setup, lyap=lyap)
+        assert stepper.BLOCK_DOUBLES // setup.ops.n_nodes > 10
+        monkeypatch.setattr(stepper, "BLOCK_DOUBLES", setup.ops.n_nodes)
+        one = config.run_from_setup(setup, lyap=lyap)
+        for name in COLUMNS:
+            assert np.array_equal(getattr(one, name), getattr(ref, name)), name
+        for part in ("u", "v", "w"):
+            assert np.array_equal(getattr(one.final_state, part),
+                                  getattr(ref.final_state, part))
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_snapshots_match_a_step_by_step_reference(self, tmp_path,
+                                                      record_every):
+        # the --snapshots arrays of a blocked run against step() calls: u and
+        # v bit for bit (one wave kernel), w to the rounding of the K-step
+        # channel solve, and the recomputed energies equal the recorded ones
+        import json
+
+        from degenwave.cli import main
+
+        cfg, setup, _ = _blocked_setup(record_every, n=32, n_delta=64,
+                                       t_final=0.5)
+        out = tmp_path / "snap"
+        argv = ["simulate", "--config", "baseline", "--snapshots",
+                "--out", str(out)]
+        for key in ("mesh.n", "channel.n_delta", "integrator.t_final",
+                    "integrator.record_every"):
+            argv += ["--set", f"{key}={getattr(cfg, key.replace('.', '_'))}"]
+        assert main(argv) == 0
+        report = json.loads(out.with_suffix(".json").read_text())
+        assert report["audits"]["snapshot_energy_max_rel_err"] == 0.0
+        snaps = np.load(out.with_suffix(".snapshots.npz"))
+        t, u, v, w = _step_by_step(cfg, setup, record_every)
+        assert np.array_equal(snaps["t"], t)
+        assert np.array_equal(snaps["u"], u)
+        assert np.array_equal(snaps["v"], v)
+        assert np.max(np.abs(snaps["w"] - w)) <= 1e-13 * np.max(np.abs(w))
+
+    def test_mid_run_non_finite_state_names_the_instants(self):
+        # a history that is NaN on a window between the channel nodes: the
+        # initial state is finite, and the wave turns non-finite when the
+        # delayed sample reaches the window.  The message names the same
+        # instants a step-by-step evaluation finds, and the sink has seen
+        # exactly the instants before the first non-finite one.
+        import math
+
+        _, mesh, ops = make_ops(n=16)
+        g = GainSet(2.0, 0.2, 1.0)
+        dt, every = 1e-3, 3
+        f0 = lambda s: math.nan if -0.245 < s < -0.225 else 0.0
+        kw = dict(preset="velocity-kick", n_delta=16, f0=f0)
+
+        state, _ = init_state(mesh, ops, g, DELAY, dt=dt, **kw)
+        ws = StepWorkspace.build(ops, g, dt)
+        seen = [0.0]
+        assert np.isfinite(energy(state, ops, g, DELAY))
+        while True:
+            step(state, dt, g, DELAY, ops, workspace=ws)
+            if round(state.t / dt) % every == 0:
+                if not np.isfinite(energy(state, ops, g, DELAY)):
+                    break
+                seen.append(state.t)
+        assert 0.1 < state.t < 0.4
+
+        sunk = []
+        with pytest.raises(NonFiniteState) as info:
+            run(mesh, ops, g, DELAY, t_final=0.5, dt=dt, record_every=every,
+                snapshot_sink=lambda st: sunk.append(st.t), **kw)
+        msg = str(info.value)
+        assert msg.startswith(f"state is not finite at t = {state.t!r} (energy ")
+        assert msg.endswith(f"the last finite one was at t = {seen[-1]!r}")
+        assert sunk == seen
+
+
+class TestStepCount:
+    def test_horizon_off_the_step_grid_warns(self, tmp_path, capsys):
+        # 0.5 / 0.0007 = 714.3 steps: the run ends at 714 dt and says so
+        from degenwave.cli import main
+
+        rc = main(["simulate", "--config", "baseline", "--set", "mesh.n=16",
+                   "--set", "integrator.t_final=0.5",
+                   "--set", "integrator.dt=0.0007",
+                   "--out", str(tmp_path / "off")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert ("warning: t_final = 0.5 is not a whole number of steps "
+                "dt = 0.0007; the run ends at t = 0.4998") in out
+
+    def test_whole_horizons_do_not_warn(self):
+        assert step_count(2.0, 1e-3) == (2000, None)
+        assert step_count(5.0, 1e-3 / 8) == (40000, None)
+        assert step_count(0.0, 1e-3) == (0, None)
+        n, note = step_count(0.5, 7e-4)
+        assert n == 714 and "ends at t = 0.4998" in note
+
+    def test_no_shipped_scenario_or_bench_workload_warns(self, tmp_path,
+                                                         monkeypatch):
+        # every shipped horizon is a whole number of steps, and so is every
+        # run of the benchmark's workloads (perfbench/workloads.py, run here
+        # with the sweep in this process so that the spy sees its rows)
+        import importlib.util
+        from pathlib import Path
+
+        from degenwave import config, stepper
+
+        for name in config.SCENARIO_NAMES:
+            cfg = config.load_config(name)
+            dt = config.build_setup(cfg).dt
+            assert step_count(cfg.integrator_t_final, dt)[1] is None, name
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        monkeypatch.setattr(workloads, "SWEEP_JOBS", 1)
+        real_run, notes = stepper.run, []
+
+        def spy(*args, **kwargs):
+            traj = real_run(*args, **kwargs)
+            notes.append(traj.warnings)
+            return traj
+
+        monkeypatch.setattr(stepper, "run", spy)
+        ran = [cls.name for cls in workloads.WORKLOADS.values() if cls.steps]
+        for name in ran:
+            workloads.WORKLOADS[name](tmp_path).run(seed=1)
+        assert sorted(ran) == ["converge-refine", "simulate-baseline",
+                               "sweep-grid"]
+        assert len(notes) == 1 + 3 + 12
+        assert not [w for ws in notes for w in ws if "whole number" in w]

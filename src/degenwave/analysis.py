@@ -64,7 +64,7 @@ def _energy_blocks(u, v, du, mv, ww, tau, ops, gains) -> dict:
     # which lyapunov_raw shares with the eps-block.  np.vecdot sums each row
     # as @ sums a 1-d pair, and float_power(x, 2) calls the C pow that the
     # float x ** 2 calls (x * x differs in about one value in a thousand),
-    # so a stack's rows and the recorder's 1-d calls get the same bits
+    # so a stack's rows and 1-d calls get the same bits
     return {
         "kinetic": np.vecdot(mv, v),
         "elastic": np.vecdot(ops.k_cell * du, du),
@@ -106,8 +106,8 @@ class LyapunovParams:
 
 def lyapunov_raw(u, v, w, tau, ops: DiscreteOperators, gains: GainSet,
                  params: Optional[LyapunovParams]):
-    """(E, E~) of raw arrays with the delay tau = tau(t); used by the
-    recorder and by synthetic tests.  Without params (or with epsilon 0) E~
+    """(E, E~) of raw arrays with the delay tau = tau(t); used by
+    `stepper.run` and by synthetic tests.  Without params (or with epsilon 0) E~
     is E.  Both come from one difference of u, one M v and one w^2.
 
     u, v and w may be stacks of states, shape (..., n), with tau an array
@@ -384,16 +384,12 @@ class DecayCertificate:
     horizon_ok: bool
 
 
-def fit_decay_rate(t: np.ndarray, e: np.ndarray,
-                   window: tuple[float, float] | None = None,
-                   floor_rel: float = 1e-14) -> float:
+def fit_decay_rate(t: np.ndarray, e: np.ndarray) -> float:
     """Least-squares slope of -log E over [0.1 T, T], skipping the transient
-    and samples below floor_rel * E(0) (round-off guard)."""
+    and samples below 1e-14 E(0) (round-off guard)."""
     t = np.asarray(t, dtype=float)
     e = np.asarray(e, dtype=float)
-    if window is None:
-        window = (0.1 * t[-1], t[-1])
-    keep = (t >= window[0]) & (t <= window[1]) & (e > floor_rel * max(e[0], 1e-300))
+    keep = (t >= 0.1 * t[-1]) & (e > 1e-14 * max(e[0], 1e-300))
     if np.sum(keep) < 2:
         return math.nan
     coef = np.polyfit(t[keep], np.log(e[keep]), 1)
@@ -415,8 +411,7 @@ def empirical_integral_gain(t: np.ndarray, e: np.ndarray) -> float:
 
 def decay_certificate(trajectory, params: LyapunovParams,
                       constants: StructuralConstants, mu_a: float,
-                      beta: float, tau1: float,
-                      envelope_tol: float = 0.05) -> DecayCertificate:
+                      beta: float, tau1: float) -> DecayCertificate:
     """Evaluate the certificate on a recorded trajectory (see class doc)."""
     t = np.asarray(trajectory.t, dtype=float)
     e = np.asarray(trajectory.E, dtype=float)
@@ -428,7 +423,7 @@ def decay_certificate(trajectory, params: LyapunovParams,
     gain = empirical_integral_gain(t, e)
     after = t >= m_bound
     if np.any(after):
-        env = (1.0 + envelope_tol) * e[0] * np.exp(1.0 - t[after] / m_bound)
+        env = 1.05 * e[0] * np.exp(1.0 - t[after] / m_bound)
         ok = bool(np.all(e[after] <= env))
     else:
         ok = True

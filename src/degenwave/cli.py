@@ -153,13 +153,15 @@ def simulate_config(cfg: cfgmod.RunConfig, snapshots: bool = False):
                                        setup.gains, setup.delay, consts)
     store = reporting.SnapshotStore() if snapshots else None
     traj = cfgmod.run_from_setup(setup, lyap=lyap, snapshot_sink=store)
-    t_final = cfg.integrator_t_final
+    # probe the time the run ends at, which is t_final only when t_final
+    # is a whole number of steps
+    t_end = float(traj.t[-1])
     ctx = operator_checks.ProbeContext(
         mesh=setup.mesh, ops=setup.ops, gains=setup.gains, delay=setup.delay,
         n_delta=cfg.channel_n_delta,
     )
     cert_ops = operator_checks.run_certificate(
-        ctx, [0.0, t_final / 2.0, t_final] if t_final > 0 else [0.0],
+        ctx, [0.0, t_end / 2.0, t_end] if t_end > 0 else [0.0],
         seed=cfg.seed, diss_trials=200, res_trials=40, ratio_trials=200,
     )
     if lyap is not None and traj.E.size >= 2:
@@ -407,13 +409,13 @@ def cmd_operator_check(args) -> int:
 # --- elliptic estimates --------------------------------------------------------
 
 
-def elliptic_table(alphas, betas, lams, n: int, scale: float = 1.0) -> dict:
+def elliptic_table(alphas, betas, lams, n: int) -> dict:
     from . import mesh as mesh_mod
 
     cases = []
     all_ok = True
     for al in alphas:
-        spec = model.make_coefficient("power", {"alpha": al, "scale": scale})
+        spec = model.make_coefficient("power", {"alpha": al})
         msh = mesh_mod.build_mesh(n, mesh_mod.default_gamma(spec.mu_a))
         for b in betas:
             for lam in lams:

@@ -286,6 +286,6 @@ def run_from_setup(setup: RunSetup,
         record_every=cfg.integrator_record_every,
         preset=cfg.initial_preset, f0_preset=cfg.initial_f0,
         f0_amplitude=cfg.initial_f0_amplitude,
-        n_delta=cfg.channel_n_delta, fingerprint=setup.fingerprint,
+        n_delta=cfg.channel_n_delta,
         lyap=lyap, snapshot_sink=snapshot_sink,
     )

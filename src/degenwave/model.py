@@ -9,7 +9,9 @@ which must stay below 2.  Weak degeneracy (mu_a < 1) pairs with a Dirichlet
 condition at x = 0, strong degeneracy (1 <= mu_a < 2) with a vanishing
 weighted flux.  The boundary feedback gains (mu1, mu2, beta) and the delay
 envelope (tau0, tau1, d) determine the margins that drive well-posedness and
-decay certification.
+decay certification.  tau and tau' have one kernel that gives a scalar
+time the bits of the same time in an array, as `stepper.run` (per block)
+and `stepper.step` (per step) need.
 """
 
 from __future__ import annotations
@@ -122,11 +124,6 @@ class CoefficientSpec:
         return PchipInterpolator(self.table_x, self.table_a)
 
 
-def _geom_grid(n: int, lo: float = 1e-8) -> np.ndarray:
-    # geometric sample of (0, 1], clustered at the degeneracy point
-    return np.geomspace(lo, 1.0, n)
-
-
 def degeneracy_mu_a(spec: CoefficientSpec, n_samples: int = 2001) -> float:
     """Estimate mu_a = sup x |a'(x)| / a(x) over a geometric sample of (0, 1].
 
@@ -137,7 +134,8 @@ def degeneracy_mu_a(spec: CoefficientSpec, n_samples: int = 2001) -> float:
         raise ValueError("n_samples must be >= 100")
     if spec.kind == "power":
         return float(spec.alpha)
-    xs = _geom_grid(n_samples, lo=1e-6)
+    # geometric sample of (0, 1], clustered at the degeneracy point
+    xs = np.geomspace(1e-6, 1.0, n_samples)
     a = np.asarray(spec.a(xs), dtype=float)
     if np.any(a <= 0.0):
         raise NonPositive("coefficient must be positive on (0, 1]")
@@ -239,15 +237,6 @@ def make_coefficient(kind: str, params: dict) -> CoefficientSpec:
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
 
-def _time_kernels(t):
-    """(t, exp, clip to [0, 1]) for evaluating a delay formula at t: plain
-    float arithmetic for a float t (the stepper's per-step calls), numpy for
-    anything else."""
-    if isinstance(t, float):
-        return t, math.exp, lambda s: min(max(s, 0.0), 1.0)
-    return np.asarray(t, dtype=float), np.exp, lambda s: np.clip(s, 0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class DelaySpec:
     """Nondecreasing delay tau(t) with envelope 0 < tau0 <= tau <= tau1 and
@@ -260,27 +249,29 @@ class DelaySpec:
     params: tuple = ()
 
     def tau(self, t):
-        """tau(t): a float for a float t, an array for an array-like t."""
-        t, exp, clip01 = _time_kernels(t)
+        """tau(t), elementwise for an array t.  One formula per kind, free
+        of ** (which calls C pow on a scalar but multiplies on an array),
+        so a scalar t gets the bits of the same t inside an array."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
             return self.tau0 + 0.0 * t
         if self.kind == "saturating_exponential":
             k = self.params[0]
-            return self.tau1 - (self.tau1 - self.tau0) * exp(-k * t)
+            return self.tau1 - (self.tau1 - self.tau0) * np.exp(-k * t)
         t0, t1 = self.params
-        s = clip01((t - t0) / (t1 - t0))
-        return self.tau0 + (self.tau1 - self.tau0) * (3 * s**2 - 2 * s**3)
+        s = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
+        return self.tau0 + (self.tau1 - self.tau0) * (s * s * (3.0 - 2.0 * s))
 
     def tau_prime(self, t):
-        """tau'(t), typed like tau(t)."""
-        t, exp, clip01 = _time_kernels(t)
+        """tau'(t), elementwise like tau(t)."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
             return 0.0 * t
         if self.kind == "saturating_exponential":
             k = self.params[0]
-            return k * (self.tau1 - self.tau0) * exp(-k * t)
+            return k * (self.tau1 - self.tau0) * np.exp(-k * t)
         t0, t1 = self.params
-        s = clip01((t - t0) / (t1 - t0))
+        s = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
         return (self.tau1 - self.tau0) * 6 * s * (1 - s) / (t1 - t0)
 
     def tau_second(self, t):
@@ -348,10 +339,11 @@ def make_delay(kind: str, params: dict) -> DelaySpec:
     raise ValueError(f"unknown delay kind {kind!r}")
 
 
-def validate_delay(spec: DelaySpec, horizon: float, n: int = 10_000,
-                   tol: float = 1e-12) -> None:
-    """Sample tau, tau' on [0, horizon] and enforce the envelope within tol."""
-    ts = np.linspace(0.0, max(horizon, spec.tau1), n)
+def validate_delay(spec: DelaySpec, horizon: float) -> None:
+    """Sample tau, tau' at 10,000 times on [0, horizon] and enforce the
+    envelope within 1e-12."""
+    tol = 1e-12
+    ts = np.linspace(0.0, max(horizon, spec.tau1), 10_000)
     tau = np.asarray(spec.tau(ts))
     taup = np.asarray(spec.tau_prime(ts))
     if np.any(tau < spec.tau0 - tol) or np.any(tau > spec.tau1 + tol):

@@ -106,18 +106,10 @@ def _running_max(worst: float, values: np.ndarray) -> float:
     return worst
 
 
-def iota(delay: DelaySpec, t: float) -> float:
-    """Stabilizing shift sqrt(1 + tau'^2) / (2 tau)."""
-    tp = float(delay.tau_prime(t))
-    return math.sqrt(1.0 + tp * tp) / (2.0 * float(delay.tau(t)))
-
-
-def _at_times(fn, t):
-    """fn at the time t as a float, or at each of a list of times as a
-    column that broadcasts against a stack of trials."""
-    if np.ndim(t) == 0:
-        return float(fn(t))
-    return np.array([float(fn(s)) for s in t])[:, None]
+def iota(delay: DelaySpec, t):
+    """Stabilizing shift sqrt(1 + tau'^2) / (2 tau), elementwise like tau."""
+    tp = delay.tau_prime(t)
+    return np.sqrt(1.0 + tp * tp) / (2.0 * delay.tau(t))
 
 
 def norm_t_sq(U, t, ctx: ProbeContext):
@@ -125,8 +117,10 @@ def norm_t_sq(U, t, ctx: ProbeContext):
     energy of U at time t.  U may be a stack of trials (B, n), and t a list
     of T times, giving a (T, B) array."""
     u, v, w = U
-    return sum(energy_parts(u, v, w, _at_times(ctx.delay.tau, t), ctx.ops,
-                            ctx.gains).values())
+    t = np.asarray(t, dtype=float)
+    # a list of times becomes a column that broadcasts against the trials
+    tau = ctx.delay.tau(t if t.ndim == 0 else t[:, None])
+    return sum(energy_parts(u, v, w, tau, ctx.ops, ctx.gains).values())
 
 
 def norm_h_sq(U, ctx: ProbeContext):
@@ -205,9 +199,9 @@ def quadratic_form(U, times, ctx: ProbeContext):
     """
     u, v, w = U
     g, ops = ctx.gains, ctx.ops
-    tau = _at_times(ctx.delay.tau, times)
-    taup = _at_times(ctx.delay.tau_prime, times)
-    shift = np.array([iota(ctx.delay, t) for t in times])[:, None]
+    col = np.asarray(times, dtype=float)[:, None]
+    tau, taup = ctx.delay.tau(col), ctx.delay.tau_prime(col)
+    shift = iota(ctx.delay, col)
     kcross = ops.stiffness_quadform(u, v)
     vb, wb, ub = v[..., -1], w[..., -1], u[..., -1]
     val = kcross + g.beta * ops.a1 * vb * ub
@@ -233,11 +227,11 @@ class DissipativityReport:
 
 
 def dissipativity_probe(times, ctx: ProbeContext, trials: int = 500,
-                        seed: int = 0,
-                        tol: float = 1e-8) -> list[DissipativityReport]:
+                        seed: int = 0) -> list[DissipativityReport]:
     """Max of the shifted quadratic form over random domain-projected states,
     normalized by the squared state norm, at each of the times.  PASS iff it
-    stays below tol."""
+    stays below tol = 1e-8."""
+    tol = 1e-8
     times = [float(t) for t in times]
     n = ctx.mesh.N + 1
     worst = [-math.inf] * len(times)
@@ -397,9 +391,9 @@ class ResolventReport:
 
 
 def resolvent_probe(times, ctx: ProbeContext, trials: int = 100,
-                    seed: int = 0, tol: float = 1e-8) -> list[ResolventReport]:
+                    seed: int = 0) -> list[ResolventReport]:
     """Residual check of (I - A(t)) U = G for random right-hand sides, at
-    each of the times."""
+    each of the times; PASS iff both worst values stay below 1e-8."""
     solvers = [_Resolvent(float(t), ctx) for t in times]
     n = ctx.mesh.N + 1
     worst_res = [0.0] * len(solvers)
@@ -414,7 +408,7 @@ def resolvent_probe(times, ctx: ProbeContext, trials: int = 100,
             worst_res[j] = _running_max(worst_res[j], residual)
             worst_ident[j] = _running_max(worst_ident[j], ident)
     return [ResolventReport(max_residual=r, max_boundary_identity=i,
-                            trials=trials, passed=r <= tol and i <= tol,
+                            trials=trials, passed=r <= 1e-8 and i <= 1e-8,
                             seed=seed)
             for r, i in zip(worst_res, worst_ident)]
 
@@ -430,10 +424,11 @@ class NormRatioReport:
 
 
 def norm_ratio_bound(pairs, ctx: ProbeContext, trials: int = 500,
-                     seed: int = 0, tol: float = 1e-12) -> list[NormRatioReport]:
+                     seed: int = 0) -> list[NormRatioReport]:
     """Max of ||U||_t / ||U||_s over random states against the stated bound
-    e^{d |t-s| / (2 tau0)}, for each (s, t) pair; the looser in-proof
-    exponent d/tau0 is reported alongside."""
+    e^{d |t-s| / (2 tau0)}, for each (s, t) pair; PASS iff the excess stays
+    below 1e-12.  The looser in-proof exponent d/tau0 is reported
+    alongside."""
     pairs = [(float(s), float(t)) for s, t in pairs]
     times = list(dict.fromkeys(x for pair in pairs for x in pair))
     row = {t: j for j, t in enumerate(times)}
@@ -453,7 +448,7 @@ def norm_ratio_bound(pairs, ctx: ProbeContext, trials: int = 500,
         reports.append(NormRatioReport(
             max_ratio=x, bound_stated=stated,
             bound_proof=math.exp(d / tau0 * abs(t - s)), excess=excess,
-            passed=excess <= tol, seed=seed,
+            passed=excess <= 1e-12, seed=seed,
         ))
     return reports
 

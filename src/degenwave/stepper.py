@@ -17,12 +17,17 @@ factors plus the ring's new trace (`_wave_step`, shared by `step` and
 
 Only the wave step and the ring feed the feedback; the channel and the
 recorded columns are diagnostics, so `run` takes them off the step path.
-It keeps each step's midpoint delay, its rate and the trace, and advances
-the channel K steps per banded solve (`delay_channel.channel_block_steps`).
-Its recorder evaluates the recorded instants in blocks of
-BLOCK_DOUBLES // n_nodes rows, with row-wise operations that give each row
-the bits it would get alone.  `step` advances the channel at every call,
-so its state.w is always current.
+It is one loop over blocks of steps.  A block is a whole number of channel
+solves of K steps (`delay_channel.channel_block_steps`) and covers about
+BLOCK_DOUBLES // n_nodes recorded instants, in at most BLOCK_DOUBLES steps
+(so a sparse recording does not make its per-step arrays grow with the
+run).  It evaluates tau and tau' at its step midpoints, and tau at its
+recorded instants, in one array call each; `DelaySpec` gives a scalar the
+bits of an array entry, so `step` and `run` agree bit for bit.  A recorded
+step copies u and v into the block's stacks and takes its ring sample.  At
+the end of the block the channel advances K steps per banded solve, and
+the block's rows get their columns from one row-wise call each.  `step`
+advances the channel at every call, so its state.w is always current.
 
 Step n lands on t = n dt exactly: the ring sits on the same uniform grid and
 its newest index is the step counter.  `step` updates one SimState in place.
@@ -30,6 +35,7 @@ its newest index is the step counter.  `step` updates one SimState in place.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -115,7 +121,7 @@ class SimState:
     buffer: HistoryBuffer
 
 
-# recorded columns, in the order of the recorder and of the CSV header/rows
+# recorded columns, in the order of `run`'s data and of the CSV header/rows
 COLUMNS = ("t", "E", "E_tilde", "trace_v", "trace_v_delayed", "bc_residual",
            "channel_discrepancy")
 
@@ -132,7 +138,6 @@ class Trajectory:
     trace_v_delayed: np.ndarray
     bc_residual: np.ndarray
     channel_discrepancy: np.ndarray
-    fingerprint: str
     warnings: list[str]
     final_state: Optional[SimState] = None
     dt: float = 0.0
@@ -219,15 +224,12 @@ class StepWorkspace:
 
 
 def _wave_step(buf: HistoryBuffer, u: np.ndarray, v: np.ndarray, dt: float,
-               gains: GainSet, delay: DelaySpec, ops: DiscreteOperators,
-               workspace: StepWorkspace) -> tuple[float, float, float]:
+               tau_mid: float, gains: GainSet, ops: DiscreteOperators,
+               workspace: StepWorkspace) -> float:
     """The part of a step the feedback needs: the midpoint solve updates u
-    and v in place and the ring records the new trace.  Returns the
-    midpoint time, its delay and the trace."""
-    n = buf.last + 1
-    t_mid = (n - 0.5) * dt
-    tau_mid = delay.tau(t_mid)
-    w_mid = buf.sample(t_mid - tau_mid)
+    and v in place and the ring records the new trace, which is returned.
+    tau_mid is the delay at the step's midpoint (buf.last + 1/2) dt."""
+    w_mid = buf.sample((buf.last + 0.5) * dt - tau_mid)
 
     # 2 M v - dt K u on every node; a Dirichlet node (start = 1) is not
     # active and keeps u = v = 0
@@ -243,7 +245,7 @@ def _wave_step(buf: HistoryBuffer, u: np.ndarray, v: np.ndarray, dt: float,
     u[start:] += vbar
     trace = float(v[-1])
     buf.append(trace)
-    return t_mid, tau_mid, trace
+    return trace
 
 
 def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
@@ -255,11 +257,13 @@ def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
     if not dt == buf.dt == workspace.dt:
         raise ValueError(f"step dt {dt} differs from the history grid's {buf.dt} "
                          f"or the workspace's {workspace.dt}")
-    t_mid, tau_mid, trace = _wave_step(buf, state.u, state.v, dt, gains,
-                                       delay, ops, workspace)
+    t_mid = (buf.last + 0.5) * dt
+    tau_mid = float(delay.tau(t_mid))
+    trace = _wave_step(buf, state.u, state.v, dt, tau_mid, gains, ops,
+                       workspace)
     state.t = buf.last * dt
-    state.w = transport_step(state.w, tau_mid, delay.tau_prime(t_mid), dt,
-                             inflow=trace)
+    state.w = transport_step(state.w, tau_mid, float(delay.tau_prime(t_mid)),
+                             dt, inflow=trace)
     return state
 
 
@@ -295,85 +299,10 @@ def step_count(t_final: float, dt: float) -> tuple[int, Optional[str]]:
                      f"steps dt = {dt:.10g}; the run ends at t = {t_end:.10g}")
 
 
-class _Recorder:
-    """The recorded instants of a run, evaluated in blocks into `data`.
-
-    `add` keeps what an instant needs that the run moves past: t, tau(t),
-    the ring's delayed sample and copies of u and v, plus the channel
-    profile or, while the channel lags, its column in the next channel
-    solve (`channel` fills those in).  `flush`, called when no instant
-    waits for the channel, evaluates the kept instants in blocks of
-    `block` rows, one row-wise call per column, and hands them in order to
-    the snapshot sink.  It raises NonFiniteState at the first instant whose
-    energy is not finite, after the sink has seen the instants before it.
-    """
-
-    def __init__(self, data, block, mesh, ops, gains, delay, lyap, sink,
-                 buffer):
-        self.data, self.block, self.mesh = data, block, mesh
-        self.ops, self.gains, self.delay, self.lyap = ops, gains, delay, lyap
-        self.sink, self.buffer = sink, buffer
-        self.row = 0
-        self.rows: list[list] = []
-
-    def add(self, t: float, u: np.ndarray, v: np.ndarray, w) -> None:
-        """Keep an instant; w is its channel profile or its column index."""
-        # one tau(t) per instant, shared by the energies and the residual
-        tau = self.delay.tau(t)
-        self.rows.append([t, tau, self.buffer.sample(t - tau), u.copy(),
-                          v.copy(), w])
-
-    def channel(self, profiles: np.ndarray) -> None:
-        for r in self.rows:
-            if isinstance(r[5], int):
-                r[5] = profiles[:, r[5]]
-
-    def flush(self, everything: bool = False) -> None:
-        """Evaluate every full block, and with `everything` the rest too."""
-        while len(self.rows) >= self.block or (everything and self.rows):
-            rows = self.rows[:self.block]
-            del self.rows[:self.block]
-            self._evaluate(rows)
-
-    def _evaluate(self, rows: list[list]) -> None:
-        t, tau, w_buf, u, v, w = (np.array(c) for c in zip(*rows))
-        e, et = analysis.lyapunov_raw(u, v, w, tau, self.ops, self.gains,
-                                      self.lyap)
-        r0, r1 = self.row, self.row + t.size
-        data = self.data
-        data[0, r0:r1] = t
-        bad = np.flatnonzero(~np.isfinite(e))
-        if bad.size:
-            b = r0 + int(bad[0])
-            self._emit(t, u, v, w, int(bad[0]))
-            last = (f"the last finite one was at t = {float(data[0, b - 1])!r}"
-                    if b else "no finite one was recorded")
-            raise NonFiniteState(f"state is not finite at t = "
-                                 f"{float(data[0, b])!r} (energy {e[bad[0]]}); "
-                                 f"{last}")
-        # the recorded delayed trace is the channel's outflow, the
-        # realization the energy integrates; the buffered reference value is
-        # recoverable as trace_v_delayed - channel_discrepancy
-        w_chan = w[:, -1]
-        data[1:, r0:r1] = (e, et, v[:, -1], w_chan,
-                           bc_residual(u, v, w_buf, self.gains, self.mesh),
-                           w_chan - w_buf)
-        self.row = r1
-        self._emit(t, u, v, w, t.size)
-
-    def _emit(self, t, u, v, w, stop: int) -> None:
-        # the sink sees each instant as a SimState whose arrays are valid
-        # during the call; its ring is the run's, which has moved on
-        if self.sink is not None:
-            for i in range(stop):
-                self.sink(SimState(float(t[i]), u[i], v[i], w[i], self.buffer))
-
-
 def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
         t_final: float, dt: float, record_every: int = 1,
         preset: str = "zero", f0_preset: str = "zero", f0_amplitude: float = 1.0,
-        n_delta: int = 64, fingerprint: str = "",
-        lyap: Optional[analysis.LyapunovParams] = None,
+        n_delta: int = 64, lyap: Optional[analysis.LyapunovParams] = None,
         u0: Optional[Callable] = None, u1: Optional[Callable] = None,
         f0: Optional[Callable] = None,
         snapshot_sink: Optional[Callable] = None) -> Trajectory:
@@ -388,7 +317,8 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
     energy is not finite: E is a positive-weighted sum of squares of every
     entry of u, v and w, so it catches any overflow or NaN in the state.
     The snapshot sink, if any, receives every recorded instant, in order, as
-    a SimState with that instant's t, u, v and w (see `_Recorder`).
+    a SimState with that instant's t, u, v and w, whose arrays are valid
+    during the call (its ring is the run's, which has moved on).
     """
     if t_final < 0.0 or dt <= 0.0 or record_every < 1:
         raise ValueError("need t_final >= 0, dt > 0, record_every >= 1")
@@ -397,46 +327,92 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
         f0_amplitude=f0_amplitude, n_delta=n_delta, dt=dt,
         u0=u0, u1=u1, f0=f0,
     )
-    ws = StepWorkspace.build(ops, gains, dt)
+    work = StepWorkspace.build(ops, gains, dt)
     n_steps, note = step_count(t_final, dt)
     if note is not None:
         warnings.append(note)
-    n_rows = 1 + n_steps // record_every + (1 if n_steps % record_every else 0)
+    # row r records step min(r record_every, n_steps): the initial instant,
+    # every record_every-th step and the last
+    n_rows = -(-n_steps // record_every) + 1
+    k = channel_block_steps(n_delta)
+    span = k * max(1, min(BLOCK_DOUBLES // ops.n_nodes * record_every,
+                          BLOCK_DOUBLES) // k)
+    rows = span // record_every + 2
+    us, vs = np.empty((rows, ops.n_nodes)), np.empty((rows, ops.n_nodes))
+    ws, w_buf = np.empty((rows, n_delta + 1)), np.empty(rows)
     data = np.empty((len(COLUMNS), n_rows))
-    buf, u, v = state.buffer, state.u, state.v
-    rec = _Recorder(data, max(1, BLOCK_DOUBLES // ops.n_nodes), mesh, ops,
-                    gains, delay, lyap, snapshot_sink, buf)
-    k_max = channel_block_steps(n_delta)
-    taus, tau_primes, traces = [], [], []
+    buf, u, v, w = state.buffer, state.u, state.v, state.w
 
-    def solve_channel():
-        profiles = transport_step(state.w, taus, tau_primes, dt, traces)
-        state.w = profiles[:, -1].copy()
-        rec.channel(profiles)
-        for values in (taus, tau_primes, traces):
-            values.clear()
+    r0 = 0
+    for n0 in range(0, n_steps or 1, span):
+        n1 = min(n0 + span, n_steps)
+        r1 = n_rows if n1 == n_steps else n1 // record_every + 1
+        steps = np.minimum(np.arange(r0, r1) * record_every, n_steps)
+        t_rec = steps * dt
+        data[0, r0:r1] = t_rec
+        t_mid = (np.arange(n0, n1) + 0.5) * dt
+        taus, tau_primes = delay.tau(t_mid), delay.tau_prime(t_mid)
+        tau_rec = delay.tau(t_rec)
+        at = (t_rec - tau_rec).tolist()
+        # the steps into the block of its recorded instants, ended by one
+        # it never reaches
+        marks = (steps - n0).tolist() + [span + 1]
+        j = 0
+        if marks[0] == 0:
+            # the initial instant, before the first step
+            us[0], vs[0], ws[0], w_buf[0] = u, v, w, buf.sample(at[0])
+            j = 1
+        traces = []
+        for i, tau_mid in enumerate(taus.tolist(), 1):
+            trace = _wave_step(buf, u, v, dt, tau_mid, gains, ops, work)
+            traces.append(trace)
+            if i == marks[j]:
+                us[j], vs[j], w_buf[j] = u, v, buf.sample(at[j])
+                j += 1
+                # a non-finite trace leaves the state non-finite for good:
+                # stop at this instant, where the evaluation raises
+                if not math.isfinite(trace):
+                    break
 
-    rec.add(0.0, u, v, state.w)
-    for n in range(1, n_steps + 1):
-        t_mid, tau_mid, trace = _wave_step(buf, u, v, dt, gains, delay, ops, ws)
-        finite = math.isfinite(trace)
-        if not finite and traces:
-            # the band's zeros would carry a non-finite inflow into the
-            # earlier steps of its block (0 * nan), so those are solved first
-            solve_channel()
-        taus.append(tau_mid)
-        tau_primes.append(delay.tau_prime(t_mid))
-        traces.append(trace)
-        recorded = n % record_every == 0 or n == n_steps
-        if recorded:
-            rec.add(n * dt, u, v, len(traces) - 1)
-        # a non-finite trace means a non-finite state from here on: stop at
-        # the instant just recorded, where the recorder raises
-        if len(traces) == k_max or n == n_steps or (recorded and not finite):
-            solve_channel()
-            rec.flush(everything=not finite)
-    rec.flush(everything=True)
-    state.t = n_steps * dt
-    return Trajectory(**dict(zip(COLUMNS, data)), fingerprint=fingerprint,
-                      warnings=warnings, final_state=state, dt=dt,
-                      n_space=mesh.N)
+        # the channel, K steps per solve, up to the first non-finite trace
+        # (the band's zeros would carry it into earlier columns as 0 * nan);
+        # the profiles of the instants after it stay NaN
+        traces = np.array(traces)
+        finite = np.isfinite(traces)
+        cut = traces.size if finite.all() else int(finite.argmin())
+        marks = marks[:j]
+        ws[bisect.bisect_right(marks, cut):j] = np.nan
+        for c0 in range(0, cut, k):
+            c1 = min(c0 + k, cut)
+            profiles = transport_step(w, taus[c0:c1], tau_primes[c0:c1], dt,
+                                      traces[c0:c1])
+            w = profiles[:, -1].copy()
+            a, b = bisect.bisect_right(marks, c0), bisect.bisect_right(marks, c1)
+            ws[a:b] = profiles[:, [c - c0 - 1 for c in marks[a:b]]].T
+
+        e, et = analysis.lyapunov_raw(us[:j], vs[:j], ws[:j], tau_rec[:j],
+                                      ops, gains, lyap)
+        bad = np.flatnonzero(~np.isfinite(e))
+        stop = int(bad[0]) if bad.size else j
+        if snapshot_sink is not None:
+            for i in range(stop):
+                snapshot_sink(SimState(float(t_rec[i]), us[i], vs[i], ws[i],
+                                       buf))
+        if bad.size:
+            r = r0 + stop
+            last = (f"the last finite one was at t = {float(data[0, r - 1])!r}"
+                    if r else "no finite one was recorded")
+            raise NonFiniteState(f"state is not finite at t = "
+                                 f"{float(data[0, r])!r} (energy {e[stop]}); "
+                                 f"{last}")
+        # the recorded delayed trace is the channel's outflow, the
+        # realization the energy integrates; the buffered reference value is
+        # recoverable as trace_v_delayed - channel_discrepancy
+        w_chan = ws[:j, -1]
+        data[1:, r0:r1] = (e, et, vs[:j, -1], w_chan,
+                           bc_residual(us[:j], vs[:j], w_buf[:j], gains, mesh),
+                           w_chan - w_buf[:j])
+        r0 = r1
+    state.t, state.w = n_steps * dt, w
+    return Trajectory(**dict(zip(COLUMNS, data)), warnings=warnings,
+                      final_state=state, dt=dt, n_space=mesh.N)

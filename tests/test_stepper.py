@@ -397,13 +397,14 @@ def _step_by_step(cfg, setup, record_every):
 
 
 class TestBlockedRun:
-    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("record_every", [1, 3, 25])
     def test_record_block_size_does_not_change_columns(self, monkeypatch,
                                                        record_every):
-        # one recorded instant per block (the recorder's share of the block
-        # budget set to one state) against the default block: every column
-        # bit for bit.  The channel's K comes from delay_channel's copy of
-        # the budget and stays as it is.
+        # blocks of one channel solve (the run's share of the block budget
+        # set to one state) against the default blocks: every column bit
+        # for bit.  The channel's K comes from delay_channel's copy of the
+        # budget and stays as it is; at stride 25 some blocks record no
+        # instant at all.
         from degenwave import config, stepper
 
         cfg, setup, lyap = _blocked_setup(record_every)
@@ -445,17 +446,20 @@ class TestBlockedRun:
         assert np.array_equal(snaps["v"], v)
         assert np.max(np.abs(snaps["w"] - w)) <= 1e-13 * np.max(np.abs(w))
 
-    def test_mid_run_non_finite_state_names_the_instants(self):
+    @pytest.mark.parametrize("every", [3, 50])
+    def test_mid_run_non_finite_state_names_the_instants(self, every):
         # a history that is NaN on a window between the channel nodes: the
         # initial state is finite, and the wave turns non-finite when the
         # delayed sample reaches the window.  The message names the same
         # instants a step-by-step evaluation finds, and the sink has seen
-        # exactly the instants before the first non-finite one.
+        # exactly the instants before the first non-finite one.  At stride
+        # 50 the first non-finite trace falls on an unrecorded step, and
+        # the next recorded instant lies past its channel block.
         import math
 
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
-        dt, every = 1e-3, 3
+        dt = 1e-3
         f0 = lambda s: math.nan if -0.245 < s < -0.225 else 0.0
         kw = dict(preset="velocity-kick", n_delta=16, f0=f0)
 
@@ -494,6 +498,20 @@ class TestStepCount:
         out = capsys.readouterr().out
         assert ("warning: t_final = 0.5 is not a whole number of steps "
                 "dt = 0.0007; the run ends at t = 0.4998") in out
+
+    def test_certificate_probes_the_time_the_run_ends_at(self):
+        # the embedded certificate's times are [0, T/2, T] of the run's
+        # last recorded time, not of the off-grid t_final
+        from degenwave import config
+        from degenwave.cli import simulate_config
+
+        cfg = config.apply_overrides(config.load_config("baseline"), [
+            "mesh.n=16", "integrator.t_final=0.5", "integrator.dt=0.0007"])
+        _, traj, report, _ = simulate_config(cfg)
+        assert traj.t[-1] == 714 * 0.0007
+        cert = report["operator_certificate"]
+        for claim in ("claim1", "claim2", "dAdt"):
+            assert list(cert[claim]) == ["t=0", "t=0.2499", "t=0.4998"]
 
     def test_whole_horizons_do_not_warn(self):
         assert step_count(2.0, 1e-3) == (2000, None)

@@ -78,7 +78,7 @@ def energy(state, ops: DiscreteOperators, gains: GainSet,
            delay: DelaySpec) -> float:
     """Total energy of a simulation state (see module docstring)."""
     e, _ = lyapunov_raw(state.u, state.v, state.w, delay.tau(state.t), ops,
-                        gains, None)
+                        gains)
     return e
 
 
@@ -105,20 +105,23 @@ class LyapunovParams:
 
 
 def lyapunov_raw(u, v, w, tau, ops: DiscreteOperators, gains: GainSet,
-                 params: Optional[LyapunovParams]):
-    """(E, E~) of raw arrays with the delay tau = tau(t); used by
-    `stepper.run` and by synthetic tests.  Without params (or with epsilon 0) E~
-    is E.  Both come from one difference of u, one M v and one w^2.
+                 epsilon=0.0):
+    """(E, E~) of raw arrays with the delay tau = tau(t) and the Lyapunov
+    epsilon (`LyapunovParams.epsilon`); used by `stepper.run` and by
+    synthetic tests.  With epsilon 0, E~ is E.  Both come from one
+    difference of u, one M v and one w^2.
 
     u, v and w may be stacks of states, shape (..., n), with tau an array
     over the leading axes (one delay per row); E and E~ then have the
-    leading shape, and each row gets the bits it would get alone.
+    leading shape, and each row gets the bits it would get alone.  epsilon
+    may be an array over the last leading axis (one per row of a batch); a
+    row whose epsilon is 0 gets E~ = E + 0 = E.
     """
     du = u[..., 1:] - u[..., :-1]
     mv = ops.mass * v
     ww = w * w
     e = 0.5 * sum(_energy_blocks(u, v, du, mv, ww, tau, ops, gains).values())
-    if params is None or params.epsilon == 0.0:
+    if not np.any(epsilon):
         return e, e
     # the eps-block: sum over cells of h 2 x u_x v at the midpoint, which is
     # x_mid du (v_i + v_{i+1}), plus (mu_a/2) u^T M v and the weighted reservoir
@@ -128,7 +131,7 @@ def lyapunov_raw(u, v, w, tau, ops: DiscreteOperators, gains: GainSet,
     decay = np.exp(np.multiply.outer(-2.0 * np.asarray(tau), delta_grid(m)))
     expw = gains.mu1 * ops.a1 * tau * np.vecdot(delta_trap_weights(m),
                                                 decay * ww)
-    return e, e + params.epsilon * (cross_x + cross_uv + expw)
+    return e, e + epsilon * (cross_x + cross_uv + expw)
 
 
 def sandwich_coefficient(mu_a: float, a1: float, beta: float,

@@ -14,11 +14,21 @@ import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
-from . import __version__, analysis, config as cfgmod, model, operator_checks, reporting
+from . import (
+    __version__,
+    analysis,
+    config as cfgmod,
+    model,
+    operator_checks,
+    reporting,
+    stepper,
+)
 from .errors import ConfigError, DegenwaveError, HypothesisError, InsufficientHorizon
 
 EXIT_OK = 0
@@ -142,51 +152,114 @@ def build_report(setup: cfgmod.RunSetup, consts, traj, lyap, cert,
     return report
 
 
-def simulate_config(cfg: cfgmod.RunConfig, snapshots: bool = False):
-    """Run one scenario; returns (setup, trajectory, report, snapshot store)."""
-    setup = cfgmod.build_setup(cfg)
-    consts = model.full_constants(setup.spec, setup.gains, setup.delay)
-    lyap = None
-    cert = None
-    if consts.strictly_damped:
-        lyap = analysis.choose_epsilon(setup.spec, setup.gains.beta,
-                                       setup.gains, setup.delay, consts)
-    store = reporting.SnapshotStore() if snapshots else None
-    traj = cfgmod.run_from_setup(setup, lyap=lyap, snapshot_sink=store)
-    # probe the time the run ends at, which is t_final only when t_final
-    # is a whole number of steps
-    t_end = float(traj.t[-1])
-    ctx = operator_checks.ProbeContext(
-        mesh=setup.mesh, ops=setup.ops, gains=setup.gains, delay=setup.delay,
-        n_delta=cfg.channel_n_delta,
-    )
-    cert_ops = operator_checks.run_certificate(
-        ctx, [0.0, t_end / 2.0, t_end] if t_end > 0 else [0.0],
-        seed=cfg.seed, diss_trials=200, res_trials=40, ratio_trials=200,
-    )
-    if lyap is not None and traj.E.size >= 2:
-        with warnings.catch_warnings():
-            # the shortfall is surfaced through the report and stdout here
-            warnings.simplefilter("ignore", InsufficientHorizon)
-            cert = analysis.decay_certificate(
-                traj, lyap, consts, setup.spec.mu_a, setup.gains.beta,
-                setup.delay.tau1,
-            )
-        if not cert.horizon_ok:
-            traj.warnings.append(
-                "horizon shortfall: t_final is below 3x the certified decay "
-                "time; the envelope check covers only the recorded window"
-            )
-    sandwich = analysis.sandwich_audit(traj, lyap) if lyap is not None else None
-    report = build_report(setup, consts, traj, lyap, cert, sandwich)
-    report["operator_certificate"] = cert_ops
-    if store is not None:
-        report["audits"]["snapshot_energy_max_rel_err"] = (
-            store.recompute_energy_max_rel_err(
-                traj, setup.ops, setup.gains, setup.delay
-            )
+@dataclass(eq=False)
+class Simulation:
+    """One config of a batch: its setup, constants, Lyapunov parameters,
+    snapshot store (or None) and, once run, its trajectory."""
+
+    setup: cfgmod.RunSetup
+    consts: model.StructuralConstants
+    lyap: Optional[analysis.LyapunovParams]
+    store: Optional[reporting.SnapshotStore]
+    traj: Optional[stepper.Trajectory] = None
+
+    @classmethod
+    def prepare(cls, cfg: cfgmod.RunConfig, snapshots: bool) -> "Simulation":
+        setup = cfgmod.build_setup(cfg)
+        consts = model.full_constants(setup.spec, setup.gains, setup.delay)
+        lyap = None
+        if consts.strictly_damped:
+            lyap = analysis.choose_epsilon(setup.spec, setup.gains.beta,
+                                           setup.gains, setup.delay, consts)
+        store = None
+        if snapshots:
+            store = reporting.SnapshotStore(
+                stepper.record_count(cfg.integrator_t_final, setup.dt,
+                                     cfg.integrator_record_every),
+                setup.ops.n_nodes, cfg.channel_n_delta + 1)
+        return cls(setup, consts, lyap, store)
+
+    def report(self) -> dict:
+        """The run's report: audits, decay certificate and the embedded
+        operator certificate."""
+        setup, consts, lyap, traj = self.setup, self.consts, self.lyap, self.traj
+        cert = None
+        # probe the time the run ends at, which is t_final only when
+        # t_final is a whole number of steps
+        t_end = float(traj.t[-1])
+        ctx = operator_checks.ProbeContext(
+            mesh=setup.mesh, ops=setup.ops, gains=setup.gains,
+            delay=setup.delay, n_delta=setup.cfg.channel_n_delta,
         )
-    return setup, traj, report, store
+        cert_ops = operator_checks.run_certificate(
+            ctx, [0.0, t_end / 2.0, t_end] if t_end > 0 else [0.0],
+            seed=setup.cfg.seed, diss_trials=200, res_trials=40,
+            ratio_trials=200,
+        )
+        if lyap is not None and traj.E.size >= 2:
+            with warnings.catch_warnings():
+                # the shortfall is surfaced through the report and stdout here
+                warnings.simplefilter("ignore", InsufficientHorizon)
+                cert = analysis.decay_certificate(
+                    traj, lyap, consts, setup.spec.mu_a, setup.gains.beta,
+                    setup.delay.tau1,
+                )
+            if not cert.horizon_ok:
+                traj.warnings.append(
+                    "horizon shortfall: t_final is below 3x the certified "
+                    "decay time; the envelope check covers only the recorded "
+                    "window"
+                )
+        sandwich = analysis.sandwich_audit(traj, lyap) if lyap is not None else None
+        report = build_report(setup, consts, traj, lyap, cert, sandwich)
+        report["operator_certificate"] = cert_ops
+        if self.store is not None:
+            report["audits"]["snapshot_energy_max_rel_err"] = (
+                self.store.recompute_energy_max_rel_err(
+                    traj, setup.ops, setup.gains, setup.delay
+                )
+            )
+        return report
+
+
+def simulate_batch(cfgs: list[cfgmod.RunConfig],
+                   snapshots: bool = False) -> list:
+    """Set up configs that differ at most in gains.mu2 and seed and run
+    them as one lockstep batch (`stepper.run`).  Returns, per config, its
+    Simulation or the DegenwaveError that stopped it: a config that fails
+    to set up, or whose state turns non-finite, fails alone, and an error
+    of the shared run fails them all.  Each row's trajectory has the bits
+    of its run alone."""
+    sims = []
+    for cfg in cfgs:
+        try:
+            sims.append(Simulation.prepare(cfg, snapshots))
+        except DegenwaveError as exc:
+            sims.append(exc)
+    live = [i for i, s in enumerate(sims) if isinstance(s, Simulation)]
+    if live:
+        try:
+            trajs = cfgmod.run_from_setup(
+                [sims[i].setup for i in live],
+                lyap=[sims[i].lyap for i in live],
+                snapshot_sink=[sims[i].store for i in live])
+        except DegenwaveError as exc:
+            trajs = [exc] * len(live)
+        for i, traj in zip(live, trajs):
+            if isinstance(traj, DegenwaveError):
+                sims[i] = traj
+            else:
+                sims[i].traj = traj
+    return sims
+
+
+def simulate_config(cfg: cfgmod.RunConfig, snapshots: bool = False):
+    """Run one scenario (a batch of one); returns (setup, trajectory,
+    report, snapshot store)."""
+    (sim,) = simulate_batch([cfg], snapshots)
+    if isinstance(sim, DegenwaveError):
+        raise sim
+    return sim.setup, sim.traj, sim.report(), sim.store
 
 
 def _strict_failures(report: dict) -> list[str]:
@@ -236,13 +309,17 @@ def cmd_simulate(args) -> int:
 # --- sweep -------------------------------------------------------------------
 
 
-def _sweep_row(payload):
+def _sweep_row(payload, sim) -> dict:
+    """The sweep row of one config from its simulation, or from the
+    DegenwaveError that stopped it."""
     idx, cfg, keys = payload
     row = {k: cfgmod.get_value(cfg, k) for k in keys}
     row["row"] = idx
     row["seed"] = cfg.seed
     try:
-        setup, traj, report, _ = simulate_config(cfg)
+        if isinstance(sim, DegenwaveError):
+            raise sim
+        report = sim.report()
         c = report["constants"]
         d = report.get("decay")
         row.update(
@@ -264,26 +341,41 @@ def _sweep_row(payload):
     return row
 
 
+def _sweep_batch(batch) -> list[dict]:
+    """The rows of one lockstep batch of sweep payloads."""
+    sims = simulate_batch([cfg for _, cfg, _ in batch])
+    return [_sweep_row(p, sim) for p, sim in zip(batch, sims)]
+
+
 def sweep_rows(cfg: cfgmod.RunConfig, axes: list[tuple[str, list[str]]],
                jobs: int = 1) -> list[dict]:
+    """One row per grid point.  Rows whose configs differ only in
+    gains.mu2 (and their derived seeds) run as one lockstep batch, and
+    `jobs` worker processes take whole batches; every row has the bits of
+    its run alone."""
     if len(axes) > 3:
         raise ConfigError("at most 3 sweep axes")
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     keys = [k for k, _ in axes]
     grids = [vals for _, vals in axes]
-    payloads = []
+    batches: dict = {}
     master = cfg.seed
     for idx, combo in enumerate(itertools.product(*grids) if grids else [()]):
         c = cfg
         for key, val in zip(keys, combo):
             c = cfgmod.set_value(c, key, val)
         c = cfgmod.set_value(c, "seed", (master * 1_000_003 + 17 * idx) % 2**31)
-        payloads.append((idx, c, keys))
-    if jobs > 1 and len(payloads) > 1:
+        batches.setdefault(replace(c, gains_mu2=0.0, seed=0), []).append(
+            (idx, c, keys))
+    batches = list(batches.values())
+    if jobs > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, payloads))
+            done = list(pool.map(_sweep_batch, batches))
     else:
-        rows = [_sweep_row(p) for p in payloads]
-    return rows
+        done = [_sweep_batch(b) for b in batches]
+    return sorted((row for rows in done for row in rows),
+                  key=lambda row: row["row"])
 
 
 def _rows_to_csv(rows: list[dict]) -> str:

@@ -277,12 +277,17 @@ def build_setup(cfg: RunConfig) -> RunSetup:
                     ops=ops, dt=dt, fingerprint=config_hash(cfg))
 
 
-def run_from_setup(setup: RunSetup,
-                   lyap=None, snapshot_sink=None) -> stepper.Trajectory:
-    cfg = setup.cfg
+def run_from_setup(setup, lyap=None, snapshot_sink=None):
+    """`stepper.run` of a setup, or of a list of setups that differ only in
+    gains.mu2 and seed as one lockstep batch (with `lyap` and
+    `snapshot_sink` one entry per setup, or None)."""
+    batch = not isinstance(setup, RunSetup)
+    first = setup[0] if batch else setup
+    cfg = first.cfg
     return stepper.run(
-        setup.mesh, setup.ops, setup.gains, setup.delay,
-        t_final=cfg.integrator_t_final, dt=setup.dt,
+        first.mesh, first.ops,
+        [s.gains for s in setup] if batch else setup.gains, first.delay,
+        t_final=cfg.integrator_t_final, dt=first.dt,
         record_every=cfg.integrator_record_every,
         preset=cfg.initial_preset, f0_preset=cfg.initial_f0,
         f0_amplitude=cfg.initial_f0_amplitude,

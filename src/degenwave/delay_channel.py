@@ -13,13 +13,15 @@ solve (`transport_step`, a forward substitution by LAPACK ?tbtrs).  One call
 advances the channel by one step or by K steps at once: the K steps are one
 lower-banded system of bandwidth K, and K = 1 is the bidiagonal of a single
 step.  `stepper.step` takes one step, `stepper.run` solves its channel once
-per K steps (`channel_block_steps`), the generator probes take the transport
+per K steps (`channel_block_steps`) for all rows of a batch, with one band
+and one right-hand side per row; the generator probes take the transport
 block of A(t) from the same grid and speed, and the channel block of
 (I - A(t))^{-1} is the one-step solve with dt = 1 and the load for w.
 
 A raw history ring with linear interpolation on the uniform step grid
-t_k = k dt serves as the independent reference realization; agreement of
-the two is a recorded diagnostic.
+t_k = k dt (`HistoryBuffer`) feeds the wave step its delayed trace and
+serves as the independent reference realization; agreement of the two is a
+recorded diagnostic.
 """
 
 from __future__ import annotations
@@ -91,10 +93,11 @@ def transport_step(w: np.ndarray, tau, tau_prime, dt: float,
     equal to its own solve bit for bit.  Returns a new array in w's memory
     layout; w is not modified.
 
-    With length-K sequences tau, tau_prime and inflow (each step's delay
-    and its rate at the step's midpoint, and its inflow) and one profile w,
-    it takes K successive steps in one banded solve and returns the
-    (m + 1, K) profiles after each step.
+    With length-K sequences tau, tau_prime (each step's delay and its rate
+    at the step's midpoint) and inflow of shape (K,) + w.shape[1:], it
+    takes K successive steps in one banded solve and returns the profiles
+    after each step, shape (m + 1, K) + w.shape[1:]; the B columns of a
+    stack share the band.
     The unknowns w_i^n are ordered delta-major, p = (i - 1) K + n - 1, and
     row (i, n) reads (1 + lam_i^n) w_i^n - lam_i^n w_{i-1}^n - w_i^{n-1} = 0,
     so the band is K wide.  The solve adds the two neighbours of an unknown
@@ -107,12 +110,15 @@ def transport_step(w: np.ndarray, tau, tau_prime, dt: float,
     delta = delta_grid(m)[1:]
     steps = not isinstance(tau, float) and np.ndim(tau) == 1
     k = len(tau) if steps else 1
+    stack = w.shape[1:]
     if steps:
         tau, tau_prime, inflow = (np.asarray(a, dtype=float)
                                   for a in (tau, tau_prime, inflow))
-        if w.ndim != 1 or tau_prime.shape != (k,) or inflow.shape != (k,):
-            raise ValueError("K steps need one profile and K values of tau, "
-                             "tau' and the inflow")
+        if (w.ndim > 2 or tau_prime.shape != (k,)
+                or inflow.shape != (k,) + stack):
+            raise ValueError("K steps need one profile or a stack of them, "
+                             "K values of tau and tau', and K inflows per "
+                             "profile")
         delta = delta[:, None]
     # the band, filled in place: 1 + lam on the diagonal (row 0), -1 on the
     # first subdiagonal for step n - 1 of the same node (n >= 2), -lam of
@@ -124,15 +130,19 @@ def transport_step(w: np.ndarray, tau, tau_prime, dt: float,
     ab[1].reshape(m, k)[:, :-1] = -1.0
     np.negative(lam[1:], out=ab[k, :-k].reshape(lam[1:].shape))
     if steps:
-        out = np.zeros((m + 1, k))
+        out = np.zeros((m + 1, k) + stack)
         out[:, 0] = w
+        # one lam per step, against the step axis of the inflow
+        lam0 = lam[0].reshape((k,) + (1,) * len(stack))
     else:
         out = w.copy(order="K")
+        lam0 = lam[0]
     out[0] = inflow
-    out[1] += lam[0] * inflow
+    out[1] += lam0 * inflow
     lam += 1.0
     b = out[1:]
-    x, info = dtbtrs(ab, b.reshape(m * k) if steps else b, uplo="L")
+    x, info = dtbtrs(ab, b.reshape((m * k,) + stack) if steps else b,
+                     uplo="L")
     if info != 0:
         raise SolveFailure(f"channel solve failed (tbtrs info {info})")
     b[...] = x.reshape(b.shape)
@@ -153,38 +163,62 @@ class HistoryBuffer:
 
     The ring holds the newest ceil(horizon/dt) + 2 samples.  It starts full
     with the prescribed history f0(t_k) for t_k <= 0 (newest index 0);
-    `append` adds the sample at the next grid time, and `last` is the index
-    of the newest sample, so t = last * dt.  `sample` interpolates linearly
-    between the two neighbouring grid values in O(1).
+    `append` adds the sample at the next grid time, `extend` a block of
+    them, and `last` is the index of the newest sample, so t = last * dt.
+    A sample is one trace, or with shape = (B,) the traces of the B rows
+    of a lockstep batch.  `sample` interpolates linearly between the two
+    neighbouring grid values, at one time or at an array of times in one
+    call (result shape: the times' shape plus `shape`).
     """
 
-    def __init__(self, dt: float, horizon: float, f0):
+    def __init__(self, dt: float, horizon: float, f0, shape: tuple = ()):
         if dt <= 0.0 or horizon < 0.0:
             raise ValueError("need dt > 0 and horizon >= 0")
         self.dt = float(dt)
         size = math.ceil(horizon / dt) + 2
         self.first = 1 - size
         self.last = 0
-        # the sample at t_k lives in slot k % size
-        self._v = [0.0] * size
+        # the sample at t_k lives in row k % size
+        self._v = np.empty((size,) + tuple(shape))
         for k in range(self.first, 1):
             self._v[k % size] = float(f0(k * self.dt))
 
-    def append(self, value: float) -> None:
+    def append(self, value) -> None:
         """Record the trace at t = (last + 1) dt, dropping the oldest sample."""
-        self.last += 1
-        self.first += 1
-        self._v[self.last % len(self._v)] = float(value)
+        self.extend(np.reshape(value, (1,) + self._v.shape[1:]))
 
-    def sample(self, s: float) -> float:
-        """Linear interpolation of the retained samples at time s."""
-        x = s / self.dt
-        k = math.floor(x)
-        if k < self.first or x > self.last:
-            raise OutOfSpan(f"time {s} outside retained span "
+    def extend(self, values) -> None:
+        """Record the traces at the next len(values) grid times, dropping as
+        many of the oldest samples."""
+        n, size = len(values), len(self._v)
+        kept = values[max(0, n - size):]
+        start = (self.last + 1 + n - len(kept)) % size
+        head = min(len(kept), size - start)
+        self._v[start:start + head] = kept[:head]
+        self._v[:len(kept) - head] = kept[head:]
+        self.last += n
+        self.first += n
+
+    def sample(self, s):
+        """Linear interpolation of the retained samples at the time(s) s."""
+        x = np.divide(s, self.dt)
+        k = np.floor(x)
+        hi = x.max(initial=-math.inf)
+        if not (k.min(initial=math.inf) >= self.first and hi <= self.last):
+            inside = (k >= self.first) & (x <= self.last)
+            bad = np.asarray(s, dtype=float)[~inside].flat[0]
+            raise OutOfSpan(f"time {bad} outside retained span "
                             f"[{self.first * self.dt}, {self.last * self.dt}]")
-        v = self._v
-        y0 = v[k % len(v)]
-        if k == self.last:
-            return y0
-        return y0 + (x - k) * (v[(k + 1) % len(v)] - y0)
+        v, size = self._v, len(self._v)
+        i = k.astype(np.intp) % size
+        y0 = v.take(i, axis=0)
+        # y0 + (x - k) (y1 - y0), in place
+        out = v.take((i + 1) % size, axis=0)
+        out -= y0
+        out *= (x - k).reshape(np.shape(x) + (1,) * (v.ndim - 1))
+        out += y0
+        if hi == self.last:
+            # the newest sample has no right neighbour yet: it is its own value
+            newest = (k == self.last).reshape(np.shape(x) + (1,) * (v.ndim - 1))
+            out = np.where(newest, y0, out)
+        return out[()]

@@ -145,6 +145,17 @@ class SPDTridiagonal:
             raise SolveFailure(f"{self.what} solve failed (pttrs info {info})")
         return x
 
+    def solve_in_place(self, rhs: np.ndarray) -> None:
+        """Overwrite rhs, one right-hand side per column, with the solution;
+        each column gets the bits of its own `solve`.  An (n, B) rhs in
+        Fortran order (the transpose of a C-ordered (B, n) stack) is solved
+        where it lies; any other layout goes through a copy."""
+        x, info = dpttrs(self._d, self._e, rhs, overwrite_b=True)
+        if info != 0:
+            raise SolveFailure(f"{self.what} solve failed (pttrs info {info})")
+        if x is not rhs:
+            rhs[...] = x
+
 
 def assemble_operators(spec: CoefficientSpec, mesh: Mesh,
                        bc_kind: str) -> DiscreteOperators:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -63,28 +64,39 @@ def write_report(report: dict, path) -> None:
 
 
 class SnapshotStore:
-    """Collects per-sample state snapshots for the optional .npz sidecar."""
+    """Per-instant state snapshots for the optional .npz sidecar, in arrays
+    sized once for the run's `rows` recorded instants (`stepper.record_count`)
+    of n_nodes nodes and n_channel channel values; `save` and the energy
+    audit read the filled rows in place."""
 
-    def __init__(self):
-        self.t = []
-        self.u = []
-        self.v = []
-        self.w = []
+    def __init__(self, rows: int, n_nodes: int, n_channel: int):
+        self.count = 0
+        self.t = np.empty(rows)
+        self.u = np.empty((rows, n_nodes))
+        self.v = np.empty((rows, n_nodes))
+        self.w = np.empty((rows, n_channel))
 
     def __call__(self, state) -> None:
-        self.t.append(state.t)
-        self.u.append(state.u.copy())
-        self.v.append(state.v.copy())
-        self.w.append(state.w.copy())
+        i = self.count
+        self.t[i], self.u[i], self.v[i], self.w[i] = (state.t, state.u,
+                                                      state.v, state.w)
+        self.count = i + 1
 
     def save(self, path) -> None:
-        np.savez(
-            path,
-            t=np.asarray(self.t),
-            u=np.asarray(self.u),
-            v=np.asarray(self.v),
-            w=np.asarray(self.w),
-        )
+        """Write the filled rows as an .npz file, the layout of np.savez,
+        BLOCK_DOUBLES at a time (np.savez would copy up to 16 MB per
+        write)."""
+        n = self.count
+        with zipfile.ZipFile(path, mode="w", compression=zipfile.ZIP_STORED,
+                             allowZip64=True) as zf:
+            for name in ("t", "u", "v", "w"):
+                rows = getattr(self, name)[:n]
+                step = max(1, BLOCK_DOUBLES // max(1, rows[:1].size))
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as fid:
+                    np.lib.format.write_array_header_1_0(
+                        fid, np.lib.format.header_data_from_array_1_0(rows))
+                    for r in range(0, n, step):
+                        fid.write(memoryview(rows[r:r + step]))
 
     def recompute_energy_max_rel_err(self, traj, ops, gains, delay) -> float:
         """Max relative gap between recorded E and E recomputed from the
@@ -93,11 +105,10 @@ class SnapshotStore:
         the snapshots' own memory)."""
         rows = max(1, BLOCK_DOUBLES // ops.n_nodes)
         worst = 0.0
-        for r in range(0, len(self.t), rows):
-            block = slice(r, r + rows)
-            p = energy_parts(np.array(self.u[block]), np.array(self.v[block]),
-                             np.array(self.w[block]),
-                             delay.tau(np.array(self.t[block])), ops, gains)
+        for r in range(0, self.count, rows):
+            block = slice(r, min(r + rows, self.count))
+            p = energy_parts(self.u[block], self.v[block], self.w[block],
+                             delay.tau(self.t[block]), ops, gains)
             e, e_rec = 0.5 * sum(p.values()), traj.E[block]
             worst = max(worst, float(np.max(
                 np.abs(e - e_rec) / np.maximum(np.abs(e_rec), 1e-300))))

@@ -11,23 +11,35 @@ iteration is needed and the local part keeps its unconditional stability).
 The linear system is SPD tridiagonal (the feedback only loads the last
 diagonal entry): `StepWorkspace.build` factors it once per run as a
 `mesh.SPDTridiagonal`, and the wave part of a step is one solve with the
-factors plus the ring's new trace (`_wave_step`, shared by `step` and
-`run`).  The stretched-history channel then takes its implicit upwind step
+factors (`_midpoint_solver`, shared by `step` and `run`).  The
+stretched-history channel then takes its implicit upwind step
 (`delay_channel.transport_step`, the triangular solve the resolvent shares).
+
+`run` steps a lockstep batch of B rows, runs that differ only in mu2: mu2
+only loads the right-hand side, so the rows share the factors, the channel
+band, the delay and one history ring with a column per row.  The states
+are (B, n) stacks, and a step is one solve with B right-hand sides.  Every
+operation acts row by row and the LAPACK solves treat each right-hand side
+on its own, so each row gets the bits of its run alone, and a row whose
+state turns non-finite stops alone.  A single run is a batch of one.
 
 Only the wave step and the ring feed the feedback; the channel and the
 recorded columns are diagnostics, so `run` takes them off the step path.
 It is one loop over blocks of steps.  A block is a whole number of channel
 solves of K steps (`delay_channel.channel_block_steps`) and covers about
-BLOCK_DOUBLES // n_nodes recorded instants, in at most BLOCK_DOUBLES steps
-(so a sparse recording does not make its per-step arrays grow with the
-run).  It evaluates tau and tau' at its step midpoints, and tau at its
-recorded instants, in one array call each; `DelaySpec` gives a scalar the
-bits of an array entry, so `step` and `run` agree bit for bit.  A recorded
-step copies u and v into the block's stacks and takes its ring sample.  At
-the end of the block the channel advances K steps per banded solve, and
-the block's rows get their columns from one row-wise call each.  `step`
-advances the channel at every call, so its state.w is always current.
+BLOCK_DOUBLES // n_nodes recorded instants, in at least MIN_BLOCK_STEPS
+and at most BLOCK_DOUBLES steps.
+Since tau >= tau0, the delayed samples of a block of L steps are all in the
+ring before its first step when (L + 1/2) dt <= tau0, which caps L (at one
+step at least).  A block evaluates tau and tau' at its step midpoints and
+tau at its recorded instants in one array call each, and reads the ring
+once before its steps and once, for its recorded instants, after them;
+`DelaySpec` gives a scalar the bits of an array entry, so `step` and `run`
+agree bit for bit.  A step is then only the midpoint solve, and a recorded
+step copies u and v into the block's stacks.  At the end of the block the
+channel advances K steps per banded solve, and the block's rows get their
+columns from one row-wise call each.  `step` advances the channel at every
+call, so its state.w is always current.
 
 Step n lands on t = n dt exactly: the ring sits on the same uniform grid and
 its newest index is the step counter.  `step` updates one SimState in place.
@@ -38,7 +50,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -51,14 +63,13 @@ from .delay_channel import (
     transport_step,
 )
 from .errors import IncompatibleInitialData, NonFiniteState
-from .mesh import (
-    DIRICHLET_LEFT,
-    DiscreteOperators,
-    Mesh,
-    SPDTridiagonal,
-    add_stiffness_product,
-)
+from .mesh import DIRICHLET_LEFT, DiscreteOperators, Mesh, SPDTridiagonal
 from .model import DelaySpec, GainSet
+
+
+# a block takes at least this many steps (as the delay allows), so that its
+# fixed cost of a few dozen small array calls is spread over them
+MIN_BLOCK_STEPS = 16
 
 
 # --- initial data presets ---------------------------------------------------
@@ -155,9 +166,13 @@ def init_state(mesh: Mesh, ops: DiscreteOperators, gains: GainSet,
                delay: DelaySpec, preset: str = "zero", f0_preset: str = "zero",
                f0_amplitude: float = 1.0, n_delta: int = 64, dt: float = 1e-3,
                u0: Optional[Callable] = None, u1: Optional[Callable] = None,
-               f0: Optional[Callable] = None) -> tuple[SimState, list[str]]:
+               f0: Optional[Callable] = None, rows: Optional[int] = None,
+               lookahead: int = 0) -> tuple[SimState, list[str]]:
     """Sample initial data onto the mesh and seed both delay realizations;
-    the history ring sits on the grid t_k = k dt of the step dt.
+    the history ring sits on the grid t_k = k dt of the step dt.  With
+    `rows` the ring has one column per row of a batch that starts from
+    this state; it also keeps the `lookahead` samples a block of that many
+    steps appends before it reads back over the delay.
 
     Preset names may be overridden by explicit callables; their values are
     copied, since stepping updates the state in place.  Returns the state
@@ -192,7 +207,8 @@ def init_state(mesh: Mesh, ops: DiscreteOperators, gains: GainSet,
 
     tau0 = float(delay.tau(0.0))
     w = init_channel(f0, tau0, n_delta)
-    buffer = HistoryBuffer(dt, horizon=delay.tau1 + 2.0 * dt, f0=f0)
+    buffer = HistoryBuffer(dt, horizon=delay.tau1 + (2 + lookahead) * dt, f0=f0,
+                           shape=() if rows is None else (rows,))
 
     if abs(float(f0(0.0)) - float(v[-1])) > 1e-12:
         warnings.append(
@@ -202,11 +218,30 @@ def init_state(mesh: Mesh, ops: DiscreteOperators, gains: GainSet,
     return SimState(t=0.0, u=u, v=v, w=w, buffer=buffer), warnings
 
 
+@dataclass(frozen=True)
+class BatchGains:
+    """The gains of a lockstep batch: mu1 and beta shared by its rows, mu2
+    one per row.  It stands in for a GainSet wherever the rows are
+    evaluated together."""
+
+    mu1: float
+    mu2: np.ndarray
+    beta: float
+
+    @classmethod
+    def of(cls, rows: Sequence[GainSet]) -> "BatchGains":
+        first = rows[0]
+        if any(g.mu1 != first.mu1 or g.beta != first.beta for g in rows):
+            raise ValueError("the rows of a batch must share mu1 and beta")
+        return cls(first.mu1, np.array([g.mu2 for g in rows]), first.beta)
+
+
 @dataclass
 class StepWorkspace:
     """The midpoint system of one run, factored once for the step dt, and
     the operator 2M - dt K of its right-hand side as the diagonal `mass2`
-    = 2M and the conductances `k_rhs` = -dt k_cell."""
+    = 2M and the conductances `k_rhs` = -dt k_cell.  Only mu1 and beta
+    enter it, so a batch shares it."""
 
     dt: float
     system: SPDTridiagonal
@@ -214,7 +249,8 @@ class StepWorkspace:
     k_rhs: np.ndarray
 
     @classmethod
-    def build(cls, ops: DiscreteOperators, gains: GainSet, dt: float) -> "StepWorkspace":
+    def build(cls, ops: DiscreteOperators, gains: GainSet | BatchGains,
+              dt: float) -> "StepWorkspace":
         start = ops.first_active
         main, off = ops.stiffness_tridiagonal(start)
         main = main * (0.5 * dt * dt) + 2.0 * ops.mass[start:]
@@ -223,29 +259,58 @@ class StepWorkspace:
                    2.0 * ops.mass, -dt * ops.k_cell)
 
 
-def _wave_step(buf: HistoryBuffer, u: np.ndarray, v: np.ndarray, dt: float,
-               tau_mid: float, gains: GainSet, ops: DiscreteOperators,
-               workspace: StepWorkspace) -> float:
-    """The part of a step the feedback needs: the midpoint solve updates u
-    and v in place and the ring records the new trace, which is returned.
-    tau_mid is the delay at the step's midpoint (buf.last + 1/2) dt."""
-    w_mid = buf.sample((buf.last + 0.5) * dt - tau_mid)
+def _midpoint_solver(u: np.ndarray, v: np.ndarray, beta: float,
+                     ops: DiscreteOperators, work: StepWorkspace) -> Callable:
+    """The part of a step the feedback needs, for the (B, n) states u and v
+    of a batch, with buffers allocated once: `advance(loads)` does the
+    midpoint solve, updates u and v in place and returns the new traces
+    v(1) as a list; loads holds mu2 times the delayed trace at the step's
+    midpoint, one float per row.
 
-    # 2 M v - dt K u on every node; a Dirichlet node (start = 1) is not
-    # active and keeps u = v = 0
+    It makes the operations of the one-row step in the same order, so
+    each row gets the bits it would get alone."""
     start = ops.first_active
-    rhs = add_stiffness_product(workspace.mass2 * v, workspace.k_rhs, u)[start:]
-    rhs[-1] -= dt * ops.a1 * (gains.beta * float(u[-1]) + gains.mu2 * w_mid)
-    vbar = workspace.system.solve(rhs)
+    dt = np.array(work.dt)  # 0-d: a ufunc converts a float at every call
+    scale = work.dt * ops.a1
+    mass2, k_rhs = work.mass2[start:], work.k_rhs
+    rows = u.shape[0]
+    rhs = np.empty((rows, ops.n_nodes - start))
+    solve, columns = work.system.solve_in_place, rhs.T
+    u_end, v_end, rhs_end = u[:, -1], v[:, -1], rhs[:, -1]
+    # views made once (u and v are updated in place for the whole run);
+    # a single row takes 1-d views, on which a ufunc call costs about half
+    row = 0 if rows == 1 else slice(None)
+    u, v, rhs = u[row], v[row], rhs[row]
+    flux = np.empty(rhs.shape[:-1] + (ops.n_nodes - 1,))
+    twice = np.empty_like(rhs)
+    u_act, v_act = u[..., start:], v[..., start:]
+    u_hi, u_lo = u[..., 1:], u[..., :-1]
+    rhs_lo, rhs_hi = rhs[..., :-1], rhs[..., 1 - start:]
+    flux_lo = flux[..., start:]
+    mul, add, sub = np.multiply, np.add, np.subtract
 
-    # v' = 2 vbar - v and u' = u + dt vbar, in place
-    v_active = v[start:]
-    np.subtract(2.0 * vbar, v_active, out=v_active)
-    vbar *= dt
-    u[start:] += vbar
-    trace = float(v[-1])
-    buf.append(trace)
-    return trace
+    def advance(loads) -> list:
+        # 2 M v - dt K u on the active nodes (mesh.add_stiffness_product's
+        # flux order); a Dirichlet node (start = 1) keeps u = v = 0
+        mul(mass2, v_act, rhs)
+        sub(u_hi, u_lo, flux)
+        mul(k_rhs, flux, flux)
+        sub(rhs_lo, flux_lo, rhs_lo)
+        add(rhs_hi, flux, rhs_hi)
+        # - dt a(1) (beta u(1) + mu2 w_mid) on the last node, in floats: B
+        # scalars cost less than four ufunc calls
+        for b, (u1, load) in enumerate(zip(u_end.tolist(), loads)):
+            rhs_end[b] -= scale * (beta * u1 + load)
+        solve(columns)
+        # v' = 2 vbar - v and u' = u + dt vbar, in place (vbar + vbar is
+        # 2 vbar exactly)
+        add(rhs, rhs, twice)
+        sub(twice, v_act, v_act)
+        mul(rhs, dt, rhs)
+        add(u_act, rhs, u_act)
+        return v_end.tolist()
+
+    return advance
 
 
 def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
@@ -259,19 +324,22 @@ def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
                          f"or the workspace's {workspace.dt}")
     t_mid = (buf.last + 0.5) * dt
     tau_mid = float(delay.tau(t_mid))
-    trace = _wave_step(buf, state.u, state.v, dt, tau_mid, gains, ops,
-                       workspace)
+    advance = _midpoint_solver(state.u[None], state.v[None], gains.beta, ops,
+                               workspace)
+    (trace,) = advance([gains.mu2 * float(buf.sample(t_mid - tau_mid))])
+    buf.append(trace)
     state.t = buf.last * dt
     state.w = transport_step(state.w, tau_mid, float(delay.tau_prime(t_mid)),
                              dt, inflow=trace)
     return state
 
 
-def bc_residual(u, v, w_del, gains: GainSet, mesh: Mesh):
+def bc_residual(u, v, w_del, gains: GainSet | BatchGains, mesh: Mesh):
     """|feedback law residual| of the state (u, v) whose delayed trace, the
     ring's sample at t - tau(t), is w_del.
 
-    u and v may be (rows, n) stacks with one w_del per row; each row gets
+    u and v may be (rows, n) stacks with one w_del per row, and `gains` a
+    BatchGains whose mu2 runs over the last leading axis; each row gets
     the bits it would get alone.  The displacement slope at x = 1 is the
     one-sided P1 flux of the last element, so the residual carries the
     scheme's O(dt + 1/N) consistency error by design.
@@ -299,120 +367,200 @@ def step_count(t_final: float, dt: float) -> tuple[int, Optional[str]]:
                      f"steps dt = {dt:.10g}; the run ends at t = {t_end:.10g}")
 
 
-def run(mesh: Mesh, ops: DiscreteOperators, gains: GainSet, delay: DelaySpec,
+def record_count(t_final: float, dt: float, record_every: int) -> int:
+    """The number of instants `run` records: the initial one, every
+    record_every-th step and the last."""
+    return -(-step_count(t_final, dt)[0] // record_every) + 1
+
+
+def run(mesh: Mesh, ops: DiscreteOperators,
+        gains: GainSet | Sequence[GainSet], delay: DelaySpec,
         t_final: float, dt: float, record_every: int = 1,
         preset: str = "zero", f0_preset: str = "zero", f0_amplitude: float = 1.0,
-        n_delta: int = 64, lyap: Optional[analysis.LyapunovParams] = None,
+        n_delta: int = 64, lyap=None,
         u0: Optional[Callable] = None, u1: Optional[Callable] = None,
-        f0: Optional[Callable] = None,
-        snapshot_sink: Optional[Callable] = None) -> Trajectory:
+        f0: Optional[Callable] = None, snapshot_sink=None):
     """Integrate to t_final, recording the COLUMNS every record_every
     steps (plus the initial and final instants).
+
+    With one GainSet, `lyap` (LyapunovParams or None) and `snapshot_sink`
+    (callable or None) belong to that run, which returns its Trajectory.
+    With a sequence of GainSets that share mu1 and beta, the rows run as
+    one lockstep batch from the same initial data; `lyap` and
+    `snapshot_sink` are then sequences with one entry per row (or None),
+    and the result is a list with each row's Trajectory, or the
+    NonFiniteState that stopped that row.  A row gets the bits of its run
+    alone.
 
     The run takes round(t_final / dt) steps; when t_final is not a whole
     number of steps, a warning names the time the run ends at.  When no
     Lyapunov parameters are supplied (or derivable: the modified functional
     requires a strictly positive damping margin), E_tilde is recorded as E
-    itself.  Raises NonFiniteState at the first recorded instant whose
-    energy is not finite: E is a positive-weighted sum of squares of every
-    entry of u, v and w, so it catches any overflow or NaN in the state.
-    The snapshot sink, if any, receives every recorded instant, in order, as
-    a SimState with that instant's t, u, v and w, whose arrays are valid
-    during the call (its ring is the run's, which has moved on).
+    itself.  A row stops with NonFiniteState at its first recorded instant
+    whose energy is not finite: E is a positive-weighted sum of squares of
+    every entry of u, v and w, so it catches any overflow or NaN in the
+    state.  The snapshot sink, if any, receives every recorded instant of
+    its row, in order, as a SimState with that instant's t, u, v and w,
+    whose arrays are valid during the call (its ring is the batch's, which
+    has moved on).
     """
     if t_final < 0.0 or dt <= 0.0 or record_every < 1:
         raise ValueError("need t_final >= 0, dt > 0, record_every >= 1")
-    state, warnings = init_state(
-        mesh, ops, gains, delay, preset=preset, f0_preset=f0_preset,
-        f0_amplitude=f0_amplitude, n_delta=n_delta, dt=dt,
-        u0=u0, u1=u1, f0=f0,
-    )
-    work = StepWorkspace.build(ops, gains, dt)
+    single = isinstance(gains, GainSet)
+    if single:
+        gains, lyap, snapshot_sink = [gains], [lyap], [snapshot_sink]
+    n_batch = len(gains)
+    lyap = lyap or [None] * n_batch
+    sinks = snapshot_sink or [None] * n_batch
+    batch = BatchGains.of(gains)
+    eps = np.array([0.0 if p is None else p.epsilon for p in lyap])
+
     n_steps, note = step_count(t_final, dt)
+    n_rows = record_count(t_final, dt, record_every)
+    k = channel_block_steps(n_delta)
+    span = k * max(1, min(max(BLOCK_DOUBLES // ops.n_nodes * record_every,
+                              MIN_BLOCK_STEPS), BLOCK_DOUBLES) // k)
+    # a block reads the samples of all its steps before its first one:
+    # (L + 1/2) dt <= tau0, half a step inside the exact bound so that
+    # rounding never moves a read past the newest sample
+    reach = max(1, math.floor(delay.tau0 / dt - 0.5))
+    if span > reach:
+        span = k * (reach // k) or reach
+    state, warnings = init_state(
+        mesh, ops, gains[0], delay, preset=preset, f0_preset=f0_preset,
+        f0_amplitude=f0_amplitude, n_delta=n_delta, dt=dt,
+        u0=u0, u1=u1, f0=f0, rows=n_batch, lookahead=span,
+    )
     if note is not None:
         warnings.append(note)
-    # row r records step min(r record_every, n_steps): the initial instant,
-    # every record_every-th step and the last
-    n_rows = -(-n_steps // record_every) + 1
-    k = channel_block_steps(n_delta)
-    span = k * max(1, min(BLOCK_DOUBLES // ops.n_nodes * record_every,
-                          BLOCK_DOUBLES) // k)
+    work = StepWorkspace.build(ops, batch, dt)
     rows = span // record_every + 2
-    us, vs = np.empty((rows, ops.n_nodes)), np.empty((rows, ops.n_nodes))
-    ws, w_buf = np.empty((rows, n_delta + 1)), np.empty(rows)
-    data = np.empty((len(COLUMNS), n_rows))
-    buf, u, v, w = state.buffer, state.u, state.v, state.w
+    n, m1 = ops.n_nodes, n_delta + 1
+    us, vs = np.empty((rows, n_batch, n)), np.empty((rows, n_batch, n))
+    ws, w_buf = np.empty((rows, n_batch, m1)), np.empty((rows, n_batch))
+    data = np.empty((n_batch, len(COLUMNS), n_rows))
+    # the batch's states, one row each; w holds the channel profiles as
+    # columns, the layout of transport_step
+    u = np.repeat(state.u[None], n_batch, axis=0)
+    v = np.repeat(state.v[None], n_batch, axis=0)
+    w = np.repeat(state.w[:, None], n_batch, axis=1)
+    buf = state.buffer
+    advance = _midpoint_solver(u, v, batch.beta, ops, work)
+    out: list = [None] * n_batch
+    any_sink = any(sink is not None for sink in sinks)
 
     r0 = 0
-    for n0 in range(0, n_steps or 1, span):
-        n1 = min(n0 + span, n_steps)
-        r1 = n_rows if n1 == n_steps else n1 // record_every + 1
-        steps = np.minimum(np.arange(r0, r1) * record_every, n_steps)
-        t_rec = steps * dt
-        data[0, r0:r1] = t_rec
-        t_mid = (np.arange(n0, n1) + 0.5) * dt
-        taus, tau_primes = delay.tau(t_mid), delay.tau_prime(t_mid)
-        tau_rec = delay.tau(t_rec)
-        at = (t_rec - tau_rec).tolist()
-        # the steps into the block of its recorded instants, ended by one
-        # it never reaches
-        marks = (steps - n0).tolist() + [span + 1]
-        j = 0
-        if marks[0] == 0:
-            # the initial instant, before the first step
-            us[0], vs[0], ws[0], w_buf[0] = u, v, w, buf.sample(at[0])
-            j = 1
-        traces = []
-        for i, tau_mid in enumerate(taus.tolist(), 1):
-            trace = _wave_step(buf, u, v, dt, tau_mid, gains, ops, work)
-            traces.append(trace)
-            if i == marks[j]:
-                us[j], vs[j], w_buf[j] = u, v, buf.sample(at[j])
-                j += 1
-                # a non-finite trace leaves the state non-finite for good:
-                # stop at this instant, where the evaluation raises
-                if not math.isfinite(trace):
-                    break
+    # a row that turns non-finite only spoils its own column; numpy's
+    # overflow and invalid-value warnings would repeat what NonFiniteState
+    # says, so they are off
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n0 in range(0, n_steps or 1, span):
+            n1 = min(n0 + span, n_steps)
+            r1 = n_rows if n1 == n_steps else n1 // record_every + 1
+            steps = np.minimum(np.arange(r0, r1) * record_every, n_steps)
+            t_rec = steps * dt
+            cols = data[:, :, r0:r1]
+            cols[:, 0] = t_rec
+            t_mid = (np.arange(n0, n1) + 0.5) * dt
+            taus, tau_primes = delay.tau(t_mid), delay.tau_prime(t_mid)
+            tau_rec = delay.tau(t_rec)
+            loads = (batch.mu2 * buf.sample(t_mid - taus)).tolist()
+            # the steps into the block of its recorded instants, ended by
+            # one it never reaches
+            marks = (steps - n0).tolist() + [span + 1]
+            j = 0
+            if marks[0] == 0:
+                # the initial instant, before the first step
+                us[0], vs[0], ws[0] = u, v, w.T
+                j = 1
+            traces = []
+            for i, load in enumerate(loads, 1):
+                traces.append(advance(load))
+                if i == marks[j]:
+                    us[j], vs[j] = u, v
+                    j += 1
+            block = np.array(traces).reshape(n1 - n0, n_batch)
+            buf.extend(block)
+            w_buf[:j] = buf.sample(t_rec - tau_rec)
+            w = _advance_channel(w, block, taus, tau_primes, dt, k,
+                                 marks[:j], ws)
 
-        # the channel, K steps per solve, up to the first non-finite trace
-        # (the band's zeros would carry it into earlier columns as 0 * nan);
-        # the profiles of the instants after it stay NaN
-        traces = np.array(traces)
-        finite = np.isfinite(traces)
-        cut = traces.size if finite.all() else int(finite.argmin())
-        marks = marks[:j]
-        ws[bisect.bisect_right(marks, cut):j] = np.nan
-        for c0 in range(0, cut, k):
-            c1 = min(c0 + k, cut)
-            profiles = transport_step(w, taus[c0:c1], tau_primes[c0:c1], dt,
-                                      traces[c0:c1])
-            w = profiles[:, -1].copy()
-            a, b = bisect.bisect_right(marks, c0), bisect.bisect_right(marks, c1)
-            ws[a:b] = profiles[:, [c - c0 - 1 for c in marks[a:b]]].T
+            e, et = analysis.lyapunov_raw(us[:j], vs[:j], ws[:j],
+                                          tau_rec[:j, None], ops, batch, eps)
+            finite = np.isfinite(e)
+            for b, ok in enumerate(finite.all(axis=0).tolist()
+                                   if any_sink or not finite.all() else ()):
+                if out[b] is not None or (ok and sinks[b] is None):
+                    continue
+                # the row's first instant with a non-finite energy, if any
+                stop = j if ok else int(finite[:, b].argmin())
+                if sinks[b] is not None:
+                    for i in range(stop):
+                        sinks[b](SimState(float(t_rec[i]), us[i, b], vs[i, b],
+                                          ws[i, b], buf))
+                if stop < j:
+                    # the row steps on with its column non-finite, unrecorded
+                    r = r0 + stop
+                    last = (f"the last finite one was at t = "
+                            f"{float(data[b, 0, r - 1])!r}" if r else
+                            "no finite one was recorded")
+                    out[b] = NonFiniteState(
+                        f"state is not finite at t = {float(data[b, 0, r])!r} "
+                        f"(energy {e[stop, b]}); {last}")
+            if all(o is not None for o in out):
+                break
+            # the recorded delayed trace is the channel's outflow, the
+            # realization the energy integrates; the buffered reference
+            # value is recoverable as trace_v_delayed - channel_discrepancy
+            w_chan = ws[:j, :, -1]
+            for c, col in enumerate((
+                    e, et, vs[:j, :, -1], w_chan,
+                    bc_residual(us[:j], vs[:j], w_buf[:j], batch, mesh),
+                    w_chan - w_buf[:j]), 1):
+                cols[:, c] = col.T
+            r0 = r1
 
-        e, et = analysis.lyapunov_raw(us[:j], vs[:j], ws[:j], tau_rec[:j],
-                                      ops, gains, lyap)
-        bad = np.flatnonzero(~np.isfinite(e))
-        stop = int(bad[0]) if bad.size else j
-        if snapshot_sink is not None:
-            for i in range(stop):
-                snapshot_sink(SimState(float(t_rec[i]), us[i], vs[i], ws[i],
-                                       buf))
-        if bad.size:
-            r = r0 + stop
-            last = (f"the last finite one was at t = {float(data[0, r - 1])!r}"
-                    if r else "no finite one was recorded")
-            raise NonFiniteState(f"state is not finite at t = "
-                                 f"{float(data[0, r])!r} (energy {e[stop]}); "
-                                 f"{last}")
-        # the recorded delayed trace is the channel's outflow, the
-        # realization the energy integrates; the buffered reference value is
-        # recoverable as trace_v_delayed - channel_discrepancy
-        w_chan = ws[:j, -1]
-        data[1:, r0:r1] = (e, et, vs[:j, -1], w_chan,
-                           bc_residual(us[:j], vs[:j], w_buf[:j], gains, mesh),
-                           w_chan - w_buf[:j])
-        r0 = r1
-    state.t, state.w = n_steps * dt, w
-    return Trajectory(**dict(zip(COLUMNS, data)), warnings=warnings,
-                      final_state=state, dt=dt, n_space=mesh.N)
+    for b in range(n_batch):
+        if out[b] is None:
+            final = SimState(n_steps * dt, u[b].copy(), v[b].copy(),
+                             w[:, b].copy(), buf)
+            out[b] = Trajectory(**dict(zip(COLUMNS, data[b])),
+                                warnings=list(warnings), final_state=final,
+                                dt=dt, n_space=mesh.N)
+    if single:
+        if isinstance(out[0], NonFiniteState):
+            raise out[0]
+        return out[0]
+    return out
+
+
+def _advance_channel(w, traces, taus, tau_primes, dt, k, marks, ws):
+    """Advance the batch's channel profiles w, (m + 1, B), over a block's
+    (L, B) traces, K steps per solve, filling ws[r] with the profiles of
+    the recorded step marks[r] (steps into the block; 0, the block's
+    start, is filled already).  Returns the profiles after the block.
+
+    A row whose trace turns non-finite in the block takes the solves a run
+    alone takes, which stop there (the band's zeros would carry it into
+    earlier columns as 0 * nan), and the profiles of its instants after it
+    are NaN."""
+    size = len(traces)
+    finite = np.isfinite(traces)
+    # the rows whose trace turns non-finite in the block, and the step
+    # where it does
+    cuts = {} if finite.all() else {
+        b: int(col.argmin()) for b, col in enumerate(finite.T) if not col.all()}
+    for c0 in range(0, size, k):
+        c1 = min(c0 + k, size)
+        profiles = transport_step(w, taus[c0:c1], tau_primes[c0:c1], dt,
+                                  traces[c0:c1])
+        for b, c in cuts.items():
+            if c0 < c < c1:
+                profiles[:, :c - c0, b] = transport_step(
+                    w[:, b], taus[c0:c], tau_primes[c0:c], dt, traces[c0:c, b])
+        w = profiles[:, -1].copy()
+        a, b = bisect.bisect_right(marks, c0), bisect.bisect_right(marks, c1)
+        ws[a:b] = profiles[:, [c - c0 - 1 for c in marks[a:b]]].transpose(1, 2, 0)
+    for b, c in cuts.items():
+        ws[bisect.bisect_right(marks, c):len(marks), b] = np.nan
+    return w

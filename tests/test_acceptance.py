@@ -102,7 +102,7 @@ def test_criterion_2_lyapunov_sandwich(baseline_run):
         u[0] = v[0] = 0.0
         t = float(rng.uniform(0.0, 20.0))
         e, et = lyapunov_raw(u, v, w, setup.delay.tau(t), setup.ops,
-                             setup.gains, lyap)
+                             setup.gains, lyap.epsilon)
         worst_rand = max(worst_rand, lyap.equiv_lower * e - et,
                          et - lyap.equiv_upper * e)
     ok = ok and worst_rand <= 0.0

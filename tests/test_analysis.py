@@ -69,7 +69,8 @@ class TestEnergy:
         u = rng.standard_normal(65)
         v = rng.standard_normal(65)
         w = rng.standard_normal(33)
-        e, et = lyapunov_raw(u, v, w, DELAY.tau(1.0), ops, GAINS, lyap0)
+        e, et = lyapunov_raw(u, v, w, DELAY.tau(1.0), ops, GAINS,
+                             lyap0.epsilon)
         assert e == et
 
 
@@ -131,7 +132,8 @@ class TestSandwich:
             w = rng.uniform(-1, 1, 33) * 10.0 ** rng.integers(-2, 3)
             u[0] = v[0] = 0.0
             t = float(rng.uniform(0.0, 10.0))
-            e, et = lyapunov_raw(u, v, w, DELAY.tau(t), ops, GAINS, lyap)
+            e, et = lyapunov_raw(u, v, w, DELAY.tau(t), ops, GAINS,
+                                 lyap.epsilon)
             assert lyap.equiv_lower * e <= et <= lyap.equiv_upper * e
 
 
@@ -141,7 +143,7 @@ class TestStackedLyapunov:
         # a stack of states with one tau per row gives each row the bits of
         # its own 1-d call, for E and for E~
         spec, mesh, ops = assemble(n=96)
-        lyap = lyap_for(SPEC, GAINS, DELAY) if eps else None
+        eps = lyap_for(SPEC, GAINS, DELAY).epsilon if eps else 0.0
         rng = np.random.default_rng(23)
         rows = 37
         u = rng.standard_normal((rows, 97))
@@ -149,12 +151,33 @@ class TestStackedLyapunov:
         w = rng.standard_normal((rows, 33))
         u[:, 0] = v[:, 0] = 0.0
         tau = np.array([DELAY.tau(t) for t in rng.uniform(0.0, 10.0, rows)])
-        e, et = lyapunov_raw(u, v, w, tau, ops, GAINS, lyap)
+        e, et = lyapunov_raw(u, v, w, tau, ops, GAINS, eps)
         assert e.shape == et.shape == (rows,)
         for i in range(rows):
             e1, et1 = lyapunov_raw(u[i], v[i], w[i], float(tau[i]), ops,
-                                   GAINS, lyap)
+                                   GAINS, eps)
             assert e[i] == e1 and et[i] == et1
+
+    def test_batch_rows_with_own_epsilon(self):
+        # a (rows, B) stack with one tau per row and one epsilon per batch
+        # column: each entry gets the bits of its own 1-d call, and a column
+        # whose epsilon is 0 gets E~ = E
+        spec, mesh, ops = assemble(n=96)
+        eps = np.array([lyap_for(SPEC, GAINS, DELAY).epsilon, 0.0, 1e-3])
+        rng = np.random.default_rng(29)
+        u = rng.standard_normal((11, 3, 97))
+        v = rng.standard_normal((11, 3, 97))
+        w = rng.standard_normal((11, 3, 33))
+        u[..., 0] = v[..., 0] = 0.0
+        tau = DELAY.tau(rng.uniform(0.0, 10.0, 11))
+        e, et = lyapunov_raw(u, v, w, tau[:, None], ops, GAINS, eps)
+        assert e.shape == et.shape == (11, 3)
+        assert np.array_equal(et[:, 1], e[:, 1])
+        for i in range(11):
+            for b in range(3):
+                e1, et1 = lyapunov_raw(u[i, b], v[i, b], w[i, b],
+                                       float(tau[i]), ops, GAINS, eps[b])
+                assert e[i, b] == e1 and et[i, b] == et1
 
 
 class TestDissipationAudit:

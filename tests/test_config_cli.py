@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from degenwave import config as cfgmod
@@ -13,9 +14,11 @@ from degenwave.cli import (
     EXIT_OK,
     converge_table,
     main,
+    simulate_batch,
+    simulate_config,
     sweep_rows,
 )
-from degenwave.errors import ConfigError
+from degenwave.errors import ConfigError, NonFiniteState
 
 
 class TestConfigFormat:
@@ -255,6 +258,33 @@ class TestCsvFormat:
         assert text == "\n".join(expected) + "\n"
 
 
+class TestSnapshotStore:
+    def test_save_writes_the_savez_layout(self, tmp_path):
+        # the filled rows of the preallocated arrays, member for member the
+        # bytes np.savez writes for the same arrays
+        import zipfile
+        from types import SimpleNamespace
+
+        from degenwave.reporting import SnapshotStore
+
+        rng = np.random.default_rng(9)
+        store = SnapshotStore(rows=7, n_nodes=5, n_channel=3)
+        states = [SimpleNamespace(t=0.1 * i, u=rng.standard_normal(5),
+                                  v=rng.standard_normal(5),
+                                  w=rng.standard_normal(3)) for i in range(4)]
+        for st in states:
+            store(st)
+        store.save(tmp_path / "store.npz")
+        np.savez(tmp_path / "ref.npz",
+                 **{k: np.array([getattr(st, k) for st in states])
+                    for k in "tuvw"})
+        with zipfile.ZipFile(tmp_path / "store.npz") as a, \
+                zipfile.ZipFile(tmp_path / "ref.npz") as b:
+            assert a.namelist() == b.namelist()
+            for name in b.namelist():
+                assert a.read(name) == b.read(name), name
+
+
 class TestSweep:
     def small_cfg(self):
         cfg = cfgmod.load_config("baseline")
@@ -310,11 +340,82 @@ class TestSweep:
         assert rows[1]["status"].startswith("failed")
 
     def test_parallel_matches_serial(self):
+        # two lockstep batches (one per beta), spread over two workers
         cfg = self.small_cfg()
-        axes = [("gains.mu2", ["0", "0.3"])]
+        axes = [("gains.mu2", ["0", "0.3"]), ("gains.beta", ["0.5", "2"])]
         serial = sweep_rows(cfg, axes, jobs=1)
         parallel = sweep_rows(cfg, axes, jobs=2)
+        assert [r["row"] for r in serial] == [0, 1, 2, 3]
         assert serial == parallel
+
+    def test_batch_rows_equal_their_runs_alone(self, monkeypatch):
+        # three rows that differ only in mu2 run as one lockstep batch; each
+        # has the bits of simulate_config on its own config.  mu2 = 1.2
+        # breaks strict damping (mu1 > 2 mu2 / sqrt(1 - d) = 2.68 mu2), so
+        # the batch mixes rows with and without Lyapunov parameters, and the
+        # cosine history makes mu2 act from the first step
+        cfg = cfgmod.apply_overrides(self.small_cfg(), [
+            "integrator.t_final=1.5", "initial.f0=cosine"])
+        mu2s = ["0", "0.3", "1.2"]
+        real_run, calls = stepper.run, []
+
+        def spy(*args, **kwargs):
+            out = real_run(*args, **kwargs)
+            calls.append(len(out))
+            return out
+
+        monkeypatch.setattr(stepper, "run", spy)
+        rows = sweep_rows(cfg, [("gains.mu2", mu2s)])
+        sims = simulate_batch([cfgmod.set_value(cfg, "gains.mu2", m)
+                               for m in mu2s])
+        assert calls == [3, 3]
+        assert [s.lyap is not None for s in sims] == [True, True, False]
+        for row, sim in zip(rows, sims):
+            setup, traj, report, _ = simulate_config(sim.setup.cfg)
+            for name in stepper.COLUMNS:
+                assert np.array_equal(getattr(sim.traj, name),
+                                      getattr(traj, name)), name
+            for part in ("u", "v", "w"):
+                assert np.array_equal(getattr(sim.traj.final_state, part),
+                                      getattr(traj.final_state, part))
+            decay = report["decay"] or {}
+            alone = {"E0": report["audits"]["E0"],
+                     "E_final": report["audits"]["E_final"],
+                     "damping_const": report["constants"]["damping_const"],
+                     "rate_fit": decay.get("rate_fit", math.nan),
+                     "envelope_ok": decay.get("envelope_ok", "")}
+            for key, want in alone.items():
+                have = row[key]
+                assert have == want or (math.isnan(have) and math.isnan(want))
+        assert rows[0]["E_final"] != rows[1]["E_final"]
+
+    def test_blown_up_row_fails_alone(self):
+        # the mu2 = 1e300 row overflows after the delay reaches t = tau0 =
+        # 0.5; it stops with the message of its run alone, and its batch
+        # mate equals its own run
+        cfg = cfgmod.set_value(self.small_cfg(), "integrator.t_final", 1.0)
+        rows = sweep_rows(cfg, [("gains.mu2", ["0.2", "1e300"])])
+        assert rows[1]["status"] == (
+            "failed: state is not finite at t = 0.61 (energy inf); "
+            "the last finite one was at t = 0.605")
+        assert math.isnan(rows[1]["E0"])
+        with pytest.raises(NonFiniteState) as alone:
+            simulate_config(cfgmod.set_value(cfg, "gains.mu2", "1e300"))
+        assert rows[1]["status"] == f"failed: {alone.value}"
+        _, _, report, _ = simulate_config(cfgmod.set_value(cfg, "gains.mu2",
+                                                           "0.2"))
+        assert rows[0]["status"] == "ok"
+        assert rows[0]["E0"] == report["audits"]["E0"]
+        assert rows[0]["E_final"] == report["audits"]["E_final"]
+        assert rows[0]["rate_fit"] == report["decay"]["rate_fit"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_exit2(self, jobs, capsys):
+        rc = run_cli(["sweep", "--config", "baseline", f"--jobs={jobs}",
+                      "--axis", "gains.mu2=0,0.2"])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err == f"config error: --jobs must be at least 1, got {jobs}\n"
 
     @pytest.mark.parametrize("axis", ["gains.mu2=abc", "mesh.n=12.5"])
     def test_bad_axis_value_exit2(self, axis, tmp_path, capsys):

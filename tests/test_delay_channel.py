@@ -131,6 +131,22 @@ class TestKStepSolve:
             assert np.max(np.abs(block[:, n] - one)) <= 4.0 * ulp
         assert np.array_equal(block[0], inflow)
 
+    def test_stacked_profiles_equal_column_solves(self):
+        # (m + 1, B) profiles with (K, B) inflows share one band: each column
+        # of the (m + 1, K, B) result is its own K-step solve bit for bit
+        rng = np.random.default_rng(5)
+        m = 64
+        k = channel_block_steps(m)
+        w = rng.standard_normal((m + 1, 3))
+        taus = rng.uniform(0.5, 1.0, k)
+        tau_primes = rng.uniform(0.0, 0.4, k)
+        inflow = rng.standard_normal((k, 3))
+        block = transport_step(w, taus, tau_primes, 1e-3, inflow)
+        assert block.shape == (m + 1, k, 3)
+        for b in range(3):
+            one = transport_step(w[:, b], taus, tau_primes, 1e-3, inflow[:, b])
+            assert np.array_equal(block[..., b], one)
+
     def test_one_step_block_is_the_bidiagonal_step(self):
         rng = np.random.default_rng(8)
         w = rng.standard_normal(33)
@@ -259,6 +275,53 @@ class TestHistoryBuffer:
                                                                    abs=1e-6)
         with pytest.raises(OutOfSpan):
             buf.sample((buf.first - 1) * buf.dt)
+
+
+class TestBatchRing:
+    def test_columns_are_single_rings(self):
+        # a ring of three columns fed one block of traces: every sample, at
+        # one time or at an array of times, is each column's own ring's
+        dt = 1e-2
+        rng = np.random.default_rng(4)
+        traces = rng.standard_normal((40, 3))
+        batch = HistoryBuffer(dt, horizon=0.5, f0=math.cos, shape=(3,))
+        batch.extend(traces)
+        singles = []
+        for b in range(3):
+            one = HistoryBuffer(dt, horizon=0.5, f0=math.cos)
+            for x in traces[:, b]:
+                one.append(x)
+            singles.append(one)
+        assert batch.last == singles[0].last == 40
+        assert batch.first == singles[0].first
+        times = rng.uniform(batch.first * dt, batch.last * dt, 25)
+        got = batch.sample(times)
+        assert got.shape == (25, 3)
+        for b, one in enumerate(singles):
+            assert np.array_equal(got[:, b], [one.sample(s) for s in times])
+            assert np.array_equal(batch.sample(0.4)[b], one.sample(0.4))
+        assert np.array_equal(batch.sample(batch.last * dt), traces[-1])
+
+    @pytest.mark.parametrize("shape", [(), (2,)])
+    def test_extend_equals_appends_across_the_wrap(self, shape):
+        # blocks shorter and longer than the ring, across its wrap point
+        dt = 1e-2
+        rng = np.random.default_rng(6)
+        block = HistoryBuffer(dt, horizon=0.05, f0=math.sin, shape=shape)
+        one = HistoryBuffer(dt, horizon=0.05, f0=math.sin, shape=shape)
+        for n in [1, 3, 7, 2, 15, 1, 30, 4]:
+            values = rng.standard_normal((n,) + shape)
+            block.extend(values)
+            for x in values:
+                one.append(x)
+            assert (block.first, block.last) == (one.first, one.last)
+            times = np.linspace(block.first + 0.5, block.last - 0.5, 17) * dt
+            assert np.array_equal(block.sample(times), one.sample(times))
+
+    def test_block_read_out_of_span(self):
+        buf = HistoryBuffer(dt=0.5, horizon=1.0, f0=lambda s: 1.0, shape=(2,))
+        with pytest.raises(OutOfSpan, match="time 0.25 outside"):
+            buf.sample(np.array([-1.0, 0.25, 0.0]))
 
 
 class TestCrossRealizations:

@@ -11,7 +11,7 @@ from degenwave import (
     make_coefficient,
     make_delay,
 )
-from degenwave.analysis import energy, energy_parts
+from degenwave.analysis import energy, energy_parts, lyapunov_raw
 from degenwave.delay_channel import delta_trap_weights
 from degenwave.errors import IncompatibleInitialData, NonFiniteState, SolveFailure
 from degenwave.stepper import (
@@ -401,16 +401,17 @@ class TestBlockedRun:
     def test_record_block_size_does_not_change_columns(self, monkeypatch,
                                                        record_every):
         # blocks of one channel solve (the run's share of the block budget
-        # set to one state) against the default blocks: every column bit
-        # for bit.  The channel's K comes from delay_channel's copy of the
-        # budget and stays as it is; at stride 25 some blocks record no
-        # instant at all.
+        # set to one state, and no minimum block length) against the default
+        # blocks: every column bit for bit.  The channel's K comes from
+        # delay_channel's copy of the budget and stays as it is; at stride
+        # 25 some blocks record no instant at all.
         from degenwave import config, stepper
 
         cfg, setup, lyap = _blocked_setup(record_every)
         ref = config.run_from_setup(setup, lyap=lyap)
         assert stepper.BLOCK_DOUBLES // setup.ops.n_nodes > 10
         monkeypatch.setattr(stepper, "BLOCK_DOUBLES", setup.ops.n_nodes)
+        monkeypatch.setattr(stepper, "MIN_BLOCK_STEPS", 1)
         one = config.run_from_setup(setup, lyap=lyap)
         for name in COLUMNS:
             assert np.array_equal(getattr(one, name), getattr(ref, name)), name
@@ -485,6 +486,170 @@ class TestBlockedRun:
         assert sunk == seen
 
 
+def _step_loop_columns(mesh, ops, g, delay, t_final, dt, record_every, lyap,
+                       **init):
+    """The COLUMNS of `run` and its final state from step() calls, with each
+    recorded instant evaluated on its own."""
+    state, _ = init_state(mesh, ops, g, delay, dt=dt, **init)
+    ws = StepWorkspace.build(ops, g, dt)
+    eps = 0.0 if lyap is None else lyap.epsilon
+    rows = []
+
+    def record():
+        tau = delay.tau(state.t)
+        e, et = lyapunov_raw(state.u, state.v, state.w, tau, ops, g, eps)
+        w_buf = state.buffer.sample(state.t - tau)
+        rows.append((state.t, e, et, state.v[-1], state.w[-1],
+                     bc_residual(state.u, state.v, w_buf, g, mesh),
+                     state.w[-1] - w_buf))
+
+    record()
+    n_steps = step_count(t_final, dt)[0]
+    for n in range(1, n_steps + 1):
+        step(state, dt, g, delay, ops, workspace=ws)
+        if n % record_every == 0 or n == n_steps:
+            record()
+    return dict(zip(COLUMNS, np.array(rows).T)), state
+
+
+def _channel_steps(monkeypatch):
+    """The K of every channel solve `run` makes from here on."""
+    from degenwave import stepper
+
+    real, ks = stepper.transport_step, []
+
+    def spy(w, tau, *args, **kwargs):
+        ks.append(len(tau))
+        return real(w, tau, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "transport_step", spy)
+    return ks
+
+
+class TestLookahead:
+    def test_shortest_lookahead_is_the_step_loop(self, monkeypatch):
+        # tau0 = 0.6 dt: a block reads its delayed samples before its first
+        # step, so each block is one step (and one channel step), and every
+        # column and the final state equal a loop of step() calls bit for bit
+        _, mesh, ops = make_ops(n=32)
+        g = GainSet(2.0, 0.3, 1.0)
+        dt = 1e-3
+        delay = make_delay("constant", {"tau": 0.6 * dt})
+        from degenwave.analysis import choose_epsilon
+
+        lyap = choose_epsilon(SPEC, g.beta, g, delay)
+        kw = dict(preset="velocity-kick", f0_preset="cosine", n_delta=16)
+        cols, state = _step_loop_columns(mesh, ops, g, delay, 0.3, dt, 3,
+                                         lyap, **kw)
+        ks = _channel_steps(monkeypatch)
+        traj = run(mesh, ops, g, delay, t_final=0.3, dt=dt, record_every=3,
+                   lyap=lyap, **kw)
+        assert ks == [1] * 300
+        for name in COLUMNS:
+            assert np.array_equal(getattr(traj, name), cols[name]), name
+        for part in ("u", "v", "w"):
+            assert np.array_equal(getattr(traj.final_state, part),
+                                  getattr(state, part))
+
+    def test_baseline_blocks_against_the_step_loop(self, monkeypatch):
+        # the shipped baseline's blocks (60 steps, channel solves of K = 10):
+        # the wave and the ring are the step loop's bit for bit (t, trace_v,
+        # bc_residual, final u and v); the channel, and so E, E~ and the
+        # delayed trace, agree to the rounding of the K-step solve
+        from degenwave import config
+        from degenwave.analysis import choose_epsilon
+
+        cfg = config.apply_overrides(config.load_config("baseline"), [
+            "integrator.t_final=0.9"])
+        setup = config.build_setup(cfg)
+        lyap = choose_epsilon(setup.spec, setup.gains.beta, setup.gains,
+                              setup.delay)
+        cols, state = _step_loop_columns(
+            setup.mesh, setup.ops, setup.gains, setup.delay, 0.9, setup.dt,
+            cfg.integrator_record_every, lyap, preset=cfg.initial_preset,
+            f0_preset=cfg.initial_f0, n_delta=cfg.channel_n_delta)
+        ks = _channel_steps(monkeypatch)
+        traj = config.run_from_setup(setup, lyap=lyap)
+        assert ks == [10] * 90
+        for name in ("t", "trace_v", "bc_residual"):
+            assert np.array_equal(getattr(traj, name), cols[name]), name
+        for part in ("u", "v"):
+            assert np.array_equal(getattr(traj.final_state, part),
+                                  getattr(state, part))
+        e0 = traj.E[0]
+        for name in ("E", "E_tilde"):
+            assert np.max(np.abs(getattr(traj, name) - cols[name])) <= 1e-13 * e0
+        w_max = np.max(np.abs(state.w))
+        for name in ("trace_v_delayed", "channel_discrepancy"):
+            assert np.max(np.abs(getattr(traj, name) - cols[name])) <= 1e-13 * w_max
+        assert np.max(np.abs(traj.final_state.w - state.w)) <= 1e-13 * w_max
+
+
+class TestBatchRun:
+    def test_rows_equal_their_runs_alone(self):
+        # a batch of three rows, one without Lyapunov parameters, against
+        # three runs alone: every column and the final states bit for bit
+        from degenwave.analysis import choose_epsilon
+
+        _, mesh, ops = make_ops(n=32)
+        rows = [GainSet(2.0, mu2, 1.0) for mu2 in (0.0, 0.3, -0.2)]
+        lyaps = [choose_epsilon(SPEC, 1.0, rows[0], DELAY), None,
+                 choose_epsilon(SPEC, 1.0, rows[2], DELAY)]
+        kw = dict(t_final=0.8, dt=1e-3, record_every=3, preset="velocity-kick",
+                  f0_preset="cosine", n_delta=16)
+        batch = run(mesh, ops, rows, DELAY, lyap=lyaps, **kw)
+        for g, lyap, traj in zip(rows, lyaps, batch):
+            alone = run(mesh, ops, g, DELAY, lyap=lyap, **kw)
+            for name in COLUMNS:
+                assert np.array_equal(getattr(traj, name),
+                                      getattr(alone, name)), name
+            for part in ("u", "v", "w"):
+                assert np.array_equal(getattr(traj.final_state, part),
+                                      getattr(alone.final_state, part))
+            assert traj.warnings == alone.warnings
+        assert np.array_equal(batch[1].E_tilde, batch[1].E)
+        assert not np.array_equal(batch[0].E, batch[1].E)
+
+    @pytest.mark.parametrize("case", ["nan-history", "overflow"])
+    def test_non_finite_row_stops_alone(self, case):
+        # nan-history: the NaN window of the mid-run test reaches every row
+        # (0 * NaN is NaN), mid-way through a channel solve.
+        # overflow: only the mu2 = 1e300 row blows up.  Each row stops with
+        # the message of its run alone, or equals its run alone
+        import math
+
+        _, mesh, ops = make_ops(n=16)
+        if case == "nan-history":
+            mu2s = (0.2, 0.5)
+            kw = dict(record_every=3,
+                      f0=lambda s: math.nan if -0.245 < s < -0.225 else 0.0)
+        else:
+            mu2s = (0.2, 1e300, 0.0)
+            kw = dict(record_every=3, f0_preset="cosine")
+        kw.update(t_final=0.8, dt=1e-3, preset="velocity-kick", n_delta=16)
+        rows = [GainSet(2.0, mu2, 1.0) for mu2 in mu2s]
+        out = run(mesh, ops, rows, DELAY, **kw)
+        failed = []
+        for g, got in zip(rows, out):
+            try:
+                alone = run(mesh, ops, g, DELAY, **kw)
+            except NonFiniteState as exc:
+                assert isinstance(got, NonFiniteState)
+                assert str(got) == str(exc)
+                failed.append(g.mu2)
+                continue
+            for name in COLUMNS:
+                assert np.array_equal(getattr(got, name), getattr(alone, name))
+        assert failed == ([0.2, 0.5] if case == "nan-history" else [1e300])
+
+    def test_rows_must_share_mu1_and_beta(self):
+        _, mesh, ops = make_ops(n=16)
+        for other in (GainSet(1.0, 0.2, 1.0), GainSet(2.0, 0.2, 0.5)):
+            with pytest.raises(ValueError, match="share mu1 and beta"):
+                run(mesh, ops, [GainSet(2.0, 0.2, 1.0), other], DELAY,
+                    t_final=0.01, dt=1e-3, n_delta=16)
+
+
 class TestStepCount:
     def test_horizon_off_the_step_grid_warns(self, tmp_path, capsys):
         # 0.5 / 0.0007 = 714.3 steps: the run ends at 714 dt and says so
@@ -524,7 +689,8 @@ class TestStepCount:
                                                          monkeypatch):
         # every shipped horizon is a whole number of steps, and so is every
         # run of the benchmark's workloads (perfbench/workloads.py, run here
-        # with the sweep in this process so that the spy sees its rows)
+        # with the sweep in this process so that the spy sees its rows: 12
+        # rows in 4 lockstep batches)
         import importlib.util
         from pathlib import Path
 
@@ -540,12 +706,13 @@ class TestStepCount:
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         monkeypatch.setattr(workloads, "SWEEP_JOBS", 1)
-        real_run, notes = stepper.run, []
+        real_run, notes, calls = stepper.run, [], []
 
         def spy(*args, **kwargs):
-            traj = real_run(*args, **kwargs)
-            notes.append(traj.warnings)
-            return traj
+            trajs = real_run(*args, **kwargs)
+            calls.append(len(trajs))
+            notes.extend(traj.warnings for traj in trajs)
+            return trajs
 
         monkeypatch.setattr(stepper, "run", spy)
         ran = [cls.name for cls in workloads.WORKLOADS.values() if cls.steps]
@@ -553,5 +720,6 @@ class TestStepCount:
             workloads.WORKLOADS[name](tmp_path).run(seed=1)
         assert sorted(ran) == ["converge-refine", "simulate-baseline",
                                "sweep-grid"]
+        assert calls == [1] + [1] * 3 + [3] * 4
         assert len(notes) == 1 + 3 + 12
         assert not [w for ws in notes for w in ws if "whole number" in w]

@@ -459,6 +459,8 @@ class TestConverge:
         assert len(table["levels"]) == 3
         assert len(table["differences"]) == 2
         assert len(table["orders_E"]) == 1
+        # every level's horizon is a whole number of its steps
+        assert table["warnings"] == []
 
     def test_needs_three_levels(self):
         with pytest.raises(ConfigError):
@@ -470,6 +472,71 @@ class TestConverge:
         assert rc == EXIT_HYPOTHESIS
         err = capsys.readouterr().err
         assert err == f"config error: --start-n must be at least 1, got {start_n}\n"
+
+    def test_levels_keep_the_bits_of_simulate(self):
+        # a level records only its endpoints, yet its terminal energy and
+        # traces are those of the full run of the level's config
+        cfg = cfgmod.set_value(cfgmod.load_config("baseline"),
+                               "integrator.t_final", 0.25)
+        table = converge_table(cfg, levels=3, start_n=16)
+        for row in table["levels"]:
+            c = cfgmod.apply_overrides(cfg, [
+                f"mesh.n={row['N']}", f"channel.n_delta={row['n_delta']}",
+                f"integrator.dt={row['dt']!r}"])
+            _, traj, report, _ = simulate_config(c)
+            st = traj.final_state
+            assert row["E_T"] == report["audits"]["E_final"]
+            assert row["trace_u"] == float(st.u[-1])
+            assert row["trace_v"] == float(st.v[-1])
+            assert row["t_end"] == float(traj.t[-1])
+
+    def test_levels_run_no_certificate_and_record_endpoints(self,
+                                                            monkeypatch):
+        from degenwave import operator_checks
+
+        def boom(*args, **kwargs):
+            raise AssertionError("converge built a certificate")
+
+        monkeypatch.setattr(operator_checks, "run_certificate", boom)
+        real_run, lengths = stepper.run, []
+
+        def spy(*args, **kwargs):
+            trajs = real_run(*args, **kwargs)
+            lengths.extend(traj.t.size for traj in trajs)
+            return trajs
+
+        monkeypatch.setattr(stepper, "run", spy)
+        cfg = cfgmod.set_value(cfgmod.load_config("baseline"),
+                               "integrator.t_final", 0.25)
+        table = converge_table(cfg, levels=3, start_n=16)
+        assert len(table["levels"]) == 3
+        assert lengths == [2, 2, 2]
+
+    def test_blow_up_exit2(self, capsys):
+        rc = run_cli(["converge", "--config", "baseline",
+                      "--set", "gains.mu2=1e300",
+                      "--set", "integrator.t_final=1", "--start-n", "16"])
+        assert rc == EXIT_HYPOTHESIS
+        assert "state is not finite" in capsys.readouterr().err
+
+    def test_levels_ending_off_grid_warn(self, tmp_path, capsys):
+        # 179, 357 and 714 steps end at 0.5012, 0.4998 and 0.4998
+        out = tmp_path / "conv.json"
+        rc = run_cli(["converge", "--config", "baseline",
+                      "--set", "integrator.t_final=0.5",
+                      "--set", "integrator.dt=0.0007", "--start-n", "64",
+                      "--out", str(out)])
+        assert rc == EXIT_OK
+        table = json.loads(out.read_text())
+        assert [row["t_end"] for row in table["levels"]] == [
+            179 * 0.0028, 357 * 0.0014, 714 * 0.0007]
+        assert len(table["warnings"]) == 3
+        printed = capsys.readouterr().out
+        for k, t_end in enumerate(["0.5012", "0.4998", "0.4998"]):
+            note = f"level {k}: t_final = 0.5 is not a whole number of steps"
+            assert note in table["warnings"][k]
+            assert f"warning: {note}" in printed
+            assert f"the run ends at t = {t_end}" in table["warnings"][k]
 
 
 class TestOperatorCheckCli:
@@ -507,6 +574,15 @@ class TestOperatorCheckCli:
         assert rc == EXIT_HYPOTHESIS
         err = capsys.readouterr().err
         assert err.startswith("config error: --trials must be at least 1")
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-10"])
+    def test_bad_probe_time_exit2(self, t, capsys):
+        rc = run_cli(["operator-check", "--config", "baseline",
+                      "--set", "mesh.n=16", "--t", "0", "--t", t])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --t must be a finite time >= 0")
+        assert t in err
 
 
 class TestEllipticCli:

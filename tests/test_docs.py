@@ -1,8 +1,12 @@
-"""The README names only package objects that exist."""
+"""The README names only package objects that exist, and its Quick start
+commands parse."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+from degenwave.cli import make_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +31,19 @@ def test_every_named_package_object_resolves():
         except (ImportError, AttributeError):
             missing.append(name)
     assert not missing, f"README names objects that do not exist: {missing}"
+
+
+def test_quick_start_commands_parse():
+    # parse only: each `degenwave <verb> ...` line of the Quick start block
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("degenwave ")]
+    assert lines, "the Quick start names no degenwave commands"
+    parser = make_parser()
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            raise AssertionError(f"Quick start line does not parse: {line}")
+        assert callable(args.func), line

@@ -12,7 +12,6 @@ from .analysis import (
     choose_epsilon,
     decay_certificate,
     dissipation_audit,
-    energy,
     solve_auxiliary_elliptic,
 )
 from .delay_channel import (

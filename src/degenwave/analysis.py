@@ -36,7 +36,14 @@ from .mesh import (
     assemble_operators,
     default_bc,
 )
-from .model import CoefficientSpec, DelaySpec, GainSet, StructuralConstants
+from .model import (
+    CoefficientSpec,
+    DelaySpec,
+    GainSet,
+    StructuralConstants,
+    full_constants,
+    structural_constants,
+)
 
 
 def energy_parts(u, v, w, tau, ops: DiscreteOperators,
@@ -74,14 +81,6 @@ def _energy_blocks(u, v, du, mv, ww, tau, ops, gains) -> dict:
     }
 
 
-def energy(state, ops: DiscreteOperators, gains: GainSet,
-           delay: DelaySpec) -> float:
-    """Total energy of a simulation state (see module docstring)."""
-    e, _ = lyapunov_raw(state.u, state.v, state.w, delay.tau(state.t), ops,
-                        gains)
-    return e
-
-
 @dataclass(frozen=True)
 class LyapunovParams:
     """Epsilon and the constants it generates.
@@ -107,9 +106,10 @@ class LyapunovParams:
 def lyapunov_raw(u, v, w, tau, ops: DiscreteOperators, gains: GainSet,
                  epsilon=0.0):
     """(E, E~) of raw arrays with the delay tau = tau(t) and the Lyapunov
-    epsilon (`LyapunovParams.epsilon`); used by `stepper.run` and by
-    synthetic tests.  With epsilon 0, E~ is E.  Both come from one
-    difference of u, one M v and one w^2.
+    epsilon (`LyapunovParams.epsilon`), the one energy routine of the
+    package: `stepper.run` records it and the snapshot audit recomputes
+    it.  With epsilon 0, E~ is E.  Both come from one difference of u, one
+    M v and one w^2.
 
     u, v and w may be stacks of states, shape (..., n), with tau an array
     over the leading axes (one delay per row); E and E~ then have the
@@ -144,8 +144,7 @@ def sandwich_coefficient(mu_a: float, a1: float, beta: float,
     )
 
 
-def choose_epsilon(spec: CoefficientSpec, beta: float, gains: GainSet,
-                   delay: DelaySpec,
+def choose_epsilon(spec: CoefficientSpec, gains: GainSet, delay: DelaySpec,
                    constants: Optional[StructuralConstants] = None) -> LyapunovParams:
     """Largest usable epsilon and the constants it induces.
 
@@ -157,16 +156,14 @@ def choose_epsilon(spec: CoefficientSpec, beta: float, gains: GainSet,
 
     Raises NoStrictDamping when the damping coefficient C3 is not positive.
     """
-    from .model import full_constants
-
     if constants is None:
-        constants = full_constants(spec, GainSet(gains.mu1, gains.mu2, beta), delay)
+        constants = full_constants(spec, gains, delay)
     c3 = constants.damping_const
     if c3 is None or c3 <= 0.0:
         raise NoStrictDamping(
             f"damping coefficient {c3} <= 0; need mu1 > 2 |mu2| / sqrt(1 - d)"
         )
-    a1 = spec.a_of_1
+    a1, beta = spec.a_of_1, gains.beta
     mx = sandwich_coefficient(spec.mu_a, a1, beta, constants.poincare_const)
     eps_sandwich = 1.0 / (4.0 * mx)
     trace_budget = max(
@@ -285,8 +282,6 @@ def solve_auxiliary_elliptic(spec: CoefficientSpec, beta: float, lam: float,
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    from .model import structural_constants
-
     a1 = spec.a_of_1
     ops = assemble_operators(spec, mesh, default_bc(spec))
     nodes = mesh.nodes

@@ -14,7 +14,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -169,8 +169,8 @@ class Simulation:
         consts = model.full_constants(setup.spec, setup.gains, setup.delay)
         lyap = None
         if consts.strictly_damped:
-            lyap = analysis.choose_epsilon(setup.spec, setup.gains.beta,
-                                           setup.gains, setup.delay, consts)
+            lyap = analysis.choose_epsilon(setup.spec, setup.gains,
+                                           setup.delay, consts)
         store = None
         if snapshots:
             store = reporting.SnapshotStore(
@@ -366,7 +366,7 @@ def sweep_rows(cfg: cfgmod.RunConfig, axes: list[tuple[str, list[str]]],
         for key, val in zip(keys, combo):
             c = cfgmod.set_value(c, key, val)
         c = cfgmod.set_value(c, "seed", (master * 1_000_003 + 17 * idx) % 2**31)
-        batches.setdefault(replace(c, gains_mu2=0.0, seed=0), []).append(
+        batches.setdefault(cfgmod.batch_key(c), []).append(
             (idx, c, keys))
     batches = list(batches.values())
     if jobs > 1 and len(batches) > 1:

@@ -277,16 +277,28 @@ def build_setup(cfg: RunConfig) -> RunSetup:
                     ops=ops, dt=dt, fingerprint=config_hash(cfg))
 
 
-def run_from_setup(setup, lyap=None, snapshot_sink=None):
-    """`stepper.run` of a setup, or of a list of setups that differ only in
-    gains.mu2 and seed as one lockstep batch (with `lyap` and
-    `snapshot_sink` one entry per setup, or None)."""
-    batch = not isinstance(setup, RunSetup)
-    first = setup[0] if batch else setup
+def batch_key(cfg: RunConfig) -> RunConfig:
+    """What the configs of one lockstep batch share: all but gains.mu2 and
+    the seed."""
+    return replace(cfg, gains_mu2=0.0, seed=0)
+
+
+def run_from_setup(setups: list[RunSetup], lyap=None, snapshot_sink=None):
+    """`stepper.run` of setups that share their `batch_key`, as one lockstep
+    batch (with `lyap` and `snapshot_sink` one entry per setup, or None);
+    one Trajectory or NonFiniteState per setup.  Raises ValueError naming
+    the first config key in which a setup differs from the first one."""
+    first = setups[0]
     cfg = first.cfg
+    key = batch_key(cfg)
+    for other in (batch_key(s.cfg) for s in setups):
+        if other != key:
+            name = next(k for k, (attr, _) in _KEYS.items()
+                        if getattr(other, attr) != getattr(key, attr))
+            raise ValueError(f"the setups of a batch must share every config "
+                             f"key but gains.mu2 and seed; {name} differs")
     return stepper.run(
-        first.mesh, first.ops,
-        [s.gains for s in setup] if batch else setup.gains, first.delay,
+        first.mesh, first.ops, [s.gains for s in setups], first.delay,
         t_final=cfg.integrator_t_final, dt=first.dt,
         record_every=cfg.integrator_record_every,
         preset=cfg.initial_preset, f0_preset=cfg.initial_f0,

@@ -16,12 +16,14 @@ step.  `stepper.step` takes one step, `stepper.run` solves its channel once
 per K steps (`channel_block_steps`) for all rows of a batch, with one band
 and one right-hand side per row; the generator probes take the transport
 block of A(t) from the same grid and speed, and the channel block of
-(I - A(t))^{-1} is the one-step solve with dt = 1 and the load for w.
+(I - A(t))^{-1} (`operator_checks.Resolvent`) is the one-step solve with
+dt = 1 and the load for w, for a stack of loads.
 
 A raw history ring with linear interpolation on the uniform step grid
 t_k = k dt (`HistoryBuffer`) feeds the wave step its delayed trace and
 serves as the independent reference realization; agreement of the two is a
-recorded diagnostic.
+recorded diagnostic.  The ring takes its samples a block at a time
+(`HistoryBuffer.extend`); a single step extends it by one.
 """
 
 from __future__ import annotations
@@ -163,8 +165,8 @@ class HistoryBuffer:
 
     The ring holds the newest ceil(horizon/dt) + 2 samples.  It starts full
     with the prescribed history f0(t_k) for t_k <= 0 (newest index 0);
-    `append` adds the sample at the next grid time, `extend` a block of
-    them, and `last` is the index of the newest sample, so t = last * dt.
+    `extend` adds the samples at the next grid times, and `last` is the
+    index of the newest sample, so t = last * dt.
     A sample is one trace, or with shape = (B,) the traces of the B rows
     of a lockstep batch.  `sample` interpolates linearly between the two
     neighbouring grid values, at one time or at an array of times in one
@@ -182,10 +184,6 @@ class HistoryBuffer:
         self._v = np.empty((size,) + tuple(shape))
         for k in range(self.first, 1):
             self._v[k % size] = float(f0(k * self.dt))
-
-    def append(self, value) -> None:
-        """Record the trace at t = (last + 1) dt, dropping the oldest sample."""
-        self.extend(np.reshape(value, (1,) + self._v.shape[1:]))
 
     def extend(self, values) -> None:
         """Record the traces at the next len(values) grid times, dropping as

@@ -17,8 +17,9 @@ in the weak-degeneracy regime, u(0) = v(0) = 0.  Three probes are run:
 
 The transport block uses the channel's own nodes and speed
 (`delay_channel.delta_grid`, `delay_channel.transport_speed`), and the
-resolvent recovers its channel component with the stepper's implicit upwind
-solve (`delay_channel.transport_step` with dt = 1).
+resolvent (`Resolvent`, (I - A(t))^{-1} at one time for a stack of
+right-hand sides) recovers its channel component with the stepper's
+implicit upwind solve (`delay_channel.transport_step` with dt = 1).
 
 For the quadratic form the transport block is paired through the
 cell-midpoint rule, whose summation by parts is exact, so every inequality
@@ -26,16 +27,16 @@ of the continuous dissipativity argument holds verbatim for the discrete
 form; the one-sided nodal differences are kept for operator application.
 
 Every probe takes the list of its times (of (s, t) pairs for the norm ratio)
-and returns one report per entry.  Trial k draws its random state once,
-from its own stream default_rng([seed, tag, k]), and that state serves every
-time (and every step size of the drift probe).  Trials are evaluated in
-blocks of rows, as stacked (B, n) arrays of at most BLOCK_DOUBLES entries
-(the budget `delay_channel.BLOCK_DOUBLES` that the stepper's blocks share),
-with row-wise operations: the projection, the quadratic form, the energy
-blocks of ||.||_t and ||.||_H (`analysis.energy_parts`) and the residuals.
-Row-wise sums (np.vecdot) and the multi-right-hand-side LAPACK solves give
-each row the bits it would get alone, so the reports do not depend on the
-block size.  The resolvent factors its SPD tridiagonal once per time and
+and returns one row of the certificate's JSON per entry.  Trial k draws its
+random state once, from its own stream default_rng([seed, tag, k]), and
+that state serves every time (and every step size of the drift probe).
+Trials are evaluated in blocks of rows, as stacked (B, n) arrays of at most
+BLOCK_DOUBLES entries (the budget `delay_channel.BLOCK_DOUBLES` that the
+stepper's blocks share), with row-wise operations: the projection, the
+quadratic form, the energy blocks of ||.||_t and ||.||_H
+(`analysis.energy_parts`) and the residuals.  Row-wise sums (np.vecdot) and
+the multi-right-hand-side LAPACK solves give each row the bits it would get
+alone, so the rows do not depend on the block size.  The resolvent factors its SPD tridiagonal once per time and
 solves a whole block with one ?pttrs call and one ?tbtrs channel solve.
 A probe with fewer than one trial raises ValueError instead of passing.
 """
@@ -217,20 +218,11 @@ def quadratic_form(U, times, ctx: ProbeContext):
     return val - shift * norm, norm
 
 
-@dataclass(frozen=True)
-class DissipativityReport:
-    max_ratio: float
-    n_positive: int
-    trials: int
-    passed: bool
-    seed: int
-
-
 def dissipativity_probe(times, ctx: ProbeContext, trials: int = 500,
-                        seed: int = 0) -> list[DissipativityReport]:
+                        seed: int = 0) -> list[dict]:
     """Max of the shifted quadratic form over random domain-projected states,
-    normalized by the squared state norm, at each of the times.  PASS iff it
-    stays below tol = 1e-8."""
+    normalized by the squared state norm, at each of the times: one
+    certificate row per time.  PASS iff it stays below tol = 1e-8."""
     tol = 1e-8
     times = [float(t) for t in times]
     n = ctx.mesh.N + 1
@@ -251,8 +243,8 @@ def dissipativity_probe(times, ctx: ProbeContext, trials: int = 500,
             ratio = form[j][live] / norm[j][live]
             worst[j] = _running_max(worst[j], ratio)
             npos[j] += int(np.count_nonzero(ratio > tol))
-    return [DissipativityReport(max_ratio=x, n_positive=p, trials=trials,
-                                passed=x <= tol, seed=seed)
+    return [{"max_form_ratio": x, "positive_trials": p, "trials": trials,
+             "pass": x <= tol, "seed": seed}
             for x, p in zip(worst, npos)]
 
 
@@ -284,18 +276,7 @@ def continuum_channel_weight(tau: float, taup: float) -> float:
     return math.exp(tau / taup * math.log1p(-taup))
 
 
-@dataclass(frozen=True)
-class ResolventResult:
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    residual: float
-    boundary_identity: float
-    weight_discrete: float
-    weight_continuum: float
-
-
-class _Resolvent:
+class Resolvent:
     """(I - A(t))^{-1} at one time t, for stacks of right-hand sides.
 
     The u equation reduces, after eliminating v = u - f and the channel, to
@@ -362,39 +343,12 @@ class _Resolvent:
         return u, v, w, residual, ident
 
 
-def _resolvent_scale(G, ctx: ProbeContext):
-    # residuals are measured relative to max(1, ||G||_H), row by row
-    return np.maximum(1.0, np.sqrt(norm_h_sq(G, ctx)))
-
-
-def resolvent_solve(G, t: float, ctx: ProbeContext) -> ResolventResult:
-    """Solve (I - A(t)) U = G for one right-hand side and report residuals
-    (see `_Resolvent`)."""
-    f, g, h = (np.asarray(x, dtype=float)[None] for x in G)
-    res = _Resolvent(t, ctx)
-    u, v, w, residual, ident = res.solve(f, g, h,
-                                         _resolvent_scale((f, g, h), ctx))
-    return ResolventResult(
-        u=u[0], v=v[0], w=w[0], residual=float(residual[0]),
-        boundary_identity=float(ident[0]), weight_discrete=res.a_d,
-        weight_continuum=continuum_channel_weight(res.tau, res.taup),
-    )
-
-
-@dataclass(frozen=True)
-class ResolventReport:
-    max_residual: float
-    max_boundary_identity: float
-    trials: int
-    passed: bool
-    seed: int
-
-
 def resolvent_probe(times, ctx: ProbeContext, trials: int = 100,
-                    seed: int = 0) -> list[ResolventReport]:
+                    seed: int = 0) -> list[dict]:
     """Residual check of (I - A(t)) U = G for random right-hand sides, at
-    each of the times; PASS iff both worst values stay below 1e-8."""
-    solvers = [_Resolvent(float(t), ctx) for t in times]
+    each of the times: one certificate row per time.  PASS iff both worst
+    values stay below 1e-8."""
+    solvers = [Resolvent(float(t), ctx) for t in times]
     n = ctx.mesh.N + 1
     worst_res = [0.0] * len(solvers)
     worst_ident = [0.0] * len(solvers)
@@ -402,33 +356,23 @@ def resolvent_probe(times, ctx: ProbeContext, trials: int = 100,
                                       (n, n, ctx.n_delta + 1)):
         if ctx.dirichlet:
             f[:, 0] = 0.0
-        scale = _resolvent_scale((f, g, h), ctx)
+        # residuals are measured relative to max(1, ||G||_H), row by row
+        scale = np.maximum(1.0, np.sqrt(norm_h_sq((f, g, h), ctx)))
         for j, res in enumerate(solvers):
             residual, ident = res.solve(f, g, h, scale)[3:]
             worst_res[j] = _running_max(worst_res[j], residual)
             worst_ident[j] = _running_max(worst_ident[j], ident)
-    return [ResolventReport(max_residual=r, max_boundary_identity=i,
-                            trials=trials, passed=r <= 1e-8 and i <= 1e-8,
-                            seed=seed)
+    return [{"max_residual": r, "max_boundary_identity": i, "trials": trials,
+             "pass": r <= 1e-8 and i <= 1e-8, "seed": seed}
             for r, i in zip(worst_res, worst_ident)]
 
 
-@dataclass(frozen=True)
-class NormRatioReport:
-    max_ratio: float
-    bound_stated: float
-    bound_proof: float
-    excess: float
-    passed: bool
-    seed: int
-
-
 def norm_ratio_bound(pairs, ctx: ProbeContext, trials: int = 500,
-                     seed: int = 0) -> list[NormRatioReport]:
+                     seed: int = 0) -> list[dict]:
     """Max of ||U||_t / ||U||_s over random states against the stated bound
-    e^{d |t-s| / (2 tau0)}, for each (s, t) pair; PASS iff the excess stays
-    below 1e-12.  The looser in-proof exponent d/tau0 is reported
-    alongside."""
+    e^{d |t-s| / (2 tau0)}: one certificate row per (s, t) pair.  PASS iff
+    the excess stays below 1e-12.  The looser in-proof exponent d/tau0 is
+    reported alongside."""
     pairs = [(float(s), float(t)) for s, t in pairs]
     times = list(dict.fromkeys(x for pair in pairs for x in pair))
     row = {t: j for j, t in enumerate(times)}
@@ -441,16 +385,14 @@ def norm_ratio_bound(pairs, ctx: ProbeContext, trials: int = 500,
             live = b > 0.0
             worst[i] = _running_max(worst[i], np.sqrt(a[live] / b[live]))
     d, tau0 = ctx.delay.d, ctx.delay.tau0
-    reports = []
+    rows = []
     for x, (s, t) in zip(worst, pairs):
         stated = math.exp(d / (2.0 * tau0) * abs(t - s))
         excess = max(0.0, x - stated)
-        reports.append(NormRatioReport(
-            max_ratio=x, bound_stated=stated,
-            bound_proof=math.exp(d / tau0 * abs(t - s)), excess=excess,
-            passed=excess <= 1e-12, seed=seed,
-        ))
-    return reports
+        rows.append({"max_ratio": x, "bound_stated": stated,
+                     "bound_proof": math.exp(d / tau0 * abs(t - s)),
+                     "excess": excess, "pass": excess <= 1e-12, "seed": seed})
+    return rows
 
 
 def generator_drift_probe(times, ctx: ProbeContext, trials: int = 50,
@@ -500,43 +442,21 @@ def run_certificate(ctx: ProbeContext, t_list, seed: int = 0,
     if len(t_list) >= 2:
         pairs.append((t_list[0], t_list[-1]))
     pairs = list(dict.fromkeys(pairs))
-    claim1 = {
-        f"t={t:g}": {
-            "max_form_ratio": d.max_ratio, "positive_trials": d.n_positive,
-            "trials": d.trials, "pass": d.passed, "seed": d.seed,
-        }
-        for t, d in zip(times, dissipativity_probe(times, ctx,
-                                                   trials=diss_trials,
-                                                   seed=seed))
-    }
-    claim2 = {
-        f"t={t:g}": {
-            "max_residual": r.max_residual,
-            "max_boundary_identity": r.max_boundary_identity,
-            "trials": r.trials, "pass": r.passed, "seed": r.seed,
-        }
-        for t, r in zip(times, resolvent_probe(times, ctx, trials=res_trials,
-                                               seed=seed))
-    }
-    claim3 = {
-        f"s={s:g},t={t:g}": {
-            "max_ratio": n.max_ratio, "bound_stated": n.bound_stated,
-            "bound_proof": n.bound_proof, "excess": n.excess,
-            "pass": n.passed, "seed": n.seed,
-        }
-        for (s, t), n in zip(pairs, norm_ratio_bound(pairs, ctx,
-                                                     trials=ratio_trials,
-                                                     seed=seed)
-                             if pairs else [])
-    }
+    keys = [f"t={t:g}" for t in times]
+    claim1 = dict(zip(keys, dissipativity_probe(times, ctx, trials=diss_trials,
+                                                seed=seed)))
+    claim2 = dict(zip(keys, resolvent_probe(times, ctx, trials=res_trials,
+                                            seed=seed)))
+    claim3 = dict(zip((f"s={s:g},t={t:g}" for s, t in pairs),
+                      norm_ratio_bound(pairs, ctx, trials=ratio_trials,
+                                       seed=seed) if pairs else []))
     drift = {
-        f"t={t:g}": {f"h={h:g}": val for h, val in d.items()}
-        for t, d in zip(times, generator_drift_probe(times, ctx, seed=seed))
+        key: {f"h={h:g}": val for h, val in d.items()}
+        for key, d in zip(keys, generator_drift_probe(times, ctx, seed=seed))
     }
     all_pass = (
-        all(v["pass"] for v in claim1.values())
-        and all(v["pass"] for v in claim2.values())
-        and all(v["pass"] for v in claim3.values())
+        all(row["pass"] for claim in (claim1, claim2, claim3)
+            for row in claim.values())
         and all(math.isfinite(x) for d in drift.values() for x in d.values())
     )
     return {

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import energy_parts
+from .analysis import lyapunov_raw
 from .delay_channel import BLOCK_DOUBLES
 from .stepper import COLUMNS
 
@@ -107,9 +107,9 @@ class SnapshotStore:
         worst = 0.0
         for r in range(0, self.count, rows):
             block = slice(r, min(r + rows, self.count))
-            p = energy_parts(self.u[block], self.v[block], self.w[block],
-                             delay.tau(self.t[block]), ops, gains)
-            e, e_rec = 0.5 * sum(p.values()), traj.E[block]
+            e, _ = lyapunov_raw(self.u[block], self.v[block], self.w[block],
+                                delay.tau(self.t[block]), ops, gains)
+            e_rec = traj.E[block]
             worst = max(worst, float(np.max(
                 np.abs(e - e_rec) / np.maximum(np.abs(e_rec), 1e-300))))
         return worst

@@ -21,7 +21,10 @@ band, the delay and one history ring with a column per row.  The states
 are (B, n) stacks, and a step is one solve with B right-hand sides.  Every
 operation acts row by row and the LAPACK solves treat each right-hand side
 on its own, so each row gets the bits of its run alone, and a row whose
-state turns non-finite stops alone.  A single run is a batch of one.
+state turns non-finite stops alone.  `run` takes one GainSet per row and
+returns one Trajectory or NonFiniteState per row; a single run is a batch
+of one.  `step` advances one state by one step; it is the reference that
+`run` is tested against.
 
 Only the wave step and the ring feed the feedback; the channel and the
 recorded columns are diagnostics, so `run` takes them off the step path.
@@ -162,8 +165,8 @@ class Trajectory:
         return float(np.max(self.bc_residual) / (self.dt + 1.0 / self.n_space))
 
 
-def init_state(mesh: Mesh, ops: DiscreteOperators, gains: GainSet,
-               delay: DelaySpec, preset: str = "zero", f0_preset: str = "zero",
+def init_state(mesh: Mesh, ops: DiscreteOperators, delay: DelaySpec,
+               preset: str = "zero", f0_preset: str = "zero",
                f0_amplitude: float = 1.0, n_delta: int = 64, dt: float = 1e-3,
                u0: Optional[Callable] = None, u1: Optional[Callable] = None,
                f0: Optional[Callable] = None, rows: Optional[int] = None,
@@ -327,7 +330,7 @@ def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
     advance = _midpoint_solver(state.u[None], state.v[None], gains.beta, ops,
                                workspace)
     (trace,) = advance([gains.mu2 * float(buf.sample(t_mid - tau_mid))])
-    buf.append(trace)
+    buf.extend([trace])
     state.t = buf.last * dt
     state.w = transport_step(state.w, tau_mid, float(delay.tau_prime(t_mid)),
                              dt, inflow=trace)
@@ -373,9 +376,8 @@ def record_count(t_final: float, dt: float, record_every: int) -> int:
     return -(-step_count(t_final, dt)[0] // record_every) + 1
 
 
-def run(mesh: Mesh, ops: DiscreteOperators,
-        gains: GainSet | Sequence[GainSet], delay: DelaySpec,
-        t_final: float, dt: float, record_every: int = 1,
+def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
+        delay: DelaySpec, t_final: float, dt: float, record_every: int = 1,
         preset: str = "zero", f0_preset: str = "zero", f0_amplitude: float = 1.0,
         n_delta: int = 64, lyap=None,
         u0: Optional[Callable] = None, u1: Optional[Callable] = None,
@@ -383,14 +385,12 @@ def run(mesh: Mesh, ops: DiscreteOperators,
     """Integrate to t_final, recording the COLUMNS every record_every
     steps (plus the initial and final instants).
 
-    With one GainSet, `lyap` (LyapunovParams or None) and `snapshot_sink`
-    (callable or None) belong to that run, which returns its Trajectory.
-    With a sequence of GainSets that share mu1 and beta, the rows run as
-    one lockstep batch from the same initial data; `lyap` and
-    `snapshot_sink` are then sequences with one entry per row (or None),
-    and the result is a list with each row's Trajectory, or the
-    NonFiniteState that stopped that row.  A row gets the bits of its run
-    alone.
+    The rows, one per GainSet (all sharing mu1 and beta), run as one
+    lockstep batch from the same initial data; `lyap` (LyapunovParams or
+    None) and `snapshot_sink` (callable or None) are sequences with one
+    entry per row, or None for none at all.  Returns a list with each
+    row's Trajectory, or the NonFiniteState that stopped that row.  A row
+    gets the bits of its run alone; a single run is a batch of one.
 
     The run takes round(t_final / dt) steps; when t_final is not a whole
     number of steps, a warning names the time the run ends at.  When no
@@ -406,9 +406,6 @@ def run(mesh: Mesh, ops: DiscreteOperators,
     """
     if t_final < 0.0 or dt <= 0.0 or record_every < 1:
         raise ValueError("need t_final >= 0, dt > 0, record_every >= 1")
-    single = isinstance(gains, GainSet)
-    if single:
-        gains, lyap, snapshot_sink = [gains], [lyap], [snapshot_sink]
     n_batch = len(gains)
     lyap = lyap or [None] * n_batch
     sinks = snapshot_sink or [None] * n_batch
@@ -427,7 +424,7 @@ def run(mesh: Mesh, ops: DiscreteOperators,
     if span > reach:
         span = k * (reach // k) or reach
     state, warnings = init_state(
-        mesh, ops, gains[0], delay, preset=preset, f0_preset=f0_preset,
+        mesh, ops, delay, preset=preset, f0_preset=f0_preset,
         f0_amplitude=f0_amplitude, n_delta=n_delta, dt=dt,
         u0=u0, u1=u1, f0=f0, rows=n_batch, lookahead=span,
     )
@@ -527,10 +524,6 @@ def run(mesh: Mesh, ops: DiscreteOperators,
             out[b] = Trajectory(**dict(zip(COLUMNS, data[b])),
                                 warnings=list(warnings), final_state=final,
                                 dt=dt, n_space=mesh.N)
-    if single:
-        if isinstance(out[0], NonFiniteState):
-            raise out[0]
-        return out[0]
     return out
 
 

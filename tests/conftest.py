@@ -3,7 +3,19 @@ import time
 import pytest
 
 from degenwave import config as cfgmod
+from degenwave import stepper
 from degenwave.cli import simulate_config
+from degenwave.errors import NonFiniteState
+
+
+def run_one(mesh, ops, gains, delay, lyap=None, snapshot_sink=None, **kw):
+    """`stepper.run` of one GainSet, as a batch of one: the row's
+    Trajectory, or the NonFiniteState that stopped it, raised."""
+    (traj,) = stepper.run(mesh, ops, [gains], delay, lyap=[lyap],
+                          snapshot_sink=[snapshot_sink], **kw)
+    if isinstance(traj, NonFiniteState):
+        raise traj
+    return traj
 
 
 @pytest.fixture(scope="session")

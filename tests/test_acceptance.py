@@ -63,8 +63,7 @@ def test_criterion_1_energy_dissipation(baseline_run):
 def test_criterion_2_lyapunov_sandwich(baseline_run):
     setup, traj, report, _ = baseline_run
     worst = sandwich_audit(
-        traj, choose_epsilon(setup.spec, setup.gains.beta, setup.gains,
-                             setup.delay)
+        traj, choose_epsilon(setup.spec, setup.gains, setup.delay)
     )
     details = [f"baseline {worst:.1e}"]
     ok = worst <= 0.0 + 1e-300
@@ -75,7 +74,7 @@ def test_criterion_2_lyapunov_sandwich(baseline_run):
 
     mv = cfgmod.build_setup(cfgmod.load_config("margin-violation"))
     try:
-        choose_epsilon(mv.spec, mv.gains.beta, mv.gains, mv.delay)
+        choose_epsilon(mv.spec, mv.gains, mv.delay)
         ok = False
     except NoStrictDamping:
         pass
@@ -83,14 +82,13 @@ def test_criterion_2_lyapunov_sandwich(baseline_run):
     for name in ("nodelay", "constant-delay", "strong-degeneracy"):
         cfg = cfgmod.load_config(name)
         s2, t2, r2, _ = simulate_config(cfg)
-        lyap2 = choose_epsilon(s2.spec, s2.gains.beta, s2.gains, s2.delay)
+        lyap2 = choose_epsilon(s2.spec, s2.gains, s2.delay)
         w2 = sandwich_audit(t2, lyap2)
         ok = ok and w2 <= 0.0 + 1e-300
         details.append(f"{name} {w2:.1e}")
 
     # 1000 random synthetic states on the baseline discretization
-    lyap = choose_epsilon(setup.spec, setup.gains.beta, setup.gains,
-                          setup.delay)
+    lyap = choose_epsilon(setup.spec, setup.gains, setup.delay)
     rng = np.random.default_rng(2024)
     n = setup.mesh.N + 1
     worst_rand = 0.0
@@ -164,10 +162,10 @@ def test_criterion_6_operator_certificates(baseline_run):
     rreps = resolvent_probe(times, ctx, trials=100, seed=seed)
     nreps = norm_ratio_bound([(0.0, 5.0), (5.0, 10.0), (0.0, 10.0)], ctx,
                              trials=500, seed=seed)
-    worst_form = max(r.max_ratio for r in dreps)
-    worst_res = max(r.max_residual for r in rreps)
-    worst_ident = max(r.max_boundary_identity for r in rreps)
-    worst_excess = max(r.excess for r in nreps)
+    worst_form = max(r["max_form_ratio"] for r in dreps)
+    worst_res = max(r["max_residual"] for r in rreps)
+    worst_ident = max(r["max_boundary_identity"] for r in rreps)
+    worst_excess = max(r["excess"] for r in nreps)
     elapsed = time.perf_counter() - t0
     ok = (worst_form <= 1e-8 and worst_res <= 1e-8 and worst_ident <= 1e-8
           and worst_excess <= 1e-12 and elapsed < 30.0)
@@ -257,7 +255,7 @@ def test_criterion_9_constant_formulas():
                                 "k": d / (tau1 - tau0)})
         gains = GainSet(mu1, mu2, beta)
         consts = full_constants(spec, gains, delay)
-        lyap = choose_epsilon(spec, beta, gains, delay, consts)
+        lyap = choose_epsilon(spec, gains, delay, consts)
         mt = certified_decay_time(mu_a, tau1, beta, consts.coercivity_const,
                                   consts.damping_const, lyap)
         ref = _mp_reference(mu_a, a1, beta, mu1, mu2, delay.d, tau1)

@@ -27,8 +27,6 @@ from degenwave.analysis import (
 )
 from degenwave.errors import NoStrictDamping
 from degenwave.model import full_constants
-from degenwave.stepper import SimState
-from degenwave.delay_channel import HistoryBuffer
 
 
 SPEC = make_coefficient("power", {"alpha": 0.5})
@@ -43,10 +41,6 @@ def assemble(n=64, alpha=0.5):
     return spec, mesh, assemble_operators(spec, mesh, bc)
 
 
-def lyap_for(spec, gains, delay):
-    return choose_epsilon(spec, gains.beta, gains, delay)
-
-
 class TestEnergy:
     def test_channel_only_state(self):
         # u = v = 0, w = 1, mu1 = 1, a(1) = 1, tau = 0.8 -> E = 0.4 exactly
@@ -54,16 +48,13 @@ class TestEnergy:
         delay = make_delay("constant", {"tau": 0.8})
         gains = GainSet(1.0, 0.0, 1.0)
         n = mesh.N + 1
-        state = SimState(t=0.0, u=np.zeros(n), v=np.zeros(n),
-                         w=np.ones(33),
-                         buffer=HistoryBuffer(1e-3, 1.0, lambda s: 0.0))
-        from degenwave import energy
-
-        assert energy(state, ops, gains, delay) == pytest.approx(0.4, abs=1e-15)
+        e, _ = lyapunov_raw(np.zeros(n), np.zeros(n), np.ones(33),
+                            delay.tau(0.0), ops, gains)
+        assert e == pytest.approx(0.4, abs=1e-15)
 
     def test_epsilon_zero_collapses_to_energy(self):
         spec, mesh, ops = assemble()
-        lyap = lyap_for(spec, GAINS, DELAY)
+        lyap = choose_epsilon(spec, GAINS, DELAY)
         lyap0 = lyap.__class__(**{**lyap.__dict__, "epsilon": 0.0})
         rng = np.random.default_rng(0)
         u = rng.standard_normal(65)
@@ -79,7 +70,7 @@ class TestChooseEpsilon:
         # mu_a = 0, a(1) = 1, beta = 1: coefficient max is 1, so the sandwich
         # branch pins eps_sandwich = 1/4 (lower constant 1/2 at that eps)
         spec = make_coefficient("power", {"alpha": 0.0})
-        lyap = choose_epsilon(spec, 1.0, GainSet(1.0, 0.0, 1.0),
+        lyap = choose_epsilon(spec, GainSet(1.0, 0.0, 1.0),
                               make_delay("constant", {"tau": 1.0}))
         assert lyap.eps_sandwich == pytest.approx(0.25, abs=1e-15)
         assert 1.0 - 2.0 * lyap.eps_sandwich * lyap.sandwich_coeff == \
@@ -90,7 +81,7 @@ class TestChooseEpsilon:
         # mu2 = 0, mu1 = 1, d = 0, a(1) = 1: damping margin 1/2 and trace
         # budget 1 + 5/2 + 1 give eps_damping = 1/9
         spec = make_coefficient("power", {"alpha": 0.0})
-        lyap = choose_epsilon(spec, 1.0, GainSet(1.0, 0.0, 1.0),
+        lyap = choose_epsilon(spec, GainSet(1.0, 0.0, 1.0),
                               make_delay("constant", {"tau": 1.0}))
         assert lyap.eps_damping == pytest.approx(1.0 / 9.0, abs=1e-15)
         assert lyap.epsilon == pytest.approx(1.0 / 9.0, abs=1e-15)
@@ -98,7 +89,7 @@ class TestChooseEpsilon:
 
     def test_no_strict_damping(self):
         with pytest.raises(NoStrictDamping):
-            choose_epsilon(SPEC, 1.0, GainSet(1.0, 2.0, 1.0),
+            choose_epsilon(SPEC, GainSet(1.0, 2.0, 1.0),
                            make_delay("constant", {"tau": 1.0}))
 
     def test_equivalence_constants_sum_to_two(self):
@@ -108,14 +99,14 @@ class TestChooseEpsilon:
             beta = float(rng.uniform(0.3, 2.0))
             mu1 = float(rng.uniform(0.5, 3.0))
             spec = make_coefficient("power", {"alpha": alpha})
-            lyap = choose_epsilon(spec, beta, GainSet(mu1, 0.0, beta),
+            lyap = choose_epsilon(spec, GainSet(mu1, 0.0, beta),
                                   make_delay("constant", {"tau": 0.7}))
             assert lyap.equiv_lower + lyap.equiv_upper == pytest.approx(2.0, abs=1e-14)
             assert lyap.equiv_lower > 0.0
 
     def test_boundary_const_formula(self):
         spec = make_coefficient("power", {"alpha": 0.5})
-        lyap = choose_epsilon(spec, 1.0, GAINS, DELAY)
+        lyap = choose_epsilon(spec, GAINS, DELAY)
         assert lyap.boundary_const == pytest.approx(
             1.0 * (1.0 - 0.5 + 1.0) + (2.0 - 0.25) ** 2, abs=1e-15
         )
@@ -124,7 +115,7 @@ class TestChooseEpsilon:
 class TestSandwich:
     def test_random_states_zero_slack(self):
         spec, mesh, ops = assemble(n=96)
-        lyap = lyap_for(SPEC, GAINS, DELAY)
+        lyap = choose_epsilon(SPEC, GAINS, DELAY)
         rng = np.random.default_rng(17)
         for _ in range(300):
             u = rng.uniform(-1, 1, 97) * 10.0 ** rng.integers(-2, 3)
@@ -143,7 +134,7 @@ class TestStackedLyapunov:
         # a stack of states with one tau per row gives each row the bits of
         # its own 1-d call, for E and for E~
         spec, mesh, ops = assemble(n=96)
-        eps = lyap_for(SPEC, GAINS, DELAY).epsilon if eps else 0.0
+        eps = choose_epsilon(SPEC, GAINS, DELAY).epsilon if eps else 0.0
         rng = np.random.default_rng(23)
         rows = 37
         u = rng.standard_normal((rows, 97))
@@ -163,7 +154,7 @@ class TestStackedLyapunov:
         # column: each entry gets the bits of its own 1-d call, and a column
         # whose epsilon is 0 gets E~ = E
         spec, mesh, ops = assemble(n=96)
-        eps = np.array([lyap_for(SPEC, GAINS, DELAY).epsilon, 0.0, 1e-3])
+        eps = np.array([choose_epsilon(SPEC, GAINS, DELAY).epsilon, 0.0, 1e-3])
         rng = np.random.default_rng(29)
         u = rng.standard_normal((11, 3, 97))
         v = rng.standard_normal((11, 3, 97))
@@ -260,7 +251,7 @@ class TestEllipticProblem:
 class TestDecayCertificate:
     def _params(self):
         consts = full_constants(SPEC, GAINS, DELAY)
-        lyap = choose_epsilon(SPEC, GAINS.beta, GAINS, DELAY, consts)
+        lyap = choose_epsilon(SPEC, GAINS, DELAY, consts)
         return consts, lyap
 
     def test_rate_fit_exact_exponential(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ class TestConfigFormat:
         )
         setup = cfgmod.build_setup(cfg)
         assert abs(setup.spec.mu_a - 0.8) < 1e-9
-        traj = cfgmod.run_from_setup(setup)
+        (traj,) = cfgmod.run_from_setup([setup])
         assert traj.t[-1] == pytest.approx(0.25)
 
     def test_tabulated_coefficient_through_config(self, tmp_path):
@@ -99,7 +100,7 @@ class TestConfigFormat:
         # a tabulated ramp interpolates to index ~1: natural left boundary
         setup = cfgmod.build_setup(cfg)
         assert setup.ops.bc_kind == "natural_left"
-        traj = cfgmod.run_from_setup(setup)
+        (traj,) = cfgmod.run_from_setup([setup])
         assert traj.E[0] > 0.0
         # and the config text round-trips with the table intact
         again = cfgmod.parse_config_text(cfgmod.to_text(cfg))
@@ -408,6 +409,24 @@ class TestSweep:
         assert rows[0]["E0"] == report["audits"]["E0"]
         assert rows[0]["E_final"] == report["audits"]["E_final"]
         assert rows[0]["rate_fit"] == report["decay"]["rate_fit"]
+
+    @pytest.mark.parametrize("overrides, key", [
+        (["mesh.n=64"], "mesh.n"),
+        (["integrator.t_final=0.1"], "integrator.t_final"),
+        (["gains.mu2=0.3", "seed=5", "mesh.n=64"], "mesh.n"),
+    ])
+    def test_batch_rows_must_share_all_but_mu2_and_seed(self, overrides,
+                                                        key):
+        # a batch runs every row on its first row's mesh, step, horizon and
+        # initial data, so rows that differ in more than gains.mu2 and the
+        # seed are refused, naming the first config key that differs
+        cfg = self.small_cfg()
+        other = cfgmod.apply_overrides(cfg, overrides)
+        with pytest.raises(ValueError, match=re.escape(f"; {key} differs")):
+            simulate_batch([cfg, other])
+        mates = cfgmod.apply_overrides(cfg, ["gains.mu2=0.3", "seed=5"])
+        assert cfgmod.batch_key(mates) == cfgmod.batch_key(cfg)
+        assert cfgmod.batch_key(other) != cfgmod.batch_key(cfg)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bad_jobs_exit2(self, jobs, capsys):

@@ -225,14 +225,14 @@ class TestSharedSolve:
 class TestHistoryBuffer:
     def test_linear_interpolation_exact(self):
         buf = HistoryBuffer(dt=1.0, horizon=10.0, f0=lambda s: 0.0)
-        buf.append(2.0)
+        buf.extend([2.0])
         assert buf.sample(0.5) == 1.0
 
     def test_stored_point_exact(self):
         # dt = 1/4 keeps every grid time exact in binary
         buf = HistoryBuffer(dt=0.25, horizon=10.0, f0=math.sin)
         for k in range(1, 5):
-            buf.append(math.sin(0.25 * k))
+            buf.extend([math.sin(0.25 * k)])
         for k in range(-8, 5):
             assert buf.sample(0.25 * k) == math.sin(0.25 * k)
 
@@ -247,7 +247,7 @@ class TestHistoryBuffer:
         dt = 1e-3
         buf = HistoryBuffer(dt=dt, horizon=10.0, f0=math.sin)
         for k in range(1, 5001):
-            buf.append(math.sin(k * dt))
+            buf.extend([math.sin(k * dt)])
         rng = np.random.default_rng(2)
         worst = max(
             abs(buf.sample(s) - math.sin(s))
@@ -257,7 +257,7 @@ class TestHistoryBuffer:
 
     def test_out_of_span(self):
         buf = HistoryBuffer(dt=0.5, horizon=1.0, f0=lambda s: 1.0)
-        buf.append(2.0)
+        buf.extend([2.0])
         lo, hi = buf.first * buf.dt, buf.last * buf.dt
         assert buf.sample(lo) == 1.0 and buf.sample(hi) == 2.0
         with pytest.raises(OutOfSpan):
@@ -268,7 +268,7 @@ class TestHistoryBuffer:
     def test_ring_semantics_keep_horizon(self):
         buf = HistoryBuffer(dt=1e-3, horizon=0.5, f0=lambda s: 0.0)
         for k in range(1, 20_000):
-            buf.append(float(k))
+            buf.extend([float(k)])
         assert buf.last == 19_999
         assert (buf.last - buf.first) * buf.dt >= 0.5
         assert buf.sample(buf.last * buf.dt - 0.5) == pytest.approx(19499.0,
@@ -290,7 +290,7 @@ class TestBatchRing:
         for b in range(3):
             one = HistoryBuffer(dt, horizon=0.5, f0=math.cos)
             for x in traces[:, b]:
-                one.append(x)
+                one.extend([x])
             singles.append(one)
         assert batch.last == singles[0].last == 40
         assert batch.first == singles[0].first
@@ -304,7 +304,8 @@ class TestBatchRing:
 
     @pytest.mark.parametrize("shape", [(), (2,)])
     def test_extend_equals_appends_across_the_wrap(self, shape):
-        # blocks shorter and longer than the ring, across its wrap point
+        # blocks shorter and longer than the ring, across its wrap point,
+        # against one-sample extends
         dt = 1e-2
         rng = np.random.default_rng(6)
         block = HistoryBuffer(dt, horizon=0.05, f0=math.sin, shape=shape)
@@ -312,8 +313,8 @@ class TestBatchRing:
         for n in [1, 3, 7, 2, 15, 1, 30, 4]:
             values = rng.standard_normal((n,) + shape)
             block.extend(values)
-            for x in values:
-                one.append(x)
+            for i in range(n):
+                one.extend(values[i:i + 1])
             assert (block.first, block.last) == (one.first, one.last)
             times = np.linspace(block.first + 0.5, block.last - 0.5, 17) * dt
             assert np.array_equal(block.sample(times), one.sample(times))
@@ -332,5 +333,5 @@ class TestCrossRealizations:
         w = init_channel(lambda s: c, 1.0, 16)
         for n in range(1, 501):
             w = transport_step(w, 1.0, 0.0, 1e-2, inflow=c)
-            buf.append(c)
+            buf.extend([c])
         assert abs(w[-1] - buf.sample(n * 1e-2 - 1.0)) < 1e-12

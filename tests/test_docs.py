@@ -47,3 +47,36 @@ def test_quick_start_commands_parse():
         except SystemExit:
             raise AssertionError(f"Quick start line does not parse: {line}")
         assert callable(args.func), line
+
+
+def test_code_line_counter_skips_prose():
+    # tools/code_lines.py (ROADMAP's size counts): docstrings, comments and
+    # blank lines count 0; a string that is not a docstring is code
+    import importlib.util
+
+    path = README.parent / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    snippet = '''"""Module docstring,
+over two lines."""
+
+# a comment
+def f(a, b=1, *args, c, **kw):
+    """Function docstring."""
+    x = """not a
+docstring"""  # a trailing comment
+    return lambda y, z: y + z
+
+
+class C:
+    """Class docstring."""
+
+    def m(self, q):
+        return q
+'''
+    # lines 5, 7, 8, 9, 12, 15 and 16 hold code; f has 5 parameters, the
+    # lambda 2 and m 2 (self included)
+    assert code_lines.module_counts(snippet) == (16, 7, 9)
+    prose = '"""Only a docstring."""\n\n# and a comment\n'
+    assert code_lines.module_counts(prose) == (3, 0, 0)

@@ -26,6 +26,7 @@ from degenwave.mesh import SPDTridiagonal
 from degenwave.operator_checks import (
     BLOCK_DOUBLES,
     ProbeContext,
+    Resolvent,
     channel_resolvent_weights,
     continuum_channel_weight,
     dissipativity_probe,
@@ -36,7 +37,6 @@ from degenwave.operator_checks import (
     norm_ratio_bound,
     norm_t_sq,
     resolvent_probe,
-    resolvent_solve,
     run_certificate,
 )
 
@@ -102,8 +102,8 @@ class TestDissipativity:
         reps = dissipativity_probe([0.0, 2.0, 8.0], ctx, trials=500, seed=7)
         assert len(reps) == 3
         for rep in reps:
-            assert rep.passed
-            assert rep.max_ratio <= 1e-8
+            assert rep["pass"]
+            assert rep["max_form_ratio"] <= 1e-8
 
     def test_violating_gains_found(self):
         # threefold violation of the gain condition: the randomized search
@@ -111,8 +111,8 @@ class TestDissipativity:
         # theorem)
         ctx = make_ctx(gains=GainSet(2.0, 6.0, 1.0))
         [rep] = dissipativity_probe([0.0], ctx, trials=500, seed=7)
-        assert rep.n_positive > 0
-        assert not rep.passed
+        assert rep["positive_trials"] > 0
+        assert not rep["pass"]
 
     def test_pass_monotone_in_mu2(self):
         # shrinking |mu2| at fixed seed never turns PASS into FAIL
@@ -121,19 +121,19 @@ class TestDissipativity:
             ctx = make_ctx(gains=GainSet(2.0, mu2, 1.0))
             [rep] = dissipativity_probe([0.0], ctx, trials=200, seed=13)
             if passed_seen:
-                assert rep.passed
-            passed_seen = passed_seen or rep.passed
+                assert rep["pass"]
+            passed_seen = passed_seen or rep["pass"]
         assert passed_seen
 
 
 class TestResolvent:
     def test_zero_rhs(self):
         ctx = make_ctx()
-        out = resolvent_solve((np.zeros(65), np.zeros(65), np.zeros(33)),
-                              1.0, ctx)
-        assert np.max(np.abs(out.u)) == 0.0
-        assert np.max(np.abs(out.w)) == 0.0
-        assert out.residual == 0.0
+        u, _, w, residual, _ = Resolvent(1.0, ctx).solve(
+            np.zeros((1, 65)), np.zeros((1, 65)), np.zeros((1, 33)), 1.0)
+        assert np.max(np.abs(u)) == 0.0
+        assert np.max(np.abs(w)) == 0.0
+        assert residual[0] == 0.0
 
     def test_channel_weight_converges_to_exponential(self):
         # tau' = 0: the discrete product weight tends to e^{-tau}
@@ -157,12 +157,16 @@ class TestResolvent:
         # f = h = 0: w is the discrete exponential decay of v(1) along delta
         ctx = make_ctx(delay=make_delay("constant", {"tau": 0.8}))
         rng = np.random.default_rng(3)
-        g = rng.standard_normal(65)
-        out = resolvent_solve((np.zeros(65), g, np.zeros(33)), 1.0, ctx)
+        g = rng.standard_normal((1, 65))
+        res = Resolvent(1.0, ctx)
+        _, v, w, _, _ = res.solve(np.zeros((1, 65)), g, np.zeros((1, 33)), 1.0)
         m = ctx.n_delta
+        assert (res.tau, res.taup) == (0.8, 0.0)
         rho = (1.0 / 0.8) / (1.0 / m + 1.0 / 0.8)
-        expected = out.v[-1] * rho ** np.arange(m + 1)
-        assert np.max(np.abs(out.w - expected)) < 1e-12 * max(1.0, abs(out.v[-1]))
+        assert res.a_d == pytest.approx(rho ** m, rel=1e-14)
+        v1 = v[0, -1]
+        expected = v1 * rho ** np.arange(m + 1)
+        assert np.max(np.abs(w[0] - expected)) < 1e-12 * max(1.0, abs(v1))
 
     def test_random_rhs_residuals(self):
         for taup_case in ["constant-delay", "varying"]:
@@ -170,23 +174,40 @@ class TestResolvent:
                      if taup_case == "constant-delay" else DELAY)
             ctx = make_ctx(delay=delay)
             [rep] = resolvent_probe([0.5], ctx, trials=50, seed=21)
-            assert rep.max_residual <= 1e-8
-            assert rep.max_boundary_identity <= 1e-8
+            assert rep["max_residual"] <= 1e-8
+            assert rep["max_boundary_identity"] <= 1e-8
+
+    def test_stack_equals_single_solves(self):
+        # a (3, n) stack against three (1, n) solves: every output bit for
+        # bit, in both boundary regimes
+        rng = np.random.default_rng(11)
+        for alpha in (0.5, 1.5):
+            ctx = make_ctx(alpha=alpha)
+            res = Resolvent(0.7, ctx)
+            f, g = rng.standard_normal((2, 3, 65))
+            h = rng.standard_normal((3, 33))
+            scale = np.maximum(1.0, np.sqrt(norm_h_sq((f, g, h), ctx)))
+            stacked = res.solve(f, g, h, scale)
+            for i in range(3):
+                row = slice(i, i + 1)
+                one = res.solve(f[row], g[row], h[row], scale[row])
+                for a, b in zip(stacked, one):
+                    assert np.array_equal(a[row], b)
 
     def test_indefinite_system_raises(self):
         # far outside the gain condition the boundary weight
         # mu1 + mu2 A_d + beta is so negative that the u system is indefinite
         ctx = make_ctx(gains=GainSet(2.0, -50.0, 1.0))
         with pytest.raises(SolveFailure, match="^resolvent system"):
-            resolvent_solve((np.zeros(65), np.zeros(65), np.zeros(33)), 1.0, ctx)
+            Resolvent(1.0, ctx)
 
 
 class TestNormRatio:
     def test_constant_delay_ratio_one(self):
         ctx = make_ctx(delay=make_delay("constant", {"tau": 0.7}))
         [rep] = norm_ratio_bound([(1.0, 3.0)], ctx, trials=100, seed=5)
-        assert rep.max_ratio == pytest.approx(1.0, abs=1e-12)
-        assert rep.excess == 0.0
+        assert rep["max_ratio"] == pytest.approx(1.0, abs=1e-12)
+        assert rep["excess"] == 0.0
 
     def test_pure_channel_state_saturates_tau_ratio(self):
         ctx = make_ctx()
@@ -206,8 +227,8 @@ class TestNormRatio:
     def test_stated_bound_with_margin(self):
         ctx = make_ctx()
         [rep] = norm_ratio_bound([(0.5, 1.5)], ctx, trials=300, seed=10)
-        assert rep.excess == 0.0
-        assert rep.bound_proof >= rep.bound_stated
+        assert rep["excess"] == 0.0
+        assert rep["bound_proof"] >= rep["bound_stated"]
 
 
 class TestGeneratorDrift:
@@ -400,17 +421,19 @@ class TestStackedAgainstPerTrial:
         npos = 0
         for t, rep in zip(self.TIMES, reps):
             worst, n_positive = oracle_dissipativity(t, ctx, trials, seed)
-            assert (rep.max_ratio, rep.n_positive) == (worst, n_positive)
+            assert (rep["max_form_ratio"], rep["positive_trials"]) == \
+                (worst, n_positive)
             npos += n_positive
         assert (npos > 0) == (case == "violating")
         res_trials = trials // 3
         reps = resolvent_probe(self.TIMES, ctx, trials=res_trials, seed=seed)
         for t, rep in zip(self.TIMES, reps):
-            assert (rep.max_residual, rep.max_boundary_identity) == \
+            assert (rep["max_residual"], rep["max_boundary_identity"]) == \
                 oracle_resolvent(t, ctx, res_trials, seed)
         reps = norm_ratio_bound(self.PAIRS, ctx, trials=trials, seed=seed)
         for (s, t), rep in zip(self.PAIRS, reps):
-            assert rep.max_ratio == oracle_norm_ratio(s, t, ctx, trials, seed)
+            assert rep["max_ratio"] == oracle_norm_ratio(s, t, ctx, trials,
+                                                         seed)
         steps = (1e-2, 1e-4)
         drifts = generator_drift_probe(self.TIMES, ctx, trials=trials // 4,
                                        seed=seed, steps=steps)

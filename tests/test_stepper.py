@@ -11,7 +11,7 @@ from degenwave import (
     make_coefficient,
     make_delay,
 )
-from degenwave.analysis import energy, energy_parts, lyapunov_raw
+from degenwave.analysis import energy_parts, lyapunov_raw
 from degenwave.delay_channel import delta_trap_weights
 from degenwave.errors import IncompatibleInitialData, NonFiniteState, SolveFailure
 from degenwave.stepper import (
@@ -24,8 +24,16 @@ from degenwave.stepper import (
     step_count,
 )
 
+from conftest import run_one
+
 SPEC = make_coefficient("power", {"alpha": 0.5})
 DELAY = make_delay("saturating_exponential", {"tau0": 0.5, "tau1": 1.0, "k": 0.4})
+
+
+def state_energy(state, ops, g, delay):
+    """E of a SimState at its own time (`lyapunov_raw`'s first entry)."""
+    return lyapunov_raw(state.u, state.v, state.w, delay.tau(state.t), ops,
+                        g)[0]
 
 
 def make_ops(n=64, alpha=0.5, gamma=None):
@@ -39,26 +47,27 @@ class TestInitState:
     def test_zero_preset(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, warns = init_state(mesh, ops, g, DELAY, preset="zero")
-        assert energy(state, ops, g, DELAY) == 0.0
+        state, warns = init_state(mesh, ops, DELAY, preset="zero")
+        assert state_energy(state, ops, g, DELAY) == 0.0
         assert warns == []
 
     def test_ramp_energy_limit(self):
         # E(0) -> (2/3 + 1)/2 = 5/6 for u0 = x, a = sqrt(x), beta = 1, f0 = 0
         spec, mesh, ops = make_ops(n=512, gamma=4.0 / 3.0)
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, g, DELAY, preset="ramp")
-        assert abs(energy(state, ops, g, DELAY) - 5.0 / 6.0) < 1e-3
+        state, _ = init_state(mesh, ops, DELAY, preset="ramp")
+        assert abs(state_energy(state, ops, g, DELAY) - 5.0 / 6.0) < 1e-3
 
     def test_nonzero_history_adds_delay_term(self):
         # with f0 = const the initial energy gains mu1 a(1) tau(0) trap(w^2)/2,
         # and the trapezoid is exact on constants
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        ref, _ = init_state(mesh, ops, g, DELAY, preset="ramp", f0_preset="zero")
-        state, warns = init_state(mesh, ops, g, DELAY, preset="ramp",
+        ref, _ = init_state(mesh, ops, DELAY, preset="ramp", f0_preset="zero")
+        state, warns = init_state(mesh, ops, DELAY, preset="ramp",
                                   f0_preset="constant", f0_amplitude=0.8)
-        extra = energy(state, ops, g, DELAY) - energy(ref, ops, g, DELAY)
+        extra = (state_energy(state, ops, g, DELAY)
+                 - state_energy(ref, ops, g, DELAY))
         expected = 0.5 * g.mu1 * ops.a1 * float(DELAY.tau(0.0)) * 0.8**2
         assert abs(extra - expected) < 1e-14
         assert any("splice" in w for w in warns)
@@ -67,7 +76,7 @@ class TestInitState:
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
         with pytest.raises(IncompatibleInitialData):
-            init_state(mesh, ops, g, DELAY, u0=lambda x: 1.0 + x,
+            init_state(mesh, ops, DELAY, u0=lambda x: 1.0 + x,
                        u1=lambda x: np.zeros_like(x))
 
     def test_initial_data_copied(self):
@@ -76,7 +85,7 @@ class TestInitState:
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
         nodes = mesh.nodes.copy()
-        state, _ = init_state(mesh, ops, g, DELAY, u0=lambda x: x,
+        state, _ = init_state(mesh, ops, DELAY, u0=lambda x: x,
                               u1=lambda x: np.sin(np.pi * x))
         ws = StepWorkspace.build(ops, g, 1e-3)
         for _ in range(20):
@@ -88,7 +97,7 @@ class TestInitState:
         for alpha in [0.5, 1.5]:
             spec, mesh, ops = make_ops(alpha=alpha)
             g = GainSet(2.0, 0.2, 1.0)
-            state, _ = init_state(mesh, ops, g, DELAY, preset="sine-bump")
+            state, _ = init_state(mesh, ops, DELAY, preset="sine-bump")
             assert state.u[0] == 0.0
 
 
@@ -96,7 +105,7 @@ class TestStep:
     def test_zero_state_is_equilibrium(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, g, DELAY, preset="zero")
+        state, _ = init_state(mesh, ops, DELAY, preset="zero")
         ws = StepWorkspace.build(ops, g, 1e-3)
         for _ in range(5):
             state = step(state, 1e-3, g, DELAY, ops, workspace=ws)
@@ -109,7 +118,7 @@ class TestStep:
     def test_updates_state_in_place(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, g, DELAY, preset="velocity-kick")
+        state, _ = init_state(mesh, ops, DELAY, preset="velocity-kick")
         u, v = state.u, state.v
         ws = StepWorkspace.build(ops, g, 1e-3)
         assert step(state, 1e-3, g, DELAY, ops, workspace=ws) is state
@@ -128,7 +137,7 @@ class TestStep:
         g = GainSet(2.0, mu2, 1.0)
         dt = 1e-3
         ws = StepWorkspace.build(ops, g, dt)
-        state, _ = init_state(mesh, ops, g, DELAY, preset="velocity-kick",
+        state, _ = init_state(mesh, ops, DELAY, preset="velocity-kick",
                               f0_preset="cosine", dt=dt)
         for _ in range(20):
             step(state, dt, g, DELAY, ops, workspace=ws)
@@ -152,7 +161,7 @@ class TestStep:
     def test_dt_must_match_grid_and_workspace(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, g, DELAY, preset="velocity-kick", dt=1e-3)
+        state, _ = init_state(mesh, ops, DELAY, preset="velocity-kick", dt=1e-3)
         other = StepWorkspace.build(ops, g, 2e-3)
         with pytest.raises(ValueError, match="differs from"):
             step(state, 1e-3, g, DELAY, ops, workspace=other)
@@ -172,7 +181,7 @@ class TestStep:
     def test_coupling_invariant_exact(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, g, DELAY, preset="velocity-kick")
+        state, _ = init_state(mesh, ops, DELAY, preset="velocity-kick")
         ws = StepWorkspace.build(ops, g, 1e-3)
         for _ in range(200):
             state = step(state, 1e-3, g, DELAY, ops, workspace=ws)
@@ -183,8 +192,8 @@ class TestStep:
         # resolve the inflow history for the per-step tolerance to hold
         spec, mesh, ops = make_ops(n=128)
         g = GainSet(2.0, 0.0, 1.0)
-        traj = run(mesh, ops, g, DELAY, t_final=5.0, dt=5e-4, record_every=1,
-                   preset="velocity-kick", n_delta=256)
+        traj = run_one(mesh, ops, g, DELAY, t_final=5.0, dt=5e-4,
+                       record_every=1, preset="velocity-kick", n_delta=256)
         e = traj.E
         tol = 1e-10 * e[0] + 1e-14
         assert np.max(np.diff(e)) <= tol
@@ -193,8 +202,8 @@ class TestStep:
         # mu1 = mu2 = 0 with elastic boundary: midpoint near-conservation
         spec, mesh, ops = make_ops(n=256)
         g = GainSet(0.0, 0.0, 1.0)
-        traj = run(mesh, ops, g, DELAY, t_final=10.0, dt=1e-3, record_every=20,
-                   preset="velocity-kick", n_delta=64)
+        traj = run_one(mesh, ops, g, DELAY, t_final=10.0, dt=1e-3,
+                       record_every=20, preset="velocity-kick", n_delta=64)
         e = traj.E
         assert np.max(np.abs(e - e[0])) < 1e-6 * e[0]
 
@@ -205,8 +214,9 @@ class TestStep:
         g = GainSet(2.0, 0.2, 1.0)
         finals = []
         for dt in [4e-3, 2e-3, 1e-3]:
-            traj = run(mesh, ops, g, DELAY, t_final=2.0, dt=dt,
-                       record_every=10**9, preset="velocity-kick", n_delta=64)
+            traj = run_one(mesh, ops, g, DELAY, t_final=2.0, dt=dt,
+                           record_every=10**9, preset="velocity-kick",
+                           n_delta=64)
             st = traj.final_state
             finals.append(np.concatenate([st.u, st.v]))
         d1 = np.max(np.abs(finals[1] - finals[0]))
@@ -219,8 +229,8 @@ class TestStep:
         coeffs = []
         for n, dt in [(64, 2e-3), (128, 1e-3), (256, 5e-4)]:
             spec, mesh, ops = make_ops(n=n)
-            traj = run(mesh, ops, g, DELAY, t_final=2.0, dt=dt, record_every=5,
-                       preset="velocity-kick", n_delta=64)
+            traj = run_one(mesh, ops, g, DELAY, t_final=2.0, dt=dt,
+                           record_every=5, preset="velocity-kick", n_delta=64)
             coeffs.append(traj.bc_residual_coeff)
         assert all(np.isfinite(c) for c in coeffs)
         assert max(coeffs) <= 3.0 * min(coeffs) + 1.0
@@ -230,8 +240,8 @@ class TestRun:
     def test_zero_horizon_single_sample(self):
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
-        traj = run(mesh, ops, g, DELAY, t_final=0.0, dt=1e-3,
-                   preset="velocity-kick", n_delta=16)
+        traj = run_one(mesh, ops, g, DELAY, t_final=0.0, dt=1e-3,
+                       preset="velocity-kick", n_delta=16)
         assert traj.t.size == 1
         assert traj.t[0] == 0.0
 
@@ -239,8 +249,8 @@ class TestRun:
         # t = n dt from the step counter, not a running sum of dt
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
-        traj = run(mesh, ops, g, DELAY, t_final=2.0, dt=1e-3, record_every=50,
-                   preset="velocity-kick", n_delta=16)
+        traj = run_one(mesh, ops, g, DELAY, t_final=2.0, dt=1e-3,
+                       record_every=50, preset="velocity-kick", n_delta=16)
         assert traj.t[-1] == 2.0
         assert traj.final_state.t == 2.0
 
@@ -249,22 +259,22 @@ class TestRun:
         g = GainSet(2.0, 0.2, 1.0)
         u1 = lambda x: np.where(x > 0.5, np.nan, 0.0)
         with pytest.raises(NonFiniteState, match="t = 0.0"):
-            run(mesh, ops, g, DELAY, t_final=0.1, dt=1e-3, u0=lambda x: 0 * x,
-                u1=u1, n_delta=16)
+            run_one(mesh, ops, g, DELAY, t_final=0.1, dt=1e-3,
+                    u0=lambda x: 0 * x, u1=u1, n_delta=16)
 
     def test_sample_times_strictly_increasing(self):
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
-        traj = run(mesh, ops, g, DELAY, t_final=0.3, dt=1e-3, record_every=3,
-                   preset="velocity-kick", n_delta=16)
+        traj = run_one(mesh, ops, g, DELAY, t_final=0.3, dt=1e-3,
+                       record_every=3, preset="velocity-kick", n_delta=16)
         assert np.all(np.diff(traj.t) > 0.0)
 
     def test_columns_cover_a_partial_last_stride(self):
         # 300 steps recorded every 7th: 43 strided rows plus the final one
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
-        traj = run(mesh, ops, g, DELAY, t_final=0.3, dt=1e-3, record_every=7,
-                   preset="velocity-kick", n_delta=16)
+        traj = run_one(mesh, ops, g, DELAY, t_final=0.3, dt=1e-3,
+                       record_every=7, preset="velocity-kick", n_delta=16)
         for name in COLUMNS:
             col = getattr(traj, name)
             assert col.shape == (44,)
@@ -275,8 +285,8 @@ class TestRun:
     def test_splice_mismatch_recorded_run_completes(self):
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
-        traj = run(mesh, ops, g, DELAY, t_final=0.5, dt=1e-3,
-                   preset="velocity-kick", f0_preset="cosine", n_delta=16)
+        traj = run_one(mesh, ops, g, DELAY, t_final=0.5, dt=1e-3,
+                       preset="velocity-kick", f0_preset="cosine", n_delta=16)
         assert any("splice" in w for w in traj.warnings)
         assert traj.t[-1] == pytest.approx(0.5)
 
@@ -285,8 +295,8 @@ class TestRun:
         g = GainSet(2.0, 0.2, 1.0)
         kw = dict(t_final=1.0, dt=1e-3, record_every=7,
                   preset="velocity-kick", n_delta=32)
-        t1 = run(mesh, ops, g, DELAY, **kw)
-        t2 = run(mesh, ops, g, DELAY, **kw)
+        t1 = run_one(mesh, ops, g, DELAY, **kw)
+        t2 = run_one(mesh, ops, g, DELAY, **kw)
         assert np.array_equal(t1.E, t2.E)
         assert np.array_equal(t1.final_state.u, t2.final_state.u)
 
@@ -296,8 +306,8 @@ class TestRun:
         # precision
         _, mesh, ops = make_ops(n=32)
         g = GainSet(2.0, 0.2, 1.0)
-        traj = run(mesh, ops, g, DELAY, t_final=0.5, dt=1e-3, record_every=100,
-                   preset="velocity-kick", n_delta=32)
+        traj = run_one(mesh, ops, g, DELAY, t_final=0.5, dt=1e-3,
+                       record_every=100, preset="velocity-kick", n_delta=32)
         st = traj.final_state
         parts = energy_parts(st.u, st.v, np.zeros_like(st.w), 1.0, ops, g)
         assert parts["delay"] == 0.0
@@ -305,7 +315,7 @@ class TestRun:
         delay_term = g.mu1 * ops.a1 * float(DELAY.tau(st.t)) * float(
             wq @ (st.w**2)
         )
-        e = energy(st, ops, g, DELAY)
+        e = state_energy(st, ops, g, DELAY)
         assert e == pytest.approx(
             0.5 * (sum(parts.values()) + delay_term), rel=1e-15, abs=1e-300
         )
@@ -327,11 +337,12 @@ class TestRecorder:
         setup = config.build_setup(cfg)
         spec, ops, g, delay, dt = (setup.spec, setup.ops, setup.gains,
                                    setup.delay, setup.dt)
-        lyap = choose_epsilon(spec, g.beta, g, delay)
+        lyap = choose_epsilon(spec, g, delay)
         assert lyap.epsilon > 0.0
         snaps = []
-        traj = config.run_from_setup(setup, lyap=lyap, snapshot_sink=lambda st: (
-            snaps.append((st.t, st.u.copy(), st.v.copy(), st.w.copy()))))
+        (traj,) = config.run_from_setup(
+            [setup], lyap=[lyap], snapshot_sink=[lambda st: snaps.append(
+                (st.t, st.u.copy(), st.v.copy(), st.w.copy()))])
 
         nodes = setup.mesh.nodes
         h = np.diff(nodes)
@@ -376,13 +387,13 @@ def _blocked_setup(record_every, n=32, n_delta=16, t_final=0.6):
         f"mesh.n={n}", f"channel.n_delta={n_delta}",
         f"integrator.t_final={t_final}", f"integrator.record_every={record_every}"])
     setup = config.build_setup(cfg)
-    lyap = choose_epsilon(setup.spec, setup.gains.beta, setup.gains, setup.delay)
+    lyap = choose_epsilon(setup.spec, setup.gains, setup.delay)
     return cfg, setup, lyap
 
 
 def _step_by_step(cfg, setup, record_every):
     """(t, u, v, w) at every recorded instant of `run`, from step() calls."""
-    state, _ = init_state(setup.mesh, setup.ops, setup.gains, setup.delay,
+    state, _ = init_state(setup.mesh, setup.ops, setup.delay,
                           preset=cfg.initial_preset, f0_preset=cfg.initial_f0,
                           f0_amplitude=cfg.initial_f0_amplitude,
                           n_delta=cfg.channel_n_delta, dt=setup.dt)
@@ -408,11 +419,11 @@ class TestBlockedRun:
         from degenwave import config, stepper
 
         cfg, setup, lyap = _blocked_setup(record_every)
-        ref = config.run_from_setup(setup, lyap=lyap)
+        (ref,) = config.run_from_setup([setup], lyap=[lyap])
         assert stepper.BLOCK_DOUBLES // setup.ops.n_nodes > 10
         monkeypatch.setattr(stepper, "BLOCK_DOUBLES", setup.ops.n_nodes)
         monkeypatch.setattr(stepper, "MIN_BLOCK_STEPS", 1)
-        one = config.run_from_setup(setup, lyap=lyap)
+        (one,) = config.run_from_setup([setup], lyap=[lyap])
         for name in COLUMNS:
             assert np.array_equal(getattr(one, name), getattr(ref, name)), name
         for part in ("u", "v", "w"):
@@ -464,22 +475,23 @@ class TestBlockedRun:
         f0 = lambda s: math.nan if -0.245 < s < -0.225 else 0.0
         kw = dict(preset="velocity-kick", n_delta=16, f0=f0)
 
-        state, _ = init_state(mesh, ops, g, DELAY, dt=dt, **kw)
+        state, _ = init_state(mesh, ops, DELAY, dt=dt, **kw)
         ws = StepWorkspace.build(ops, g, dt)
         seen = [0.0]
-        assert np.isfinite(energy(state, ops, g, DELAY))
+        assert np.isfinite(state_energy(state, ops, g, DELAY))
         while True:
             step(state, dt, g, DELAY, ops, workspace=ws)
             if round(state.t / dt) % every == 0:
-                if not np.isfinite(energy(state, ops, g, DELAY)):
+                if not np.isfinite(state_energy(state, ops, g, DELAY)):
                     break
                 seen.append(state.t)
         assert 0.1 < state.t < 0.4
 
         sunk = []
         with pytest.raises(NonFiniteState) as info:
-            run(mesh, ops, g, DELAY, t_final=0.5, dt=dt, record_every=every,
-                snapshot_sink=lambda st: sunk.append(st.t), **kw)
+            run_one(mesh, ops, g, DELAY, t_final=0.5, dt=dt,
+                    record_every=every,
+                    snapshot_sink=lambda st: sunk.append(st.t), **kw)
         msg = str(info.value)
         assert msg.startswith(f"state is not finite at t = {state.t!r} (energy ")
         assert msg.endswith(f"the last finite one was at t = {seen[-1]!r}")
@@ -490,7 +502,7 @@ def _step_loop_columns(mesh, ops, g, delay, t_final, dt, record_every, lyap,
                        **init):
     """The COLUMNS of `run` and its final state from step() calls, with each
     recorded instant evaluated on its own."""
-    state, _ = init_state(mesh, ops, g, delay, dt=dt, **init)
+    state, _ = init_state(mesh, ops, delay, dt=dt, **init)
     ws = StepWorkspace.build(ops, g, dt)
     eps = 0.0 if lyap is None else lyap.epsilon
     rows = []
@@ -537,13 +549,13 @@ class TestLookahead:
         delay = make_delay("constant", {"tau": 0.6 * dt})
         from degenwave.analysis import choose_epsilon
 
-        lyap = choose_epsilon(SPEC, g.beta, g, delay)
+        lyap = choose_epsilon(SPEC, g, delay)
         kw = dict(preset="velocity-kick", f0_preset="cosine", n_delta=16)
         cols, state = _step_loop_columns(mesh, ops, g, delay, 0.3, dt, 3,
                                          lyap, **kw)
         ks = _channel_steps(monkeypatch)
-        traj = run(mesh, ops, g, delay, t_final=0.3, dt=dt, record_every=3,
-                   lyap=lyap, **kw)
+        traj = run_one(mesh, ops, g, delay, t_final=0.3, dt=dt, record_every=3,
+                       lyap=lyap, **kw)
         assert ks == [1] * 300
         for name in COLUMNS:
             assert np.array_equal(getattr(traj, name), cols[name]), name
@@ -562,14 +574,13 @@ class TestLookahead:
         cfg = config.apply_overrides(config.load_config("baseline"), [
             "integrator.t_final=0.9"])
         setup = config.build_setup(cfg)
-        lyap = choose_epsilon(setup.spec, setup.gains.beta, setup.gains,
-                              setup.delay)
+        lyap = choose_epsilon(setup.spec, setup.gains, setup.delay)
         cols, state = _step_loop_columns(
             setup.mesh, setup.ops, setup.gains, setup.delay, 0.9, setup.dt,
             cfg.integrator_record_every, lyap, preset=cfg.initial_preset,
             f0_preset=cfg.initial_f0, n_delta=cfg.channel_n_delta)
         ks = _channel_steps(monkeypatch)
-        traj = config.run_from_setup(setup, lyap=lyap)
+        (traj,) = config.run_from_setup([setup], lyap=[lyap])
         assert ks == [10] * 90
         for name in ("t", "trace_v", "bc_residual"):
             assert np.array_equal(getattr(traj, name), cols[name]), name
@@ -593,13 +604,13 @@ class TestBatchRun:
 
         _, mesh, ops = make_ops(n=32)
         rows = [GainSet(2.0, mu2, 1.0) for mu2 in (0.0, 0.3, -0.2)]
-        lyaps = [choose_epsilon(SPEC, 1.0, rows[0], DELAY), None,
-                 choose_epsilon(SPEC, 1.0, rows[2], DELAY)]
+        lyaps = [choose_epsilon(SPEC, rows[0], DELAY), None,
+                 choose_epsilon(SPEC, rows[2], DELAY)]
         kw = dict(t_final=0.8, dt=1e-3, record_every=3, preset="velocity-kick",
                   f0_preset="cosine", n_delta=16)
         batch = run(mesh, ops, rows, DELAY, lyap=lyaps, **kw)
         for g, lyap, traj in zip(rows, lyaps, batch):
-            alone = run(mesh, ops, g, DELAY, lyap=lyap, **kw)
+            alone = run_one(mesh, ops, g, DELAY, lyap=lyap, **kw)
             for name in COLUMNS:
                 assert np.array_equal(getattr(traj, name),
                                       getattr(alone, name)), name
@@ -632,7 +643,7 @@ class TestBatchRun:
         failed = []
         for g, got in zip(rows, out):
             try:
-                alone = run(mesh, ops, g, DELAY, **kw)
+                alone = run_one(mesh, ops, g, DELAY, **kw)
             except NonFiniteState as exc:
                 assert isinstance(got, NonFiniteState)
                 assert str(got) == str(exc)

@@ -27,16 +27,18 @@ of the continuous dissipativity argument holds verbatim for the discrete
 form; the one-sided nodal differences are kept for operator application.
 
 Every probe takes the list of its times (of (s, t) pairs for the norm ratio)
-and returns one row of the certificate's JSON per entry.  Trial k draws its
-random state once, from its own stream default_rng([seed, tag, k]), and
-that state serves every time (and every step size of the drift probe).
-Trials are evaluated in blocks of rows, as stacked (B, n) arrays of at most
+and returns one row of the certificate's JSON per entry.  A probe draws
+from one stream, default_rng([seed, tag]), and trial k is its k-th (u, v,
+w) chunk, drawn once for every time (and every step size of the drift
+probe); a run of k trials is the first k of any longer run.  Trials are
+evaluated in blocks of rows, as stacked (B, n) arrays of at most
 BLOCK_DOUBLES entries (the budget `delay_channel.BLOCK_DOUBLES` that the
-stepper's blocks share), with row-wise operations: the projection, the
-quadratic form, the energy blocks of ||.||_t and ||.||_H
-(`analysis.energy_parts`) and the residuals.  Row-wise sums (np.vecdot) and
-the multi-right-hand-side LAPACK solves give each row the bits it would get
-alone, so the rows do not depend on the block size.  The resolvent factors its SPD tridiagonal once per time and
+stepper's blocks share), one standard_normal fill each, with row-wise
+operations: the projection, the quadratic form, the energy blocks of
+||.||_t and ||.||_H (`analysis.energy_parts`) and the residuals.
+Row-wise sums (np.vecdot) and the multi-right-hand-side LAPACK solves give
+each row the bits it would get alone, so the rows do not depend on the
+block size.  The resolvent factors its SPD tridiagonal once per time and
 solves a whole block with one ?pttrs call and one ?tbtrs channel solve.
 A probe with fewer than one trial raises ValueError instead of passing.
 """
@@ -44,6 +46,7 @@ A probe with fewer than one trial raises ValueError instead of passing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,25 +80,20 @@ def _trial_blocks(trials: int, key: tuple, sizes: tuple):
     """The random trials in blocks of rows, first trial first.
 
     Yields (k0, arrays): one (rows, n) array per length n in sizes, row i
-    holding trial k0 + i, whose arrays are drawn in order from
-    default_rng([*key, k0 + i]), so a trial sees the same numbers whatever
-    the block size.  Raises ValueError for trials < 1: a probe that checked
-    nothing must not pass.
+    holding trial k0 + i.  One standard_normal call of the probe's one
+    generator, default_rng([*key]), fills a block trial by trial, and the
+    arrays are views of its columns: trial k is the k-th chunk of the
+    stream whatever the block size.  Raises ValueError for trials < 1: a
+    probe that checked nothing must not pass.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     rows = max(1, BLOCK_DOUBLES // max(sizes))
-    return (_draw_block(key, k0, min(rows, trials - k0), sizes)
-            for k0 in range(0, trials, rows))
-
-
-def _draw_block(key: tuple, k0: int, rows: int, sizes: tuple):
-    block = tuple(np.empty((rows, n)) for n in sizes)
-    for i in range(rows):
-        rng = np.random.default_rng([*key, k0 + i])
-        for arr in block:
-            rng.standard_normal(out=arr[i])
-    return k0, block
+    rng = np.random.default_rng([*key])
+    cuts = np.cumsum(sizes)[:-1]
+    for k0 in range(0, trials, rows):
+        block = rng.standard_normal((min(rows, trials - k0), sum(sizes)))
+        yield k0, tuple(np.split(block, cuts, axis=1))
 
 
 def _running_max(worst: float, values: np.ndarray) -> float:
@@ -432,7 +430,9 @@ def run_certificate(ctx: ProbeContext, t_list, seed: int = 0,
 
     The norm ratio is checked on consecutive pairs of t_list and on its
     first and last entries.  Each distinct time and each distinct pair is
-    evaluated once, so a repeated time adds no work and no key.
+    evaluated once, so a repeated time adds no work and no key.  Rows are
+    keyed "t=<t>" and "s=<s>,t=<t>", a time printed with format(t, "g"), or
+    with repr(t) where distinct times would print alike and share a row.
     """
     t_list = [float(t) for t in t_list]
     if not t_list:
@@ -442,12 +442,15 @@ def run_certificate(ctx: ProbeContext, t_list, seed: int = 0,
     if len(t_list) >= 2:
         pairs.append((t_list[0], t_list[-1]))
     pairs = list(dict.fromkeys(pairs))
-    keys = [f"t={t:g}" for t in times]
+    short = {t: format(t, "g") for t in times}
+    count = Counter(short.values())
+    label = {t: x if count[x] == 1 else repr(t) for t, x in short.items()}
+    keys = [f"t={label[t]}" for t in times]
     claim1 = dict(zip(keys, dissipativity_probe(times, ctx, trials=diss_trials,
                                                 seed=seed)))
     claim2 = dict(zip(keys, resolvent_probe(times, ctx, trials=res_trials,
                                             seed=seed)))
-    claim3 = dict(zip((f"s={s:g},t={t:g}" for s, t in pairs),
+    claim3 = dict(zip((f"s={label[s]},t={label[t]}" for s, t in pairs),
                       norm_ratio_bound(pairs, ctx, trials=ratio_trials,
                                        seed=seed) if pairs else []))
     drift = {

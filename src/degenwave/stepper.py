@@ -399,10 +399,11 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     itself.  A row stops with NonFiniteState at its first recorded instant
     whose energy is not finite: E is a positive-weighted sum of squares of
     every entry of u, v and w, so it catches any overflow or NaN in the
-    state.  The snapshot sink, if any, receives every recorded instant of
-    its row, in order, as a SimState with that instant's t, u, v and w,
-    whose arrays are valid during the call (its ring is the batch's, which
-    has moved on).
+    state.  Its message names an earlier, unrecorded step instead where
+    the boundary velocity alone already makes E non-finite.  The snapshot
+    sink, if any, receives every recorded instant of its row, in order, as
+    a SimState with that instant's t, u, v and w, whose arrays are valid
+    during the call (its ring is the batch's, which has moved on).
     """
     if t_final < 0.0 or dt <= 0.0 or record_every < 1:
         raise ValueError("need t_final >= 0, dt > 0, record_every >= 1")
@@ -445,6 +446,9 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     advance = _midpoint_solver(u, v, batch.beta, ops, work)
     out: list = [None] * n_batch
     any_sink = any(sink is not None for sink in sinks)
+    # each row's first step whose trace alone makes E non-finite, with the
+    # trace
+    blown: dict = {}
 
     r0 = 0
     # a row that turns non-finite only spoils its own column; numpy's
@@ -479,6 +483,12 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
             block = np.array(traces).reshape(n1 - n0, n_batch)
             buf.extend(block)
             w_buf[:j] = buf.sample(t_rec - tau_rec)
+            # E sums (M v)_N v_N as computed here with nonnegative terms, so
+            # where that is not finite, recorded or not, neither is E
+            over = ~np.isfinite(ops.mass[-1] * block * block)
+            for b in np.flatnonzero(over.any(axis=0)).tolist():
+                c = int(over[:, b].argmax())
+                blown.setdefault(b, (n0 + c + 1, block[c, b]))
             w = _advance_channel(w, block, taus, tau_primes, dt, k,
                                  marks[:j], ws)
 
@@ -498,12 +508,20 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
                 if stop < j:
                     # the row steps on with its column non-finite, unrecorded
                     r = r0 + stop
-                    last = (f"the last finite one was at t = "
-                            f"{float(data[b, 0, r - 1])!r}" if r else
-                            "no finite one was recorded")
-                    out[b] = NonFiniteState(
-                        f"state is not finite at t = {float(data[b, 0, r])!r} "
-                        f"(energy {e[stop, b]}); {last}")
+                    first, trace = blown.get(b, (n_steps + 1, None))
+                    if first < steps[stop]:
+                        # it blew up at an unrecorded step (so r > 0)
+                        what = (f"{float(first * dt)!r} (energy not finite: "
+                                f"boundary velocity {trace}); the last finite "
+                                f"one recorded was at t = "
+                                f"{float(data[b, 0, r - 1])!r}")
+                    else:
+                        last = (f"the last finite one was at t = "
+                                f"{float(data[b, 0, r - 1])!r}" if r else
+                                "no finite one was recorded")
+                        what = (f"{float(data[b, 0, r])!r} "
+                                f"(energy {e[stop, b]}); {last}")
+                    out[b] = NonFiniteState(f"state is not finite at t = {what}")
             if all(o is not None for o in out):
                 break
             # the recorded delayed trace is the channel's outflow, the

@@ -390,15 +390,31 @@ class TestSweep:
                 assert have == want or (math.isnan(have) and math.isnan(want))
         assert rows[0]["E_final"] != rows[1]["E_final"]
 
+    def test_blow_up_message_of_a_fully_recorded_run(self):
+        # record_every = 1 records the blow-up step itself, so the message
+        # names it from its energy, byte for byte as before the trace check
+        cfg = self.small_cfg()
+        for key, val in [("integrator.t_final", 1.0),
+                         ("integrator.record_every", 1),
+                         ("gains.mu2", "1e300")]:
+            cfg = cfgmod.set_value(cfg, key, val)
+        with pytest.raises(NonFiniteState) as info:
+            simulate_config(cfg)
+        assert str(info.value) == ("state is not finite at t = 0.609 (energy "
+                                   "inf); the last finite one was at t = 0.608")
+
     def test_blown_up_row_fails_alone(self):
         # the mu2 = 1e300 row overflows after the delay reaches t = tau0 =
         # 0.5; it stops with the message of its run alone, and its batch
         # mate equals its own run
         cfg = cfgmod.set_value(self.small_cfg(), "integrator.t_final", 1.0)
         rows = sweep_rows(cfg, [("gains.mu2", ["0.2", "1e300"])])
+        # at stride 5 the blow-up step 0.609 is not recorded: the message
+        # names it from its boundary velocity
         assert rows[1]["status"] == (
-            "failed: state is not finite at t = 0.61 (energy inf); "
-            "the last finite one was at t = 0.605")
+            "failed: state is not finite at t = 0.609 (energy not finite: "
+            "boundary velocity -2.4450027756142736e+293); "
+            "the last finite one recorded was at t = 0.605")
         assert math.isnan(rows[1]["E0"])
         with pytest.raises(NonFiniteState) as alone:
             simulate_config(cfgmod.set_value(cfg, "gains.mu2", "1e300"))
@@ -530,6 +546,19 @@ class TestConverge:
         table = converge_table(cfg, levels=3, start_n=16)
         assert len(table["levels"]) == 3
         assert lengths == [2, 2, 2]
+
+    def test_blow_up_names_its_step(self, capsys):
+        # a level records only its endpoints, yet the message names the step
+        # where it blew up (0.6085), not the end of the level
+        rc = run_cli(["converge", "--config", "baseline",
+                      "--set", "gains.mu2=1e300",
+                      "--set", "integrator.t_final=2", "--start-n", "512"])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        named = re.search(r"state is not finite at t = (\S+) ", err)
+        assert named and float(named.group(1)) < 0.7
+        assert err.rstrip().endswith("the last finite one recorded was at "
+                                     "t = 0.0")
 
     def test_blow_up_exit2(self, capsys):
         rc = run_cli(["converge", "--config", "baseline",

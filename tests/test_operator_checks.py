@@ -273,19 +273,20 @@ def oracle_project(u, v, w, ctx):
     return u, v, w
 
 
-def oracle_draw(key, ctx):
+def oracle_draw(key, ctx, trials):
+    """The probe's trials one at a time: trial k is the k-th (u, v, w)
+    chunk of the probe's one stream default_rng(key)."""
     rng = np.random.default_rng(key)
     n = ctx.mesh.N + 1
-    return (rng.standard_normal(n), rng.standard_normal(n),
-            rng.standard_normal(ctx.n_delta + 1))
+    return [(rng.standard_normal(n), rng.standard_normal(n),
+             rng.standard_normal(ctx.n_delta + 1)) for _ in range(trials)]
 
 
 def oracle_dissipativity(t, ctx, trials, seed, tol=1e-8):
     ops, g, delay = ctx.ops, ctx.gains, ctx.delay
     tau, taup = float(delay.tau(t)), float(delay.tau_prime(t))
     worst, npos = -math.inf, 0
-    for k in range(trials):
-        u, v, w = oracle_draw([seed, k], ctx)
+    for k, (u, v, w) in enumerate(oracle_draw([seed], ctx, trials)):
         if k % 4 == 3:
             u *= 0.0
             v[:-1] *= 1e-3
@@ -316,8 +317,7 @@ def oracle_resolvent(t, ctx, trials, seed):
     a_d, bw = channel_resolvent_weights(tau, taup, m)
     start = ops.first_active
     worst_res = worst_ident = 0.0
-    for k in range(trials):
-        f, gg, h = oracle_draw([seed, 7, k], ctx)
+    for f, gg, h in oracle_draw([seed, 7], ctx, trials):
         if ctx.dirichlet:
             f[0] = 0.0
         main, off = ops.stiffness_tridiagonal(start)
@@ -352,8 +352,7 @@ def oracle_resolvent(t, ctx, trials, seed):
 def oracle_norm_ratio(s, t, ctx, trials, seed):
     ta, tb = float(ctx.delay.tau(t)), float(ctx.delay.tau(s))
     worst = 0.0
-    for k in range(trials):
-        U = oracle_draw([seed, 13, k], ctx)
+    for U in oracle_draw([seed, 13], ctx, trials):
         b = oracle_norm_sq(*U, tb, ctx)
         if b > 0.0:
             worst = max(worst, math.sqrt(oracle_norm_sq(*U, ta, ctx) / b))
@@ -382,8 +381,8 @@ def oracle_drift(t, ctx, trials, seed, steps):
     zero = np.zeros(ctx.mesh.N + 1)
     for hstep in steps:
         worst = 0.0
-        for k in range(trials):
-            U = oracle_project(*oracle_draw([seed, 29, k], ctx), ctx)
+        for U in oracle_draw([seed, 29], ctx, trials):
+            U = oracle_project(*U, ctx)
             a0 = oracle_apply(*U, t, ctx)
             a1 = oracle_apply(*U, t + hstep, ctx)
             graph = math.sqrt(oracle_norm_sq(*U, 1.0, ctx)
@@ -472,6 +471,67 @@ class TestStackedAgainstPerTrial:
                                      for x in u[:, -1].tolist()]
 
 
+class TestTrialStream:
+    # the arrays of a probe at N = 64, n_delta = 32
+    SIZES = (65, 65, 33)
+
+    def draws(self, trials, key=(4, 13)):
+        # the probe's trials as three (trials, n) arrays, block by block
+        blocks = [arrays for _, arrays in
+                  operator_checks._trial_blocks(trials, key, self.SIZES)]
+        return [np.concatenate(part) for part in zip(*blocks)]
+
+    def test_block_size_does_not_change_the_trials(self, monkeypatch):
+        trials = 2 * ROWS_AT_64 + 11
+        default = self.draws(trials)
+        for budget in (3 * 65, 65, 1):
+            monkeypatch.setattr(operator_checks, "BLOCK_DOUBLES", budget)
+            starts = [k0 for k0, _ in operator_checks._trial_blocks(
+                trials, (4, 13), self.SIZES)]
+            assert starts == list(range(0, trials, max(1, budget // 65)))
+            for small, big in zip(self.draws(trials), default):
+                assert np.array_equal(small, big)
+
+    def test_fewer_trials_are_a_prefix(self):
+        k = ROWS_AT_64 + 5
+        for short, long in zip(self.draws(k), self.draws(2 * k)):
+            assert np.array_equal(short, long[:k])
+
+    def test_one_generator_per_probe_one_fill_per_block(self, monkeypatch):
+        # N = 16, n_delta = 8: a block holds BLOCK_DOUBLES // 17 trials
+        rows = BLOCK_DOUBLES // 17
+        real = np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed):
+                self.seed, self.rng, self.fills = seed, real(seed), 0
+
+            def standard_normal(self, *args, **kwargs):
+                self.fills += 1
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def cert(trials):
+            return run_certificate(make_ctx(n=16, n_delta=8), [0.0, 1.0, 2.0],
+                                   seed=3, diss_trials=trials,
+                                   res_trials=trials, ratio_trials=trials)
+
+        for trials in (9, 2 * rows + 1):
+            made = []
+
+            def counted(seed):
+                made.append(Counted(seed))
+                return made[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", counted)
+                counted_cert = cert(trials)
+            assert [c.seed for c in made] == [[3], [3, 7], [3, 13], [3, 29]]
+            blocks = -(-trials // rows)
+            # the drift probe keeps its 50 trials
+            assert [c.fills for c in made] == [blocks, blocks, blocks, 1]
+            assert counted_cert == cert(trials)
+
+
 @pytest.mark.parametrize("probe, entries", [
     (dissipativity_probe, [0.0]),
     (resolvent_probe, [0.0]),
@@ -539,6 +599,23 @@ class TestRunCertificate:
         assert seen["dissipativity_probe"] == [2.0]
         assert seen["norm_ratio_bound"] == [(2.0, 2.0)]
         assert cert["claim3"]["s=2,t=2"]["max_ratio"] == 1.0
+
+    def test_times_that_print_alike_keep_their_rows(self, monkeypatch):
+        # 1 and 1.0000001 share the 6-digit key "1": both get repr keys,
+        # and every other time keeps its short one
+        seen = self.count(monkeypatch)
+        cert = self.cert([0.0, 1.0, 1.0000001, 20.0])
+        assert seen["dissipativity_probe"] == [0.0, 1.0, 1.0000001, 20.0]
+        keys = ["t=0", "t=1.0", "t=1.0000001", "t=20"]
+        for claim in ("claim1", "claim2", "dAdt"):
+            assert list(cert[claim]) == keys
+        assert list(cert["claim3"]) == [
+            "s=0,t=1.0", "s=1.0,t=1.0000001", "s=1.0000001,t=20", "s=0,t=20"]
+        assert len(seen["norm_ratio_bound"]) == 4
+        two = self.cert([1.0, 1.0000001])
+        assert list(two["claim1"]) == ["t=1.0", "t=1.0000001"]
+        assert list(two["claim3"]) == ["s=1.0,t=1.0000001"]
+        assert two["claim1"]["t=1.0"] == cert["claim1"]["t=1.0"]
 
     def test_no_times_is_an_error(self):
         with pytest.raises(ValueError, match="at least one probe time"):

@@ -462,11 +462,11 @@ class TestBlockedRun:
     def test_mid_run_non_finite_state_names_the_instants(self, every):
         # a history that is NaN on a window between the channel nodes: the
         # initial state is finite, and the wave turns non-finite when the
-        # delayed sample reaches the window.  The message names the same
-        # instants a step-by-step evaluation finds, and the sink has seen
-        # exactly the instants before the first non-finite one.  At stride
-        # 50 the first non-finite trace falls on an unrecorded step, and
-        # the next recorded instant lies past its channel block.
+        # delayed sample reaches the window.  The message names the step a
+        # step-by-step evaluation finds first non-finite, and the sink has
+        # seen exactly the recorded instants before it.  At stride 3 that
+        # step is recorded; at stride 50 it is not, and the next recorded
+        # instant lies past its channel block.
         import math
 
         _, mesh, ops = make_ops(n=16)
@@ -481,11 +481,13 @@ class TestBlockedRun:
         assert np.isfinite(state_energy(state, ops, g, DELAY))
         while True:
             step(state, dt, g, DELAY, ops, workspace=ws)
+            if not np.isfinite(state_energy(state, ops, g, DELAY)):
+                break
             if round(state.t / dt) % every == 0:
-                if not np.isfinite(state_energy(state, ops, g, DELAY)):
-                    break
                 seen.append(state.t)
         assert 0.1 < state.t < 0.4
+        recorded = round(state.t / dt) % every == 0
+        assert recorded == (every == 3)
 
         sunk = []
         with pytest.raises(NonFiniteState) as info:
@@ -493,8 +495,15 @@ class TestBlockedRun:
                     record_every=every,
                     snapshot_sink=lambda st: sunk.append(st.t), **kw)
         msg = str(info.value)
-        assert msg.startswith(f"state is not finite at t = {state.t!r} (energy ")
-        assert msg.endswith(f"the last finite one was at t = {seen[-1]!r}")
+        if recorded:
+            assert msg.startswith(
+                f"state is not finite at t = {state.t!r} (energy nan); ")
+            assert msg.endswith(f"the last finite one was at t = {seen[-1]!r}")
+        else:
+            assert msg == (
+                f"state is not finite at t = {state.t!r} (energy not finite: "
+                f"boundary velocity nan); the last finite one recorded was "
+                f"at t = {seen[-1]!r}")
         assert sunk == seen
 
 

@@ -8,7 +8,8 @@ The discrete generator acts on triples U = (u, v, w) as
 
 with the feedback row folded into the second block (continuously it lives in
 the operator domain) and the remaining domain constraints w(0) = v(1) plus,
-in the weak-degeneracy regime, u(0) = v(0) = 0.  Three probes are run:
+in the weak-degeneracy regime, u(0) = v(0) = 0.  Three claims are checked,
+and the drift of A(t) in t is reported beside them:
 
 * dissipativity of the shifted operator A(t) - iota(t) I in the
   time-dependent inner product, iota(t) = sqrt(1 + tau'(t)^2)/(2 tau(t));
@@ -27,24 +28,32 @@ of the continuous dissipativity argument holds verbatim for the discrete
 form; the one-sided nodal differences are kept for operator application.
 
 Every probe takes the list of its times (of (s, t) pairs for the norm ratio)
-and returns one row of the certificate's JSON per entry.  A probe draws
-from one stream, default_rng([seed, tag]), and trial k is its k-th (u, v,
-w) chunk, drawn once for every time (and every step size of the drift
-probe); a run of k trials is the first k of any longer run.  Trials are
-evaluated in blocks of rows, as stacked (B, n) arrays of at most
-BLOCK_DOUBLES entries (the budget `delay_channel.BLOCK_DOUBLES` that the
-stepper's blocks share), one standard_normal fill each, with row-wise
-operations: the projection, the quadratic form, the energy blocks of
+and returns one row of the certificate's JSON per entry.  The four probes
+are claims of one loop: `run_certificate` runs them together, and a probe
+runs its claim alone.  Every claim reads one stream, default_rng([seed]),
+in which trial k is the k-th (u, v, w) chunk, and a claim of k trials
+checks the first k of them, so a run of k trials checks the first k of any
+longer run.  A trial is drawn once for every claim and every time (and
+every step size of the drift), and a probe run alone returns exactly the
+rows the certificate reports for it.  Trials are evaluated in blocks of
+rows, as stacked (B, n) arrays of at most BLOCK_DOUBLES entries (the
+budget `delay_channel.BLOCK_DOUBLES` that the stepper's blocks share), one
+standard_normal fill each.  A block is read-only and shared by the claims:
+claim 3 reads it as drawn, claim 1 and the drift read projected copies, and
+claim 2 zeroes the Dirichlet node of its load in a copy.  The operations
+are row-wise: the projection, the quadratic form, the energy blocks of
 ||.||_t and ||.||_H (`analysis.energy_parts`) and the residuals.
 Row-wise sums (np.vecdot) and the multi-right-hand-side LAPACK solves give
 each row the bits it would get alone, so the rows do not depend on the
 block size.  The resolvent factors its SPD tridiagonal once per time and
 solves a whole block with one ?pttrs call and one ?tbtrs channel solve.
-A probe with fewer than one trial raises ValueError instead of passing.
+A probe or certificate with fewer than one trial for some claim raises
+ValueError instead of passing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -76,33 +85,51 @@ class ProbeContext:
         return self.ops.bc_kind == DIRICHLET_LEFT
 
 
-def _trial_blocks(trials: int, key: tuple, sizes: tuple):
+def _trial_blocks(trials: int, seed: int, sizes: tuple):
     """The random trials in blocks of rows, first trial first.
 
-    Yields (k0, arrays): one (rows, n) array per length n in sizes, row i
-    holding trial k0 + i.  One standard_normal call of the probe's one
-    generator, default_rng([*key]), fills a block trial by trial, and the
-    arrays are views of its columns: trial k is the k-th chunk of the
-    stream whatever the block size.  Raises ValueError for trials < 1: a
-    probe that checked nothing must not pass.
+    Yields (k0, arrays): one read-only (rows, n) array per length n in
+    sizes, row i holding trial k0 + i.  One standard_normal call of the
+    one generator default_rng([seed]) fills a block trial by trial, and the
+    arrays are basic slices of its columns: trial k is the k-th chunk of
+    the stream whatever the block size.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
     rows = max(1, BLOCK_DOUBLES // max(sizes))
-    rng = np.random.default_rng([*key])
-    cuts = np.cumsum(sizes)[:-1]
+    rng = np.random.default_rng([seed])
+    edges = list(itertools.accumulate(sizes, initial=0))
     for k0 in range(0, trials, rows):
-        block = rng.standard_normal((min(rows, trials - k0), sum(sizes)))
-        yield k0, tuple(np.split(block, cuts, axis=1))
+        block = rng.standard_normal((min(rows, trials - k0), edges[-1]))
+        block.flags.writeable = False
+        yield k0, tuple(block[:, a:b] for a, b in itertools.pairwise(edges))
 
 
-def _running_max(worst: float, values: np.ndarray) -> float:
-    """max(worst, x) over values in order, as the builtin takes it (a NaN
-    never replaces the running maximum)."""
-    for x in values.tolist():
-        if x > worst:
-            worst = x
-    return worst
+def _run(ctx: ProbeContext, seed: int, claims: list) -> list:
+    """The certificate rows of each claim, all evaluated on the trials of
+    one stream, default_rng([seed]).
+
+    A claim is (trials, update, rows), as _claim1, _claim2, _claim3 and
+    _dadt build it: update(k0, u, v, w) folds trials k0, k0 + 1, ... into
+    the rows.  One pass of _trial_blocks covers the most trials any claim
+    needs, and each claim gets the first trials - k0 rows of a block while
+    that is positive, as read-only arrays.  Raises ValueError for a claim
+    with trials < 1: a claim that checked nothing must not pass.
+    """
+    counts = [trials for trials, _, _ in claims]
+    if min(counts) < 1:
+        raise ValueError(f"need at least one trial, got {min(counts)}")
+    n = ctx.mesh.N + 1
+    for k0, U in _trial_blocks(max(counts), seed, (n, n, ctx.n_delta + 1)):
+        for trials, update, _ in claims:
+            if k0 < trials:
+                update(k0, *(x[:trials - k0] for x in U))
+    return [rows for _, _, rows in claims]
+
+
+def _running_max(row: dict, key: str, values: np.ndarray) -> float:
+    """Raise row[key] to the maximum of values, taken in order as the builtin
+    max takes it (a NaN never replaces the running maximum); returns it."""
+    row[key] = max([row[key], *values.tolist()])
+    return row[key]
 
 
 def iota(delay: DelaySpec, t):
@@ -216,34 +243,39 @@ def quadratic_form(U, times, ctx: ProbeContext):
     return val - shift * norm, norm
 
 
+def _claim1(times, ctx: ProbeContext, trials: int, seed: int):
+    """Claim 1 for _run; see dissipativity_probe."""
+    tol = 1e-8
+    rows = [{"max_form_ratio": -math.inf, "positive_trials": 0,
+             "trials": trials, "pass": True, "seed": seed} for _ in times]
+
+    def update(k0, *U):
+        u, v, w = project_to_domain(U, ctx)
+        # importance sampling: the form's sign is decided by the boundary
+        # traces, so every fourth trial concentrates its mass there.  The
+        # scaling leaves v(1) and w(0) alone and keeps the projection's
+        # zeros, so it gives the same states before or after projecting.
+        hit = np.arange(k0, k0 + len(u)) % 4 == 3
+        u[hit] *= 0.0
+        v[hit, :-1] *= 1e-3
+        w[hit, 1:-1] *= 1e-3
+        form, norm = quadratic_form((u, v, w), times, ctx)
+        for row, num, den in zip(rows, form, norm):
+            live = den != 0.0
+            ratio = num[live] / den[live]
+            worst = _running_max(row, "max_form_ratio", ratio)
+            row["positive_trials"] += int(np.count_nonzero(ratio > tol))
+            row["pass"] = worst <= tol
+
+    return trials, update, rows
+
+
 def dissipativity_probe(times, ctx: ProbeContext, trials: int = 500,
                         seed: int = 0) -> list[dict]:
     """Max of the shifted quadratic form over random domain-projected states,
     normalized by the squared state norm, at each of the times: one
     certificate row per time.  PASS iff it stays below tol = 1e-8."""
-    tol = 1e-8
-    times = [float(t) for t in times]
-    n = ctx.mesh.N + 1
-    worst = [-math.inf] * len(times)
-    npos = [0] * len(times)
-    for k0, (u, v, w) in _trial_blocks(trials, (seed,),
-                                       (n, n, ctx.n_delta + 1)):
-        # importance sampling: the form's sign is decided by the boundary
-        # traces, so every fourth trial concentrates its mass there
-        hit = np.arange(k0, k0 + len(u)) % 4 == 3
-        u[hit] *= 0.0
-        v[hit, :-1] *= 1e-3
-        w[hit, 1:-1] *= 1e-3
-        form, norm = quadratic_form(project_to_domain((u, v, w), ctx),
-                                    times, ctx)
-        for j in range(len(times)):
-            live = norm[j] != 0.0
-            ratio = form[j][live] / norm[j][live]
-            worst[j] = _running_max(worst[j], ratio)
-            npos[j] += int(np.count_nonzero(ratio > tol))
-    return [{"max_form_ratio": x, "positive_trials": p, "trials": trials,
-             "pass": x <= tol, "seed": seed}
-            for x, p in zip(worst, npos)]
+    return _run(ctx, seed, [_claim1(times, ctx, trials, seed)])[0]
 
 
 def channel_resolvent_weights(tau: float, taup: float, n_delta: int):
@@ -341,28 +373,55 @@ class Resolvent:
         return u, v, w, residual, ident
 
 
+def _claim2(times, ctx: ProbeContext, trials: int, seed: int):
+    """Claim 2 for _run; see resolvent_probe."""
+    solvers = [Resolvent(float(t), ctx) for t in times]
+    rows = [{"max_residual": 0.0, "max_boundary_identity": 0.0,
+             "trials": trials, "pass": True, "seed": seed} for _ in times]
+
+    def update(k0, f, g, h):
+        # the constrained node of the Dirichlet regime carries no load
+        f = f.copy()
+        f[:, :ctx.ops.first_active] = 0.0
+        # residuals are measured relative to max(1, ||G||_H), row by row
+        scale = np.maximum(1.0, np.sqrt(norm_h_sq((f, g, h), ctx)))
+        for row, res in zip(rows, solvers):
+            residual, ident = res.solve(f, g, h, scale)[3:]
+            r = _running_max(row, "max_residual", residual)
+            i = _running_max(row, "max_boundary_identity", ident)
+            row["pass"] = r <= 1e-8 and i <= 1e-8
+
+    return trials, update, rows
+
+
 def resolvent_probe(times, ctx: ProbeContext, trials: int = 100,
                     seed: int = 0) -> list[dict]:
     """Residual check of (I - A(t)) U = G for random right-hand sides, at
     each of the times: one certificate row per time.  PASS iff both worst
     values stay below 1e-8."""
-    solvers = [Resolvent(float(t), ctx) for t in times]
-    n = ctx.mesh.N + 1
-    worst_res = [0.0] * len(solvers)
-    worst_ident = [0.0] * len(solvers)
-    for _, (f, g, h) in _trial_blocks(trials, (seed, 7),
-                                      (n, n, ctx.n_delta + 1)):
-        if ctx.dirichlet:
-            f[:, 0] = 0.0
-        # residuals are measured relative to max(1, ||G||_H), row by row
-        scale = np.maximum(1.0, np.sqrt(norm_h_sq((f, g, h), ctx)))
-        for j, res in enumerate(solvers):
-            residual, ident = res.solve(f, g, h, scale)[3:]
-            worst_res[j] = _running_max(worst_res[j], residual)
-            worst_ident[j] = _running_max(worst_ident[j], ident)
-    return [{"max_residual": r, "max_boundary_identity": i, "trials": trials,
-             "pass": r <= 1e-8 and i <= 1e-8, "seed": seed}
-            for r, i in zip(worst_res, worst_ident)]
+    return _run(ctx, seed, [_claim2(times, ctx, trials, seed)])[0]
+
+
+def _claim3(pairs, ctx: ProbeContext, trials: int, seed: int):
+    """Claim 3 for _run; see norm_ratio_bound."""
+    pairs = [(float(s), float(t)) for s, t in pairs]
+    times = list(dict.fromkeys(x for pair in pairs for x in pair))
+    d, tau0 = ctx.delay.d, ctx.delay.tau0
+    rows = [{"max_ratio": 0.0,
+             "bound_stated": math.exp(d / (2.0 * tau0) * abs(t - s)),
+             "bound_proof": math.exp(d / tau0 * abs(t - s)),
+             "excess": 0.0, "pass": True, "seed": seed} for s, t in pairs]
+
+    def update(k0, *U):
+        norms = norm_t_sq(U, times, ctx)
+        for row, (s, t) in zip(rows, pairs):
+            a, b = norms[times.index(t)], norms[times.index(s)]
+            live = b > 0.0
+            worst = _running_max(row, "max_ratio", np.sqrt(a[live] / b[live]))
+            row["excess"] = max(0.0, worst - row["bound_stated"])
+            row["pass"] = row["excess"] <= 1e-12
+
+    return trials, update, rows
 
 
 def norm_ratio_bound(pairs, ctx: ProbeContext, trials: int = 500,
@@ -371,56 +430,44 @@ def norm_ratio_bound(pairs, ctx: ProbeContext, trials: int = 500,
     e^{d |t-s| / (2 tau0)}: one certificate row per (s, t) pair.  PASS iff
     the excess stays below 1e-12.  The looser in-proof exponent d/tau0 is
     reported alongside."""
-    pairs = [(float(s), float(t)) for s, t in pairs]
-    times = list(dict.fromkeys(x for pair in pairs for x in pair))
-    row = {t: j for j, t in enumerate(times)}
-    n = ctx.mesh.N + 1
-    worst = [0.0] * len(pairs)
-    for _, U in _trial_blocks(trials, (seed, 13), (n, n, ctx.n_delta + 1)):
-        norms = norm_t_sq(U, times, ctx)
-        for i, (s, t) in enumerate(pairs):
-            a, b = norms[row[t]], norms[row[s]]
-            live = b > 0.0
-            worst[i] = _running_max(worst[i], np.sqrt(a[live] / b[live]))
-    d, tau0 = ctx.delay.d, ctx.delay.tau0
-    rows = []
-    for x, (s, t) in zip(worst, pairs):
-        stated = math.exp(d / (2.0 * tau0) * abs(t - s))
-        excess = max(0.0, x - stated)
-        rows.append({"max_ratio": x, "bound_stated": stated,
-                     "bound_proof": math.exp(d / tau0 * abs(t - s)),
-                     "excess": excess, "pass": excess <= 1e-12, "seed": seed})
-    return rows
+    return _run(ctx, seed, [_claim3(pairs, ctx, trials, seed)])[0]
 
 
-def generator_drift_probe(times, ctx: ProbeContext, trials: int = 50,
-                          seed: int = 0,
-                          steps: tuple = (1e-2, 1e-3, 1e-4)) -> list[dict]:
-    """Finite-difference bound on ||(A(t+h) - A(t)) U|| / ||U||_graph, one
-    dict {h: bound} per time.
-
-    Only the transport coefficient depends on time, so the difference lives
-    in the channel block.  Reported per step size; asserted finite by the
-    caller.
-    """
-    times = [float(t) for t in times]
-    n = ctx.mesh.N + 1
-    out = [dict.fromkeys(steps, 0.0) for _ in times]
+def _dadt(times, ctx: ProbeContext, trials: int = 50,
+          steps: tuple = (1e-2, 1e-3, 1e-4)):
+    """The drift of A(t) for _run; see generator_drift_probe."""
+    rows = [{**{f"h={h:g}": 0.0 for h in steps}, "trials": trials}
+            for _ in times]
     # the difference has no u or v block; 1-d zeros broadcast against it
-    zero = np.zeros(n)
-    for _, U in _trial_blocks(trials, (seed, 29), (n, n, ctx.n_delta + 1)):
+    zero = np.zeros(ctx.mesh.N + 1)
+
+    def update(k0, *U):
         U = project_to_domain(U, ctx)
         base = norm_h_sq(U, ctx)
-        for worst, t in zip(out, times):
+        for row, t in zip(rows, times):
             a0 = generator_apply(U, t, ctx, project=False)
             graph = np.sqrt(base + norm_h_sq(a0, ctx))
             live = graph > 0.0
             for hstep in steps:
                 diff = (_transport_block(U[2], t + hstep, ctx) - a0[2]) / hstep
                 num = np.sqrt(norm_h_sq((zero, zero, diff), ctx))
-                worst[hstep] = _running_max(worst[hstep],
-                                            num[live] / graph[live])
-    return out
+                _running_max(row, f"h={hstep:g}", num[live] / graph[live])
+
+    return trials, update, rows
+
+
+def generator_drift_probe(times, ctx: ProbeContext, trials: int = 50,
+                          seed: int = 0,
+                          steps: tuple = (1e-2, 1e-3, 1e-4)) -> list[dict]:
+    """Finite-difference bound on ||(A(t+h) - A(t)) U|| / ||U||_graph over
+    random domain-projected states: one certificate row per time, holding
+    the maximum under "h=<h>" for each step size h and the trial count.
+
+    Only the transport coefficient depends on time, so the difference lives
+    in the channel block.  A sampled maximum, reported for information;
+    run_certificate asserts it finite.
+    """
+    return _run(ctx, seed, [_dadt(times, ctx, trials, steps)])[0]
 
 
 def run_certificate(ctx: ProbeContext, t_list, seed: int = 0,
@@ -428,11 +475,18 @@ def run_certificate(ctx: ProbeContext, t_list, seed: int = 0,
                     ratio_trials: int = 500) -> dict:
     """All probes at each requested time; JSON-ready aggregation.
 
-    The norm ratio is checked on consecutive pairs of t_list and on its
-    first and last entries.  Each distinct time and each distinct pair is
+    The four claims run as one pass over one stream, default_rng([seed]):
+    trial k serves every claim that covers it, and each claim's rows equal
+    those of its probe run alone with the same seed and trial count.  The
+    norm ratio is checked on consecutive pairs of t_list and on its first
+    and last entries.  Each distinct time and each distinct pair is
     evaluated once, so a repeated time adds no work and no key.  Rows are
     keyed "t=<t>" and "s=<s>,t=<t>", a time printed with format(t, "g"), or
     with repr(t) where distinct times would print alike and share a row.
+
+    dAdt is the drift probe on its 50 trials: a sampled maximum reported
+    for information, not a bound.  It enters "pass" only in that every
+    value must be finite.
     """
     t_list = [float(t) for t in t_list]
     if not t_list:
@@ -446,17 +500,13 @@ def run_certificate(ctx: ProbeContext, t_list, seed: int = 0,
     count = Counter(short.values())
     label = {t: x if count[x] == 1 else repr(t) for t, x in short.items()}
     keys = [f"t={label[t]}" for t in times]
-    claim1 = dict(zip(keys, dissipativity_probe(times, ctx, trials=diss_trials,
-                                                seed=seed)))
-    claim2 = dict(zip(keys, resolvent_probe(times, ctx, trials=res_trials,
-                                            seed=seed)))
+    *by_time, by_pair = _run(ctx, seed, [
+        _claim1(times, ctx, diss_trials, seed),
+        _claim2(times, ctx, res_trials, seed),
+        _dadt(times, ctx), _claim3(pairs, ctx, ratio_trials, seed)])
+    claim1, claim2, drift = (dict(zip(keys, rows)) for rows in by_time)
     claim3 = dict(zip((f"s={label[s]},t={label[t]}" for s, t in pairs),
-                      norm_ratio_bound(pairs, ctx, trials=ratio_trials,
-                                       seed=seed) if pairs else []))
-    drift = {
-        key: {f"h={h:g}": val for h, val in d.items()}
-        for key, d in zip(keys, generator_drift_probe(times, ctx, seed=seed))
-    }
+                      by_pair))
     all_pass = (
         all(row["pass"] for claim in (claim1, claim2, claim3)
             for row in claim.values())

@@ -235,6 +235,8 @@ class TestGeneratorDrift:
     def test_finite_and_stable(self):
         ctx = make_ctx()
         [out] = generator_drift_probe([2.0], ctx, trials=20, seed=2)
+        assert out.pop("trials") == 20
+        assert list(out) == ["h=0.01", "h=0.001", "h=0.0001"]
         vals = list(out.values())
         assert all(math.isfinite(v) for v in vals)
         assert max(vals) <= 10.0 * (min(vals) + 1e-12) + 1e-6
@@ -273,10 +275,10 @@ def oracle_project(u, v, w, ctx):
     return u, v, w
 
 
-def oracle_draw(key, ctx, trials):
-    """The probe's trials one at a time: trial k is the k-th (u, v, w)
-    chunk of the probe's one stream default_rng(key)."""
-    rng = np.random.default_rng(key)
+def oracle_draw(seed, ctx, trials):
+    """The trials one at a time: trial k is the k-th (u, v, w) chunk of
+    the one stream default_rng([seed]) that every probe draws from."""
+    rng = np.random.default_rng([seed])
     n = ctx.mesh.N + 1
     return [(rng.standard_normal(n), rng.standard_normal(n),
              rng.standard_normal(ctx.n_delta + 1)) for _ in range(trials)]
@@ -286,7 +288,7 @@ def oracle_dissipativity(t, ctx, trials, seed, tol=1e-8):
     ops, g, delay = ctx.ops, ctx.gains, ctx.delay
     tau, taup = float(delay.tau(t)), float(delay.tau_prime(t))
     worst, npos = -math.inf, 0
-    for k, (u, v, w) in enumerate(oracle_draw([seed], ctx, trials)):
+    for k, (u, v, w) in enumerate(oracle_draw(seed, ctx, trials)):
         if k % 4 == 3:
             u *= 0.0
             v[:-1] *= 1e-3
@@ -317,7 +319,7 @@ def oracle_resolvent(t, ctx, trials, seed):
     a_d, bw = channel_resolvent_weights(tau, taup, m)
     start = ops.first_active
     worst_res = worst_ident = 0.0
-    for f, gg, h in oracle_draw([seed, 7], ctx, trials):
+    for f, gg, h in oracle_draw(seed, ctx, trials):
         if ctx.dirichlet:
             f[0] = 0.0
         main, off = ops.stiffness_tridiagonal(start)
@@ -352,7 +354,7 @@ def oracle_resolvent(t, ctx, trials, seed):
 def oracle_norm_ratio(s, t, ctx, trials, seed):
     ta, tb = float(ctx.delay.tau(t)), float(ctx.delay.tau(s))
     worst = 0.0
-    for U in oracle_draw([seed, 13], ctx, trials):
+    for U in oracle_draw(seed, ctx, trials):
         b = oracle_norm_sq(*U, tb, ctx)
         if b > 0.0:
             worst = max(worst, math.sqrt(oracle_norm_sq(*U, ta, ctx) / b))
@@ -381,7 +383,7 @@ def oracle_drift(t, ctx, trials, seed, steps):
     zero = np.zeros(ctx.mesh.N + 1)
     for hstep in steps:
         worst = 0.0
-        for U in oracle_draw([seed, 29], ctx, trials):
+        for U in oracle_draw(seed, ctx, trials):
             U = oracle_project(*U, ctx)
             a0 = oracle_apply(*U, t, ctx)
             a1 = oracle_apply(*U, t + hstep, ctx)
@@ -391,8 +393,8 @@ def oracle_drift(t, ctx, trials, seed, steps):
                                            1.0, ctx))
             if graph > 0.0:
                 worst = max(worst, num / graph)
-        out[hstep] = worst
-    return out
+        out[f"h={hstep:g}"] = worst
+    return {**out, "trials": trials}
 
 
 ROWS_AT_64 = BLOCK_DOUBLES // 65
@@ -439,6 +441,27 @@ class TestStackedAgainstPerTrial:
         for t, drift in zip(self.TIMES, drifts):
             assert drift == oracle_drift(t, ctx, trials // 4, seed, steps)
 
+    @pytest.mark.parametrize("case", sorted(ORACLE_CTX))
+    def test_certificate_equals_the_probes_alone(self, case):
+        # one stream for all four claims, which stop in different blocks:
+        # claim 1 in the third, claim 3 in the second, claim 2 and the
+        # drift's 50 trials in the first
+        ctx = make_ctx(**ORACLE_CTX[case])
+        seed = 4
+        diss, res, ratio = 2 * ROWS_AT_64 + 11, 37, ROWS_AT_64 + 5
+        assert res < 50 < ROWS_AT_64 < ratio < 2 * ROWS_AT_64 < diss
+        cert = run_certificate(ctx, self.TIMES, seed=seed, diss_trials=diss,
+                               res_trials=res, ratio_trials=ratio)
+        assert list(cert["claim1"].values()) == dissipativity_probe(
+            self.TIMES, ctx, trials=diss, seed=seed)
+        assert list(cert["claim2"].values()) == resolvent_probe(
+            self.TIMES, ctx, trials=res, seed=seed)
+        assert list(cert["claim3"].values()) == norm_ratio_bound(
+            self.PAIRS, ctx, trials=ratio, seed=seed)
+        assert list(cert["dAdt"].values()) == generator_drift_probe(
+            self.TIMES, ctx, seed=seed)
+        assert cert["pass"] == (case != "violating")
+
     def test_energy_parts_stack_equals_rows(self):
         ctx = make_ctx()
         ops, g = ctx.ops, ctx.gains
@@ -475,10 +498,10 @@ class TestTrialStream:
     # the arrays of a probe at N = 64, n_delta = 32
     SIZES = (65, 65, 33)
 
-    def draws(self, trials, key=(4, 13)):
-        # the probe's trials as three (trials, n) arrays, block by block
+    def draws(self, trials, seed=4):
+        # the trials as three (trials, n) arrays, block by block
         blocks = [arrays for _, arrays in
-                  operator_checks._trial_blocks(trials, key, self.SIZES)]
+                  operator_checks._trial_blocks(trials, seed, self.SIZES)]
         return [np.concatenate(part) for part in zip(*blocks)]
 
     def test_block_size_does_not_change_the_trials(self, monkeypatch):
@@ -487,7 +510,7 @@ class TestTrialStream:
         for budget in (3 * 65, 65, 1):
             monkeypatch.setattr(operator_checks, "BLOCK_DOUBLES", budget)
             starts = [k0 for k0, _ in operator_checks._trial_blocks(
-                trials, (4, 13), self.SIZES)]
+                trials, 4, self.SIZES)]
             assert starts == list(range(0, trials, max(1, budget // 65)))
             for small, big in zip(self.draws(trials), default):
                 assert np.array_equal(small, big)
@@ -497,9 +520,19 @@ class TestTrialStream:
         for short, long in zip(self.draws(k), self.draws(2 * k)):
             assert np.array_equal(short, long[:k])
 
-    def test_one_generator_per_probe_one_fill_per_block(self, monkeypatch):
+    def test_blocks_are_read_only(self):
+        # every claim reads the same block, so none may write into it
+        for _, arrays in operator_checks._trial_blocks(9, 4, self.SIZES):
+            for part, n in zip(arrays, self.SIZES):
+                assert part.shape == (9, n) and not part.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    part[0, 0] = 0.0
+
+    def test_one_generator_per_certificate_one_fill_per_block(
+            self, monkeypatch):
         # N = 16, n_delta = 8: a block holds BLOCK_DOUBLES // 17 trials
         rows = BLOCK_DOUBLES // 17
+        ctx = make_ctx(n=16, n_delta=8)
         real = np.random.default_rng
 
         class Counted:
@@ -510,26 +543,35 @@ class TestTrialStream:
                 self.fills += 1
                 return self.rng.standard_normal(*args, **kwargs)
 
-        def cert(trials):
-            return run_certificate(make_ctx(n=16, n_delta=8), [0.0, 1.0, 2.0],
-                                   seed=3, diss_trials=trials,
-                                   res_trials=trials, ratio_trials=trials)
-
-        for trials in (9, 2 * rows + 1):
+        def counted(run):
             made = []
 
-            def counted(seed):
+            def make(seed):
                 made.append(Counted(seed))
                 return made[-1]
 
             with monkeypatch.context() as patch:
-                patch.setattr(np.random, "default_rng", counted)
-                counted_cert = cert(trials)
-            assert [c.seed for c in made] == [[3], [3, 7], [3, 13], [3, 29]]
-            blocks = -(-trials // rows)
-            # the drift probe keeps its 50 trials
-            assert [c.fills for c in made] == [blocks, blocks, blocks, 1]
-            assert counted_cert == cert(trials)
+                patch.setattr(np.random, "default_rng", make)
+                out = run()
+            assert out == run()
+            return [(c.seed, c.fills) for c in made]
+
+        # the drift keeps its 50 trials, which the largest count may be
+        for trials in [(9, 9, 9), (2 * rows + 1, 3, rows + 2),
+                       (7, rows + 1, 2)]:
+            diss, res, ratio = trials
+            made = counted(lambda: run_certificate(
+                ctx, [0.0, 1.0, 2.0], seed=3, diss_trials=diss,
+                res_trials=res, ratio_trials=ratio))
+            assert made == [([3], -(-max(*trials, 50) // rows))]
+        # a probe run alone: the same one stream, for its own trials
+        for probe, entries in [(dissipativity_probe, [0.0, 1.0]),
+                               (resolvent_probe, [0.0]),
+                               (norm_ratio_bound, [(0.0, 1.0)]),
+                               (generator_drift_probe, [0.0])]:
+            made = counted(lambda: probe(entries, ctx, trials=rows + 1,
+                                         seed=3))
+            assert made == [([3], 2)]
 
 
 @pytest.mark.parametrize("probe, entries", [
@@ -545,20 +587,24 @@ def test_no_trials_is_an_error_not_a_pass(probe, entries, trials):
 
 
 class TestRunCertificate:
+    # run_certificate builds one claim per probe, counted here under the
+    # probe's name
+    CLAIMS = {"dissipativity_probe": "_claim1", "resolvent_probe": "_claim2",
+              "norm_ratio_bound": "_claim3",
+              "generator_drift_probe": "_dadt"}
     TIME_PROBES = ("dissipativity_probe", "resolvent_probe",
                    "generator_drift_probe")
-    PROBES = TIME_PROBES + ("norm_ratio_bound",)
 
     def count(self, monkeypatch):
-        seen = {name: [] for name in self.PROBES}
-        for name in self.PROBES:
-            real = getattr(operator_checks, name)
+        seen = {name: [] for name in self.CLAIMS}
+        for name, claim in self.CLAIMS.items():
+            real = getattr(operator_checks, claim)
 
             def counted(entries, ctx, *args, _real=real, _name=name, **kw):
                 seen[_name].extend(entries)
                 return _real(entries, ctx, *args, **kw)
 
-            monkeypatch.setattr(operator_checks, name, counted)
+            monkeypatch.setattr(operator_checks, claim, counted)
         return seen
 
     def cert(self, t_list):
@@ -616,6 +662,14 @@ class TestRunCertificate:
         assert list(two["claim1"]) == ["t=1.0", "t=1.0000001"]
         assert list(two["claim3"]) == ["s=1.0,t=1.0000001"]
         assert two["claim1"]["t=1.0"] == cert["claim1"]["t=1.0"]
+
+    @pytest.mark.parametrize("field", ["diss_trials", "res_trials",
+                                       "ratio_trials"])
+    def test_a_claim_without_trials_is_an_error(self, field):
+        # the other claims' trials do not cover a claim that has none
+        with pytest.raises(ValueError, match="need at least one trial, got 0"):
+            run_certificate(make_ctx(n=16, n_delta=8), [0.0, 1.0],
+                            **{field: 0})
 
     def test_no_times_is_an_error(self):
         with pytest.raises(ValueError, match="at least one probe time"):

@@ -4,7 +4,6 @@ simulation, energy/Lyapunov evaluation, and numerical certification."""
 __version__ = "0.1.0"
 
 from .analysis import (
-    AuditResult,
     DecayCertificate,
     EllipticResult,
     LyapunovParams,

@@ -21,14 +21,13 @@ inner product, the pointwise bound a(x) >= a(1) x^{mu_a}, e^{-2 delta tau}
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .delay_channel import delta_grid, delta_trap_weights
-from .errors import InsufficientHorizon, NoStrictDamping, ShapeMismatch
+from .errors import NoStrictDamping, ShapeMismatch
 from .mesh import (
     DiscreteOperators,
     Mesh,
@@ -190,22 +189,13 @@ def choose_epsilon(spec: CoefficientSpec, gains: GainSet, delay: DelaySpec,
     )
 
 
-@dataclass(frozen=True)
-class AuditResult:
-    """Outcome of the trace-dissipation audit along a trajectory."""
-
-    worst_violation: float
-    monotonicity_violation: float
-    monotonicity_count: int
-
-
-def dissipation_audit(trajectory, c3: float, a1: float) -> AuditResult:
-    """Audit dE/dt <= -c3 a(1) (v(1)^2 + v_delayed(1)^2) along a trajectory.
+def dissipation_audit(trajectory, c3: float, a1: float) -> float:
+    """Worst violation of dE/dt <= -c3 a(1) (v(1)^2 + v_delayed(1)^2) along
+    a trajectory, clamped at zero.
 
     dE/dt is measured by centered differences on the recorded grid, so the
-    audit is a measurement with an O(dt^2) floor, not an identity.  The worst
-    violation is clamped at zero; plain sample-to-sample energy increases are
-    reported separately.
+    audit is a measurement with an O(dt^2) floor, not an identity.  Plain
+    sample-to-sample energy increases are not part of it.
     """
     t = np.asarray(trajectory.t, dtype=float)
     e = np.asarray(trajectory.E, dtype=float)
@@ -215,12 +205,7 @@ def dissipation_audit(trajectory, c3: float, a1: float) -> AuditResult:
     td = np.asarray(trajectory.trace_v_delayed, dtype=float)
     edot = (e[2:] - e[:-2]) / (t[2:] - t[:-2])
     viol = edot + c3 * a1 * (tv[1:-1] ** 2 + td[1:-1] ** 2)
-    rises = np.diff(e)
-    return AuditResult(
-        worst_violation=max(0.0, float(np.max(viol))),
-        monotonicity_violation=max(0.0, float(np.max(rises))),
-        monotonicity_count=int(np.sum(rises > 0.0)),
-    )
+    return max(0.0, float(np.max(viol)))
 
 
 def sandwich_audit(trajectory, params: LyapunovParams) -> float:
@@ -410,7 +395,8 @@ def empirical_integral_gain(t: np.ndarray, e: np.ndarray) -> float:
 def decay_certificate(trajectory, params: LyapunovParams,
                       constants: StructuralConstants, mu_a: float,
                       beta: float, tau1: float) -> DecayCertificate:
-    """Evaluate the certificate on a recorded trajectory (see class doc)."""
+    """Evaluate the certificate on a recorded trajectory (see class doc).
+    A horizon shorter than 3 M is flagged by horizon_ok alone."""
     t = np.asarray(trajectory.t, dtype=float)
     e = np.asarray(trajectory.E, dtype=float)
     m_bound = certified_decay_time(
@@ -425,18 +411,10 @@ def decay_certificate(trajectory, params: LyapunovParams,
         ok = bool(np.all(e[after] <= env))
     else:
         ok = True
-    horizon_ok = bool(t[-1] >= 3.0 * m_bound)
-    if not horizon_ok:
-        warnings.warn(
-            f"horizon {t[-1]:.3g} is below 3x the certified decay time "
-            f"{m_bound:.3g}; the envelope check covers only the recorded window",
-            InsufficientHorizon,
-            stacklevel=2,
-        )
     return DecayCertificate(
         decay_time_bound=m_bound,
         rate_fit=rate,
         integral_gain_max=gain,
         envelope_ok=ok,
-        horizon_ok=horizon_ok,
+        horizon_ok=bool(t[-1] >= 3.0 * m_bound),
     )

@@ -2,7 +2,8 @@
 
 Verbs: simulate, sweep, converge, operator-check, elliptic-check.
 Exit codes: 0 success, 1 failure to write an output, 2 any package error
-(hypothesis/config validation failure), 3 audit failure under --strict.
+(hypothesis/config validation failure), 3 audit failure under --strict
+(simulate, operator-check, elliptic-check).
 main() alone maps errors to exit codes and stderr messages.
 """
 
@@ -12,7 +13,6 @@ import argparse
 import itertools
 import math
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +29,7 @@ from . import (
     reporting,
     stepper,
 )
-from .errors import ConfigError, DegenwaveError, HypothesisError, InsufficientHorizon
+from .errors import ConfigError, DegenwaveError, HypothesisError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -41,7 +41,7 @@ def _load(args) -> cfgmod.RunConfig:
     cfg = cfgmod.load_config(args.config)
     if args.set:
         cfg = cfgmod.apply_overrides(cfg, args.set)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = cfgmod.set_value(cfg, "seed", args.seed)
     return cfg
 
@@ -64,48 +64,102 @@ def _write_text(path: str, text: str, note: str = "") -> None:
     print(f"wrote {path}{note}")
 
 
-def build_report(setup: cfgmod.RunSetup, consts, traj, lyap, cert,
-                 sandwich_violation) -> dict:
+def _put_audit(audits: dict, value_key: str, value, tol: float) -> None:
+    """Write an audit's value under value_key, whose first word names the
+    audit, and its <name>_tol and <name>_pass keys; all three are None when
+    the audit did not run (value None)."""
+    name = value_key.split("_")[0]
+    audits[value_key] = value
+    audits[f"{name}_tol"] = None if value is None else tol
+    audits[f"{name}_pass"] = None if value is None else value <= tol
+
+
+@dataclass(eq=False)
+class Simulation:
+    """One config of a batch: its setup, constants, Lyapunov parameters,
+    snapshot store (or None) and, once run, its trajectory."""
+
+    setup: cfgmod.RunSetup
+    consts: model.StructuralConstants
+    lyap: Optional[analysis.LyapunovParams]
+    store: Optional[reporting.SnapshotStore]
+    traj: Optional[stepper.Trajectory] = None
+
+    @classmethod
+    def prepare(cls, cfg: cfgmod.RunConfig, snapshots: bool) -> "Simulation":
+        setup = cfgmod.build_setup(cfg)
+        consts = model.full_constants(setup.spec, setup.gains, setup.delay)
+        lyap = None
+        if consts.strictly_damped:
+            lyap = analysis.choose_epsilon(setup.spec, setup.gains,
+                                           setup.delay, consts)
+        store = None
+        if snapshots:
+            store = reporting.SnapshotStore(
+                stepper.record_count(cfg.integrator_t_final, setup.dt,
+                                     cfg.integrator_record_every),
+                setup.ops.n_nodes, cfg.channel_n_delta + 1)
+        return cls(setup, consts, lyap, store)
+
+
+def build_report(sim: Simulation) -> dict:
+    """The report of a finished run: constants, Lyapunov parameters, decay
+    certificate, audits and the embedded operator certificate.  A decay
+    certificate whose horizon falls short adds a warning to the run's."""
+    setup, consts, lyap, traj = sim.setup, sim.consts, sim.lyap, sim.traj
     cfg = setup.cfg
     e = traj.E
-    e0 = float(e[0]) if e.size else 0.0
-    t_final = cfg.integrator_t_final
+    e0 = float(e[0])
+    # probe the time the run ends at, which is t_final only when
+    # t_final is a whole number of steps
+    t_end = float(traj.t[-1])
+    ctx = operator_checks.ProbeContext(
+        mesh=setup.mesh, ops=setup.ops, gains=setup.gains,
+        delay=setup.delay, n_delta=cfg.channel_n_delta,
+    )
+    cert_ops = operator_checks.run_certificate(
+        ctx, [0.0, t_end / 2.0, t_end] if t_end > 0 else [0.0],
+        seed=cfg.seed, diss_trials=200, res_trials=40, ratio_trials=200,
+    )
+    cert = None
+    if lyap is not None and e.size >= 2:
+        cert = analysis.decay_certificate(
+            traj, lyap, consts, setup.spec.mu_a, setup.gains.beta,
+            setup.delay.tau1,
+        )
+        if not cert.horizon_ok:
+            traj.warnings.append(
+                "horizon shortfall: t_final is below 3x the certified "
+                "decay time; the envelope check covers only the recorded "
+                "window"
+            )
+
     audits = {
         "E0": e0,
-        "E_final": float(e[-1]) if e.size else 0.0,
-        "bc_residual_max": float(np.max(traj.bc_residual)) if e.size else 0.0,
+        "E_final": float(e[-1]),
+        "bc_residual_max": float(np.max(traj.bc_residual)),
         "bc_residual_coeff": traj.bc_residual_coeff,
-        "channel_discrepancy_max": float(np.max(np.abs(traj.channel_discrepancy)))
-        if e.size else 0.0,
+        "channel_discrepancy_max":
+            float(np.max(np.abs(traj.channel_discrepancy))),
     }
     rises = np.diff(e)
-    mono = max(0.0, float(np.max(rises))) if rises.size else 0.0
-    audits["monotonicity_violation"] = mono
-    audits["monotonicity_tol"] = 1e-8 * e0
-    audits["monotonicity_pass"] = mono <= 1e-8 * e0
+    _put_audit(audits, "monotonicity_violation",
+               max(0.0, float(np.max(rises))) if rises.size else 0.0,
+               1e-8 * e0)
+    _put_audit(audits, "dissipation_worst",
+               analysis.dissipation_audit(traj, consts.damping_const,
+                                          setup.spec.a_of_1)
+               if e.size >= 3 and consts.strictly_damped else None,
+               0.02 * e0 / max(cfg.integrator_t_final, 1e-300))
+    _put_audit(audits, "sandwich_violation",
+               None if lyap is None else analysis.sandwich_audit(traj, lyap),
+               1e-12 * max(e0, 1.0))
+    if sim.store is not None:
+        audits["snapshot_energy_max_rel_err"] = (
+            sim.store.recompute_energy_max_rel_err(
+                traj, setup.ops, setup.gains, setup.delay))
 
-    if e.size >= 3 and consts.strictly_damped:
-        aud = analysis.dissipation_audit(traj, consts.damping_const,
-                                         setup.spec.a_of_1)
-        tol = 0.02 * e0 / max(t_final, 1e-300)
-        audits["dissipation_worst"] = aud.worst_violation
-        audits["dissipation_tol"] = tol
-        audits["dissipation_pass"] = aud.worst_violation <= tol
-    else:
-        audits["dissipation_worst"] = None
-        audits["dissipation_tol"] = None
-        audits["dissipation_pass"] = None
-
-    if lyap is not None:
-        audits["sandwich_violation"] = sandwich_violation
-        audits["sandwich_tol"] = 1e-12 * max(e0, 1.0)
-        audits["sandwich_pass"] = sandwich_violation <= 1e-12 * max(e0, 1.0)
-    else:
-        audits["sandwich_violation"] = None
-        audits["sandwich_tol"] = None
-        audits["sandwich_pass"] = None
-
-    report = {
+    return {
         "version": __version__,
         "config_hash": setup.fingerprint,
         "config": cfgmod.effective_items(cfg),
@@ -148,78 +202,8 @@ def build_report(setup: cfgmod.RunSetup, consts, traj, lyap, cert,
                 "d/tau0 reported alongside in operator certificates",
         },
         "warnings": list(traj.warnings),
+        "operator_certificate": cert_ops,
     }
-    return report
-
-
-@dataclass(eq=False)
-class Simulation:
-    """One config of a batch: its setup, constants, Lyapunov parameters,
-    snapshot store (or None) and, once run, its trajectory."""
-
-    setup: cfgmod.RunSetup
-    consts: model.StructuralConstants
-    lyap: Optional[analysis.LyapunovParams]
-    store: Optional[reporting.SnapshotStore]
-    traj: Optional[stepper.Trajectory] = None
-
-    @classmethod
-    def prepare(cls, cfg: cfgmod.RunConfig, snapshots: bool) -> "Simulation":
-        setup = cfgmod.build_setup(cfg)
-        consts = model.full_constants(setup.spec, setup.gains, setup.delay)
-        lyap = None
-        if consts.strictly_damped:
-            lyap = analysis.choose_epsilon(setup.spec, setup.gains,
-                                           setup.delay, consts)
-        store = None
-        if snapshots:
-            store = reporting.SnapshotStore(
-                stepper.record_count(cfg.integrator_t_final, setup.dt,
-                                     cfg.integrator_record_every),
-                setup.ops.n_nodes, cfg.channel_n_delta + 1)
-        return cls(setup, consts, lyap, store)
-
-    def report(self) -> dict:
-        """The run's report: audits, decay certificate and the embedded
-        operator certificate."""
-        setup, consts, lyap, traj = self.setup, self.consts, self.lyap, self.traj
-        cert = None
-        # probe the time the run ends at, which is t_final only when
-        # t_final is a whole number of steps
-        t_end = float(traj.t[-1])
-        ctx = operator_checks.ProbeContext(
-            mesh=setup.mesh, ops=setup.ops, gains=setup.gains,
-            delay=setup.delay, n_delta=setup.cfg.channel_n_delta,
-        )
-        cert_ops = operator_checks.run_certificate(
-            ctx, [0.0, t_end / 2.0, t_end] if t_end > 0 else [0.0],
-            seed=setup.cfg.seed, diss_trials=200, res_trials=40,
-            ratio_trials=200,
-        )
-        if lyap is not None and traj.E.size >= 2:
-            with warnings.catch_warnings():
-                # the shortfall is surfaced through the report and stdout here
-                warnings.simplefilter("ignore", InsufficientHorizon)
-                cert = analysis.decay_certificate(
-                    traj, lyap, consts, setup.spec.mu_a, setup.gains.beta,
-                    setup.delay.tau1,
-                )
-            if not cert.horizon_ok:
-                traj.warnings.append(
-                    "horizon shortfall: t_final is below 3x the certified "
-                    "decay time; the envelope check covers only the recorded "
-                    "window"
-                )
-        sandwich = analysis.sandwich_audit(traj, lyap) if lyap is not None else None
-        report = build_report(setup, consts, traj, lyap, cert, sandwich)
-        report["operator_certificate"] = cert_ops
-        if self.store is not None:
-            report["audits"]["snapshot_energy_max_rel_err"] = (
-                self.store.recompute_energy_max_rel_err(
-                    traj, setup.ops, setup.gains, setup.delay
-                )
-            )
-        return report
 
 
 def simulate_batch(cfgs: list[cfgmod.RunConfig],
@@ -259,7 +243,7 @@ def simulate_config(cfg: cfgmod.RunConfig, snapshots: bool = False):
     (sim,) = simulate_batch([cfg], snapshots)
     if isinstance(sim, DegenwaveError):
         raise sim
-    return sim.setup, sim.traj, sim.report(), sim.store
+    return sim.setup, sim.traj, build_report(sim), sim.store
 
 
 def _strict_failures(report: dict) -> list[str]:
@@ -309,35 +293,29 @@ def cmd_simulate(args) -> int:
 # --- sweep -------------------------------------------------------------------
 
 
+# a sweep row's result columns, as a row that failed reads them
+_SWEEP_FAILED = {
+    "damping_const": math.nan, "gain_margin": math.nan, "rate_fit": math.nan,
+    "envelope_ok": "", "decay_time_bound": math.nan, "E0": math.nan,
+    "E_final": math.nan,
+}
+
+
 def _sweep_row(payload, sim) -> dict:
     """The sweep row of one config from its simulation, or from the
     DegenwaveError that stopped it."""
     idx, cfg, keys = payload
     row = {k: cfgmod.get_value(cfg, k) for k in keys}
-    row["row"] = idx
-    row["seed"] = cfg.seed
+    row.update(row=idx, seed=cfg.seed, **_SWEEP_FAILED, status="ok")
     try:
         if isinstance(sim, DegenwaveError):
             raise sim
-        report = sim.report()
-        c = report["constants"]
-        d = report.get("decay")
-        row.update(
-            damping_const=c["damping_const"],
-            gain_margin=c["gain_margin"],
-            rate_fit=(d or {}).get("rate_fit", math.nan),
-            envelope_ok=(d or {}).get("envelope_ok", ""),
-            decay_time_bound=(d or {}).get("decay_time_bound", math.nan),
-            E0=report["audits"]["E0"],
-            E_final=report["audits"]["E_final"],
-            status="ok",
-        )
+        report = build_report(sim)
     except DegenwaveError as exc:
-        row.update(
-            damping_const=math.nan, gain_margin=math.nan, rate_fit=math.nan,
-            envelope_ok="", decay_time_bound=math.nan, E0=math.nan,
-            E_final=math.nan, status=f"failed: {exc}",
-        )
+        row["status"] = f"failed: {exc}"
+        return row
+    for part in (report["constants"], report["decay"] or {}, report["audits"]):
+        row.update((k, v) for k, v in part.items() if k in _SWEEP_FAILED)
     return row
 
 
@@ -582,20 +560,22 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_config=True):
-        if needs_config:
+    def common(sp, config=True, strict=False):
+        if config:
             sp.add_argument("--config", required=True,
                             help="config file path or shipped scenario name")
-        sp.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
-                        help="override a config key (repeatable)")
+            sp.add_argument("--set", action="append", default=[],
+                            metavar="KEY=VAL",
+                            help="override a config key (repeatable)")
+            sp.add_argument("--seed", type=int, default=None,
+                            help="override the config seed")
         sp.add_argument("--out", default=None, help="output path or prefix")
-        sp.add_argument("--strict", action="store_true",
-                        help="exit 3 when an audit fails")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+        if strict:
+            sp.add_argument("--strict", action="store_true",
+                            help="exit 3 when an audit fails")
 
     sp = sub.add_parser("simulate", help="run one scenario, write CSV + report")
-    common(sp)
+    common(sp, strict=True)
     sp.add_argument("--snapshots", action="store_true",
                     help="also store per-sample state snapshots (.npz)")
     sp.set_defaults(func=cmd_simulate)
@@ -616,7 +596,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("operator-check",
                         help="dissipativity / resolvent / norm-ratio probes")
-    common(sp)
+    common(sp, strict=True)
     sp.add_argument("--t", type=float, action="append", default=None,
                     help="probe time (repeatable; default 0, T/2, T)")
     sp.add_argument("--trials", type=int, default=500)
@@ -624,7 +604,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("elliptic-check",
                         help="auxiliary elliptic problem estimates")
-    common(sp, needs_config=False)
+    common(sp, config=False, strict=True)
     sp.add_argument("--n", type=int, default=256)
     sp.add_argument("--alphas", type=float, nargs="*", default=None)
     sp.add_argument("--betas", type=float, nargs="*", default=None)

@@ -231,7 +231,8 @@ def build_setup(cfg: RunConfig) -> RunSetup:
 
     Raises subclass errors of HypothesisError (CLI exit code 2) when the
     coefficient, delay or boundary pairing violates the structural
-    assumptions, and ConfigError for malformed numerics.
+    assumptions, and ConfigError for malformed numerics or an unknown
+    initial.preset or initial.f0 name.
     """
     if cfg.mesh_n < 8:
         raise ConfigError("mesh.n must be >= 8 for production runs")
@@ -258,6 +259,15 @@ def build_setup(cfg: RunConfig) -> RunSetup:
                               beta=cfg.gains_beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key, name, known in [
+        ("initial.preset", cfg.initial_preset,
+         stepper.displacement_presets(spec.mu_a)),
+        ("initial.f0", cfg.initial_f0,
+         stepper.history_presets(cfg.initial_f0_amplitude)),
+    ]:
+        if name not in known:
+            raise ConfigError(f"unknown {key} {name!r}; known: "
+                              f"{', '.join(sorted(known))}")
 
     gamma = cfg.mesh_gamma if cfg.mesh_gamma is not None else \
         mesh_mod.default_gamma(spec.mu_a)

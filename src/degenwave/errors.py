@@ -62,7 +62,3 @@ class DomainViolation(DegenwaveError):
 
 class ConfigError(DegenwaveError):
     """Config file cannot be parsed or contains invalid keys/values."""
-
-
-class InsufficientHorizon(Warning):
-    """Run horizon too short for a sharp decay envelope check (warning grade)."""

@@ -397,14 +397,6 @@ class StructuralConstants:
     wellposed: Optional[bool] = None
     strictly_damped: Optional[bool] = None
 
-    def merged_with(self, other: "StructuralConstants") -> "StructuralConstants":
-        """Fill any None fields from other."""
-        kw = {}
-        for f in self.__dataclass_fields__:
-            mine = getattr(self, f)
-            kw[f] = mine if mine is not None else getattr(other, f)
-        return StructuralConstants(**kw)
-
 
 def feedback_margins(gains: GainSet, delay: DelaySpec) -> StructuralConstants:
     """Report the two gain margins of the feedback loop.
@@ -447,6 +439,7 @@ def structural_constants(spec: CoefficientSpec, beta: float) -> StructuralConsta
 def full_constants(spec: CoefficientSpec, gains: GainSet,
                    delay: DelaySpec) -> StructuralConstants:
     """structural_constants and feedback_margins in one record."""
-    return structural_constants(spec, gains.beta).merged_with(
-        feedback_margins(gains, delay)
-    )
+    fb = feedback_margins(gains, delay)
+    return replace(structural_constants(spec, gains.beta),
+                   gain_margin=fb.gain_margin, damping_const=fb.damping_const,
+                   wellposed=fb.wellposed, strictly_damped=fb.strictly_damped)

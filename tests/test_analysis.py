@@ -177,17 +177,14 @@ class TestDissipationAudit:
             t=np.linspace(0, 1, 11), E=np.zeros(11),
             trace_v=np.zeros(11), trace_v_delayed=np.zeros(11),
         )
-        out = dissipation_audit(traj, 0.5, 1.0)
-        assert out.worst_violation == 0.0
-        assert out.monotonicity_count == 0
+        assert dissipation_audit(traj, 0.5, 1.0) == 0.0
 
     def test_decaying_synthetic_clean(self):
         t = np.linspace(0, 5, 501)
         traj = SimpleNamespace(t=t, E=np.exp(-2 * t),
                                trace_v=np.zeros(501),
                                trace_v_delayed=np.zeros(501))
-        out = dissipation_audit(traj, 0.5, 1.0)
-        assert out.worst_violation == 0.0
+        assert dissipation_audit(traj, 0.5, 1.0) == 0.0
 
     def test_needs_three_samples(self):
         traj = SimpleNamespace(t=np.array([0.0, 1.0]), E=np.array([1.0, 0.5]),
@@ -279,11 +276,8 @@ class TestDecayCertificate:
         consts, lyap = self._params()
         t = np.linspace(0.0, 5.0, 101)
         traj = SimpleNamespace(t=t, E=np.exp(-t))
-        from degenwave.errors import InsufficientHorizon
-
-        with pytest.warns(InsufficientHorizon):
-            cert = decay_certificate(traj, lyap, consts, SPEC.mu_a,
-                                     GAINS.beta, DELAY.tau1)
+        cert = decay_certificate(traj, lyap, consts, SPEC.mu_a, GAINS.beta,
+                                 DELAY.tau1)
         assert cert.envelope_ok        # no recorded t beyond the bound
         assert not cert.horizon_ok     # and the shortfall is flagged
 

@@ -1,5 +1,6 @@
 """Config parsing, scenarios, CLI verbs, output formats, exit codes."""
 
+import argparse
 import json
 import math
 import re
@@ -15,11 +16,48 @@ from degenwave.cli import (
     EXIT_OK,
     converge_table,
     main,
+    make_parser,
     simulate_batch,
     simulate_config,
     sweep_rows,
 )
 from degenwave.errors import ConfigError, NonFiniteState
+
+
+class TestVerbFlags:
+    # each verb accepts only the flags it reads: --strict where an audit can
+    # fail, --config/--set/--seed where a config is loaded
+    FLAGS = {
+        "simulate": {"--config", "--set", "--seed", "--out", "--strict",
+                     "--snapshots"},
+        "sweep": {"--config", "--set", "--seed", "--out", "--axis", "--jobs"},
+        "converge": {"--config", "--set", "--seed", "--out", "--levels",
+                     "--start-n"},
+        "operator-check": {"--config", "--set", "--seed", "--out", "--strict",
+                           "--t", "--trials"},
+        "elliptic-check": {"--out", "--strict", "--n", "--alphas", "--betas"},
+    }
+
+    def test_flag_set_of_every_verb(self):
+        (verbs,) = [a for a in make_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+        have = {name: {flag for a in sp._actions for flag in a.option_strings
+                       if flag not in ("-h", "--help")}
+                for name, sp in verbs.choices.items()}
+        assert have == self.FLAGS
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["sweep", "--config", "baseline"], ["--strict"]),
+        (["converge", "--config", "baseline"], ["--strict"]),
+        (["elliptic-check"], ["--set", "gains.mu1=bogus"]),
+        (["elliptic-check"], ["--seed", "1"]),
+    ])
+    def test_unread_flag_exit2(self, argv, unread, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv + unread)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(unread)}\n")
 
 
 class TestConfigFormat:
@@ -161,6 +199,18 @@ class TestSimulateCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "'bogus'" in err
+
+    @pytest.mark.parametrize("key, known", [
+        ("initial.preset", "ramp, sine-bump, velocity-kick, zero"),
+        ("initial.f0", "constant, cosine, zero"),
+    ])
+    def test_unknown_initial_data_name_exit2(self, key, known, tmp_path,
+                                             capsys):
+        rc = run_cli(["simulate", "--config", "baseline",
+                      "--set", f"{key}=bogus", "--out", str(tmp_path / "x")])
+        assert rc == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err == (
+            f"config error: unknown {key} 'bogus'; known: {known}\n")
 
     def test_non_finite_state_exit2(self, tmp_path, fast_args, capsys,
                                     monkeypatch):
@@ -339,6 +389,14 @@ class TestSweep:
         rows = sweep_rows(cfg, [("coefficient.alpha", ["0.5", "2.0"])])
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("failed")
+
+    def test_unknown_preset_row_fails_alone(self):
+        rows = sweep_rows(self.small_cfg(),
+                          [("initial.preset", ["ramp", "bogus"])])
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"] == (
+            "failed: unknown initial.preset 'bogus'; "
+            "known: ramp, sine-bump, velocity-kick, zero")
 
     def test_parallel_matches_serial(self):
         # two lockstep batches (one per beta), spread over two workers

@@ -8,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
+from degenwave import cli, stepper
 from degenwave import config as cfgmod
-from degenwave import stepper
 from degenwave.cli import (
     EXIT_AUDIT,
     EXIT_HYPOTHESIS,
@@ -22,6 +22,7 @@ from degenwave.cli import (
     sweep_rows,
 )
 from degenwave.errors import ConfigError, NonFiniteState
+from degenwave.reporting import report_json_text
 
 
 class TestVerbFlags:
@@ -552,8 +553,10 @@ class TestConverge:
         assert len(table["levels"]) == 3
         assert len(table["differences"]) == 2
         assert len(table["orders_E"]) == 1
-        # every level's horizon is a whole number of its steps
+        # every level's horizon is a whole number of its steps, so the
+        # order is a number
         assert table["warnings"] == []
+        assert math.isfinite(table["orders_E"][0])
 
     def test_needs_three_levels(self):
         with pytest.raises(ConfigError):
@@ -599,11 +602,60 @@ class TestConverge:
             return trajs
 
         monkeypatch.setattr(stepper, "run", spy)
+        # levels in this process, so that the spy sees them
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         cfg = cfgmod.set_value(cfgmod.load_config("baseline"),
                                "integrator.t_final", 0.25)
         table = converge_table(cfg, levels=3, start_n=16)
         assert len(table["levels"]) == 3
         assert lengths == [2, 2, 2]
+
+    @pytest.mark.parametrize("overrides, start_n", [
+        (["integrator.t_final=2"], 64),  # README's example
+        (["mesh.n=16", "channel.n_delta=8", "integrator.t_final=0.25"], 16),
+    ])
+    def test_worker_levels_equal_in_process_levels(self, overrides, start_n,
+                                                   monkeypatch):
+        cfg = cfgmod.apply_overrides(cfgmod.load_config("baseline"), overrides)
+        texts = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            texts.append(report_json_text(
+                converge_table(cfg, levels=3, start_n=start_n)))
+        assert texts[0] == texts[1]
+
+    def test_coarsest_failing_level_is_raised(self, monkeypatch):
+        # every level blows up, each at its own step; in this process and
+        # in worker processes the error is the coarsest level's
+        cfg = cfgmod.apply_overrides(cfgmod.load_config("baseline"), [
+            "gains.mu2=1e300", "integrator.t_final=1"])
+        real_level, failed = cli._converge_level, {}
+
+        def spy(c):
+            result = real_level(c)
+            failed[c.mesh_n] = str(result)
+            return result
+
+        monkeypatch.setattr(cli, "_converge_level", spy)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        with pytest.raises(NonFiniteState) as alone:
+            converge_table(cfg, levels=3, start_n=16)
+        assert sorted(failed) == [16, 32, 64]
+        assert len(set(failed.values())) == 3
+        assert str(alone.value) == failed[16]
+        # a worker is sent the level function by name: the real one
+        monkeypatch.setattr(cli, "_converge_level", real_level)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        with pytest.raises(NonFiniteState) as fanned:
+            converge_table(cfg, levels=3, start_n=16)
+        assert str(fanned.value) == failed[16]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fan_out_keeps_item_order(self, jobs):
+        # the first item takes the longest
+        items = [20000, 1, 10000, 2, 5]
+        assert cli._fan_out(math.factorial, items, jobs) == [
+            math.factorial(n) for n in items]
 
     def test_blow_up_names_its_step(self, capsys):
         # a level records only its endpoints, yet the message names the step
@@ -637,7 +689,10 @@ class TestConverge:
         assert [row["t_end"] for row in table["levels"]] == [
             179 * 0.0028, 357 * 0.0014, 714 * 0.0007]
         assert len(table["warnings"]) == 3
+        # the levels end at different times: no order
+        assert table["orders_E"] == ["nan"]
         printed = capsys.readouterr().out
+        assert "orders: [nan]" in printed
         for k, t_end in enumerate(["0.5012", "0.4998", "0.4998"]):
             note = f"level {k}: t_final = 0.5 is not a whole number of steps"
             assert note in table["warnings"][k]

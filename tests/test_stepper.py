@@ -710,11 +710,11 @@ class TestStepCount:
         # every shipped horizon is a whole number of steps, and so is every
         # run of the benchmark's workloads (perfbench/workloads.py, run here
         # with the sweep in this process so that the spy sees its rows: 12
-        # rows in 4 lockstep batches)
+        # rows in 4 lockstep batches, and converge's levels as well)
         import importlib.util
         from pathlib import Path
 
-        from degenwave import config, stepper
+        from degenwave import cli, config, stepper
 
         for name in config.SCENARIO_NAMES:
             cfg = config.load_config(name)
@@ -726,6 +726,7 @@ class TestStepCount:
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         monkeypatch.setattr(workloads, "SWEEP_JOBS", 1)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         real_run, notes, calls = stepper.run, [], []
 
         def spy(*args, **kwargs):

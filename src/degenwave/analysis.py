@@ -67,10 +67,12 @@ def energy_parts(u, v, w, tau, ops: DiscreteOperators,
 
 def _energy_blocks(u, v, du, mv, ww, tau, ops, gains) -> dict:
     # the energy blocks from the differences du of u, mv = M v and ww = w^2,
-    # which lyapunov_raw shares with the eps-block.  np.vecdot sums each row
-    # as @ sums a 1-d pair, and float_power(x, 2) calls the C pow that the
-    # float x ** 2 calls (x * x differs in about one value in a thousand),
-    # so a stack's rows and 1-d calls get the same bits
+    # which lyapunov_raw shares with the eps-block; gains.mu1 and gains.beta
+    # may be arrays over the last leading axis, one per row of a batch.
+    # np.vecdot sums each row as @ sums a 1-d pair, and float_power(x, 2)
+    # calls the C pow that the float x ** 2 calls (x * x differs in about
+    # one value in a thousand), so a stack's rows and 1-d calls get the
+    # same bits
     return {
         "kinetic": np.vecdot(mv, v),
         "elastic": np.vecdot(ops.k_cell * du, du),
@@ -113,8 +115,10 @@ def lyapunov_raw(u, v, w, tau, ops: DiscreteOperators, gains: GainSet,
     u, v and w may be stacks of states, shape (..., n), with tau an array
     over the leading axes (one delay per row); E and E~ then have the
     leading shape, and each row gets the bits it would get alone.  epsilon
-    may be an array over the last leading axis (one per row of a batch); a
-    row whose epsilon is 0 gets E~ = E + 0 = E.
+    and the gains may be arrays over the last leading axis (one per row of
+    a batch: `gains` a `stepper.BatchGains`, whose mu1 and beta scale the
+    delay and boundary blocks row by row); a row whose epsilon is 0 gets
+    E~ = E + 0 = E.
     """
     du = u[..., 1:] - u[..., :-1]
     mv = ops.mass * v

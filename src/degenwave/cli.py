@@ -228,7 +228,7 @@ def build_report(sim: Simulation) -> dict:
 
 def simulate_batch(cfgs: list[cfgmod.RunConfig],
                    snapshots: bool = False) -> list:
-    """Set up configs that differ at most in gains.mu2 and seed and run
+    """Set up configs that differ at most in their gains and seed and run
     them as one lockstep batch (`stepper.run`).  Returns, per config, its
     Simulation or the DegenwaveError that stopped it: a config that fails
     to set up, or whose state turns non-finite, fails alone, and an error
@@ -345,12 +345,43 @@ def _sweep_batch(batch) -> list[dict]:
     return [_sweep_row(p, sim) for p, sim in zip(batch, sims)]
 
 
+def _system(payload) -> tuple:
+    """The (mu1, beta) of a sweep payload, which fix its midpoint system: a
+    batch factors one system per distinct pair."""
+    _, cfg, _ = payload
+    return cfg.gains_mu1, cfg.gains_beta
+
+
+def _cut_batches(batches: list, jobs: int) -> list:
+    """Cut batches in two until there are `jobs` of them or none has two
+    rows.  A batch with more than one midpoint system is cut first (the
+    largest such), between its systems; then the largest batch, between
+    its rows."""
+    batches = list(batches)
+    while len(batches) < jobs:
+        systems = [list(dict.fromkeys(map(_system, b))) for b in batches]
+        i = max(range(len(batches)),
+                key=lambda i: (len(systems[i]) > 1, len(batches[i])))
+        batch = batches[i]
+        if len(batch) < 2:
+            break
+        if len(systems[i]) > 1:
+            head = set(systems[i][:len(systems[i]) // 2])
+            cut = ([p for p in batch if _system(p) in head],
+                   [p for p in batch if _system(p) not in head])
+        else:
+            cut = (batch[:len(batch) // 2], batch[len(batch) // 2:])
+        batches[i:i + 1] = cut
+    return batches
+
+
 def sweep_rows(cfg: cfgmod.RunConfig, axes: list[tuple[str, list[str]]],
                jobs: int = 1) -> list[dict]:
-    """One row per grid point.  Rows whose configs differ only in
-    gains.mu2 (and their derived seeds) run as one lockstep batch, and
-    `jobs` worker processes take whole batches; every row has the bits of
-    its run alone."""
+    """One row per grid point.  Rows whose configs differ only in their
+    gains (and their derived seeds) run as one lockstep batch, and `jobs`
+    worker processes take whole batches, cut (`_cut_batches`) until each
+    worker has one where the rows allow; every row has the bits of its run
+    alone."""
     if len(axes) > 3:
         raise ConfigError("at most 3 sweep axes")
     if jobs < 1:
@@ -366,7 +397,7 @@ def sweep_rows(cfg: cfgmod.RunConfig, axes: list[tuple[str, list[str]]],
         c = cfgmod.set_value(c, "seed", (master * 1_000_003 + 17 * idx) % 2**31)
         batches.setdefault(cfgmod.batch_key(c), []).append(
             (idx, c, keys))
-    done = _fan_out(_sweep_batch, list(batches.values()), jobs)
+    done = _fan_out(_sweep_batch, _cut_batches(batches.values(), jobs), jobs)
     return sorted((row for rows in done for row in rows),
                   key=lambda row: row["row"])
 

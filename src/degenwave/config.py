@@ -288,16 +288,17 @@ def build_setup(cfg: RunConfig) -> RunSetup:
 
 
 def batch_key(cfg: RunConfig) -> RunConfig:
-    """What the configs of one lockstep batch share: all but gains.mu2 and
+    """What the configs of one lockstep batch share: all but the gains and
     the seed."""
-    return replace(cfg, gains_mu2=0.0, seed=0)
+    return replace(cfg, gains_mu1=0.0, gains_mu2=0.0, gains_beta=0.0, seed=0)
 
 
 def run_from_setup(setups: list[RunSetup], lyap=None, snapshot_sink=None):
     """`stepper.run` of setups that share their `batch_key`, as one lockstep
-    batch (with `lyap` and `snapshot_sink` one entry per setup, or None);
-    one Trajectory or NonFiniteState per setup.  Raises ValueError naming
-    the first config key in which a setup differs from the first one."""
+    batch whose rows each have their own gains (with `lyap` and
+    `snapshot_sink` one entry per setup, or None); one Trajectory or
+    NonFiniteState per setup.  Raises ValueError naming the first config
+    key in which a setup differs from the first one."""
     first = setups[0]
     cfg = first.cfg
     key = batch_key(cfg)
@@ -306,7 +307,8 @@ def run_from_setup(setups: list[RunSetup], lyap=None, snapshot_sink=None):
             name = next(k for k, (attr, _) in _KEYS.items()
                         if getattr(other, attr) != getattr(key, attr))
             raise ValueError(f"the setups of a batch must share every config "
-                             f"key but gains.mu2 and seed; {name} differs")
+                             f"key but gains.mu1, gains.mu2, gains.beta and "
+                             f"seed; {name} differs")
     return stepper.run(
         first.mesh, first.ops, [s.gains for s in setups], first.delay,
         t_final=cfg.integrator_t_final, dt=first.dt,

@@ -9,22 +9,27 @@ by the implicit midpoint rule, with the delayed trace taken explicitly from
 the history ring at the midpoint time (it is known history, so no
 iteration is needed and the local part keeps its unconditional stability).
 The linear system is SPD tridiagonal (the feedback only loads the last
-diagonal entry): `StepWorkspace.build` factors it once per run as a
-`mesh.SPDTridiagonal`, and the wave part of a step is one solve with the
-factors (`_midpoint_solver`, shared by `step` and `run`).  The
+diagonal entry): `StepWorkspace.build` factors it once per run and
+(mu1, beta) as a `mesh.SPDTridiagonal`, and the wave part of a step is one
+solve with the factors (`_midpoint_solver`, shared by `step` and `run`).
+The
 stretched-history channel then takes its implicit upwind step
 (`delay_channel.transport_step`, the triangular solve the resolvent shares).
 
-`run` steps a lockstep batch of B rows, runs that differ only in mu2: mu2
-only loads the right-hand side, so the rows share the factors, the channel
-band, the delay and one history ring with a column per row.  The states
-are (B, n) stacks, and a step is one solve with B right-hand sides.  Every
-operation acts row by row and the LAPACK solves treat each right-hand side
-on its own, so each row gets the bits of its run alone, and a row whose
-state turns non-finite stops alone.  `run` takes one GainSet per row and
-returns one Trajectory or NonFiniteState per row; a single run is a batch
-of one.  `step` advances one state by one step; it is the reference that
-`run` is tested against.
+`run` steps a lockstep batch of B rows, runs that differ only in their
+gains.  mu2 only loads the right-hand side and mu1 and beta only the last
+pivot of the midpoint matrix, so the rows share the channel band, the delay
+and one history ring with a column per row, and the rows of one (mu1, beta)
+share its factors.  The states are node-major (n, B) arrays, a column per
+row, so each ufunc call of a step is one contiguous pass over the batch;
+the solve copies the right-hand sides into one Fortran-ordered scratch,
+where each (mu1, beta) solves its columns.  Every operation acts entry by
+entry and the LAPACK solves treat each right-hand side on its own, so each
+row gets the bits of its run alone, and a row whose state turns non-finite
+stops alone.  `run` takes one GainSet per row and returns one Trajectory
+or NonFiniteState per row; a single run is a batch of one.  `step`
+advances one state by one step; it is the reference that `run` is tested
+against.
 
 Only the wave step and the ring feed the feedback; the channel and the
 recorded columns are diagnostics, so `run` takes them off the step path.
@@ -39,10 +44,11 @@ tau at its recorded instants in one array call each, and reads the ring
 once before its steps and once, for its recorded instants, after them;
 `DelaySpec` gives a scalar the bits of an array entry, so `step` and `run`
 agree bit for bit.  A step is then only the midpoint solve, and a recorded
-step copies u and v into the block's stacks.  At the end of the block the
-channel advances K steps per banded solve, and the block's rows get their
-columns from one row-wise call each.  `step` advances the channel at every
-call, so its state.w is always current.
+step copies u and v, transposed, into the block's (instants, B, n)
+stacks.  At the end of the block the channel advances K steps per banded
+solve, and the block's rows get their columns from one row-wise call
+each.  `step` advances the channel at every call, so its state.w is always
+current.
 
 Step n lands on t = n dt exactly: the ring sits on the same uniform grid and
 its newest index is the step counter.  `step` updates one SimState in place.
@@ -51,6 +57,7 @@ its newest index is the step counter.  `step` updates one SimState in place.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -223,52 +230,60 @@ def init_state(mesh: Mesh, ops: DiscreteOperators, delay: DelaySpec,
 
 @dataclass(frozen=True)
 class BatchGains:
-    """The gains of a lockstep batch: mu1 and beta shared by its rows, mu2
-    one per row.  It stands in for a GainSet wherever the rows are
-    evaluated together."""
+    """The gains of a lockstep batch, one entry per row: it stands in for a
+    GainSet wherever the rows are evaluated together."""
 
-    mu1: float
+    mu1: np.ndarray
     mu2: np.ndarray
-    beta: float
+    beta: np.ndarray
 
     @classmethod
     def of(cls, rows: Sequence[GainSet]) -> "BatchGains":
-        first = rows[0]
-        if any(g.mu1 != first.mu1 or g.beta != first.beta for g in rows):
-            raise ValueError("the rows of a batch must share mu1 and beta")
-        return cls(first.mu1, np.array([g.mu2 for g in rows]), first.beta)
+        return cls(np.array([g.mu1 for g in rows]),
+                   np.array([g.mu2 for g in rows]),
+                   np.array([g.beta for g in rows]))
 
 
 @dataclass
 class StepWorkspace:
-    """The midpoint system of one run, factored once for the step dt, and
+    """The midpoint systems of one run, factored once for the step dt, and
     the operator 2M - dt K of its right-hand side as the diagonal `mass2`
     = 2M and the conductances `k_rhs` = -dt k_cell.  Only mu1 and beta
-    enter it, so a batch shares it."""
+    enter a system: `systems` holds one (system, c0, c1) per run of
+    consecutive batch rows [c0, c1) that share them."""
 
     dt: float
-    system: SPDTridiagonal
+    systems: list[tuple[SPDTridiagonal, int, int]]
     mass2: np.ndarray
     k_rhs: np.ndarray
 
     @classmethod
-    def build(cls, ops: DiscreteOperators, gains: GainSet | BatchGains,
+    def build(cls, ops: DiscreteOperators, gains: GainSet | Sequence[GainSet],
               dt: float) -> "StepWorkspace":
+        rows = [gains] if isinstance(gains, GainSet) else gains
         start = ops.first_active
         main, off = ops.stiffness_tridiagonal(start)
         main = main * (0.5 * dt * dt) + 2.0 * ops.mass[start:]
-        main[-1] += dt * ops.a1 * (gains.mu1 + 0.5 * dt * gains.beta)
-        return cls(dt, SPDTridiagonal(main, off * (0.5 * dt * dt), "midpoint"),
-                   2.0 * ops.mass, -dt * ops.k_cell)
+        off = off * (0.5 * dt * dt)
+        systems, c0 = [], 0
+        for (mu1, beta), group in itertools.groupby(
+                rows, key=lambda g: (g.mu1, g.beta)):
+            c1 = c0 + len(list(group))
+            last = main.copy()
+            last[-1] += dt * ops.a1 * (mu1 + 0.5 * dt * beta)
+            systems.append((SPDTridiagonal(last, off, "midpoint"), c0, c1))
+            c0 = c1
+        return cls(dt, systems, 2.0 * ops.mass, -dt * ops.k_cell)
 
 
-def _midpoint_solver(u: np.ndarray, v: np.ndarray, beta: float,
+def _midpoint_solver(u: np.ndarray, v: np.ndarray, betas: Sequence[float],
                      ops: DiscreteOperators, work: StepWorkspace) -> Callable:
-    """The part of a step the feedback needs, for the (B, n) states u and v
-    of a batch, with buffers allocated once: `advance(loads)` does the
-    midpoint solve, updates u and v in place and returns the new traces
-    v(1) as a list; loads holds mu2 times the delayed trace at the step's
-    midpoint, one float per row.
+    """The part of a step the feedback needs, for the node-major (n, B)
+    states u and v of a batch (row b's beta betas[b], its system the one
+    of `work.systems` whose columns hold b), with buffers allocated once:
+    `advance(loads)` does the midpoint solve, updates u and v in place and
+    returns the new traces v(1) as a list; loads holds mu2 times the
+    delayed trace at the step's midpoint, one float per row.
 
     It makes the operations of the one-row step in the same order, so
     each row gets the bits it would get alone."""
@@ -276,20 +291,38 @@ def _midpoint_solver(u: np.ndarray, v: np.ndarray, beta: float,
     dt = np.array(work.dt)  # 0-d: a ufunc converts a float at every call
     scale = work.dt * ops.a1
     mass2, k_rhs = work.mass2[start:], work.k_rhs
-    rows = u.shape[0]
-    rhs = np.empty((rows, ops.n_nodes - start))
-    solve, columns = work.system.solve_in_place, rhs.T
-    u_end, v_end, rhs_end = u[:, -1], v[:, -1], rhs[:, -1]
-    # views made once (u and v are updated in place for the whole run);
-    # a single row takes 1-d views, on which a ufunc call costs about half
-    row = 0 if rows == 1 else slice(None)
-    u, v, rhs = u[row], v[row], rhs[row]
-    flux = np.empty(rhs.shape[:-1] + (ops.n_nodes - 1,))
+    rows = u.shape[1]
+    rhs = np.empty((ops.n_nodes - start, rows))
+    u_end, v_end, rhs_end = u[-1], v[-1], rhs[-1]
+    if rows == 1:
+        # 1-d views (u and v are updated in place for the whole run), on
+        # which a ufunc call costs about half; the (n, 1) rhs is one
+        # Fortran-ordered column, solved where it lies
+        ((system, _, _),) = work.systems
+        solve, columns = system.solve_in_place, rhs
+        u, v, rhs = u[:, 0], v[:, 0], rhs[:, 0]
+    else:
+        # the invariants tiled to the states' shape, so that every ufunc
+        # call below is one contiguous pass; each system solves its
+        # columns of one Fortran-ordered copy of the right-hand sides
+        mass2 = np.repeat(mass2[:, None], rows, axis=1)
+        k_rhs = np.repeat(k_rhs[:, None], rows, axis=1)
+        columns = np.empty_like(rhs, order="F")
+        parts = [(system.solve_in_place, columns[:, c0:c1])
+                 for system, c0, c1 in work.systems]
+
+        def solve(scratch):
+            np.copyto(scratch, rhs)
+            for solve_in_place, part in parts:
+                solve_in_place(part)
+            np.copyto(rhs, scratch)
+
+    flux = np.empty((ops.n_nodes - 1,) + rhs.shape[1:])
     twice = np.empty_like(rhs)
-    u_act, v_act = u[..., start:], v[..., start:]
-    u_hi, u_lo = u[..., 1:], u[..., :-1]
-    rhs_lo, rhs_hi = rhs[..., :-1], rhs[..., 1 - start:]
-    flux_lo = flux[..., start:]
+    u_act, v_act = u[start:], v[start:]
+    u_hi, u_lo = u[1:], u[:-1]
+    rhs_lo, rhs_hi = rhs[:-1], rhs[1 - start:]
+    flux_lo = flux[start:]
     mul, add, sub = np.multiply, np.add, np.subtract
 
     def advance(loads) -> list:
@@ -302,7 +335,8 @@ def _midpoint_solver(u: np.ndarray, v: np.ndarray, beta: float,
         add(rhs_hi, flux, rhs_hi)
         # - dt a(1) (beta u(1) + mu2 w_mid) on the last node, in floats: B
         # scalars cost less than four ufunc calls
-        for b, (u1, load) in enumerate(zip(u_end.tolist(), loads)):
+        for b, (beta, u1, load) in enumerate(zip(betas, u_end.tolist(),
+                                                 loads)):
             rhs_end[b] -= scale * (beta * u1 + load)
         solve(columns)
         # v' = 2 vbar - v and u' = u + dt vbar, in place (vbar + vbar is
@@ -327,8 +361,8 @@ def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
                          f"or the workspace's {workspace.dt}")
     t_mid = (buf.last + 0.5) * dt
     tau_mid = float(delay.tau(t_mid))
-    advance = _midpoint_solver(state.u[None], state.v[None], gains.beta, ops,
-                               workspace)
+    advance = _midpoint_solver(state.u[:, None], state.v[:, None],
+                               [gains.beta], ops, workspace)
     (trace,) = advance([gains.mu2 * float(buf.sample(t_mid - tau_mid))])
     buf.extend([trace])
     state.t = buf.last * dt
@@ -342,10 +376,10 @@ def bc_residual(u, v, w_del, gains: GainSet | BatchGains, mesh: Mesh):
     ring's sample at t - tau(t), is w_del.
 
     u and v may be (rows, n) stacks with one w_del per row, and `gains` a
-    BatchGains whose mu2 runs over the last leading axis; each row gets
-    the bits it would get alone.  The displacement slope at x = 1 is the
-    one-sided P1 flux of the last element, so the residual carries the
-    scheme's O(dt + 1/N) consistency error by design.
+    BatchGains whose mu1, mu2 and beta run over the last leading axis;
+    each row gets the bits it would get alone.  The displacement slope at
+    x = 1 is the one-sided P1 flux of the last element, so the residual
+    carries the scheme's O(dt + 1/N) consistency error by design.
     """
     u_end = u[..., -1]
     flux = (u_end - u[..., -2]) / mesh.h[-1]
@@ -385,12 +419,12 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     """Integrate to t_final, recording the COLUMNS every record_every
     steps (plus the initial and final instants).
 
-    The rows, one per GainSet (all sharing mu1 and beta), run as one
-    lockstep batch from the same initial data; `lyap` (LyapunovParams or
-    None) and `snapshot_sink` (callable or None) are sequences with one
-    entry per row, or None for none at all.  Returns a list with each
-    row's Trajectory, or the NonFiniteState that stopped that row.  A row
-    gets the bits of its run alone; a single run is a batch of one.
+    The rows, one per GainSet, run as one lockstep batch from the same
+    initial data; `lyap` (LyapunovParams or None) and `snapshot_sink`
+    (callable or None) are sequences with one entry per row, or None for
+    none at all.  Returns a list with each row's Trajectory, or the
+    NonFiniteState that stopped that row.  A row gets the bits of its run
+    alone; a single run is a batch of one.
 
     The run takes round(t_final / dt) steps; when t_final is not a whole
     number of steps, a warning names the time the run ends at.  When no
@@ -399,17 +433,23 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     itself.  A row stops with NonFiniteState at its first recorded instant
     whose energy is not finite: E is a positive-weighted sum of squares of
     every entry of u, v and w, so it catches any overflow or NaN in the
-    state.  Its message names an earlier, unrecorded step instead where
-    the boundary velocity alone already makes E non-finite.  The snapshot
-    sink, if any, receives every recorded instant of its row, in order, as
-    a SimState with that instant's t, u, v and w, whose arrays are valid
-    during the call (its ring is the batch's, which has moved on).
+    state.  Where the boundary velocity alone already makes E non-finite
+    at an unrecorded step, the row stops at the end of that step's block
+    and its message names that step.  The snapshot sink, if any, receives
+    every recorded instant of its row, in order, as a SimState with that
+    instant's t, u, v and w, whose arrays are valid during the call (its
+    ring is the batch's, which has moved on).
     """
     if t_final < 0.0 or dt <= 0.0 or record_every < 1:
         raise ValueError("need t_final >= 0, dt > 0, record_every >= 1")
     n_batch = len(gains)
-    lyap = lyap or [None] * n_batch
-    sinks = snapshot_sink or [None] * n_batch
+    # the rows in the order of their first (mu1, beta), so that the rows of
+    # one midpoint system are adjacent columns
+    keys = [(g.mu1, g.beta) for g in gains]
+    order = sorted(range(n_batch), key=lambda b: keys.index(keys[b]))
+    gains = [gains[b] for b in order]
+    lyap = [(lyap or [None] * n_batch)[b] for b in order]
+    sinks = [(snapshot_sink or [None] * n_batch)[b] for b in order]
     batch = BatchGains.of(gains)
     eps = np.array([0.0 if p is None else p.epsilon for p in lyap])
 
@@ -431,19 +471,21 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     )
     if note is not None:
         warnings.append(note)
-    work = StepWorkspace.build(ops, batch, dt)
+    work = StepWorkspace.build(ops, gains, dt)
     rows = span // record_every + 2
     n, m1 = ops.n_nodes, n_delta + 1
     us, vs = np.empty((rows, n_batch, n)), np.empty((rows, n_batch, n))
     ws, w_buf = np.empty((rows, n_batch, m1)), np.empty((rows, n_batch))
     data = np.empty((n_batch, len(COLUMNS), n_rows))
-    # the batch's states, one row each; w holds the channel profiles as
-    # columns, the layout of transport_step
-    u = np.repeat(state.u[None], n_batch, axis=0)
-    v = np.repeat(state.v[None], n_batch, axis=0)
+    # the batch's states node-major, a column per row, as w holds the
+    # channel profiles (the layout of transport_step)
+    u = np.repeat(state.u[:, None], n_batch, axis=1)
+    v = np.repeat(state.v[:, None], n_batch, axis=1)
     w = np.repeat(state.w[:, None], n_batch, axis=1)
+    # their (B, n) transposes, the layout of the stacks the energy reads
+    u_rows, v_rows = u.T, v.T
     buf = state.buffer
-    advance = _midpoint_solver(u, v, batch.beta, ops, work)
+    advance = _midpoint_solver(u, v, batch.beta.tolist(), ops, work)
     out: list = [None] * n_batch
     any_sink = any(sink is not None for sink in sinks)
     # each row's first step whose trace alone makes E non-finite, with the
@@ -472,13 +514,13 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
             j = 0
             if marks[0] == 0:
                 # the initial instant, before the first step
-                us[0], vs[0], ws[0] = u, v, w.T
+                us[0], vs[0], ws[0] = u_rows, v_rows, w.T
                 j = 1
             traces = []
             for i, load in enumerate(loads, 1):
                 traces.append(advance(load))
                 if i == marks[j]:
-                    us[j], vs[j] = u, v
+                    us[j], vs[j] = u_rows, v_rows
                     j += 1
             block = np.array(traces).reshape(n1 - n0, n_batch)
             buf.extend(block)
@@ -495,9 +537,13 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
             e, et = analysis.lyapunov_raw(us[:j], vs[:j], ws[:j],
                                           tau_rec[:j, None], ops, batch, eps)
             finite = np.isfinite(e)
+            # a row also stops at the end of the block where its energy
+            # turned non-finite at an unrecorded step (it is in `blown`)
             for b, ok in enumerate(finite.all(axis=0).tolist()
-                                   if any_sink or not finite.all() else ()):
-                if out[b] is not None or (ok and sinks[b] is None):
+                                   if any_sink or not finite.all() or blown
+                                   else ()):
+                if out[b] is not None or (ok and sinks[b] is None
+                                          and b not in blown):
                     continue
                 # the row's first instant with a non-finite energy, if any
                 stop = j if ok else int(finite[:, b].argmin())
@@ -505,11 +551,11 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
                     for i in range(stop):
                         sinks[b](SimState(float(t_rec[i]), us[i, b], vs[i, b],
                                           ws[i, b], buf))
-                if stop < j:
+                if stop < j or b in blown:
                     # the row steps on with its column non-finite, unrecorded
                     r = r0 + stop
                     first, trace = blown.get(b, (n_steps + 1, None))
-                    if first < steps[stop]:
+                    if stop == j or first < steps[stop]:
                         # it blew up at an unrecorded step (so r > 0)
                         what = (f"{float(first * dt)!r} (energy not finite: "
                                 f"boundary velocity {trace}); the last finite "
@@ -537,12 +583,12 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
 
     for b in range(n_batch):
         if out[b] is None:
-            final = SimState(n_steps * dt, u[b].copy(), v[b].copy(),
+            final = SimState(n_steps * dt, u[:, b].copy(), v[:, b].copy(),
                              w[:, b].copy(), buf)
             out[b] = Trajectory(**dict(zip(COLUMNS, data[b])),
                                 warnings=list(warnings), final_state=final,
                                 dt=dt, n_space=mesh.N)
-    return out
+    return [out[order.index(b)] for b in range(n_batch)]
 
 
 def _advance_channel(w, traces, taus, tau_primes, dt, k, marks, ws):

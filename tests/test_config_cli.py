@@ -399,12 +399,22 @@ class TestSweep:
             "failed: unknown initial.preset 'bogus'; "
             "known: ramp, sine-bump, velocity-kick, zero")
 
-    def test_parallel_matches_serial(self):
-        # two lockstep batches (one per beta), spread over two workers
+    def test_parallel_matches_serial(self, monkeypatch):
+        # a mu2 x beta grid is one lockstep batch; at jobs = 2 it is cut
+        # between its two midpoint systems (one per beta), so both workers
+        # get a batch, and the rows equal those of jobs = 1
         cfg = self.small_cfg()
         axes = [("gains.mu2", ["0", "0.3"]), ("gains.beta", ["0.5", "2"])]
+        real_fan_out, items = cli._fan_out, []
+
+        def spy(fn, batches, jobs):
+            items.append([[idx for idx, _, _ in b] for b in batches])
+            return real_fan_out(fn, batches, jobs)
+
+        monkeypatch.setattr(cli, "_fan_out", spy)
         serial = sweep_rows(cfg, axes, jobs=1)
         parallel = sweep_rows(cfg, axes, jobs=2)
+        assert items == [[[0, 1, 2, 3]], [[0, 2], [1, 3]]]
         assert [r["row"] for r in serial] == [0, 1, 2, 3]
         assert serial == parallel
 
@@ -489,18 +499,22 @@ class TestSweep:
         (["mesh.n=64"], "mesh.n"),
         (["integrator.t_final=0.1"], "integrator.t_final"),
         (["gains.mu2=0.3", "seed=5", "mesh.n=64"], "mesh.n"),
+        (["gains.beta=2", "gains.mu1=3", "initial.preset=zero"],
+         "initial.preset"),
     ])
-    def test_batch_rows_must_share_all_but_mu2_and_seed(self, overrides,
-                                                        key):
+    def test_batch_rows_must_share_all_but_gains_and_seed(self, overrides,
+                                                          key):
         # a batch runs every row on its first row's mesh, step, horizon and
-        # initial data, so rows that differ in more than gains.mu2 and the
-        # seed are refused, naming the first config key that differs
+        # initial data, so rows that differ in more than their gains and
+        # the seed are refused, naming the first config key that differs
         cfg = self.small_cfg()
         other = cfgmod.apply_overrides(cfg, overrides)
         with pytest.raises(ValueError, match=re.escape(f"; {key} differs")):
             simulate_batch([cfg, other])
-        mates = cfgmod.apply_overrides(cfg, ["gains.mu2=0.3", "seed=5"])
-        assert cfgmod.batch_key(mates) == cfgmod.batch_key(cfg)
+        for mate in (["gains.mu2=0.3", "seed=5"], ["gains.beta=2"],
+                     ["gains.mu1=3", "gains.beta=0.5"]):
+            mates = cfgmod.apply_overrides(cfg, mate)
+            assert cfgmod.batch_key(mates) == cfgmod.batch_key(cfg)
         assert cfgmod.batch_key(other) != cfgmod.batch_key(cfg)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -669,6 +683,35 @@ class TestConverge:
         assert named and float(named.group(1)) < 0.7
         assert err.rstrip().endswith("the last finite one recorded was at "
                                      "t = 0.0")
+
+    def test_blow_up_stops_its_levels_early(self, monkeypatch, capsys):
+        # each level stops at the end of the block in which its energy
+        # turned non-finite (blocks of about tau0 = 0.5 here), not at t = 2,
+        # and the exit code and the message are those of levels that step
+        # on to their end
+        real, steps = stepper._midpoint_solver, []
+
+        def spy(*args):
+            advance = real(*args)
+
+            def counted(loads):
+                steps.append(len(loads))
+                return advance(loads)
+
+            return counted
+
+        monkeypatch.setattr(stepper, "_midpoint_solver", spy)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        rc = run_cli(["converge", "--config", "baseline",
+                      "--set", "gains.mu2=1e300",
+                      "--set", "integrator.t_final=2", "--start-n", "16"])
+        assert rc == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err == (
+            "error: state is not finite at t = 0.624 (energy not finite: "
+            "boundary velocity -2.2015638744286783e+296); the last finite "
+            "one recorded was at t = 0.0\n")
+        # 125 + 250 + 500 steps to t = 2
+        assert 0 < len(steps) <= 0.5 * 875
 
     def test_blow_up_exit2(self, capsys):
         rc = run_cli(["converge", "--config", "baseline",

@@ -85,13 +85,30 @@ def _usable_cpus() -> int:
 
 
 def _fan_out(fn, items: list, jobs: int) -> list:
-    """fn of each item, in item order.  With jobs > 1 and more than one
-    item the calls run in min(jobs, len(items)) worker processes, which
-    take the items in order; otherwise they run in this process."""
+    """fn of each item, in item order, up to the first that returns a
+    DegenwaveError: the calls for the items after it are dropped.  With
+    jobs > 1 and more than one item the calls run in min(jobs, len(items))
+    worker processes, which take the items from the last one back (so the
+    longest should come last); otherwise they run in this process."""
+    done = []
     if jobs > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+            calls = [pool.submit(fn, item) for item in items[::-1]][::-1]
+            for call in calls:
+                done.append(call.result())
+                if isinstance(done[-1], DegenwaveError):
+                    # stop the workers still busy: the executor itself
+                    # would wait for them
+                    for worker in list(pool._processes.values()):
+                        worker.terminate()
+                    pool.shutdown(cancel_futures=True)
+                    break
+        return done
+    for item in items:
+        done.append(fn(item))
+        if isinstance(done[-1], DegenwaveError):
+            break
+    return done
 
 
 @dataclass(eq=False)
@@ -345,43 +362,29 @@ def _sweep_batch(batch) -> list[dict]:
     return [_sweep_row(p, sim) for p, sim in zip(batch, sims)]
 
 
-def _system(payload) -> tuple:
-    """The (mu1, beta) of a sweep payload, which fix its midpoint system: a
-    batch factors one system per distinct pair."""
-    _, cfg, _ = payload
-    return cfg.gains_mu1, cfg.gains_beta
-
-
 def _cut_batches(batches: list, jobs: int) -> list:
-    """Cut batches in two until there are `jobs` of them or none has two
-    rows.  A batch with more than one midpoint system is cut first (the
-    largest such), between its systems; then the largest batch, between
-    its rows."""
+    """Cut batches, each a list of its midpoint systems' rows, in two
+    between their systems until there are `jobs` of them or each has one
+    system: the batch with the most systems first."""
     batches = list(batches)
     while len(batches) < jobs:
-        systems = [list(dict.fromkeys(map(_system, b))) for b in batches]
-        i = max(range(len(batches)),
-                key=lambda i: (len(systems[i]) > 1, len(batches[i])))
-        batch = batches[i]
-        if len(batch) < 2:
+        i = max(range(len(batches)), key=lambda i: len(batches[i]))
+        systems = batches[i]
+        if len(systems) < 2:
             break
-        if len(systems[i]) > 1:
-            head = set(systems[i][:len(systems[i]) // 2])
-            cut = ([p for p in batch if _system(p) in head],
-                   [p for p in batch if _system(p) not in head])
-        else:
-            cut = (batch[:len(batch) // 2], batch[len(batch) // 2:])
-        batches[i:i + 1] = cut
+        half = len(systems) // 2
+        batches[i:i + 1] = systems[:half], systems[half:]
     return batches
 
 
 def sweep_rows(cfg: cfgmod.RunConfig, axes: list[tuple[str, list[str]]],
                jobs: int = 1) -> list[dict]:
     """One row per grid point.  Rows whose configs differ only in their
-    gains (and their derived seeds) run as one lockstep batch, and `jobs`
-    worker processes take whole batches, cut (`_cut_batches`) until each
-    worker has one where the rows allow; every row has the bits of its run
-    alone."""
+    gains (and their derived seeds) run as one lockstep batch, its rows
+    grouped by midpoint system (`stepper.system_key`), and `jobs` worker
+    processes take whole batches, cut between systems (`_cut_batches`)
+    until each worker has one where the systems allow; every row has the
+    bits of its run alone."""
     if len(axes) > 3:
         raise ConfigError("at most 3 sweep axes")
     if jobs < 1:
@@ -395,9 +398,12 @@ def sweep_rows(cfg: cfgmod.RunConfig, axes: list[tuple[str, list[str]]],
         for key, val in zip(keys, combo):
             c = cfgmod.set_value(c, key, val)
         c = cfgmod.set_value(c, "seed", (master * 1_000_003 + 17 * idx) % 2**31)
-        batches.setdefault(cfgmod.batch_key(c), []).append(
-            (idx, c, keys))
-    done = _fan_out(_sweep_batch, _cut_batches(batches.values(), jobs), jobs)
+        system = stepper.system_key(c.gains_mu1, c.gains_mu2, c.gains_beta)
+        batches.setdefault(cfgmod.batch_key(c), {}).setdefault(
+            system, []).append((idx, c, keys))
+    cut = _cut_batches([list(b.values()) for b in batches.values()], jobs)
+    done = _fan_out(_sweep_batch,
+                    [[p for rows in b for p in rows] for b in cut], jobs)
     return sorted((row for rows in done for row in rows),
                   key=lambda row: row["row"])
 
@@ -462,15 +468,16 @@ def converge_table(cfg: cfgmod.RunConfig, levels: int = 3,
     A level runs for its end state only: it records the initial and final
     instants (integrator.record_every = its step count) and builds no
     report or certificate.  The levels run side by side, one worker
-    process per usable CPU, finest first (`_fan_out`); the table does not
-    depend on how many ran at once.  Returns {"levels": one row per level
-    with level, N, n_delta, dt, t_end (the time the level ends at), E_T,
-    trace_u and trace_v; "differences": dE, du and dv of successive
-    levels; "orders_E": log2 of successive dE ratios, NaN where the three
-    levels behind an order end more than 1e-6 of the finest dt apart;
-    "warnings": each level's run warnings as "level k: ..."}.  When levels
-    fail, the error of the coarsest failing one is raised (a blow-up
-    raises its NonFiniteState)."""
+    process per usable CPU, finest first (`_fan_out`), or in this process
+    coarsest first; the table does not depend on how many ran at once.
+    Returns {"levels": one row per level with level, N, n_delta, dt,
+    t_end (the time the level ends at), E_T, trace_u and trace_v;
+    "differences": dE, du and dv of successive levels; "orders_E": log2 of
+    successive dE ratios, NaN where the three levels behind an order end
+    more than 1e-6 of the finest dt apart; "warnings": each level's run
+    warnings as "level k: ..."}.  When levels fail, the error of the
+    coarsest failing one is raised (a blow-up raises its NonFiniteState)
+    as soon as the levels coarser than it are done."""
     if levels < 3:
         raise ConfigError("need at least 3 levels")
     if start_n is not None and start_n < 1:
@@ -489,8 +496,8 @@ def converge_table(cfg: cfgmod.RunConfig, levels: int = 3,
         n_steps = stepper.step_count(c.integrator_t_final, c.integrator_dt)[0]
         cfgs.append(cfgmod.set_value(c, "integrator.record_every",
                                      max(1, n_steps)))
-    # the finest level is the longest: start it first
-    done = _fan_out(_converge_level, cfgs[::-1], _usable_cpus())[::-1]
+    # the finest level is the longest: the workers start it first
+    done = _fan_out(_converge_level, cfgs, _usable_cpus())
     rows, notes = [], []
     for k, result in enumerate(done):
         if isinstance(result, DegenwaveError):

@@ -10,11 +10,11 @@ the history ring at the midpoint time (it is known history, so no
 iteration is needed and the local part keeps its unconditional stability).
 The linear system is SPD tridiagonal (the feedback only loads the last
 diagonal entry): `StepWorkspace.build` factors it once per run and
-(mu1, beta) as a `mesh.SPDTridiagonal`, and the wave part of a step is one
-solve with the factors (`_midpoint_solver`, shared by `step` and `run`).
-The
-stretched-history channel then takes its implicit upwind step
-(`delay_channel.transport_step`, the triangular solve the resolvent shares).
+`system_key` (mu1, beta) as a `mesh.SPDTridiagonal`, and the wave part of a
+step is one solve with the factors (`_midpoint_solver`, shared by `step`
+and `run`).  The stretched-history channel then takes its implicit upwind
+step (`delay_channel.transport_step`, the triangular solve the resolvent
+shares).
 
 `run` steps a lockstep batch of B rows, runs that differ only in their
 gains.  mu2 only loads the right-hand side and mu1 and beta only the last
@@ -23,13 +23,13 @@ and one history ring with a column per row, and the rows of one (mu1, beta)
 share its factors.  The states are node-major (n, B) arrays, a column per
 row, so each ufunc call of a step is one contiguous pass over the batch;
 the solve copies the right-hand sides into one Fortran-ordered scratch,
-where each (mu1, beta) solves its columns.  Every operation acts entry by
-entry and the LAPACK solves treat each right-hand side on its own, so each
-row gets the bits of its run alone, and a row whose state turns non-finite
-stops alone.  `run` takes one GainSet per row and returns one Trajectory
-or NonFiniteState per row; a single run is a batch of one.  `step`
-advances one state by one step; it is the reference that `run` is tested
-against.
+the rows of each (mu1, beta) side by side, where its factors solve them.
+Every operation acts entry by entry and the LAPACK solves treat each
+right-hand side on its own, so each row gets the bits of its run alone,
+and a row whose state turns non-finite stops alone.  `run` takes one
+GainSet per row and returns one Trajectory or NonFiniteState per row; a
+single run is a batch of one.  `step` advances one state by one step; it
+is the reference that `run` is tested against.
 
 Only the wave step and the ring feed the feedback; the channel and the
 recorded columns are diagnostics, so `run` takes them off the step path.
@@ -57,7 +57,6 @@ its newest index is the step counter.  `step` updates one SimState in place.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -244,16 +243,23 @@ class BatchGains:
                    np.array([g.beta for g in rows]))
 
 
+def system_key(mu1: float, mu2: float, beta: float) -> tuple:
+    """The gains that fix a row's midpoint system, (mu1, beta): mu2 only
+    loads the right-hand side, so the rows of a batch with one key share
+    the system's factors."""
+    return mu1, beta
+
+
 @dataclass
 class StepWorkspace:
     """The midpoint systems of one run, factored once for the step dt, and
     the operator 2M - dt K of its right-hand side as the diagonal `mass2`
-    = 2M and the conductances `k_rhs` = -dt k_cell.  Only mu1 and beta
-    enter a system: `systems` holds one (system, c0, c1) per run of
-    consecutive batch rows [c0, c1) that share them."""
+    = 2M and the conductances `k_rhs` = -dt k_cell.  `systems` holds one
+    (system, rows) per distinct `system_key` of the batch's gains, rows the
+    batch rows that have it, in the order of their first row."""
 
     dt: float
-    systems: list[tuple[SPDTridiagonal, int, int]]
+    systems: list[tuple[SPDTridiagonal, list[int]]]
     mass2: np.ndarray
     k_rhs: np.ndarray
 
@@ -265,14 +271,15 @@ class StepWorkspace:
         main, off = ops.stiffness_tridiagonal(start)
         main = main * (0.5 * dt * dt) + 2.0 * ops.mass[start:]
         off = off * (0.5 * dt * dt)
-        systems, c0 = [], 0
-        for (mu1, beta), group in itertools.groupby(
-                rows, key=lambda g: (g.mu1, g.beta)):
-            c1 = c0 + len(list(group))
+        groups: dict = {}
+        for b, g in enumerate(rows):
+            groups.setdefault(system_key(g.mu1, g.mu2, g.beta), []).append(b)
+        systems = []
+        for group in groups.values():
+            g = rows[group[0]]
             last = main.copy()
-            last[-1] += dt * ops.a1 * (mu1 + 0.5 * dt * beta)
-            systems.append((SPDTridiagonal(last, off, "midpoint"), c0, c1))
-            c0 = c1
+            last[-1] += dt * ops.a1 * (g.mu1 + 0.5 * dt * g.beta)
+            systems.append((SPDTridiagonal(last, off, "midpoint"), group))
         return cls(dt, systems, 2.0 * ops.mass, -dt * ops.k_cell)
 
 
@@ -280,7 +287,7 @@ def _midpoint_solver(u: np.ndarray, v: np.ndarray, betas: Sequence[float],
                      ops: DiscreteOperators, work: StepWorkspace) -> Callable:
     """The part of a step the feedback needs, for the node-major (n, B)
     states u and v of a batch (row b's beta betas[b], its system the one
-    of `work.systems` whose columns hold b), with buffers allocated once:
+    of `work.systems` that lists b), with buffers allocated once:
     `advance(loads)` does the midpoint solve, updates u and v in place and
     returns the new traces v(1) as a list; loads holds mu2 times the
     delayed trace at the step's midpoint, one float per row.
@@ -298,24 +305,37 @@ def _midpoint_solver(u: np.ndarray, v: np.ndarray, betas: Sequence[float],
         # 1-d views (u and v are updated in place for the whole run), on
         # which a ufunc call costs about half; the (n, 1) rhs is one
         # Fortran-ordered column, solved where it lies
-        ((system, _, _),) = work.systems
+        ((system, _),) = work.systems
         solve, columns = system.solve_in_place, rhs
         u, v, rhs = u[:, 0], v[:, 0], rhs[:, 0]
     else:
         # the invariants tiled to the states' shape, so that every ufunc
-        # call below is one contiguous pass; each system solves its
-        # columns of one Fortran-ordered copy of the right-hand sides
+        # call below is one contiguous pass; the right-hand sides are
+        # copied into one Fortran-ordered scratch, the rows of each system
+        # side by side, where each system solves its columns
         mass2 = np.repeat(mass2[:, None], rows, axis=1)
         k_rhs = np.repeat(k_rhs[:, None], rows, axis=1)
         columns = np.empty_like(rhs, order="F")
-        parts = [(system.solve_in_place, columns[:, c0:c1])
-                 for system, c0, c1 in work.systems]
+        perm = np.array([b for _, group in work.systems for b in group])
+        ordered = bool((perm == np.arange(rows)).all())
+        parts, c1 = [], 0
+        for system, group in work.systems:
+            c0, c1 = c1, c1 + len(group)
+            parts.append((system.solve_in_place, columns[:, c0:c1]))
 
         def solve(scratch):
-            np.copyto(scratch, rhs)
+            # a plain copy when the systems' rows already lie side by side
+            # ("clip" only spares np.take a buffered copy: perm is valid)
+            if ordered:
+                np.copyto(scratch, rhs)
+            else:
+                np.take(rhs, perm, axis=1, out=scratch, mode="clip")
             for solve_in_place, part in parts:
                 solve_in_place(part)
-            np.copyto(rhs, scratch)
+            if ordered:
+                np.copyto(rhs, scratch)
+            else:
+                rhs[:, perm] = scratch
 
     flux = np.empty((ops.n_nodes - 1,) + rhs.shape[1:])
     twice = np.empty_like(rhs)
@@ -443,13 +463,8 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     if t_final < 0.0 or dt <= 0.0 or record_every < 1:
         raise ValueError("need t_final >= 0, dt > 0, record_every >= 1")
     n_batch = len(gains)
-    # the rows in the order of their first (mu1, beta), so that the rows of
-    # one midpoint system are adjacent columns
-    keys = [(g.mu1, g.beta) for g in gains]
-    order = sorted(range(n_batch), key=lambda b: keys.index(keys[b]))
-    gains = [gains[b] for b in order]
-    lyap = [(lyap or [None] * n_batch)[b] for b in order]
-    sinks = [(snapshot_sink or [None] * n_batch)[b] for b in order]
+    lyap = lyap or [None] * n_batch
+    sinks = snapshot_sink or [None] * n_batch
     batch = BatchGains.of(gains)
     eps = np.array([0.0 if p is None else p.epsilon for p in lyap])
 
@@ -588,7 +603,7 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
             out[b] = Trajectory(**dict(zip(COLUMNS, data[b])),
                                 warnings=list(warnings), final_state=final,
                                 dt=dt, n_space=mesh.N)
-    return [out[order.index(b)] for b in range(n_batch)]
+    return out
 
 
 def _advance_channel(w, traces, taus, tau_primes, dt, k, marks, ws):

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -400,9 +401,11 @@ class TestSweep:
             "known: ramp, sine-bump, velocity-kick, zero")
 
     def test_parallel_matches_serial(self, monkeypatch):
-        # a mu2 x beta grid is one lockstep batch; at jobs = 2 it is cut
-        # between its two midpoint systems (one per beta), so both workers
-        # get a batch, and the rows equal those of jobs = 1
+        # a mu2 x beta grid is one lockstep batch, its rows grouped by
+        # midpoint system (one per beta); at jobs = 2 it is cut between its
+        # two systems, so both workers get a batch, and the rows equal
+        # those of jobs = 1.  A batch of one system is never cut: a mu2
+        # sweep stays one item, which runs in this process
         cfg = self.small_cfg()
         axes = [("gains.mu2", ["0", "0.3"]), ("gains.beta", ["0.5", "2"])]
         real_fan_out, items = cli._fan_out, []
@@ -414,7 +417,8 @@ class TestSweep:
         monkeypatch.setattr(cli, "_fan_out", spy)
         serial = sweep_rows(cfg, axes, jobs=1)
         parallel = sweep_rows(cfg, axes, jobs=2)
-        assert items == [[[0, 1, 2, 3]], [[0, 2], [1, 3]]]
+        sweep_rows(cfg, axes[:1], jobs=2)
+        assert items == [[[0, 2, 1, 3]], [[0, 2], [1, 3]], [[0, 1]]]
         assert [r["row"] for r in serial] == [0, 1, 2, 3]
         assert serial == parallel
 
@@ -535,6 +539,14 @@ class TestSweep:
         assert axis.split("=")[0] in err
 
 
+def _fail_or_sleep(seconds):
+    """A failed item for 0, else the item after sleeping that long."""
+    if seconds == 0:
+        return NonFiniteState("failed at once")
+    time.sleep(seconds)
+    return seconds
+
+
 class TestConverge:
     def test_zero_data_exact(self):
         cfg = cfgmod.load_config("baseline")
@@ -640,7 +652,9 @@ class TestConverge:
 
     def test_coarsest_failing_level_is_raised(self, monkeypatch):
         # every level blows up, each at its own step; in this process and
-        # in worker processes the error is the coarsest level's
+        # in worker processes the error is the coarsest level's.  In this
+        # process the levels run coarsest first, and none runs after the
+        # first failure
         cfg = cfgmod.apply_overrides(cfgmod.load_config("baseline"), [
             "gains.mu2=1e300", "integrator.t_final=1"])
         real_level, failed = cli._converge_level, {}
@@ -654,9 +668,12 @@ class TestConverge:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         with pytest.raises(NonFiniteState) as alone:
             converge_table(cfg, levels=3, start_n=16)
-        assert sorted(failed) == [16, 32, 64]
-        assert len(set(failed.values())) == 3
+        assert sorted(failed) == [16]
         assert str(alone.value) == failed[16]
+        with pytest.raises(NonFiniteState) as finer:
+            converge_table(cfg, levels=3, start_n=32)
+        assert sorted(failed) == [16, 32]
+        assert str(finer.value) == failed[32] != failed[16]
         # a worker is sent the level function by name: the real one
         monkeypatch.setattr(cli, "_converge_level", real_level)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -670,6 +687,15 @@ class TestConverge:
         items = [20000, 1, 10000, 2, 5]
         assert cli._fan_out(math.factorial, items, jobs) == [
             math.factorial(n) for n in items]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fan_out_stops_at_a_failed_item(self, jobs):
+        # the workers start the 60 s item first; once the first item fails
+        # its worker is stopped, and in this process it never starts
+        t0 = time.perf_counter()
+        (failed,) = cli._fan_out(_fail_or_sleep, [0, 60], jobs)
+        assert str(failed) == "failed at once"
+        assert time.perf_counter() - t0 < 20
 
     def test_blow_up_names_its_step(self, capsys):
         # a level records only its endpoints, yet the message names the step

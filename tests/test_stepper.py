@@ -662,13 +662,15 @@ class TestBatchRun:
                 assert np.array_equal(getattr(got, name), getattr(alone, name))
         assert failed == ([0.2, 0.5] if case == "nan-history" else [1e300])
 
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [0, 2, 1, 3, 4]],
+                             ids=["apart", "side-by-side"])
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
-    def test_mixed_gain_rows_equal_their_runs_alone(self, alpha):
+    def test_mixed_gain_rows_equal_their_runs_alone(self, alpha, order):
         # rows that differ in mu1, mu2 and beta, in both boundary regimes:
-        # the two rows of each (mu1, beta) sit apart in batch order, one row
-        # has no Lyapunov parameters and the mu2 = 1e300 row blows up.  Each
-        # row, its snapshots included, equals its run alone bit for bit, or
-        # stops with the message of its run alone
+        # the two rows of each (mu1, beta) sit apart in batch order, or side
+        # by side, one row has no Lyapunov parameters and the mu2 = 1e300
+        # row blows up.  Each row, its snapshots included, equals its run
+        # alone bit for bit, or stops with the message of its run alone
         from degenwave.analysis import choose_epsilon
 
         spec, mesh, ops = make_ops(n=32, alpha=alpha)
@@ -677,6 +679,7 @@ class TestBatchRun:
                 GainSet(1.5, 0.2, 2.0)]
         lyaps = [None if k in (2, 3) else choose_epsilon(spec, g, DELAY)
                  for k, g in enumerate(rows)]
+        rows, lyaps = [rows[k] for k in order], [lyaps[k] for k in order]
         kw = dict(t_final=0.8, dt=1e-3, record_every=3, preset="velocity-kick",
                   f0_preset="cosine", n_delta=16)
         seen = [[] for _ in rows]
@@ -708,10 +711,11 @@ class TestBatchRun:
                 assert mine[0] == theirs[0]
                 assert np.array_equal(mine[1], theirs[1])
                 assert np.array_equal(mine[2], theirs[2])
+        blown, no_lyap = order.index(2), order.index(3)
         assert [isinstance(got, NonFiniteState) for got in batch] == [
-            False, False, True, False, False]
-        assert np.array_equal(batch[3].E_tilde, batch[3].E)
-        assert not np.array_equal(batch[1].E_tilde, batch[1].E)
+            b == blown for b in range(5)]
+        assert np.array_equal(batch[no_lyap].E_tilde, batch[no_lyap].E)
+        assert not np.array_equal(batch[0].E_tilde, batch[0].E)
 
 
 class TestStepCount:

@@ -10,6 +10,8 @@ main() alone maps errors to exit codes and stderr messages.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import math
 import os
@@ -384,12 +386,19 @@ def sweep_rows(cfg: cfgmod.RunConfig, axes: list[tuple[str, list[str]]],
     grouped by midpoint system (`stepper.system_key`), and `jobs` worker
     processes take whole batches, cut between systems (`_cut_batches`)
     until each worker has one where the systems allow; every row has the
-    bits of its run alone."""
+    bits of its run alone.  An axis names a config key once, and never
+    `seed`, which each row derives from the master seed."""
     if len(axes) > 3:
         raise ConfigError("at most 3 sweep axes")
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     keys = [k for k, _ in axes]
+    for i, key in enumerate(keys):
+        if key == "seed":
+            raise ConfigError("seed cannot be a sweep axis: each row's seed "
+                              "derives from the master seed (--seed)")
+        if key in keys[:i]:
+            raise ConfigError(f"sweep axis {key} is given twice")
     grids = [vals for _, vals in axes]
     batches: dict = {}
     master = cfg.seed
@@ -409,17 +418,18 @@ def sweep_rows(cfg: cfgmod.RunConfig, axes: list[tuple[str, list[str]]],
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
+    """The sweep's CSV: a float cell as "%.16e", any other as str, quoted
+    only where it holds a comma or a quote (a failed row's status)."""
     if not rows:
         return "\n"
     cols = list(rows[0].keys())
-    out = [",".join(cols)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(cols)
     for r in rows:
-        cells = []
-        for c in cols:
-            v = r[c]
-            cells.append(f"{v:.16e}" if isinstance(v, float) else str(v))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+        writer.writerow(f"{v:.16e}" if isinstance(v, float) else str(v)
+                        for v in (r[c] for c in cols))
+    return out.getvalue()
 
 
 def cmd_sweep(args) -> int:

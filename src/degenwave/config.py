@@ -8,6 +8,10 @@ line and `#` comments, e.g.
     gains.mu1 = 2.0
 
 Overrides are applied as repeated `--set key=value` on the command line.
+
+The initial data are named by `initial.preset` (u0 and u1) and `initial.f0`
+(the history); this module alone knows the names.  `build_setup` evaluates
+them once (`initial_data`), and the stepper takes the resulting arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from . import mesh as mesh_mod
 from . import model, stepper
@@ -209,12 +215,79 @@ def load_config(path_or_name: str, base: Optional[RunConfig] = None) -> RunConfi
     )
 
 
+# --- initial data presets ---------------------------------------------------
+
+def _u0_zero(x):
+    return np.zeros_like(x)
+
+
+def _u0_ramp(x):
+    return x.copy()
+
+
+def _sine_bump(mu_a):
+    p = max(0.0, 1.0 - mu_a)
+
+    def f(x):
+        return np.sin(np.pi * x) * x**p
+
+    return f
+
+
+def _u1_kick(x):
+    # smooth velocity bump toward x = 1, vanishing at both endpoints; the
+    # front reaches the boundary gradually, so traces stay resolved on the
+    # delay grid from the start
+    return 4.0 * x * (1.0 - x) * np.exp(-(((x - 0.7) / 0.18) ** 2))
+
+
+def displacement_presets(mu_a: float) -> dict[str, tuple[Callable, Callable]]:
+    """initial.preset name -> (u0, u1) callables on mesh nodes."""
+    return {
+        "zero": (_u0_zero, _u0_zero),
+        "ramp": (_u0_ramp, _u0_zero),
+        "sine-bump": (_sine_bump(mu_a), _u0_zero),
+        "velocity-kick": (_u0_zero, _u1_kick),
+    }
+
+
+def history_presets(amplitude: float = 1.0) -> dict[str, Callable]:
+    """initial.f0 name -> callable on past times s <= 0."""
+    return {
+        "zero": lambda s: 0.0,
+        "constant": lambda s: amplitude,
+        "cosine": lambda s: amplitude * math.cos(s),
+    }
+
+
+def initial_data(cfg: RunConfig, mu_a: float, nodes) -> tuple:
+    """The initial data (u0, v0, f0) that `stepper.run` takes, from the
+    config's preset names: u0 and v0 evaluated on the nodes as read-only
+    arrays, and the history f0.  An unknown initial.preset or initial.f0
+    name is a ConfigError that lists the known ones."""
+    found = []
+    for key, name, known in [
+        ("initial.preset", cfg.initial_preset, displacement_presets(mu_a)),
+        ("initial.f0", cfg.initial_f0,
+         history_presets(cfg.initial_f0_amplitude)),
+    ]:
+        if name not in known:
+            raise ConfigError(f"unknown {key} {name!r}; known: "
+                              f"{', '.join(sorted(known))}")
+        found.append(known[name])
+    (p0, p1), f0 = found
+    u0, v0 = np.array(p0(nodes), dtype=float), np.array(p1(nodes), dtype=float)
+    u0.flags.writeable = v0.flags.writeable = False
+    return u0, v0, f0
+
+
 # --- building the simulation objects ---------------------------------------
 
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Validated, assembled objects for one run."""
+    """Validated, assembled objects for one run, and its initial data
+    (`initial_data`)."""
 
     cfg: RunConfig
     spec: model.CoefficientSpec
@@ -224,6 +297,7 @@ class RunSetup:
     ops: mesh_mod.DiscreteOperators
     dt: float
     fingerprint: str
+    initial: tuple
 
 
 def build_setup(cfg: RunConfig) -> RunSetup:
@@ -259,19 +333,11 @@ def build_setup(cfg: RunConfig) -> RunSetup:
                               beta=cfg.gains_beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for key, name, known in [
-        ("initial.preset", cfg.initial_preset,
-         stepper.displacement_presets(spec.mu_a)),
-        ("initial.f0", cfg.initial_f0,
-         stepper.history_presets(cfg.initial_f0_amplitude)),
-    ]:
-        if name not in known:
-            raise ConfigError(f"unknown {key} {name!r}; known: "
-                              f"{', '.join(sorted(known))}")
 
     gamma = cfg.mesh_gamma if cfg.mesh_gamma is not None else \
         mesh_mod.default_gamma(spec.mu_a)
     msh = mesh_mod.build_mesh(cfg.mesh_n, gamma)
+    initial = initial_data(cfg, spec.mu_a, msh.nodes)
     ops = mesh_mod.assemble_operators(spec, msh, mesh_mod.default_bc(spec))
 
     dt = cfg.integrator_dt if cfg.integrator_dt is not None else \
@@ -284,7 +350,8 @@ def build_setup(cfg: RunConfig) -> RunSetup:
             "(the delayed trace would lie in the future of the history)"
         )
     return RunSetup(cfg=cfg, spec=spec, delay=delay, gains=gains, mesh=msh,
-                    ops=ops, dt=dt, fingerprint=config_hash(cfg))
+                    ops=ops, dt=dt, fingerprint=config_hash(cfg),
+                    initial=initial)
 
 
 def batch_key(cfg: RunConfig) -> RunConfig:
@@ -311,10 +378,8 @@ def run_from_setup(setups: list[RunSetup], lyap=None, snapshot_sink=None):
                              f"seed; {name} differs")
     return stepper.run(
         first.mesh, first.ops, [s.gains for s in setups], first.delay,
-        t_final=cfg.integrator_t_final, dt=first.dt,
+        t_final=cfg.integrator_t_final, dt=first.dt, initial=first.initial,
         record_every=cfg.integrator_record_every,
-        preset=cfg.initial_preset, f0_preset=cfg.initial_f0,
-        f0_amplitude=cfg.initial_f0_amplitude,
         n_delta=cfg.channel_n_delta,
         lyap=lyap, snapshot_sink=snapshot_sink,
     )

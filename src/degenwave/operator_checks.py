@@ -27,28 +27,30 @@ cell-midpoint rule, whose summation by parts is exact, so every inequality
 of the continuous dissipativity argument holds verbatim for the discrete
 form; the one-sided nodal differences are kept for operator application.
 
-Every probe takes the list of its times (of (s, t) pairs for the norm ratio)
-and returns one row of the certificate's JSON per entry.  The four probes
-are claims of one loop: `run_certificate` runs them together, and a probe
-runs its claim alone.  Every claim reads one stream, default_rng([seed]),
-in which trial k is the k-th (u, v, w) chunk, and a claim of k trials
-checks the first k of them, so a run of k trials checks the first k of any
-longer run.  A trial is drawn once for every claim and every time (and
-every step size of the drift), and a probe run alone returns exactly the
-rows the certificate reports for it.  Trials are evaluated in blocks of
-rows, as stacked (B, n) arrays of at most BLOCK_DOUBLES entries (the
-budget `delay_channel.BLOCK_DOUBLES` that the stepper's blocks share), one
-standard_normal fill each.  A block is read-only and shared by the claims:
-claim 3 reads it as drawn, claim 1 and the drift read projected copies, and
-claim 2 zeroes the Dirichlet node of its load in a copy.  The operations
+Each claim builder (`_claim1`, `_claim2`, `_claim3` and the drift's
+`_dadt`) takes the list of its times (of (s, t) pairs for the norm ratio)
+and fills one row of the certificate's JSON per entry.  The four claims
+run in one loop, `_run`: `run_certificate` runs them together, and `_run`
+of one claim runs it alone.  Every claim reads one stream,
+default_rng([seed]), in which trial k is the k-th (u, v, w) chunk, and a
+claim of k trials checks the first k of them, so a run of k trials checks
+the first k of any longer run.  A trial is drawn once for every claim and
+every time (and every step size of the drift), and a claim run alone
+returns exactly the rows the certificate reports for it.  Trials are
+evaluated in blocks of rows, as stacked (B, n) arrays of at most
+BLOCK_DOUBLES entries (the budget `delay_channel.BLOCK_DOUBLES` that the
+stepper's blocks share), one standard_normal fill each.  A block is
+read-only and shared by the claims: claim 3 reads it as drawn, claim 1 and
+the drift read projected copies, and claim 2 zeroes the Dirichlet node of
+its load in a copy.  The operations
 are row-wise: the projection, the quadratic form, the energy blocks of
 ||.||_t and ||.||_H (`analysis.energy_parts`) and the residuals.
 Row-wise sums (np.vecdot) and the multi-right-hand-side LAPACK solves give
 each row the bits it would get alone, so the rows do not depend on the
 block size.  The resolvent factors its SPD tridiagonal once per time and
 solves a whole block with one ?pttrs call and one ?tbtrs channel solve.
-A probe or certificate with fewer than one trial for some claim raises
-ValueError instead of passing.
+A claim run alone or a certificate with fewer than one trial for some
+claim raises ValueError instead of passing.
 """
 
 from __future__ import annotations
@@ -244,7 +246,10 @@ def quadratic_form(U, times, ctx: ProbeContext):
 
 
 def _claim1(times, ctx: ProbeContext, trials: int, seed: int):
-    """Claim 1 for _run; see dissipativity_probe."""
+    """Claim 1 for _run: the max of the shifted quadratic form over random
+    domain-projected states, normalized by the squared state norm, at each
+    of the times; one certificate row per time.  PASS iff it stays below
+    tol = 1e-8."""
     tol = 1e-8
     rows = [{"max_form_ratio": -math.inf, "positive_trials": 0,
              "trials": trials, "pass": True, "seed": seed} for _ in times]
@@ -270,14 +275,6 @@ def _claim1(times, ctx: ProbeContext, trials: int, seed: int):
     return trials, update, rows
 
 
-def dissipativity_probe(times, ctx: ProbeContext, trials: int = 500,
-                        seed: int = 0) -> list[dict]:
-    """Max of the shifted quadratic form over random domain-projected states,
-    normalized by the squared state norm, at each of the times: one
-    certificate row per time.  PASS iff it stays below tol = 1e-8."""
-    return _run(ctx, seed, [_claim1(times, ctx, trials, seed)])[0]
-
-
 def channel_resolvent_weights(tau: float, taup: float, n_delta: int):
     """Discrete solve of  w + ((1 - delta tau')/tau) w_delta = h, w(0) given.
 
@@ -296,14 +293,6 @@ def channel_resolvent_weights(tau: float, taup: float, n_delta: int):
     b = np.zeros(m + 1)
     b[1:] = bcell * suffix
     return float(np.prod(rho)), b
-
-
-def continuum_channel_weight(tau: float, taup: float) -> float:
-    """exp((tau/tau') ln(1 - tau')); series fallback near tau' = 0 where the
-    exponent tends to -tau."""
-    if abs(taup) < 1e-8:
-        return math.exp(-tau * (1.0 + taup / 2.0 + taup**2 / 3.0))
-    return math.exp(tau / taup * math.log1p(-taup))
 
 
 class Resolvent:
@@ -374,7 +363,9 @@ class Resolvent:
 
 
 def _claim2(times, ctx: ProbeContext, trials: int, seed: int):
-    """Claim 2 for _run; see resolvent_probe."""
+    """Claim 2 for _run: the residual check of (I - A(t)) U = G for random
+    right-hand sides, at each of the times; one certificate row per time.
+    PASS iff both worst values stay below 1e-8."""
     solvers = [Resolvent(float(t), ctx) for t in times]
     rows = [{"max_residual": 0.0, "max_boundary_identity": 0.0,
              "trials": trials, "pass": True, "seed": seed} for _ in times]
@@ -394,16 +385,11 @@ def _claim2(times, ctx: ProbeContext, trials: int, seed: int):
     return trials, update, rows
 
 
-def resolvent_probe(times, ctx: ProbeContext, trials: int = 100,
-                    seed: int = 0) -> list[dict]:
-    """Residual check of (I - A(t)) U = G for random right-hand sides, at
-    each of the times: one certificate row per time.  PASS iff both worst
-    values stay below 1e-8."""
-    return _run(ctx, seed, [_claim2(times, ctx, trials, seed)])[0]
-
-
 def _claim3(pairs, ctx: ProbeContext, trials: int, seed: int):
-    """Claim 3 for _run; see norm_ratio_bound."""
+    """Claim 3 for _run: the max of ||U||_t / ||U||_s over random states
+    against the stated bound e^{d |t-s| / (2 tau0)}; one certificate row
+    per (s, t) pair.  PASS iff the excess stays below 1e-12.  The looser
+    in-proof exponent d/tau0 is reported alongside."""
     pairs = [(float(s), float(t)) for s, t in pairs]
     times = list(dict.fromkeys(x for pair in pairs for x in pair))
     d, tau0 = ctx.delay.d, ctx.delay.tau0
@@ -424,18 +410,17 @@ def _claim3(pairs, ctx: ProbeContext, trials: int, seed: int):
     return trials, update, rows
 
 
-def norm_ratio_bound(pairs, ctx: ProbeContext, trials: int = 500,
-                     seed: int = 0) -> list[dict]:
-    """Max of ||U||_t / ||U||_s over random states against the stated bound
-    e^{d |t-s| / (2 tau0)}: one certificate row per (s, t) pair.  PASS iff
-    the excess stays below 1e-12.  The looser in-proof exponent d/tau0 is
-    reported alongside."""
-    return _run(ctx, seed, [_claim3(pairs, ctx, trials, seed)])[0]
-
-
 def _dadt(times, ctx: ProbeContext, trials: int = 50,
           steps: tuple = (1e-2, 1e-3, 1e-4)):
-    """The drift of A(t) for _run; see generator_drift_probe."""
+    """The drift of A(t) for _run: a finite-difference bound on
+    ||(A(t+h) - A(t)) U|| / ||U||_graph over random domain-projected
+    states; one certificate row per time, holding the maximum under
+    "h=<h>" for each step size h and the trial count.
+
+    Only the transport coefficient depends on time, so the difference lives
+    in the channel block.  A sampled maximum, reported for information;
+    run_certificate asserts it finite.
+    """
     rows = [{**{f"h={h:g}": 0.0 for h in steps}, "trials": trials}
             for _ in times]
     # the difference has no u or v block; 1-d zeros broadcast against it
@@ -456,20 +441,6 @@ def _dadt(times, ctx: ProbeContext, trials: int = 50,
     return trials, update, rows
 
 
-def generator_drift_probe(times, ctx: ProbeContext, trials: int = 50,
-                          seed: int = 0,
-                          steps: tuple = (1e-2, 1e-3, 1e-4)) -> list[dict]:
-    """Finite-difference bound on ||(A(t+h) - A(t)) U|| / ||U||_graph over
-    random domain-projected states: one certificate row per time, holding
-    the maximum under "h=<h>" for each step size h and the trial count.
-
-    Only the transport coefficient depends on time, so the difference lives
-    in the channel block.  A sampled maximum, reported for information;
-    run_certificate asserts it finite.
-    """
-    return _run(ctx, seed, [_dadt(times, ctx, trials, steps)])[0]
-
-
 def run_certificate(ctx: ProbeContext, t_list, seed: int = 0,
                     diss_trials: int = 500, res_trials: int = 100,
                     ratio_trials: int = 500) -> dict:
@@ -477,14 +448,14 @@ def run_certificate(ctx: ProbeContext, t_list, seed: int = 0,
 
     The four claims run as one pass over one stream, default_rng([seed]):
     trial k serves every claim that covers it, and each claim's rows equal
-    those of its probe run alone with the same seed and trial count.  The
+    those of the claim run alone with the same seed and trial count.  The
     norm ratio is checked on consecutive pairs of t_list and on its first
     and last entries.  Each distinct time and each distinct pair is
     evaluated once, so a repeated time adds no work and no key.  Rows are
     keyed "t=<t>" and "s=<s>,t=<t>", a time printed with format(t, "g"), or
     with repr(t) where distinct times would print alike and share a row.
 
-    dAdt is the drift probe on its 50 trials: a sampled maximum reported
+    dAdt is the drift (`_dadt`) on its 50 trials: a sampled maximum reported
     for information, not a bound.  It enters "pass" only in that every
     value must be finite.
     """

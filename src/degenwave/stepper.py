@@ -52,6 +52,11 @@ current.
 
 Step n lands on t = n dt exactly: the ring sits on the same uniform grid and
 its newest index is the step counter.  `step` updates one SimState in place.
+
+Initial data take one form here: `initial` = (u0, v0, f0), the displacement
+and velocity as arrays on mesh.nodes and the history f0 as a callable on
+past times s <= 0 (the ring and the channel sample it at different times).
+`config.initial_data` makes them from a config's preset names.
 """
 
 from __future__ import annotations
@@ -79,51 +84,6 @@ from .model import DelaySpec, GainSet
 # a block takes at least this many steps (as the delay allows), so that its
 # fixed cost of a few dozen small array calls is spread over them
 MIN_BLOCK_STEPS = 16
-
-
-# --- initial data presets ---------------------------------------------------
-
-def _u0_zero(x):
-    return np.zeros_like(x)
-
-
-def _u0_ramp(x):
-    return x.copy()
-
-
-def _sine_bump(mu_a):
-    p = max(0.0, 1.0 - mu_a)
-
-    def f(x):
-        return np.sin(np.pi * x) * x**p
-
-    return f
-
-
-def _u1_kick(x):
-    # smooth velocity bump toward x = 1, vanishing at both endpoints; the
-    # front reaches the boundary gradually, so traces stay resolved on the
-    # delay grid from the start
-    return 4.0 * x * (1.0 - x) * np.exp(-(((x - 0.7) / 0.18) ** 2))
-
-
-def displacement_presets(mu_a: float) -> dict[str, tuple[Callable, Callable]]:
-    """preset name -> (u0, u1) callables on mesh nodes."""
-    return {
-        "zero": (_u0_zero, _u0_zero),
-        "ramp": (_u0_ramp, _u0_zero),
-        "sine-bump": (_sine_bump(mu_a), _u0_zero),
-        "velocity-kick": (_u0_zero, _u1_kick),
-    }
-
-
-def history_presets(amplitude: float = 1.0) -> dict[str, Callable]:
-    """f0 preset name -> callable on past times s <= 0."""
-    return {
-        "zero": lambda s: 0.0,
-        "constant": lambda s: amplitude,
-        "cosine": lambda s: amplitude * math.cos(s),
-    }
 
 
 # --- state and trajectory ---------------------------------------------------
@@ -172,40 +132,27 @@ class Trajectory:
 
 
 def init_state(mesh: Mesh, ops: DiscreteOperators, delay: DelaySpec,
-               preset: str = "zero", f0_preset: str = "zero",
-               f0_amplitude: float = 1.0, n_delta: int = 64, dt: float = 1e-3,
-               u0: Optional[Callable] = None, u1: Optional[Callable] = None,
-               f0: Optional[Callable] = None, rows: Optional[int] = None,
+               initial: tuple, n_delta: int = 64, dt: float = 1e-3,
+               rows: Optional[int] = None,
                lookahead: int = 0) -> tuple[SimState, list[str]]:
-    """Sample initial data onto the mesh and seed both delay realizations;
-    the history ring sits on the grid t_k = k dt of the step dt.  With
-    `rows` the ring has one column per row of a batch that starts from
-    this state; it also keeps the `lookahead` samples a block of that many
-    steps appends before it reads back over the delay.
+    """Seed the state and both delay realizations from the initial data
+    `initial` = (u0, v0, f0): displacement and velocity arrays on
+    mesh.nodes, and the history f0, a callable on past times s <= 0.  The
+    history ring sits on the grid t_k = k dt of the step dt.  With `rows`
+    the ring has one column per row of a batch that starts from this
+    state; it also keeps the `lookahead` samples a block of that many steps
+    appends before it reads back over the delay.
 
-    Preset names may be overridden by explicit callables; their values are
-    copied, since stepping updates the state in place.  Returns the state
-    and a list of compatibility warnings: a Dirichlet-regime u0 with
-    u0(0) != 0 is an error, while a mismatch between u1(1) and the history
-    at time 0 is legal (the solver is agnostic) and only recorded.
+    u0 and v0 are copied, since stepping updates the state in place.
+    Returns the state and a list of compatibility warnings: a
+    Dirichlet-regime u0 with u0(0) != 0 is an error, while a mismatch
+    between v0(1) and the history at time 0 is legal (the solver is
+    agnostic) and only recorded.
     """
     warnings: list[str] = []
-    presets = displacement_presets(ops.mu_a)
-    if u0 is None or u1 is None:
-        if preset not in presets:
-            raise ValueError(f"unknown preset {preset!r}; have {sorted(presets)}")
-        p0, p1 = presets[preset]
-        u0 = u0 or p0
-        u1 = u1 or p1
-    if f0 is None:
-        table = history_presets(f0_amplitude)
-        if f0_preset not in table:
-            raise ValueError(f"unknown f0 preset {f0_preset!r}")
-        f0 = table[f0_preset]
-
-    x = mesh.nodes
-    u = np.array(u0(x), dtype=float)
-    v = np.array(u1(x), dtype=float)
+    u0, v0, f0 = initial
+    u = np.array(u0, dtype=float)
+    v = np.array(v0, dtype=float)
     if ops.bc_kind == DIRICHLET_LEFT:
         if abs(u[0]) > 1e-12:
             raise IncompatibleInitialData(
@@ -431,20 +378,19 @@ def record_count(t_final: float, dt: float, record_every: int) -> int:
 
 
 def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
-        delay: DelaySpec, t_final: float, dt: float, record_every: int = 1,
-        preset: str = "zero", f0_preset: str = "zero", f0_amplitude: float = 1.0,
-        n_delta: int = 64, lyap=None,
-        u0: Optional[Callable] = None, u1: Optional[Callable] = None,
-        f0: Optional[Callable] = None, snapshot_sink=None):
+        delay: DelaySpec, t_final: float, dt: float, initial: tuple,
+        record_every: int = 1, n_delta: int = 64, lyap=None,
+        snapshot_sink=None):
     """Integrate to t_final, recording the COLUMNS every record_every
     steps (plus the initial and final instants).
 
     The rows, one per GainSet, run as one lockstep batch from the same
-    initial data; `lyap` (LyapunovParams or None) and `snapshot_sink`
-    (callable or None) are sequences with one entry per row, or None for
-    none at all.  Returns a list with each row's Trajectory, or the
-    NonFiniteState that stopped that row.  A row gets the bits of its run
-    alone; a single run is a batch of one.
+    initial data `initial` = (u0, v0, f0), as `init_state` takes them;
+    `lyap` (LyapunovParams or None) and `snapshot_sink` (callable or None)
+    are sequences with one entry per row, or None for none at all.
+    Returns a list with each row's Trajectory, or the NonFiniteState that
+    stopped that row.  A row gets the bits of its run alone; a single run
+    is a batch of one.
 
     The run takes round(t_final / dt) steps; when t_final is not a whole
     number of steps, a warning names the time the run ends at.  When no
@@ -479,11 +425,8 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     reach = max(1, math.floor(delay.tau0 / dt - 0.5))
     if span > reach:
         span = k * (reach // k) or reach
-    state, warnings = init_state(
-        mesh, ops, delay, preset=preset, f0_preset=f0_preset,
-        f0_amplitude=f0_amplitude, n_delta=n_delta, dt=dt,
-        u0=u0, u1=u1, f0=f0, rows=n_batch, lookahead=span,
-    )
+    state, warnings = init_state(mesh, ops, delay, initial, n_delta=n_delta,
+                                 dt=dt, rows=n_batch, lookahead=span)
     if note is not None:
         warnings.append(note)
     work = StepWorkspace.build(ops, gains, dt)

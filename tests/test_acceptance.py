@@ -27,12 +27,7 @@ from degenwave.analysis import (
 )
 from degenwave.cli import converge_table, main, simulate_config
 from degenwave.model import full_constants
-from degenwave.operator_checks import (
-    ProbeContext,
-    dissipativity_probe,
-    norm_ratio_bound,
-    resolvent_probe,
-)
+from degenwave.operator_checks import ProbeContext, run_certificate
 
 mpmath.mp.dps = 50
 
@@ -156,12 +151,12 @@ def test_criterion_6_operator_certificates(baseline_run):
     ctx = ProbeContext(mesh=setup.mesh, ops=setup.ops, gains=setup.gains,
                        delay=setup.delay, n_delta=setup.cfg.channel_n_delta)
     t0 = time.perf_counter()
-    times = [0.0, 5.0, 10.0]
-    seed = setup.cfg.seed
-    dreps = dissipativity_probe(times, ctx, trials=500, seed=seed)
-    rreps = resolvent_probe(times, ctx, trials=100, seed=seed)
-    nreps = norm_ratio_bound([(0.0, 5.0), (5.0, 10.0), (0.0, 10.0)], ctx,
-                             trials=500, seed=seed)
+    # the pairs of [0, 5, 10] are (0, 5), (5, 10) and (0, 10)
+    cert = run_certificate(ctx, [0.0, 5.0, 10.0], seed=setup.cfg.seed,
+                           diss_trials=500, res_trials=100, ratio_trials=500)
+    assert list(cert["claim3"]) == ["s=0,t=5", "s=5,t=10", "s=0,t=10"]
+    dreps, rreps, nreps = (cert[c].values()
+                           for c in ("claim1", "claim2", "claim3"))
     worst_form = max(r["max_form_ratio"] for r in dreps)
     worst_res = max(r["max_residual"] for r in rreps)
     worst_ident = max(r["max_boundary_identity"] for r in rreps)

@@ -218,7 +218,7 @@ class TestSimulateCli:
                                     monkeypatch):
         # the config rejects non-finite numbers, so a NaN history comes from
         # a patched preset
-        monkeypatch.setattr(stepper, "history_presets",
+        monkeypatch.setattr(cfgmod, "history_presets",
                             lambda amplitude: {"constant": lambda s: math.nan})
         rc = run_cli(["simulate", "--config", "baseline", *fast_args,
                       "--set", "initial.f0=constant",
@@ -520,6 +520,46 @@ class TestSweep:
             mates = cfgmod.apply_overrides(cfg, mate)
             assert cfgmod.batch_key(mates) == cfgmod.batch_key(cfg)
         assert cfgmod.batch_key(other) != cfgmod.batch_key(cfg)
+
+    def test_failed_row_with_commas_keeps_the_csv_rectangular(self,
+                                                              tmp_path):
+        # the unknown-preset status lists the known names, with commas: it
+        # is quoted, every row has the header's width, and the ok row,
+        # which has no comma, is its cells joined as before
+        import csv
+
+        out = tmp_path / "sw.csv"
+        argv = ["sweep", "--config", "baseline",
+                "--axis", "initial.preset=ramp,bogus", "--out", str(out)]
+        for key in ("mesh.n", "channel.n_delta", "integrator.t_final",
+                    "integrator.record_every"):
+            value = cfgmod.get_value(self.small_cfg(), key)
+            argv += ["--set", f"{key}={value}"]
+        assert run_cli(argv) == EXIT_OK
+        text = out.read_text()
+        header, *rows = csv.reader(text.splitlines())
+        assert len(rows) == 2
+        assert all(len(row) == len(header) for row in rows)
+        status = dict(zip(header, rows[1]))["status"]
+        assert status == ("failed: unknown initial.preset 'bogus'; "
+                          "known: ramp, sine-bump, velocity-kick, zero")
+        assert text.splitlines()[1] == ",".join(rows[0])
+
+    @pytest.mark.parametrize("axes, key", [
+        (["gains.mu2=0,1", "gains.mu2=0.3"], "gains.mu2"),
+        (["seed=1,2"], "seed"),
+    ])
+    def test_repeated_or_seed_axis_exit2(self, axes, key, tmp_path, capsys):
+        # a second axis over one key would override the first, and a seed
+        # axis the derived per-row seeds; both are refused, naming the key
+        argv = ["sweep", "--config", "baseline",
+                "--out", str(tmp_path / "sw.csv")]
+        for axis in axes:
+            argv += ["--axis", axis]
+        assert run_cli(argv) == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "sw.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bad_jobs_exit2(self, jobs, capsys):

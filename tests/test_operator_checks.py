@@ -27,20 +27,26 @@ from degenwave.operator_checks import (
     BLOCK_DOUBLES,
     ProbeContext,
     Resolvent,
+    _claim1,
+    _claim2,
+    _claim3,
+    _dadt,
+    _run,
     channel_resolvent_weights,
-    continuum_channel_weight,
-    dissipativity_probe,
     generator_apply,
-    generator_drift_probe,
     iota,
     norm_h_sq,
-    norm_ratio_bound,
     norm_t_sq,
-    resolvent_probe,
     run_certificate,
 )
 
 DELAY = make_delay("saturating_exponential", {"tau0": 0.5, "tau1": 1.0, "k": 0.4})
+
+
+def _drift(times, ctx, trials, seed):
+    """The drift's claim, built as the others are (its rows name no
+    seed)."""
+    return _dadt(times, ctx, trials)
 
 
 def make_ctx(n=64, n_delta=32, gains=GainSet(2.0, 0.2, 1.0), delay=DELAY,
@@ -99,7 +105,7 @@ class TestGeneratorApply:
 class TestDissipativity:
     def test_pass_under_gain_condition(self):
         ctx = make_ctx()
-        reps = dissipativity_probe([0.0, 2.0, 8.0], ctx, trials=500, seed=7)
+        reps = _run(ctx, 7, [_claim1([0.0, 2.0, 8.0], ctx, 500, 7)])[0]
         assert len(reps) == 3
         for rep in reps:
             assert rep["pass"]
@@ -110,7 +116,7 @@ class TestDissipativity:
         # finds states with positive form value (reported, not asserted as a
         # theorem)
         ctx = make_ctx(gains=GainSet(2.0, 6.0, 1.0))
-        [rep] = dissipativity_probe([0.0], ctx, trials=500, seed=7)
+        [rep] = _run(ctx, 7, [_claim1([0.0], ctx, 500, 7)])[0]
         assert rep["positive_trials"] > 0
         assert not rep["pass"]
 
@@ -119,7 +125,7 @@ class TestDissipativity:
         passed_seen = False
         for mu2 in [3.0, 1.5, 1.0, 0.5, 0.2, 0.0]:
             ctx = make_ctx(gains=GainSet(2.0, mu2, 1.0))
-            [rep] = dissipativity_probe([0.0], ctx, trials=200, seed=13)
+            [rep] = _run(ctx, 13, [_claim1([0.0], ctx, 200, 13)])[0]
             if passed_seen:
                 assert rep["pass"]
             passed_seen = passed_seen or rep["pass"]
@@ -144,15 +150,6 @@ class TestResolvent:
         assert errs[-1] < 1e-3
         assert all(a / b > 1.8 for a, b in zip(errs, errs[1:]))
 
-    def test_continuum_weight_series_fallback(self):
-        # continuous in tau' across the switch, limit e^{-tau}
-        w0 = continuum_channel_weight(0.9, 0.0)
-        w1 = continuum_channel_weight(0.9, 1e-9)
-        w2 = continuum_channel_weight(0.9, 1e-7)
-        assert w0 == pytest.approx(math.exp(-0.9), rel=1e-12)
-        assert w1 == pytest.approx(w0, rel=1e-8)
-        assert w2 == pytest.approx(w0, rel=1e-6)
-
     def test_pure_velocity_rhs_gives_exponential_channel(self):
         # f = h = 0: w is the discrete exponential decay of v(1) along delta
         ctx = make_ctx(delay=make_delay("constant", {"tau": 0.8}))
@@ -173,7 +170,7 @@ class TestResolvent:
             delay = (make_delay("constant", {"tau": 0.8})
                      if taup_case == "constant-delay" else DELAY)
             ctx = make_ctx(delay=delay)
-            [rep] = resolvent_probe([0.5], ctx, trials=50, seed=21)
+            [rep] = _run(ctx, 21, [_claim2([0.5], ctx, 50, 21)])[0]
             assert rep["max_residual"] <= 1e-8
             assert rep["max_boundary_identity"] <= 1e-8
 
@@ -205,7 +202,7 @@ class TestResolvent:
 class TestNormRatio:
     def test_constant_delay_ratio_one(self):
         ctx = make_ctx(delay=make_delay("constant", {"tau": 0.7}))
-        [rep] = norm_ratio_bound([(1.0, 3.0)], ctx, trials=100, seed=5)
+        [rep] = _run(ctx, 5, [_claim3([(1.0, 3.0)], ctx, 100, 5)])[0]
         assert rep["max_ratio"] == pytest.approx(1.0, abs=1e-12)
         assert rep["excess"] == 0.0
 
@@ -226,7 +223,7 @@ class TestNormRatio:
 
     def test_stated_bound_with_margin(self):
         ctx = make_ctx()
-        [rep] = norm_ratio_bound([(0.5, 1.5)], ctx, trials=300, seed=10)
+        [rep] = _run(ctx, 10, [_claim3([(0.5, 1.5)], ctx, 300, 10)])[0]
         assert rep["excess"] == 0.0
         assert rep["bound_proof"] >= rep["bound_stated"]
 
@@ -234,7 +231,7 @@ class TestNormRatio:
 class TestGeneratorDrift:
     def test_finite_and_stable(self):
         ctx = make_ctx()
-        [out] = generator_drift_probe([2.0], ctx, trials=20, seed=2)
+        [out] = _run(ctx, 2, [_dadt([2.0], ctx, 20)])[0]
         assert out.pop("trials") == 20
         assert list(out) == ["h=0.01", "h=0.001", "h=0.0001"]
         vals = list(out.values())
@@ -418,7 +415,7 @@ class TestStackedAgainstPerTrial:
         assert trials % ROWS_AT_64 != 0 and 37 < ROWS_AT_64
         ctx = make_ctx(**ORACLE_CTX[case])
         seed = 4
-        reps = dissipativity_probe(self.TIMES, ctx, trials=trials, seed=seed)
+        reps = _run(ctx, seed, [_claim1(self.TIMES, ctx, trials, seed)])[0]
         npos = 0
         for t, rep in zip(self.TIMES, reps):
             worst, n_positive = oracle_dissipativity(t, ctx, trials, seed)
@@ -427,17 +424,17 @@ class TestStackedAgainstPerTrial:
             npos += n_positive
         assert (npos > 0) == (case == "violating")
         res_trials = trials // 3
-        reps = resolvent_probe(self.TIMES, ctx, trials=res_trials, seed=seed)
+        reps = _run(ctx, seed, [_claim2(self.TIMES, ctx, res_trials, seed)])[0]
         for t, rep in zip(self.TIMES, reps):
             assert (rep["max_residual"], rep["max_boundary_identity"]) == \
                 oracle_resolvent(t, ctx, res_trials, seed)
-        reps = norm_ratio_bound(self.PAIRS, ctx, trials=trials, seed=seed)
+        reps = _run(ctx, seed, [_claim3(self.PAIRS, ctx, trials, seed)])[0]
         for (s, t), rep in zip(self.PAIRS, reps):
             assert rep["max_ratio"] == oracle_norm_ratio(s, t, ctx, trials,
                                                          seed)
         steps = (1e-2, 1e-4)
-        drifts = generator_drift_probe(self.TIMES, ctx, trials=trials // 4,
-                                       seed=seed, steps=steps)
+        drifts = _run(ctx, seed, [_dadt(self.TIMES, ctx, trials // 4,
+                                        steps)])[0]
         for t, drift in zip(self.TIMES, drifts):
             assert drift == oracle_drift(t, ctx, trials // 4, seed, steps)
 
@@ -445,21 +442,22 @@ class TestStackedAgainstPerTrial:
     def test_certificate_equals_the_probes_alone(self, case):
         # one stream for all four claims, which stop in different blocks:
         # claim 1 in the third, claim 3 in the second, claim 2 and the
-        # drift's 50 trials in the first
+        # drift's 50 trials in the first; each claim's rows equal those of
+        # the claim run alone through _run
         ctx = make_ctx(**ORACLE_CTX[case])
         seed = 4
         diss, res, ratio = 2 * ROWS_AT_64 + 11, 37, ROWS_AT_64 + 5
         assert res < 50 < ROWS_AT_64 < ratio < 2 * ROWS_AT_64 < diss
         cert = run_certificate(ctx, self.TIMES, seed=seed, diss_trials=diss,
                                res_trials=res, ratio_trials=ratio)
-        assert list(cert["claim1"].values()) == dissipativity_probe(
-            self.TIMES, ctx, trials=diss, seed=seed)
-        assert list(cert["claim2"].values()) == resolvent_probe(
-            self.TIMES, ctx, trials=res, seed=seed)
-        assert list(cert["claim3"].values()) == norm_ratio_bound(
-            self.PAIRS, ctx, trials=ratio, seed=seed)
-        assert list(cert["dAdt"].values()) == generator_drift_probe(
-            self.TIMES, ctx, seed=seed)
+        assert list(cert["claim1"].values()) == _run(
+            ctx, seed, [_claim1(self.TIMES, ctx, diss, seed)])[0]
+        assert list(cert["claim2"].values()) == _run(
+            ctx, seed, [_claim2(self.TIMES, ctx, res, seed)])[0]
+        assert list(cert["claim3"].values()) == _run(
+            ctx, seed, [_claim3(self.PAIRS, ctx, ratio, seed)])[0]
+        assert list(cert["dAdt"].values()) == _run(
+            ctx, seed, [_dadt(self.TIMES, ctx)])[0]
         assert cert["pass"] == (case != "violating")
 
     def test_energy_parts_stack_equals_rows(self):
@@ -564,47 +562,43 @@ class TestTrialStream:
                 ctx, [0.0, 1.0, 2.0], seed=3, diss_trials=diss,
                 res_trials=res, ratio_trials=ratio))
             assert made == [([3], -(-max(*trials, 50) // rows))]
-        # a probe run alone: the same one stream, for its own trials
-        for probe, entries in [(dissipativity_probe, [0.0, 1.0]),
-                               (resolvent_probe, [0.0]),
-                               (norm_ratio_bound, [(0.0, 1.0)]),
-                               (generator_drift_probe, [0.0])]:
-            made = counted(lambda: probe(entries, ctx, trials=rows + 1,
-                                         seed=3))
+        # a claim run alone: the same one stream, for its own trials
+        for claim, entries in [(_claim1, [0.0, 1.0]), (_claim2, [0.0]),
+                               (_claim3, [(0.0, 1.0)]), (_drift, [0.0])]:
+            made = counted(lambda: _run(
+                ctx, 3, [claim(entries, ctx, rows + 1, 3)])[0])
             assert made == [([3], 2)]
 
 
-@pytest.mark.parametrize("probe, entries", [
-    (dissipativity_probe, [0.0]),
-    (resolvent_probe, [0.0]),
-    (norm_ratio_bound, [(0.0, 1.0)]),
-    (generator_drift_probe, [0.0]),
+@pytest.mark.parametrize("claim, entries", [
+    (_claim1, [0.0]),
+    (_claim2, [0.0]),
+    (_claim3, [(0.0, 1.0)]),
+    (_drift, [0.0]),
 ], ids=["dissipativity", "resolvent", "norm_ratio", "drift"])
 @pytest.mark.parametrize("trials", [0, -3])
-def test_no_trials_is_an_error_not_a_pass(probe, entries, trials):
+def test_no_trials_is_an_error_not_a_pass(claim, entries, trials):
+    ctx = make_ctx(n=16, n_delta=8)
     with pytest.raises(ValueError, match="need at least one trial"):
-        probe(entries, make_ctx(n=16, n_delta=8), trials=trials)
+        _run(ctx, 0, [claim(entries, ctx, trials, 0)])
 
 
 class TestRunCertificate:
-    # run_certificate builds one claim per probe, counted here under the
-    # probe's name
-    CLAIMS = {"dissipativity_probe": "_claim1", "resolvent_probe": "_claim2",
-              "norm_ratio_bound": "_claim3",
-              "generator_drift_probe": "_dadt"}
-    TIME_PROBES = ("dissipativity_probe", "resolvent_probe",
-                   "generator_drift_probe")
+    # run_certificate builds each claim once, counted here under the
+    # builder's name
+    CLAIMS = ("_claim1", "_claim2", "_claim3", "_dadt")
+    TIME_CLAIMS = ("_claim1", "_claim2", "_dadt")
 
     def count(self, monkeypatch):
         seen = {name: [] for name in self.CLAIMS}
-        for name, claim in self.CLAIMS.items():
-            real = getattr(operator_checks, claim)
+        for name in self.CLAIMS:
+            real = getattr(operator_checks, name)
 
             def counted(entries, ctx, *args, _real=real, _name=name, **kw):
                 seen[_name].extend(entries)
                 return _real(entries, ctx, *args, **kw)
 
-            monkeypatch.setattr(operator_checks, claim, counted)
+            monkeypatch.setattr(operator_checks, name, counted)
         return seen
 
     def cert(self, t_list):
@@ -615,18 +609,18 @@ class TestRunCertificate:
         seen = self.count(monkeypatch)
         cert = self.cert([0.0, 20.0])
         # the closing pair (first, last) repeats the only consecutive pair
-        assert seen["norm_ratio_bound"] == [(0.0, 20.0)]
+        assert seen["_claim3"] == [(0.0, 20.0)]
         assert list(cert["claim3"]) == ["s=0,t=20"]
-        for name in self.TIME_PROBES:
+        for name in self.TIME_CLAIMS:
             assert seen[name] == [0.0, 20.0]
 
     def test_repeated_times_add_no_work(self, monkeypatch):
         once = self.cert([0.0, 20.0, 5.0])
         seen = self.count(monkeypatch)
         cert = self.cert([0.0, 20.0, 20.0, 5.0, 0.0, 5.0])
-        for name in self.TIME_PROBES:
+        for name in self.TIME_CLAIMS:
             assert seen[name] == [0.0, 20.0, 5.0]
-        assert seen["norm_ratio_bound"] == [
+        assert seen["_claim3"] == [
             (0.0, 20.0), (20.0, 20.0), (20.0, 5.0), (5.0, 0.0), (0.0, 5.0)]
         for claim in ("claim1", "claim2", "dAdt"):
             assert cert[claim] == once[claim]
@@ -635,15 +629,15 @@ class TestRunCertificate:
     def test_single_time_has_no_pairs(self, monkeypatch):
         seen = self.count(monkeypatch)
         cert = self.cert([2.0])
-        assert seen["dissipativity_probe"] == [2.0]
-        assert seen["norm_ratio_bound"] == [] and cert["claim3"] == {}
+        assert seen["_claim1"] == [2.0]
+        assert seen["_claim3"] == [] and cert["claim3"] == {}
 
     def test_one_repeated_time_is_one_pair(self, monkeypatch):
         # the consecutive pair and the closing pair coincide
         seen = self.count(monkeypatch)
         cert = self.cert([2.0, 2.0])
-        assert seen["dissipativity_probe"] == [2.0]
-        assert seen["norm_ratio_bound"] == [(2.0, 2.0)]
+        assert seen["_claim1"] == [2.0]
+        assert seen["_claim3"] == [(2.0, 2.0)]
         assert cert["claim3"]["s=2,t=2"]["max_ratio"] == 1.0
 
     def test_times_that_print_alike_keep_their_rows(self, monkeypatch):
@@ -651,13 +645,13 @@ class TestRunCertificate:
         # and every other time keeps its short one
         seen = self.count(monkeypatch)
         cert = self.cert([0.0, 1.0, 1.0000001, 20.0])
-        assert seen["dissipativity_probe"] == [0.0, 1.0, 1.0000001, 20.0]
+        assert seen["_claim1"] == [0.0, 1.0, 1.0000001, 20.0]
         keys = ["t=0", "t=1.0", "t=1.0000001", "t=20"]
         for claim in ("claim1", "claim2", "dAdt"):
             assert list(cert[claim]) == keys
         assert list(cert["claim3"]) == [
             "s=0,t=1.0", "s=1.0,t=1.0000001", "s=1.0000001,t=20", "s=0,t=20"]
-        assert len(seen["norm_ratio_bound"]) == 4
+        assert len(seen["_claim3"]) == 4
         two = self.cert([1.0, 1.0000001])
         assert list(two["claim1"]) == ["t=1.0", "t=1.0000001"]
         assert list(two["claim3"]) == ["s=1.0,t=1.0000001"]

@@ -24,7 +24,7 @@ from degenwave.stepper import (
     step_count,
 )
 
-from conftest import run_one
+from conftest import initial, run_one
 
 SPEC = make_coefficient("power", {"alpha": 0.5})
 DELAY = make_delay("saturating_exponential", {"tau0": 0.5, "tau1": 1.0, "k": 0.4})
@@ -47,7 +47,7 @@ class TestInitState:
     def test_zero_preset(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, warns = init_state(mesh, ops, DELAY, preset="zero")
+        state, warns = init_state(mesh, ops, DELAY, initial(mesh, ops, "zero"))
         assert state_energy(state, ops, g, DELAY) == 0.0
         assert warns == []
 
@@ -55,7 +55,7 @@ class TestInitState:
         # E(0) -> (2/3 + 1)/2 = 5/6 for u0 = x, a = sqrt(x), beta = 1, f0 = 0
         spec, mesh, ops = make_ops(n=512, gamma=4.0 / 3.0)
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, DELAY, preset="ramp")
+        state, _ = init_state(mesh, ops, DELAY, initial(mesh, ops, "ramp"))
         assert abs(state_energy(state, ops, g, DELAY) - 5.0 / 6.0) < 1e-3
 
     def test_nonzero_history_adds_delay_term(self):
@@ -63,9 +63,10 @@ class TestInitState:
         # and the trapezoid is exact on constants
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        ref, _ = init_state(mesh, ops, DELAY, preset="ramp", f0_preset="zero")
-        state, warns = init_state(mesh, ops, DELAY, preset="ramp",
-                                  f0_preset="constant", f0_amplitude=0.8)
+        ref, _ = init_state(mesh, ops, DELAY,
+                            initial(mesh, ops, "ramp", "zero"))
+        state, warns = init_state(mesh, ops, DELAY,
+                                  initial(mesh, ops, "ramp", "constant", 0.8))
         extra = (state_energy(state, ops, g, DELAY)
                  - state_energy(ref, ops, g, DELAY))
         expected = 0.5 * g.mu1 * ops.a1 * float(DELAY.tau(0.0)) * 0.8**2
@@ -76,17 +77,19 @@ class TestInitState:
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
         with pytest.raises(IncompatibleInitialData):
-            init_state(mesh, ops, DELAY, u0=lambda x: 1.0 + x,
-                       u1=lambda x: np.zeros_like(x))
+            init_state(mesh, ops, DELAY, (1.0 + mesh.nodes,
+                                          np.zeros_like(mesh.nodes),
+                                          lambda s: 0.0))
 
     def test_initial_data_copied(self):
-        # the step updates u in place, so a u0 returning the mesh's own
+        # the step updates u in place, so a u0 that is the mesh's own
         # nodes must not let stepping move the mesh
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
         nodes = mesh.nodes.copy()
-        state, _ = init_state(mesh, ops, DELAY, u0=lambda x: x,
-                              u1=lambda x: np.sin(np.pi * x))
+        state, _ = init_state(mesh, ops, DELAY, (mesh.nodes,
+                                                 np.sin(np.pi * mesh.nodes),
+                                                 lambda s: 0.0))
         ws = StepWorkspace.build(ops, g, 1e-3)
         for _ in range(20):
             step(state, 1e-3, g, DELAY, ops, workspace=ws)
@@ -97,7 +100,8 @@ class TestInitState:
         for alpha in [0.5, 1.5]:
             spec, mesh, ops = make_ops(alpha=alpha)
             g = GainSet(2.0, 0.2, 1.0)
-            state, _ = init_state(mesh, ops, DELAY, preset="sine-bump")
+            state, _ = init_state(mesh, ops, DELAY,
+                                  initial(mesh, ops, "sine-bump"))
             assert state.u[0] == 0.0
 
 
@@ -105,7 +109,7 @@ class TestStep:
     def test_zero_state_is_equilibrium(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, DELAY, preset="zero")
+        state, _ = init_state(mesh, ops, DELAY, initial(mesh, ops, "zero"))
         ws = StepWorkspace.build(ops, g, 1e-3)
         for _ in range(5):
             state = step(state, 1e-3, g, DELAY, ops, workspace=ws)
@@ -118,7 +122,8 @@ class TestStep:
     def test_updates_state_in_place(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, DELAY, preset="velocity-kick")
+        state, _ = init_state(mesh, ops, DELAY,
+                              initial(mesh, ops, "velocity-kick"))
         u, v = state.u, state.v
         ws = StepWorkspace.build(ops, g, 1e-3)
         assert step(state, 1e-3, g, DELAY, ops, workspace=ws) is state
@@ -137,8 +142,9 @@ class TestStep:
         g = GainSet(2.0, mu2, 1.0)
         dt = 1e-3
         ws = StepWorkspace.build(ops, g, dt)
-        state, _ = init_state(mesh, ops, DELAY, preset="velocity-kick",
-                              f0_preset="cosine", dt=dt)
+        state, _ = init_state(mesh, ops, DELAY,
+                              initial(mesh, ops, "velocity-kick", "cosine"),
+                              dt=dt)
         for _ in range(20):
             step(state, dt, g, DELAY, ops, workspace=ws)
         u0, v0 = state.u.copy(), state.v.copy()
@@ -161,7 +167,8 @@ class TestStep:
     def test_dt_must_match_grid_and_workspace(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, DELAY, preset="velocity-kick", dt=1e-3)
+        state, _ = init_state(mesh, ops, DELAY,
+                              initial(mesh, ops, "velocity-kick"), dt=1e-3)
         other = StepWorkspace.build(ops, g, 2e-3)
         with pytest.raises(ValueError, match="differs from"):
             step(state, 1e-3, g, DELAY, ops, workspace=other)
@@ -181,7 +188,8 @@ class TestStep:
     def test_coupling_invariant_exact(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, DELAY, preset="velocity-kick")
+        state, _ = init_state(mesh, ops, DELAY,
+                              initial(mesh, ops, "velocity-kick"))
         ws = StepWorkspace.build(ops, g, 1e-3)
         for _ in range(200):
             state = step(state, 1e-3, g, DELAY, ops, workspace=ws)
@@ -193,7 +201,9 @@ class TestStep:
         spec, mesh, ops = make_ops(n=128)
         g = GainSet(2.0, 0.0, 1.0)
         traj = run_one(mesh, ops, g, DELAY, t_final=5.0, dt=5e-4,
-                       record_every=1, preset="velocity-kick", n_delta=256)
+                       record_every=1,
+                       initial=initial(mesh, ops, "velocity-kick"),
+                       n_delta=256)
         e = traj.E
         tol = 1e-10 * e[0] + 1e-14
         assert np.max(np.diff(e)) <= tol
@@ -203,7 +213,9 @@ class TestStep:
         spec, mesh, ops = make_ops(n=256)
         g = GainSet(0.0, 0.0, 1.0)
         traj = run_one(mesh, ops, g, DELAY, t_final=10.0, dt=1e-3,
-                       record_every=20, preset="velocity-kick", n_delta=64)
+                       record_every=20,
+                       initial=initial(mesh, ops, "velocity-kick"),
+                       n_delta=64)
         e = traj.E
         assert np.max(np.abs(e - e[0])) < 1e-6 * e[0]
 
@@ -215,7 +227,8 @@ class TestStep:
         finals = []
         for dt in [4e-3, 2e-3, 1e-3]:
             traj = run_one(mesh, ops, g, DELAY, t_final=2.0, dt=dt,
-                           record_every=10**9, preset="velocity-kick",
+                           record_every=10**9,
+                           initial=initial(mesh, ops, "velocity-kick"),
                            n_delta=64)
             st = traj.final_state
             finals.append(np.concatenate([st.u, st.v]))
@@ -230,7 +243,9 @@ class TestStep:
         for n, dt in [(64, 2e-3), (128, 1e-3), (256, 5e-4)]:
             spec, mesh, ops = make_ops(n=n)
             traj = run_one(mesh, ops, g, DELAY, t_final=2.0, dt=dt,
-                           record_every=5, preset="velocity-kick", n_delta=64)
+                           record_every=5,
+                           initial=initial(mesh, ops, "velocity-kick"),
+                           n_delta=64)
             coeffs.append(traj.bc_residual_coeff)
         assert all(np.isfinite(c) for c in coeffs)
         assert max(coeffs) <= 3.0 * min(coeffs) + 1.0
@@ -241,7 +256,7 @@ class TestRun:
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
         traj = run_one(mesh, ops, g, DELAY, t_final=0.0, dt=1e-3,
-                       preset="velocity-kick", n_delta=16)
+                       initial=initial(mesh, ops, "velocity-kick"), n_delta=16)
         assert traj.t.size == 1
         assert traj.t[0] == 0.0
 
@@ -250,23 +265,28 @@ class TestRun:
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
         traj = run_one(mesh, ops, g, DELAY, t_final=2.0, dt=1e-3,
-                       record_every=50, preset="velocity-kick", n_delta=16)
+                       record_every=50,
+                       initial=initial(mesh, ops, "velocity-kick"),
+                       n_delta=16)
         assert traj.t[-1] == 2.0
         assert traj.final_state.t == 2.0
 
     def test_non_finite_state_raises(self):
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
-        u1 = lambda x: np.where(x > 0.5, np.nan, 0.0)
+        x = mesh.nodes
+        u1 = np.where(x > 0.5, np.nan, 0.0)
         with pytest.raises(NonFiniteState, match="t = 0.0"):
             run_one(mesh, ops, g, DELAY, t_final=0.1, dt=1e-3,
-                    u0=lambda x: 0 * x, u1=u1, n_delta=16)
+                    initial=(0 * x, u1, lambda s: 0.0), n_delta=16)
 
     def test_sample_times_strictly_increasing(self):
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
         traj = run_one(mesh, ops, g, DELAY, t_final=0.3, dt=1e-3,
-                       record_every=3, preset="velocity-kick", n_delta=16)
+                       record_every=3,
+                       initial=initial(mesh, ops, "velocity-kick"),
+                       n_delta=16)
         assert np.all(np.diff(traj.t) > 0.0)
 
     def test_columns_cover_a_partial_last_stride(self):
@@ -274,7 +294,9 @@ class TestRun:
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
         traj = run_one(mesh, ops, g, DELAY, t_final=0.3, dt=1e-3,
-                       record_every=7, preset="velocity-kick", n_delta=16)
+                       record_every=7,
+                       initial=initial(mesh, ops, "velocity-kick"),
+                       n_delta=16)
         for name in COLUMNS:
             col = getattr(traj, name)
             assert col.shape == (44,)
@@ -286,7 +308,8 @@ class TestRun:
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
         traj = run_one(mesh, ops, g, DELAY, t_final=0.5, dt=1e-3,
-                       preset="velocity-kick", f0_preset="cosine", n_delta=16)
+                       initial=initial(mesh, ops, "velocity-kick", "cosine"),
+                       n_delta=16)
         assert any("splice" in w for w in traj.warnings)
         assert traj.t[-1] == pytest.approx(0.5)
 
@@ -294,11 +317,41 @@ class TestRun:
         _, mesh, ops = make_ops(n=32)
         g = GainSet(2.0, 0.2, 1.0)
         kw = dict(t_final=1.0, dt=1e-3, record_every=7,
-                  preset="velocity-kick", n_delta=32)
+                  initial=initial(mesh, ops, "velocity-kick"), n_delta=32)
         t1 = run_one(mesh, ops, g, DELAY, **kw)
         t2 = run_one(mesh, ops, g, DELAY, **kw)
         assert np.array_equal(t1.E, t2.E)
         assert np.array_equal(t1.final_state.u, t2.final_state.u)
+
+    @pytest.mark.parametrize("scenario", ["baseline", "strong-degeneracy"])
+    def test_setup_runs_twice_alike_and_keeps_its_initial_data(self,
+                                                              scenario):
+        # a run starts from its own copies of the setup's read-only u0 and
+        # v0: baseline pins their Dirichlet node, which would raise on the
+        # setup's arrays, and a second run of the setup repeats the first
+        from degenwave import config
+        from degenwave.mesh import DIRICHLET_LEFT
+
+        cfg = config.apply_overrides(config.load_config(scenario), [
+            "mesh.n=32", "channel.n_delta=16", "integrator.t_final=0.5",
+            "initial.preset=ramp", "initial.f0=cosine"])
+        setup = config.build_setup(cfg)
+        dirichlet = setup.ops.bc_kind == DIRICHLET_LEFT
+        assert dirichlet == (scenario == "baseline")
+        u0, v0, f0 = setup.initial
+        assert not u0.flags.writeable and not v0.flags.writeable
+        kept = u0.copy(), v0.copy()
+        (one,) = config.run_from_setup([setup])
+        (two,) = config.run_from_setup([setup])
+        for name in COLUMNS:
+            assert np.array_equal(getattr(one, name), getattr(two, name)), name
+        for part in ("u", "v", "w"):
+            assert np.array_equal(getattr(one.final_state, part),
+                                  getattr(two.final_state, part))
+        assert setup.initial[0] is u0 and setup.initial[1] is v0
+        assert setup.initial[2] is f0
+        assert np.array_equal(u0, kept[0]) and np.array_equal(v0, kept[1])
+        assert not np.array_equal(one.final_state.u, u0)
 
     def test_energy_is_half_sum_of_parts(self):
         # additivity of the recorded energy against the u and v blocks of
@@ -307,7 +360,9 @@ class TestRun:
         _, mesh, ops = make_ops(n=32)
         g = GainSet(2.0, 0.2, 1.0)
         traj = run_one(mesh, ops, g, DELAY, t_final=0.5, dt=1e-3,
-                       record_every=100, preset="velocity-kick", n_delta=32)
+                       record_every=100,
+                       initial=initial(mesh, ops, "velocity-kick"),
+                       n_delta=32)
         st = traj.final_state
         parts = energy_parts(st.u, st.v, np.zeros_like(st.w), 1.0, ops, g)
         assert parts["delay"] == 0.0
@@ -330,7 +385,7 @@ class TestRecorder:
         # interpolated from the recorded traces and the prescribed history
         from degenwave import config
         from degenwave.analysis import choose_epsilon
-        from degenwave.stepper import history_presets
+        from degenwave.config import history_presets
 
         cfg = config.apply_overrides(config.load_config(scenario), [
             "integrator.t_final=1.5", "integrator.record_every=1"])
@@ -393,9 +448,7 @@ def _blocked_setup(record_every, n=32, n_delta=16, t_final=0.6):
 
 def _step_by_step(cfg, setup, record_every):
     """(t, u, v, w) at every recorded instant of `run`, from step() calls."""
-    state, _ = init_state(setup.mesh, setup.ops, setup.delay,
-                          preset=cfg.initial_preset, f0_preset=cfg.initial_f0,
-                          f0_amplitude=cfg.initial_f0_amplitude,
+    state, _ = init_state(setup.mesh, setup.ops, setup.delay, setup.initial,
                           n_delta=cfg.channel_n_delta, dt=setup.dt)
     ws = StepWorkspace.build(setup.ops, setup.gains, setup.dt)
     n_steps = int(round(cfg.integrator_t_final / setup.dt))
@@ -473,7 +526,8 @@ class TestBlockedRun:
         g = GainSet(2.0, 0.2, 1.0)
         dt = 1e-3
         f0 = lambda s: math.nan if -0.245 < s < -0.225 else 0.0
-        kw = dict(preset="velocity-kick", n_delta=16, f0=f0)
+        kw = dict(initial=(*initial(mesh, ops, "velocity-kick")[:2], f0),
+                  n_delta=16)
 
         state, _ = init_state(mesh, ops, DELAY, dt=dt, **kw)
         ws = StepWorkspace.build(ops, g, dt)
@@ -559,7 +613,8 @@ class TestLookahead:
         from degenwave.analysis import choose_epsilon
 
         lyap = choose_epsilon(SPEC, g, delay)
-        kw = dict(preset="velocity-kick", f0_preset="cosine", n_delta=16)
+        kw = dict(initial=initial(mesh, ops, "velocity-kick", "cosine"),
+                  n_delta=16)
         cols, state = _step_loop_columns(mesh, ops, g, delay, 0.3, dt, 3,
                                          lyap, **kw)
         ks = _channel_steps(monkeypatch)
@@ -586,8 +641,8 @@ class TestLookahead:
         lyap = choose_epsilon(setup.spec, setup.gains, setup.delay)
         cols, state = _step_loop_columns(
             setup.mesh, setup.ops, setup.gains, setup.delay, 0.9, setup.dt,
-            cfg.integrator_record_every, lyap, preset=cfg.initial_preset,
-            f0_preset=cfg.initial_f0, n_delta=cfg.channel_n_delta)
+            cfg.integrator_record_every, lyap, initial=setup.initial,
+            n_delta=cfg.channel_n_delta)
         ks = _channel_steps(monkeypatch)
         (traj,) = config.run_from_setup([setup], lyap=[lyap])
         assert ks == [10] * 90
@@ -615,8 +670,9 @@ class TestBatchRun:
         rows = [GainSet(2.0, mu2, 1.0) for mu2 in (0.0, 0.3, -0.2)]
         lyaps = [choose_epsilon(SPEC, rows[0], DELAY), None,
                  choose_epsilon(SPEC, rows[2], DELAY)]
-        kw = dict(t_final=0.8, dt=1e-3, record_every=3, preset="velocity-kick",
-                  f0_preset="cosine", n_delta=16)
+        kw = dict(t_final=0.8, dt=1e-3, record_every=3,
+                  initial=initial(mesh, ops, "velocity-kick", "cosine"),
+                  n_delta=16)
         batch = run(mesh, ops, rows, DELAY, lyap=lyaps, **kw)
         for g, lyap, traj in zip(rows, lyaps, batch):
             alone = run_one(mesh, ops, g, DELAY, lyap=lyap, **kw)
@@ -639,14 +695,14 @@ class TestBatchRun:
         import math
 
         _, mesh, ops = make_ops(n=16)
+        u0, v0, f0 = initial(mesh, ops, "velocity-kick", "cosine")
         if case == "nan-history":
             mu2s = (0.2, 0.5)
-            kw = dict(record_every=3,
-                      f0=lambda s: math.nan if -0.245 < s < -0.225 else 0.0)
+            f0 = lambda s: math.nan if -0.245 < s < -0.225 else 0.0
         else:
             mu2s = (0.2, 1e300, 0.0)
-            kw = dict(record_every=3, f0_preset="cosine")
-        kw.update(t_final=0.8, dt=1e-3, preset="velocity-kick", n_delta=16)
+        kw = dict(t_final=0.8, dt=1e-3, initial=(u0, v0, f0), record_every=3,
+                  n_delta=16)
         rows = [GainSet(2.0, mu2, 1.0) for mu2 in mu2s]
         out = run(mesh, ops, rows, DELAY, **kw)
         failed = []
@@ -680,8 +736,9 @@ class TestBatchRun:
         lyaps = [None if k in (2, 3) else choose_epsilon(spec, g, DELAY)
                  for k, g in enumerate(rows)]
         rows, lyaps = [rows[k] for k in order], [lyaps[k] for k in order]
-        kw = dict(t_final=0.8, dt=1e-3, record_every=3, preset="velocity-kick",
-                  f0_preset="cosine", n_delta=16)
+        kw = dict(t_final=0.8, dt=1e-3, record_every=3,
+                  initial=initial(mesh, ops, "velocity-kick", "cosine"),
+                  n_delta=16)
         seen = [[] for _ in rows]
         sinks = [lambda st, s=s: s.append((st.t, st.u.copy(), st.w.copy()))
                  for s in seen]

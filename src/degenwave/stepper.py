@@ -76,7 +76,7 @@ from .delay_channel import (
     init_channel,
     transport_step,
 )
-from .errors import IncompatibleInitialData, NonFiniteState
+from .errors import IncompatibleInitialData, NonFiniteState, ShapeMismatch
 from .mesh import DIRICHLET_LEFT, DiscreteOperators, Mesh, SPDTridiagonal
 from .model import DelaySpec, GainSet
 
@@ -143,7 +143,8 @@ def init_state(mesh: Mesh, ops: DiscreteOperators, delay: DelaySpec,
     state; it also keeps the `lookahead` samples a block of that many steps
     appends before it reads back over the delay.
 
-    u0 and v0 are copied, since stepping updates the state in place.
+    u0 and v0 are copied, since stepping updates the state in place; either
+    one off mesh.nodes' shape is a ShapeMismatch.
     Returns the state and a list of compatibility warnings: a
     Dirichlet-regime u0 with u0(0) != 0 is an error, while a mismatch
     between v0(1) and the history at time 0 is legal (the solver is
@@ -153,6 +154,10 @@ def init_state(mesh: Mesh, ops: DiscreteOperators, delay: DelaySpec,
     u0, v0, f0 = initial
     u = np.array(u0, dtype=float)
     v = np.array(v0, dtype=float)
+    for name, x in (("u0", u), ("v0", v)):
+        if x.shape != mesh.nodes.shape:
+            raise ShapeMismatch(f"{name} has shape {x.shape} but mesh.nodes "
+                                f"has shape {mesh.nodes.shape}")
     if ops.bc_kind == DIRICHLET_LEFT:
         if abs(u[0]) > 1e-12:
             raise IncompatibleInitialData(

@@ -287,28 +287,60 @@ class TestSimulateCli:
 
 
 class TestCsvFormat:
-    def test_row_format_matches_per_value_form(self):
-        # one "%.16e,..." % row per line against f"{x:.16e}" per value, on
-        # rows with nan, +-inf, -0.0, subnormals and the extremes
-        from types import SimpleNamespace
-
-        import numpy as np
-
-        from degenwave.reporting import trajectory_csv_text
-
+    @staticmethod
+    def columns(rows, seed=5):
+        # random columns over many decades whose first rows hold nan, +-inf,
+        # -0.0, subnormals and the extremes
         special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310,
                    2.2250738585072014e-308, 1.7976931348623157e308, 1.0 / 3.0]
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(seed)
         cols = {}
         for i, c in enumerate(stepper.COLUMNS):
-            x = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
-            x[:len(special)] = np.roll(special, i)
+            x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+            k = min(rows, len(special))
+            x[:k] = np.roll(special, i)[:k]
             cols[c] = x
-        text = trajectory_csv_text(SimpleNamespace(**cols))
-        rows = zip(*(cols[c].tolist() for c in stepper.COLUMNS))
-        expected = [",".join(stepper.COLUMNS)]
-        expected += [",".join(f"{x:.16e}" for x in row) for row in rows]
-        assert text == "\n".join(expected) + "\n"
+        return cols
+
+    def test_row_format_matches_per_value_form(self, tmp_path):
+        # the block writer against f"{x:.16e}" per value, as text and as the
+        # bytes of the written file, at one row, one whole block
+        # (BLOCK_DOUBLES // len(COLUMNS) = 1,170 rows), one row past it, and
+        # two blocks and three rows
+        from types import SimpleNamespace
+
+        from degenwave.reporting import trajectory_csv_text, write_trajectory_csv
+
+        for rows in [1, 1170, 1171, 2343]:
+            cols = self.columns(rows)
+            traj = SimpleNamespace(**cols)
+            values = zip(*(cols[c].tolist() for c in stepper.COLUMNS))
+            expected = [",".join(stepper.COLUMNS)]
+            expected += [",".join(f"{x:.16e}" for x in row) for row in values]
+            expected = "\n".join(expected) + "\n"
+            assert trajectory_csv_text(traj) == expected, rows
+            write_trajectory_csv(traj, tmp_path / "traj.csv")
+            assert ((tmp_path / "traj.csv").read_bytes()
+                    == expected.encode("utf-8")), rows
+
+    @pytest.mark.parametrize("rows", [10_001, 100_001])
+    def test_writer_memory_does_not_grow_with_rows(self, rows, tmp_path):
+        # the writer holds one block of rows at a time, so its peak
+        # allocation is the same at any run length
+        import tracemalloc
+        from types import SimpleNamespace
+
+        from degenwave.reporting import write_trajectory_csv
+
+        traj = SimpleNamespace(**self.columns(rows))
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, tmp_path / "traj.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        assert (tmp_path / "traj.csv").stat().st_size > 100 * rows
 
 
 class TestSnapshotStore:

@@ -13,7 +13,12 @@ from degenwave import (
 )
 from degenwave.analysis import energy_parts, lyapunov_raw
 from degenwave.delay_channel import delta_trap_weights
-from degenwave.errors import IncompatibleInitialData, NonFiniteState, SolveFailure
+from degenwave.errors import (
+    IncompatibleInitialData,
+    NonFiniteState,
+    ShapeMismatch,
+    SolveFailure,
+)
 from degenwave.stepper import (
     COLUMNS,
     StepWorkspace,
@@ -80,6 +85,18 @@ class TestInitState:
             init_state(mesh, ops, DELAY, (1.0 + mesh.nodes,
                                           np.zeros_like(mesh.nodes),
                                           lambda s: 0.0))
+
+    def test_data_off_the_mesh_is_a_shape_mismatch(self):
+        # u0 or v0 with other than mesh.nodes' shape is named before the
+        # batch tiles it, in init_state and through run
+        _, mesh, ops = make_ops()
+        short, nodes = np.zeros(10), np.zeros_like(mesh.nodes)
+        for data in [(short, nodes), (nodes, short)]:
+            with pytest.raises(ShapeMismatch, match=r"\(10,\).*\(65,\)"):
+                init_state(mesh, ops, DELAY, data + (lambda s: 0.0,))
+        with pytest.raises(ShapeMismatch, match=r"\(10,\).*\(65,\)"):
+            run(mesh, ops, [GainSet(2.0, 0.2, 1.0)], DELAY, t_final=0.01,
+                dt=1e-3, initial=(short, short, lambda s: 0.0))
 
     def test_initial_data_copied(self):
         # the step updates u in place, so a u0 that is the mesh's own

@@ -16,7 +16,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -94,6 +93,9 @@ def _fan_out(fn, items: list, jobs: int) -> list:
     longest should come last); otherwise they run in this process."""
     done = []
     if jobs > 1 and len(items) > 1:
+        # imported here: multiprocessing costs every other verb's cold start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
             calls = [pool.submit(fn, item) for item in items[::-1]][::-1]
             for call in calls:

@@ -9,8 +9,9 @@ solves the one-way transport
 with inflow w(0, t) = u_t(t, 1).  This module owns that design decision for
 the whole package: the channel nodes (`delta_grid`), their trapezoid weights
 (`delta_trap_weights`), the speed (`transport_speed`) and the implicit upwind
-solve (`transport_step`, a forward substitution by LAPACK ?tbtrs).  One call
-advances the channel by one step or by K steps at once: the K steps are one
+solve (`transport_step`, a forward substitution by LAPACK dtbtrs, which
+`_lapack` loads from scipy's LAPACK extension).  One call advances the
+channel by one step or by K steps at once: the K steps are one
 lower-banded system of bandwidth K, and K = 1 is the bidiagonal of a single
 step.  `stepper.step` takes one step, `stepper.run` solves its channel once
 per K steps (`channel_block_steps`) for all rows of a batch, with one band
@@ -32,8 +33,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
+from ._lapack import dtbtrs
 from .errors import OutOfSpan, SolveFailure
 
 # every stacked array of a block (a block of probe trials, of recorded

@@ -6,7 +6,9 @@ mass, and an optional Dirichlet constraint at the degenerate endpoint.
 
 The midpoint step, the resolvent and the elliptic problem all solve this
 stiffness plus diagonal terms: `SPDTridiagonal` factors one such matrix
-once as L D L^T (LAPACK ?pttrf) and solves with the factors (?pttrs).
+once as L D L^T (LAPACK dpttrf) and solves with the factors (dpttrs).  Both
+routines come from `_lapack`, which loads scipy's LAPACK extension without
+the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs
 from .errors import BadMeshParams, BcMismatch, NonPositive, SolveFailure
 from .model import CoefficientSpec
 

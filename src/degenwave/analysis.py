@@ -283,10 +283,9 @@ def solve_auxiliary_elliptic(spec: CoefficientSpec, beta: float, lam: float,
     start = ops.first_active
     main, off = flux.stiffness_tridiagonal(start)
     main[-1] += beta * a1
-    rhs = np.zeros(main.size)
-    rhs[-1] = lam * a1
     z = np.zeros(mesh.N + 1)
-    z[start:] = SPDTridiagonal(main, off, "elliptic").solve(rhs)
+    z[-1] = lam * a1
+    SPDTridiagonal(main, off, "elliptic").solve_in_place(z[start:])
 
     energy_sq = flux.stiffness_quadform(z) + beta * a1 * z[-1] ** 2
     l2_sq = ops.mass_quadform(z)

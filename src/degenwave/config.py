@@ -96,6 +96,13 @@ def _floats(s):
     return tuple(_finite(x) for x in str(s).replace(",", " ").split())
 
 
+def _seed(s):
+    x = int(s)
+    if x < 0:
+        raise ValueError(f"{s!r} is negative; a seed is an integer >= 0")
+    return x
+
+
 _KEYS = {
     "coefficient.kind": ("coefficient_kind", str),
     "coefficient.alpha": ("coefficient_alpha", _finite),
@@ -123,7 +130,7 @@ _KEYS = {
     "initial.f0": ("initial_f0", str),
     "initial.f0_amplitude": ("initial_f0_amplitude", _finite),
     "outputs.csv": ("outputs_csv", _str_opt),
-    "seed": ("seed", int),
+    "seed": ("seed", _seed),
 }
 
 def _parse_pair(pair: str, where: str) -> tuple[str, object]:
@@ -349,6 +356,10 @@ def build_setup(cfg: RunConfig) -> RunSetup:
             "integrator.dt must not exceed twice the minimum delay "
             "(the delayed trace would lie in the future of the history)"
         )
+    steps = cfg.integrator_t_final / dt
+    if not steps < 2.0**63:
+        raise ConfigError(f"integrator.t_final / integrator.dt = {steps:.6g} "
+                          "steps; a run takes fewer than 2**63")
     return RunSetup(cfg=cfg, spec=spec, delay=delay, gains=gains, mesh=msh,
                     ops=ops, dt=dt, fingerprint=config_hash(cfg),
                     initial=initial)

@@ -11,9 +11,9 @@ the whole package: the channel nodes (`delta_grid`), their trapezoid weights
 (`delta_trap_weights`), the speed (`transport_speed`) and the implicit upwind
 solve (`transport_step`, a forward substitution by LAPACK dtbtrs, which
 `_lapack` loads from scipy's LAPACK extension).  One call advances the
-channel by one step or by K steps at once: the K steps are one
-lower-banded system of bandwidth K, and K = 1 is the bidiagonal of a single
-step.  `stepper.step` takes one step, `stepper.run` solves its channel once
+channel by K steps at once, the only form of the solve: the K steps are
+one lower-banded system of bandwidth K, and K = 1 is the bidiagonal of a
+single step.  `stepper.step` takes one step (K = 1), `stepper.run` solves its channel once
 per K steps (`channel_block_steps`) for all rows of a batch, with one band
 and one right-hand side per row; the generator probes take the transport
 block of A(t) from the same grid and speed, and the channel block of
@@ -79,73 +79,62 @@ def init_channel(f0, tau_at_0: float, n_delta: int) -> np.ndarray:
 
 def transport_step(w: np.ndarray, tau, tau_prime, dt: float,
                    inflow) -> np.ndarray:
-    """Implicit upwind update(s) of the stretched-history transport.
+    """K successive implicit upwind steps of the stretched-history
+    transport, in one banded solve.
 
     Information flows from delta = 0 (the current trace) toward delta = 1
-    (the fully delayed trace):
+    (the fully delayed trace).  Step n reads
 
-        w'_i = (w_i + lam_i w'_{i-1}) / (1 + lam_i),
-        lam_i = dt c(delta_i) / ddelta,      i >= 1,
-        w'_0 = inflow.
+        w^n_i = (w^{n-1}_i + lam^n_i w^n_{i-1}) / (1 + lam^n_i),
+        lam^n_i = dt c(delta_i) / ddelta,      i >= 1,
+        w^n_0 = inflow[n],
 
-    Each new value is a convex combination of old values and the inflow, so
-    the update obeys a discrete maximum principle.  With dt = 1 and w the
-    load h, the result solves w + c w_delta = h, w(0) = inflow (the channel
-    block of the resolvent).  w may also be an (m + 1, B) stack of profiles
-    with a length-B inflow: one solve with B right-hand sides, each column
-    equal to its own solve bit for bit.  Returns a new array in w's memory
-    layout; w is not modified.
+    with c from the step's tau and tau' (the delay and its rate at the
+    step's midpoint).  Each new value is a convex combination of old values
+    and the inflow, so the update obeys a discrete maximum principle.  With
+    K = 1, dt = 1 and w the load h, the result solves w + c w_delta = h,
+    w(0) = inflow (the channel block of the resolvent).
 
-    With length-K sequences tau, tau_prime (each step's delay and its rate
-    at the step's midpoint) and inflow of shape (K,) + w.shape[1:], it
-    takes K successive steps in one banded solve and returns the profiles
-    after each step, shape (m + 1, K) + w.shape[1:]; the B columns of a
-    stack share the band.
-    The unknowns w_i^n are ordered delta-major, p = (i - 1) K + n - 1, and
+    tau and tau_prime are length-K sequences, w one profile (m + 1,) or an
+    (m + 1, B) stack of them, and inflow of shape (K,) + w.shape[1:].
+    Returns the profiles after each step, shape (m + 1, K) + w.shape[1:];
+    w is not modified.  The B columns of a stack share the band, and each
+    column equals its own solve bit for bit.
+    The unknowns w_i^n are numbered delta-major, p = (i - 1) K + n - 1, and
     row (i, n) reads (1 + lam_i^n) w_i^n - lam_i^n w_{i-1}^n - w_i^{n-1} = 0,
     so the band is K wide.  The solve adds the two neighbours of an unknown
-    in another order than K single steps do; the columns agree with them to
-    rounding (an ulp or so of max |w|).
+    in another order than K one-step solves do; the columns agree with them
+    to rounding (an ulp or so of max |w|).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     m = w.shape[0] - 1
-    delta = delta_grid(m)[1:]
-    steps = not isinstance(tau, float) and np.ndim(tau) == 1
-    k = len(tau) if steps else 1
+    tau, tau_prime, inflow = (np.asarray(a, dtype=float)
+                              for a in (tau, tau_prime, inflow))
     stack = w.shape[1:]
-    if steps:
-        tau, tau_prime, inflow = (np.asarray(a, dtype=float)
-                                  for a in (tau, tau_prime, inflow))
-        if (w.ndim > 2 or tau_prime.shape != (k,)
-                or inflow.shape != (k,) + stack):
-            raise ValueError("K steps need one profile or a stack of them, "
-                             "K values of tau and tau', and K inflows per "
-                             "profile")
-        delta = delta[:, None]
+    if (tau.ndim != 1 or w.ndim > 2 or tau_prime.shape != tau.shape
+            or inflow.shape != tau.shape + stack):
+        raise ValueError("K steps need one profile or a stack of them, "
+                         "K values of tau and tau', and K inflows per "
+                         "profile")
+    k = len(tau)
     # the band, filled in place: 1 + lam on the diagonal (row 0), -1 on the
     # first subdiagonal for step n - 1 of the same node (n >= 2), -lam of
     # the next node on the k-th; lam is written to row 0 first
     ab = np.zeros((k + 1, m * k))
-    lam = transport_speed(delta, tau, tau_prime,
-                          out=ab[0].reshape(m, k) if steps else ab[0])
+    lam = transport_speed(delta_grid(m)[1:, None], tau, tau_prime,
+                          out=ab[0].reshape(m, k))
     lam *= dt * m
     ab[1].reshape(m, k)[:, :-1] = -1.0
     np.negative(lam[1:], out=ab[k, :-k].reshape(lam[1:].shape))
-    if steps:
-        out = np.zeros((m + 1, k) + stack)
-        out[:, 0] = w
-        # one lam per step, against the step axis of the inflow
-        lam0 = lam[0].reshape((k,) + (1,) * len(stack))
-    else:
-        out = w.copy(order="K")
-        lam0 = lam[0]
+    out = np.zeros((m + 1, k) + stack)
+    out[:, 0] = w
     out[0] = inflow
-    out[1] += lam0 * inflow
+    # one lam per step, against the step axis of the inflow
+    out[1] += lam[0].reshape((k,) + (1,) * len(stack)) * inflow
     lam += 1.0
     b = out[1:]
-    x, info = dtbtrs(ab, b.reshape((m * k,) + stack) if steps else b,
-                     uplo="L")
+    x, info = dtbtrs(ab, b.reshape((m * k,) + stack), uplo="L")
     if info != 0:
         raise SolveFailure(f"channel solve failed (tbtrs info {info})")
     b[...] = x.reshape(b.shape)

@@ -6,9 +6,9 @@ mass, and an optional Dirichlet constraint at the degenerate endpoint.
 
 The midpoint step, the resolvent and the elliptic problem all solve this
 stiffness plus diagonal terms: `SPDTridiagonal` factors one such matrix
-once as L D L^T (LAPACK dpttrf) and solves with the factors (dpttrs).  Both
-routines come from `_lapack`, which loads scipy's LAPACK extension without
-the scipy.linalg package.
+once as L D L^T (LAPACK dpttrf) and solves with the factors in place
+(dpttrs).  Both routines come from `_lapack`, which loads scipy's LAPACK
+extension without the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -140,18 +140,12 @@ class SPDTridiagonal:
                                f"not finite (pttrf info {info})")
         self._d, self._e = d, e
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution x of A x = rhs as a new array; rhs is not modified."""
-        x, info = dpttrs(self._d, self._e, rhs)
-        if info != 0:
-            raise SolveFailure(f"{self.what} solve failed (pttrs info {info})")
-        return x
-
     def solve_in_place(self, rhs: np.ndarray) -> None:
-        """Overwrite rhs, one right-hand side per column, with the solution;
-        each column gets the bits of its own `solve`.  An (n, B) rhs in
-        Fortran order (the transpose of a C-ordered (B, n) stack) is solved
-        where it lies; any other layout goes through a copy."""
+        """Overwrite rhs, one right-hand side per column (or a single (n,)
+        one), with the solution of A x = rhs; each column gets the bits of
+        its own solve.  An (n, B) rhs in Fortran order (the transpose of a
+        C-order (B, n) stack) is solved where it lies; any other layout
+        goes through a copy."""
         x, info = dpttrs(self._d, self._e, rhs, overwrite_b=True)
         if info != 0:
             raise SolveFailure(f"{self.what} solve failed (pttrs info {info})")

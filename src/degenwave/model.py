@@ -145,7 +145,7 @@ def degeneracy_mu_a(spec: CoefficientSpec, n_samples: int = 2001) -> float:
 
 def _finite(error: type, **values: float) -> None:
     """Raise `error` naming the first value that is NaN or infinite; every
-    ordered range check is False for NaN, so this runs before them."""
+    range comparison is False for NaN, so this runs before them."""
     for name, x in values.items():
         if not math.isfinite(x):
             raise error(f"{name} must be a finite number, got {x}")

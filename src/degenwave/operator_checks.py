@@ -20,7 +20,8 @@ The transport block uses the channel's own nodes and speed
 (`delay_channel.delta_grid`, `delay_channel.transport_speed`), and the
 resolvent (`Resolvent`, (I - A(t))^{-1} at one time for a stack of
 right-hand sides) recovers its channel component with the stepper's
-implicit upwind solve (`delay_channel.transport_step` with dt = 1).
+implicit upwind solve (`delay_channel.transport_step`, one step of
+dt = 1).
 
 For the quadratic form the transport block is paired through the
 cell-midpoint rule, whose summation by parts is exact, so every inequality
@@ -190,24 +191,21 @@ def _transport_block(w, t: float, ctx: ProbeContext):
     return aw
 
 
-def generator_apply(U, t: float, ctx: ProbeContext, project: bool = True):
+def generator_apply(U, t: float, ctx: ProbeContext):
     """Apply the discrete generator at time t, row by row for a stack of
     trials.
 
-    With project=False the domain constraints are asserted (DomainViolation
-    beyond 1e-10 relative) instead of enforced.
+    U must lie in the domain: the constraints are asserted (DomainViolation
+    beyond 1e-10 relative), not enforced; `project_to_domain` enforces them.
     """
     u, v, w = U
-    if project:
-        u, v, w = project_to_domain((u, v, w), ctx)
-    else:
-        scale = np.maximum(1.0, np.maximum(np.max(np.abs(v), axis=-1),
-                                           np.max(np.abs(w), axis=-1)))
-        bad = np.abs(w[..., 0] - v[..., -1]) > 1e-10 * scale
-        if ctx.dirichlet:
-            bad |= (np.abs(u[..., 0]) > 1e-10) | (np.abs(v[..., 0]) > 1e-10)
-        if np.any(bad):
-            raise DomainViolation("state violates the generator domain constraints")
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(v), axis=-1),
+                                       np.max(np.abs(w), axis=-1)))
+    bad = np.abs(w[..., 0] - v[..., -1]) > 1e-10 * scale
+    if ctx.dirichlet:
+        bad |= (np.abs(u[..., 0]) > 1e-10) | (np.abs(v[..., 0]) > 1e-10)
+    if np.any(bad):
+        raise DomainViolation("state violates the generator domain constraints")
     g, ops = ctx.gains, ctx.ops
     av = -ops.stiffness_matvec(u)
     av[..., -1] -= ops.a1 * (g.mu1 * v[..., -1] + g.mu2 * w[..., -1]
@@ -332,11 +330,12 @@ class Resolvent:
         u = ops.mass * (f + g)
         u[:, -1] += ops.a1 * ((gains.mu1 + gains.mu2 * self.a_d) * f[:, -1]
                               - gains.mu2 * np.vecdot(h, self.bw))
-        u[:, start:] = self.factor.solve(u[:, start:].T).T
+        self.factor.solve_in_place(u[:, start:].T)
         u[:, :start] = 0.0
         v = u - f
         v[:, :start] = 0.0
-        w = transport_step(h.T, self.tau, self.taup, 1.0, inflow=v[:, -1]).T
+        w = transport_step(h.T, [self.tau], [self.taup], 1.0,
+                           [v[:, -1]])[:, 0].T
 
         # block residuals of (I - A) U = G, measured on the equation rows;
         # the v rows are formed in place to keep few (B, n) arrays alive
@@ -430,7 +429,7 @@ def _dadt(times, ctx: ProbeContext, trials: int = 50,
         U = project_to_domain(U, ctx)
         base = norm_h_sq(U, ctx)
         for row, t in zip(rows, times):
-            a0 = generator_apply(U, t, ctx, project=False)
+            a0 = generator_apply(U, t, ctx)
             graph = np.sqrt(base + norm_h_sq(a0, ctx))
             live = graph > 0.0
             for hstep in steps:

@@ -7,7 +7,6 @@ so identical configs and seeds produce byte-identical files.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import zipfile
@@ -26,27 +25,17 @@ _ROW_FORMAT = ",".join(["%.16e"] * len(COLUMNS))
 _CSV_BLOCK_ROWS = BLOCK_DOUBLES // len(COLUMNS)
 
 
-def _write_csv(traj, fid) -> None:
+def write_trajectory_csv(traj, path) -> None:
     """Write the header, then the rows _CSV_BLOCK_ROWS at a time, each
     block stacked and formatted with one `%`, so that no whole-run text or
     list of rows is ever held."""
     cols = [getattr(traj, c) for c in COLUMNS]
-    fid.write(",".join(COLUMNS) + "\n")
-    for r in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-        block = np.column_stack([c[r:r + _CSV_BLOCK_ROWS] for c in cols])
-        fid.write((_ROW_FORMAT + "\n") * len(block)
-                  % tuple(block.ravel().tolist()))
-
-
-def trajectory_csv_text(traj) -> str:
-    buf = io.StringIO()
-    _write_csv(traj, buf)
-    return buf.getvalue()
-
-
-def write_trajectory_csv(traj, path) -> None:
     with open(path, "w", encoding="utf-8") as fid:
-        _write_csv(traj, fid)
+        fid.write(",".join(COLUMNS) + "\n")
+        for r in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[r:r + _CSV_BLOCK_ROWS] for c in cols])
+            fid.write((_ROW_FORMAT + "\n") * len(block)
+                      % tuple(block.ravel().tolist()))
 
 
 def _jsonable(obj):

@@ -9,21 +9,23 @@ by the implicit midpoint rule, with the delayed trace taken explicitly from
 the history ring at the midpoint time (it is known history, so no
 iteration is needed and the local part keeps its unconditional stability).
 The linear system is SPD tridiagonal (the feedback only loads the last
-diagonal entry): `StepWorkspace.build` factors it once per run and
-`system_key` (mu1, beta) as a `mesh.SPDTridiagonal`, and the wave part of a
-step is one solve with the factors (`_midpoint_solver`, shared by `step`
-and `run`).  The stretched-history channel then takes its implicit upwind
-step (`delay_channel.transport_step`, the triangular solve the resolvent
-shares).
+diagonal entry): `StepWorkspace.build` factors it once per run of
+consecutive rows with one `system_key` (mu1, beta), as a
+`mesh.SPDTridiagonal`, and the wave part of a step is one solve with the
+factors (`_midpoint_solver`, shared by `step` and `run`).  The
+stretched-history channel then takes its implicit upwind step
+(`delay_channel.transport_step` with K = 1, the triangular solve the
+resolvent shares).
 
 `run` steps a lockstep batch of B rows, runs that differ only in their
 gains.  mu2 only loads the right-hand side and mu1 and beta only the last
 pivot of the midpoint matrix, so the rows share the channel band, the delay
-and one history ring with a column per row, and the rows of one (mu1, beta)
-share its factors.  The states are node-major (n, B) arrays, a column per
-row, so each ufunc call of a step is one contiguous pass over the batch;
-the solve copies the right-hand sides into one Fortran-ordered scratch,
-the rows of each (mu1, beta) side by side, where its factors solve them.
+and one history ring with a column per row, and consecutive rows of one
+(mu1, beta) share its factors.  The states are node-major (n, B) arrays, a
+column per row, so each ufunc call of a step is one contiguous pass over
+the batch; the solve copies the right-hand sides into one Fortran-order
+scratch, where the factors of each run of rows solve its columns
+(`cli.sweep_rows` sorts a batch by system, so each is factored once).
 Every operation acts entry by entry and the LAPACK solves treat each
 right-hand side on its own, so each row gets the bits of its run alone,
 and a row whose state turns non-finite stops alone.  `run` takes one
@@ -62,6 +64,7 @@ past times s <= 0 (the ring and the channel sample it at different times).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -207,11 +210,11 @@ class StepWorkspace:
     """The midpoint systems of one run, factored once for the step dt, and
     the operator 2M - dt K of its right-hand side as the diagonal `mass2`
     = 2M and the conductances `k_rhs` = -dt k_cell.  `systems` holds one
-    (system, rows) per distinct `system_key` of the batch's gains, rows the
-    batch rows that have it, in the order of their first row."""
+    (system, c0, c1) per run of consecutive batch rows c0, ..., c1 - 1 with
+    one `system_key`, so a batch sorted by system factors each one once."""
 
     dt: float
-    systems: list[tuple[SPDTridiagonal, list[int]]]
+    systems: list[tuple[SPDTridiagonal, int, int]]
     mass2: np.ndarray
     k_rhs: np.ndarray
 
@@ -223,15 +226,13 @@ class StepWorkspace:
         main, off = ops.stiffness_tridiagonal(start)
         main = main * (0.5 * dt * dt) + 2.0 * ops.mass[start:]
         off = off * (0.5 * dt * dt)
-        groups: dict = {}
-        for b, g in enumerate(rows):
-            groups.setdefault(system_key(g.mu1, g.mu2, g.beta), []).append(b)
-        systems = []
-        for group in groups.values():
-            g = rows[group[0]]
+        systems, c1 = [], 0
+        keys = [system_key(g.mu1, g.mu2, g.beta) for g in rows]
+        for (mu1, beta), run in itertools.groupby(keys):
+            c0, c1 = c1, c1 + len(list(run))
             last = main.copy()
-            last[-1] += dt * ops.a1 * (g.mu1 + 0.5 * dt * g.beta)
-            systems.append((SPDTridiagonal(last, off, "midpoint"), group))
+            last[-1] += dt * ops.a1 * (mu1 + 0.5 * dt * beta)
+            systems.append((SPDTridiagonal(last, off, "midpoint"), c0, c1))
         return cls(dt, systems, 2.0 * ops.mass, -dt * ops.k_cell)
 
 
@@ -239,7 +240,7 @@ def _midpoint_solver(u: np.ndarray, v: np.ndarray, betas: Sequence[float],
                      ops: DiscreteOperators, work: StepWorkspace) -> Callable:
     """The part of a step the feedback needs, for the node-major (n, B)
     states u and v of a batch (row b's beta betas[b], its system the one
-    of `work.systems` that lists b), with buffers allocated once:
+    of `work.systems` whose rows hold b), with buffers allocated once:
     `advance(loads)` does the midpoint solve, updates u and v in place and
     returns the new traces v(1) as a list; loads holds mu2 times the
     delayed trace at the step's midpoint, one float per row.
@@ -256,38 +257,26 @@ def _midpoint_solver(u: np.ndarray, v: np.ndarray, betas: Sequence[float],
     if rows == 1:
         # 1-d views (u and v are updated in place for the whole run), on
         # which a ufunc call costs about half; the (n, 1) rhs is one
-        # Fortran-ordered column, solved where it lies
-        ((system, _),) = work.systems
+        # Fortran-order column, solved where it lies
+        ((system, _, _),) = work.systems
         solve, columns = system.solve_in_place, rhs
         u, v, rhs = u[:, 0], v[:, 0], rhs[:, 0]
     else:
         # the invariants tiled to the states' shape, so that every ufunc
         # call below is one contiguous pass; the right-hand sides are
-        # copied into one Fortran-ordered scratch, the rows of each system
-        # side by side, where each system solves its columns
+        # copied into one Fortran-order scratch, where each system solves
+        # the columns of its rows
         mass2 = np.repeat(mass2[:, None], rows, axis=1)
         k_rhs = np.repeat(k_rhs[:, None], rows, axis=1)
         columns = np.empty_like(rhs, order="F")
-        perm = np.array([b for _, group in work.systems for b in group])
-        ordered = bool((perm == np.arange(rows)).all())
-        parts, c1 = [], 0
-        for system, group in work.systems:
-            c0, c1 = c1, c1 + len(group)
-            parts.append((system.solve_in_place, columns[:, c0:c1]))
+        parts = [(system.solve_in_place, columns[:, c0:c1])
+                 for system, c0, c1 in work.systems]
 
         def solve(scratch):
-            # a plain copy when the systems' rows already lie side by side
-            # ("clip" only spares np.take a buffered copy: perm is valid)
-            if ordered:
-                np.copyto(scratch, rhs)
-            else:
-                np.take(rhs, perm, axis=1, out=scratch, mode="clip")
+            np.copyto(scratch, rhs)
             for solve_in_place, part in parts:
                 solve_in_place(part)
-            if ordered:
-                np.copyto(rhs, scratch)
-            else:
-                rhs[:, perm] = scratch
+            np.copyto(rhs, scratch)
 
     flux = np.empty((ops.n_nodes - 1,) + rhs.shape[1:])
     twice = np.empty_like(rhs)
@@ -338,8 +327,8 @@ def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
     (trace,) = advance([gains.mu2 * float(buf.sample(t_mid - tau_mid))])
     buf.extend([trace])
     state.t = buf.last * dt
-    state.w = transport_step(state.w, tau_mid, float(delay.tau_prime(t_mid)),
-                             dt, inflow=trace)
+    state.w = transport_step(state.w, [tau_mid], [delay.tau_prime(t_mid)],
+                             dt, [trace])[:, 0]
     return state
 
 

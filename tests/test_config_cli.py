@@ -82,6 +82,19 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             cfgmod.parse_config_text("gains.mu1 2.0\n")
 
+    def test_negative_seed_in_a_config_file_exit2(self, tmp_path, capsys):
+        # the certificate's stream default_rng([seed]) takes no negative
+        # seed, so the config refuses one before anything runs
+        path = tmp_path / "neg.cfg"
+        path.write_text("mesh.n = 32\nseed = -1\n")
+        with pytest.raises(ConfigError, match="^line 2: bad value for seed: "):
+            cfgmod.load_config(str(path))
+        rc = run_cli(["simulate", "--config", str(path),
+                      "--out", str(tmp_path / "x")])
+        assert rc == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err.startswith(
+            "config error: line 2: bad value for seed: '-1' is negative")
+
     def test_roundtrip(self):
         cfg = cfgmod.load_config("baseline")
         again = cfgmod.parse_config_text(cfgmod.to_text(cfg))
@@ -228,6 +241,31 @@ class TestSimulateCli:
         assert err.startswith("error: state is not finite at t = 0.0")
         assert "Traceback" not in err
 
+    def test_negative_seed_exit2(self, tmp_path, capsys):
+        rc = run_cli(["simulate", "--config", "baseline", "--seed", "-1",
+                      "--out", str(tmp_path / "x")])
+        assert rc == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err == (
+            "config error: bad value for seed: '-1' is negative; a seed is "
+            "an integer >= 0\n")
+
+    @pytest.mark.parametrize("override", ["integrator.dt=1e-320",
+                                          "integrator.t_final=1e300"])
+    @pytest.mark.parametrize("verb", ["simulate", "converge"])
+    def test_step_count_past_int64_exit2(self, verb, override, tmp_path,
+                                         capsys, monkeypatch):
+        # t_final / dt of 2**63 or more steps (inf at dt = 1e-320) is
+        # refused by build_setup, before a run allocates its columns
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run was reached")
+
+        monkeypatch.setattr(stepper, "run", no_run)
+        rc = run_cli([verb, "--config", "baseline", "--set", override,
+                      "--out", str(tmp_path / "x")])
+        assert rc == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err.startswith(
+            "config error: integrator.t_final / integrator.dt = ")
+
     @pytest.mark.parametrize("key", ["integrator.dt", "integrator.t_final",
                                      "coefficient.alpha"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -303,13 +341,13 @@ class TestCsvFormat:
         return cols
 
     def test_row_format_matches_per_value_form(self, tmp_path):
-        # the block writer against f"{x:.16e}" per value, as text and as the
-        # bytes of the written file, at one row, one whole block
-        # (BLOCK_DOUBLES // len(COLUMNS) = 1,170 rows), one row past it, and
-        # two blocks and three rows
+        # the block writer against f"{x:.16e}" per value, as the text read
+        # back and the bytes of the written file, at one row, one whole
+        # block (BLOCK_DOUBLES // len(COLUMNS) = 1,170 rows), one row past
+        # it, and two blocks and three rows
         from types import SimpleNamespace
 
-        from degenwave.reporting import trajectory_csv_text, write_trajectory_csv
+        from degenwave.reporting import write_trajectory_csv
 
         for rows in [1, 1170, 1171, 2343]:
             cols = self.columns(rows)
@@ -318,8 +356,9 @@ class TestCsvFormat:
             expected = [",".join(stepper.COLUMNS)]
             expected += [",".join(f"{x:.16e}" for x in row) for row in values]
             expected = "\n".join(expected) + "\n"
-            assert trajectory_csv_text(traj) == expected, rows
             write_trajectory_csv(traj, tmp_path / "traj.csv")
+            assert ((tmp_path / "traj.csv").read_text(encoding="utf-8")
+                    == expected), rows
             assert ((tmp_path / "traj.csv").read_bytes()
                     == expected.encode("utf-8")), rows
 
@@ -418,11 +457,44 @@ class TestSweep:
             a, b = rows[1][key], lone[0][key]
             assert (a == b) or (math.isnan(a) and math.isnan(b))
 
+    @pytest.mark.parametrize("axes, systems", [
+        ([("coefficient.alpha", ["0.5", "1.5"]),
+          ("gains.mu2", ["0", "0.2", "0.4"]), ("gains.beta", ["0.5", "2"])],
+         [2, 2]),
+        ([("gains.mu1", ["1.5", "2.5"]), ("gains.mu2", ["0", "0.3"]),
+          ("gains.beta", ["0.5", "2"])], [4]),
+    ], ids=["sweep-grid", "mu1-mu2-beta"])
+    def test_each_batch_factors_one_system_per_key(self, axes, systems,
+                                                   monkeypatch):
+        # StepWorkspace.build factors one system per run of consecutive
+        # rows with one (mu1, beta); sweep_rows sorts each batch by system,
+        # so each batch gets one per distinct (mu1, beta) and no more
+        real_build, seen = stepper.StepWorkspace.build, []
+
+        def spy(ops, gains, dt):
+            work = real_build(ops, gains, dt)
+            assert len(work.systems) == len({(g.mu1, g.beta) for g in gains})
+            seen.append(len(work.systems))
+            return work
+
+        monkeypatch.setattr(stepper.StepWorkspace, "build", spy)
+        rows = sweep_rows(self.small_cfg(), axes, jobs=1)
+        assert all(r["status"] == "ok" for r in rows)
+        assert seen == systems
+
     def test_failed_row_does_not_abort(self):
         cfg = self.small_cfg()
         rows = sweep_rows(cfg, [("coefficient.alpha", ["0.5", "2.0"])])
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("failed")
+
+    @pytest.mark.parametrize("override", ["integrator.dt=1e-320",
+                                          "integrator.t_final=1e300"])
+    def test_step_count_past_int64_fails_the_rows(self, override):
+        cfg = cfgmod.apply_overrides(self.small_cfg(), [override])
+        rows = sweep_rows(cfg, [("gains.mu2", ["0", "0.2"])])
+        assert all(r["status"].startswith(
+            "failed: integrator.t_final / integrator.dt = ") for r in rows)
 
     def test_unknown_preset_row_fails_alone(self):
         rows = sweep_rows(self.small_cfg(),
@@ -868,6 +940,14 @@ class TestOperatorCheckCli:
                       "--set", "gains.mu2=6.0", "--trials", "100",
                       "--strict", "--out", str(out)])
         assert rc == EXIT_AUDIT
+
+    def test_negative_seed_exit2(self, capsys):
+        rc = run_cli(["operator-check", "--config", "baseline",
+                      "--seed", "-1", "--trials", "5"])
+        assert rc == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err == (
+            "config error: bad value for seed: '-1' is negative; a seed is "
+            "an integer >= 0\n")
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_bad_trials_exit2(self, trials, capsys):

@@ -17,6 +17,11 @@ from degenwave.delay_channel import channel_block_steps, delta_trap_weights
 from degenwave.errors import OutOfSpan, SolveFailure
 
 
+def one_step(w, tau, tau_prime, dt, inflow):
+    """One implicit upwind step: the K-step solve with K = 1."""
+    return transport_step(w, [tau], [tau_prime], dt, [inflow])[:, 0]
+
+
 class TestInitChannel:
     def test_zero_history(self):
         w = init_channel(lambda s: 0.0, 1.0, 8)
@@ -35,12 +40,12 @@ class TestTransportStep:
     def test_constant_profile_exact(self):
         w = init_channel(lambda s: 3.5, 1.0, 16)
         for _ in range(50):
-            w = transport_step(w, 1.0, 0.0, 1e-2, inflow=3.5)
+            w = one_step(w, 1.0, 0.0, 1e-2, 3.5)
         assert np.max(np.abs(w - 3.5)) < 1e-13
 
     def test_inflow_pinned(self):
         w = init_channel(lambda s: 0.0, 1.0, 8)
-        w = transport_step(w, 1.0, 0.0, 1e-3, inflow=7.25)
+        w = one_step(w, 1.0, 0.0, 1e-3, 7.25)
         assert w[0] == 7.25
 
     def test_maximum_principle(self):
@@ -50,7 +55,7 @@ class TestTransportStep:
             inflow = float(rng.uniform(-2.0, 2.0))
             lo = min(w.min(), inflow)
             hi = max(w.max(), inflow)
-            w = transport_step(w, 0.8, 0.1, 1e-2, inflow=inflow)
+            w = one_step(w, 0.8, 0.1, 1e-2, inflow)
             assert w.min() >= lo - 1e-12
             assert w.max() <= hi + 1e-12
 
@@ -62,7 +67,7 @@ class TestTransportStep:
         t = 0.0
         while t < 2.5:
             t += dt
-            w = transport_step(w, tau, 0.0, dt, inflow=0.3 * t)
+            w = one_step(w, tau, 0.0, dt, 0.3 * t)
         assert abs(w[-1] - 0.3 * (t - tau)) < 1e-10
 
     def test_variable_delay_against_characteristic_oracle(self):
@@ -97,9 +102,8 @@ class TestTransportStep:
             out = {}
             while t < max(probes) + dt:
                 tm = t + dt / 2
-                w = transport_step(w, float(delay.tau(tm)),
-                                    float(delay.tau_prime(tm)), dt,
-                                    inflow=inflow(t + dt))
+                w = one_step(w, float(delay.tau(tm)),
+                             float(delay.tau_prime(tm)), dt, inflow(t + dt))
                 t += dt
                 for tp in probes:
                     if tp not in out and t >= tp:
@@ -125,8 +129,8 @@ class TestKStepSolve:
         assert block.shape == (m + 1, k)
         one = w
         for n in range(k):
-            one = transport_step(one, float(taus[n]), float(tau_primes[n]),
-                                 1e-3, inflow=float(inflow[n]))
+            one = one_step(one, float(taus[n]), float(tau_primes[n]), 1e-3,
+                           float(inflow[n]))
             ulp = np.finfo(float).eps * np.max(np.abs(one))
             assert np.max(np.abs(block[:, n] - one)) <= 4.0 * ulp
         assert np.array_equal(block[0], inflow)
@@ -148,10 +152,21 @@ class TestKStepSolve:
             assert np.array_equal(block[..., b], one)
 
     def test_one_step_block_is_the_bidiagonal_step(self):
+        # K = 1 against the recurrence w'_i = (w_i + lam_i w'_{i-1}) /
+        # (1 + lam_i), lam_i = dt (1 - delta_i tau') / (tau ddelta), written
+        # out here; the solve rounds lam in another order, so to an ulp or so
         rng = np.random.default_rng(8)
-        w = rng.standard_normal(33)
-        block = transport_step(w, [0.8], [0.1], 1e-2, [0.5])
-        assert np.array_equal(block[:, 0], transport_step(w, 0.8, 0.1, 1e-2, 0.5))
+        m, tau, taup, dt, inflow = 32, 0.8, 0.1, 1e-2, 0.5
+        w = rng.standard_normal(m + 1)
+        block = transport_step(w, [tau], [taup], dt, [inflow])
+        assert block.shape == (m + 1, 1)
+        want = [inflow]
+        for i in range(1, m + 1):
+            lam = dt * (1.0 - (i / m) * taup) / (tau / m)
+            want.append((w[i] + lam * want[-1]) / (1.0 + lam))
+        ulp = np.finfo(float).eps * np.max(np.abs(want))
+        assert block[0, 0] == inflow
+        assert np.max(np.abs(block[:, 0] - want)) <= 4.0 * ulp
 
     def test_block_size_fits_the_budget(self):
         from degenwave.delay_channel import BLOCK_DOUBLES
@@ -167,13 +182,16 @@ class TestKStepSolve:
             transport_step(np.zeros(9), [1.0, 1.0], [0.0], 1e-2, [0.0, 0.0])
         with pytest.raises(ValueError, match="K steps"):
             transport_step(np.zeros((9, 2)), [1.0], [0.0], 1e-2, [0.0])
+        with pytest.raises(ValueError, match="K steps"):
+            # a scalar delay is one step of no sequence
+            transport_step(np.zeros(9), 1.0, 0.0, 1e-2, 0.0)
 
 
 class TestSharedSolve:
     def test_input_not_modified(self):
         w = np.linspace(1.0, 2.0, 9)
         before = w.copy()
-        transport_step(w, 0.8, 0.1, 1e-2, inflow=0.5)
+        one_step(w, 0.8, 0.1, 1e-2, 0.5)
         assert np.array_equal(w, before)
 
     def test_unit_step_solves_the_resolvent_channel(self):
@@ -182,7 +200,7 @@ class TestSharedSolve:
         rng = np.random.default_rng(3)
         m, tau, taup = 24, 0.7, 0.3
         h = rng.standard_normal(m + 1)
-        w = transport_step(h, tau, taup, 1.0, inflow=0.4)
+        w = one_step(h, tau, taup, 1.0, 0.4)
         c = transport_speed(delta_grid(m)[1:], tau, taup)
         assert w[0] == 0.4
         assert np.max(np.abs(w[1:] + c * np.diff(w) * m - h[1:])) < 1e-12
@@ -194,18 +212,18 @@ class TestSharedSolve:
         m, tau, taup = 24, 0.7, 0.3
         h = rng.standard_normal((5, m + 1))
         inflow = rng.standard_normal(5)
-        w = transport_step(h.T, tau, taup, 1.0, inflow=inflow)
+        w = one_step(h.T, tau, taup, 1.0, inflow)
         assert w.shape == (m + 1, 5)
         for j in range(5):
-            one = transport_step(h[j], tau, taup, 1.0, inflow=float(inflow[j]))
+            one = one_step(h[j], tau, taup, 1.0, float(inflow[j]))
             assert np.array_equal(w[:, j], one)
-        assert np.array_equal(transport_step(h.T, tau, taup, 1e-2, inflow)[:, 3],
-                              transport_step(h[3], tau, taup, 1e-2, inflow[3]))
+        assert np.array_equal(one_step(h.T, tau, taup, 1e-2, inflow)[:, 3],
+                              one_step(h[3], tau, taup, 1e-2, inflow[3]))
 
     def test_singular_system_raises(self):
         # m = 2, dt = 1, tau' = 3: lam_1 = 2 (1 - 0.5 * 3) = -1, a zero pivot
         with pytest.raises(SolveFailure, match="^channel solve failed"):
-            transport_step(np.zeros(3), 1.0, 3.0, 1.0, inflow=0.0)
+            one_step(np.zeros(3), 1.0, 3.0, 1.0, 0.0)
 
     def test_delta_grid_read_only(self):
         grid = delta_grid(8)
@@ -332,6 +350,6 @@ class TestCrossRealizations:
         buf = HistoryBuffer(dt=1e-2, horizon=3.0, f0=lambda s: c)
         w = init_channel(lambda s: c, 1.0, 16)
         for n in range(1, 501):
-            w = transport_step(w, 1.0, 0.0, 1e-2, inflow=c)
+            w = one_step(w, 1.0, 0.0, 1e-2, c)
             buf.extend([c])
         assert abs(w[-1] - buf.sample(n * 1e-2 - 1.0)) < 1e-12

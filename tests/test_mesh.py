@@ -148,11 +148,10 @@ class TestTridiagonal:
         main[1:] += np.abs(off)
         A = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
         rhs = rng.standard_normal(n)
-        before = rhs.copy()
-        x = SPDTridiagonal(main, off, "test").solve(rhs)
+        x = rhs.copy()
+        SPDTridiagonal(main, off, "test").solve_in_place(x)
         want = np.linalg.solve(A, rhs)
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-        assert np.array_equal(rhs, before)
 
     def test_indefinite_raises_naming_the_system(self):
         with pytest.raises(SolveFailure, match="^resolvent system is singular, "

@@ -37,6 +37,7 @@ from degenwave.operator_checks import (
     iota,
     norm_h_sq,
     norm_t_sq,
+    project_to_domain,
     run_certificate,
 )
 
@@ -63,7 +64,7 @@ class TestGeneratorApply:
     def test_zero_maps_to_zero(self):
         ctx = make_ctx()
         z = (np.zeros(65), np.zeros(65), np.zeros(33))
-        for block in generator_apply(z, 1.0, ctx):
+        for block in generator_apply(project_to_domain(z, ctx), 1.0, ctx):
             assert np.all(block == 0.0)
 
     def test_transport_block_on_linear_profile(self):
@@ -72,8 +73,7 @@ class TestGeneratorApply:
         w = 2.0 - 3.0 * np.linspace(0.0, 1.0, 33)
         v = np.zeros(65)
         v[-1] = w[0]  # satisfy the coupling constraint without projection
-        _, _, aw = generator_apply((np.zeros(65), v, w), 5.0, ctx,
-                                   project=False)
+        _, _, aw = generator_apply((np.zeros(65), v, w), 5.0, ctx)
         assert np.max(np.abs(aw - 3.0 / 0.8)) < 1e-12
 
     def test_iota_at_unit_constant_delay(self):
@@ -85,7 +85,7 @@ class TestGeneratorApply:
         U = (rng.standard_normal(65), rng.standard_normal(65),
              rng.standard_normal(33))
         with pytest.raises(DomainViolation):
-            generator_apply(U, 0.0, ctx, project=False)
+            generator_apply(U, 0.0, ctx)
 
     def test_norm_equivalence(self):
         # min{tau0,1} ||U||_H^2 <= ||U||_t^2 <= max{tau1,1} ||U||_H^2
@@ -326,11 +326,12 @@ def oracle_resolvent(t, ctx, trials, seed):
         rhs[-1] += ops.a1 * ((g.mu1 + g.mu2 * a_d) * f[-1]
                              - g.mu2 * float(bw @ h))
         u = np.zeros(f.size)
-        u[start:] = SPDTridiagonal(main, off, "oracle").solve(rhs)
+        u[start:] = rhs
+        SPDTridiagonal(main, off, "oracle").solve_in_place(u[start:])
         v = u - f
         if start:
             v[0] = 0.0
-        w = transport_step(h, tau, taup, 1.0, inflow=v[-1])
+        w = transport_step(h, [tau], [taup], 1.0, [v[-1]])[:, 0]
         mv = ops.mass * (v - gg) + oracle_stiffness_matvec(u, ctx)
         mv[-1] += ops.a1 * (g.mu1 * v[-1] + g.mu2 * w[-1] + g.beta * u[-1])
         c = transport_speed(delta_grid(m)[1:], tau, taup)

@@ -340,6 +340,8 @@ _SWEEP_FAILED = {
     "envelope_ok": "", "decay_time_bound": math.nan, "E0": math.nan,
     "E_final": math.nan,
 }
+# where a failed row carries its ConfigError to `sweep_rows`, which pops it
+_CONFIG_ERROR = "config_error"
 
 
 def _sweep_row(payload, sim) -> dict:
@@ -354,6 +356,8 @@ def _sweep_row(payload, sim) -> dict:
         report = build_report(sim)
     except DegenwaveError as exc:
         row["status"] = f"failed: {exc}"
+        if isinstance(exc, ConfigError):
+            row[_CONFIG_ERROR] = exc
         return row
     for part in (report["constants"], report["decay"] or {}, report["audits"]):
         row.update((k, v) for k, v in part.items() if k in _SWEEP_FAILED)
@@ -389,7 +393,10 @@ def sweep_rows(cfg: cfgmod.RunConfig, axes: list[tuple[str, list[str]]],
     processes take whole batches, cut between systems (`_cut_batches`)
     until each worker has one where the systems allow; every row has the
     bits of its run alone.  An axis names a config key once, and never
-    `seed`, which each row derives from the master seed."""
+    `seed`, which each row derives from the master seed.  A row that fails
+    reads `failed: <error>`; when every row fails with one and the same
+    ConfigError, the config the rows share is at fault, not the grid, and
+    that error is raised instead."""
     if len(axes) > 3:
         raise ConfigError("at most 3 sweep axes")
     if jobs < 1:
@@ -415,8 +422,12 @@ def sweep_rows(cfg: cfgmod.RunConfig, axes: list[tuple[str, list[str]]],
     cut = _cut_batches([list(b.values()) for b in batches.values()], jobs)
     done = _fan_out(_sweep_batch,
                     [[p for rows in b for p in rows] for b in cut], jobs)
-    return sorted((row for rows in done for row in rows),
+    rows = sorted((row for rows in done for row in rows),
                   key=lambda row: row["row"])
+    errors = [row.pop(_CONFIG_ERROR, None) for row in rows]
+    if None not in errors and len({str(exc) for exc in errors}) == 1:
+        raise errors[0]
+    return rows
 
 
 def _rows_to_csv(rows: list[dict]) -> str:

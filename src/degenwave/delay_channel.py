@@ -9,16 +9,17 @@ solves the one-way transport
 with inflow w(0, t) = u_t(t, 1).  This module owns that design decision for
 the whole package: the channel nodes (`delta_grid`), their trapezoid weights
 (`delta_trap_weights`), the speed (`transport_speed`) and the implicit upwind
-solve (`transport_step`, a forward substitution by LAPACK dtbtrs, which
-`_lapack` loads from scipy's LAPACK extension).  One call advances the
-channel by K steps at once, the only form of the solve: the K steps are
-one lower-banded system of bandwidth K, and K = 1 is the bidiagonal of a
-single step.  `stepper.step` takes one step (K = 1), `stepper.run` solves its channel once
-per K steps (`channel_block_steps`) for all rows of a batch, with one band
-and one right-hand side per row; the generator probes take the transport
-block of A(t) from the same grid and speed, and the channel block of
-(I - A(t))^{-1} (`operator_checks.Resolvent`) is the one-step solve with
-dt = 1 and the load for w, for a stack of loads.
+step.  A step is one lower-bidiagonal system: `upwind_bands` builds the
+bands of a sequence of steps in a few array calls, and `upwind_solve`
+solves one step in place by LAPACK dtbtrs (which `_lapack` loads from
+scipy's LAPACK extension), for one profile or a Fortran-order stack of
+them, a column per profile.  `transport_step` is one checked step on its
+own, which `stepper.step` takes; `stepper.run` builds the bands of its
+steps in chunks and solves its batch's channel once per step, right after
+the wave step.  The generator probes take the transport block of A(t) from
+the same grid and speed, and the channel block of (I - A(t))^{-1}
+(`operator_checks.Resolvent`) is `transport_step` with dt = 1 and the load
+for w, for a stack of loads.
 
 A raw history ring with linear interpolation on the uniform step grid
 t_k = k dt (`HistoryBuffer`) feeds the wave step its delayed trace and
@@ -38,8 +39,8 @@ from ._lapack import dtbtrs
 from .errors import OutOfSpan, SolveFailure
 
 # every stacked array of a block (a block of probe trials, of recorded
-# instants, the band of a K-step channel solve) holds about this many
-# doubles (64 KB), which bounds the working set of the blocked loops
+# instants, of channel bands) holds about this many doubles (64 KB), which
+# bounds the working set of the blocked loops
 BLOCK_DOUBLES = 8192
 
 
@@ -77,77 +78,82 @@ def init_channel(f0, tau_at_0: float, n_delta: int) -> np.ndarray:
     return np.array([float(f0(-d * tau_at_0)) for d in delta_grid(n_delta)])
 
 
-def transport_step(w: np.ndarray, tau, tau_prime, dt: float,
-                   inflow) -> np.ndarray:
-    """K successive implicit upwind steps of the stretched-history
-    transport, in one banded solve.
+def upwind_bands(taus, tau_primes, dt: float, m: int, out=None) -> np.ndarray:
+    """The (L, m + 1, 2) bands of L implicit upwind steps with m cells, one
+    per entry of the length-L taus and tau_primes (into `out` if given).
 
-    Information flows from delta = 0 (the current trace) toward delta = 1
-    (the fully delayed trace).  Step n reads
-
-        w^n_i = (w^{n-1}_i + lam^n_i w^n_{i-1}) / (1 + lam^n_i),
-        lam^n_i = dt c(delta_i) / ddelta,      i >= 1,
-        w^n_0 = inflow[n],
-
-    with c from the step's tau and tau' (the delay and its rate at the
-    step's midpoint).  Each new value is a convex combination of old values
-    and the inflow, so the update obeys a discrete maximum principle.  With
-    K = 1, dt = 1 and w the load h, the result solves w + c w_delta = h,
-    w(0) = inflow (the channel block of the resolvent).
-
-    tau and tau_prime are length-K sequences, w one profile (m + 1,) or an
-    (m + 1, B) stack of them, and inflow of shape (K,) + w.shape[1:].
-    Returns the profiles after each step, shape (m + 1, K) + w.shape[1:];
-    w is not modified.  The B columns of a stack share the band, and each
-    column equals its own solve bit for bit.
-    The unknowns w_i^n are numbered delta-major, p = (i - 1) K + n - 1, and
-    row (i, n) reads (1 + lam_i^n) w_i^n - lam_i^n w_{i-1}^n - w_i^{n-1} = 0,
-    so the band is K wide.  The solve adds the two neighbours of an unknown
-    in another order than K one-step solves do; the columns agree with them
-    to rounding (an ulp or so of max |w|).
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    m = w.shape[0] - 1
-    tau, tau_prime, inflow = (np.asarray(a, dtype=float)
-                              for a in (tau, tau_prime, inflow))
-    stack = w.shape[1:]
-    if (tau.ndim != 1 or w.ndim > 2 or tau_prime.shape != tau.shape
-            or inflow.shape != tau.shape + stack):
-        raise ValueError("K steps need one profile or a stack of them, "
-                         "K values of tau and tau', and K inflows per "
-                         "profile")
-    k = len(tau)
-    # the band, filled in place: 1 + lam on the diagonal (row 0), -1 on the
-    # first subdiagonal for step n - 1 of the same node (n >= 2), -lam of
-    # the next node on the k-th; lam is written to row 0 first
-    ab = np.zeros((k + 1, m * k))
-    lam = transport_speed(delta_grid(m)[1:, None], tau, tau_prime,
-                          out=ab[0].reshape(m, k))
+    Entry n holds the diagonal 1, 1 + lam^n_1, ..., 1 + lam^n_m in column 0
+    and the subdiagonal -lam^n_1, ..., -lam^n_m in column 1 (its last entry
+    is padding), so its transpose is step n's band in LAPACK's lower band
+    storage, in Fortran order.  Entries are computed elementwise: a step
+    has the same bits in a stack of steps as alone."""
+    taus, tau_primes = (np.asarray(a, dtype=float)[:, None]
+                        for a in (taus, tau_primes))
+    if out is None:
+        out = np.empty((len(taus), m + 1, 2))
+    # lam in a contiguous scratch: two strided writes cost less than
+    # computing it where the band holds it
+    lam = transport_speed(delta_grid(m)[1:], taus, tau_primes)
     lam *= dt * m
-    ab[1].reshape(m, k)[:, :-1] = -1.0
-    np.negative(lam[1:], out=ab[k, :-k].reshape(lam[1:].shape))
-    out = np.zeros((m + 1, k) + stack)
-    out[:, 0] = w
-    out[0] = inflow
-    # one lam per step, against the step axis of the inflow
-    out[1] += lam[0].reshape((k,) + (1,) * len(stack)) * inflow
-    lam += 1.0
-    b = out[1:]
-    x, info = dtbtrs(ab, b.reshape((m * k,) + stack), uplo="L")
-    if info != 0:
-        raise SolveFailure(f"channel solve failed (tbtrs info {info})")
-    b[...] = x.reshape(b.shape)
+    np.add(lam, 1.0, out=out[:, 1:, 0])
+    np.negative(lam, out=out[:, :-1, 1])
+    out[:, 0, 0] = 1.0
+    out[:, -1, 1] = 0.0
     return out
 
 
-def channel_block_steps(m: int) -> int:
-    """The K of a run's channel solves with m cells: the largest K whose
-    band, (K + 1) rows of m K, fits in BLOCK_DOUBLES (at least 1)."""
-    k = 1
-    while (k + 2) * m * (k + 1) <= BLOCK_DOUBLES:
-        k += 1
-    return k
+def upwind_solve(band: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve one implicit upwind step where it lies: band is the transpose
+    of an `upwind_bands` entry, and b an (m + 1,) profile or a
+    Fortran-order (m + 1, B) stack of them, with the inflows in row 0 and
+    the profiles before the step below.  Returns b, now the profiles after
+    the step (a b of another layout is solved in a returned copy), each
+    column solved on its own."""
+    # uplo, trans, diag, overwrite_b by position: keywords cost f2py about
+    # 0.3 us a call, and this call is made once per step
+    x, info = dtbtrs(band, b, "L", "N", "N", 1)
+    if info != 0:
+        raise SolveFailure(f"channel solve failed (tbtrs info {info})")
+    return x
+
+
+def transport_step(w, tau: float, tau_prime: float, dt: float,
+                   inflow) -> np.ndarray:
+    """One implicit upwind step of the stretched-history transport.
+
+    Information flows from delta = 0 (the current trace) toward delta = 1
+    (the fully delayed trace).  The step reads
+
+        w'_i = (w_i + lam_i w'_{i-1}) / (1 + lam_i),
+        lam_i = dt c(delta_i) / ddelta,      i >= 1,
+        w'_0 = inflow,
+
+    with c from tau and tau' (the delay and its rate at the step's
+    midpoint): a lower-bidiagonal system, solved by forward substitution
+    (`upwind_bands`, `upwind_solve`).  Each new value is a convex
+    combination of old values and the inflow, so the update obeys a
+    discrete maximum principle.  With dt = 1 and w the load h, the result
+    solves w + c w_delta = h, w(0) = inflow (the channel block of the
+    resolvent).
+
+    w is an (m + 1,) profile with a scalar inflow or an (m + 1, B) stack
+    with B inflows, a column per profile; tau, tau_prime and dt > 0 are
+    scalars (any other input is a ValueError).  Returns the profiles after
+    the step; w is not modified.
+    """
+    w = np.asarray(w, dtype=float)
+    if (np.ndim(tau) or np.ndim(tau_prime) or np.ndim(dt)
+            or w.ndim not in (1, 2) or len(w) < 2
+            or np.shape(inflow) != w.shape[1:]):
+        raise ValueError("one step needs one profile of at least 2 nodes "
+                         "or a stack of them, scalar tau and tau', and one "
+                         "inflow per profile")
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    out = np.array(w, order="F")
+    out[0] = inflow
+    band = upwind_bands([tau], [tau_prime], dt, len(w) - 1)[0].T
+    return upwind_solve(band, out)
 
 
 class HistoryBuffer:

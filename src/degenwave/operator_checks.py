@@ -334,8 +334,7 @@ class Resolvent:
         u[:, :start] = 0.0
         v = u - f
         v[:, :start] = 0.0
-        w = transport_step(h.T, [self.tau], [self.taup], 1.0,
-                           [v[:, -1]])[:, 0].T
+        w = transport_step(h.T, self.tau, self.taup, 1.0, v[:, -1]).T
 
         # block residuals of (I - A) U = G, measured on the equation rows;
         # the v rows are formed in place to keep few (B, n) arrays alive

@@ -13,19 +13,21 @@ diagonal entry): `StepWorkspace.build` factors it once per run of
 consecutive rows with one `system_key` (mu1, beta), as a
 `mesh.SPDTridiagonal`, and the wave part of a step is one solve with the
 factors (`_midpoint_solver`, shared by `step` and `run`).  The
-stretched-history channel then takes its implicit upwind step
-(`delay_channel.transport_step` with K = 1, the triangular solve the
-resolvent shares).
+stretched-history channel then takes its implicit upwind step, one
+lower-bidiagonal solve with the new boundary velocity as its inflow
+(`delay_channel.upwind_bands` and `upwind_solve`, the kernel of
+`transport_step`, which `step` and the resolvent call).
 
 `run` steps a lockstep batch of B rows, runs that differ only in their
 gains.  mu2 only loads the right-hand side and mu1 and beta only the last
-pivot of the midpoint matrix, so the rows share the channel band, the delay
-and one history ring with a column per row, and consecutive rows of one
-(mu1, beta) share its factors.  The states are node-major (n, B) arrays, a
-column per row, so each ufunc call of a step is one contiguous pass over
-the batch; the solve copies the right-hand sides into one Fortran-order
-scratch, where the factors of each run of rows solve its columns
-(`cli.sweep_rows` sorts a batch by system, so each is factored once).
+pivot of the midpoint matrix, so the rows share the channel bands, the
+delay and one history ring with a column per row, and consecutive rows of
+one (mu1, beta) share its factors.  The wave states are node-major (n, B)
+arrays, a column per row, so each ufunc call of a step is one contiguous
+pass over the batch; the solve copies the right-hand sides into one
+Fortran-order scratch, where the factors of each run of rows solve its
+columns (`cli.sweep_rows` sorts a batch by system, so each is factored
+once).
 Every operation acts entry by entry and the LAPACK solves treat each
 right-hand side on its own, so each row gets the bits of its run alone,
 and a row whose state turns non-finite stops alone.  `run` takes one
@@ -34,23 +36,22 @@ single run is a batch of one.  `step` advances one state by one step; it
 is the reference that `run` is tested against.
 
 Only the wave step and the ring feed the feedback; the channel and the
-recorded columns are diagnostics, so `run` takes them off the step path.
-It is one loop over blocks of steps.  A block is a whole number of channel
-solves of K steps (`delay_channel.channel_block_steps`) and covers about
-BLOCK_DOUBLES // n_nodes recorded instants, in at least MIN_BLOCK_STEPS
-and at most BLOCK_DOUBLES steps.
+recorded columns are diagnostics.  `run` is one loop over blocks of steps;
+a block covers about BLOCK_DOUBLES // n_nodes recorded instants, in at
+least MIN_BLOCK_STEPS and at most BLOCK_DOUBLES steps.
 Since tau >= tau0, the delayed samples of a block of L steps are all in the
 ring before its first step when (L + 1/2) dt <= tau0, which caps L (at one
 step at least).  A block evaluates tau and tau' at its step midpoints and
 tau at its recorded instants in one array call each, and reads the ring
 once before its steps and once, for its recorded instants, after them;
-`DelaySpec` gives a scalar the bits of an array entry, so `step` and `run`
-agree bit for bit.  A step is then only the midpoint solve, and a recorded
-step copies u and v, transposed, into the block's (instants, B, n)
-stacks.  At the end of the block the channel advances K steps per banded
-solve, and the block's rows get their columns from one row-wise call
-each.  `step` advances the channel at every call, so its state.w is always
-current.
+`DelaySpec` gives a scalar the bits of an array entry.  The block's channel
+bands are built a chunk of steps at a time (at most BLOCK_DOUBLES entries,
+whatever the block's length).  A step is then the midpoint solve and one
+channel solve: the batch's channel is a C-order (B, m + 1) array whose
+Fortran-order transpose is solved where it lies, a column per row.  A
+recorded step copies u, v and w into the block's (instants, B, n) stacks,
+and the block's rows get their columns from one row-wise call each.
+`step` and `run` share every kernel, so they agree bit for bit.
 
 Step n lands on t = n dt exactly: the ring sits on the same uniform grid and
 its newest index is the step counter.  `step` updates one SimState in place.
@@ -63,7 +64,6 @@ past times s <= 0 (the ring and the channel sample it at different times).
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -75,9 +75,10 @@ from . import analysis
 from .delay_channel import (
     BLOCK_DOUBLES,
     HistoryBuffer,
-    channel_block_steps,
     init_channel,
     transport_step,
+    upwind_bands,
+    upwind_solve,
 )
 from .errors import IncompatibleInitialData, NonFiniteState, ShapeMismatch
 from .mesh import DIRICHLET_LEFT, DiscreteOperators, Mesh, SPDTridiagonal
@@ -327,8 +328,8 @@ def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
     (trace,) = advance([gains.mu2 * float(buf.sample(t_mid - tau_mid))])
     buf.extend([trace])
     state.t = buf.last * dt
-    state.w = transport_step(state.w, [tau_mid], [delay.tau_prime(t_mid)],
-                             dt, [trace])[:, 0]
+    state.w = transport_step(state.w, tau_mid, float(delay.tau_prime(t_mid)),
+                             dt, trace)
     return state
 
 
@@ -410,15 +411,12 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
 
     n_steps, note = step_count(t_final, dt)
     n_rows = record_count(t_final, dt, record_every)
-    k = channel_block_steps(n_delta)
-    span = k * max(1, min(max(BLOCK_DOUBLES // ops.n_nodes * record_every,
-                              MIN_BLOCK_STEPS), BLOCK_DOUBLES) // k)
     # a block reads the samples of all its steps before its first one:
     # (L + 1/2) dt <= tau0, half a step inside the exact bound so that
     # rounding never moves a read past the newest sample
     reach = max(1, math.floor(delay.tau0 / dt - 0.5))
-    if span > reach:
-        span = k * (reach // k) or reach
+    span = min(max(BLOCK_DOUBLES // ops.n_nodes * record_every,
+                   MIN_BLOCK_STEPS), BLOCK_DOUBLES, reach)
     state, warnings = init_state(mesh, ops, delay, initial, n_delta=n_delta,
                                  dt=dt, rows=n_batch, lookahead=span)
     if note is not None:
@@ -429,13 +427,21 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     us, vs = np.empty((rows, n_batch, n)), np.empty((rows, n_batch, n))
     ws, w_buf = np.empty((rows, n_batch, m1)), np.empty((rows, n_batch))
     data = np.empty((n_batch, len(COLUMNS), n_rows))
-    # the batch's states node-major, a column per row, as w holds the
-    # channel profiles (the layout of transport_step)
+    # the batch's states node-major, a column per row
     u = np.repeat(state.u[:, None], n_batch, axis=1)
     v = np.repeat(state.v[:, None], n_batch, axis=1)
-    w = np.repeat(state.w[:, None], n_batch, axis=1)
     # their (B, n) transposes, the layout of the stacks the energy reads
     u_rows, v_rows = u.T, v.T
+    # the channel profiles as C-order (B, m + 1) rows: their transpose w is
+    # the Fortran-order right-hand side the channel step solves where it
+    # lies, and its row 0, w_in, takes each step's inflows
+    w_rows = np.repeat(state.w[None, :], n_batch, axis=0)
+    w, w_in, v_end = w_rows.T, w_rows[:, 0], v[-1]
+    # the bands of a chunk of steps (BLOCK_DOUBLES entries at most, so that
+    # they never grow with the block), each step's in Fortran order
+    chunk = min(span, max(1, BLOCK_DOUBLES // (2 * m1)))
+    bands = np.empty((chunk, m1, 2))
+    band_steps = [band.T for band in bands]
     buf = state.buffer
     advance = _midpoint_solver(u, v, batch.beta.tolist(), ops, work)
     out: list = [None] * n_batch
@@ -466,14 +472,23 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
             j = 0
             if marks[0] == 0:
                 # the initial instant, before the first step
-                us[0], vs[0], ws[0] = u_rows, v_rows, w.T
+                us[0], vs[0], ws[0] = u_rows, v_rows, w_rows
                 j = 1
             traces = []
-            for i, load in enumerate(loads, 1):
-                traces.append(advance(load))
-                if i == marks[j]:
-                    us[j], vs[j] = u_rows, v_rows
-                    j += 1
+            for c0 in range(0, len(loads), chunk):
+                part = loads[c0:c0 + chunk]
+                upwind_bands(taus[c0:c0 + chunk], tau_primes[c0:c0 + chunk],
+                             dt, n_delta, out=bands[:len(part)])
+                for i, (band, load) in enumerate(zip(band_steps, part),
+                                                 c0 + 1):
+                    traces.append(advance(load))
+                    # the channel takes its step after the wave's, with the
+                    # new boundary velocity as its inflow
+                    np.copyto(w_in, v_end)
+                    upwind_solve(band, w)
+                    if i == marks[j]:
+                        us[j], vs[j], ws[j] = u_rows, v_rows, w_rows
+                        j += 1
             block = np.array(traces).reshape(n1 - n0, n_batch)
             buf.extend(block)
             w_buf[:j] = buf.sample(t_rec - tau_rec)
@@ -483,8 +498,6 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
             for b in np.flatnonzero(over.any(axis=0)).tolist():
                 c = int(over[:, b].argmax())
                 blown.setdefault(b, (n0 + c + 1, block[c, b]))
-            w = _advance_channel(w, block, taus, tau_primes, dt, k,
-                                 marks[:j], ws)
 
             e, et = analysis.lyapunov_raw(us[:j], vs[:j], ws[:j],
                                           tau_rec[:j, None], ops, batch, eps)
@@ -536,40 +549,9 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     for b in range(n_batch):
         if out[b] is None:
             final = SimState(n_steps * dt, u[:, b].copy(), v[:, b].copy(),
-                             w[:, b].copy(), buf)
+                             w_rows[b].copy(), buf)
             out[b] = Trajectory(**dict(zip(COLUMNS, data[b])),
                                 warnings=list(warnings), final_state=final,
                                 dt=dt, n_space=mesh.N)
     return out
 
-
-def _advance_channel(w, traces, taus, tau_primes, dt, k, marks, ws):
-    """Advance the batch's channel profiles w, (m + 1, B), over a block's
-    (L, B) traces, K steps per solve, filling ws[r] with the profiles of
-    the recorded step marks[r] (steps into the block; 0, the block's
-    start, is filled already).  Returns the profiles after the block.
-
-    A row whose trace turns non-finite in the block takes the solves a run
-    alone takes, which stop there (the band's zeros would carry it into
-    earlier columns as 0 * nan), and the profiles of its instants after it
-    are NaN."""
-    size = len(traces)
-    finite = np.isfinite(traces)
-    # the rows whose trace turns non-finite in the block, and the step
-    # where it does
-    cuts = {} if finite.all() else {
-        b: int(col.argmin()) for b, col in enumerate(finite.T) if not col.all()}
-    for c0 in range(0, size, k):
-        c1 = min(c0 + k, size)
-        profiles = transport_step(w, taus[c0:c1], tau_primes[c0:c1], dt,
-                                  traces[c0:c1])
-        for b, c in cuts.items():
-            if c0 < c < c1:
-                profiles[:, :c - c0, b] = transport_step(
-                    w[:, b], taus[c0:c], tau_primes[c0:c], dt, traces[c0:c, b])
-        w = profiles[:, -1].copy()
-        a, b = bisect.bisect_right(marks, c0), bisect.bisect_right(marks, c1)
-        ws[a:b] = profiles[:, [c - c0 - 1 for c in marks[a:b]]].transpose(1, 2, 0)
-    for b, c in cuts.items():
-        ws[bisect.bisect_right(marks, c):len(marks), b] = np.nan
-    return w

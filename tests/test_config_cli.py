@@ -491,10 +491,21 @@ class TestSweep:
     @pytest.mark.parametrize("override", ["integrator.dt=1e-320",
                                           "integrator.t_final=1e300"])
     def test_step_count_past_int64_fails_the_rows(self, override):
+        # as an axis value beside a good one, the step count past int64
+        # fails the rows that take it, alone; set for every row, it is the
+        # shared config's error, which the sweep raises
+        key, value = override.split("=")
+        good = {"integrator.dt": "0.001", "integrator.t_final": "0.5"}[key]
+        rows = sweep_rows(self.small_cfg(), [(key, [value, good]),
+                                             ("gains.mu2", ["0", "0.2"])])
+        assert [r["status"].startswith(
+            "failed: integrator.t_final / integrator.dt = ")
+            for r in rows] == [True, True, False, False]
+        assert [r["status"] for r in rows[2:]] == ["ok", "ok"]
         cfg = cfgmod.apply_overrides(self.small_cfg(), [override])
-        rows = sweep_rows(cfg, [("gains.mu2", ["0", "0.2"])])
-        assert all(r["status"].startswith(
-            "failed: integrator.t_final / integrator.dt = ") for r in rows)
+        with pytest.raises(ConfigError,
+                           match=r"^integrator.t_final / integrator.dt = "):
+            sweep_rows(cfg, [("gains.mu2", ["0", "0.2"])])
 
     def test_unknown_preset_row_fails_alone(self):
         rows = sweep_rows(self.small_cfg(),
@@ -664,6 +675,35 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
         assert not (tmp_path / "sw.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_config_error_of_every_row_exit2(self, jobs, tmp_path, capsys):
+        import csv
+
+        # every row fails with one and the same ConfigError (the shared
+        # integrator.dt makes a step count past int64): the sweep exits 2
+        # with that error, as simulate does, and writes no CSV; at jobs = 2
+        # the two beta systems run in two workers
+        out = tmp_path / "sw.csv"
+        rc = run_cli(["sweep", "--config", "baseline", f"--jobs={jobs}",
+                      "--set", "integrator.dt=1e-320",
+                      "--axis", "gains.beta=0.5,2", "--out", str(out)])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err == ("config error: integrator.t_final / integrator.dt = "
+                       "inf steps; a run takes fewer than 2**63\n")
+        assert not out.exists()
+        # rows that fail with different config errors are the grid's: the
+        # CSV is written
+        rc = run_cli(["sweep", "--config", "baseline", f"--jobs={jobs}",
+                      "--axis", "initial.preset=bogus,other",
+                      "--out", str(out)])
+        assert rc == EXIT_OK
+        header, *rows = csv.reader(out.read_text().splitlines())
+        assert [dict(zip(header, row))["status"] for row in rows] == [
+            f"failed: unknown initial.preset '{name}'; "
+            "known: ramp, sine-bump, velocity-kick, zero"
+            for name in ("bogus", "other")]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bad_jobs_exit2(self, jobs, capsys):

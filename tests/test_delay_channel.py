@@ -13,13 +13,12 @@ from degenwave import (
     transport_speed,
     transport_step,
 )
-from degenwave.delay_channel import channel_block_steps, delta_trap_weights
+from degenwave.delay_channel import (
+    delta_trap_weights,
+    upwind_bands,
+    upwind_solve,
+)
 from degenwave.errors import OutOfSpan, SolveFailure
-
-
-def one_step(w, tau, tau_prime, dt, inflow):
-    """One implicit upwind step: the K-step solve with K = 1."""
-    return transport_step(w, [tau], [tau_prime], dt, [inflow])[:, 0]
 
 
 class TestInitChannel:
@@ -40,12 +39,12 @@ class TestTransportStep:
     def test_constant_profile_exact(self):
         w = init_channel(lambda s: 3.5, 1.0, 16)
         for _ in range(50):
-            w = one_step(w, 1.0, 0.0, 1e-2, 3.5)
+            w = transport_step(w, 1.0, 0.0, 1e-2, 3.5)
         assert np.max(np.abs(w - 3.5)) < 1e-13
 
     def test_inflow_pinned(self):
         w = init_channel(lambda s: 0.0, 1.0, 8)
-        w = one_step(w, 1.0, 0.0, 1e-3, 7.25)
+        w = transport_step(w, 1.0, 0.0, 1e-3, 7.25)
         assert w[0] == 7.25
 
     def test_maximum_principle(self):
@@ -55,7 +54,7 @@ class TestTransportStep:
             inflow = float(rng.uniform(-2.0, 2.0))
             lo = min(w.min(), inflow)
             hi = max(w.max(), inflow)
-            w = one_step(w, 0.8, 0.1, 1e-2, inflow)
+            w = transport_step(w, 0.8, 0.1, 1e-2, inflow)
             assert w.min() >= lo - 1e-12
             assert w.max() <= hi + 1e-12
 
@@ -67,7 +66,7 @@ class TestTransportStep:
         t = 0.0
         while t < 2.5:
             t += dt
-            w = one_step(w, tau, 0.0, dt, 0.3 * t)
+            w = transport_step(w, tau, 0.0, dt, 0.3 * t)
         assert abs(w[-1] - 0.3 * (t - tau)) < 1e-10
 
     def test_variable_delay_against_characteristic_oracle(self):
@@ -102,8 +101,9 @@ class TestTransportStep:
             out = {}
             while t < max(probes) + dt:
                 tm = t + dt / 2
-                w = one_step(w, float(delay.tau(tm)),
-                             float(delay.tau_prime(tm)), dt, inflow(t + dt))
+                w = transport_step(w, float(delay.tau(tm)),
+                                   float(delay.tau_prime(tm)), dt,
+                                   inflow(t + dt))
                 t += dt
                 for tp in probes:
                     if tp not in out and t >= tp:
@@ -113,85 +113,112 @@ class TestTransportStep:
         assert errs[0] / errs[1] > 1.5  # first-order refinement
 
 
-class TestKStepSolve:
+class TestStepKernel:
     @pytest.mark.parametrize("m", [16, 512])
-    def test_matches_one_step_calls(self, m):
-        # one banded solve of K steps against K bidiagonal steps with varying
-        # tau, tau' and inflow: the band adds the two neighbours of an unknown
-        # in another order, so they agree to rounding, not bit for bit
+    def test_chunk_of_steps_equals_step_calls(self, m):
+        # the run's path, the bands of a chunk of steps from one
+        # upwind_bands call and one in-place solve per step on the
+        # transposed (B, m + 1) rows, against one transport_step call per
+        # step and row, with varying tau, tau' and inflow: bit for bit
         rng = np.random.default_rng(m)
-        k = channel_block_steps(m)
-        w = rng.standard_normal(m + 1)
-        taus = rng.uniform(0.5, 1.0, k)
-        tau_primes = rng.uniform(0.0, 0.4, k)
-        inflow = rng.standard_normal(k)
-        block = transport_step(w, taus, tau_primes, 1e-3, inflow)
-        assert block.shape == (m + 1, k)
-        one = w
-        for n in range(k):
-            one = one_step(one, float(taus[n]), float(tau_primes[n]), 1e-3,
-                           float(inflow[n]))
-            ulp = np.finfo(float).eps * np.max(np.abs(one))
-            assert np.max(np.abs(block[:, n] - one)) <= 4.0 * ulp
-        assert np.array_equal(block[0], inflow)
+        steps, rows = 7, 3
+        w = rng.standard_normal((rows, m + 1))
+        taus = rng.uniform(0.5, 1.0, steps)
+        tau_primes = rng.uniform(0.0, 0.4, steps)
+        inflow = rng.standard_normal((steps, rows))
+        bands = upwind_bands(taus, tau_primes, 1e-3, m)
+        assert bands.shape == (steps, m + 1, 2)
+        ones = [row.copy() for row in w]
+        wt = w.T
+        for n in range(steps):
+            w[:, 0] = inflow[n]
+            assert upwind_solve(bands[n].T, wt) is wt
+            for b in range(rows):
+                ones[b] = transport_step(ones[b], float(taus[n]),
+                                         float(tau_primes[n]), 1e-3,
+                                         float(inflow[n, b]))
+                assert np.array_equal(w[b], ones[b])
+            assert np.array_equal(w[:, 0], inflow[n])
+
+    def test_bands_of_a_stack_equal_bands_alone(self):
+        # every step of a stack of bands has the bits of its band alone,
+        # laid out as LAPACK's lower band storage: the diagonal 1, 1 + lam
+        # and the subdiagonal -lam
+        rng = np.random.default_rng(7)
+        m, dt = 24, 1e-2
+        taus = rng.uniform(0.5, 1.0, 5)
+        tau_primes = rng.uniform(0.0, 0.4, 5)
+        bands = upwind_bands(taus, tau_primes, dt, m)
+        for n in range(5):
+            (alone,) = upwind_bands([taus[n]], [tau_primes[n]], dt, m)
+            assert np.array_equal(bands[n], alone)
+            lam = transport_speed(delta_grid(m)[1:], taus[n],
+                                  tau_primes[n]) * (dt * m)
+            assert np.array_equal(alone.T[0], np.concatenate([[1.0],
+                                                              1.0 + lam]))
+            assert np.array_equal(alone.T[1, :-1], -lam)
 
     def test_stacked_profiles_equal_column_solves(self):
-        # (m + 1, B) profiles with (K, B) inflows share one band: each column
-        # of the (m + 1, K, B) result is its own K-step solve bit for bit
+        # an (m + 1, B) stack with B inflows, one of them NaN: every other
+        # column is its own solve bit for bit (the bidiagonal has no zero
+        # entry through which the NaN could reach another column), and the
+        # NaN column is NaN from its inflow on
         rng = np.random.default_rng(5)
         m = 64
-        k = channel_block_steps(m)
         w = rng.standard_normal((m + 1, 3))
-        taus = rng.uniform(0.5, 1.0, k)
-        tau_primes = rng.uniform(0.0, 0.4, k)
-        inflow = rng.standard_normal((k, 3))
-        block = transport_step(w, taus, tau_primes, 1e-3, inflow)
-        assert block.shape == (m + 1, k, 3)
-        for b in range(3):
-            one = transport_step(w[:, b], taus, tau_primes, 1e-3, inflow[:, b])
-            assert np.array_equal(block[..., b], one)
+        inflow = np.array([0.3, np.nan, -1.2])
+        step = transport_step(w, 0.8, 0.2, 1e-3, inflow)
+        assert step.shape == (m + 1, 3)
+        for b in (0, 2):
+            one = transport_step(w[:, b], 0.8, 0.2, 1e-3, inflow[b])
+            assert np.array_equal(step[:, b], one)
+        assert np.isnan(step[:, 1]).all()
 
-    def test_one_step_block_is_the_bidiagonal_step(self):
-        # K = 1 against the recurrence w'_i = (w_i + lam_i w'_{i-1}) /
+    def test_one_step_is_the_bidiagonal_recurrence(self):
+        # one step against the recurrence w'_i = (w_i + lam_i w'_{i-1}) /
         # (1 + lam_i), lam_i = dt (1 - delta_i tau') / (tau ddelta), written
         # out here; the solve rounds lam in another order, so to an ulp or so
         rng = np.random.default_rng(8)
         m, tau, taup, dt, inflow = 32, 0.8, 0.1, 1e-2, 0.5
         w = rng.standard_normal(m + 1)
-        block = transport_step(w, [tau], [taup], dt, [inflow])
-        assert block.shape == (m + 1, 1)
+        step = transport_step(w, tau, taup, dt, inflow)
+        assert step.shape == (m + 1,)
         want = [inflow]
         for i in range(1, m + 1):
             lam = dt * (1.0 - (i / m) * taup) / (tau / m)
             want.append((w[i] + lam * want[-1]) / (1.0 + lam))
         ulp = np.finfo(float).eps * np.max(np.abs(want))
-        assert block[0, 0] == inflow
-        assert np.max(np.abs(block[:, 0] - want)) <= 4.0 * ulp
+        assert step[0] == inflow
+        assert np.max(np.abs(step - want)) <= 4.0 * ulp
 
-    def test_block_size_fits_the_budget(self):
-        from degenwave.delay_channel import BLOCK_DOUBLES
-
-        for m in [2, 16, 64, 512, 4096, 10**5]:
-            k = channel_block_steps(m)
-            assert k >= 1
-            assert (k + 1) * m * k <= BLOCK_DOUBLES or k == 1
-            assert (k + 2) * m * (k + 1) > BLOCK_DOUBLES
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="K steps"):
-            transport_step(np.zeros(9), [1.0, 1.0], [0.0], 1e-2, [0.0, 0.0])
-        with pytest.raises(ValueError, match="K steps"):
-            transport_step(np.zeros((9, 2)), [1.0], [0.0], 1e-2, [0.0])
-        with pytest.raises(ValueError, match="K steps"):
-            # a scalar delay is one step of no sequence
-            transport_step(np.zeros(9), 1.0, 0.0, 1e-2, 0.0)
+    @pytest.mark.parametrize("args", [
+        (np.zeros(9), [], [], 1e-2, []),
+        (np.zeros(9), [1.0], 0.0, 1e-2, 0.0),
+        (np.zeros(9), 1.0, [0.0], 1e-2, 0.0),
+        (np.zeros(9), 1.0, 0.0, [1e-2], 0.0),
+        (np.zeros(9), 1.0, 0.0, 1e-2, [0.0]),
+        (np.zeros((9, 2)), 1.0, 0.0, 1e-2, 0.0),
+        (np.zeros((9, 2)), 1.0, 0.0, 1e-2, [0.0, 0.0, 0.0]),
+        (np.float64(0.0), 1.0, 0.0, 1e-2, 0.0),
+        (np.zeros((9, 2, 2)), 1.0, 0.0, 1e-2, np.zeros((2, 2))),
+        (np.zeros(1), 1.0, 0.0, 1e-2, 0.0),
+        (np.zeros(9), 1.0, 0.0, 0.0, 0.0),
+        (np.zeros(9), 1.0, 0.0, -1e-2, 0.0),
+        (np.zeros(9), 1.0, 0.0, np.nan, 0.0),
+    ], ids=["no-steps", "tau-sequence", "tau-prime-sequence", "dt-sequence",
+            "inflow-sequence", "one-inflow-for-a-stack",
+            "inflows-off-the-stack", "scalar-profile", "three-axes",
+            "one-node", "zero-dt", "negative-dt", "nan-dt"])
+    def test_malformed_input_rejected(self, args):
+        with pytest.raises(ValueError):
+            transport_step(*args)
 
 
 class TestSharedSolve:
     def test_input_not_modified(self):
         w = np.linspace(1.0, 2.0, 9)
         before = w.copy()
-        one_step(w, 0.8, 0.1, 1e-2, 0.5)
+        transport_step(w, 0.8, 0.1, 1e-2, 0.5)
         assert np.array_equal(w, before)
 
     def test_unit_step_solves_the_resolvent_channel(self):
@@ -200,7 +227,7 @@ class TestSharedSolve:
         rng = np.random.default_rng(3)
         m, tau, taup = 24, 0.7, 0.3
         h = rng.standard_normal(m + 1)
-        w = one_step(h, tau, taup, 1.0, 0.4)
+        w = transport_step(h, tau, taup, 1.0, 0.4)
         c = transport_speed(delta_grid(m)[1:], tau, taup)
         assert w[0] == 0.4
         assert np.max(np.abs(w[1:] + c * np.diff(w) * m - h[1:])) < 1e-12
@@ -212,18 +239,19 @@ class TestSharedSolve:
         m, tau, taup = 24, 0.7, 0.3
         h = rng.standard_normal((5, m + 1))
         inflow = rng.standard_normal(5)
-        w = one_step(h.T, tau, taup, 1.0, inflow)
+        w = transport_step(h.T, tau, taup, 1.0, inflow)
         assert w.shape == (m + 1, 5)
         for j in range(5):
-            one = one_step(h[j], tau, taup, 1.0, float(inflow[j]))
+            one = transport_step(h[j], tau, taup, 1.0, float(inflow[j]))
             assert np.array_equal(w[:, j], one)
-        assert np.array_equal(one_step(h.T, tau, taup, 1e-2, inflow)[:, 3],
-                              one_step(h[3], tau, taup, 1e-2, inflow[3]))
+        stack = transport_step(h.T, tau, taup, 1e-2, inflow)
+        assert np.array_equal(stack[:, 3],
+                              transport_step(h[3], tau, taup, 1e-2, inflow[3]))
 
     def test_singular_system_raises(self):
         # m = 2, dt = 1, tau' = 3: lam_1 = 2 (1 - 0.5 * 3) = -1, a zero pivot
         with pytest.raises(SolveFailure, match="^channel solve failed"):
-            one_step(np.zeros(3), 1.0, 3.0, 1.0, 0.0)
+            transport_step(np.zeros(3), 1.0, 3.0, 1.0, 0.0)
 
     def test_delta_grid_read_only(self):
         grid = delta_grid(8)
@@ -350,6 +378,6 @@ class TestCrossRealizations:
         buf = HistoryBuffer(dt=1e-2, horizon=3.0, f0=lambda s: c)
         w = init_channel(lambda s: c, 1.0, 16)
         for n in range(1, 501):
-            w = one_step(w, 1.0, 0.0, 1e-2, c)
+            w = transport_step(w, 1.0, 0.0, 1e-2, c)
             buf.extend([c])
         assert abs(w[-1] - buf.sample(n * 1e-2 - 1.0)) < 1e-12

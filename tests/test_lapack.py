@@ -64,3 +64,30 @@ def test_missing_extension_fails_loudly(tmp_path):
     assert last.startswith("ImportError: scipy's LAPACK extension _flapack")
     assert str(tmp_path / "scipy" / "linalg") in last
     assert "(scipy of unknown version)" in last
+
+
+def test_channel_solve_overwrites_a_transposed_stack():
+    # the run keeps its channel as a C-order (B, m + 1) array: dtbtrs with
+    # overwrite_b solves its Fortran-order transpose where it lies and
+    # returns that very array, which the per-step channel solve relies on
+    import numpy as np
+
+    from degenwave._lapack import dtbtrs
+
+    for rows in (3, 1):
+        w = np.random.default_rng(rows).standard_normal((rows, 9))
+        before = w.copy()
+        # lower band storage of the bidiagonal 2 I - S (S the shift)
+        band = np.empty((9, 2))
+        band[:, 0], band[:, 1] = 2.0, -1.0
+        b = w.T
+        assert b.flags.f_contiguous and band.T.flags.f_contiguous
+        x, info = dtbtrs(band.T, b, "L", "N", "N", 1)
+        assert info == 0 and x is b
+        assert np.shares_memory(x, w)
+        # x_i = (b_i + x_{i-1}) / 2, exact in every order of evaluation
+        want = before.copy()
+        want[:, 0] /= 2.0
+        for i in range(1, 9):
+            want[:, i] = (want[:, i] + want[:, i - 1]) / 2.0
+        assert np.array_equal(w, want)

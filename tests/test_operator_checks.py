@@ -331,7 +331,7 @@ def oracle_resolvent(t, ctx, trials, seed):
         v = u - f
         if start:
             v[0] = 0.0
-        w = transport_step(h, [tau], [taup], 1.0, [v[-1]])[:, 0]
+        w = transport_step(h, tau, taup, 1.0, v[-1])
         mv = ops.mass * (v - gg) + oracle_stiffness_matvec(u, ctx)
         mv[-1] += ops.a1 * (g.mu1 * v[-1] + g.mu2 * w[-1] + g.beta * u[-1])
         c = transport_speed(delta_grid(m)[1:], tau, taup)

@@ -16,6 +16,10 @@ equiv_lower, equiv_upper that the discrete quadratures satisfy with no slack,
 because every step of the equivalence argument (Cauchy-Schwarz in the lumped
 inner product, the pointwise bound a(x) >= a(1) x^{mu_a}, e^{-2 delta tau}
 <= 1) holds verbatim for the discrete forms.
+
+`lyapunov_raw` is the only code that evaluates E and E~.  The squared state
+norms of the operator certificate are 2 E: ||U||_t^2 with tau = tau(t) and
+the reference norm ||U||_H^2 with tau = 1.
 """
 
 from __future__ import annotations
@@ -45,43 +49,6 @@ from .model import (
 )
 
 
-def energy_parts(u, v, w, tau, ops: DiscreteOperators,
-                 gains: GainSet) -> dict:
-    """The four nonnegative quadratic blocks whose half-sum is the energy.
-
-    tau weights the delay block: tau(t) for the energy and the
-    time-dependent norm ||U||_t^2 (the plain sum of the blocks), 1 for the
-    reference norm ||U||_H^2.  u, v and w may be stacks of states, shape
-    (..., n), evaluated row by row; each row's blocks equal those of the
-    row alone bit for bit.  tau may be an array that broadcasts against
-    the stack's leading axes.  Raises ShapeMismatch unless u and v have
-    one entry per node.
-    """
-    n = ops.n_nodes
-    if np.shape(u)[-1:] != (n,) or np.shape(v)[-1:] != (n,):
-        raise ShapeMismatch(f"expected vectors of length {n}, got "
-                            f"{np.shape(u)} and {np.shape(v)}")
-    return _energy_blocks(u, v, u[..., 1:] - u[..., :-1], ops.mass * v,
-                          w * w, tau, ops, gains)
-
-
-def _energy_blocks(u, v, du, mv, ww, tau, ops, gains) -> dict:
-    # the energy blocks from the differences du of u, mv = M v and ww = w^2,
-    # which lyapunov_raw shares with the eps-block; gains.mu1 and gains.beta
-    # may be arrays over the last leading axis, one per row of a batch.
-    # np.vecdot sums each row as @ sums a 1-d pair, and float_power(x, 2)
-    # calls the C pow that the float x ** 2 calls (x * x differs in about
-    # one value in a thousand), so a stack's rows and 1-d calls get the
-    # same bits
-    return {
-        "kinetic": np.vecdot(mv, v),
-        "elastic": np.vecdot(ops.k_cell * du, du),
-        "boundary": gains.beta * ops.a1 * np.float_power(u[..., -1], 2.0),
-        "delay": gains.mu1 * ops.a1 * tau * np.vecdot(
-            ww, delta_trap_weights(ww.shape[-1] - 1)),
-    }
-
-
 @dataclass(frozen=True)
 class LyapunovParams:
     """Epsilon and the constants it generates.
@@ -108,9 +75,11 @@ def lyapunov_raw(u, v, w, tau, ops: DiscreteOperators, gains: GainSet,
                  epsilon=0.0):
     """(E, E~) of raw arrays with the delay tau = tau(t) and the Lyapunov
     epsilon (`LyapunovParams.epsilon`), the one energy routine of the
-    package: `stepper.run` records it and the snapshot audit recomputes
-    it.  With epsilon 0, E~ is E.  Both come from one difference of u, one
-    M v and one w^2.
+    package: `stepper.run` records it, the snapshot audit recomputes it,
+    and the operator certificate takes its state norms from it, ||U||_t^2
+    = 2 E with tau = tau(t) and ||U||_H^2 = 2 E with tau = 1.  With
+    epsilon 0, E~ is E.  Both come from one difference of u, one M v and
+    one w^2.
 
     u, v and w may be stacks of states, shape (..., n), with tau an array
     over the leading axes (one delay per row); E and E~ then have the
@@ -118,17 +87,30 @@ def lyapunov_raw(u, v, w, tau, ops: DiscreteOperators, gains: GainSet,
     and the gains may be arrays over the last leading axis (one per row of
     a batch: `gains` a `stepper.BatchGains`, whose mu1 and beta scale the
     delay and boundary blocks row by row); a row whose epsilon is 0 gets
-    E~ = E + 0 = E.
+    E~ = E + 0 = E.  Raises ShapeMismatch unless u and v have one entry
+    per node.
     """
+    n = ops.n_nodes
+    if np.shape(u)[-1:] != (n,) or np.shape(v)[-1:] != (n,):
+        raise ShapeMismatch(f"expected vectors of length {n}, got "
+                            f"{np.shape(u)} and {np.shape(v)}")
     du = u[..., 1:] - u[..., :-1]
     mv = ops.mass * v
     ww = w * w
-    e = 0.5 * sum(_energy_blocks(u, v, du, mv, ww, tau, ops, gains).values())
+    m = ww.shape[-1] - 1
+    # E is half the sum of four nonnegative blocks: kinetic v^T M v, elastic
+    # u^T K u, boundary beta a(1) u(1)^2 and the delay reservoir weighted by
+    # tau.  np.vecdot sums each row as @ sums a 1-d pair, and float_power(x, 2)
+    # calls the C pow that the float x ** 2 calls (x * x differs in about one
+    # value in a thousand), so a stack's rows and 1-d calls get the same bits
+    e = 0.5 * (np.vecdot(mv, v) + np.vecdot(ops.k_cell * du, du)
+               + gains.beta * ops.a1 * np.float_power(u[..., -1], 2.0)
+               + gains.mu1 * ops.a1 * tau
+               * np.vecdot(ww, delta_trap_weights(m)))
     if not np.any(epsilon):
         return e, e
     # the eps-block: sum over cells of h 2 x u_x v at the midpoint, which is
     # x_mid du (v_i + v_{i+1}), plus (mu_a/2) u^T M v and the weighted reservoir
-    m = ww.shape[-1] - 1
     cross_x = np.vecdot(ops.mesh.midpoints * du, v[..., :-1] + v[..., 1:])
     cross_uv = 0.5 * ops.mu_a * np.vecdot(mv, u)
     decay = np.exp(np.multiply.outer(-2.0 * np.asarray(tau), delta_grid(m)))

@@ -151,14 +151,14 @@ def _parse_pair(pair: str, where: str) -> tuple[str, object]:
         raise ConfigError(f"{where}bad value for {key}: {exc}") from exc
 
 
-def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
+def parse_config_text(text: str) -> RunConfig:
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             attr, val = _parse_pair(line, f"line {lineno}: ")
             updates[attr] = val
-    return replace(base or RunConfig(), **updates)
+    return RunConfig(**updates)
 
 
 def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
@@ -206,16 +206,16 @@ def get_value(cfg: RunConfig, key: str):
     return getattr(cfg, attr)
 
 
-def load_config(path_or_name: str, base: Optional[RunConfig] = None) -> RunConfig:
+def load_config(path_or_name: str) -> RunConfig:
     """Load from a file path, or from the shipped scenarios by bare name."""
     p = Path(path_or_name)
     if p.exists():
-        return parse_config_text(p.read_text(encoding="utf-8"), base)
+        return parse_config_text(p.read_text(encoding="utf-8"))
     if path_or_name in SCENARIO_NAMES:
         ref = resources.files("degenwave").joinpath(
             f"scenarios/{path_or_name}.cfg"
         )
-        return parse_config_text(ref.read_text(encoding="utf-8"), base)
+        return parse_config_text(ref.read_text(encoding="utf-8"))
     raise ConfigError(
         f"config {path_or_name!r} is neither a file nor a shipped scenario "
         f"{SCENARIO_NAMES}"

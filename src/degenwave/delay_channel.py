@@ -62,10 +62,9 @@ def delta_trap_weights(m: int) -> np.ndarray:
     return w
 
 
-def transport_speed(delta, tau: float, tau_prime: float, out=None):
-    """Transport speed c(delta) = (1 - delta tau') / tau of the channel,
-    written into the array `out` when one is given."""
-    c = np.multiply(delta, -tau_prime, out=out)
+def transport_speed(delta, tau: float, tau_prime: float):
+    """Transport speed c(delta) = (1 - delta tau') / tau of the channel."""
+    c = np.multiply(delta, -tau_prime)
     c += 1.0
     c /= tau
     return c

@@ -103,10 +103,8 @@ class DiscreteOperators:
             w = u
         return np.vecdot(self.k_cell * np.diff(u, axis=-1), np.diff(w, axis=-1))
 
-    def mass_quadform(self, v: np.ndarray, w: np.ndarray | None = None) -> float:
-        if w is None:
-            w = v
-        return float(np.dot(self.mass * v, w))
+    def mass_quadform(self, v: np.ndarray) -> float:
+        return float(np.dot(self.mass * v, v))
 
     def stiffness_tridiagonal(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """(main, off) diagonals of K on nodes[start:], as new arrays."""

@@ -37,6 +37,10 @@ FACTORS: dict[str, tuple[Callable, Callable]] = {
     "exp": (np.exp, np.exp),
 }
 
+# points of the geometric sample of (0, 1] on which `degeneracy_mu_a`
+# estimates mu_a for a coefficient that is not a pure power
+MU_A_SAMPLES = 2001
+
 
 @dataclass(frozen=True)
 class CoefficientSpec:
@@ -124,18 +128,16 @@ class CoefficientSpec:
         return PchipInterpolator(self.table_x, self.table_a)
 
 
-def degeneracy_mu_a(spec: CoefficientSpec, n_samples: int = 2001) -> float:
+def degeneracy_mu_a(spec: CoefficientSpec) -> float:
     """Estimate mu_a = sup x |a'(x)| / a(x) over a geometric sample of (0, 1].
 
     Exact for pure power laws.  Raises NonPositive if the coefficient is not
     positive at a sampled interior point.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be >= 100")
     if spec.kind == "power":
         return float(spec.alpha)
     # geometric sample of (0, 1], clustered at the degeneracy point
-    xs = np.geomspace(1e-6, 1.0, n_samples)
+    xs = np.geomspace(1e-6, 1.0, MU_A_SAMPLES)
     a = np.asarray(spec.a(xs), dtype=float)
     if np.any(a <= 0.0):
         raise NonPositive("coefficient must be positive on (0, 1]")

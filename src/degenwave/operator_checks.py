@@ -44,8 +44,10 @@ stepper's blocks share), one standard_normal fill each.  A block is
 read-only and shared by the claims: claim 3 reads it as drawn, claim 1 and
 the drift read projected copies, and claim 2 zeroes the Dirichlet node of
 its load in a copy.  The operations
-are row-wise: the projection, the quadratic form, the energy blocks of
-||.||_t and ||.||_H (`analysis.energy_parts`) and the residuals.
+are row-wise: the projection, the quadratic form, the squared norms
+||.||_t^2 and ||.||_H^2 and the residuals.  Each squared norm is twice the
+energy `analysis.lyapunov_raw` gives with tau = tau(t) or tau = 1, so
+||U||_t^2 of a recorded state is twice its recorded E.
 Row-wise sums (np.vecdot) and the multi-right-hand-side LAPACK solves give
 each row the bits it would get alone, so the rows do not depend on the
 block size.  The resolvent factors its SPD tridiagonal once per time and
@@ -63,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import energy_parts
+from .analysis import lyapunov_raw
 from .delay_channel import (
     BLOCK_DOUBLES,
     delta_grid,
@@ -139,24 +141,6 @@ def iota(delay: DelaySpec, t):
     """Stabilizing shift sqrt(1 + tau'^2) / (2 tau), elementwise like tau."""
     tp = delay.tau_prime(t)
     return np.sqrt(1.0 + tp * tp) / (2.0 * delay.tau(t))
-
-
-def norm_t_sq(U, t, ctx: ProbeContext):
-    """Squared time-dependent state norm (trapezoid in delta): twice the
-    energy of U at time t.  U may be a stack of trials (B, n), and t a list
-    of T times, giving a (T, B) array."""
-    u, v, w = U
-    t = np.asarray(t, dtype=float)
-    # a list of times becomes a column that broadcasts against the trials
-    tau = ctx.delay.tau(t if t.ndim == 0 else t[:, None])
-    return sum(energy_parts(u, v, w, tau, ctx.ops, ctx.gains).values())
-
-
-def norm_h_sq(U, ctx: ProbeContext):
-    """Squared reference norm (no tau weight on the channel block), row by
-    row for a stack of trials."""
-    u, v, w = U
-    return sum(energy_parts(u, v, w, 1.0, ctx.ops, ctx.gains).values())
 
 
 def project_to_domain(U, ctx: ProbeContext):
@@ -239,7 +223,7 @@ def quadratic_form(U, times, ctx: ProbeContext):
     wsum = w[..., 1:] + w[..., :-1]
     pair = np.vecdot(0.5 * wsum * (w[..., 1:] - w[..., :-1]), weights)
     val = val + g.mu1 * ops.a1 * pair
-    norm = norm_t_sq(U, times, ctx)
+    norm = 2.0 * lyapunov_raw(u, v, w, tau, ops, g)[0]
     return val - shift * norm, norm
 
 
@@ -373,7 +357,8 @@ def _claim2(times, ctx: ProbeContext, trials: int, seed: int):
         f = f.copy()
         f[:, :ctx.ops.first_active] = 0.0
         # residuals are measured relative to max(1, ||G||_H), row by row
-        scale = np.maximum(1.0, np.sqrt(norm_h_sq((f, g, h), ctx)))
+        scale = np.maximum(1.0, np.sqrt(
+            2.0 * lyapunov_raw(f, g, h, 1.0, ctx.ops, ctx.gains)[0]))
         for row, res in zip(rows, solvers):
             residual, ident = res.solve(f, g, h, scale)[3:]
             r = _running_max(row, "max_residual", residual)
@@ -390,6 +375,8 @@ def _claim3(pairs, ctx: ProbeContext, trials: int, seed: int):
     in-proof exponent d/tau0 is reported alongside."""
     pairs = [(float(s), float(t)) for s, t in pairs]
     times = list(dict.fromkeys(x for pair in pairs for x in pair))
+    # a column of delays that broadcasts against a block's trials
+    taus = ctx.delay.tau(np.asarray(times)[:, None])
     d, tau0 = ctx.delay.d, ctx.delay.tau0
     rows = [{"max_ratio": 0.0,
              "bound_stated": math.exp(d / (2.0 * tau0) * abs(t - s)),
@@ -397,7 +384,7 @@ def _claim3(pairs, ctx: ProbeContext, trials: int, seed: int):
              "excess": 0.0, "pass": True, "seed": seed} for s, t in pairs]
 
     def update(k0, *U):
-        norms = norm_t_sq(U, times, ctx)
+        norms = 2.0 * lyapunov_raw(*U, taus, ctx.ops, ctx.gains)[0]
         for row, (s, t) in zip(rows, pairs):
             a, b = norms[times.index(t)], norms[times.index(s)]
             live = b > 0.0
@@ -423,17 +410,19 @@ def _dadt(times, ctx: ProbeContext, trials: int = 50,
             for _ in times]
     # the difference has no u or v block; 1-d zeros broadcast against it
     zero = np.zeros(ctx.mesh.N + 1)
+    ops, g = ctx.ops, ctx.gains
 
     def update(k0, *U):
         U = project_to_domain(U, ctx)
-        base = norm_h_sq(U, ctx)
+        base = 2.0 * lyapunov_raw(*U, 1.0, ops, g)[0]
         for row, t in zip(rows, times):
             a0 = generator_apply(U, t, ctx)
-            graph = np.sqrt(base + norm_h_sq(a0, ctx))
+            graph = np.sqrt(base + 2.0 * lyapunov_raw(*a0, 1.0, ops, g)[0])
             live = graph > 0.0
             for hstep in steps:
                 diff = (_transport_block(U[2], t + hstep, ctx) - a0[2]) / hstep
-                num = np.sqrt(norm_h_sq((zero, zero, diff), ctx))
+                num = np.sqrt(
+                    2.0 * lyapunov_raw(zero, zero, diff, 1.0, ops, g)[0])
                 _running_max(row, f"h={hstep:g}", num[live] / graph[live])
 
     return trials, update, rows

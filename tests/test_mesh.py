@@ -11,7 +11,7 @@ from degenwave import (
     make_coefficient,
     structural_constants,
 )
-from degenwave.analysis import energy_parts
+from degenwave.analysis import lyapunov_raw
 from degenwave.errors import BadMeshParams, BcMismatch, ShapeMismatch, SolveFailure
 from degenwave.mesh import SPDTridiagonal
 
@@ -165,8 +165,9 @@ class TestTridiagonal:
 
 
 class TestWeightedNorms:
-    # the u and v blocks of the state norm, from analysis.energy_parts:
-    # "elastic" = u^T K u, "kinetic" = v^T M v, "boundary" = beta a(1) u(1)^2
+    # the u and v blocks of the state norm: u^T K u is
+    # ops.stiffness_quadform and v^T M v is ops.mass_quadform;
+    # analysis.lyapunov_raw sums them with the boundary and delay blocks
     GAINS = GainSet(1.0, 0.0, 1.0)
 
     def test_zero(self):
@@ -174,42 +175,39 @@ class TestWeightedNorms:
         mesh = build_mesh(8, 1.0)
         ops = assemble_operators(spec, mesh, "dirichlet_left")
         z = np.zeros(9)
-        parts = energy_parts(z, z, np.zeros(5), 1.0, ops, self.GAINS)
-        assert parts == {"kinetic": 0.0, "elastic": 0.0, "boundary": 0.0,
-                         "delay": 0.0}
+        assert ops.mass_quadform(z) == 0.0
+        assert ops.stiffness_quadform(z) == 0.0
+        assert lyapunov_raw(z, z, np.zeros(5), 1.0, ops,
+                            self.GAINS) == (0.0, 0.0)
 
     def test_constant_velocity_exact(self):
         spec = make_coefficient("power", {"alpha": 0.5})
         for gamma in [1.0, 2.0, 3.5]:
             mesh = build_mesh(19, gamma)
             ops = assemble_operators(spec, mesh, "dirichlet_left")
-            parts = energy_parts(np.zeros(20), np.ones(20), np.zeros(5), 1.0,
-                                 ops, self.GAINS)
-            assert abs(parts["kinetic"] - 1.0) < 1e-14
+            assert abs(ops.mass_quadform(np.ones(20)) - 1.0) < 1e-14
 
     def test_ramp_gradient_energy(self):
         # u = x with a = sqrt(x): integral of sqrt(x) is 2/3
         spec = make_coefficient("power", {"alpha": 0.5})
         mesh = build_mesh(512, 4.0 / 3.0)
         ops = assemble_operators(spec, mesh, "dirichlet_left")
-        parts = energy_parts(mesh.nodes, np.zeros(513), np.zeros(5), 1.0, ops,
-                             self.GAINS)
-        assert abs(parts["elastic"] - 2.0 / 3.0) < 1e-3
+        assert abs(ops.stiffness_quadform(mesh.nodes) - 2.0 / 3.0) < 1e-3
 
     def test_shape_mismatch(self):
         spec = make_coefficient("power", {"alpha": 0.5})
         mesh = build_mesh(8, 1.0)
         ops = assemble_operators(spec, mesh, "dirichlet_left")
         with pytest.raises(ShapeMismatch):
-            energy_parts(np.zeros(5), np.zeros(9), np.zeros(5), 1.0, ops,
+            lyapunov_raw(np.zeros(5), np.zeros(9), np.zeros(5), 1.0, ops,
                          self.GAINS)
         with pytest.raises(ShapeMismatch):
-            energy_parts(np.zeros((3, 9)), np.zeros((3, 8)), np.zeros((3, 5)),
+            lyapunov_raw(np.zeros((3, 9)), np.zeros((3, 8)), np.zeros((3, 5)),
                          1.0, ops, self.GAINS)
 
     def test_discrete_poincare_with_slack(self):
-        # kinetic(u) <= 2 u(1)^2 + C_P * elastic(u), within the stated
-        # additive slack, on random vectors
+        # u^T M u <= 2 u(1)^2 + C_P u^T K u, within the stated additive
+        # slack, on random vectors
         spec = make_coefficient("power", {"alpha": 0.5})
         consts = structural_constants(spec, beta=1.0)
         mesh = build_mesh(256, 4.0 / 3.0)
@@ -218,8 +216,7 @@ class TestWeightedNorms:
         for _ in range(200):
             u = rng.standard_normal(257)
             u[0] = 0.0
-            parts = energy_parts(u, u, np.zeros(5), 1.0, ops, self.GAINS)
-            bound = (2.0 * u[-1] ** 2
-                     + consts.poincare_const * parts["elastic"]
-                     + 0.05 * (parts["elastic"] + u[-1] ** 2))
-            assert parts["kinetic"] <= bound
+            elastic = ops.stiffness_quadform(u)
+            bound = (2.0 * u[-1] ** 2 + consts.poincare_const * elastic
+                     + 0.05 * (elastic + u[-1] ** 2))
+            assert ops.mass_quadform(u) <= bound

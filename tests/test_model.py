@@ -86,11 +86,6 @@ class TestCoefficient:
         oracle = np.max(np.abs(1.2 - xs / (2.0 - xs)))
         assert abs(spec.mu_a - oracle) < 1e-6
 
-    def test_mu_a_requires_enough_samples(self):
-        spec = make_coefficient("power", {"alpha": 0.5})
-        with pytest.raises(ValueError):
-            degeneracy_mu_a(spec, n_samples=10)
-
     def test_tabulated_roundtrip(self):
         # the estimator reflects the interpolant itself, which is linear
         # below the first table node, so a tabulated ramp has index 1

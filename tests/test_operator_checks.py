@@ -14,7 +14,7 @@ from degenwave import (
     make_delay,
 )
 from degenwave import operator_checks
-from degenwave.analysis import energy_parts
+from degenwave.analysis import lyapunov_raw
 from degenwave.delay_channel import (
     delta_grid,
     delta_trap_weights,
@@ -35,13 +35,18 @@ from degenwave.operator_checks import (
     channel_resolvent_weights,
     generator_apply,
     iota,
-    norm_h_sq,
-    norm_t_sq,
     project_to_domain,
+    quadratic_form,
     run_certificate,
 )
 
 DELAY = make_delay("saturating_exponential", {"tau0": 0.5, "tau1": 1.0, "k": 0.4})
+
+
+def norm_sq(U, tau, ctx):
+    """||U||^2 as the certificate takes it: twice the energy of U with the
+    delay weight tau (tau(t) for ||U||_t^2, 1 for ||U||_H^2)."""
+    return 2.0 * lyapunov_raw(*U, tau, ctx.ops, ctx.gains)[0]
 
 
 def _drift(times, ctx, trials, seed):
@@ -96,9 +101,9 @@ class TestGeneratorApply:
         for _ in range(100):
             U = (rng.standard_normal(65), rng.standard_normal(65),
                  rng.standard_normal(33))
-            h = norm_h_sq(U, ctx)
+            h = norm_sq(U, 1.0, ctx)
             for t in [0.0, 1.0, 7.5]:
-                nt = norm_t_sq(U, t, ctx)
+                nt = norm_sq(U, DELAY.tau(t), ctx)
                 assert c1 * h - 1e-12 <= nt <= c2 * h + 1e-12
 
 
@@ -183,7 +188,7 @@ class TestResolvent:
             res = Resolvent(0.7, ctx)
             f, g = rng.standard_normal((2, 3, 65))
             h = rng.standard_normal((3, 33))
-            scale = np.maximum(1.0, np.sqrt(norm_h_sq((f, g, h), ctx)))
+            scale = np.maximum(1.0, np.sqrt(norm_sq((f, g, h), 1.0, ctx)))
             stacked = res.solve(f, g, h, scale)
             for i in range(3):
                 row = slice(i, i + 1)
@@ -210,7 +215,8 @@ class TestNormRatio:
         ctx = make_ctx()
         t, s = 1.5, 0.5
         U = (np.zeros(65), np.zeros(65), np.ones(33))
-        ratio = math.sqrt(norm_t_sq(U, t, ctx) / norm_t_sq(U, s, ctx))
+        ratio = math.sqrt(norm_sq(U, DELAY.tau(t), ctx)
+                          / norm_sq(U, DELAY.tau(s), ctx))
         expect = math.sqrt(float(DELAY.tau(t)) / float(DELAY.tau(s)))
         assert ratio == pytest.approx(expect, rel=1e-14)
         assert ratio <= math.exp(DELAY.d / (2 * DELAY.tau0) * (t - s))
@@ -219,13 +225,38 @@ class TestNormRatio:
         ctx = make_ctx()
         rng = np.random.default_rng(8)
         U = (rng.standard_normal(65), rng.standard_normal(65), np.zeros(33))
-        assert norm_t_sq(U, 4.0, ctx) == norm_t_sq(U, 1.0, ctx)
+        assert norm_sq(U, DELAY.tau(4.0), ctx) == norm_sq(U, DELAY.tau(1.0),
+                                                          ctx)
 
     def test_stated_bound_with_margin(self):
         ctx = make_ctx()
         [rep] = _run(ctx, 10, [_claim3([(0.5, 1.5)], ctx, 300, 10)])[0]
         assert rep["excess"] == 0.0
         assert rep["bound_proof"] >= rep["bound_stated"]
+
+
+def test_norm_of_a_recorded_state_is_twice_its_energy():
+    # the certificate's ||U||_t^2 of a state that simulate recorded is
+    # twice the recorded E, bit for bit, at instants where the channel is
+    # empty and where it carries the delayed trace
+    from degenwave import config
+
+    cfg = config.apply_overrides(config.load_config("baseline"), [
+        "mesh.n=64", "channel.n_delta=16", "integrator.t_final=0.5"])
+    setup = config.build_setup(cfg)
+    snaps = []
+    (traj,) = config.run_from_setup([setup], snapshot_sink=[
+        lambda st: snaps.append((st.t, st.u.copy(), st.v.copy(),
+                                 st.w.copy()))])
+    ctx = ProbeContext(mesh=setup.mesh, ops=setup.ops, gains=setup.gains,
+                       delay=setup.delay, n_delta=cfg.channel_n_delta)
+    assert len(snaps) == traj.t.size
+    for i in (0, 1, len(snaps) // 2, len(snaps) - 1):
+        t, u, v, w = snaps[i]
+        assert t == traj.t[i]
+        [[norm]] = quadratic_form((u[None], v[None], w[None]), [t], ctx)[1]
+        assert norm == 2.0 * traj.E[i] > 0.0
+    assert np.any(w != 0.0)
 
 
 class TestGeneratorDrift:
@@ -461,36 +492,39 @@ class TestStackedAgainstPerTrial:
             ctx, seed, [_dadt(self.TIMES, ctx)])[0]
         assert cert["pass"] == (case != "violating")
 
-    def test_energy_parts_stack_equals_rows(self):
+    def test_norm_stack_equals_rows(self):
+        # the certificate's (T, B) norms: a (B, n) stack against a column
+        # of T delays gives each entry the bits of its own 1-d call, which
+        # is half the sum of the four blocks taken row by row
         ctx = make_ctx()
         ops, g = ctx.ops, ctx.gains
         rng = np.random.default_rng(17)
         u, v = rng.standard_normal((2, 9, 65))
         w = rng.standard_normal((9, 33))
         taus = np.array([0.5, 0.83, 1.0])
-        stacked = energy_parts(u, v, w, taus[:, None], ops, g)
+        stacked = lyapunov_raw(u, v, w, taus[:, None], ops, g)[0]
+        assert stacked.shape == (3, 9)
         for j, tau in enumerate(taus.tolist()):
             for i in range(9):
-                one = energy_parts(u[i], v[i], w[i], tau, ops, g)
-                for key, val in one.items():
-                    assert np.broadcast_to(stacked[key], (3, 9))[j, i] == val
                 du = u[i, 1:] - u[i, :-1]
-                assert one == {
-                    "kinetic": float((ops.mass * v[i]) @ v[i]),
-                    "elastic": float((ops.k_cell * du) @ du),
-                    "boundary": g.beta * ops.a1 * float(u[i, -1]) ** 2,
-                    "delay": g.mu1 * ops.a1 * tau * float(
-                        delta_trap_weights(32) @ (w[i] * w[i])),
-                }
+                one = lyapunov_raw(u[i], v[i], w[i], tau, ops, g)[0]
+                assert stacked[j, i] == one == 0.5 * (
+                    float((ops.mass * v[i]) @ v[i])
+                    + float((ops.k_cell * du) @ du)
+                    + g.beta * ops.a1 * float(u[i, -1]) ** 2
+                    + g.mu1 * ops.a1 * tau * float(
+                        delta_trap_weights(32) @ (w[i] * w[i])))
 
         # the boundary block is the float u(1) ** 2 (libm pow), which differs
         # from u(1) * u(1) in about one value in a thousand: check many
+        # constant states, whose energy is that block alone
         small = make_ctx(n=8, n_delta=4)
-        u = rng.standard_normal((20000, 9))
-        boundary = energy_parts(u, u, u[:, :5], 1.0, small.ops,
-                                g)["boundary"]
-        assert boundary.tolist() == [g.beta * small.ops.a1 * x ** 2
-                                     for x in u[:, -1].tolist()]
+        x = rng.standard_normal(20000)
+        u = np.repeat(x[:, None], 9, axis=1)
+        e = lyapunov_raw(u, np.zeros_like(u), np.zeros((20000, 5)), 1.0,
+                         small.ops, g)[0]
+        assert e.tolist() == [0.5 * (g.beta * small.ops.a1 * y ** 2)
+                              for y in x.tolist()]
 
 
 class TestTrialStream:

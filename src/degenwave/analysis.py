@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .delay_channel import delta_grid, delta_trap_weights
-from .errors import NoStrictDamping, ShapeMismatch
+from .errors import HypothesisError, NoStrictDamping, ShapeMismatch
 from .mesh import (
     DiscreteOperators,
     Mesh,
@@ -139,7 +139,8 @@ def choose_epsilon(spec: CoefficientSpec, gains: GainSet, delay: DelaySpec,
         eps <= C3 a(1) / max{1 + (5/2) a(1) mu1^2 + mu1 a(1),
                              (5/2) a(1) mu2^2}.
 
-    Raises NoStrictDamping when the damping coefficient C3 is not positive.
+    Raises NoStrictDamping when the damping coefficient C3 is not positive,
+    and HypothesisError when the displacement-trace coefficient C7 is not.
     """
     if constants is None:
         constants = full_constants(spec, gains, delay)
@@ -159,7 +160,7 @@ def choose_epsilon(spec: CoefficientSpec, gains: GainSet, delay: DelaySpec,
     eps = min(eps_sandwich, eps_damping)
     c7 = beta * (beta - spec.mu_a + 1.0) + (2.0 * beta - spec.mu_a / 2.0) ** 2
     if c7 <= 0.0:
-        raise ValueError(
+        raise HypothesisError(
             "displacement-trace coefficient is not positive for these "
             "(mu_a, beta); outside the certificate's validity"
         )

@@ -48,14 +48,13 @@ def _load(args) -> cfgmod.RunConfig:
     return cfg
 
 
-def _out_prefix(args, cfg, default_stem: str) -> Path:
-    if args.out:
-        prefix = Path(args.out)
-    elif cfg.outputs_csv:
-        prefix = Path(cfg.outputs_csv).with_suffix("")
-    else:
-        prefix = Path("out") / default_stem
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+def _out_prefix(args, cfg, default_stem: str) -> str:
+    """The path the outputs' suffixes are appended to: --out, else
+    outputs.csv, without one trailing ".csv" (any other dotted part is
+    kept), else out/<default_stem>."""
+    prefix = args.out or cfg.outputs_csv or str(Path("out") / default_stem)
+    prefix = prefix[:-4] if prefix.endswith(".csv") else prefix
+    Path(prefix).parent.mkdir(parents=True, exist_ok=True)
     return prefix
 
 
@@ -117,30 +116,23 @@ def _fan_out(fn, items: list, jobs: int) -> list:
 
 @dataclass(eq=False)
 class Simulation:
-    """One config of a batch: its setup, constants, Lyapunov parameters,
-    snapshot store (or None) and, once run, its trajectory."""
+    """One config of a batch: its setup, constants, Lyapunov parameters
+    and, once run, its trajectory."""
 
     setup: cfgmod.RunSetup
     consts: model.StructuralConstants
     lyap: Optional[analysis.LyapunovParams]
-    store: Optional[reporting.SnapshotStore]
     traj: Optional[stepper.Trajectory] = None
 
     @classmethod
-    def prepare(cls, cfg: cfgmod.RunConfig, snapshots: bool) -> "Simulation":
+    def prepare(cls, cfg: cfgmod.RunConfig) -> "Simulation":
         setup = cfgmod.build_setup(cfg)
         consts = model.full_constants(setup.spec, setup.gains, setup.delay)
         lyap = None
         if consts.strictly_damped:
             lyap = analysis.choose_epsilon(setup.spec, setup.gains,
                                            setup.delay, consts)
-        store = None
-        if snapshots:
-            store = reporting.SnapshotStore(
-                stepper.record_count(cfg.integrator_t_final, setup.dt,
-                                     cfg.integrator_record_every),
-                setup.ops.n_nodes, cfg.channel_n_delta + 1)
-        return cls(setup, consts, lyap, store)
+        return cls(setup, consts, lyap)
 
 
 def build_report(sim: Simulation) -> dict:
@@ -179,7 +171,9 @@ def build_report(sim: Simulation) -> dict:
         "E0": e0,
         "E_final": float(e[-1]),
         "bc_residual_max": float(np.max(traj.bc_residual)),
-        "bc_residual_coeff": traj.bc_residual_coeff,
+        # C in max bc_residual <= C (dt + 1/N)
+        "bc_residual_coeff": float(np.max(traj.bc_residual)
+                                   / (setup.dt + 1.0 / setup.mesh.N)),
         "channel_discrepancy_max":
             float(np.max(np.abs(traj.channel_discrepancy))),
     }
@@ -195,9 +189,9 @@ def build_report(sim: Simulation) -> dict:
     _put_audit(audits, "sandwich_violation",
                None if lyap is None else analysis.sandwich_audit(traj, lyap),
                1e-12 * max(e0, 1.0))
-    if sim.store is not None:
+    if traj.snapshots is not None:
         audits["snapshot_energy_max_rel_err"] = (
-            sim.store.recompute_energy_max_rel_err(
+            reporting.snapshot_energy_max_rel_err(
                 traj, setup.ops, setup.gains, setup.delay))
 
     return {
@@ -258,7 +252,7 @@ def simulate_batch(cfgs: list[cfgmod.RunConfig],
     sims = []
     for cfg in cfgs:
         try:
-            sims.append(Simulation.prepare(cfg, snapshots))
+            sims.append(Simulation.prepare(cfg))
         except DegenwaveError as exc:
             sims.append(exc)
     live = [i for i, s in enumerate(sims) if isinstance(s, Simulation)]
@@ -267,7 +261,7 @@ def simulate_batch(cfgs: list[cfgmod.RunConfig],
             trajs = cfgmod.run_from_setup(
                 [sims[i].setup for i in live],
                 lyap=[sims[i].lyap for i in live],
-                snapshot_sink=[sims[i].store for i in live])
+                snapshots=snapshots)
         except DegenwaveError as exc:
             trajs = [exc] * len(live)
         for i, traj in zip(live, trajs):
@@ -280,11 +274,11 @@ def simulate_batch(cfgs: list[cfgmod.RunConfig],
 
 def simulate_config(cfg: cfgmod.RunConfig, snapshots: bool = False):
     """Run one scenario (a batch of one); returns (setup, trajectory,
-    report, snapshot store)."""
+    report)."""
     (sim,) = simulate_batch([cfg], snapshots)
     if isinstance(sim, DegenwaveError):
         raise sim
-    return sim.setup, sim.traj, build_report(sim), sim.store
+    return sim.setup, sim.traj, build_report(sim)
 
 
 def _strict_failures(report: dict) -> list[str]:
@@ -309,14 +303,13 @@ def _strict_failures(report: dict) -> list[str]:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    setup, traj, report, store = simulate_config(cfg, snapshots=args.snapshots)
+    setup, traj, report = simulate_config(cfg, snapshots=args.snapshots)
     prefix = _out_prefix(args, cfg, Path(args.config).stem)
-    csv_path = prefix.with_suffix(".csv")
-    json_path = prefix.with_suffix(".json")
+    csv_path, json_path = prefix + ".csv", prefix + ".json"
     reporting.write_trajectory_csv(traj, csv_path)
     reporting.write_report(report, json_path)
-    if store is not None:
-        store.save(prefix.with_suffix(".snapshots.npz"))
+    if traj.snapshots is not None:
+        reporting.save_snapshots(traj, prefix + ".snapshots.npz")
     print(f"wrote {csv_path} ({traj.t.size} samples) and {json_path}")
     e = traj.E
     print(f"E(0) = {e[0]:.6g}, E(T) = {e[-1]:.6g}, "

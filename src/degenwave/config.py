@@ -371,12 +371,13 @@ def batch_key(cfg: RunConfig) -> RunConfig:
     return replace(cfg, gains_mu1=0.0, gains_mu2=0.0, gains_beta=0.0, seed=0)
 
 
-def run_from_setup(setups: list[RunSetup], lyap=None, snapshot_sink=None):
+def run_from_setup(setups: list[RunSetup], lyap=None,
+                   snapshots: bool = False):
     """`stepper.run` of setups that share their `batch_key`, as one lockstep
-    batch whose rows each have their own gains (with `lyap` and
-    `snapshot_sink` one entry per setup, or None); one Trajectory or
-    NonFiniteState per setup.  Raises ValueError naming the first config
-    key in which a setup differs from the first one."""
+    batch whose rows each have their own gains (with `lyap` one entry per
+    setup, or None), keeping the snapshots when `snapshots` is set; one
+    Trajectory or NonFiniteState per setup.  Raises ValueError naming the
+    first config key in which a setup differs from the first one."""
     first = setups[0]
     cfg = first.cfg
     key = batch_key(cfg)
@@ -392,5 +393,5 @@ def run_from_setup(setups: list[RunSetup], lyap=None, snapshot_sink=None):
         t_final=cfg.integrator_t_final, dt=first.dt, initial=first.initial,
         record_every=cfg.integrator_record_every,
         n_delta=cfg.channel_n_delta,
-        lyap=lyap, snapshot_sink=snapshot_sink,
+        lyap=lyap, snapshots=snapshots,
     )

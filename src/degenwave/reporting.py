@@ -2,7 +2,9 @@
 
 Formats are deterministic: floats in the CSV carry 17 significant digits in
 scientific notation, JSON keys are sorted, and no timestamps are embedded,
-so identical configs and seeds produce byte-identical files.
+so identical configs and seeds produce byte-identical files.  Every
+writer and the snapshot energy audit read a `stepper.Trajectory`, the one
+store of what a run recorded (its snapshots when `stepper.run` kept them).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .stepper import COLUMNS
 
 # one CSV row: every column as %.16e (17 significant digits)
 _ROW_FORMAT = ",".join(["%.16e"] * len(COLUMNS))
-# rows per formatted block: BLOCK_DOUBLES values, as SnapshotStore.save
+# rows per formatted block: BLOCK_DOUBLES values, as save_snapshots
 _CSV_BLOCK_ROWS = BLOCK_DOUBLES // len(COLUMNS)
 
 
@@ -67,53 +69,34 @@ def write_report(report: dict, path) -> None:
     Path(path).write_text(report_json_text(report), encoding="utf-8")
 
 
-class SnapshotStore:
-    """Per-instant state snapshots for the optional .npz sidecar, in arrays
-    sized once for the run's `rows` recorded instants (`stepper.record_count`)
-    of n_nodes nodes and n_channel channel values; `save` and the energy
-    audit read the filled rows in place."""
+def save_snapshots(traj, path) -> None:
+    """Write a trajectory's recorded times and snapshots as an .npz file
+    with members t, u, v and w, the layout of np.savez, BLOCK_DOUBLES
+    values at a time (np.savez would copy up to 16 MB per write)."""
+    with zipfile.ZipFile(path, mode="w", compression=zipfile.ZIP_STORED,
+                         allowZip64=True) as zf:
+        for name, rows in zip("tuvw", (traj.t, *traj.snapshots)):
+            step = max(1, BLOCK_DOUBLES // max(1, rows[:1].size))
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fid:
+                np.lib.format.write_array_header_1_0(
+                    fid, np.lib.format.header_data_from_array_1_0(rows))
+                for r in range(0, len(rows), step):
+                    fid.write(memoryview(rows[r:r + step]))
 
-    def __init__(self, rows: int, n_nodes: int, n_channel: int):
-        self.count = 0
-        self.t = np.empty(rows)
-        self.u = np.empty((rows, n_nodes))
-        self.v = np.empty((rows, n_nodes))
-        self.w = np.empty((rows, n_channel))
 
-    def __call__(self, state) -> None:
-        i = self.count
-        self.t[i], self.u[i], self.v[i], self.w[i] = (state.t, state.u,
-                                                      state.v, state.w)
-        self.count = i + 1
-
-    def save(self, path) -> None:
-        """Write the filled rows as an .npz file, the layout of np.savez,
-        BLOCK_DOUBLES at a time (np.savez would copy up to 16 MB per
-        write)."""
-        n = self.count
-        with zipfile.ZipFile(path, mode="w", compression=zipfile.ZIP_STORED,
-                             allowZip64=True) as zf:
-            for name in ("t", "u", "v", "w"):
-                rows = getattr(self, name)[:n]
-                step = max(1, BLOCK_DOUBLES // max(1, rows[:1].size))
-                with zf.open(f"{name}.npy", "w", force_zip64=True) as fid:
-                    np.lib.format.write_array_header_1_0(
-                        fid, np.lib.format.header_data_from_array_1_0(rows))
-                    for r in range(0, n, step):
-                        fid.write(memoryview(rows[r:r + step]))
-
-    def recompute_energy_max_rel_err(self, traj, ops, gains, delay) -> float:
-        """Max relative gap between recorded E and E recomputed from the
-        stored snapshots, one stacked evaluation per block of snapshots
-        (BLOCK_DOUBLES // n_nodes of them, so that the stacks add little to
-        the snapshots' own memory)."""
-        rows = max(1, BLOCK_DOUBLES // ops.n_nodes)
-        worst = 0.0
-        for r in range(0, self.count, rows):
-            block = slice(r, min(r + rows, self.count))
-            e, _ = lyapunov_raw(self.u[block], self.v[block], self.w[block],
-                                delay.tau(self.t[block]), ops, gains)
-            e_rec = traj.E[block]
-            worst = max(worst, float(np.max(
-                np.abs(e - e_rec) / np.maximum(np.abs(e_rec), 1e-300))))
-        return worst
+def snapshot_energy_max_rel_err(traj, ops, gains, delay) -> float:
+    """Max relative gap between a trajectory's recorded E and E recomputed
+    from its snapshots, one stacked evaluation per block of instants
+    (BLOCK_DOUBLES // n_nodes of them, so that the stacks add little to the
+    snapshots' own memory)."""
+    u, v, w = traj.snapshots
+    rows = max(1, BLOCK_DOUBLES // ops.n_nodes)
+    worst = 0.0
+    for r in range(0, traj.t.size, rows):
+        block = slice(r, r + rows)
+        e, _ = lyapunov_raw(u[block], v[block], w[block],
+                            delay.tau(traj.t[block]), ops, gains)
+        e_rec = traj.E[block]
+        worst = max(worst, float(np.max(
+            np.abs(e - e_rec) / np.maximum(np.abs(e_rec), 1e-300))))
+    return worst

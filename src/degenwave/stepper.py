@@ -50,7 +50,9 @@ whatever the block's length).  A step is then the midpoint solve and one
 channel solve: the batch's channel is a C-order (B, m + 1) array whose
 Fortran-order transpose is solved where it lies, a column per row.  A
 recorded step copies u, v and w into the block's (instants, B, n) stacks,
-and the block's rows get their columns from one row-wise call each.
+and the block's rows get their columns from one row-wise call each; a run
+that keeps snapshots copies each stack into its (B, instants, n) stack of
+the run in one slice.
 `step` and `run` share every kernel, so they agree bit for bit.
 
 Step n lands on t = n dt exactly: the ring sits on the same uniform grid and
@@ -112,8 +114,10 @@ COLUMNS = ("t", "E", "E_tilde", "trace_v", "trace_v_delayed", "bc_residual",
 
 @dataclass
 class Trajectory:
-    """Recorded columns (one array per name in COLUMNS, one entry per
-    recorded instant) plus the final state and run metadata."""
+    """What a run recorded: the columns (one array per name in COLUMNS,
+    one entry per recorded instant), the run's warnings, the final state
+    and, when the run kept them, the snapshots (u, v, w): (instants, n)
+    stacks of the state at each instant of `t`."""
 
     t: np.ndarray
     E: np.ndarray
@@ -124,15 +128,7 @@ class Trajectory:
     channel_discrepancy: np.ndarray
     warnings: list[str]
     final_state: Optional[SimState] = None
-    dt: float = 0.0
-    n_space: int = 0
-
-    @property
-    def bc_residual_coeff(self) -> float:
-        """Reported C in max bc_residual <= C (dt + 1/N)."""
-        if not self.t.size or self.dt <= 0.0 or self.n_space <= 0:
-            return 0.0
-        return float(np.max(self.bc_residual) / (self.dt + 1.0 / self.n_space))
+    snapshots: Optional[tuple] = None
 
 
 def init_state(mesh: Mesh, ops: DiscreteOperators, delay: DelaySpec,
@@ -366,23 +362,18 @@ def step_count(t_final: float, dt: float) -> tuple[int, Optional[str]]:
                      f"steps dt = {dt:.10g}; the run ends at t = {t_end:.10g}")
 
 
-def record_count(t_final: float, dt: float, record_every: int) -> int:
-    """The number of instants `run` records: the initial one, every
-    record_every-th step and the last."""
-    return -(-step_count(t_final, dt)[0] // record_every) + 1
-
-
 def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
         delay: DelaySpec, t_final: float, dt: float, initial: tuple,
         record_every: int = 1, n_delta: int = 64, lyap=None,
-        snapshot_sink=None):
+        snapshots: bool = False):
     """Integrate to t_final, recording the COLUMNS every record_every
     steps (plus the initial and final instants).
 
     The rows, one per GainSet, run as one lockstep batch from the same
     initial data `initial` = (u0, v0, f0), as `init_state` takes them;
-    `lyap` (LyapunovParams or None) and `snapshot_sink` (callable or None)
-    are sequences with one entry per row, or None for none at all.
+    `lyap` (LyapunovParams or None) is a sequence with one entry per row,
+    or None for none at all.  With `snapshots`, each Trajectory also keeps
+    the state (u, v, w) at every recorded instant.
     Returns a list with each row's Trajectory, or the NonFiniteState that
     stopped that row.  A row gets the bits of its run alone; a single run
     is a batch of one.
@@ -396,21 +387,18 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     every entry of u, v and w, so it catches any overflow or NaN in the
     state.  Where the boundary velocity alone already makes E non-finite
     at an unrecorded step, the row stops at the end of that step's block
-    and its message names that step.  The snapshot sink, if any, receives
-    every recorded instant of its row, in order, as a SimState with that
-    instant's t, u, v and w, whose arrays are valid during the call (its
-    ring is the batch's, which has moved on).
+    and its message names that step.
     """
     if t_final < 0.0 or dt <= 0.0 or record_every < 1:
         raise ValueError("need t_final >= 0, dt > 0, record_every >= 1")
     n_batch = len(gains)
     lyap = lyap or [None] * n_batch
-    sinks = snapshot_sink or [None] * n_batch
     batch = BatchGains.of(gains)
     eps = np.array([0.0 if p is None else p.epsilon for p in lyap])
 
     n_steps, note = step_count(t_final, dt)
-    n_rows = record_count(t_final, dt, record_every)
+    # the initial instant, every record_every-th step and the last
+    n_rows = -(-n_steps // record_every) + 1
     # a block reads the samples of all its steps before its first one:
     # (L + 1/2) dt <= tau0, half a step inside the exact bound so that
     # rounding never moves a read past the newest sample
@@ -427,6 +415,8 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     us, vs = np.empty((rows, n_batch, n)), np.empty((rows, n_batch, n))
     ws, w_buf = np.empty((rows, n_batch, m1)), np.empty((rows, n_batch))
     data = np.empty((n_batch, len(COLUMNS), n_rows))
+    snaps = ((np.empty((n_batch, n_rows, n)), np.empty((n_batch, n_rows, n)),
+              np.empty((n_batch, n_rows, m1))) if snapshots else None)
     # the batch's states node-major, a column per row
     u = np.repeat(state.u[:, None], n_batch, axis=1)
     v = np.repeat(state.v[:, None], n_batch, axis=1)
@@ -445,7 +435,6 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     buf = state.buffer
     advance = _midpoint_solver(u, v, batch.beta.tolist(), ops, work)
     out: list = [None] * n_batch
-    any_sink = any(sink is not None for sink in sinks)
     # each row's first step whose trace alone makes E non-finite, with the
     # trace
     blown: dict = {}
@@ -505,34 +494,27 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
             # a row also stops at the end of the block where its energy
             # turned non-finite at an unrecorded step (it is in `blown`)
             for b, ok in enumerate(finite.all(axis=0).tolist()
-                                   if any_sink or not finite.all() or blown
-                                   else ()):
-                if out[b] is not None or (ok and sinks[b] is None
-                                          and b not in blown):
+                                   if not finite.all() or blown else ()):
+                if out[b] is not None or (ok and b not in blown):
                     continue
-                # the row's first instant with a non-finite energy, if any
+                # the row's first instant with a non-finite energy, if any;
+                # the row steps on with its column non-finite, unrecorded
                 stop = j if ok else int(finite[:, b].argmin())
-                if sinks[b] is not None:
-                    for i in range(stop):
-                        sinks[b](SimState(float(t_rec[i]), us[i, b], vs[i, b],
-                                          ws[i, b], buf))
-                if stop < j or b in blown:
-                    # the row steps on with its column non-finite, unrecorded
-                    r = r0 + stop
-                    first, trace = blown.get(b, (n_steps + 1, None))
-                    if stop == j or first < steps[stop]:
-                        # it blew up at an unrecorded step (so r > 0)
-                        what = (f"{float(first * dt)!r} (energy not finite: "
-                                f"boundary velocity {trace}); the last finite "
-                                f"one recorded was at t = "
-                                f"{float(data[b, 0, r - 1])!r}")
-                    else:
-                        last = (f"the last finite one was at t = "
-                                f"{float(data[b, 0, r - 1])!r}" if r else
-                                "no finite one was recorded")
-                        what = (f"{float(data[b, 0, r])!r} "
-                                f"(energy {e[stop, b]}); {last}")
-                    out[b] = NonFiniteState(f"state is not finite at t = {what}")
+                r = r0 + stop
+                first, trace = blown.get(b, (n_steps + 1, None))
+                if stop == j or first < steps[stop]:
+                    # it blew up at an unrecorded step (so r > 0)
+                    what = (f"{float(first * dt)!r} (energy not finite: "
+                            f"boundary velocity {trace}); the last finite "
+                            f"one recorded was at t = "
+                            f"{float(data[b, 0, r - 1])!r}")
+                else:
+                    last = (f"the last finite one was at t = "
+                            f"{float(data[b, 0, r - 1])!r}" if r else
+                            "no finite one was recorded")
+                    what = (f"{float(data[b, 0, r])!r} "
+                            f"(energy {e[stop, b]}); {last}")
+                out[b] = NonFiniteState(f"state is not finite at t = {what}")
             if all(o is not None for o in out):
                 break
             # the recorded delayed trace is the channel's outflow, the
@@ -544,14 +526,18 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
                     bc_residual(us[:j], vs[:j], w_buf[:j], batch, mesh),
                     w_chan - w_buf[:j]), 1):
                 cols[:, c] = col.T
+            if snaps is not None:
+                for snap, stack in zip(snaps, (us, vs, ws)):
+                    snap[:, r0:r1] = stack[:j].swapaxes(0, 1)
             r0 = r1
 
     for b in range(n_batch):
         if out[b] is None:
             final = SimState(n_steps * dt, u[:, b].copy(), v[:, b].copy(),
                              w_rows[b].copy(), buf)
-            out[b] = Trajectory(**dict(zip(COLUMNS, data[b])),
-                                warnings=list(warnings), final_state=final,
-                                dt=dt, n_space=mesh.N)
+            out[b] = Trajectory(
+                **dict(zip(COLUMNS, data[b])), warnings=list(warnings),
+                final_state=final,
+                snapshots=None if snaps is None else tuple(s[b] for s in snaps))
     return out
 

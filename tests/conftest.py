@@ -16,11 +16,10 @@ def initial(mesh, ops, preset="zero", f0="zero", f0_amplitude=1.0):
     return cfgmod.initial_data(cfg, ops.mu_a, mesh.nodes)
 
 
-def run_one(mesh, ops, gains, delay, lyap=None, snapshot_sink=None, **kw):
+def run_one(mesh, ops, gains, delay, lyap=None, **kw):
     """`stepper.run` of one GainSet, as a batch of one: the row's
     Trajectory, or the NonFiniteState that stopped it, raised."""
-    (traj,) = stepper.run(mesh, ops, [gains], delay, lyap=[lyap],
-                          snapshot_sink=[snapshot_sink], **kw)
+    (traj,) = stepper.run(mesh, ops, [gains], delay, lyap=[lyap], **kw)
     if isinstance(traj, NonFiniteState):
         raise traj
     return traj
@@ -32,7 +31,7 @@ def baseline_run():
     (setup, trajectory, report, wall_seconds)."""
     cfg = cfgmod.load_config("baseline")
     t0 = time.perf_counter()
-    setup, traj, report, _ = simulate_config(cfg)
+    setup, traj, report = simulate_config(cfg)
     elapsed = time.perf_counter() - t0
     return setup, traj, report, elapsed
 

@@ -76,7 +76,7 @@ def test_criterion_2_lyapunov_sandwich(baseline_run):
 
     for name in ("nodelay", "constant-delay", "strong-degeneracy"):
         cfg = cfgmod.load_config(name)
-        s2, t2, r2, _ = simulate_config(cfg)
+        s2, t2, r2 = simulate_config(cfg)
         lyap2 = choose_epsilon(s2.spec, s2.gains, s2.delay)
         w2 = sandwich_audit(t2, lyap2)
         ok = ok and w2 <= 0.0 + 1e-300
@@ -177,7 +177,7 @@ def test_criterion_7_delay_realization_consistency():
     for n_delta, dt in [(128, 5e-4), (256, 2.5e-4), (512, 1.25e-4)]:
         c = cfgmod.set_value(cfg, "channel.n_delta", n_delta)
         c = cfgmod.set_value(c, "integrator.dt", dt)
-        _, traj, _, _ = simulate_config(c)
+        _, traj, _ = simulate_config(c)
         discs.append(float(np.max(np.abs(traj.channel_discrepancy))))
     ratios = [discs[i] / discs[i + 1] for i in range(len(discs) - 1)]
     ok = all(1.7 <= r <= 2.6 for r in ratios)

@@ -206,6 +206,17 @@ class TestSimulateCli:
                       "--out", str(tmp_path / "x")])
         assert rc == EXIT_HYPOTHESIS
 
+    def test_non_positive_trace_coefficient_exit2(self, tmp_path, capsys):
+        # alpha = 1.5 with beta = 0.3 is well posed and strictly damped,
+        # but the certificate's displacement-trace coefficient C7 is < 0
+        rc = run_cli(["simulate", "--config", "strong-degeneracy",
+                      "--set", "gains.beta=0.3",
+                      "--set", "integrator.t_final=0.1",
+                      "--out", str(tmp_path / "x")])
+        assert rc == EXIT_HYPOTHESIS
+        assert ("displacement-trace coefficient is not positive for these "
+                "(mu_a, beta)") in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["coefficient.kind", "delay.kind"])
     def test_unknown_kind_exit2(self, key, tmp_path, capsys):
         rc = run_cli(["simulate", "--config", "baseline",
@@ -323,6 +334,31 @@ class TestSimulateCli:
         assert target.exists()
         assert target.with_suffix(".json").exists()
 
+    def test_dotted_out_prefix_keeps_its_parts(self, tmp_path, fast_args):
+        # every suffix is appended to the whole prefix: run.v2 is not run
+        out = tmp_path / "run.v2"
+        rc = run_cli(["simulate", "--config", "baseline", *fast_args,
+                      "--snapshots", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.v2.csv", "run.v2.json", "run.v2.snapshots.npz"]
+
+    def test_dotted_config_output_paths_do_not_collide(self, tmp_path,
+                                                       fast_args):
+        # outputs.csv drops one trailing .csv: res.mu0.1 and res.mu0.2 are
+        # two runs, not one file written twice
+        for mu2 in ("0.1", "0.2"):
+            rc = run_cli(["simulate", "--config", "baseline", *fast_args,
+                          "--set", f"gains.mu2={mu2}", "--set",
+                          f"outputs.csv={tmp_path / f'res.mu{mu2}.csv'}"])
+            assert rc == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "res.mu0.1.csv", "res.mu0.1.json", "res.mu0.2.csv",
+            "res.mu0.2.json"]
+        reports = [json.loads((tmp_path / f"res.mu{mu2}.json").read_text())
+                   for mu2 in ("0.1", "0.2")]
+        assert [r["config"]["gains.mu2"] for r in reports] == [0.1, 0.2]
+
 
 class TestCsvFormat:
     @staticmethod
@@ -382,27 +418,24 @@ class TestCsvFormat:
         assert (tmp_path / "traj.csv").stat().st_size > 100 * rows
 
 
-class TestSnapshotStore:
+class TestSaveSnapshots:
     def test_save_writes_the_savez_layout(self, tmp_path):
-        # the filled rows of the preallocated arrays, member for member the
-        # bytes np.savez writes for the same arrays
+        # a trajectory's times and snapshots, member for member the bytes
+        # np.savez writes for the same arrays
         import zipfile
         from types import SimpleNamespace
 
-        from degenwave.reporting import SnapshotStore
+        from degenwave.reporting import save_snapshots
 
         rng = np.random.default_rng(9)
-        store = SnapshotStore(rows=7, n_nodes=5, n_channel=3)
-        states = [SimpleNamespace(t=0.1 * i, u=rng.standard_normal(5),
-                                  v=rng.standard_normal(5),
-                                  w=rng.standard_normal(3)) for i in range(4)]
-        for st in states:
-            store(st)
-        store.save(tmp_path / "store.npz")
-        np.savez(tmp_path / "ref.npz",
-                 **{k: np.array([getattr(st, k) for st in states])
-                    for k in "tuvw"})
-        with zipfile.ZipFile(tmp_path / "store.npz") as a, \
+        arrays = {"t": 0.1 * np.arange(4), "u": rng.standard_normal((4, 5)),
+                  "v": rng.standard_normal((4, 5)),
+                  "w": rng.standard_normal((4, 3))}
+        traj = SimpleNamespace(t=arrays["t"], snapshots=(
+            arrays["u"], arrays["v"], arrays["w"]))
+        save_snapshots(traj, tmp_path / "traj.npz")
+        np.savez(tmp_path / "ref.npz", **arrays)
+        with zipfile.ZipFile(tmp_path / "traj.npz") as a, \
                 zipfile.ZipFile(tmp_path / "ref.npz") as b:
             assert a.namelist() == b.namelist()
             for name in b.namelist():
@@ -507,6 +540,22 @@ class TestSweep:
                            match=r"^integrator.t_final / integrator.dt = "):
             sweep_rows(cfg, [("gains.mu2", ["0", "0.2"])])
 
+    def test_non_positive_trace_coefficient_fails_its_row_alone(self,
+                                                                tmp_path):
+        # beta = 0.3 at alpha = 1.5 has no Lyapunov certificate (C7 < 0):
+        # that row fails, and the beta = 1 row is still written
+        import csv
+
+        out = tmp_path / "sw.csv"
+        rc = run_cli(["sweep", "--config", "strong-degeneracy",
+                      "--set", "integrator.t_final=0.1",
+                      "--axis", "gains.beta=1,0.3", "--out", str(out)])
+        assert rc == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["status"] for r in rows] == [
+            "ok", "failed: displacement-trace coefficient is not positive "
+            "for these (mu_a, beta); outside the certificate's validity"]
+
     def test_unknown_preset_row_fails_alone(self):
         rows = sweep_rows(self.small_cfg(),
                           [("initial.preset", ["ramp", "bogus"])])
@@ -560,7 +609,7 @@ class TestSweep:
         assert calls == [3, 3]
         assert [s.lyap is not None for s in sims] == [True, True, False]
         for row, sim in zip(rows, sims):
-            setup, traj, report, _ = simulate_config(sim.setup.cfg)
+            setup, traj, report = simulate_config(sim.setup.cfg)
             for name in stepper.COLUMNS:
                 assert np.array_equal(getattr(sim.traj, name),
                                       getattr(traj, name)), name
@@ -607,7 +656,7 @@ class TestSweep:
         with pytest.raises(NonFiniteState) as alone:
             simulate_config(cfgmod.set_value(cfg, "gains.mu2", "1e300"))
         assert rows[1]["status"] == f"failed: {alone.value}"
-        _, _, report, _ = simulate_config(cfgmod.set_value(cfg, "gains.mu2",
+        _, _, report = simulate_config(cfgmod.set_value(cfg, "gains.mu2",
                                                            "0.2"))
         assert rows[0]["status"] == "ok"
         assert rows[0]["E0"] == report["audits"]["E0"]
@@ -789,7 +838,7 @@ class TestConverge:
             c = cfgmod.apply_overrides(cfg, [
                 f"mesh.n={row['N']}", f"channel.n_delta={row['n_delta']}",
                 f"integrator.dt={row['dt']!r}"])
-            _, traj, report, _ = simulate_config(c)
+            _, traj, report = simulate_config(c)
             st = traj.final_state
             assert row["E_T"] == report["audits"]["E_final"]
             assert row["trace_u"] == float(st.u[-1])

@@ -46,7 +46,7 @@ def _pass_bits(tree, prefix=""):
 def record(scenario: str) -> dict:
     """The golden entry of one scenario, as computed by the current code."""
     cfg = config.apply_overrides(config.load_config(scenario), OVERRIDES)
-    _, traj, report, _ = simulate_config(cfg)
+    _, traj, report = simulate_config(cfg)
     e, et = traj.E, traj.E_tilde
     values = {"samples": int(e.size), "E_T": float(e[-1])}
     for k in range(0, e.size, SAMPLE_EVERY):

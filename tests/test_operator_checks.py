@@ -244,10 +244,8 @@ def test_norm_of_a_recorded_state_is_twice_its_energy():
     cfg = config.apply_overrides(config.load_config("baseline"), [
         "mesh.n=64", "channel.n_delta=16", "integrator.t_final=0.5"])
     setup = config.build_setup(cfg)
-    snaps = []
-    (traj,) = config.run_from_setup([setup], snapshot_sink=[
-        lambda st: snaps.append((st.t, st.u.copy(), st.v.copy(),
-                                 st.w.copy()))])
+    (traj,) = config.run_from_setup([setup], snapshots=True)
+    snaps = list(zip(traj.t, *traj.snapshots))
     ctx = ProbeContext(mesh=setup.mesh, ops=setup.ops, gains=setup.gains,
                        delay=setup.delay, n_delta=cfg.channel_n_delta)
     assert len(snaps) == traj.t.size

@@ -263,7 +263,8 @@ class TestStep:
                            record_every=5,
                            initial=initial(mesh, ops, "velocity-kick"),
                            n_delta=64)
-            coeffs.append(traj.bc_residual_coeff)
+            coeffs.append(float(np.max(traj.bc_residual)
+                                / (dt + 1.0 / mesh.N)))
         assert all(np.isfinite(c) for c in coeffs)
         assert max(coeffs) <= 3.0 * min(coeffs) + 1.0
 
@@ -411,10 +412,8 @@ class TestRecorder:
                                    setup.delay, setup.dt)
         lyap = choose_epsilon(spec, g, delay)
         assert lyap.epsilon > 0.0
-        snaps = []
-        (traj,) = config.run_from_setup(
-            [setup], lyap=[lyap], snapshot_sink=[lambda st: snaps.append(
-                (st.t, st.u.copy(), st.v.copy(), st.w.copy()))])
+        (traj,) = config.run_from_setup([setup], lyap=[lyap], snapshots=True)
+        snaps = list(zip(traj.t, *traj.snapshots))
 
         nodes = setup.mesh.nodes
         h = np.diff(nodes)
@@ -449,6 +448,26 @@ class TestRecorder:
             assert abs(traj.E[row] - e) <= 1e-13 * e0
             assert abs(traj.E_tilde[row] - (e + lyap.epsilon * block)) <= 1e-13 * e0
             assert abs(traj.bc_residual[row] - res) <= 1e-13 * e0
+
+    def test_snapshots_do_not_change_the_run(self):
+        # keeping the snapshots leaves every column and the final state
+        # bit for bit as they are; the last snapshot is the final state,
+        # also when the last instant falls off the record_every stride
+        from degenwave import config
+
+        cfg = config.apply_overrides(config.load_config("baseline"), [
+            "integrator.t_final=0.5", "integrator.record_every=7"])
+        setup = config.build_setup(cfg)
+        (plain,) = config.run_from_setup([setup])
+        (kept,) = config.run_from_setup([setup], snapshots=True)
+        assert plain.snapshots is None
+        for name in COLUMNS:
+            assert np.array_equal(getattr(kept, name), getattr(plain, name))
+        for part, snap in zip("uvw", kept.snapshots):
+            final = getattr(kept.final_state, part)
+            assert np.array_equal(final, getattr(plain.final_state, part))
+            assert snap.shape == (kept.t.size, final.size)
+            assert np.array_equal(snap[-1], final)
 
 
 def _blocked_setup(record_every, n=32, n_delta=16, t_final=0.6):
@@ -532,8 +551,8 @@ class TestBlockedRun:
         # a history that is NaN on a window between the channel nodes: the
         # initial state is finite, and the wave turns non-finite when the
         # delayed sample reaches the window.  The message names the step a
-        # step-by-step evaluation finds first non-finite, and the sink has
-        # seen exactly the recorded instants before it.  At stride 3 that
+        # step-by-step evaluation finds first non-finite, and the last
+        # finite recorded instant before it.  At stride 3 that
         # step is recorded; at stride 50 it is not, and the next recorded
         # instant lies past its block.
         import math
@@ -559,11 +578,9 @@ class TestBlockedRun:
         recorded = round(state.t / dt) % every == 0
         assert recorded == (every == 3)
 
-        sunk = []
         with pytest.raises(NonFiniteState) as info:
             run_one(mesh, ops, g, DELAY, t_final=0.5, dt=dt,
-                    record_every=every,
-                    snapshot_sink=lambda st: sunk.append(st.t), **kw)
+                    record_every=every, **kw)
         msg = str(info.value)
         if recorded:
             assert msg.startswith(
@@ -574,7 +591,6 @@ class TestBlockedRun:
                 f"state is not finite at t = {state.t!r} (energy not finite: "
                 f"boundary velocity nan); the last finite one recorded was "
                 f"at t = {seen[-1]!r}")
-        assert sunk == seen
 
 
 def _step_loop_columns(mesh, ops, g, delay, t_final, dt, record_every, lyap,
@@ -748,17 +764,11 @@ class TestBatchRun:
         kw = dict(t_final=0.8, dt=1e-3, record_every=3,
                   initial=initial(mesh, ops, "velocity-kick", "cosine"),
                   n_delta=16)
-        seen = [[] for _ in rows]
-        sinks = [lambda st, s=s: s.append((st.t, st.u.copy(), st.w.copy()))
-                 for s in seen]
-        batch = run(mesh, ops, rows, DELAY, lyap=lyaps, snapshot_sink=sinks,
-                    **kw)
-        for g, lyap, got, snaps in zip(rows, lyaps, batch, seen):
-            alone_snaps = []
+        batch = run(mesh, ops, rows, DELAY, lyap=lyaps, snapshots=True, **kw)
+        for g, lyap, got in zip(rows, lyaps, batch):
             try:
-                alone = run_one(mesh, ops, g, DELAY, lyap=lyap,
-                                snapshot_sink=lambda st: alone_snaps.append(
-                                    (st.t, st.u.copy(), st.w.copy())), **kw)
+                alone = run_one(mesh, ops, g, DELAY, lyap=lyap, snapshots=True,
+                                **kw)
             except NonFiniteState as exc:
                 assert g.mu2 == 1e300
                 assert isinstance(got, NonFiniteState)
@@ -772,11 +782,8 @@ class TestBatchRun:
                     assert np.array_equal(getattr(got.final_state, part),
                                           getattr(alone.final_state, part))
                 assert got.warnings == alone.warnings
-            assert len(snaps) == len(alone_snaps)
-            for mine, theirs in zip(snaps, alone_snaps):
-                assert mine[0] == theirs[0]
-                assert np.array_equal(mine[1], theirs[1])
-                assert np.array_equal(mine[2], theirs[2])
+                for mine, theirs in zip(got.snapshots, alone.snapshots):
+                    assert np.array_equal(mine, theirs)
         blown, no_lyap = order.index(2), order.index(3)
         assert [isinstance(got, NonFiniteState) for got in batch] == [
             b == blown for b in range(5)]
@@ -806,7 +813,7 @@ class TestStepCount:
 
         cfg = config.apply_overrides(config.load_config("baseline"), [
             "mesh.n=16", "integrator.t_final=0.5", "integrator.dt=0.0007"])
-        _, traj, report, _ = simulate_config(cfg)
+        _, traj, report = simulate_config(cfg)
         assert traj.t[-1] == 714 * 0.0007
         cert = report["operator_certificate"]
         for claim in ("claim1", "claim2", "dAdt"):

@@ -25,7 +25,6 @@ from .mesh import (
     Mesh,
     assemble_operators,
     build_mesh,
-    default_bc,
     default_gamma,
 )
 from .model import (

@@ -32,13 +32,7 @@ import numpy as np
 
 from .delay_channel import delta_grid, delta_trap_weights
 from .errors import HypothesisError, NoStrictDamping, ShapeMismatch
-from .mesh import (
-    DiscreteOperators,
-    Mesh,
-    SPDTridiagonal,
-    assemble_operators,
-    default_bc,
-)
+from .mesh import DiscreteOperators, Mesh, SPDTridiagonal, assemble_operators
 from .model import (
     CoefficientSpec,
     DelaySpec,
@@ -129,8 +123,8 @@ def sandwich_coefficient(mu_a: float, a1: float, beta: float,
     )
 
 
-def choose_epsilon(spec: CoefficientSpec, gains: GainSet, delay: DelaySpec,
-                   constants: Optional[StructuralConstants] = None) -> LyapunovParams:
+def choose_epsilon(spec: CoefficientSpec, gains: GainSet,
+                   delay: DelaySpec) -> LyapunovParams:
     """Largest usable epsilon and the constants it induces.
 
     eps_sandwich = 1/(4 max{...}) pins equiv_lower at 1/2; eps_damping is the
@@ -142,10 +136,9 @@ def choose_epsilon(spec: CoefficientSpec, gains: GainSet, delay: DelaySpec,
     Raises NoStrictDamping when the damping coefficient C3 is not positive,
     and HypothesisError when the displacement-trace coefficient C7 is not.
     """
-    if constants is None:
-        constants = full_constants(spec, gains, delay)
+    constants = full_constants(spec, gains, delay)
     c3 = constants.damping_const
-    if c3 is None or c3 <= 0.0:
+    if c3 <= 0.0:
         raise NoStrictDamping(
             f"damping coefficient {c3} <= 0; need mu1 > 2 |mu2| / sqrt(1 - d)"
         )
@@ -255,7 +248,7 @@ def solve_auxiliary_elliptic(spec: CoefficientSpec, beta: float, lam: float,
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     a1 = spec.a_of_1
-    ops = assemble_operators(spec, mesh, default_bc(spec))
+    ops = assemble_operators(spec, mesh)
     nodes = mesh.nodes
     k = ops.k_cell.copy()
     for i in range(mesh.N):

@@ -131,7 +131,7 @@ class Simulation:
         lyap = None
         if consts.strictly_damped:
             lyap = analysis.choose_epsilon(setup.spec, setup.gains,
-                                           setup.delay, consts)
+                                           setup.delay)
         return cls(setup, consts, lyap)
 
 
@@ -196,7 +196,7 @@ def build_report(sim: Simulation) -> dict:
 
     return {
         "version": __version__,
-        "config_hash": setup.fingerprint,
+        "config_hash": cfgmod.config_hash(cfg),
         "config": cfgmod.effective_items(cfg),
         "constants": {
             "mu_a": setup.spec.mu_a,
@@ -393,7 +393,7 @@ def sweep_rows(cfg: cfgmod.RunConfig, axes: list[tuple[str, list[str]]],
     if len(axes) > 3:
         raise ConfigError("at most 3 sweep axes")
     if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     keys = [k for k, _ in axes]
     for i, key in enumerate(keys):
         if key == "seed":
@@ -409,7 +409,7 @@ def sweep_rows(cfg: cfgmod.RunConfig, axes: list[tuple[str, list[str]]],
         for key, val in zip(keys, combo):
             c = cfgmod.set_value(c, key, val)
         c = cfgmod.set_value(c, "seed", (master * 1_000_003 + 17 * idx) % 2**31)
-        system = stepper.system_key(c.gains_mu1, c.gains_mu2, c.gains_beta)
+        system = stepper.system_key(c.gains_mu1, c.gains_beta)
         batches.setdefault(cfgmod.batch_key(c), {}).setdefault(
             system, []).append((idx, c, keys))
     cut = _cut_batches([list(b.values()) for b in batches.values()], jobs)
@@ -446,7 +446,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"axis {spec_str!r} must be key=v1,v2,...")
         key, vals = spec_str.split("=", 1)
         axes.append((key.strip(), [v.strip() for v in vals.split(",")]))
-    rows = sweep_rows(cfg, axes, jobs=args.jobs)
+    rows = sweep_rows(cfg, axes, jobs=_usable_cpus())
     text = _rows_to_csv(rows)
     if args.out:
         _write_text(args.out, text, f" ({len(rows)} rows)")
@@ -678,8 +678,6 @@ def make_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--axis", action="append", metavar="KEY=V1,V2,...",
                     help="sweep axis (repeatable, up to 3)")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (default: 1)")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("converge", help="self-convergence study")

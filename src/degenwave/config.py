@@ -207,10 +207,12 @@ def get_value(cfg: RunConfig, key: str):
 
 
 def load_config(path_or_name: str) -> RunConfig:
-    """Load from a file path, or from the shipped scenarios by bare name."""
+    """Load from a file path, or from the shipped scenarios by bare name
+    when no file has that path (a directory named after a scenario does not
+    hide it).  A file may start with a UTF-8 byte-order mark."""
     p = Path(path_or_name)
-    if p.exists():
-        return parse_config_text(p.read_text(encoding="utf-8"))
+    if p.is_file():
+        return parse_config_text(p.read_text(encoding="utf-8-sig"))
     if path_or_name in SCENARIO_NAMES:
         ref = resources.files("degenwave").joinpath(
             f"scenarios/{path_or_name}.cfg"
@@ -303,7 +305,6 @@ class RunSetup:
     mesh: mesh_mod.Mesh
     ops: mesh_mod.DiscreteOperators
     dt: float
-    fingerprint: str
     initial: tuple
 
 
@@ -311,9 +312,9 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     """Validate hypotheses and assemble mesh/operators for a config.
 
     Raises subclass errors of HypothesisError (CLI exit code 2) when the
-    coefficient, delay or boundary pairing violates the structural
-    assumptions, and ConfigError for malformed numerics or an unknown
-    initial.preset or initial.f0 name.
+    coefficient or the delay violates the structural assumptions, and
+    ConfigError for malformed numerics or an unknown initial.preset or
+    initial.f0 name.
     """
     if cfg.mesh_n < 8:
         raise ConfigError("mesh.n must be >= 8 for production runs")
@@ -345,7 +346,7 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         mesh_mod.default_gamma(spec.mu_a)
     msh = mesh_mod.build_mesh(cfg.mesh_n, gamma)
     initial = initial_data(cfg, spec.mu_a, msh.nodes)
-    ops = mesh_mod.assemble_operators(spec, msh, mesh_mod.default_bc(spec))
+    ops = mesh_mod.assemble_operators(spec, msh)
 
     dt = cfg.integrator_dt if cfg.integrator_dt is not None else \
         stepper.default_dt(msh, spec.a_of_1)
@@ -361,8 +362,7 @@ def build_setup(cfg: RunConfig) -> RunSetup:
         raise ConfigError(f"integrator.t_final / integrator.dt = {steps:.6g} "
                           "steps; a run takes fewer than 2**63")
     return RunSetup(cfg=cfg, spec=spec, delay=delay, gains=gains, mesh=msh,
-                    ops=ops, dt=dt, fingerprint=config_hash(cfg),
-                    initial=initial)
+                    ops=ops, dt=dt, initial=initial)
 
 
 def batch_key(cfg: RunConfig) -> RunConfig:
@@ -389,7 +389,7 @@ def run_from_setup(setups: list[RunSetup], lyap=None,
                              f"key but gains.mu1, gains.mu2, gains.beta and "
                              f"seed; {name} differs")
     return stepper.run(
-        first.mesh, first.ops, [s.gains for s in setups], first.delay,
+        first.ops, [s.gains for s in setups], first.delay,
         t_final=cfg.integrator_t_final, dt=first.dt, initial=first.initial,
         record_every=cfg.integrator_record_every,
         n_delta=cfg.channel_n_delta,

@@ -28,10 +28,6 @@ class BadMeshParams(DegenwaveError):
     """Mesh size or grading exponent out of range."""
 
 
-class BcMismatch(HypothesisError):
-    """Left boundary condition inconsistent with the degeneracy regime."""
-
-
 class ShapeMismatch(DegenwaveError):
     """Vector does not conform to the mesh or channel grid."""
 

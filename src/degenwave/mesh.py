@@ -2,7 +2,9 @@
 
 Piecewise-linear elements with the coefficient sampled at element midpoints
 (the assembly never evaluates a'(x) or touches a(0)), a lumped trapezoidal
-mass, and an optional Dirichlet constraint at the degenerate endpoint.
+mass, and the left boundary condition that the coefficient fixes: a
+Dirichlet constraint at the degenerate endpoint for a weak degeneracy
+(mu_a < 1), none for a strong one.
 
 The midpoint step, the resolvent and the elliptic problem all solve this
 stiffness plus diagonal terms: `SPDTridiagonal` factors one such matrix
@@ -19,11 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from ._lapack import dpttrf, dpttrs
-from .errors import BadMeshParams, BcMismatch, NonPositive, SolveFailure
+from .errors import BadMeshParams, NonPositive, SolveFailure
 from .model import CoefficientSpec
-
-DIRICHLET_LEFT = "dirichlet_left"
-NATURAL_LEFT = "natural_left"
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,6 @@ class Mesh:
     """Nodes 0 = x_0 < ... < x_N = 1 with grading x_j = (j/N)^gamma."""
 
     nodes: np.ndarray
-    grading_gamma: float
     N: int
 
     # element widths and midpoints are computed once and shared by every
@@ -63,7 +61,7 @@ def build_mesh(N: int, gamma: float = 1.0) -> Mesh:
     N = int(N)
     nodes = (np.arange(N + 1, dtype=float) / N) ** gamma
     nodes[-1] = 1.0
-    return Mesh(nodes=nodes, grading_gamma=float(gamma), N=N)
+    return Mesh(nodes=nodes, N=N)
 
 
 @dataclass(frozen=True)
@@ -73,12 +71,13 @@ class DiscreteOperators:
     mass : diagonal weights (h_{j-1} + h_j)/2, strictly positive
     k_cell : per-element conductances a(m_i)/h_i; the stiffness tridiagonal is
         main_j = k_{j-1} + k_j, off_i = -k_i
-    bc_kind : "dirichlet_left" iff the coefficient degenerates weakly
+    first_active : the first unknown node: 1 when the coefficient degenerates
+        weakly and node 0 carries the Dirichlet constraint u = 0, else 0
     """
 
     mass: np.ndarray
     k_cell: np.ndarray
-    bc_kind: str
+    first_active: int
     a1: float
     mu_a: float
     mesh: Mesh
@@ -86,10 +85,6 @@ class DiscreteOperators:
     @property
     def n_nodes(self) -> int:
         return self.mesh.N + 1
-
-    @property
-    def first_active(self) -> int:
-        return 1 if self.bc_kind == DIRICHLET_LEFT else 0
 
     def stiffness_matvec(self, u: np.ndarray) -> np.ndarray:
         """K u on the full node set (the constrained node simply carries
@@ -151,21 +146,13 @@ class SPDTridiagonal:
             rhs[...] = x
 
 
-def assemble_operators(spec: CoefficientSpec, mesh: Mesh,
-                       bc_kind: str) -> DiscreteOperators:
-    """Assemble mass/stiffness for the given coefficient and left boundary.
+def assemble_operators(spec: CoefficientSpec, mesh: Mesh) -> DiscreteOperators:
+    """Assemble mass/stiffness for the coefficient on the mesh.
 
-    The left condition is dictated by the degeneracy regime: Dirichlet for
+    The degeneracy regime fixes the left condition: Dirichlet for
     mu_a < 1, natural (the weighted flux term is simply absent) for
-    mu_a >= 1.  Any other pairing raises BcMismatch.
+    mu_a >= 1.
     """
-    if bc_kind not in (DIRICHLET_LEFT, NATURAL_LEFT):
-        raise ValueError(f"unknown bc_kind {bc_kind!r}")
-    weak = spec.mu_a < 1.0
-    if weak != (bc_kind == DIRICHLET_LEFT):
-        raise BcMismatch(
-            f"bc {bc_kind!r} inconsistent with degeneracy index mu_a = {spec.mu_a:.6g}"
-        )
     h = mesh.h
     a_mid = np.asarray(spec.a(mesh.midpoints), dtype=float)
     if np.any(a_mid <= 0.0):
@@ -174,11 +161,7 @@ def assemble_operators(spec: CoefficientSpec, mesh: Mesh,
     mass[:-1] += 0.5 * h
     mass[1:] += 0.5 * h
     return DiscreteOperators(
-        mass=mass, k_cell=a_mid / h, bc_kind=bc_kind, a1=spec.a_of_1,
-        mu_a=spec.mu_a, mesh=mesh,
+        mass=mass, k_cell=a_mid / h, first_active=0 if spec.strong else 1,
+        a1=spec.a_of_1, mu_a=spec.mu_a, mesh=mesh,
     )
-
-
-def default_bc(spec: CoefficientSpec) -> str:
-    return DIRICHLET_LEFT if spec.mu_a < 1.0 else NATURAL_LEFT
 

@@ -8,8 +8,9 @@ The discrete generator acts on triples U = (u, v, w) as
 
 with the feedback row folded into the second block (continuously it lives in
 the operator domain) and the remaining domain constraints w(0) = v(1) plus,
-in the weak-degeneracy regime, u(0) = v(0) = 0.  Three claims are checked,
-and the drift of A(t) in t is reported beside them:
+in the weak-degeneracy regime (`ops.first_active` = 1), u(0) = v(0) = 0.
+Three claims are checked, and the drift of A(t) in t is reported beside
+them:
 
 * dissipativity of the shifted operator A(t) - iota(t) I in the
   time-dependent inner product, iota(t) = sqrt(1 + tau'(t)^2)/(2 tau(t));
@@ -73,7 +74,7 @@ from .delay_channel import (
     transport_step,
 )
 from .errors import DomainViolation
-from .mesh import DIRICHLET_LEFT, DiscreteOperators, Mesh, SPDTridiagonal
+from .mesh import DiscreteOperators, Mesh, SPDTridiagonal
 from .model import DelaySpec, GainSet
 
 
@@ -84,10 +85,6 @@ class ProbeContext:
     gains: GainSet
     delay: DelaySpec
     n_delta: int
-
-    @property
-    def dirichlet(self) -> bool:
-        return self.ops.bc_kind == DIRICHLET_LEFT
 
 
 def _trial_blocks(trials: int, seed: int, sizes: tuple):
@@ -153,7 +150,7 @@ def project_to_domain(U, ctx: ProbeContext):
     block realizes it by construction.
     """
     u, v, w = (np.array(x, dtype=float) for x in U)
-    if ctx.dirichlet:
+    if ctx.ops.first_active:
         u[..., 0] = 0.0
         v[..., 0] = 0.0
     mean = 0.5 * (v[..., -1] + w[..., 0])
@@ -186,7 +183,7 @@ def generator_apply(U, t: float, ctx: ProbeContext):
     scale = np.maximum(1.0, np.maximum(np.max(np.abs(v), axis=-1),
                                        np.max(np.abs(w), axis=-1)))
     bad = np.abs(w[..., 0] - v[..., -1]) > 1e-10 * scale
-    if ctx.dirichlet:
+    if ctx.ops.first_active:
         bad |= (np.abs(u[..., 0]) > 1e-10) | (np.abs(v[..., 0]) > 1e-10)
     if np.any(bad):
         raise DomainViolation("state violates the generator domain constraints")
@@ -195,7 +192,7 @@ def generator_apply(U, t: float, ctx: ProbeContext):
     av[..., -1] -= ops.a1 * (g.mu1 * v[..., -1] + g.mu2 * w[..., -1]
                              + g.beta * u[..., -1])
     av /= ops.mass
-    if ctx.dirichlet:
+    if ctx.ops.first_active:
         av[..., 0] = 0.0
     return v.copy(), av, _transport_block(w, t, ctx)
 

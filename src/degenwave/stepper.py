@@ -56,7 +56,11 @@ the run in one slice.
 `step` and `run` share every kernel, so they agree bit for bit.
 
 Step n lands on t = n dt exactly: the ring sits on the same uniform grid and
-its newest index is the step counter.  `step` updates one SimState in place.
+its newest index is the step counter.  `step` updates one SimState in place,
+by the step dt of the workspace it is given.  `init_state`, `run` and
+`bc_residual` read the mesh from the operators (`ops.mesh`), and the left
+boundary condition is `ops.first_active`: 1 when node 0 carries the weak
+degeneracy's Dirichlet constraint, else 0.
 
 Initial data take one form here: `initial` = (u0, v0, f0), the displacement
 and velocity as arrays on mesh.nodes and the history f0 as a callable on
@@ -83,7 +87,7 @@ from .delay_channel import (
     upwind_solve,
 )
 from .errors import IncompatibleInitialData, NonFiniteState, ShapeMismatch
-from .mesh import DIRICHLET_LEFT, DiscreteOperators, Mesh, SPDTridiagonal
+from .mesh import DiscreteOperators, Mesh, SPDTridiagonal
 from .model import DelaySpec, GainSet
 
 
@@ -131,34 +135,34 @@ class Trajectory:
     snapshots: Optional[tuple] = None
 
 
-def init_state(mesh: Mesh, ops: DiscreteOperators, delay: DelaySpec,
-               initial: tuple, n_delta: int = 64, dt: float = 1e-3,
-               rows: Optional[int] = None,
+def init_state(ops: DiscreteOperators, delay: DelaySpec, initial: tuple,
+               n_delta: int = 64, dt: float = 1e-3, rows: Optional[int] = None,
                lookahead: int = 0) -> tuple[SimState, list[str]]:
     """Seed the state and both delay realizations from the initial data
     `initial` = (u0, v0, f0): displacement and velocity arrays on
-    mesh.nodes, and the history f0, a callable on past times s <= 0.  The
+    ops.mesh.nodes, and the history f0, a callable on past times s <= 0.  The
     history ring sits on the grid t_k = k dt of the step dt.  With `rows`
     the ring has one column per row of a batch that starts from this
     state; it also keeps the `lookahead` samples a block of that many steps
     appends before it reads back over the delay.
 
     u0 and v0 are copied, since stepping updates the state in place; either
-    one off mesh.nodes' shape is a ShapeMismatch.
-    Returns the state and a list of compatibility warnings: a
-    Dirichlet-regime u0 with u0(0) != 0 is an error, while a mismatch
-    between v0(1) and the history at time 0 is legal (the solver is
-    agnostic) and only recorded.
+    one off the nodes' shape is a ShapeMismatch.
+    Returns the state and a list of compatibility warnings: in the
+    Dirichlet regime (ops.first_active = 1) a u0 with u0(0) != 0 is an
+    error, while a mismatch between v0(1) and the history at time 0 is
+    legal (the solver is agnostic) and only recorded.
     """
     warnings: list[str] = []
     u0, v0, f0 = initial
     u = np.array(u0, dtype=float)
     v = np.array(v0, dtype=float)
+    shape = ops.mesh.nodes.shape
     for name, x in (("u0", u), ("v0", v)):
-        if x.shape != mesh.nodes.shape:
+        if x.shape != shape:
             raise ShapeMismatch(f"{name} has shape {x.shape} but mesh.nodes "
-                                f"has shape {mesh.nodes.shape}")
-    if ops.bc_kind == DIRICHLET_LEFT:
+                                f"has shape {shape}")
+    if ops.first_active:
         if abs(u[0]) > 1e-12:
             raise IncompatibleInitialData(
                 f"u0(0) = {u[0]:.3g} but the weak-degeneracy regime pins u(t,0) = 0"
@@ -195,10 +199,10 @@ class BatchGains:
                    np.array([g.beta for g in rows]))
 
 
-def system_key(mu1: float, mu2: float, beta: float) -> tuple:
-    """The gains that fix a row's midpoint system, (mu1, beta): mu2 only
-    loads the right-hand side, so the rows of a batch with one key share
-    the system's factors."""
+def system_key(mu1: float, beta: float) -> tuple:
+    """The gains that fix a row's midpoint system: mu2 only loads the
+    right-hand side, so the rows of a batch with one key share the
+    system's factors."""
     return mu1, beta
 
 
@@ -224,7 +228,7 @@ class StepWorkspace:
         main = main * (0.5 * dt * dt) + 2.0 * ops.mass[start:]
         off = off * (0.5 * dt * dt)
         systems, c1 = [], 0
-        keys = [system_key(g.mu1, g.mu2, g.beta) for g in rows]
+        keys = [system_key(g.mu1, g.beta) for g in rows]
         for (mu1, beta), run in itertools.groupby(keys):
             c0, c1 = c1, c1 + len(list(run))
             last = main.copy()
@@ -308,15 +312,16 @@ def _midpoint_solver(u: np.ndarray, v: np.ndarray, betas: Sequence[float],
     return advance
 
 
-def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
+def step(state: SimState, gains: GainSet, delay: DelaySpec,
          ops: DiscreteOperators, workspace: StepWorkspace) -> SimState:
     """Advance the coupled system in place by one implicit-midpoint step of
-    size dt (the step of the state's history ring); `workspace` holds the
-    midpoint system factorized for this dt.  Returns the same state."""
-    buf = state.buffer
-    if not dt == buf.dt == workspace.dt:
-        raise ValueError(f"step dt {dt} differs from the history grid's {buf.dt} "
-                         f"or the workspace's {workspace.dt}")
+    size workspace.dt, the step its midpoint system is factorized for; a
+    state whose history ring sits on another step is a ValueError.
+    Returns the same state."""
+    buf, dt = state.buffer, workspace.dt
+    if buf.dt != dt:
+        raise ValueError(f"the history grid's step {buf.dt} differs from "
+                         f"the workspace's {dt}")
     t_mid = (buf.last + 0.5) * dt
     tau_mid = float(delay.tau(t_mid))
     advance = _midpoint_solver(state.u[:, None], state.v[:, None],
@@ -329,7 +334,8 @@ def step(state: SimState, dt: float, gains: GainSet, delay: DelaySpec,
     return state
 
 
-def bc_residual(u, v, w_del, gains: GainSet | BatchGains, mesh: Mesh):
+def bc_residual(u, v, w_del, gains: GainSet | BatchGains,
+                ops: DiscreteOperators):
     """|feedback law residual| of the state (u, v) whose delayed trace, the
     ring's sample at t - tau(t), is w_del.
 
@@ -340,7 +346,7 @@ def bc_residual(u, v, w_del, gains: GainSet | BatchGains, mesh: Mesh):
     carries the scheme's O(dt + 1/N) consistency error by design.
     """
     u_end = u[..., -1]
-    flux = (u_end - u[..., -2]) / mesh.h[-1]
+    flux = (u_end - u[..., -2]) / ops.mesh.h[-1]
     return np.abs(gains.mu1 * v[..., -1] + gains.mu2 * w_del + flux
                   + gains.beta * u_end)
 
@@ -362,8 +368,8 @@ def step_count(t_final: float, dt: float) -> tuple[int, Optional[str]]:
                      f"steps dt = {dt:.10g}; the run ends at t = {t_end:.10g}")
 
 
-def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
-        delay: DelaySpec, t_final: float, dt: float, initial: tuple,
+def run(ops: DiscreteOperators, gains: Sequence[GainSet], delay: DelaySpec,
+        t_final: float, dt: float, initial: tuple,
         record_every: int = 1, n_delta: int = 64, lyap=None,
         snapshots: bool = False):
     """Integrate to t_final, recording the COLUMNS every record_every
@@ -405,8 +411,8 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
     reach = max(1, math.floor(delay.tau0 / dt - 0.5))
     span = min(max(BLOCK_DOUBLES // ops.n_nodes * record_every,
                    MIN_BLOCK_STEPS), BLOCK_DOUBLES, reach)
-    state, warnings = init_state(mesh, ops, delay, initial, n_delta=n_delta,
-                                 dt=dt, rows=n_batch, lookahead=span)
+    state, warnings = init_state(ops, delay, initial, n_delta=n_delta, dt=dt,
+                                 rows=n_batch, lookahead=span)
     if note is not None:
         warnings.append(note)
     work = StepWorkspace.build(ops, gains, dt)
@@ -523,7 +529,7 @@ def run(mesh: Mesh, ops: DiscreteOperators, gains: Sequence[GainSet],
             w_chan = ws[:j, :, -1]
             for c, col in enumerate((
                     e, et, vs[:j, :, -1], w_chan,
-                    bc_residual(us[:j], vs[:j], w_buf[:j], batch, mesh),
+                    bc_residual(us[:j], vs[:j], w_buf[:j], batch, ops),
                     w_chan - w_buf[:j]), 1):
                 cols[:, c] = col.T
             if snaps is not None:

@@ -8,18 +8,18 @@ from degenwave.cli import simulate_config
 from degenwave.errors import NonFiniteState
 
 
-def initial(mesh, ops, preset="zero", f0="zero", f0_amplitude=1.0):
-    """The initial data (u0, v0, f0) of the named presets on the mesh, as
-    `config.initial_data` makes them for a config."""
+def initial(ops, preset="zero", f0="zero", f0_amplitude=1.0):
+    """The initial data (u0, v0, f0) of the named presets on the operators'
+    mesh, as `config.initial_data` makes them for a config."""
     cfg = cfgmod.RunConfig(initial_preset=preset, initial_f0=f0,
                            initial_f0_amplitude=f0_amplitude)
-    return cfgmod.initial_data(cfg, ops.mu_a, mesh.nodes)
+    return cfgmod.initial_data(cfg, ops.mu_a, ops.mesh.nodes)
 
 
-def run_one(mesh, ops, gains, delay, lyap=None, **kw):
+def run_one(ops, gains, delay, lyap=None, **kw):
     """`stepper.run` of one GainSet, as a batch of one: the row's
     Trajectory, or the NonFiniteState that stopped it, raised."""
-    (traj,) = stepper.run(mesh, ops, [gains], delay, lyap=[lyap], **kw)
+    (traj,) = stepper.run(ops, [gains], delay, lyap=[lyap], **kw)
     if isinstance(traj, NonFiniteState):
         raise traj
     return traj

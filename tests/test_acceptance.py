@@ -250,7 +250,7 @@ def test_criterion_9_constant_formulas():
                                 "k": d / (tau1 - tau0)})
         gains = GainSet(mu1, mu2, beta)
         consts = full_constants(spec, gains, delay)
-        lyap = choose_epsilon(spec, gains, delay, consts)
+        lyap = choose_epsilon(spec, gains, delay)
         mt = certified_decay_time(mu_a, tau1, beta, consts.coercivity_const,
                                   consts.damping_const, lyap)
         ref = _mp_reference(mu_a, a1, beta, mu1, mu2, delay.d, tau1)

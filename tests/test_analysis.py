@@ -37,8 +37,7 @@ GAINS = GainSet(2.0, 0.2, 1.0)
 def assemble(n=64, alpha=0.5):
     spec = make_coefficient("power", {"alpha": alpha})
     mesh = build_mesh(n, default_gamma(alpha))
-    bc = "dirichlet_left" if alpha < 1 else "natural_left"
-    return spec, mesh, assemble_operators(spec, mesh, bc)
+    return spec, mesh, assemble_operators(spec, mesh)
 
 
 class TestEnergy:
@@ -248,7 +247,7 @@ class TestEllipticProblem:
 class TestDecayCertificate:
     def _params(self):
         consts = full_constants(SPEC, GAINS, DELAY)
-        lyap = choose_epsilon(SPEC, GAINS, DELAY, consts)
+        lyap = choose_epsilon(SPEC, GAINS, DELAY)
         return consts, lyap
 
     def test_rate_fit_exact_exponential(self):

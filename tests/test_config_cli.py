@@ -32,7 +32,7 @@ class TestVerbFlags:
     FLAGS = {
         "simulate": {"--config", "--set", "--seed", "--out", "--strict",
                      "--snapshots"},
-        "sweep": {"--config", "--set", "--seed", "--out", "--axis", "--jobs"},
+        "sweep": {"--config", "--set", "--seed", "--out", "--axis"},
         "converge": {"--config", "--set", "--seed", "--out", "--levels",
                      "--start-n"},
         "operator-check": {"--config", "--set", "--seed", "--out", "--strict",
@@ -125,6 +125,30 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             cfgmod.load_config("no-such-scenario")
 
+    def test_directory_named_after_a_scenario_does_not_hide_it(
+            self, tmp_path, monkeypatch, capsys):
+        # a first run with --out baseline/run creates baseline/; the
+        # second must still find the shipped scenario
+        shipped = cfgmod.load_config("baseline")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "baseline").mkdir()
+        assert cfgmod.load_config("baseline") == shipped
+        rc = run_cli(["simulate", "--config", "baseline", "--set",
+                      "integrator.t_final=0.01", "--out", "baseline/run"])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        assert (tmp_path / "baseline" / "run.csv").exists()
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # Windows Notepad starts a UTF-8 file with a byte-order mark
+        text = "coefficient.kind = power\ngains.mu2 = 0.3\nmesh.n = 32\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        cfg = cfgmod.load_config(str(marked))
+        assert cfg == cfgmod.load_config(str(plain))
+        assert cfg.gains_mu2 == 0.3
+
     def test_factor_coefficient_through_config(self, tmp_path):
         cfg = cfgmod.parse_config_text(
             "coefficient.kind = power_times_factor\n"
@@ -152,7 +176,7 @@ class TestConfigFormat:
         cfg = cfgmod.load_config(str(path))
         # a tabulated ramp interpolates to index ~1: natural left boundary
         setup = cfgmod.build_setup(cfg)
-        assert setup.ops.bc_kind == "natural_left"
+        assert setup.ops.first_active == 0
         (traj,) = cfgmod.run_from_setup([setup])
         assert traj.E[0] > 0.0
         # and the config text round-trips with the table intact
@@ -726,15 +750,17 @@ class TestSweep:
         assert not (tmp_path / "sw.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_config_error_of_every_row_exit2(self, jobs, tmp_path, capsys):
+    def test_config_error_of_every_row_exit2(self, jobs, tmp_path, capsys,
+                                             monkeypatch):
         import csv
 
         # every row fails with one and the same ConfigError (the shared
         # integrator.dt makes a step count past int64): the sweep exits 2
-        # with that error, as simulate does, and writes no CSV; at jobs = 2
-        # the two beta systems run in two workers
+        # with that error, as simulate does, and writes no CSV; with 2
+        # usable CPUs the two beta systems run in two workers
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: int(jobs))
         out = tmp_path / "sw.csv"
-        rc = run_cli(["sweep", "--config", "baseline", f"--jobs={jobs}",
+        rc = run_cli(["sweep", "--config", "baseline",
                       "--set", "integrator.dt=1e-320",
                       "--axis", "gains.beta=0.5,2", "--out", str(out)])
         assert rc == EXIT_HYPOTHESIS
@@ -744,7 +770,7 @@ class TestSweep:
         assert not out.exists()
         # rows that fail with different config errors are the grid's: the
         # CSV is written
-        rc = run_cli(["sweep", "--config", "baseline", f"--jobs={jobs}",
+        rc = run_cli(["sweep", "--config", "baseline",
                       "--axis", "initial.preset=bogus,other",
                       "--out", str(out)])
         assert rc == EXIT_OK
@@ -754,13 +780,30 @@ class TestSweep:
             "known: ramp, sine-bump, velocity-kick, zero"
             for name in ("bogus", "other")]
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_bad_jobs_exit2(self, jobs, capsys):
-        rc = run_cli(["sweep", "--config", "baseline", f"--jobs={jobs}",
-                      "--axis", "gains.mu2=0,0.2"])
-        assert rc == EXIT_HYPOTHESIS
-        err = capsys.readouterr().err
-        assert err == f"config error: --jobs must be at least 1, got {jobs}\n"
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_bad_jobs_config_error(self, jobs):
+        with pytest.raises(ConfigError,
+                           match=f"^jobs must be at least 1, got {jobs}$"):
+            sweep_rows(self.small_cfg(), [("gains.mu2", ["0", "0.2"])],
+                       jobs=jobs)
+
+    def test_cli_csv_does_not_depend_on_the_usable_cpus(self, tmp_path,
+                                                        monkeypatch):
+        # the sweep verb takes one worker per usable CPU; two systems (one
+        # per beta) run in one process or in two workers to the same bytes
+        texts = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"sw{cpus}.csv"
+            assert run_cli(["sweep", "--config", "baseline", "--set",
+                            "integrator.t_final=0.5", "--set", "mesh.n=32",
+                            "--set", "channel.n_delta=16",
+                            "--axis", "gains.mu2=0,0.2",
+                            "--axis", "gains.beta=0.5,2",
+                            "--out", str(out)]) == EXIT_OK
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert len(texts[0].splitlines()) == 5
 
     @pytest.mark.parametrize("axis", ["gains.mu2=abc", "mesh.n=12.5"])
     def test_bad_axis_value_exit2(self, axis, tmp_path, capsys):

@@ -12,7 +12,7 @@ from degenwave import (
     structural_constants,
 )
 from degenwave.analysis import lyapunov_raw
-from degenwave.errors import BadMeshParams, BcMismatch, ShapeMismatch, SolveFailure
+from degenwave.errors import BadMeshParams, ShapeMismatch, SolveFailure
 from degenwave.mesh import SPDTridiagonal
 
 
@@ -66,44 +66,52 @@ class TestAssembly:
     def test_classical_stiffness_rows(self):
         # a = 1 on a uniform 2-element mesh: the standard [2,-2;-2,4,-2;...]/1
         spec = make_coefficient("power", {"alpha": 0.0})
-        ops = assemble_operators(spec, build_mesh(2, 1.0), "dirichlet_left")
+        ops = assemble_operators(spec, build_mesh(2, 1.0))
         K = full_stiffness(ops)
         assert np.allclose(K, [[2, -2, 0], [-2, 4, -2], [0, -2, 2]], atol=1e-14)
 
     def test_midpoint_sampling_offdiagonals(self):
         # a = x on 2 uniform elements: midpoints 0.25, 0.75 -> -0.25/h, -0.75/h
         spec = make_coefficient("power", {"alpha": 1.0})
-        ops = assemble_operators(spec, build_mesh(2, 1.0), "natural_left")
+        ops = assemble_operators(spec, build_mesh(2, 1.0))
         K = full_stiffness(ops)
         assert abs(K[0, 1] + 0.25 / 0.5) < 1e-15
         assert abs(K[1, 2] + 0.75 / 0.5) < 1e-15
 
     def test_constants_in_kernel(self):
-        for alpha, bc in [(0.5, "dirichlet_left"), (1.5, "natural_left")]:
+        for alpha in (0.5, 1.5):
             spec = make_coefficient("power", {"alpha": alpha})
-            ops = assemble_operators(spec, build_mesh(17, 1.3), bc)
+            ops = assemble_operators(spec, build_mesh(17, 1.3))
             assert np.max(np.abs(ops.stiffness_matvec(np.ones(18)))) < 1e-14
 
     def test_symmetry_exact(self):
         spec = make_coefficient("power", {"alpha": 0.5})
-        ops = assemble_operators(spec, build_mesh(16, 2.0), "dirichlet_left")
+        ops = assemble_operators(spec, build_mesh(16, 2.0))
         K = full_stiffness(ops)
         assert np.array_equal(K, K.T)
 
     def test_mass_positive_and_sums_to_length(self):
         spec = make_coefficient("power", {"alpha": 0.5})
-        ops = assemble_operators(spec, build_mesh(33, 1.7), "dirichlet_left")
+        ops = assemble_operators(spec, build_mesh(33, 1.7))
         assert np.all(ops.mass > 0)
         assert abs(ops.mass.sum() - 1.0) < 1e-14
 
-    def test_bc_mismatch(self):
-        weak = make_coefficient("power", {"alpha": 0.5})
-        strong = make_coefficient("power", {"alpha": 1.5})
-        mesh = build_mesh(8, 1.0)
-        with pytest.raises(BcMismatch):
-            assemble_operators(weak, mesh, "natural_left")
-        with pytest.raises(BcMismatch):
-            assemble_operators(strong, mesh, "dirichlet_left")
+    @pytest.mark.parametrize("kind, params", [
+        ("power", {"alpha": 0.5}),
+        ("power", {"alpha": 0.999}),
+        ("power", {"alpha": 1.0}),
+        ("power", {"alpha": 1.5}),
+        ("power_times_factor", {"alpha": 0.5, "factor": "two_minus_x"}),
+        ("tabulated", {"xs": np.linspace(0.0, 1.0, 21),
+                       "values": np.linspace(0.0, 1.0, 21)}),
+    ], ids=["power-0.5", "power-0.999", "power-1.0", "power-1.5",
+            "power_times_factor", "tabulated"])
+    def test_coefficient_sets_the_left_boundary(self, kind, params):
+        # the regime alone fixes the constrained node: u(t, 0) = 0 for a
+        # weak degeneracy (mu_a < 1), no constraint for a strong one
+        spec = make_coefficient(kind, params)
+        ops = assemble_operators(spec, build_mesh(8, 1.0))
+        assert ops.first_active == (0 if spec.strong else 1)
 
     def test_consistency_order_smooth_coefficient(self):
         # u = sin(2x), a = 1 + x bounded away from 0: u^T K u converges to
@@ -115,7 +123,7 @@ class TestAssembly:
         errs = []
         for n in [32, 64, 128]:
             mesh = build_mesh(n, 1.0)
-            ops = assemble_operators(spec, mesh, "dirichlet_left")
+            ops = assemble_operators(spec, mesh)
             u = np.sin(2 * mesh.nodes)
             errs.append(abs(ops.stiffness_quadform(u) - exact))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -123,11 +131,11 @@ class TestAssembly:
 
 
 class TestTridiagonal:
-    @pytest.mark.parametrize("alpha, bc", [(0.5, "dirichlet_left"),
-                                           (1.5, "natural_left")])
-    def test_diagonals_match_the_matvec(self, alpha, bc):
+    @pytest.mark.parametrize("alpha", [0.5, 1.5],
+                             ids=["0.5-dirichlet_left", "1.5-natural_left"])
+    def test_diagonals_match_the_matvec(self, alpha):
         spec = make_coefficient("power", {"alpha": alpha})
-        ops = assemble_operators(spec, build_mesh(17, 1.3), bc)
+        ops = assemble_operators(spec, build_mesh(17, 1.3))
         K = full_stiffness(ops)
         for start in (0, 1):
             main, off = ops.stiffness_tridiagonal(start)
@@ -173,7 +181,7 @@ class TestWeightedNorms:
     def test_zero(self):
         spec = make_coefficient("power", {"alpha": 0.5})
         mesh = build_mesh(8, 1.0)
-        ops = assemble_operators(spec, mesh, "dirichlet_left")
+        ops = assemble_operators(spec, mesh)
         z = np.zeros(9)
         assert ops.mass_quadform(z) == 0.0
         assert ops.stiffness_quadform(z) == 0.0
@@ -184,20 +192,20 @@ class TestWeightedNorms:
         spec = make_coefficient("power", {"alpha": 0.5})
         for gamma in [1.0, 2.0, 3.5]:
             mesh = build_mesh(19, gamma)
-            ops = assemble_operators(spec, mesh, "dirichlet_left")
+            ops = assemble_operators(spec, mesh)
             assert abs(ops.mass_quadform(np.ones(20)) - 1.0) < 1e-14
 
     def test_ramp_gradient_energy(self):
         # u = x with a = sqrt(x): integral of sqrt(x) is 2/3
         spec = make_coefficient("power", {"alpha": 0.5})
         mesh = build_mesh(512, 4.0 / 3.0)
-        ops = assemble_operators(spec, mesh, "dirichlet_left")
+        ops = assemble_operators(spec, mesh)
         assert abs(ops.stiffness_quadform(mesh.nodes) - 2.0 / 3.0) < 1e-3
 
     def test_shape_mismatch(self):
         spec = make_coefficient("power", {"alpha": 0.5})
         mesh = build_mesh(8, 1.0)
-        ops = assemble_operators(spec, mesh, "dirichlet_left")
+        ops = assemble_operators(spec, mesh)
         with pytest.raises(ShapeMismatch):
             lyapunov_raw(np.zeros(5), np.zeros(9), np.zeros(5), 1.0, ops,
                          self.GAINS)
@@ -211,7 +219,7 @@ class TestWeightedNorms:
         spec = make_coefficient("power", {"alpha": 0.5})
         consts = structural_constants(spec, beta=1.0)
         mesh = build_mesh(256, 4.0 / 3.0)
-        ops = assemble_operators(spec, mesh, "dirichlet_left")
+        ops = assemble_operators(spec, mesh)
         rng = np.random.default_rng(11)
         for _ in range(200):
             u = rng.standard_normal(257)

@@ -59,8 +59,7 @@ def make_ctx(n=64, n_delta=32, gains=GainSet(2.0, 0.2, 1.0), delay=DELAY,
              alpha=0.5, scale=1.0):
     spec = make_coefficient("power", {"alpha": alpha, "scale": scale})
     mesh = build_mesh(n, default_gamma(alpha))
-    bc = "dirichlet_left" if alpha < 1 else "natural_left"
-    ops = assemble_operators(spec, mesh, bc)
+    ops = assemble_operators(spec, mesh)
     return ProbeContext(mesh=mesh, ops=ops, gains=gains, delay=delay,
                         n_delta=n_delta)
 
@@ -292,7 +291,7 @@ def oracle_stiffness_matvec(u, ctx):
 
 def oracle_project(u, v, w, ctx):
     u, v, w = u.copy(), v.copy(), w.copy()
-    if ctx.dirichlet:
+    if ctx.ops.first_active:
         u[0] = 0.0
         v[0] = 0.0
     mean = 0.5 * (v[-1] + w[0])
@@ -346,7 +345,7 @@ def oracle_resolvent(t, ctx, trials, seed):
     start = ops.first_active
     worst_res = worst_ident = 0.0
     for f, gg, h in oracle_draw(seed, ctx, trials):
-        if ctx.dirichlet:
+        if ctx.ops.first_active:
             f[0] = 0.0
         main, off = ops.stiffness_tridiagonal(start)
         main += ops.mass[start:]
@@ -393,7 +392,7 @@ def oracle_apply(u, v, w, t, ctx):
     av = -oracle_stiffness_matvec(u, ctx)
     av[-1] -= ops.a1 * (g.mu1 * v[-1] + g.mu2 * w[-1] + g.beta * u[-1])
     av /= ops.mass
-    if ctx.dirichlet:
+    if ctx.ops.first_active:
         av[0] = 0.0
     m = w.size - 1
     c = transport_speed(delta_grid(m), float(ctx.delay.tau(t)),

@@ -44,15 +44,14 @@ def state_energy(state, ops, g, delay):
 def make_ops(n=64, alpha=0.5, gamma=None):
     spec = make_coefficient("power", {"alpha": alpha})
     mesh = build_mesh(n, gamma or default_gamma(alpha))
-    bc = "dirichlet_left" if alpha < 1 else "natural_left"
-    return spec, mesh, assemble_operators(spec, mesh, bc)
+    return spec, mesh, assemble_operators(spec, mesh)
 
 
 class TestInitState:
     def test_zero_preset(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, warns = init_state(mesh, ops, DELAY, initial(mesh, ops, "zero"))
+        state, warns = init_state(ops, DELAY, initial(ops, "zero"))
         assert state_energy(state, ops, g, DELAY) == 0.0
         assert warns == []
 
@@ -60,7 +59,7 @@ class TestInitState:
         # E(0) -> (2/3 + 1)/2 = 5/6 for u0 = x, a = sqrt(x), beta = 1, f0 = 0
         spec, mesh, ops = make_ops(n=512, gamma=4.0 / 3.0)
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, DELAY, initial(mesh, ops, "ramp"))
+        state, _ = init_state(ops, DELAY, initial(ops, "ramp"))
         assert abs(state_energy(state, ops, g, DELAY) - 5.0 / 6.0) < 1e-3
 
     def test_nonzero_history_adds_delay_term(self):
@@ -68,10 +67,9 @@ class TestInitState:
         # and the trapezoid is exact on constants
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        ref, _ = init_state(mesh, ops, DELAY,
-                            initial(mesh, ops, "ramp", "zero"))
-        state, warns = init_state(mesh, ops, DELAY,
-                                  initial(mesh, ops, "ramp", "constant", 0.8))
+        ref, _ = init_state(ops, DELAY, initial(ops, "ramp", "zero"))
+        state, warns = init_state(ops, DELAY,
+                                  initial(ops, "ramp", "constant", 0.8))
         extra = (state_energy(state, ops, g, DELAY)
                  - state_energy(ref, ops, g, DELAY))
         expected = 0.5 * g.mu1 * ops.a1 * float(DELAY.tau(0.0)) * 0.8**2
@@ -82,9 +80,8 @@ class TestInitState:
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
         with pytest.raises(IncompatibleInitialData):
-            init_state(mesh, ops, DELAY, (1.0 + mesh.nodes,
-                                          np.zeros_like(mesh.nodes),
-                                          lambda s: 0.0))
+            init_state(ops, DELAY, (1.0 + mesh.nodes,
+                                    np.zeros_like(mesh.nodes), lambda s: 0.0))
 
     def test_data_off_the_mesh_is_a_shape_mismatch(self):
         # u0 or v0 with other than mesh.nodes' shape is named before the
@@ -93,9 +90,9 @@ class TestInitState:
         short, nodes = np.zeros(10), np.zeros_like(mesh.nodes)
         for data in [(short, nodes), (nodes, short)]:
             with pytest.raises(ShapeMismatch, match=r"\(10,\).*\(65,\)"):
-                init_state(mesh, ops, DELAY, data + (lambda s: 0.0,))
+                init_state(ops, DELAY, data + (lambda s: 0.0,))
         with pytest.raises(ShapeMismatch, match=r"\(10,\).*\(65,\)"):
-            run(mesh, ops, [GainSet(2.0, 0.2, 1.0)], DELAY, t_final=0.01,
+            run(ops, [GainSet(2.0, 0.2, 1.0)], DELAY, t_final=0.01,
                 dt=1e-3, initial=(short, short, lambda s: 0.0))
 
     def test_initial_data_copied(self):
@@ -104,12 +101,12 @@ class TestInitState:
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
         nodes = mesh.nodes.copy()
-        state, _ = init_state(mesh, ops, DELAY, (mesh.nodes,
-                                                 np.sin(np.pi * mesh.nodes),
-                                                 lambda s: 0.0))
+        state, _ = init_state(ops, DELAY, (mesh.nodes,
+                                           np.sin(np.pi * mesh.nodes),
+                                           lambda s: 0.0))
         ws = StepWorkspace.build(ops, g, 1e-3)
         for _ in range(20):
-            step(state, 1e-3, g, DELAY, ops, workspace=ws)
+            step(state, g, DELAY, ops, workspace=ws)
         assert not np.array_equal(state.u, nodes)
         assert np.array_equal(mesh.nodes, nodes)
 
@@ -117,8 +114,7 @@ class TestInitState:
         for alpha in [0.5, 1.5]:
             spec, mesh, ops = make_ops(alpha=alpha)
             g = GainSet(2.0, 0.2, 1.0)
-            state, _ = init_state(mesh, ops, DELAY,
-                                  initial(mesh, ops, "sine-bump"))
+            state, _ = init_state(ops, DELAY, initial(ops, "sine-bump"))
             assert state.u[0] == 0.0
 
 
@@ -126,24 +122,23 @@ class TestStep:
     def test_zero_state_is_equilibrium(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, DELAY, initial(mesh, ops, "zero"))
+        state, _ = init_state(ops, DELAY, initial(ops, "zero"))
         ws = StepWorkspace.build(ops, g, 1e-3)
         for _ in range(5):
-            state = step(state, 1e-3, g, DELAY, ops, workspace=ws)
+            state = step(state, g, DELAY, ops, workspace=ws)
         assert np.all(state.u == 0.0)
         assert np.all(state.v == 0.0)
         w_del = state.buffer.sample(state.t - DELAY.tau(state.t))
-        res = bc_residual(state.u, state.v, w_del, g, mesh)
+        res = bc_residual(state.u, state.v, w_del, g, ops)
         assert res == 0.0
 
     def test_updates_state_in_place(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, DELAY,
-                              initial(mesh, ops, "velocity-kick"))
+        state, _ = init_state(ops, DELAY, initial(ops, "velocity-kick"))
         u, v = state.u, state.v
         ws = StepWorkspace.build(ops, g, 1e-3)
-        assert step(state, 1e-3, g, DELAY, ops, workspace=ws) is state
+        assert step(state, g, DELAY, ops, workspace=ws) is state
         assert state.u is u and state.v is v
         assert state.t == 1e-3 and state.buffer.last == 1
 
@@ -159,16 +154,16 @@ class TestStep:
         g = GainSet(2.0, mu2, 1.0)
         dt = 1e-3
         ws = StepWorkspace.build(ops, g, dt)
-        state, _ = init_state(mesh, ops, DELAY,
-                              initial(mesh, ops, "velocity-kick", "cosine"),
+        state, _ = init_state(ops, DELAY,
+                              initial(ops, "velocity-kick", "cosine"),
                               dt=dt)
         for _ in range(20):
-            step(state, dt, g, DELAY, ops, workspace=ws)
+            step(state, g, DELAY, ops, workspace=ws)
         u0, v0 = state.u.copy(), state.v.copy()
         t_mid = state.t + 0.5 * dt
         w_mid = state.buffer.sample(t_mid - float(DELAY.tau(np.array(t_mid))))
         assert w_mid != 0.0
-        step(state, dt, g, DELAY, ops, workspace=ws)
+        step(state, g, DELAY, ops, workspace=ws)
         ubar, vbar = 0.5 * (u0 + state.u), 0.5 * (v0 + state.v)
         res = ops.mass * (state.v - v0) + dt * ops.stiffness_matvec(ubar)
         res[-1] += dt * ops.a1 * (g.mu1 * vbar[-1] + g.mu2 * w_mid
@@ -184,13 +179,12 @@ class TestStep:
     def test_dt_must_match_grid_and_workspace(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, DELAY,
-                              initial(mesh, ops, "velocity-kick"), dt=1e-3)
+        state, _ = init_state(ops, DELAY, initial(ops, "velocity-kick"),
+                              dt=1e-3)
+        # the step size is the workspace's, and the ring must sit on it
         other = StepWorkspace.build(ops, g, 2e-3)
         with pytest.raises(ValueError, match="differs from"):
-            step(state, 1e-3, g, DELAY, ops, workspace=other)
-        with pytest.raises(ValueError, match="differs from"):
-            step(state, 2e-3, g, DELAY, ops, workspace=other)
+            step(state, g, DELAY, ops, workspace=other)
         assert state.t == 0.0 and state.buffer.last == 0
 
     def test_nan_gain_raises_solve_failure(self):
@@ -205,11 +199,10 @@ class TestStep:
     def test_coupling_invariant_exact(self):
         _, mesh, ops = make_ops()
         g = GainSet(2.0, 0.2, 1.0)
-        state, _ = init_state(mesh, ops, DELAY,
-                              initial(mesh, ops, "velocity-kick"))
+        state, _ = init_state(ops, DELAY, initial(ops, "velocity-kick"))
         ws = StepWorkspace.build(ops, g, 1e-3)
         for _ in range(200):
-            state = step(state, 1e-3, g, DELAY, ops, workspace=ws)
+            state = step(state, g, DELAY, ops, workspace=ws)
             assert state.w[0] == state.v[-1]
 
     def test_monotone_energy_without_delayed_gain(self):
@@ -217,9 +210,9 @@ class TestStep:
         # resolve the inflow history for the per-step tolerance to hold
         spec, mesh, ops = make_ops(n=128)
         g = GainSet(2.0, 0.0, 1.0)
-        traj = run_one(mesh, ops, g, DELAY, t_final=5.0, dt=5e-4,
+        traj = run_one(ops, g, DELAY, t_final=5.0, dt=5e-4,
                        record_every=1,
-                       initial=initial(mesh, ops, "velocity-kick"),
+                       initial=initial(ops, "velocity-kick"),
                        n_delta=256)
         e = traj.E
         tol = 1e-10 * e[0] + 1e-14
@@ -229,9 +222,9 @@ class TestStep:
         # mu1 = mu2 = 0 with elastic boundary: midpoint near-conservation
         spec, mesh, ops = make_ops(n=256)
         g = GainSet(0.0, 0.0, 1.0)
-        traj = run_one(mesh, ops, g, DELAY, t_final=10.0, dt=1e-3,
+        traj = run_one(ops, g, DELAY, t_final=10.0, dt=1e-3,
                        record_every=20,
-                       initial=initial(mesh, ops, "velocity-kick"),
+                       initial=initial(ops, "velocity-kick"),
                        n_delta=64)
         e = traj.E
         assert np.max(np.abs(e - e[0])) < 1e-6 * e[0]
@@ -243,9 +236,9 @@ class TestStep:
         g = GainSet(2.0, 0.2, 1.0)
         finals = []
         for dt in [4e-3, 2e-3, 1e-3]:
-            traj = run_one(mesh, ops, g, DELAY, t_final=2.0, dt=dt,
+            traj = run_one(ops, g, DELAY, t_final=2.0, dt=dt,
                            record_every=10**9,
-                           initial=initial(mesh, ops, "velocity-kick"),
+                           initial=initial(ops, "velocity-kick"),
                            n_delta=64)
             st = traj.final_state
             finals.append(np.concatenate([st.u, st.v]))
@@ -259,9 +252,9 @@ class TestStep:
         coeffs = []
         for n, dt in [(64, 2e-3), (128, 1e-3), (256, 5e-4)]:
             spec, mesh, ops = make_ops(n=n)
-            traj = run_one(mesh, ops, g, DELAY, t_final=2.0, dt=dt,
+            traj = run_one(ops, g, DELAY, t_final=2.0, dt=dt,
                            record_every=5,
-                           initial=initial(mesh, ops, "velocity-kick"),
+                           initial=initial(ops, "velocity-kick"),
                            n_delta=64)
             coeffs.append(float(np.max(traj.bc_residual)
                                 / (dt + 1.0 / mesh.N)))
@@ -273,8 +266,8 @@ class TestRun:
     def test_zero_horizon_single_sample(self):
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
-        traj = run_one(mesh, ops, g, DELAY, t_final=0.0, dt=1e-3,
-                       initial=initial(mesh, ops, "velocity-kick"), n_delta=16)
+        traj = run_one(ops, g, DELAY, t_final=0.0, dt=1e-3,
+                       initial=initial(ops, "velocity-kick"), n_delta=16)
         assert traj.t.size == 1
         assert traj.t[0] == 0.0
 
@@ -282,9 +275,9 @@ class TestRun:
         # t = n dt from the step counter, not a running sum of dt
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
-        traj = run_one(mesh, ops, g, DELAY, t_final=2.0, dt=1e-3,
+        traj = run_one(ops, g, DELAY, t_final=2.0, dt=1e-3,
                        record_every=50,
-                       initial=initial(mesh, ops, "velocity-kick"),
+                       initial=initial(ops, "velocity-kick"),
                        n_delta=16)
         assert traj.t[-1] == 2.0
         assert traj.final_state.t == 2.0
@@ -295,15 +288,15 @@ class TestRun:
         x = mesh.nodes
         u1 = np.where(x > 0.5, np.nan, 0.0)
         with pytest.raises(NonFiniteState, match="t = 0.0"):
-            run_one(mesh, ops, g, DELAY, t_final=0.1, dt=1e-3,
+            run_one(ops, g, DELAY, t_final=0.1, dt=1e-3,
                     initial=(0 * x, u1, lambda s: 0.0), n_delta=16)
 
     def test_sample_times_strictly_increasing(self):
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
-        traj = run_one(mesh, ops, g, DELAY, t_final=0.3, dt=1e-3,
+        traj = run_one(ops, g, DELAY, t_final=0.3, dt=1e-3,
                        record_every=3,
-                       initial=initial(mesh, ops, "velocity-kick"),
+                       initial=initial(ops, "velocity-kick"),
                        n_delta=16)
         assert np.all(np.diff(traj.t) > 0.0)
 
@@ -311,9 +304,9 @@ class TestRun:
         # 300 steps recorded every 7th: 43 strided rows plus the final one
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
-        traj = run_one(mesh, ops, g, DELAY, t_final=0.3, dt=1e-3,
+        traj = run_one(ops, g, DELAY, t_final=0.3, dt=1e-3,
                        record_every=7,
-                       initial=initial(mesh, ops, "velocity-kick"),
+                       initial=initial(ops, "velocity-kick"),
                        n_delta=16)
         for name in COLUMNS:
             col = getattr(traj, name)
@@ -325,8 +318,8 @@ class TestRun:
     def test_splice_mismatch_recorded_run_completes(self):
         _, mesh, ops = make_ops(n=16)
         g = GainSet(2.0, 0.2, 1.0)
-        traj = run_one(mesh, ops, g, DELAY, t_final=0.5, dt=1e-3,
-                       initial=initial(mesh, ops, "velocity-kick", "cosine"),
+        traj = run_one(ops, g, DELAY, t_final=0.5, dt=1e-3,
+                       initial=initial(ops, "velocity-kick", "cosine"),
                        n_delta=16)
         assert any("splice" in w for w in traj.warnings)
         assert traj.t[-1] == pytest.approx(0.5)
@@ -335,9 +328,9 @@ class TestRun:
         _, mesh, ops = make_ops(n=32)
         g = GainSet(2.0, 0.2, 1.0)
         kw = dict(t_final=1.0, dt=1e-3, record_every=7,
-                  initial=initial(mesh, ops, "velocity-kick"), n_delta=32)
-        t1 = run_one(mesh, ops, g, DELAY, **kw)
-        t2 = run_one(mesh, ops, g, DELAY, **kw)
+                  initial=initial(ops, "velocity-kick"), n_delta=32)
+        t1 = run_one(ops, g, DELAY, **kw)
+        t2 = run_one(ops, g, DELAY, **kw)
         assert np.array_equal(t1.E, t2.E)
         assert np.array_equal(t1.final_state.u, t2.final_state.u)
 
@@ -348,14 +341,12 @@ class TestRun:
         # v0: baseline pins their Dirichlet node, which would raise on the
         # setup's arrays, and a second run of the setup repeats the first
         from degenwave import config
-        from degenwave.mesh import DIRICHLET_LEFT
 
         cfg = config.apply_overrides(config.load_config(scenario), [
             "mesh.n=32", "channel.n_delta=16", "integrator.t_final=0.5",
             "initial.preset=ramp", "initial.f0=cosine"])
         setup = config.build_setup(cfg)
-        dirichlet = setup.ops.bc_kind == DIRICHLET_LEFT
-        assert dirichlet == (scenario == "baseline")
+        assert setup.ops.first_active == (scenario == "baseline")
         u0, v0, f0 = setup.initial
         assert not u0.flags.writeable and not v0.flags.writeable
         kept = u0.copy(), v0.copy()
@@ -377,9 +368,9 @@ class TestRun:
         # independently summed channel term, to machine precision
         _, mesh, ops = make_ops(n=32)
         g = GainSet(2.0, 0.2, 1.0)
-        traj = run_one(mesh, ops, g, DELAY, t_final=0.5, dt=1e-3,
+        traj = run_one(ops, g, DELAY, t_final=0.5, dt=1e-3,
                        record_every=100,
-                       initial=initial(mesh, ops, "velocity-kick"),
+                       initial=initial(ops, "velocity-kick"),
                        n_delta=32)
         st = traj.final_state
         uv = (ops.mass_quadform(st.v) + ops.stiffness_quadform(st.u)
@@ -484,13 +475,13 @@ def _blocked_setup(record_every, n=32, n_delta=16, t_final=0.6):
 
 def _step_by_step(cfg, setup, record_every):
     """(t, u, v, w) at every recorded instant of `run`, from step() calls."""
-    state, _ = init_state(setup.mesh, setup.ops, setup.delay, setup.initial,
+    state, _ = init_state(setup.ops, setup.delay, setup.initial,
                           n_delta=cfg.channel_n_delta, dt=setup.dt)
     ws = StepWorkspace.build(setup.ops, setup.gains, setup.dt)
     n_steps = int(round(cfg.integrator_t_final / setup.dt))
     snaps = [(state.t, state.u.copy(), state.v.copy(), state.w.copy())]
     for n in range(1, n_steps + 1):
-        step(state, setup.dt, setup.gains, setup.delay, setup.ops, workspace=ws)
+        step(state, setup.gains, setup.delay, setup.ops, workspace=ws)
         if n % record_every == 0 or n == n_steps:
             snaps.append((state.t, state.u.copy(), state.v.copy(), state.w.copy()))
     return [np.array(c) for c in zip(*snaps)]
@@ -561,15 +552,15 @@ class TestBlockedRun:
         g = GainSet(2.0, 0.2, 1.0)
         dt = 1e-3
         f0 = lambda s: math.nan if -0.245 < s < -0.225 else 0.0
-        kw = dict(initial=(*initial(mesh, ops, "velocity-kick")[:2], f0),
+        kw = dict(initial=(*initial(ops, "velocity-kick")[:2], f0),
                   n_delta=16)
 
-        state, _ = init_state(mesh, ops, DELAY, dt=dt, **kw)
+        state, _ = init_state(ops, DELAY, dt=dt, **kw)
         ws = StepWorkspace.build(ops, g, dt)
         seen = [0.0]
         assert np.isfinite(state_energy(state, ops, g, DELAY))
         while True:
-            step(state, dt, g, DELAY, ops, workspace=ws)
+            step(state, g, DELAY, ops, workspace=ws)
             if not np.isfinite(state_energy(state, ops, g, DELAY)):
                 break
             if round(state.t / dt) % every == 0:
@@ -579,7 +570,7 @@ class TestBlockedRun:
         assert recorded == (every == 3)
 
         with pytest.raises(NonFiniteState) as info:
-            run_one(mesh, ops, g, DELAY, t_final=0.5, dt=dt,
+            run_one(ops, g, DELAY, t_final=0.5, dt=dt,
                     record_every=every, **kw)
         msg = str(info.value)
         if recorded:
@@ -597,7 +588,7 @@ def _step_loop_columns(mesh, ops, g, delay, t_final, dt, record_every, lyap,
                        **init):
     """The COLUMNS of `run` and its final state from step() calls, with each
     recorded instant evaluated on its own."""
-    state, _ = init_state(mesh, ops, delay, dt=dt, **init)
+    state, _ = init_state(ops, delay, dt=dt, **init)
     ws = StepWorkspace.build(ops, g, dt)
     eps = 0.0 if lyap is None else lyap.epsilon
     rows = []
@@ -607,13 +598,13 @@ def _step_loop_columns(mesh, ops, g, delay, t_final, dt, record_every, lyap,
         e, et = lyapunov_raw(state.u, state.v, state.w, tau, ops, g, eps)
         w_buf = state.buffer.sample(state.t - tau)
         rows.append((state.t, e, et, state.v[-1], state.w[-1],
-                     bc_residual(state.u, state.v, w_buf, g, mesh),
+                     bc_residual(state.u, state.v, w_buf, g, ops),
                      state.w[-1] - w_buf))
 
     record()
     n_steps = step_count(t_final, dt)[0]
     for n in range(1, n_steps + 1):
-        step(state, dt, g, delay, ops, workspace=ws)
+        step(state, g, delay, ops, workspace=ws)
         if n % record_every == 0 or n == n_steps:
             record()
     return dict(zip(COLUMNS, np.array(rows).T)), state
@@ -646,12 +637,12 @@ class TestLookahead:
         from degenwave.analysis import choose_epsilon
 
         lyap = choose_epsilon(SPEC, g, delay)
-        kw = dict(initial=initial(mesh, ops, "velocity-kick", "cosine"),
+        kw = dict(initial=initial(ops, "velocity-kick", "cosine"),
                   n_delta=16)
         cols, state = _step_loop_columns(mesh, ops, g, delay, 0.3, dt, 3,
                                          lyap, **kw)
         solves = _channel_solves(monkeypatch)
-        traj = run_one(mesh, ops, g, delay, t_final=0.3, dt=dt, record_every=3,
+        traj = run_one(ops, g, delay, t_final=0.3, dt=dt, record_every=3,
                        lyap=lyap, **kw)
         assert solves == [(17, 1)] * 300
         for name in COLUMNS:
@@ -696,11 +687,11 @@ class TestBatchRun:
         lyaps = [choose_epsilon(SPEC, rows[0], DELAY), None,
                  choose_epsilon(SPEC, rows[2], DELAY)]
         kw = dict(t_final=0.8, dt=1e-3, record_every=3,
-                  initial=initial(mesh, ops, "velocity-kick", "cosine"),
+                  initial=initial(ops, "velocity-kick", "cosine"),
                   n_delta=16)
-        batch = run(mesh, ops, rows, DELAY, lyap=lyaps, **kw)
+        batch = run(ops, rows, DELAY, lyap=lyaps, **kw)
         for g, lyap, traj in zip(rows, lyaps, batch):
-            alone = run_one(mesh, ops, g, DELAY, lyap=lyap, **kw)
+            alone = run_one(ops, g, DELAY, lyap=lyap, **kw)
             for name in COLUMNS:
                 assert np.array_equal(getattr(traj, name),
                                       getattr(alone, name)), name
@@ -720,7 +711,7 @@ class TestBatchRun:
         import math
 
         _, mesh, ops = make_ops(n=16)
-        u0, v0, f0 = initial(mesh, ops, "velocity-kick", "cosine")
+        u0, v0, f0 = initial(ops, "velocity-kick", "cosine")
         if case == "nan-history":
             mu2s = (0.2, 0.5)
             f0 = lambda s: math.nan if -0.245 < s < -0.225 else 0.0
@@ -729,11 +720,11 @@ class TestBatchRun:
         kw = dict(t_final=0.8, dt=1e-3, initial=(u0, v0, f0), record_every=3,
                   n_delta=16)
         rows = [GainSet(2.0, mu2, 1.0) for mu2 in mu2s]
-        out = run(mesh, ops, rows, DELAY, **kw)
+        out = run(ops, rows, DELAY, **kw)
         failed = []
         for g, got in zip(rows, out):
             try:
-                alone = run_one(mesh, ops, g, DELAY, **kw)
+                alone = run_one(ops, g, DELAY, **kw)
             except NonFiniteState as exc:
                 assert isinstance(got, NonFiniteState)
                 assert str(got) == str(exc)
@@ -762,12 +753,12 @@ class TestBatchRun:
                  for k, g in enumerate(rows)]
         rows, lyaps = [rows[k] for k in order], [lyaps[k] for k in order]
         kw = dict(t_final=0.8, dt=1e-3, record_every=3,
-                  initial=initial(mesh, ops, "velocity-kick", "cosine"),
+                  initial=initial(ops, "velocity-kick", "cosine"),
                   n_delta=16)
-        batch = run(mesh, ops, rows, DELAY, lyap=lyaps, snapshots=True, **kw)
+        batch = run(ops, rows, DELAY, lyap=lyaps, snapshots=True, **kw)
         for g, lyap, got in zip(rows, lyaps, batch):
             try:
-                alone = run_one(mesh, ops, g, DELAY, lyap=lyap, snapshots=True,
+                alone = run_one(ops, g, DELAY, lyap=lyap, snapshots=True,
                                 **kw)
             except NonFiniteState as exc:
                 assert g.mu2 == 1e300

@@ -32,7 +32,7 @@ import numpy as np
 
 from .delay_channel import delta_grid, delta_trap_weights
 from .errors import HypothesisError, NoStrictDamping, ShapeMismatch
-from .mesh import DiscreteOperators, Mesh, SPDTridiagonal, assemble_operators
+from .mesh import DiscreteOperators, Mesh, assemble_operators
 from .model import (
     CoefficientSpec,
     DelaySpec,
@@ -60,7 +60,6 @@ class LyapunovParams:
     equiv_upper: float
     damping_slack: float
     boundary_const: float
-    sandwich_coeff: float
     eps_sandwich: float
     eps_damping: float
 
@@ -163,7 +162,6 @@ def choose_epsilon(spec: CoefficientSpec, gains: GainSet,
         equiv_upper=1.0 + 2.0 * eps * mx,
         damping_slack=c3 * a1 - eps * trace_budget,
         boundary_const=c7,
-        sandwich_coeff=mx,
         eps_sandwich=eps_sandwich,
         eps_damping=eps_damping,
     )
@@ -256,12 +254,10 @@ def solve_auxiliary_elliptic(spec: CoefficientSpec, beta: float, lam: float,
         if np.isfinite(s) and s > 0.0:
             k[i] = 1.0 / s
     flux = replace(ops, k_cell=k)
-    start = ops.first_active
-    main, off = flux.stiffness_tridiagonal(start)
-    main[-1] += beta * a1
     z = np.zeros(mesh.N + 1)
     z[-1] = lam * a1
-    SPDTridiagonal(main, off, "elliptic").solve_in_place(z[start:])
+    flux.factor(1.0, 0.0, beta * a1, "elliptic").solve_in_place(
+        z[ops.first_active:])
 
     energy_sq = flux.stiffness_quadform(z) + beta * a1 * z[-1] ** 2
     l2_sq = ops.mass_quadform(z)

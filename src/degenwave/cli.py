@@ -16,7 +16,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -202,31 +202,11 @@ def build_report(sim: Simulation) -> dict:
             "mu_a": setup.spec.mu_a,
             "a_of_1": setup.spec.a_of_1,
             "strong_degeneracy": setup.spec.strong,
-            "poincare_const": consts.poincare_const,
-            "coercivity_const": consts.coercivity_const,
-            "trace_const": consts.trace_const,
-            "gain_margin": consts.gain_margin,
-            "damping_const": consts.damping_const,
-            "wellposed": consts.wellposed,
-            "strictly_damped": consts.strictly_damped,
+            **asdict(consts),
             "delay_bound_d": setup.delay.d,
         },
-        "lyapunov": None if lyap is None else {
-            "epsilon": lyap.epsilon,
-            "equiv_lower": lyap.equiv_lower,
-            "equiv_upper": lyap.equiv_upper,
-            "damping_slack": lyap.damping_slack,
-            "boundary_const": lyap.boundary_const,
-            "eps_sandwich": lyap.eps_sandwich,
-            "eps_damping": lyap.eps_damping,
-        },
-        "decay": None if cert is None else {
-            "decay_time_bound": cert.decay_time_bound,
-            "rate_fit": cert.rate_fit,
-            "integral_gain_max": cert.integral_gain_max,
-            "envelope_ok": cert.envelope_ok,
-            "horizon_ok": cert.horizon_ok,
-        },
+        "lyapunov": None if lyap is None else asdict(lyap),
+        "decay": None if cert is None else asdict(cert),
         "audits": audits,
         "notes": {
             "modified_functional_leading_constant":
@@ -610,12 +590,8 @@ def elliptic_table(alphas, betas, lams, n: int) -> dict:
                 all_ok = all_ok and res.bounds_ok
                 cases.append({
                     "alpha": al, "beta": b, "lam": lam, "N": n,
-                    "energy_norm_sq": res.energy_norm_sq,
-                    "energy_bound": res.energy_bound,
-                    "l2_norm_sq": res.l2_norm_sq,
-                    "l2_bound": res.l2_bound,
-                    "bounds_ok": res.bounds_ok,
-                    "l2_error_vs_exact": res.l2_error_vs_exact,
+                    **{f.name: getattr(res, f.name) for f in fields(res)
+                       if f.name != "z"},
                 })
     return {"cases": cases, "pass": all_ok}
 

@@ -30,6 +30,7 @@ recorded diagnostic.  The ring takes its samples a block at a time
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import lru_cache
 
@@ -191,6 +192,12 @@ class HistoryBuffer:
         self._v[:len(kept) - head] = kept[head:]
         self.last += n
         self.first += n
+
+    def row(self, b: int) -> HistoryBuffer:
+        """Row b of a batch's ring as a ring of its own, a copy."""
+        ring = copy.copy(self)
+        ring._v = self._v[:, b].copy()
+        return ring
 
     def sample(self, s):
         """Linear interpolation of the retained samples at the time(s) s."""

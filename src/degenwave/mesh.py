@@ -7,10 +7,12 @@ Dirichlet constraint at the degenerate endpoint for a weak degeneracy
 (mu_a < 1), none for a strong one.
 
 The midpoint step, the resolvent and the elliptic problem all solve this
-stiffness plus diagonal terms: `SPDTridiagonal` factors one such matrix
-once as L D L^T (LAPACK dpttrf) and solves with the factors in place
-(dpttrs).  Both routines come from `_lapack`, which loads scipy's LAPACK
-extension without the scipy.linalg package.
+stiffness plus diagonal terms, s K + m M with a boundary weight on the
+last active node; `DiscreteOperators.factor` is the one place that
+assembles such a system.  It returns an `SPDTridiagonal`, which factors
+the matrix once as L D L^T (LAPACK dpttrf) and solves with the factors in
+place (dpttrs).  Both routines come from `_lapack`, which loads scipy's
+LAPACK extension without the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -89,7 +91,11 @@ class DiscreteOperators:
     def stiffness_matvec(self, u: np.ndarray) -> np.ndarray:
         """K u on the full node set (the constrained node simply carries
         u=0); u may be a stack of vectors, shape (..., n)."""
-        return add_stiffness_product(np.zeros_like(u), self.k_cell, u)
+        flux = self.k_cell * (u[..., 1:] - u[..., :-1])
+        out = np.zeros_like(u)
+        out[..., :-1] -= flux
+        out[..., 1:] += flux
+        return out
 
     def stiffness_quadform(self, u: np.ndarray, w: np.ndarray | None = None):
         """u^T K w (w defaults to u); equals sum_i k_i (du_i)(dw_i).  Row by
@@ -101,23 +107,18 @@ class DiscreteOperators:
     def mass_quadform(self, v: np.ndarray) -> float:
         return float(np.dot(self.mass * v, v))
 
-    def stiffness_tridiagonal(self, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """(main, off) diagonals of K on nodes[start:], as new arrays."""
+    def factor(self, stiffness: float, mass: float, boundary: float,
+               what: str) -> SPDTridiagonal:
+        """The factored system stiffness K + mass M on nodes[first_active:],
+        with `boundary` added to its last diagonal entry; a failed
+        factorization is a SolveFailure naming `what`."""
+        start = self.first_active
         main = np.zeros(self.n_nodes)
         main[:-1] += self.k_cell
         main[1:] += self.k_cell
-        return main[start:], -self.k_cell[start:]
-
-
-def add_stiffness_product(out: np.ndarray, k: np.ndarray,
-                          u: np.ndarray) -> np.ndarray:
-    """out += K u in place for the stiffness with cell conductances k (K is
-    linear in k, so k = -dt k_cell adds -dt K u), row by row for stacks of
-    shape (..., n); returns out."""
-    flux = k * (u[..., 1:] - u[..., :-1])
-    out[..., :-1] -= flux
-    out[..., 1:] += flux
-    return out
+        main = main[start:] * stiffness + mass * self.mass[start:]
+        main[-1] += boundary
+        return SPDTridiagonal(main, -self.k_cell[start:] * stiffness, what)
 
 
 class SPDTridiagonal:

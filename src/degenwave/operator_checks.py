@@ -51,8 +51,9 @@ energy `analysis.lyapunov_raw` gives with tau = tau(t) or tau = 1, so
 ||U||_t^2 of a recorded state is twice its recorded E.
 Row-wise sums (np.vecdot) and the multi-right-hand-side LAPACK solves give
 each row the bits it would get alone, so the rows do not depend on the
-block size.  The resolvent factors its SPD tridiagonal once per time and
-solves a whole block with one ?pttrs call and one ?tbtrs channel solve.
+block size.  The resolvent factors its SPD tridiagonal once per time, as
+`ops.factor(1, 1, a(1) (mu1 + mu2 A_d + beta))`, and solves a whole block
+with one ?pttrs call and one ?tbtrs channel solve.
 A claim run alone or a certificate with fewer than one trial for some
 claim raises ValueError instead of passing.
 """
@@ -74,8 +75,13 @@ from .delay_channel import (
     transport_step,
 )
 from .errors import DomainViolation
-from .mesh import DiscreteOperators, Mesh, SPDTridiagonal
+from .mesh import DiscreteOperators, Mesh
 from .model import DelaySpec, GainSet
+
+
+# the drift's trial count and its finite-difference step sizes
+DRIFT_TRIALS = 50
+DRIFT_STEPS = (1e-2, 1e-3, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -293,11 +299,9 @@ class Resolvent:
         self.taup = float(ctx.delay.tau_prime(t))
         self.a_d, self.bw = channel_resolvent_weights(self.tau, self.taup,
                                                       ctx.n_delta)
-        start = ops.first_active
-        main, off = ops.stiffness_tridiagonal(start)
-        main += ops.mass[start:]
-        main[-1] += ops.a1 * (gains.mu1 + gains.mu2 * self.a_d + gains.beta)
-        self.factor = SPDTridiagonal(main, off, "resolvent")
+        self.factor = ops.factor(
+            1.0, 1.0, ops.a1 * (gains.mu1 + gains.mu2 * self.a_d + gains.beta),
+            "resolvent")
         self.speed = transport_speed(delta_grid(ctx.n_delta)[1:], self.tau,
                                      self.taup)
 
@@ -392,17 +396,18 @@ def _claim3(pairs, ctx: ProbeContext, trials: int, seed: int):
     return trials, update, rows
 
 
-def _dadt(times, ctx: ProbeContext, trials: int = 50,
-          steps: tuple = (1e-2, 1e-3, 1e-4)):
+def _dadt(times, ctx: ProbeContext):
     """The drift of A(t) for _run: a finite-difference bound on
-    ||(A(t+h) - A(t)) U|| / ||U||_graph over random domain-projected
-    states; one certificate row per time, holding the maximum under
-    "h=<h>" for each step size h and the trial count.
+    ||(A(t+h) - A(t)) U|| / ||U||_graph over DRIFT_TRIALS random
+    domain-projected states; one certificate row per time, holding the
+    maximum under "h=<h>" for each step size h of DRIFT_STEPS and the trial
+    count.
 
     Only the transport coefficient depends on time, so the difference lives
     in the channel block.  A sampled maximum, reported for information;
     run_certificate asserts it finite.
     """
+    trials, steps = DRIFT_TRIALS, DRIFT_STEPS
     rows = [{**{f"h={h:g}": 0.0 for h in steps}, "trials": trials}
             for _ in times]
     # the difference has no u or v block; 1-d zeros broadcast against it
@@ -439,9 +444,9 @@ def run_certificate(ctx: ProbeContext, t_list, seed: int = 0,
     keyed "t=<t>" and "s=<s>,t=<t>", a time printed with format(t, "g"), or
     with repr(t) where distinct times would print alike and share a row.
 
-    dAdt is the drift (`_dadt`) on its 50 trials: a sampled maximum reported
-    for information, not a bound.  It enters "pass" only in that every
-    value must be finite.
+    dAdt is the drift (`_dadt`) on DRIFT_TRIALS trials: a sampled maximum
+    reported for information, not a bound.  It enters "pass" only in that
+    every value must be finite.
     """
     t_list = [float(t) for t in t_list]
     if not t_list:

@@ -10,12 +10,12 @@ the history ring at the midpoint time (it is known history, so no
 iteration is needed and the local part keeps its unconditional stability).
 The linear system is SPD tridiagonal (the feedback only loads the last
 diagonal entry): `StepWorkspace.build` factors it once per run of
-consecutive rows with one `system_key` (mu1, beta), as a
-`mesh.SPDTridiagonal`, and the wave part of a step is one solve with the
-factors (`_midpoint_solver`, shared by `step` and `run`).  The
-stretched-history channel then takes its implicit upwind step, one
-lower-bidiagonal solve with the new boundary velocity as its inflow
-(`delay_channel.upwind_bands` and `upwind_solve`, the kernel of
+consecutive rows with one `system_key` (mu1, beta), as
+`ops.factor(dt^2/2, 2, dt a(1) (mu1 + dt beta/2))`, and the wave part of
+a step is one solve with the factors (`_midpoint_solver`, shared by
+`step` and `run`).  The stretched-history channel then takes its implicit
+upwind step, one lower-bidiagonal solve with the new boundary velocity as
+its inflow (`delay_channel.upwind_bands` and `upwind_solve`, the kernel of
 `transport_step`, which `step` and the resolvent call).
 
 `run` steps a lockstep batch of B rows, runs that differ only in their
@@ -57,7 +57,9 @@ the run in one slice.
 
 Step n lands on t = n dt exactly: the ring sits on the same uniform grid and
 its newest index is the step counter.  `step` updates one SimState in place,
-by the step dt of the workspace it is given.  `init_state`, `run` and
+by the step dt of the workspace it is given; a run's final states are such
+states, each with its own row of the batch's ring (`HistoryBuffer.row`), so
+`step` continues a row where `run` stopped it.  `init_state`, `run` and
 `bc_residual` read the mesh from the operators (`ops.mesh`), and the left
 boundary condition is `ops.first_active`: 1 when node 0 carries the weak
 degeneracy's Dirichlet constraint, else 0.
@@ -149,9 +151,10 @@ def init_state(ops: DiscreteOperators, delay: DelaySpec, initial: tuple,
     u0 and v0 are copied, since stepping updates the state in place; either
     one off the nodes' shape is a ShapeMismatch.
     Returns the state and a list of compatibility warnings: in the
-    Dirichlet regime (ops.first_active = 1) a u0 with u0(0) != 0 is an
-    error, while a mismatch between v0(1) and the history at time 0 is
-    legal (the solver is agnostic) and only recorded.
+    Dirichlet regime (ops.first_active = 1) a u0 with u0(0) != 0 or a v0
+    with v0(0) != 0 is an error (u(t, 0) = 0 forces u_t(t, 0) = 0), while
+    a mismatch between v0(1) and the history at time 0 is legal (the
+    solver is agnostic) and only recorded.
     """
     warnings: list[str] = []
     u0, v0, f0 = initial
@@ -163,12 +166,12 @@ def init_state(ops: DiscreteOperators, delay: DelaySpec, initial: tuple,
             raise ShapeMismatch(f"{name} has shape {x.shape} but mesh.nodes "
                                 f"has shape {shape}")
     if ops.first_active:
-        if abs(u[0]) > 1e-12:
-            raise IncompatibleInitialData(
-                f"u0(0) = {u[0]:.3g} but the weak-degeneracy regime pins u(t,0) = 0"
-            )
-        u[0] = 0.0
-        v[0] = 0.0
+        for name, x in (("u0", u), ("v0", v)):
+            if abs(x[0]) > 1e-12:
+                raise IncompatibleInitialData(
+                    f"{name}(0) = {x[0]:.3g} but the weak-degeneracy regime "
+                    "pins u(t,0) = 0")
+            x[0] = 0.0
 
     tau0 = float(delay.tau(0.0))
     w = init_channel(f0, tau0, n_delta)
@@ -223,17 +226,14 @@ class StepWorkspace:
     def build(cls, ops: DiscreteOperators, gains: GainSet | Sequence[GainSet],
               dt: float) -> "StepWorkspace":
         rows = [gains] if isinstance(gains, GainSet) else gains
-        start = ops.first_active
-        main, off = ops.stiffness_tridiagonal(start)
-        main = main * (0.5 * dt * dt) + 2.0 * ops.mass[start:]
-        off = off * (0.5 * dt * dt)
         systems, c1 = [], 0
         keys = [system_key(g.mu1, g.beta) for g in rows]
         for (mu1, beta), run in itertools.groupby(keys):
             c0, c1 = c1, c1 + len(list(run))
-            last = main.copy()
-            last[-1] += dt * ops.a1 * (mu1 + 0.5 * dt * beta)
-            systems.append((SPDTridiagonal(last, off, "midpoint"), c0, c1))
+            system = ops.factor(0.5 * dt * dt, 2.0,
+                                dt * ops.a1 * (mu1 + 0.5 * dt * beta),
+                                "midpoint")
+            systems.append((system, c0, c1))
         return cls(dt, systems, 2.0 * ops.mass, -dt * ops.k_cell)
 
 
@@ -288,8 +288,8 @@ def _midpoint_solver(u: np.ndarray, v: np.ndarray, betas: Sequence[float],
     mul, add, sub = np.multiply, np.add, np.subtract
 
     def advance(loads) -> list:
-        # 2 M v - dt K u on the active nodes (mesh.add_stiffness_product's
-        # flux order); a Dirichlet node (start = 1) keeps u = v = 0
+        # 2 M v - dt K u on the active nodes (the flux order of
+        # ops.stiffness_matvec); a Dirichlet node (start = 1) keeps u = v = 0
         mul(mass2, v_act, rhs)
         sub(u_hi, u_lo, flux)
         mul(k_rhs, flux, flux)
@@ -540,7 +540,7 @@ def run(ops: DiscreteOperators, gains: Sequence[GainSet], delay: DelaySpec,
     for b in range(n_batch):
         if out[b] is None:
             final = SimState(n_steps * dt, u[:, b].copy(), v[:, b].copy(),
-                             w_rows[b].copy(), buf)
+                             w_rows[b].copy(), buf.row(b))
             out[b] = Trajectory(
                 **dict(zip(COLUMNS, data[b])), warnings=list(warnings),
                 final_state=final,

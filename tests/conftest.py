@@ -1,5 +1,6 @@
 import time
 
+import numpy as np
 import pytest
 
 from degenwave import config as cfgmod
@@ -14,6 +15,17 @@ def initial(ops, preset="zero", f0="zero", f0_amplitude=1.0):
     cfg = cfgmod.RunConfig(initial_preset=preset, initial_f0=f0,
                            initial_f0_amplitude=f0_amplitude)
     return cfgmod.initial_data(cfg, ops.mu_a, ops.mesh.nodes)
+
+
+def full_stiffness(ops):
+    """The dense stiffness K of the operators, column j = K e_j."""
+    n = ops.n_nodes
+    K = np.zeros((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        K[:, j] = ops.stiffness_matvec(e)
+    return K
 
 
 def run_one(ops, gains, delay, lyap=None, **kw):

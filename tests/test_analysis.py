@@ -72,7 +72,10 @@ class TestChooseEpsilon:
         lyap = choose_epsilon(spec, GainSet(1.0, 0.0, 1.0),
                               make_delay("constant", {"tau": 1.0}))
         assert lyap.eps_sandwich == pytest.approx(0.25, abs=1e-15)
-        assert 1.0 - 2.0 * lyap.eps_sandwich * lyap.sandwich_coeff == \
+        coeff = sandwich_coefficient(
+            spec.mu_a, spec.a_of_1, 1.0,
+            structural_constants(spec, 1.0).poincare_const)
+        assert 1.0 - 2.0 * lyap.eps_sandwich * coeff == \
             pytest.approx(0.5, abs=1e-15)
         assert lyap.equiv_lower == pytest.approx(1.0 - 2 * lyap.epsilon, abs=1e-15)
 

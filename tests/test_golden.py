@@ -84,3 +84,36 @@ def test_matches_golden(scenario):
 
 def test_golden_covers_every_scenario():
     assert set(_load()) == set(config.SCENARIO_NAMES)
+
+
+# the report's record sections, key for key: the golden values above hold
+# only their numeric entries, so a dropped bit or a record field that leaks
+# into the JSON would pass them
+REPORT_KEYS = {
+    "constants": {
+        "mu_a", "a_of_1", "strong_degeneracy", "poincare_const",
+        "coercivity_const", "trace_const", "gain_margin", "damping_const",
+        "wellposed", "strictly_damped", "delay_bound_d"},
+    "lyapunov": {
+        "epsilon", "equiv_lower", "equiv_upper", "damping_slack",
+        "boundary_const", "eps_sandwich", "eps_damping"},
+    "decay": {
+        "decay_time_bound", "rate_fit", "integral_gain_max", "envelope_ok",
+        "horizon_ok"},
+}
+ELLIPTIC_CASE_KEYS = {
+    "alpha", "beta", "lam", "N", "energy_norm_sq", "energy_bound",
+    "l2_norm_sq", "l2_bound", "bounds_ok", "l2_error_vs_exact"}
+
+
+def test_report_sections_have_fixed_keys(baseline_run):
+    report = baseline_run[2]
+    for section, keys in REPORT_KEYS.items():
+        assert set(report[section]) == keys, section
+
+
+def test_elliptic_case_has_fixed_keys():
+    from degenwave.cli import elliptic_table
+
+    table = elliptic_table([0.5, 1.5], [1.0], [1.0], n=16)
+    assert [set(case) for case in table["cases"]] == [ELLIPTIC_CASE_KEYS] * 2

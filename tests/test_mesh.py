@@ -15,15 +15,7 @@ from degenwave.analysis import lyapunov_raw
 from degenwave.errors import BadMeshParams, ShapeMismatch, SolveFailure
 from degenwave.mesh import SPDTridiagonal
 
-
-def full_stiffness(ops):
-    n = ops.n_nodes
-    K = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        K[:, j] = ops.stiffness_matvec(e)
-    return K
+from conftest import full_stiffness
 
 
 class TestBuildMesh:
@@ -133,18 +125,26 @@ class TestAssembly:
 class TestTridiagonal:
     @pytest.mark.parametrize("alpha", [0.5, 1.5],
                              ids=["0.5-dirichlet_left", "1.5-natural_left"])
-    def test_diagonals_match_the_matvec(self, alpha):
+    @pytest.mark.parametrize("stiffness, mass, boundary", [
+        (1.0, 0.0, 0.7), (1.0, 1.0, 2.5), (0.5e-6, 2.0, 3e-3), (3.0, 0.25, 0.0),
+    ], ids=["elliptic", "resolvent", "midpoint", "no-boundary"])
+    def test_factor_solves_the_dense_system(self, alpha, stiffness, mass,
+                                            boundary):
+        # s K + m M on the active nodes, boundary on the last diagonal entry
         spec = make_coefficient("power", {"alpha": alpha})
         ops = assemble_operators(spec, build_mesh(17, 1.3))
-        K = full_stiffness(ops)
-        for start in (0, 1):
-            main, off = ops.stiffness_tridiagonal(start)
-            sub = K[start:, start:]
-            assert np.array_equal(main, np.diag(sub))
-            assert np.array_equal(off, np.diag(sub, 1))
-            assert np.array_equal(off, np.diag(sub, -1))
-            main[:] = 0.0  # new arrays: the operator is unchanged
+        K, mass_kept = full_stiffness(ops), ops.mass.copy()
+        start = ops.first_active
+        A = stiffness * K[start:, start:] + mass * np.diag(ops.mass[start:])
+        A[-1, -1] += boundary
+        rhs = np.random.default_rng(3).standard_normal(A.shape[0])
+        x = rhs.copy()
+        ops.factor(stiffness, mass, boundary, "test").solve_in_place(x)
+        want = np.linalg.solve(A, rhs)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+        # the operators are left as they were
         assert np.array_equal(full_stiffness(ops), K)
+        assert np.array_equal(ops.mass, mass_kept)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 256, 1025])
     def test_solve_matches_dense(self, n):

@@ -1,6 +1,7 @@
 """Generator probes: dissipativity, resolvent residuals, norm ratios."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from degenwave.errors import DomainViolation, SolveFailure
 from degenwave.mesh import SPDTridiagonal
 from degenwave.operator_checks import (
     BLOCK_DOUBLES,
+    DRIFT_STEPS,
     ProbeContext,
     Resolvent,
     _claim1,
@@ -40,6 +42,8 @@ from degenwave.operator_checks import (
     run_certificate,
 )
 
+from conftest import full_stiffness
+
 DELAY = make_delay("saturating_exponential", {"tau0": 0.5, "tau1": 1.0, "k": 0.4})
 
 
@@ -49,10 +53,12 @@ def norm_sq(U, tau, ctx):
     return 2.0 * lyapunov_raw(*U, tau, ctx.ops, ctx.gains)[0]
 
 
-def _drift(times, ctx, trials, seed):
+def _drift(times, ctx, trials, seed, steps=DRIFT_STEPS):
     """The drift's claim, built as the others are (its rows name no
-    seed)."""
-    return _dadt(times, ctx, trials)
+    seed), of `trials` trials and the step sizes `steps`."""
+    with mock.patch.multiple(operator_checks, DRIFT_TRIALS=trials,
+                             DRIFT_STEPS=steps):
+        return _dadt(times, ctx)
 
 
 def make_ctx(n=64, n_delta=32, gains=GainSet(2.0, 0.2, 1.0), delay=DELAY,
@@ -259,7 +265,7 @@ def test_norm_of_a_recorded_state_is_twice_its_energy():
 class TestGeneratorDrift:
     def test_finite_and_stable(self):
         ctx = make_ctx()
-        [out] = _run(ctx, 2, [_dadt([2.0], ctx, 20)])[0]
+        [out] = _run(ctx, 2, [_drift([2.0], ctx, 20, 2)])[0]
         assert out.pop("trials") == 20
         assert list(out) == ["h=0.01", "h=0.001", "h=0.0001"]
         vals = list(out.values())
@@ -343,13 +349,15 @@ def oracle_resolvent(t, ctx, trials, seed):
     m = ctx.n_delta
     a_d, bw = channel_resolvent_weights(tau, taup, m)
     start = ops.first_active
+    # the diagonals from the dense stiffness, apart from DiscreteOperators
+    K = full_stiffness(ops)[start:, start:]
+    main = np.diag(K) + ops.mass[start:]
+    off = np.diag(K, 1).copy()
+    main[-1] += ops.a1 * (g.mu1 + g.mu2 * a_d + g.beta)
     worst_res = worst_ident = 0.0
     for f, gg, h in oracle_draw(seed, ctx, trials):
         if ctx.ops.first_active:
             f[0] = 0.0
-        main, off = ops.stiffness_tridiagonal(start)
-        main += ops.mass[start:]
-        main[-1] += ops.a1 * (g.mu1 + g.mu2 * a_d + g.beta)
         rhs = (ops.mass * (f + gg))[start:]
         rhs[-1] += ops.a1 * ((g.mu1 + g.mu2 * a_d) * f[-1]
                              - g.mu2 * float(bw @ h))
@@ -462,8 +470,8 @@ class TestStackedAgainstPerTrial:
             assert rep["max_ratio"] == oracle_norm_ratio(s, t, ctx, trials,
                                                          seed)
         steps = (1e-2, 1e-4)
-        drifts = _run(ctx, seed, [_dadt(self.TIMES, ctx, trials // 4,
-                                        steps)])[0]
+        drifts = _run(ctx, seed, [_drift(self.TIMES, ctx, trials // 4,
+                                         seed, steps)])[0]
         for t, drift in zip(self.TIMES, drifts):
             assert drift == oracle_drift(t, ctx, trials // 4, seed, steps)
 

@@ -83,6 +83,24 @@ class TestInitState:
             init_state(ops, DELAY, (1.0 + mesh.nodes,
                                     np.zeros_like(mesh.nodes), lambda s: 0.0))
 
+    def test_nonzero_dirichlet_velocity_is_rejected(self):
+        # u(t, 0) = 0 forces u_t(t, 0) = 0: a v0(0) beyond 1e-12 is an
+        # error naming v0(0), as u0(0) is, and one within it is zeroed
+        _, mesh, ops = make_ops()
+        zero, v0 = np.zeros_like(mesh.nodes), np.zeros_like(mesh.nodes)
+        v0[0] = 0.5
+        with pytest.raises(IncompatibleInitialData, match=r"^v0\(0\) = 0\.5"):
+            init_state(ops, DELAY, (zero, v0, lambda s: 0.0))
+        v0[0] = 1e-13
+        state, _ = init_state(ops, DELAY, (zero, v0, lambda s: 0.0))
+        assert state.v[0] == 0.0
+        # no constrained node in the strong regime: v0(0) is kept
+        _, mesh, ops = make_ops(alpha=1.5)
+        v0 = np.zeros_like(mesh.nodes)
+        v0[0] = 0.5
+        state, _ = init_state(ops, DELAY, (v0 * 0.0, v0, lambda s: 0.0))
+        assert state.v[0] == 0.5
+
     def test_data_off_the_mesh_is_a_shape_mismatch(self):
         # u0 or v0 with other than mesh.nodes' shape is named before the
         # batch tiles it, in init_state and through run
@@ -701,6 +719,30 @@ class TestBatchRun:
             assert traj.warnings == alone.warnings
         assert np.array_equal(batch[1].E_tilde, batch[1].E)
         assert not np.array_equal(batch[0].E, batch[1].E)
+
+    def test_final_states_step_on_as_a_longer_run(self):
+        # each row's final state has its own ring: k step() calls from it
+        # give the final state of the run k steps longer, bit for bit
+        from degenwave import config
+
+        cfg = config.load_config("baseline")
+        setup = config.build_setup(cfg)
+        rows = [GainSet(2.0, 0.2, 1.0), GainSet(1.5, -0.3, 0.5)]
+        n, k = round(0.5 / setup.dt), 37
+        kw = dict(dt=setup.dt, initial=setup.initial,
+                  n_delta=cfg.channel_n_delta, record_every=10**9)
+        short = run(setup.ops, rows, setup.delay, t_final=n * setup.dt, **kw)
+        longer = run(setup.ops, rows, setup.delay,
+                     t_final=(n + k) * setup.dt, **kw)
+        for g, got, want in zip(rows, short, longer):
+            state = got.final_state
+            ws = StepWorkspace.build(setup.ops, g, setup.dt)
+            for _ in range(k):
+                step(state, g, setup.delay, setup.ops, ws)
+            assert state.t == want.final_state.t == (n + k) * setup.dt
+            for part in ("u", "v", "w"):
+                assert np.array_equal(getattr(state, part),
+                                      getattr(want.final_state, part))
 
     @pytest.mark.parametrize("case", ["nan-history", "overflow"])
     def test_non_finite_row_stops_alone(self, case):

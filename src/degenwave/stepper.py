@@ -165,8 +165,7 @@ def init_state(ops: DiscreteOperators, delay: DelaySpec, initial: tuple,
         if x.shape != shape:
             raise ShapeMismatch(f"{name} has shape {x.shape} but mesh.nodes "
                                 f"has shape {shape}")
-    if ops.first_active:
-        for name, x in (("u0", u), ("v0", v)):
+        if ops.first_active:
             if abs(x[0]) > 1e-12:
                 raise IncompatibleInitialData(
                     f"{name}(0) = {x[0]:.3g} but the weak-degeneracy regime "

@@ -722,13 +722,15 @@ class TestBatchRun:
 
     def test_final_states_step_on_as_a_longer_run(self):
         # each row's final state has its own ring: k step() calls from it
-        # give the final state of the run k steps longer, bit for bit
+        # give the final state of the run k steps longer, bit for bit.  At
+        # t = 1.5 > tau(t) the delayed samples come from the run, where
+        # the rows' traces differ
         from degenwave import config
 
         cfg = config.load_config("baseline")
         setup = config.build_setup(cfg)
         rows = [GainSet(2.0, 0.2, 1.0), GainSet(1.5, -0.3, 0.5)]
-        n, k = round(0.5 / setup.dt), 37
+        n, k = round(1.5 / setup.dt), 37
         kw = dict(dt=setup.dt, initial=setup.initial,
                   n_delta=cfg.channel_n_delta, record_every=10**9)
         short = run(setup.ops, rows, setup.delay, t_final=n * setup.dt, **kw)

@@ -43,8 +43,6 @@ class RunConfig:
     coefficient_alpha: float = 0.5
     coefficient_scale: float = 1.0
     coefficient_factor: Optional[str] = None
-    coefficient_xs: Optional[tuple] = None
-    coefficient_values: Optional[tuple] = None
 
     delay_kind: str = "saturating_exponential"
     delay_tau: float = 0.8
@@ -92,10 +90,6 @@ def _str_opt(s):
     return None if s in ("", "none", "None") else str(s)
 
 
-def _floats(s):
-    return tuple(_finite(x) for x in str(s).replace(",", " ").split())
-
-
 def _seed(s):
     x = int(s)
     if x < 0:
@@ -108,8 +102,6 @@ _KEYS = {
     "coefficient.alpha": ("coefficient_alpha", _finite),
     "coefficient.scale": ("coefficient_scale", _finite),
     "coefficient.factor": ("coefficient_factor", _str_opt),
-    "coefficient.xs": ("coefficient_xs", _floats),
-    "coefficient.values": ("coefficient_values", _floats),
     "delay.kind": ("delay_kind", str),
     "delay.tau": ("delay_tau", _finite),
     "delay.tau0": ("delay_tau0", _finite),
@@ -173,16 +165,8 @@ def set_value(cfg: RunConfig, key: str, value) -> RunConfig:
 
 
 def to_text(cfg: RunConfig) -> str:
-    lines = []
-    for key in _KEYS:
-        attr, _ = _KEYS[key]
-        val = getattr(cfg, attr)
-        if val is None:
-            continue
-        if isinstance(val, tuple):
-            val = " ".join(f"{x!r}" for x in val)
-        lines.append(f"{key} = {val}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {val}\n"
+                   for key, val in effective_items(cfg).items())
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -191,13 +175,13 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def effective_items(cfg: RunConfig) -> dict:
-    """Dotted-key view of the scalar config entries (for reports/rows)."""
+    """Dotted-key view of the config entries that are set (for reports,
+    rows and `to_text`)."""
     out = {}
     for key, (attr, _) in _KEYS.items():
         val = getattr(cfg, attr)
-        if val is None or isinstance(val, tuple):
-            continue
-        out[key] = val
+        if val is not None:
+            out[key] = val
     return out
 
 
@@ -328,8 +312,7 @@ def build_setup(cfg: RunConfig) -> RunSetup:
     try:
         spec = model.make_coefficient(cfg.coefficient_kind, {
             "alpha": cfg.coefficient_alpha, "scale": cfg.coefficient_scale,
-            "factor": cfg.coefficient_factor, "xs": cfg.coefficient_xs,
-            "values": cfg.coefficient_values,
+            "factor": cfg.coefficient_factor,
         })
         delay = model.make_delay(cfg.delay_kind, {
             "tau": cfg.delay_tau, "tau0": cfg.delay_tau0,

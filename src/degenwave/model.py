@@ -29,8 +29,8 @@ from .errors import (
     NonPositive,
 )
 
-# Smooth positive factors g(x) available for the power_times_factor family,
-# stored as (g, g') pairs.
+# Smooth factors g(x), positive on [0, 1], available for the
+# power_times_factor family, stored as (g, g') pairs.
 FACTORS: dict[str, tuple[Callable, Callable]] = {
     "one_plus_x": (lambda x: 1.0 + x, lambda x: np.ones_like(np.asarray(x, float))),
     "two_minus_x": (lambda x: 2.0 - x, lambda x: -np.ones_like(np.asarray(x, float))),
@@ -38,20 +38,20 @@ FACTORS: dict[str, tuple[Callable, Callable]] = {
 }
 
 # points of the geometric sample of (0, 1] on which `degeneracy_mu_a`
-# estimates mu_a for a coefficient that is not a pure power
+# maximizes x a'/a for a coefficient that is not a pure power
 MU_A_SAMPLES = 2001
 
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """Validated degenerate coefficient a(x) on [0, 1].
+    """Validated degenerate coefficient a(x) = scale x^alpha g(x) on [0, 1].
 
     Fields
     ------
-    kind : "power", "power_times_factor" or "tabulated"
-    alpha : power exponent (0 for tabulated)
+    kind : "power" (g = 1) or "power_times_factor"
+    alpha : power exponent
     scale : multiplicative constant in front of the power law
-    factor : id of the smooth factor g(x), or None
+    factor : id of the smooth factor g(x) in FACTORS, or None for g = 1
     a_of_1 : value a(1) > 0
     mu_a : degeneracy index, exact for pure powers, sampled otherwise
     """
@@ -62,8 +62,6 @@ class CoefficientSpec:
     factor: Optional[str]
     a_of_1: float
     mu_a: float
-    table_x: Optional[np.ndarray] = None
-    table_a: Optional[np.ndarray] = None
 
     @property
     def strong(self) -> bool:
@@ -71,78 +69,50 @@ class CoefficientSpec:
         return self.mu_a >= 1.0
 
     def a(self, x):
-        """Evaluate a(x); vectorized, never needs a(0)^-1 or a'."""
+        """Evaluate a(x); vectorized, never needs a(0)^-1."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "power":
-            return self.scale * x**self.alpha
-        if self.kind == "power_times_factor":
-            g, _ = FACTORS[self.factor]
-            return self.scale * x**self.alpha * g(x)
-        return self._spline()(x)
-
-    def a_prime(self, x):
-        """Evaluate a'(x) for x > 0."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "power":
-            if self.alpha == 0.0:
-                return np.zeros_like(x)
-            return self.scale * self.alpha * x ** (self.alpha - 1.0)
-        if self.kind == "power_times_factor":
-            g, gp = FACTORS[self.factor]
-            if self.alpha == 0.0:
-                return self.scale * gp(x)
-            return self.scale * (
-                self.alpha * x ** (self.alpha - 1.0) * g(x) + x**self.alpha * gp(x)
-            )
-        return self._spline().derivative()(x)
+        a = self.scale * x**self.alpha
+        return a if self.factor is None else a * FACTORS[self.factor][0](x)
 
     def inv_integral(self, x0: float, x1: float) -> float:
-        """Integral of 1/a over [x0, x1]; may be +inf at a strong degeneracy.
+        """Integral of 1/a over [x0, x1]; +inf from x0 = 0 when alpha >= 1.
 
         Closed form for pure powers, quadrature otherwise.  Used by the
         flux-exact elliptic assembly.
         """
         if x1 <= x0:
             return 0.0
-        if self.kind == "power":
-            al, s = self.alpha, self.scale
-            if al == 0.0:
-                return (x1 - x0) / s
-            if x0 <= 0.0 and al >= 1.0:
-                return math.inf
-            if al == 1.0:
-                return math.log(x1 / x0) / s
-            p = 1.0 - al
-            lo = 0.0 if x0 <= 0.0 else x0**p
-            return (x1**p - lo) / (p * s)
-        from scipy.integrate import quad
-
-        if x0 <= 0.0 and self.mu_a >= 1.0:
+        if x0 <= 0.0 and self.alpha >= 1.0:
             return math.inf
-        val, _ = quad(lambda x: 1.0 / float(self.a(x)), x0, x1, limit=200)
-        return val
+        if self.factor is not None:
+            from scipy.integrate import quad
 
-    def _spline(self):
-        from scipy.interpolate import PchipInterpolator
-
-        return PchipInterpolator(self.table_x, self.table_a)
+            return quad(lambda x: 1.0 / float(self.a(x)), x0, x1, limit=200)[0]
+        al, s = self.alpha, self.scale
+        if al == 0.0:
+            return (x1 - x0) / s
+        if al == 1.0:
+            return math.log(x1 / x0) / s
+        p = 1.0 - al
+        lo = 0.0 if x0 <= 0.0 else x0**p
+        return (x1**p - lo) / (p * s)
 
 
 def degeneracy_mu_a(spec: CoefficientSpec) -> float:
-    """Estimate mu_a = sup x |a'(x)| / a(x) over a geometric sample of (0, 1].
+    """mu_a = sup x |a'(x)| / a(x) over (0, 1].
 
-    Exact for pure power laws.  Raises NonPositive if the coefficient is not
-    positive at a sampled interior point.
+    For a = scale x^alpha g(x), x a'/a = alpha + x g'(x)/g(x), which tends
+    to alpha as x -> 0; mu_a is the larger of that limit and the largest
+    |alpha + x g'/g| on a geometric sample of (0, 1].  Exact for pure power
+    laws.
     """
-    if spec.kind == "power":
+    if spec.factor is None:
         return float(spec.alpha)
+    g, gp = FACTORS[spec.factor]
     # geometric sample of (0, 1], clustered at the degeneracy point
     xs = np.geomspace(1e-6, 1.0, MU_A_SAMPLES)
-    a = np.asarray(spec.a(xs), dtype=float)
-    if np.any(a <= 0.0):
-        raise NonPositive("coefficient must be positive on (0, 1]")
-    ratio = xs * np.abs(np.asarray(spec.a_prime(xs), dtype=float)) / a
-    return float(np.max(ratio))
+    ratio = np.abs(spec.alpha + xs * gp(xs) / g(xs))
+    return float(max(spec.alpha, np.max(ratio)))
 
 
 def _finite(error: type, **values: float) -> None:
@@ -154,89 +124,42 @@ def _finite(error: type, **values: float) -> None:
 
 
 def make_coefficient(kind: str, params: dict) -> CoefficientSpec:
-    """Build and validate a coefficient family member.
+    """Build and validate a = scale x^alpha g(x), a coefficient family member.
 
     params by kind:
-      power: alpha (0 <= alpha < 2), scale (default 1)
-      power_times_factor: alpha, factor (id in FACTORS), scale
-      tabulated: xs, values (grids with xs[0] = 0, xs[-1] = 1, values[0] = 0)
+      power: alpha, scale (default 1); g = 1, and no factor may be given
+      power_times_factor: alpha, factor (id in FACTORS), scale (default 1)
 
-    Raises DegeneracyOutOfRange when the degeneracy index reaches 2 (or
-    alpha is not finite), and NonPositive when the coefficient fails
-    positivity on (0, 1] (or a scale or table value is not finite).
-
-    Tabulated data are interpolated by a shape-preserving spline; the
-    degeneracy index is measured on that interpolant, which behaves linearly
-    below the first table node (index 1 regardless of the sampled decay).
+    Both kinds take the same checks: DegeneracyOutOfRange when alpha is not
+    finite or negative, or the degeneracy index reaches 2, and NonPositive
+    when the scale is not finite and positive.  An unknown kind, an unknown
+    factor, or a factor given to the power kind is a ValueError.
     """
-    if kind == "power":
-        alpha = float(params["alpha"])
-        scale = float(params.get("scale", 1.0))
-        _finite(DegeneracyOutOfRange, alpha=alpha)
-        _finite(NonPositive, scale=scale)
-        if alpha < 0.0:
-            raise DegeneracyOutOfRange("power exponent must be >= 0")
-        if alpha >= 2.0:
-            raise DegeneracyOutOfRange(
-                f"degeneracy hypothesis: mu_a = sup x|a'|/a must be < 2, "
-                f"got mu_a = {alpha} for the power coefficient"
-            )
-        if scale <= 0.0:
-            raise NonPositive("coefficient scale must be positive")
-        return CoefficientSpec(
-            kind="power", alpha=alpha, scale=scale, factor=None,
-            a_of_1=scale, mu_a=alpha,
+    if kind not in ("power", "power_times_factor"):
+        raise ValueError(f"unknown coefficient kind {kind!r}")
+    factor = params.get("factor")
+    if kind == "power" and factor is not None:
+        raise ValueError(f"coefficient.factor {factor!r} is set, but only "
+                         f"kind power_times_factor takes a factor")
+    if kind == "power_times_factor" and factor not in FACTORS:
+        raise ValueError(f"unknown factor id {factor!r}; have {sorted(FACTORS)}")
+    alpha = float(params["alpha"])
+    scale = float(params.get("scale", 1.0))
+    _finite(DegeneracyOutOfRange, alpha=alpha)
+    _finite(NonPositive, scale=scale)
+    if alpha < 0.0:
+        raise DegeneracyOutOfRange("power exponent must be >= 0")
+    spec = CoefficientSpec(kind=kind, alpha=alpha, scale=scale, factor=factor,
+                           a_of_1=0.0, mu_a=0.0)
+    mu = degeneracy_mu_a(spec)
+    if mu >= 2.0:
+        raise DegeneracyOutOfRange(
+            f"degeneracy hypothesis: mu_a = sup x|a'|/a must be < 2, "
+            f"got mu_a = {mu} for the {kind} coefficient"
         )
-
-    if kind == "power_times_factor":
-        alpha = float(params["alpha"])
-        factor = params["factor"]
-        scale = float(params.get("scale", 1.0))
-        if factor not in FACTORS:
-            raise ValueError(f"unknown factor id {factor!r}; have {sorted(FACTORS)}")
-        _finite(NonPositive, alpha=alpha, scale=scale)
-        if alpha < 0.0 or scale <= 0.0:
-            raise NonPositive("need alpha >= 0 and scale > 0")
-        g, _ = FACTORS[factor]
-        draft = CoefficientSpec(
-            kind="power_times_factor", alpha=alpha, scale=scale, factor=factor,
-            a_of_1=scale * float(g(1.0)), mu_a=0.0,
-        )
-        mu = degeneracy_mu_a(draft)
-        if mu >= 2.0:
-            raise DegeneracyOutOfRange(
-                f"degeneracy hypothesis: sampled mu_a = {mu:.6g} >= 2"
-            )
-        if alpha > 0.0 and draft.a_of_1 <= 0.0:
-            raise NonPositive("a(1) must be positive")
-        return replace(draft, mu_a=mu)
-
-    if kind == "tabulated":
-        xs = np.asarray(params["xs"], dtype=float)
-        vals = np.asarray(params["values"], dtype=float)
-        if xs.ndim != 1 or xs.shape != vals.shape or xs.size < 3:
-            raise ValueError("tabulated coefficient needs matching 1-d grids")
-        if xs[0] != 0.0 or xs[-1] != 1.0 or not np.all(np.diff(xs) > 0):
-            raise ValueError("xs must increase strictly from 0 to 1")
-        if vals[0] != 0.0:
-            raise NonPositive("tabulated coefficient must vanish at x = 0")
-        if not np.all(np.isfinite(vals)):
-            raise NonPositive("tabulated coefficient values must be finite")
-        if np.any(vals[1:] <= 0.0):
-            raise NonPositive("coefficient must be positive on (0, 1]")
-        draft = CoefficientSpec(
-            kind="tabulated", alpha=0.0, scale=1.0, factor=None,
-            a_of_1=float(vals[-1]), mu_a=0.0,
-            table_x=xs.copy(), table_a=vals.copy(),
-        )
-        mu = degeneracy_mu_a(draft)
-        if mu >= 2.0:
-            raise DegeneracyOutOfRange(
-                f"degeneracy hypothesis: sampled mu_a = {mu:.6g} >= 2"
-            )
-        return replace(draft, mu_a=mu)
-
-    raise ValueError(f"unknown coefficient kind {kind!r}")
+    if scale <= 0.0:
+        raise NonPositive("coefficient scale must be positive")
+    return replace(spec, a_of_1=float(spec.a(1.0)), mu_a=mu)
 
 
 @dataclass(frozen=True)

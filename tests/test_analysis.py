@@ -247,6 +247,31 @@ class TestEllipticProblem:
             assert abs(res.z[-1] - 2.0 / 3.0) < 1e-2
 
 
+class TestInverseIntegral:
+    def test_quadrature_against_closed_form(self):
+        # the quadrature path of power_times_factor against closed forms of
+        # int 1/a: a = 1 + x, and a = x (2 - x), whose integral diverges at 0
+        for alpha, factor, closed in [
+            (0.0, "one_plus_x", lambda x0, x1: np.log((1 + x1) / (1 + x0))),
+            (1.0, "two_minus_x",
+             lambda x0, x1: 0.5 * np.log(x1 * (2 - x0) / (x0 * (2 - x1)))),
+        ]:
+            spec = make_coefficient("power_times_factor",
+                                    {"alpha": alpha, "factor": factor})
+            for x0, x1 in [(1e-3, 0.125), (0.125, 0.5), (0.5, 1.0)]:
+                assert spec.inv_integral(x0, x1) == pytest.approx(
+                    closed(x0, x1), rel=1e-12)
+            first = spec.inv_integral(0.0, 0.125)
+            if alpha >= 1.0:
+                assert first == np.inf
+            else:
+                assert first == pytest.approx(np.log(1.125), rel=1e-12)
+            mesh = build_mesh(64, default_gamma(spec.mu_a))
+            for beta in [0.5, 2.0]:
+                res = solve_auxiliary_elliptic(spec, beta, 1.0, mesh)
+                assert res.bounds_ok
+
+
 class TestDecayCertificate:
     def _params(self):
         consts = full_constants(SPEC, GAINS, DELAY)

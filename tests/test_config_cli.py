@@ -162,28 +162,6 @@ class TestConfigFormat:
         (traj,) = cfgmod.run_from_setup([setup])
         assert traj.t[-1] == pytest.approx(0.25)
 
-    def test_tabulated_coefficient_through_config(self, tmp_path):
-        xs = " ".join(str(x / 20) for x in range(21))
-        vals = " ".join(str(x / 20) for x in range(21))
-        text = (
-            f"coefficient.kind = tabulated\ncoefficient.xs = {xs}\n"
-            f"coefficient.values = {vals}\n"
-            "mesh.n = 32\nchannel.n_delta = 16\nintegrator.t_final = 0.25\n"
-            "initial.preset = velocity-kick\n"
-        )
-        path = tmp_path / "tab.cfg"
-        path.write_text(text)
-        cfg = cfgmod.load_config(str(path))
-        # a tabulated ramp interpolates to index ~1: natural left boundary
-        setup = cfgmod.build_setup(cfg)
-        assert setup.ops.first_active == 0
-        (traj,) = cfgmod.run_from_setup([setup])
-        assert traj.E[0] > 0.0
-        # and the config text round-trips with the table intact
-        again = cfgmod.parse_config_text(cfgmod.to_text(cfg))
-        assert again == cfg
-
-
 def run_cli(args):
     return main(args)
 
@@ -249,6 +227,31 @@ class TestSimulateCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "'bogus'" in err
+
+    def test_factor_on_power_coefficient_exit2(self, tmp_path, capsys):
+        # a power coefficient has g = 1; a factor would be ignored silently
+        rc = run_cli(["simulate", "--config", "baseline",
+                      "--set", "coefficient.factor=exp",
+                      "--out", str(tmp_path / "x")])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("config error: coefficient.factor 'exp'")
+        assert not (tmp_path / "x.json").exists()
+
+    def test_removed_tabulated_inputs_exit2(self, tmp_path, capsys):
+        rc = run_cli(["simulate", "--config", "baseline",
+                      "--set", "coefficient.kind=tabulated",
+                      "--out", str(tmp_path / "x")])
+        assert rc == EXIT_HYPOTHESIS
+        assert ("unknown coefficient kind 'tabulated'"
+                in capsys.readouterr().err)
+        path = tmp_path / "table.cfg"
+        path.write_text("coefficient.kind = power\ncoefficient.xs = 0 1\n")
+        rc = run_cli(["simulate", "--config", str(path),
+                      "--out", str(tmp_path / "x")])
+        assert rc == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err.startswith(
+            "config error: line 2: unknown key 'coefficient.xs'")
 
     @pytest.mark.parametrize("key, known", [
         ("initial.preset", "ramp, sine-bump, velocity-kick, zero"),

@@ -94,10 +94,8 @@ class TestAssembly:
         ("power", {"alpha": 1.0}),
         ("power", {"alpha": 1.5}),
         ("power_times_factor", {"alpha": 0.5, "factor": "two_minus_x"}),
-        ("tabulated", {"xs": np.linspace(0.0, 1.0, 21),
-                       "values": np.linspace(0.0, 1.0, 21)}),
     ], ids=["power-0.5", "power-0.999", "power-1.0", "power-1.5",
-            "power_times_factor", "tabulated"])
+            "power_times_factor"])
     def test_coefficient_sets_the_left_boundary(self, kind, params):
         # the regime alone fixes the constrained node: u(t, 0) = 0 for a
         # weak degeneracy (mu_a < 1), no constraint for a strong one

@@ -7,6 +7,8 @@ import pytest
 
 from degenwave import (
     GainSet,
+    assemble_operators,
+    build_mesh,
     degeneracy_mu_a,
     feedback_margins,
     make_coefficient,
@@ -53,14 +55,10 @@ class TestCoefficient:
             make_coefficient("power", {"alpha": value})
         with pytest.raises(NonPositive, match="^scale must be a finite"):
             make_coefficient("power", {"alpha": 0.5, "scale": value})
-        with pytest.raises(NonPositive, match="^alpha must be a finite"):
+        # both kinds take the same checks and error classes
+        with pytest.raises(DegeneracyOutOfRange, match="^alpha must be a finite"):
             make_coefficient("power_times_factor",
                              {"alpha": value, "factor": "one_plus_x"})
-        xs = np.linspace(0.0, 1.0, 5)
-        vals = xs.copy()
-        vals[2] = value
-        with pytest.raises(NonPositive):
-            make_coefficient("tabulated", {"xs": xs, "values": vals})
 
     def test_mu_a_exact_for_powers(self):
         for alpha in [0.0, 0.3, 0.7, 1.0, 1.9]:
@@ -78,29 +76,31 @@ class TestCoefficient:
         assert abs(spec.mu_a - oracle) < 1e-6
 
     def test_mu_a_decreasing_factor_oracle(self):
-        # a = x^1.2 (2-x): ratio |1.2 - x/(2-x)|, sup can sit at either end
-        spec = make_coefficient(
-            "power_times_factor", {"alpha": 1.2, "factor": "two_minus_x"}
-        )
+        # a = x^alpha (2-x): ratio |alpha - x/(2-x)|, whose sup for
+        # alpha >= 1/2 is its x -> 0 limit alpha, which no sample reaches;
+        # alpha = 1 is the strong regime, natural condition at x = 0
         xs = np.geomspace(1e-9, 1.0, 400_001)
-        oracle = np.max(np.abs(1.2 - xs / (2.0 - xs)))
-        assert abs(spec.mu_a - oracle) < 1e-6
+        for alpha in [1.0, 1.2, 1.5]:
+            spec = make_coefficient(
+                "power_times_factor", {"alpha": alpha, "factor": "two_minus_x"}
+            )
+            oracle = np.max(np.abs(alpha - xs / (2.0 - xs)))
+            assert abs(spec.mu_a - oracle) < 1e-6
+            assert spec.mu_a == alpha
+            assert spec.strong
+            ops = assemble_operators(spec, build_mesh(8, 1.0))
+            assert ops.first_active == 0
 
-    def test_tabulated_roundtrip(self):
-        # the estimator reflects the interpolant itself, which is linear
-        # below the first table node, so a tabulated ramp has index 1
-        xs = np.linspace(0.0, 1.0, 201)
-        spec = make_coefficient("tabulated", {"xs": xs, "values": xs.copy()})
-        assert abs(spec.mu_a - 1.0) < 5e-2
-        assert abs(float(spec.a(0.5)) - 0.5) < 1e-6
-        assert spec.strong
-
-    def test_tabulated_rejects_interior_zero(self):
-        xs = np.linspace(0.0, 1.0, 11)
-        vals = xs.copy()
-        vals[5] = 0.0
-        with pytest.raises(NonPositive):
-            make_coefficient("tabulated", {"xs": xs, "values": vals})
+    def test_factor_and_kind_checked(self):
+        # a factor only on power_times_factor, and only one from FACTORS
+        for kind, params in [
+            ("power", {"alpha": 0.5, "factor": "exp"}),
+            ("power_times_factor", {"alpha": 0.5, "factor": "bogus"}),
+            ("power_times_factor", {"alpha": 0.5}),
+            ("tabulated", {"alpha": 0.5}),
+        ]:
+            with pytest.raises(ValueError):
+                make_coefficient(kind, params)
 
 
 class TestDelay:

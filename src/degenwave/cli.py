@@ -135,6 +135,43 @@ class Simulation:
         return cls(setup, consts, lyap)
 
 
+def _probe_context(setup: cfgmod.RunSetup) -> operator_checks.ProbeContext:
+    """The operator checks' view of a run's setup."""
+    return operator_checks.ProbeContext(
+        mesh=setup.mesh, ops=setup.ops, gains=setup.gains,
+        delay=setup.delay, n_delta=setup.cfg.channel_n_delta,
+    )
+
+
+def _probe_times(traj: stepper.Trajectory) -> list[float]:
+    """The times a finished run's operator checks probe: 0, t_end/2 and
+    t_end, or 0 alone when t_end = 0.  t_end is the time the run ends at,
+    which is t_final only when t_final is a whole number of steps."""
+    t_end = float(traj.t[-1])
+    return [0.0, t_end / 2.0, t_end] if t_end > 0 else [0.0]
+
+
+def _decay_certificate(
+        sim: Simulation) -> Optional[analysis.DecayCertificate]:
+    """The decay certificate of a finished run, or None without Lyapunov
+    parameters or with fewer than 2 samples.  A certificate whose horizon
+    falls short adds a warning to the run's."""
+    setup, traj = sim.setup, sim.traj
+    if sim.lyap is None or traj.E.size < 2:
+        return None
+    cert = analysis.decay_certificate(
+        traj, sim.lyap, sim.consts, setup.spec.mu_a, setup.gains.beta,
+        setup.delay.tau1,
+    )
+    if not cert.horizon_ok:
+        traj.warnings.append(
+            "horizon shortfall: t_final is below 3x the certified "
+            "decay time; the envelope check covers only the recorded "
+            "window"
+        )
+    return cert
+
+
 def build_report(sim: Simulation) -> dict:
     """The report of a finished run: constants, Lyapunov parameters, decay
     certificate, audits and the embedded operator certificate.  A decay
@@ -143,29 +180,11 @@ def build_report(sim: Simulation) -> dict:
     cfg = setup.cfg
     e = traj.E
     e0 = float(e[0])
-    # probe the time the run ends at, which is t_final only when
-    # t_final is a whole number of steps
-    t_end = float(traj.t[-1])
-    ctx = operator_checks.ProbeContext(
-        mesh=setup.mesh, ops=setup.ops, gains=setup.gains,
-        delay=setup.delay, n_delta=cfg.channel_n_delta,
-    )
     cert_ops = operator_checks.run_certificate(
-        ctx, [0.0, t_end / 2.0, t_end] if t_end > 0 else [0.0],
+        _probe_context(setup), _probe_times(traj),
         seed=cfg.seed, diss_trials=200, res_trials=40, ratio_trials=200,
     )
-    cert = None
-    if lyap is not None and e.size >= 2:
-        cert = analysis.decay_certificate(
-            traj, lyap, consts, setup.spec.mu_a, setup.gains.beta,
-            setup.delay.tau1,
-        )
-        if not cert.horizon_ok:
-            traj.warnings.append(
-                "horizon shortfall: t_final is below 3x the certified "
-                "decay time; the envelope check covers only the recorded "
-                "window"
-            )
+    cert = _decay_certificate(sim)
 
     audits = {
         "E0": e0,
@@ -319,21 +338,34 @@ _CONFIG_ERROR = "config_error"
 
 def _sweep_row(payload, sim) -> dict:
     """The sweep row of one config from its simulation, or from the
-    DegenwaveError that stopped it."""
+    DegenwaveError that stopped it.  A row reads the run's constants, its
+    decay certificate and its first and last energies, and builds no
+    report: of the report's other sections it keeps only their one failure,
+    a resolvent system (`operator_checks.Resolvent`) that does not factor
+    at one of the run's probe times, which fails the row as it fails
+    `simulate`."""
     idx, cfg, keys = payload
     row = {k: cfgmod.get_value(cfg, k) for k in keys}
     row.update(row=idx, seed=cfg.seed, **_SWEEP_FAILED, status="ok")
     try:
         if isinstance(sim, DegenwaveError):
             raise sim
-        report = build_report(sim)
+        ctx = _probe_context(sim.setup)
+        for t in _probe_times(sim.traj):
+            operator_checks.Resolvent(t, ctx)
+        cert = _decay_certificate(sim)
     except DegenwaveError as exc:
         row["status"] = f"failed: {exc}"
         if isinstance(exc, ConfigError):
             row[_CONFIG_ERROR] = exc
         return row
-    for part in (report["constants"], report["decay"] or {}, report["audits"]):
-        row.update((k, v) for k, v in part.items() if k in _SWEEP_FAILED)
+    e = sim.traj.E
+    row.update(damping_const=sim.consts.damping_const,
+               gain_margin=sim.consts.gain_margin,
+               E0=float(e[0]), E_final=float(e[-1]))
+    if cert is not None:
+        row.update(rate_fit=cert.rate_fit, envelope_ok=cert.envelope_ok,
+                   decay_time_bound=cert.decay_time_bound)
     return row
 
 
@@ -554,12 +586,8 @@ def cmd_operator_check(args) -> int:
     setup = cfgmod.build_setup(cfg)
     t_list = args.t if args.t else [0.0, cfg.integrator_t_final / 2.0,
                                     cfg.integrator_t_final]
-    ctx = operator_checks.ProbeContext(
-        mesh=setup.mesh, ops=setup.ops, gains=setup.gains, delay=setup.delay,
-        n_delta=cfg.channel_n_delta,
-    )
     cert = operator_checks.run_certificate(
-        ctx, t_list, seed=cfg.seed, diss_trials=args.trials,
+        _probe_context(setup), t_list, seed=cfg.seed, diss_trials=args.trials,
         res_trials=max(1, args.trials // 5), ratio_trials=args.trials,
     )
     text = reporting.report_json_text(cert)

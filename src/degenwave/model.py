@@ -131,9 +131,11 @@ def make_coefficient(kind: str, params: dict) -> CoefficientSpec:
       power_times_factor: alpha, factor (id in FACTORS), scale (default 1)
 
     Both kinds take the same checks: DegeneracyOutOfRange when alpha is not
-    finite or negative, or the degeneracy index reaches 2, and NonPositive
-    when the scale is not finite and positive.  An unknown kind, an unknown
-    factor, or a factor given to the power kind is a ValueError.
+    finite or negative, when the degeneracy index reaches 2, or when it
+    reaches 1 at alpha = 0 (the strong regime needs a(0) = 0, and alpha = 0
+    gives a(0) > 0), and NonPositive when the scale is not finite and
+    positive.  An unknown kind, an unknown factor, or a factor given to the
+    power kind is a ValueError.
     """
     if kind not in ("power", "power_times_factor"):
         raise ValueError(f"unknown coefficient kind {kind!r}")
@@ -156,6 +158,11 @@ def make_coefficient(kind: str, params: dict) -> CoefficientSpec:
         raise DegeneracyOutOfRange(
             f"degeneracy hypothesis: mu_a = sup x|a'|/a must be < 2, "
             f"got mu_a = {mu} for the {kind} coefficient"
+        )
+    if alpha == 0.0 and mu >= 1.0:
+        raise DegeneracyOutOfRange(
+            f"alpha = 0 gives a(0) > 0, but mu_a = {mu} puts the {kind} "
+            f"coefficient in the strong regime, which needs a(0) = 0"
         )
     if scale <= 0.0:
         raise NonPositive("coefficient scale must be positive")

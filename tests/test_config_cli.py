@@ -238,6 +238,19 @@ class TestSimulateCli:
         assert err.startswith("config error: coefficient.factor 'exp'")
         assert not (tmp_path / "x.json").exists()
 
+    def test_alpha_zero_strong_factor_exit2(self, tmp_path, capsys):
+        # a(0) = e^0 > 0 cannot take the strong regime's natural condition
+        rc = run_cli(["simulate", "--config", "baseline",
+                      "--set", "coefficient.kind=power_times_factor",
+                      "--set", "coefficient.factor=exp",
+                      "--set", "coefficient.alpha=0",
+                      "--out", str(tmp_path / "x")])
+        assert rc == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis validation failed: alpha = 0 "
+                              "gives a(0) > 0")
+        assert not (tmp_path / "x.json").exists()
+
     def test_removed_tabulated_inputs_exit2(self, tmp_path, capsys):
         rc = run_cli(["simulate", "--config", "baseline",
                       "--set", "coefficient.kind=tabulated",
@@ -653,6 +666,67 @@ class TestSweep:
                 have = row[key]
                 assert have == want or (math.isnan(have) and math.isnan(want))
         assert rows[0]["E_final"] != rows[1]["E_final"]
+
+    @staticmethod
+    def _no_certificate(monkeypatch):
+        from degenwave import operator_checks
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a sweep row built a certificate")
+
+        monkeypatch.setattr(operator_checks, "run_certificate", boom)
+
+    def test_rows_run_no_certificate_and_equal_simulate(self, monkeypatch):
+        # both regimes, with and without the delayed gain: each row reads
+        # its 7 result fields from its run alone, bit for bit as simulate's
+        # report gives them, and no row draws the operator certificate
+        cfg = self.small_cfg()
+        axes = [("coefficient.alpha", ["0.5", "1.5"]),
+                ("gains.mu2", ["0", "0.2"])]
+        with monkeypatch.context() as patch:
+            self._no_certificate(patch)
+            rows = sweep_rows(cfg, axes, jobs=1)
+        assert [r["status"] for r in rows] == ["ok"] * 4
+        for row in rows:
+            c = cfg
+            for key, _ in axes:
+                c = cfgmod.set_value(c, key, row[key])
+            c = cfgmod.set_value(c, "seed", row["seed"])
+            _, _, report = simulate_config(c)
+            alone = {**report["constants"], **report["decay"],
+                     **report["audits"]}
+            for key in cli._SWEEP_FAILED:
+                assert repr(row[key]) == repr(alone[key]), (row["row"], key)
+
+    def test_unfactored_resolvent_fails_its_row_as_simulate(self, tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+        # mu2 = -10 makes a(1) (mu1 + mu2 A_d + beta) negative, so the
+        # resolvent system is indefinite: simulate's report fails on it, and
+        # the row fails with the same message though it builds no
+        # certificate; its batch mate is ok
+        import csv
+
+        small, cfg = ["--config", "baseline"], self.small_cfg()
+        for key in ("mesh.n", "channel.n_delta", "integrator.t_final",
+                    "integrator.record_every"):
+            small += ["--set", f"{key}={cfgmod.get_value(cfg, key)}"]
+        out = tmp_path / "sw.csv"
+        with monkeypatch.context() as patch:
+            self._no_certificate(patch)
+            assert run_cli(["sweep", *small, "--axis", "gains.mu2=-10,0.2",
+                            "--out", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows[0]["status"].startswith(
+            "failed: resolvent system is singular, indefinite or not finite")
+        assert rows[1]["status"] == "ok"
+        capsys.readouterr()
+        rc = run_cli(["simulate", *small, "--set", "gains.mu2=-10",
+                      "--seed", rows[0]["seed"],
+                      "--out", str(tmp_path / "sim")])
+        assert rc == EXIT_HYPOTHESIS
+        message = rows[0]["status"].removeprefix("failed: ")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_blow_up_message_of_a_fully_recorded_run(self):
         # record_every = 1 records the blow-up step itself, so the message

@@ -91,6 +91,26 @@ class TestCoefficient:
             ops = assemble_operators(spec, build_mesh(8, 1.0))
             assert ops.first_active == 0
 
+    @pytest.mark.parametrize("factor", ["exp", "two_minus_x"])
+    def test_alpha_zero_strong_factor_rejected(self, factor):
+        # at alpha = 0, x g'/g reaches 1 at x = 1 for both factors: mu_a = 1
+        # would put the natural condition at x = 0, where a(0) = g(0) > 0
+        with pytest.raises(DegeneracyOutOfRange,
+                           match="^alpha = 0 gives a\\(0\\) > 0, but mu_a = "):
+            make_coefficient("power_times_factor",
+                             {"alpha": 0.0, "factor": factor})
+
+    @pytest.mark.parametrize("kind, params", [
+        ("power", {"alpha": 0.0}),
+        ("power_times_factor", {"alpha": 0.0, "factor": "one_plus_x"}),
+    ])
+    def test_alpha_zero_weak_coefficient_builds(self, kind, params):
+        # the non-degenerate oracles stay in the weak regime, Dirichlet at 0
+        spec = make_coefficient(kind, params)
+        assert spec.mu_a < 1.0 and not spec.strong
+        ops = assemble_operators(spec, build_mesh(8, 1.0))
+        assert ops.first_active == 1
+
     def test_factor_and_kind_checked(self):
         # a factor only on power_times_factor, and only one from FACTORS
         for kind, params in [

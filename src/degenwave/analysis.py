@@ -247,12 +247,10 @@ def solve_auxiliary_elliptic(spec: CoefficientSpec, beta: float, lam: float,
         raise ValueError("beta must be positive")
     a1 = spec.a_of_1
     ops = assemble_operators(spec, mesh)
-    nodes = mesh.nodes
+    s = spec.inv_integral(mesh.nodes[:-1], mesh.nodes[1:])
     k = ops.k_cell.copy()
-    for i in range(mesh.N):
-        s = spec.inv_integral(float(nodes[i]), float(nodes[i + 1]))
-        if np.isfinite(s) and s > 0.0:
-            k[i] = 1.0 / s
+    exact = np.isfinite(s) & (s > 0.0)
+    k[exact] = 1.0 / s[exact]
     flux = replace(ops, k_cell=k)
     z = np.zeros(mesh.N + 1)
     z[-1] = lam * a1

@@ -18,8 +18,8 @@ own, which `stepper.step` takes; `stepper.run` builds the bands of its
 steps in chunks and solves its batch's channel once per step, right after
 the wave step.  The generator probes take the transport block of A(t) from
 the same grid and speed, and the channel block of (I - A(t))^{-1}
-(`operator_checks.Resolvent`) is `transport_step` with dt = 1 and the load
-for w, for a stack of loads.
+(`operator_checks.Resolvent`) is one step's band with dt = 1, solved once
+for a unit inflow and once for a stack of loads.
 
 A raw history ring with linear interpolation on the uniform step grid
 t_k = k dt (`HistoryBuffer`) feeds the wave step its delayed trace and

@@ -140,7 +140,9 @@ class SPDTridiagonal:
         its own solve.  An (n, B) rhs in Fortran order (the transpose of a
         C-order (B, n) stack) is solved where it lies; any other layout
         goes through a copy."""
-        x, info = dpttrs(self._d, self._e, rhs, overwrite_b=True)
+        # overwrite_b by position: a keyword costs f2py about 0.2 us a
+        # call, and the midpoint step makes this call once per step
+        x, info = dpttrs(self._d, self._e, rhs, 1)
         if info != 0:
             raise SolveFailure(f"{self.what} solve failed (pttrs info {info})")
         if x is not rhs:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,28 +75,44 @@ class CoefficientSpec:
         a = self.scale * x**self.alpha
         return a if self.factor is None else a * FACTORS[self.factor][0](x)
 
-    def inv_integral(self, x0: float, x1: float) -> float:
-        """Integral of 1/a over [x0, x1]; +inf from x0 = 0 when alpha >= 1.
+    def inv_integral(self, x0, x1):
+        """Integral of 1/a over [x0, x1], elementwise (a float for scalar
+        endpoints); 0 where x1 <= x0, +inf from x0 = 0 when alpha >= 1.
 
-        Closed form for pure powers, quadrature otherwise.  Used by the
-        flux-exact elliptic assembly.
+        Closed form for pure powers, with pow and log by `_libm`, and
+        quadrature per interval otherwise.  Used by the flux-exact
+        elliptic assembly.
         """
-        if x1 <= x0:
-            return 0.0
-        if x0 <= 0.0 and self.alpha >= 1.0:
-            return math.inf
+        x0, x1 = np.broadcast_arrays(np.asarray(x0, dtype=float),
+                                     np.asarray(x1, dtype=float))
+        out = np.zeros(x0.shape)
+        live = x1 > x0
+        diverges = live & (x0 <= 0.0) & (self.alpha >= 1.0)
+        out[diverges] = math.inf
+        live &= ~diverges
+        a, b = x0[live], x1[live]
+        al, s = self.alpha, self.scale
         if self.factor is not None:
             from scipy.integrate import quad
 
-            return quad(lambda x: 1.0 / float(self.a(x)), x0, x1, limit=200)[0]
-        al, s = self.alpha, self.scale
-        if al == 0.0:
-            return (x1 - x0) / s
-        if al == 1.0:
-            return math.log(x1 / x0) / s
-        p = 1.0 - al
-        lo = 0.0 if x0 <= 0.0 else x0**p
-        return (x1**p - lo) / (p * s)
+            out[live] = [quad(lambda x: 1.0 / float(self.a(x)), lo, hi,
+                              limit=200)[0] for lo, hi in zip(a, b)]
+        elif al == 0.0:
+            out[live] = (b - a) / s
+        elif al == 1.0:
+            out[live] = _libm(math.log, b / a) / s
+        else:
+            p = 1.0 - al
+            lo = _libm(math.pow, np.maximum(a, 0.0), repeat(p))
+            out[live] = (_libm(math.pow, b, repeat(p)) - lo) / (p * s)
+        return out[()]
+
+
+def _libm(fn, x, *args):
+    """fn of each entry of the 1-d array x (and of args) as Python's float
+    math takes it: numpy's SIMD pow differs in the last bit on some entries,
+    and b^p - a^p of a short cell makes that bit hundreds of ulps."""
+    return np.fromiter(map(fn, x.tolist(), *args), float, len(x))
 
 
 def degeneracy_mu_a(spec: CoefficientSpec) -> float:

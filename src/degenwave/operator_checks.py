@@ -20,9 +20,9 @@ them:
 The transport block uses the channel's own nodes and speed
 (`delay_channel.delta_grid`, `delay_channel.transport_speed`), and the
 resolvent (`Resolvent`, (I - A(t))^{-1} at one time for a stack of
-right-hand sides) recovers its channel component with the stepper's
-implicit upwind solve (`delay_channel.transport_step`, one step of
-dt = 1).
+right-hand sides) solves its channel with the stepper's implicit upwind
+step of dt = 1 (`delay_channel.upwind_bands`, `upwind_solve`) and
+measures its residuals with `generator_apply`.
 
 For the quadratic form the transport block is paired through the
 cell-midpoint rule, whose summation by parts is exact, so every inequality
@@ -52,8 +52,9 @@ energy `analysis.lyapunov_raw` gives with tau = tau(t) or tau = 1, so
 Row-wise sums (np.vecdot) and the multi-right-hand-side LAPACK solves give
 each row the bits it would get alone, so the rows do not depend on the
 block size.  The resolvent factors its SPD tridiagonal once per time, as
-`ops.factor(1, 1, a(1) (mu1 + mu2 A_d + beta))`, and solves a whole block
-with one ?pttrs call and one ?tbtrs channel solve.
+`ops.factor(1, 1, a(1) (mu1 + mu2 A_d + beta))` with A_d the outflow of
+its unit channel profile, and solves a whole block with one ?tbtrs
+channel solve of the loads and one ?pttrs call.
 A claim run alone or a certificate with fewer than one trial for some
 claim raises ValueError instead of passing.
 """
@@ -72,7 +73,8 @@ from .delay_channel import (
     BLOCK_DOUBLES,
     delta_grid,
     transport_speed,
-    transport_step,
+    upwind_bands,
+    upwind_solve,
 )
 from .errors import DomainViolation
 from .mesh import DiscreteOperators, Mesh
@@ -260,50 +262,32 @@ def _claim1(times, ctx: ProbeContext, trials: int, seed: int):
     return trials, update, rows
 
 
-def channel_resolvent_weights(tau: float, taup: float, n_delta: int):
-    """Discrete solve of  w + ((1 - delta tau')/tau) w_delta = h, w(0) given.
-
-    Backward differences give the recurrence
-        w_i = (ddelta h_i + c_i w_{i-1}) / (ddelta + c_i),
-    whose solution is w_M = A_d w(0) + b . h with A_d the product of the
-    ratios; A_d converges to the continuum exponential weight as the grid
-    refines.  Returns (A_d, b) with b the load weights on h[0..M].
-    """
-    m = n_delta
-    ddelta = 1.0 / m
-    c = transport_speed(delta_grid(m)[1:], tau, taup)
-    rho = c / (ddelta + c)
-    bcell = ddelta / (ddelta + c)
-    suffix = np.concatenate([np.cumprod(rho[::-1])[::-1][1:], [1.0]])
-    b = np.zeros(m + 1)
-    b[1:] = bcell * suffix
-    return float(np.prod(rho)), b
-
-
 class Resolvent:
     """(I - A(t))^{-1} at one time t, for stacks of right-hand sides.
 
-    The u equation reduces, after eliminating v = u - f and the channel, to
-    a symmetric positive definite tridiagonal system whose boundary weight
-    mu1 + mu2 A_d + beta is positive whenever the gain condition holds; it
-    depends on t only, so it is factored once here.  The channel component
-    is recovered by the stepper's upwind solve with dt = 1; the closed-form
-    weights check it, so all block residuals and the feedback identity are
-    exact to rounding.
+    The channel w + c w_delta = h, w(0) = v(1) is one upwind step of dt = 1,
+    linear in its inflow: w = w_h + v(1) w_1, with w_h the solve of the
+    load (inflow 0) and w_1 the unit profile (inflow 1, load 0), whose
+    outflow is A_d.  Eliminating v = u - f and w leaves an SPD tridiagonal
+    system for u with boundary weight mu1 + mu2 A_d + beta, factored once
+    here.  The residuals take A(t) from `generator_apply`, which asserts
+    that the solution lies in the domain.
     """
 
     def __init__(self, t: float, ctx: ProbeContext):
         ops, gains = ctx.ops, ctx.gains
-        self.ctx = ctx
+        self.t, self.ctx = t, ctx
         self.tau = float(ctx.delay.tau(t))
         self.taup = float(ctx.delay.tau_prime(t))
-        self.a_d, self.bw = channel_resolvent_weights(self.tau, self.taup,
-                                                      ctx.n_delta)
+        self.band = upwind_bands([self.tau], [self.taup], 1.0,
+                                 ctx.n_delta)[0].T
+        unit = np.zeros(ctx.n_delta + 1)
+        unit[0] = 1.0
+        self.w1 = upwind_solve(self.band, unit)
+        self.a_d = float(self.w1[-1])
         self.factor = ops.factor(
             1.0, 1.0, ops.a1 * (gains.mu1 + gains.mu2 * self.a_d + gains.beta),
             "resolvent")
-        self.speed = transport_speed(delta_grid(ctx.n_delta)[1:], self.tau,
-                                     self.taup)
 
     def solve(self, f, g, h, scale):
         """(u, v, w, residual, boundary identity) for the (B, n) stacks
@@ -311,37 +295,30 @@ class Resolvent:
         and the identity are per row, relative to the row's scale."""
         ops, gains = self.ctx.ops, self.ctx.gains
         start = ops.first_active
+        # the channel's response to the load, a column per row, inflow 0
+        w = np.array(h.T, order="F")
+        w[0] = 0.0
+        w = upwind_solve(self.band, w).T
         # the right-hand side of the u system, solved in place
         u = ops.mass * (f + g)
         u[:, -1] += ops.a1 * ((gains.mu1 + gains.mu2 * self.a_d) * f[:, -1]
-                              - gains.mu2 * np.vecdot(h, self.bw))
+                              - gains.mu2 * w[:, -1])
         self.factor.solve_in_place(u[:, start:].T)
         u[:, :start] = 0.0
         v = u - f
         v[:, :start] = 0.0
-        w = transport_step(h.T, self.tau, self.taup, 1.0, v[:, -1]).T
+        w += v[:, -1:] * self.w1
 
-        # block residuals of (I - A) U = G, measured on the equation rows;
-        # the v rows are formed in place to keep few (B, n) arrays alive
-        residual = np.max(np.abs(u - v - f), axis=-1)
-        ku = ops.stiffness_matvec(u)
-        res_v = v - g
-        res_v *= ops.mass
-        res_v += ku
-        res_v[:, -1] += ops.a1 * (gains.mu1 * v[:, -1] + gains.mu2 * w[:, -1]
-                                  + gains.beta * u[:, -1])
-        res_v = res_v[:, start:]
-        res_v /= ops.mass[start:]
-        residual = np.maximum(residual, np.max(np.abs(res_v), axis=-1))
-        res_w = (w[:, 1:] + self.speed * np.diff(w, axis=-1) * self.ctx.n_delta
-                 - h[:, 1:])
-        residual = np.maximum(residual, np.max(np.abs(res_w), axis=-1))
+        # block residuals of (I - A) U = G, measured on the equation rows
+        au, av, aw = generator_apply((u, v, w), self.t, self.ctx)
+        res_v = v - av - g
+        residual = np.maximum.reduce([
+            np.max(np.abs(u - au - f), axis=-1),
+            np.max(np.abs(res_v[:, start:]), axis=-1),
+            np.max(np.abs((w - aw - h)[:, 1:]), axis=-1)])
         residual /= scale
-
-        flux = (ops.mass[-1] * (u[:, -1] - f[:, -1] - g[:, -1])
-                + ku[:, -1]) / ops.a1
-        ident = np.abs(gains.mu1 * v[:, -1] + gains.mu2 * w[:, -1] + flux
-                       + gains.beta * u[:, -1]) / scale
+        # the feedback row in flux units: M_N |r_N| / a(1)
+        ident = ops.mass[-1] * np.abs(res_v[:, -1]) / ops.a1 / scale
         return u, v, w, residual, ident
 
 

@@ -16,7 +16,7 @@ a step is one solve with the factors (`_midpoint_solver`, shared by
 `step` and `run`).  The stretched-history channel then takes its implicit
 upwind step, one lower-bidiagonal solve with the new boundary velocity as
 its inflow (`delay_channel.upwind_bands` and `upwind_solve`, the kernel of
-`transport_step`, which `step` and the resolvent call).
+`transport_step`, which `step` calls).
 
 `run` steps a lockstep batch of B rows, runs that differ only in their
 gains.  mu2 only loads the right-hand side and mu1 and beta only the last

@@ -1,4 +1,5 @@
 """Functionals, epsilon selection, audits, elliptic estimates, decay fits."""
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -270,6 +271,38 @@ class TestInverseIntegral:
             for beta in [0.5, 2.0]:
                 res = solve_auxiliary_elliptic(spec, beta, 1.0, mesh)
                 assert res.bounds_ok
+
+
+    def test_arrays_equal_the_scalar_closed_form(self):
+        # the cells of a graded mesh in one call against the closed form of
+        # each cell in Python floats, bit for bit (numpy's own pow differs
+        # in the last bit on some of these cells); the first cell diverges
+        # for alpha >= 1, and an empty interval gives 0
+        def closed(al, s, x0, x1):
+            if x0 <= 0.0 and al >= 1.0:
+                return np.inf
+            if al == 0.0:
+                return (x1 - x0) / s
+            if al == 1.0:
+                return math.log(x1 / x0) / s
+            p = 1.0 - al
+            return (x1**p - (0.0 if x0 <= 0.0 else x0**p)) / (p * s)
+
+        nodes = build_mesh(1024, 4.0).nodes
+        for alpha, scale in [(0.0, 1.0), (0.5, 1.3), (1.0, 1.0), (1.5, 0.9)]:
+            spec = make_coefficient("power", {"alpha": alpha, "scale": scale})
+            assert spec.inv_integral(nodes[:-1], nodes[1:]).tolist() == [
+                closed(alpha, scale, a, b)
+                for a, b in zip(nodes[:-1].tolist(), nodes[1:].tolist())]
+            empty = spec.inv_integral(0.7, 0.7)
+            assert isinstance(empty, float) and empty == 0.0
+        # quadrature: each entry is its scalar call, a float
+        spec = make_coefficient("power_times_factor",
+                                {"alpha": 0.5, "factor": "exp"})
+        x0, x1 = np.array([0.0, 0.125, 0.5]), np.array([0.125, 0.5, 1.0])
+        one = [spec.inv_integral(a, b) for a, b in zip(x0, x1)]
+        assert all(isinstance(x, float) for x in one)
+        assert spec.inv_integral(x0, x1).tolist() == one
 
 
 class TestDecayCertificate:

@@ -34,7 +34,6 @@ from degenwave.operator_checks import (
     _claim3,
     _dadt,
     _run,
-    channel_resolvent_weights,
     generator_apply,
     iota,
     project_to_domain,
@@ -152,11 +151,14 @@ class TestResolvent:
         assert residual[0] == 0.0
 
     def test_channel_weight_converges_to_exponential(self):
-        # tau' = 0: the discrete product weight tends to e^{-tau}
+        # tau' = 0: A_d, the outflow of the unit channel profile, tends to
+        # e^{-tau}
+        delay = make_delay("constant", {"tau": 0.8})
         errs = []
         for m in [32, 64, 128, 256]:
-            a_d, _ = channel_resolvent_weights(0.8, 0.0, m)
-            errs.append(abs(a_d - math.exp(-0.8)))
+            res = Resolvent(1.0, make_ctx(n_delta=m, delay=delay))
+            assert res.a_d == res.w1[-1] and res.w1[0] == 1.0
+            errs.append(abs(res.a_d - math.exp(-0.8)))
         assert errs[-1] < 1e-3
         assert all(a / b > 1.8 for a, b in zip(errs, errs[1:]))
 
@@ -174,6 +176,23 @@ class TestResolvent:
         v1 = v[0, -1]
         expected = v1 * rho ** np.arange(m + 1)
         assert np.max(np.abs(w[0] - expected)) < 1e-12 * max(1.0, abs(v1))
+
+    def test_inverts_the_generator(self):
+        # G = U - A(t) U from generator_apply for random domain states U:
+        # the resolvent returns U, in both boundary regimes, at a time
+        # where tau' != 0
+        t = 0.7
+        assert DELAY.tau_prime(t) > 0.0
+        rng = np.random.default_rng(19)
+        for alpha in (0.5, 1.5):
+            ctx = make_ctx(alpha=alpha)
+            U = project_to_domain((rng.standard_normal((5, 65)),
+                                   rng.standard_normal((5, 65)),
+                                   rng.standard_normal((5, 33))), ctx)
+            G = [x - ax for x, ax in zip(U, generator_apply(U, t, ctx))]
+            got = Resolvent(t, ctx).solve(*G, 1.0)
+            for x, y in zip(got[:3], U):
+                assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
     def test_random_rhs_residuals(self):
         for taup_case in ["constant-delay", "varying"]:
@@ -346,8 +365,9 @@ def oracle_dissipativity(t, ctx, trials, seed, tol=1e-8):
 def oracle_resolvent(t, ctx, trials, seed):
     ops, g = ctx.ops, ctx.gains
     tau, taup = float(ctx.delay.tau(t)), float(ctx.delay.tau_prime(t))
-    m = ctx.n_delta
-    a_d, bw = channel_resolvent_weights(tau, taup, m)
+    # the unit channel profile: inflow 1, load 0; its outflow is A_d
+    w1 = transport_step(np.zeros(ctx.n_delta + 1), tau, taup, 1.0, 1.0)
+    a_d = float(w1[-1])
     start = ops.first_active
     # the diagonals from the dense stiffness, apart from DiscreteOperators
     K = full_stiffness(ops)[start:, start:]
@@ -358,28 +378,24 @@ def oracle_resolvent(t, ctx, trials, seed):
     for f, gg, h in oracle_draw(seed, ctx, trials):
         if ctx.ops.first_active:
             f[0] = 0.0
+        # the channel's response to the load h, inflow 0
+        wh = transport_step(h, tau, taup, 1.0, 0.0)
         rhs = (ops.mass * (f + gg))[start:]
-        rhs[-1] += ops.a1 * ((g.mu1 + g.mu2 * a_d) * f[-1]
-                             - g.mu2 * float(bw @ h))
+        rhs[-1] += ops.a1 * ((g.mu1 + g.mu2 * a_d) * f[-1] - g.mu2 * wh[-1])
         u = np.zeros(f.size)
         u[start:] = rhs
         SPDTridiagonal(main, off, "oracle").solve_in_place(u[start:])
         v = u - f
         if start:
             v[0] = 0.0
-        w = transport_step(h, tau, taup, 1.0, v[-1])
-        mv = ops.mass * (v - gg) + oracle_stiffness_matvec(u, ctx)
-        mv[-1] += ops.a1 * (g.mu1 * v[-1] + g.mu2 * w[-1] + g.beta * u[-1])
-        c = transport_speed(delta_grid(m)[1:], tau, taup)
-        res_w = w[1:] + c * np.diff(w) * m - h[1:]
+        w = wh + v[-1] * w1
+        au, av, aw = oracle_apply(u, v, w, t, ctx)
+        res_v = v - av - gg
         scale = max(1.0, math.sqrt(oracle_norm_sq(f, gg, h, 1.0, ctx)))
-        residual = max(float(np.max(np.abs(u - v - f))),
-                       float(np.max(np.abs(mv[start:] / ops.mass[start:]))),
-                       float(np.max(np.abs(res_w)))) / scale
-        flux = (ops.mass * (u - f - gg)
-                + oracle_stiffness_matvec(u, ctx))[-1] / ops.a1
-        ident = abs(g.mu1 * v[-1] + g.mu2 * w[-1] + flux
-                    + g.beta * u[-1]) / scale
+        residual = max(float(np.max(np.abs(u - au - f))),
+                       float(np.max(np.abs(res_v[start:]))),
+                       float(np.max(np.abs((w - aw - h)[1:])))) / scale
+        ident = ops.mass[-1] * abs(res_v[-1]) / ops.a1 / scale
         worst_res = max(worst_res, residual)
         worst_ident = max(worst_ident, ident)
     return worst_res, worst_ident

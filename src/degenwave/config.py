@@ -16,12 +16,11 @@ them once (`initial_data`), and the stepper takes the resulting arrays.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, get_type_hints
 
 import numpy as np
 
@@ -35,9 +34,31 @@ SCENARIO_NAMES = (
 )
 
 
+def _finite(s):
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"{s!r} is not a finite number")
+    return x
+
+
+def _float_opt(s):
+    return None if s in ("", "none", "None") else _finite(s)
+
+
+def _str_opt(s):
+    return None if s in ("", "none", "None") else str(s)
+
+
+def _seed(s):
+    x = int(s)
+    if x < 0:
+        raise ValueError(f"{s!r} is negative; a seed is an integer >= 0")
+    return x
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Full experiment description as plain data (picklable for sweeps)."""
+    """A run as plain data (picklable for sweeps), one field per config key."""
 
     coefficient_kind: str = "power"
     coefficient_alpha: float = 0.5
@@ -71,59 +92,29 @@ class RunConfig:
 
     outputs_csv: Optional[str] = None
 
-    seed: int = 0
+    seed: int = field(default=0, metadata={"parser": _seed})
 
 
-# dotted config key -> RunConfig attribute and parser
-def _finite(s):
-    x = float(s)
-    if not math.isfinite(x):
-        raise ValueError(f"{s!r} is not a finite number")
-    return x
+# dotted config key -> (RunConfig attribute, parser), in field order: the key
+# is the field name with its first `_` read as `.`, and the parser is the
+# field's metadata "parser", else the one for its declared type
+_PARSERS = {str: str, float: _finite, int: int,
+            Optional[float]: _float_opt, Optional[str]: _str_opt}
 
 
-def _float_opt(s):
-    return None if s in ("", "none", "None") else _finite(s)
+def _key_table() -> dict:
+    types = get_type_hints(RunConfig)
+    table = {}
+    for f in fields(RunConfig):
+        parser = f.metadata.get("parser", _PARSERS.get(types[f.name]))
+        if parser is None:
+            raise TypeError(f"no parser for RunConfig.{f.name}: {f.type}")
+        table[f.name.replace("_", ".", 1)] = (f.name, parser)
+    return table
 
 
-def _str_opt(s):
-    return None if s in ("", "none", "None") else str(s)
+_KEYS = _key_table()
 
-
-def _seed(s):
-    x = int(s)
-    if x < 0:
-        raise ValueError(f"{s!r} is negative; a seed is an integer >= 0")
-    return x
-
-
-_KEYS = {
-    "coefficient.kind": ("coefficient_kind", str),
-    "coefficient.alpha": ("coefficient_alpha", _finite),
-    "coefficient.scale": ("coefficient_scale", _finite),
-    "coefficient.factor": ("coefficient_factor", _str_opt),
-    "delay.kind": ("delay_kind", str),
-    "delay.tau": ("delay_tau", _finite),
-    "delay.tau0": ("delay_tau0", _finite),
-    "delay.tau1": ("delay_tau1", _finite),
-    "delay.k": ("delay_k", _finite),
-    "delay.rise_start": ("delay_rise_start", _finite),
-    "delay.rise_end": ("delay_rise_end", _finite),
-    "gains.mu1": ("gains_mu1", _finite),
-    "gains.mu2": ("gains_mu2", _finite),
-    "gains.beta": ("gains_beta", _finite),
-    "mesh.n": ("mesh_n", int),
-    "mesh.gamma": ("mesh_gamma", _float_opt),
-    "channel.n_delta": ("channel_n_delta", int),
-    "integrator.dt": ("integrator_dt", _float_opt),
-    "integrator.t_final": ("integrator_t_final", _finite),
-    "integrator.record_every": ("integrator_record_every", int),
-    "initial.preset": ("initial_preset", str),
-    "initial.f0": ("initial_f0", str),
-    "initial.f0_amplitude": ("initial_f0_amplitude", _finite),
-    "outputs.csv": ("outputs_csv", _str_opt),
-    "seed": ("seed", _seed),
-}
 
 def _parse_pair(pair: str, where: str) -> tuple[str, object]:
     """Split `key=value`, look the key up and run its parser.
@@ -170,6 +161,8 @@ def to_text(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
+    import hashlib  # only reports hash a config; a cold start skips OpenSSL
+
     payload = "\n".join(sorted(to_text(cfg).splitlines()))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -215,6 +215,17 @@ class TestEllipticProblem:
             res = solve_auxiliary_elliptic(spec, beta, -1.0, mesh)
             assert np.max(np.abs(res.z + 1.0 / beta)) < 1e-12
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_strong_regime_does_not_exceed_the_attained_bound(self, beta):
+        # z = lam/beta attains |||z|||^2 = a(1) lam^2 / beta exactly; at
+        # n = 1024 one L D L^T solve overshot it by up to 6.4e-12, inside
+        # the bound check's tolerance only by a rounding margin
+        spec = make_coefficient("power", {"alpha": 1.5})
+        mesh = build_mesh(1024, default_gamma(spec.mu_a))
+        for lam in [-1.0, 1.0]:
+            res = solve_auxiliary_elliptic(spec, beta, lam, mesh)
+            assert res.energy_norm_sq <= res.energy_bound * (1 + 1e-15)
+
     def test_zero_load(self):
         spec = make_coefficient("power", {"alpha": 0.5})
         res = solve_auxiliary_elliptic(spec, 1.0, 0.0, build_mesh(64, 1.5))

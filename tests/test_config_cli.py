@@ -1,6 +1,7 @@
 """Config parsing, scenarios, CLI verbs, output formats, exit codes."""
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -107,6 +108,59 @@ class TestConfigFormat:
         assert out.mesh_n == 128
         with pytest.raises(ConfigError):
             cfgmod.apply_overrides(cfg, ["nope=1"])
+
+    # every config key, in RunConfig's field order; renaming a field
+    # renames its key, so this list is the user-facing surface
+    KEYS = [
+        "coefficient.kind", "coefficient.alpha", "coefficient.scale",
+        "coefficient.factor", "delay.kind", "delay.tau", "delay.tau0",
+        "delay.tau1", "delay.k", "delay.rise_start", "delay.rise_end",
+        "gains.mu1", "gains.mu2", "gains.beta", "mesh.n", "mesh.gamma",
+        "channel.n_delta", "integrator.dt", "integrator.t_final",
+        "integrator.record_every", "initial.preset", "initial.f0",
+        "initial.f0_amplitude", "outputs.csv", "seed",
+    ]
+
+    def test_keys_are_the_fields_in_order(self):
+        assert list(cfgmod._KEYS) == self.KEYS
+        assert [attr for attr, _ in cfgmod._KEYS.values()] == [
+            f.name for f in dataclasses.fields(cfgmod.RunConfig)]
+
+    @pytest.mark.parametrize("pair", ["seed=-1", "delay.tau=nan",
+                                      "mesh.n=2.5"])
+    def test_parser_of_the_field_type_rejects(self, pair):
+        key = pair.split("=")[0]
+        with pytest.raises(ConfigError,
+                           match=f"^override: bad value for {key}: "):
+            cfgmod.apply_overrides(cfgmod.RunConfig(), [pair])
+
+    def test_parser_of_an_optional_field_reads_none(self):
+        cfg = cfgmod.RunConfig(mesh_gamma=2.0, coefficient_factor="exp")
+        cleared = cfgmod.apply_overrides(
+            cfg, ["mesh.gamma=none", "coefficient.factor="])
+        assert cleared.mesh_gamma is None
+        assert cleared.coefficient_factor is None
+
+    def test_scenario_items_come_in_field_order(self):
+        for name in cfgmod.SCENARIO_NAMES:
+            items = cfgmod.effective_items(cfgmod.load_config(name))
+            assert list(items) == [k for k in self.KEYS if k in items]
+
+    def test_field_without_a_parser_is_refused(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Bad:
+            mesh_n: int = 8
+            mesh_shift: complex = 0j
+
+        monkeypatch.setattr(cfgmod, "RunConfig", Bad)
+        with pytest.raises(TypeError,
+                           match="^no parser for RunConfig.mesh_shift: "):
+            cfgmod._key_table()
+
+    def test_hash_of_baseline_is_pinned(self):
+        # the report's config_hash: sha256 of the sorted `key = value` lines
+        cfg = cfgmod.load_config("baseline")
+        assert cfgmod.config_hash(cfg) == "78fd7e2acf2a2a72"
 
     def test_hash_tracks_values(self):
         cfg = cfgmod.load_config("baseline")

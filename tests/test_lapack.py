@@ -14,9 +14,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # modules a cold start must not load: the scipy.linalg package (and what its
-# array-API layer pulls in from numpy) and the process pool of sweep/converge
+# array-API layer pulls in from numpy), the process pool of sweep/converge
+# and OpenSSL, which only a report's config hash needs
 HEAVY = ["scipy.linalg", "numpy.f2py", "numpy.testing",
-         "concurrent.futures.process"]
+         "concurrent.futures.process", "_hashlib"]
 
 
 def _python(code: str, *path: Path) -> subprocess.CompletedProcess:

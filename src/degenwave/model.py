@@ -224,18 +224,20 @@ class DelaySpec:
         return (self.tau1 - self.tau0) * 6 * s * (1 - s) / (t1 - t0)
 
     def tau_second(self, t):
+        """tau''(t), elementwise like tau(t); no parameter is squared, so a
+        huge rate or rise window gives a finite value (d = k (tau1 - tau0)
+        for the saturating kind)."""
         t = np.asarray(t, dtype=float)
         if self.kind == "constant":
             return np.zeros_like(t)
         if self.kind == "saturating_exponential":
             k = self.params[0]
-            return -(k**2) * (self.tau1 - self.tau0) * np.exp(-k * t)
+            return -k * self.d * np.exp(-k * t)
         t0, t1 = self.params
         s = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
         inside = (t >= t0) & (t <= t1)
-        return np.where(
-            inside, (self.tau1 - self.tau0) * (6 - 12 * s) / (t1 - t0) ** 2, 0.0
-        )
+        rate = (self.tau1 - self.tau0) * (6 - 12 * s) / (t1 - t0) / (t1 - t0)
+        return np.where(inside, rate, 0.0)
 
 
 def make_delay(kind: str, params: dict) -> DelaySpec:

@@ -256,6 +256,24 @@ class TestSimulateCli:
             2.0 * (1 - 0.2) / 2.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("delay", [
+        ["delay.tau0=0.5", "delay.tau1=0.5", "delay.k=1e200"],
+        ["delay.kind=piecewise_smooth", "delay.rise_end=1e200"],
+    ], ids=["rate", "rise"])
+    def test_huge_delay_rate_or_rise_runs(self, tmp_path, fast_args, delay):
+        # tau'' of a huge rate or rise window does not overflow, and tau
+        # stays 0.5 to the last bit: the CSV is the constant delay's
+        csvs = []
+        for i, sets in enumerate([delay, ["delay.kind=constant",
+                                          "delay.tau=0.5"]]):
+            out = tmp_path / f"run{i}"
+            rc = run_cli(["simulate", "--config", "baseline", *fast_args,
+                          *(x for s in sets for x in ("--set", s)),
+                          "--out", str(out)])
+            assert rc == EXIT_OK
+            csvs.append(out.with_suffix(".csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_hypothesis_violation_exit2(self, tmp_path):
         rc = run_cli(["simulate", "--config", "baseline",
                       "--set", "coefficient.alpha=2.0",
@@ -649,6 +667,15 @@ class TestSweep:
         assert [r["status"] for r in rows] == [
             "ok", "failed: displacement-trace coefficient is not positive "
             "for these (mu_a, beta); outside the certificate's validity"]
+
+    def test_huge_delay_rate_is_a_row_not_a_crash(self):
+        # tau'' at k = 1e200 used to overflow and end the whole sweep; with
+        # tau0 = tau1 both rows run the same constant delay
+        cfg = cfgmod.apply_overrides(self.small_cfg(),
+                                     ["delay.tau0=0.5", "delay.tau1=0.5"])
+        rows = sweep_rows(cfg, [("delay.k", ["0.4", "1e200"])])
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        assert rows[1]["E_final"] == rows[0]["E_final"]
 
     def test_unknown_preset_row_fails_alone(self):
         rows = sweep_rows(self.small_cfg(),

@@ -112,6 +112,26 @@ def test_report_sections_have_fixed_keys(baseline_run):
         assert set(report[section]) == keys, section
 
 
+# the operator certificate's rows, key for key, per claim
+CERTIFICATE_KEYS = {
+    "claim1": {"max_form_ratio", "positive_trials", "trials", "pass", "seed"},
+    "claim2": {"max_residual", "max_boundary_identity", "trials", "pass",
+               "seed"},
+    "claim3": {"max_ratio", "bound_stated", "bound_proof", "excess", "pass",
+               "seed"},
+    "dAdt": {"bound"},
+}
+
+
+def test_certificate_rows_have_fixed_keys(baseline_run):
+    cert = baseline_run[2]["operator_certificate"]
+    assert set(cert) == {*CERTIFICATE_KEYS, "pass"}
+    for claim, keys in CERTIFICATE_KEYS.items():
+        assert cert[claim], claim
+        assert [set(row) for row in cert[claim].values()] == \
+            [keys] * len(cert[claim]), claim
+
+
 def test_elliptic_case_has_fixed_keys():
     from degenwave.cli import elliptic_table
 

@@ -179,6 +179,29 @@ class TestDelay:
         assert abs(d.d - 1.5 * 0.4 / 2.0) < 1e-15
         validate_delay(d, horizon=20.0)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("saturating_exponential", {"tau0": 0.5, "tau1": 0.5, "k": 1e200}),
+        ("piecewise_smooth", {"tau0": 0.5, "tau1": 1.0, "rise_start": 0.0,
+                              "rise_end": 1e200}),
+    ], ids=["rate", "rise"])
+    def test_tau_second_of_a_huge_rate_or_rise_is_finite(self, kind, params):
+        # k**2 and (t1 - t0)**2 overflowed as Python floats
+        d = make_delay(kind, params)
+        validate_delay(d, horizon=20.0)
+        assert np.array_equal(d.tau_second(np.linspace(0.0, 20.0, 5)),
+                              np.zeros(5))
+
+    def test_tau_second_is_the_derivative_of_tau_prime(self):
+        ts = np.array([0.0, 0.7, 1.3, 2.0, 2.9, 6.0])
+        for d in (make_delay("saturating_exponential",
+                             {"tau0": 0.5, "tau1": 1.0, "k": 0.4}),
+                  make_delay("piecewise_smooth",
+                             {"tau0": 0.5, "tau1": 0.9, "rise_start": 1.0,
+                              "rise_end": 3.0})):
+            h = 1e-6
+            fd = (d.tau_prime(ts + h) - d.tau_prime(ts - h)) / (2.0 * h)
+            assert np.allclose(d.tau_second(ts), fd, rtol=0.0, atol=1e-8)
+
     def test_envelope_sampled_within_tolerance(self):
         # every validated family obeys the envelope at 1e4 sampled times
         for d in (

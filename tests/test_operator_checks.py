@@ -1,7 +1,6 @@
 """Generator probes: dissipativity, resolvent residuals, norm ratios."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,14 +25,14 @@ from degenwave.errors import DomainViolation, SolveFailure
 from degenwave.mesh import SPDTridiagonal
 from degenwave.operator_checks import (
     BLOCK_DOUBLES,
-    DRIFT_STEPS,
     ProbeContext,
     Resolvent,
     _claim1,
     _claim2,
     _claim3,
-    _dadt,
     _run,
+    _transport_block,
+    dadt_bound,
     generator_apply,
     iota,
     project_to_domain,
@@ -44,20 +43,15 @@ from degenwave.operator_checks import (
 from conftest import full_stiffness
 
 DELAY = make_delay("saturating_exponential", {"tau0": 0.5, "tau1": 1.0, "k": 0.4})
+# tau'' changes sign at the middle of the rise
+PIECEWISE = make_delay("piecewise_smooth", {"tau0": 0.5, "tau1": 0.9,
+                                            "rise_start": 1.0, "rise_end": 3.0})
 
 
 def norm_sq(U, tau, ctx):
     """||U||^2 as the certificate takes it: twice the energy of U with the
     delay weight tau (tau(t) for ||U||_t^2, 1 for ||U||_H^2)."""
     return 2.0 * lyapunov_raw(*U, tau, ctx.ops, ctx.gains)[0]
-
-
-def _drift(times, ctx, trials, seed, steps=DRIFT_STEPS):
-    """The drift's claim, built as the others are (its rows name no
-    seed), of `trials` trials and the step sizes `steps`."""
-    with mock.patch.multiple(operator_checks, DRIFT_TRIALS=trials,
-                             DRIFT_STEPS=steps):
-        return _dadt(times, ctx)
 
 
 def make_ctx(n=64, n_delta=32, gains=GainSet(2.0, 0.2, 1.0), delay=DELAY,
@@ -283,13 +277,58 @@ def test_norm_of_a_recorded_state_is_twice_its_energy():
 
 class TestGeneratorDrift:
     def test_finite_and_stable(self):
+        # the saturating delay's bound is tau'/tau at delta = 0, which
+        # decays; a constant delay leaves A(t) constant, and the bound is 0
         ctx = make_ctx()
-        [out] = _run(ctx, 2, [_drift([2.0], ctx, 20, 2)])[0]
-        assert out.pop("trials") == 20
-        assert list(out) == ["h=0.01", "h=0.001", "h=0.0001"]
-        vals = list(out.values())
-        assert all(math.isfinite(v) for v in vals)
-        assert max(vals) <= 10.0 * (min(vals) + 1e-12) + 1e-6
+        bounds = [dadt_bound(t, ctx) for t in (0.0, 2.0, 10.0, 20.0)]
+        assert bounds[0] == 0.2 / 0.5
+        assert bounds == sorted(bounds, reverse=True) and bounds[-1] > 0.0
+        const = make_ctx(delay=make_delay("constant", {"tau": 0.7}))
+        assert dadt_bound(3.0, const) == 0.0
+
+    @pytest.mark.parametrize("delay, times", [
+        (DELAY, [0.0, 2.0, 10.0]),
+        (PIECEWISE, [0.5, 1.6, 2.0, 2.7, 4.0]),
+    ], ids=["saturating", "piecewise"])
+    def test_bound_is_the_limit_of_the_transport_quotient(self, delay, times):
+        # on the linear profile w = delta, node i of the transport block is
+        # -c(delta_i, t) times a difference that does not depend on t, so
+        # the block's central difference quotient over the block tends to
+        # d/dt log c(delta_i, t) node by node (error O(h^2)), and the bound
+        # is its largest modulus; the times keep clear of the rise's kinks
+        ctx = make_ctx(delay=delay)
+        delta = delta_grid(ctx.n_delta)
+        h = 1e-5
+        for t in times:
+            rate = (_transport_block(delta, t + h, ctx)
+                    - _transport_block(delta, t - h, ctx)) / (
+                2.0 * h * _transport_block(delta, t, ctx))
+            tau, taup, taupp = (float(f(t)) for f in (
+                delay.tau, delay.tau_prime, delay.tau_second))
+            # d/dt log c with c = (1 - delta tau')/tau
+            exact = -taup / tau - delta * taupp / (1.0 - delta * taup)
+            assert np.allclose(rate, exact, rtol=1e-7, atol=1e-9), t
+            assert dadt_bound(t, ctx) == np.max(np.abs(exact))
+            assert dadt_bound(t, ctx) == pytest.approx(
+                np.max(np.abs(rate)), rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [0.0, 10.0, 20.0])
+    def test_a_channel_state_attains_the_bound(self, t):
+        # baseline at n_delta = 64, where d/dt log c is largest at delta = 0:
+        # u = v = 0 and w alternating on the two nodes beside it, so that
+        # A U is nearly all channel block at the largest rates, reaches
+        # 99 % of the bound through the finite-difference quotient
+        from degenwave import config
+
+        cfg = config.load_config("baseline")
+        setup = config.build_setup(cfg)
+        ctx = ProbeContext(mesh=setup.mesh, ops=setup.ops, gains=setup.gains,
+                           delay=setup.delay, n_delta=64)
+        zero = np.zeros(ctx.mesh.N + 1)
+        w = np.zeros(ctx.n_delta + 1)
+        w[1:3] = (1.0, -1.0)
+        ratio = oracle_drift(zero, zero, w, t, ctx, 1e-7)
+        assert 0.98 * dadt_bound(t, ctx) <= ratio <= dadt_bound(t, ctx)
 
 
 # -- the one-trial-at-a-time algorithm, as the oracle of the stacked probes --
@@ -428,23 +467,15 @@ def oracle_apply(u, v, w, t, ctx):
     return v.copy(), av, aw
 
 
-def oracle_drift(t, ctx, trials, seed, steps):
-    out = {}
+def oracle_drift(u, v, w, t, ctx, h):
+    """||(A(t + h) - A(t)) U||_H / (h ||U||_graph) of one domain state."""
     zero = np.zeros(ctx.mesh.N + 1)
-    for hstep in steps:
-        worst = 0.0
-        for U in oracle_draw(seed, ctx, trials):
-            U = oracle_project(*U, ctx)
-            a0 = oracle_apply(*U, t, ctx)
-            a1 = oracle_apply(*U, t + hstep, ctx)
-            graph = math.sqrt(oracle_norm_sq(*U, 1.0, ctx)
-                              + oracle_norm_sq(*a0, 1.0, ctx))
-            num = math.sqrt(oracle_norm_sq(zero, zero, (a1[2] - a0[2]) / hstep,
-                                           1.0, ctx))
-            if graph > 0.0:
-                worst = max(worst, num / graph)
-        out[f"h={hstep:g}"] = worst
-    return {**out, "trials": trials}
+    a0 = oracle_apply(u, v, w, t, ctx)
+    a1 = oracle_apply(u, v, w, t + h, ctx)
+    graph = math.sqrt(oracle_norm_sq(u, v, w, 1.0, ctx)
+                      + oracle_norm_sq(*a0, 1.0, ctx))
+    return math.sqrt(oracle_norm_sq(zero, zero, (a1[2] - a0[2]) / h, 1.0,
+                                    ctx)) / graph
 
 
 ROWS_AT_64 = BLOCK_DOUBLES // 65
@@ -485,22 +516,25 @@ class TestStackedAgainstPerTrial:
         for (s, t), rep in zip(self.PAIRS, reps):
             assert rep["max_ratio"] == oracle_norm_ratio(s, t, ctx, trials,
                                                          seed)
-        steps = (1e-2, 1e-4)
-        drifts = _run(ctx, seed, [_drift(self.TIMES, ctx, trials // 4,
-                                         seed, steps)])[0]
-        for t, drift in zip(self.TIMES, drifts):
-            assert drift == oracle_drift(t, ctx, trials // 4, seed, steps)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CTX))
+    def test_drift_stays_below_the_bound(self, case):
+        ctx = make_ctx(**ORACLE_CTX[case])
+        states = [oracle_project(*U, ctx) for U in oracle_draw(4, ctx, 50)]
+        for t in self.TIMES:
+            worst = max(oracle_drift(*U, t, ctx, 1e-7) for U in states)
+            assert 0.0 < worst <= dadt_bound(t, ctx) * (1.0 + 1e-6)
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CTX))
     def test_certificate_equals_the_probes_alone(self, case):
-        # one stream for all four claims, which stop in different blocks:
-        # claim 1 in the third, claim 3 in the second, claim 2 and the
-        # drift's 50 trials in the first; each claim's rows equal those of
-        # the claim run alone through _run
+        # one stream for all three claims, which stop in different blocks:
+        # claim 1 in the third, claim 3 in the second, claim 2 in the
+        # first; each claim's rows equal those of the claim run alone
+        # through _run, and dAdt holds the bound at each time
         ctx = make_ctx(**ORACLE_CTX[case])
         seed = 4
         diss, res, ratio = 2 * ROWS_AT_64 + 11, 37, ROWS_AT_64 + 5
-        assert res < 50 < ROWS_AT_64 < ratio < 2 * ROWS_AT_64 < diss
+        assert res < ROWS_AT_64 < ratio < 2 * ROWS_AT_64 < diss
         cert = run_certificate(ctx, self.TIMES, seed=seed, diss_trials=diss,
                                res_trials=res, ratio_trials=ratio)
         assert list(cert["claim1"].values()) == _run(
@@ -509,8 +543,8 @@ class TestStackedAgainstPerTrial:
             ctx, seed, [_claim2(self.TIMES, ctx, res, seed)])[0]
         assert list(cert["claim3"].values()) == _run(
             ctx, seed, [_claim3(self.PAIRS, ctx, ratio, seed)])[0]
-        assert list(cert["dAdt"].values()) == _run(
-            ctx, seed, [_dadt(self.TIMES, ctx)])[0]
+        assert list(cert["dAdt"].values()) == [
+            {"bound": dadt_bound(t, ctx)} for t in self.TIMES]
         assert cert["pass"] == (case != "violating")
 
     def test_norm_stack_equals_rows(self):
@@ -610,17 +644,16 @@ class TestTrialStream:
             assert out == run()
             return [(c.seed, c.fills) for c in made]
 
-        # the drift keeps its 50 trials, which the largest count may be
         for trials in [(9, 9, 9), (2 * rows + 1, 3, rows + 2),
                        (7, rows + 1, 2)]:
             diss, res, ratio = trials
             made = counted(lambda: run_certificate(
                 ctx, [0.0, 1.0, 2.0], seed=3, diss_trials=diss,
                 res_trials=res, ratio_trials=ratio))
-            assert made == [([3], -(-max(*trials, 50) // rows))]
+            assert made == [([3], -(-max(*trials) // rows))]
         # a claim run alone: the same one stream, for its own trials
         for claim, entries in [(_claim1, [0.0, 1.0]), (_claim2, [0.0]),
-                               (_claim3, [(0.0, 1.0)]), (_drift, [0.0])]:
+                               (_claim3, [(0.0, 1.0)])]:
             made = counted(lambda: _run(
                 ctx, 3, [claim(entries, ctx, rows + 1, 3)])[0])
             assert made == [([3], 2)]
@@ -630,8 +663,7 @@ class TestTrialStream:
     (_claim1, [0.0]),
     (_claim2, [0.0]),
     (_claim3, [(0.0, 1.0)]),
-    (_drift, [0.0]),
-], ids=["dissipativity", "resolvent", "norm_ratio", "drift"])
+], ids=["dissipativity", "resolvent", "norm_ratio"])
 @pytest.mark.parametrize("trials", [0, -3])
 def test_no_trials_is_an_error_not_a_pass(claim, entries, trials):
     ctx = make_ctx(n=16, n_delta=8)
@@ -640,13 +672,13 @@ def test_no_trials_is_an_error_not_a_pass(claim, entries, trials):
 
 
 class TestRunCertificate:
-    # run_certificate builds each claim once, counted here under the
-    # builder's name
-    CLAIMS = ("_claim1", "_claim2", "_claim3", "_dadt")
-    TIME_CLAIMS = ("_claim1", "_claim2", "_dadt")
+    # run_certificate builds each claim once, and takes dadt_bound once
+    # per time, counted here under the function's name
+    CLAIMS = ("_claim1", "_claim2", "_claim3")
+    TIME_CLAIMS = ("_claim1", "_claim2", "dadt_bound")
 
     def count(self, monkeypatch):
-        seen = {name: [] for name in self.CLAIMS}
+        seen = {name: [] for name in (*self.CLAIMS, "dadt_bound")}
         for name in self.CLAIMS:
             real = getattr(operator_checks, name)
 
@@ -655,6 +687,12 @@ class TestRunCertificate:
                 return _real(entries, ctx, *args, **kw)
 
             monkeypatch.setattr(operator_checks, name, counted)
+
+        def bound(t, ctx, _real=operator_checks.dadt_bound):
+            seen["dadt_bound"].append(t)
+            return _real(t, ctx)
+
+        monkeypatch.setattr(operator_checks, "dadt_bound", bound)
         return seen
 
     def cert(self, t_list):

@@ -25,7 +25,8 @@ the reference norm ||U||_H^2 with tau = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -62,6 +63,25 @@ class LyapunovParams:
     boundary_const: float
     eps_sandwich: float
     eps_damping: float
+
+
+@contextmanager
+def _derived(what: str, **data: float):
+    """Name a derived constant that is not finite: the block's float `**`
+    raising OverflowError (where * gives inf), a divisor that underflowed to
+    0, or a value passed to the yielded check that is inf or NaN, becomes a
+    HypothesisError naming `what` and the data it was derived from."""
+    msg = f"{what} not finite for " + ", ".join(
+        f"{k} = {v:g}" for k, v in data.items())
+
+    def check(*values: float) -> None:
+        if not all(math.isfinite(x) for x in values):
+            raise HypothesisError(msg)
+
+    try:
+        yield check
+    except (OverflowError, ZeroDivisionError):
+        raise HypothesisError(msg) from None
 
 
 def lyapunov_raw(u, v, w, tau, ops: DiscreteOperators, gains: GainSet,
@@ -133,7 +153,8 @@ def choose_epsilon(spec: CoefficientSpec, gains: GainSet,
                              (5/2) a(1) mu2^2}.
 
     Raises NoStrictDamping when the damping coefficient C3 is not positive,
-    and HypothesisError when the displacement-trace coefficient C7 is not.
+    and HypothesisError when the displacement-trace coefficient C7 is not or
+    a constant is not finite (an overflow, or a divisor that underflowed).
     """
     constants = full_constants(spec, gains, delay)
     c3 = constants.damping_const
@@ -142,29 +163,35 @@ def choose_epsilon(spec: CoefficientSpec, gains: GainSet,
             f"damping coefficient {c3} <= 0; need mu1 > 2 |mu2| / sqrt(1 - d)"
         )
     a1, beta = spec.a_of_1, gains.beta
-    mx = sandwich_coefficient(spec.mu_a, a1, beta, constants.poincare_const)
-    eps_sandwich = 1.0 / (4.0 * mx)
-    trace_budget = max(
-        1.0 + 2.5 * a1 * gains.mu1**2 + gains.mu1 * a1,
-        2.5 * a1 * gains.mu2**2,
-    )
-    eps_damping = c3 * a1 / trace_budget
-    eps = min(eps_sandwich, eps_damping)
-    c7 = beta * (beta - spec.mu_a + 1.0) + (2.0 * beta - spec.mu_a / 2.0) ** 2
-    if c7 <= 0.0:
-        raise HypothesisError(
-            "displacement-trace coefficient is not positive for these "
-            "(mu_a, beta); outside the certificate's validity"
+    with _derived("Lyapunov constants", mu_a=spec.mu_a, a1=a1, mu1=gains.mu1,
+                  mu2=gains.mu2, beta=beta) as check:
+        mx = sandwich_coefficient(spec.mu_a, a1, beta,
+                                  constants.poincare_const)
+        eps_sandwich = 1.0 / (4.0 * mx)
+        trace_budget = max(
+            1.0 + 2.5 * a1 * gains.mu1**2 + gains.mu1 * a1,
+            2.5 * a1 * gains.mu2**2,
         )
-    return LyapunovParams(
-        epsilon=eps,
-        equiv_lower=1.0 - 2.0 * eps * mx,
-        equiv_upper=1.0 + 2.0 * eps * mx,
-        damping_slack=c3 * a1 - eps * trace_budget,
-        boundary_const=c7,
-        eps_sandwich=eps_sandwich,
-        eps_damping=eps_damping,
-    )
+        eps_damping = c3 * a1 / trace_budget
+        eps = min(eps_sandwich, eps_damping)
+        c7 = (beta * (beta - spec.mu_a + 1.0)
+              + (2.0 * beta - spec.mu_a / 2.0) ** 2)
+        if c7 <= 0.0:
+            raise HypothesisError(
+                "displacement-trace coefficient is not positive for these "
+                "(mu_a, beta); outside the certificate's validity"
+            )
+        params = LyapunovParams(
+            epsilon=eps,
+            equiv_lower=1.0 - 2.0 * eps * mx,
+            equiv_upper=1.0 + 2.0 * eps * mx,
+            damping_slack=c3 * a1 - eps * trace_budget,
+            boundary_const=c7,
+            eps_sandwich=eps_sandwich,
+            eps_damping=eps_damping,
+        )
+        check(*astuple(params))
+    return params
 
 
 def dissipation_audit(trajectory, c3: float, a1: float) -> float:
@@ -241,11 +268,16 @@ def solve_auxiliary_elliptic(spec: CoefficientSpec, beta: float, lam: float,
 
     Verifies the two estimates
         |||z|||^2 = z^T K z + beta a(1) z(1)^2 <= (a(1)/beta) lam^2,
-        ||z||_L2^2 <= (a(1)/(beta alpha_a)) lam^2.
+        ||z||_L2^2 <= (a(1)/(beta alpha_a)) lam^2,
+    whose bounds must be finite (HypothesisError otherwise).
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
     a1 = spec.a_of_1
+    consts = structural_constants(spec, beta)  # ValueError unless beta > 0
+    with _derived("elliptic bounds", alpha=spec.alpha, a1=a1, beta=beta,
+                  lam=lam) as check:
+        energy_bound = a1 * lam**2 / beta
+        l2_bound = a1 * lam**2 / (beta * consts.coercivity_const)
+        check(energy_bound, l2_bound)
     ops = assemble_operators(spec, mesh)
     s = spec.inv_integral(mesh.nodes[:-1], mesh.nodes[1:])
     k = ops.k_cell.copy()
@@ -264,9 +296,6 @@ def solve_auxiliary_elliptic(spec: CoefficientSpec, beta: float, lam: float,
 
     energy_sq = flux.stiffness_quadform(z) + beta * a1 * z[-1] ** 2
     l2_sq = ops.mass_quadform(z)
-    consts = structural_constants(spec, beta)
-    energy_bound = a1 * lam**2 / beta
-    l2_bound = a1 * lam**2 / (beta * consts.coercivity_const)
     tol = 1e-12 * max(1.0, abs(energy_bound), abs(l2_bound))
     ok = energy_sq <= energy_bound + tol and l2_sq <= l2_bound + tol
 
@@ -310,6 +339,8 @@ def certified_decay_time(mu_a: float, tau1: float, beta: float,
                         + eps/(beta alpha_a) * C7^2 (1 + 2/beta^3)/(m C3)
                         + 2 eps C7/(beta sqrt(alpha_a))
                         + C7^2 (1 + 2/beta^3)/m * eps/C3 ].
+
+    Raises HypothesisError when M is not finite.
     """
     if damping_const <= 0.0:
         raise NoStrictDamping("certified decay needs a positive damping margin")
@@ -317,14 +348,18 @@ def certified_decay_time(mu_a: float, tau1: float, beta: float,
     m = min(2.0 - mu_a, math.exp(-2.0 * tau1))
     c5 = params.equiv_upper
     c7 = params.boundary_const
-    big = c7**2 * (1.0 + 2.0 / beta**3) / m
-    bracket = (
-        c5
-        + eps * (1.0 / (beta * coercivity_const)) * big / damping_const
-        + 2.0 * eps * c7 / (beta * math.sqrt(coercivity_const))
-        + big * eps / damping_const
-    )
-    return 2.0 / (eps * m) * bracket
+    with _derived("certified decay time", mu_a=mu_a, tau1=tau1, beta=beta,
+                  epsilon=eps) as check:
+        big = c7**2 * (1.0 + 2.0 / beta**3) / m
+        bracket = (
+            c5
+            + eps * (1.0 / (beta * coercivity_const)) * big / damping_const
+            + 2.0 * eps * c7 / (beta * math.sqrt(coercivity_const))
+            + big * eps / damping_const
+        )
+        m_bound = 2.0 / (eps * m) * bracket
+        check(m_bound)
+    return m_bound
 
 
 @dataclass(frozen=True)

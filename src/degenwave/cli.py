@@ -182,7 +182,7 @@ def build_report(sim: Simulation) -> dict:
     e0 = float(e[0])
     cert_ops = operator_checks.run_certificate(
         _probe_context(setup), _probe_times(traj),
-        seed=cfg.seed, diss_trials=200, res_trials=40, ratio_trials=200,
+        seed=cfg.seed, diss_trials=200, res_trials=40,
     )
     cert = _decay_certificate(sim)
 
@@ -588,7 +588,7 @@ def cmd_operator_check(args) -> int:
                                     cfg.integrator_t_final]
     cert = operator_checks.run_certificate(
         _probe_context(setup), t_list, seed=cfg.seed, diss_trials=args.trials,
-        res_trials=max(1, args.trials // 5), ratio_trials=args.trials,
+        res_trials=max(1, args.trials // 5),
     )
     text = reporting.report_json_text(cert)
     if args.out:

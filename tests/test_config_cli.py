@@ -1280,3 +1280,96 @@ class TestEllipticCli:
         assert rc == EXIT_HYPOTHESIS
         err = capsys.readouterr().err
         assert err.startswith("config error: --betas must be positive")
+
+
+# --- no traceback from any value the parser accepts ----------------------------
+
+EXTREMES = ["1e200", "-1e200", "1e-300", "0"]
+TINY = ["--set", "mesh.n=8", "--set", "channel.n_delta=8",
+        "--set", "integrator.t_final=0.05"]
+
+
+def _numeric_keys() -> list[str]:
+    # every int or float config key, from RunConfig's fields
+    from typing import Optional, get_type_hints
+
+    types = get_type_hints(cfgmod.RunConfig)
+    return [f.name.replace("_", ".", 1)
+            for f in dataclasses.fields(cfgmod.RunConfig)
+            if types[f.name] in (int, float, Optional[float])]
+
+
+def _numeric_flags(verb: str) -> list[tuple[str, type]]:
+    (verbs,) = [a for a in make_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return [(a.option_strings[0], a.type)
+            for a in verbs.choices[verb]._actions if a.type in (int, float)]
+
+
+def _flag_cases(verb: str) -> list[tuple[str, str]]:
+    # a float flag takes the extremes; an int flag, whose parser refuses
+    # them, takes 0, -1 and 1 (a huge count is a long run, not an error)
+    return [(flag, value) for flag, kind in _numeric_flags(verb)
+            for value in (EXTREMES if kind is float else ["0", "-1", "1"])]
+
+
+class TestNoTraceback:
+    # each run ends with exit 0, 2 or 3, and an error exit prints one line;
+    # any other exception escapes main() and fails the test
+    def clean_exit(self, rc, capsys):
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_AUDIT)
+        assert err.count("\n") == (rc != EXIT_OK) and "Traceback" not in err
+
+    def test_cases_cover_every_numeric_key_and_flag(self):
+        assert len(_numeric_keys()) == 19
+        assert [f for f, _ in _numeric_flags("elliptic-check")] == [
+            "--n", "--alphas", "--betas"]
+        assert [f for f, _ in _numeric_flags("operator-check")] == [
+            "--seed", "--t", "--trials"]
+
+    @pytest.mark.parametrize("value", EXTREMES)
+    @pytest.mark.parametrize("key", _numeric_keys())
+    def test_simulate_key(self, key, value, tmp_path, capsys):
+        rc = main(["simulate", "--config", "baseline", *TINY,
+                   "--set", f"{key}={value}", "--out", str(tmp_path / "x")])
+        self.clean_exit(rc, capsys)
+
+    @pytest.mark.parametrize("flag, value", _flag_cases("elliptic-check"))
+    def test_elliptic_check_flag(self, flag, value, capsys):
+        # flag=value: argparse reads a bare -1e200 as an unknown option
+        args = {"--n": "16", "--alphas": "0.5", "--betas": "1", flag: value}
+        rc = main(["elliptic-check", *(f"{k}={v}" for k, v in args.items())])
+        self.clean_exit(rc, capsys)
+
+    @pytest.mark.parametrize("flag, value", _flag_cases("operator-check"))
+    def test_operator_check_flag(self, flag, value, tmp_path, capsys):
+        args = {"--trials": "5", flag: value}
+        rc = main(["operator-check", "--config", "baseline", *TINY,
+                   *(f"{k}={v}" for k, v in args.items()),
+                   "--out", str(tmp_path / "cert.json")])
+        self.clean_exit(rc, capsys)
+
+    @pytest.mark.parametrize("axis, message", [
+        ("gains.mu1=2,1e200", "Lyapunov constants not finite for "),
+        ("gains.beta=1,1e-300", "certified decay time not finite for "),
+    ])
+    def test_sweep_row_fails_alone(self, axis, message, tmp_path, capsys,
+                                   monkeypatch):
+        import csv
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        out = tmp_path / "sw.csv"
+        rc = main(["sweep", "--config", "baseline", *TINY, "--axis", axis,
+                   "--out", str(out)])
+        self.clean_exit(rc, capsys)
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"].startswith(f"failed: {message}")
+
+    def test_converge_level(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        rc = main(["converge", "--config", "baseline", *TINY,
+                   "--set", "gains.mu1=1e200"])
+        self.clean_exit(rc, capsys)
+        assert rc == EXIT_HYPOTHESIS

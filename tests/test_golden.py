@@ -117,8 +117,7 @@ CERTIFICATE_KEYS = {
     "claim1": {"max_form_ratio", "positive_trials", "trials", "pass", "seed"},
     "claim2": {"max_residual", "max_boundary_identity", "trials", "pass",
                "seed"},
-    "claim3": {"max_ratio", "bound_stated", "bound_proof", "excess", "pass",
-               "seed"},
+    "claim3": {"max_ratio", "bound_stated", "bound_proof", "excess", "pass"},
     "dAdt": {"bound"},
 }
 

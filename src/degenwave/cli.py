@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import itertools
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -95,17 +97,25 @@ def _fan_out(fn, items: list, jobs: int) -> list:
         # imported here: multiprocessing costs every other verb's cold start
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-            calls = [pool.submit(fn, item) for item in items[::-1]][::-1]
-            for call in calls:
-                done.append(call.result())
-                if isinstance(done[-1], DegenwaveError):
-                    # stop the workers still busy: the executor itself
-                    # would wait for them
-                    for worker in list(pool._processes.values()):
-                        worker.terminate()
-                    pool.shutdown(cancel_futures=True)
-                    break
+        # forked workers share this process's heap until they write to it;
+        # frozen, its objects are skipped by the workers' garbage
+        # collections, which would otherwise copy every page they sit on
+        gc.freeze()
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, len(items))) as pool:
+                calls = [pool.submit(fn, item) for item in items[::-1]][::-1]
+                for call in calls:
+                    done.append(call.result())
+                    if isinstance(done[-1], DegenwaveError):
+                        # stop the workers still busy: the executor itself
+                        # would wait for them
+                        for worker in list(pool._processes.values()):
+                            worker.terminate()
+                        pool.shutdown(cancel_futures=True)
+                        break
+        finally:
+            gc.unfreeze()
         return done
     for item in items:
         done.append(fn(item))
@@ -240,10 +250,11 @@ def build_report(sim: Simulation) -> dict:
     }
 
 
-def simulate_batch(cfgs: list[cfgmod.RunConfig],
-                   snapshots: bool = False) -> list:
+def simulate_batch(cfgs: list[cfgmod.RunConfig], snapshots: bool = False,
+                   energy_only: bool = False) -> list:
     """Set up configs that differ at most in their gains and seed and run
-    them as one lockstep batch (`stepper.run`).  Returns, per config, its
+    them as one lockstep batch (`stepper.run`; with `energy_only` the
+    trajectories record t and E alone).  Returns, per config, its
     Simulation or the DegenwaveError that stopped it: a config that fails
     to set up, or whose state turns non-finite, fails alone, and an error
     of the shared run fails them all.  Each row's trajectory has the bits
@@ -260,7 +271,7 @@ def simulate_batch(cfgs: list[cfgmod.RunConfig],
             trajs = cfgmod.run_from_setup(
                 [sims[i].setup for i in live],
                 lyap=[sims[i].lyap for i in live],
-                snapshots=snapshots)
+                snapshots=snapshots, energy_only=energy_only)
         except DegenwaveError as exc:
             trajs = [exc] * len(live)
         for i, traj in zip(live, trajs):
@@ -370,8 +381,9 @@ def _sweep_row(payload, sim) -> dict:
 
 
 def _sweep_batch(batch) -> list[dict]:
-    """The rows of one lockstep batch of sweep payloads."""
-    sims = simulate_batch([cfg for _, cfg, _ in batch])
+    """The rows of one lockstep batch of sweep payloads, which read t and E
+    alone."""
+    sims = simulate_batch([cfg for _, cfg, _ in batch], energy_only=True)
     return [_sweep_row(p, sim) for p, sim in zip(batch, sims)]
 
 
@@ -473,8 +485,9 @@ def cmd_sweep(args) -> int:
 def _converge_level(cfg: cfgmod.RunConfig):
     """Run one converge level for its end state.  Returns its row (without
     the level number) and its run warnings, or the DegenwaveError that
-    stopped it; the trajectory stays in the process that ran it."""
-    (sim,) = simulate_batch([cfg])
+    stopped it; the trajectory, which records t and E alone, stays in the
+    process that ran it."""
+    (sim,) = simulate_batch([cfg], energy_only=True)
     if isinstance(sim, DegenwaveError):
         return sim
     traj = sim.traj
@@ -649,8 +662,19 @@ def cmd_elliptic_check(args) -> int:
 # --- entry point ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (its subcommands' parsers are too) that reads a
+    negative number in exponent form, -1e200, as a value, as argparse reads
+    -1 and -1.5, not as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="degenwave",
         description="Degenerate wave equation with delayed boundary feedback: "
                     "simulation and numerical certification",

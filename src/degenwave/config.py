@@ -348,11 +348,12 @@ def batch_key(cfg: RunConfig) -> RunConfig:
 
 
 def run_from_setup(setups: list[RunSetup], lyap=None,
-                   snapshots: bool = False):
+                   snapshots: bool = False, energy_only: bool = False):
     """`stepper.run` of setups that share their `batch_key`, as one lockstep
     batch whose rows each have their own gains (with `lyap` one entry per
-    setup, or None), keeping the snapshots when `snapshots` is set; one
-    Trajectory or NonFiniteState per setup.  Raises ValueError naming the
+    setup, or None), keeping the snapshots when `snapshots` is set and
+    recording t and E alone when `energy_only` is; one Trajectory or
+    NonFiniteState per setup.  Raises ValueError naming the
     first config key in which a setup differs from the first one."""
     first = setups[0]
     cfg = first.cfg
@@ -369,5 +370,5 @@ def run_from_setup(setups: list[RunSetup], lyap=None,
         t_final=cfg.integrator_t_final, dt=first.dt, initial=first.initial,
         record_every=cfg.integrator_record_every,
         n_delta=cfg.channel_n_delta,
-        lyap=lyap, snapshots=snapshots,
+        lyap=lyap, snapshots=snapshots, energy_only=energy_only,
     )

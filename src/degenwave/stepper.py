@@ -37,7 +37,8 @@ is the reference that `run` is tested against.
 
 Only the wave step and the ring feed the feedback; the channel and the
 recorded columns are diagnostics.  `run` is one loop over blocks of steps;
-a block covers about BLOCK_DOUBLES // n_nodes recorded instants, in at
+a block covers about BLOCK_DOUBLES // (n_nodes B) recorded instants, so
+that its (instants, B, n) stacks stay within BLOCK_DOUBLES entries, in at
 least MIN_BLOCK_STEPS and at most BLOCK_DOUBLES steps.
 Since tau >= tau0, the delayed samples of a block of L steps are all in the
 ring before its first step when (L + 1/2) dt <= tau0, which caps L (at one
@@ -52,7 +53,10 @@ Fortran-order transpose is solved where it lies, a column per row.  A
 recorded step copies u, v and w into the block's (instants, B, n) stacks,
 and the block's rows get their columns from one row-wise call each; a run
 that keeps snapshots copies each stack into its (B, instants, n) stack of
-the run in one slice.
+the run in one slice.  An `energy_only` run records t and E alone: a block
+then evaluates E (`analysis.lyapunov_raw` at epsilon 0) and nothing else,
+no E~ block, no ring read at its recorded instants and no trace, residual
+or discrepancy column.
 `step` and `run` share every kernel, so they agree bit for bit.
 
 Step n lands on t = n dt exactly: the ring sits on the same uniform grid and
@@ -121,17 +125,18 @@ COLUMNS = ("t", "E", "E_tilde", "trace_v", "trace_v_delayed", "bc_residual",
 @dataclass
 class Trajectory:
     """What a run recorded: the columns (one array per name in COLUMNS,
-    one entry per recorded instant), the run's warnings, the final state
-    and, when the run kept them, the snapshots (u, v, w): (instants, n)
-    stacks of the state at each instant of `t`."""
+    one entry per recorded instant; an energy-only run's are t and E, and
+    its others None), the run's warnings, the final state and, when the run
+    kept them, the snapshots (u, v, w): (instants, n) stacks of the state
+    at each instant of `t`."""
 
     t: np.ndarray
     E: np.ndarray
-    E_tilde: np.ndarray
-    trace_v: np.ndarray
-    trace_v_delayed: np.ndarray
-    bc_residual: np.ndarray
-    channel_discrepancy: np.ndarray
+    E_tilde: Optional[np.ndarray]
+    trace_v: Optional[np.ndarray]
+    trace_v_delayed: Optional[np.ndarray]
+    bc_residual: Optional[np.ndarray]
+    channel_discrepancy: Optional[np.ndarray]
     warnings: list[str]
     final_state: Optional[SimState] = None
     snapshots: Optional[tuple] = None
@@ -370,15 +375,18 @@ def step_count(t_final: float, dt: float) -> tuple[int, Optional[str]]:
 def run(ops: DiscreteOperators, gains: Sequence[GainSet], delay: DelaySpec,
         t_final: float, dt: float, initial: tuple,
         record_every: int = 1, n_delta: int = 64, lyap=None,
-        snapshots: bool = False):
+        snapshots: bool = False, energy_only: bool = False):
     """Integrate to t_final, recording the COLUMNS every record_every
-    steps (plus the initial and final instants).
+    steps (plus the initial and final instants), or with `energy_only` t
+    and E alone (the other columns are None, and `lyap`'s entries are not
+    read).
 
     The rows, one per GainSet, run as one lockstep batch from the same
     initial data `initial` = (u0, v0, f0), as `init_state` takes them;
     `lyap` (LyapunovParams or None) is a sequence with one entry per row,
-    or None for none at all.  With `snapshots`, each Trajectory also keeps
-    the state (u, v, w) at every recorded instant.
+    or None for none at all: any other length is a ValueError.  With
+    `snapshots`, each Trajectory also keeps the state (u, v, w) at every
+    recorded instant.
     Returns a list with each row's Trajectory, or the NonFiniteState that
     stopped that row.  A row gets the bits of its run alone; a single run
     is a batch of one.
@@ -397,9 +405,16 @@ def run(ops: DiscreteOperators, gains: Sequence[GainSet], delay: DelaySpec,
     if t_final < 0.0 or dt <= 0.0 or record_every < 1:
         raise ValueError("need t_final >= 0, dt > 0, record_every >= 1")
     n_batch = len(gains)
-    lyap = lyap or [None] * n_batch
+    if lyap is None:
+        lyap = [None] * n_batch
+    elif len(lyap) != n_batch:
+        raise ValueError(f"lyap has {len(lyap)} entries for a batch of "
+                         f"{n_batch} rows")
     batch = BatchGains.of(gains)
-    eps = np.array([0.0 if p is None else p.epsilon for p in lyap])
+    names = COLUMNS[:2] if energy_only else COLUMNS
+    # at epsilon 0, lyapunov_raw skips the E~ block
+    eps = 0.0 if energy_only else np.array(
+        [0.0 if p is None else p.epsilon for p in lyap])
 
     n_steps, note = step_count(t_final, dt)
     # the initial instant, every record_every-th step and the last
@@ -408,8 +423,10 @@ def run(ops: DiscreteOperators, gains: Sequence[GainSet], delay: DelaySpec,
     # (L + 1/2) dt <= tau0, half a step inside the exact bound so that
     # rounding never moves a read past the newest sample
     reach = max(1, math.floor(delay.tau0 / dt - 0.5))
-    span = min(max(BLOCK_DOUBLES // ops.n_nodes * record_every,
-                   MIN_BLOCK_STEPS), BLOCK_DOUBLES, reach)
+    # the block's (instants, B, n) stacks hold about BLOCK_DOUBLES entries
+    stacked = ops.n_nodes * max(n_batch, 1)
+    span = min(max(BLOCK_DOUBLES // stacked * record_every, MIN_BLOCK_STEPS),
+               BLOCK_DOUBLES, reach)
     state, warnings = init_state(ops, delay, initial, n_delta=n_delta, dt=dt,
                                  rows=n_batch, lookahead=span)
     if note is not None:
@@ -418,8 +435,8 @@ def run(ops: DiscreteOperators, gains: Sequence[GainSet], delay: DelaySpec,
     rows = span // record_every + 2
     n, m1 = ops.n_nodes, n_delta + 1
     us, vs = np.empty((rows, n_batch, n)), np.empty((rows, n_batch, n))
-    ws, w_buf = np.empty((rows, n_batch, m1)), np.empty((rows, n_batch))
-    data = np.empty((n_batch, len(COLUMNS), n_rows))
+    ws = np.empty((rows, n_batch, m1))
+    data = np.empty((n_batch, len(names), n_rows))
     snaps = ((np.empty((n_batch, n_rows, n)), np.empty((n_batch, n_rows, n)),
               np.empty((n_batch, n_rows, m1))) if snapshots else None)
     # the batch's states node-major, a column per row
@@ -485,7 +502,6 @@ def run(ops: DiscreteOperators, gains: Sequence[GainSet], delay: DelaySpec,
                         j += 1
             block = np.array(traces).reshape(n1 - n0, n_batch)
             buf.extend(block)
-            w_buf[:j] = buf.sample(t_rec - tau_rec)
             # E sums (M v)_N v_N as computed here with nonnegative terms, so
             # where that is not finite, recorded or not, neither is E
             over = ~np.isfinite(ops.mass[-1] * block * block)
@@ -522,15 +538,19 @@ def run(ops: DiscreteOperators, gains: Sequence[GainSet], delay: DelaySpec,
                 out[b] = NonFiniteState(f"state is not finite at t = {what}")
             if all(o is not None for o in out):
                 break
-            # the recorded delayed trace is the channel's outflow, the
-            # realization the energy integrates; the buffered reference
-            # value is recoverable as trace_v_delayed - channel_discrepancy
-            w_chan = ws[:j, :, -1]
-            for c, col in enumerate((
-                    e, et, vs[:j, :, -1], w_chan,
-                    bc_residual(us[:j], vs[:j], w_buf[:j], batch, ops),
-                    w_chan - w_buf[:j]), 1):
-                cols[:, c] = col.T
+            cols[:, 1] = e.T
+            if not energy_only:
+                # the recorded delayed trace is the channel's outflow, the
+                # realization the energy integrates; the buffered reference
+                # value is recoverable as trace_v_delayed -
+                # channel_discrepancy
+                w_buf = buf.sample(t_rec - tau_rec)
+                w_chan = ws[:j, :, -1]
+                for c, col in enumerate((
+                        et, vs[:j, :, -1], w_chan,
+                        bc_residual(us[:j], vs[:j], w_buf, batch, ops),
+                        w_chan - w_buf), 2):
+                    cols[:, c] = col.T
             if snaps is not None:
                 for snap, stack in zip(snaps, (us, vs, ws)):
                     snap[:, r0:r1] = stack[:j].swapaxes(0, 1)
@@ -541,7 +561,8 @@ def run(ops: DiscreteOperators, gains: Sequence[GainSet], delay: DelaySpec,
             final = SimState(n_steps * dt, u[:, b].copy(), v[:, b].copy(),
                              w_rows[b].copy(), buf.row(b))
             out[b] = Trajectory(
-                **dict(zip(COLUMNS, data[b])), warnings=list(warnings),
+                **{**dict.fromkeys(COLUMNS), **dict(zip(names, data[b]))},
+                warnings=list(warnings),
                 final_state=final,
                 snapshots=None if snaps is None else tuple(s[b] for s in snaps))
     return out

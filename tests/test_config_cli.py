@@ -981,6 +981,39 @@ def _fail_or_sleep(seconds):
     return seconds
 
 
+def _frozen_count(_):
+    """How many objects gc.freeze has set aside in this process."""
+    import gc
+
+    return gc.get_freeze_count()
+
+
+class TestEnergyOnly:
+    def test_sweep_and_converge_record_energy_only_and_simulate_not(
+            self, monkeypatch):
+        # sweep rows and converge levels read t and E alone, so their runs
+        # record nothing else; simulate writes every column
+        real, seen = stepper.run, []
+
+        def spy(*args, energy_only=False, **kw):
+            seen.append(energy_only)
+            return real(*args, energy_only=energy_only, **kw)
+
+        monkeypatch.setattr(stepper, "run", spy)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        cfg = cfgmod.load_config("baseline")
+        for k, v in [("mesh.n", 16), ("channel.n_delta", 8),
+                     ("integrator.t_final", 0.1)]:
+            cfg = cfgmod.set_value(cfg, k, v)
+        _, traj, _ = simulate_config(cfg)
+        assert seen == [False] and traj.bc_residual is not None
+        rows = sweep_rows(cfg, [("gains.mu2", ["0", "0.2"])])
+        assert seen == [False, True]
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        converge_table(cfg, levels=3, start_n=16)
+        assert seen == [False, True, True, True, True]
+
+
 class TestConverge:
     def test_zero_data_exact(self):
         cfg = cfgmod.load_config("baseline")
@@ -1130,6 +1163,22 @@ class TestConverge:
         (failed,) = cli._fan_out(_fail_or_sleep, [0, 60], jobs)
         assert str(failed) == "failed at once"
         assert time.perf_counter() - t0 < 20
+
+    def test_fan_out_freezes_the_heap_for_its_workers_alone(self):
+        # forked workers find this process's objects frozen, so that their
+        # garbage collections leave the pages they share alone; here they
+        # are unfrozen when the pool ends, also after a failed item
+        import gc
+        import multiprocessing
+
+        assert gc.get_freeze_count() == 0
+        counts = cli._fan_out(_frozen_count, [0, 1], 2)
+        if multiprocessing.get_start_method() == "fork":
+            assert min(counts) > 0
+        assert gc.get_freeze_count() == 0
+        (failed,) = cli._fan_out(_fail_or_sleep, [0, 60], 2)
+        assert str(failed) == "failed at once"
+        assert gc.get_freeze_count() == 0
 
     def test_blow_up_names_its_step(self, capsys):
         # a level records only its endpoints, yet the message names the step
@@ -1337,7 +1386,6 @@ class TestNoTraceback:
 
     @pytest.mark.parametrize("flag, value", _flag_cases("elliptic-check"))
     def test_elliptic_check_flag(self, flag, value, capsys):
-        # flag=value: argparse reads a bare -1e200 as an unknown option
         args = {"--n": "16", "--alphas": "0.5", "--betas": "1", flag: value}
         rc = main(["elliptic-check", *(f"{k}={v}" for k, v in args.items())])
         self.clean_exit(rc, capsys)
@@ -1349,6 +1397,27 @@ class TestNoTraceback:
                    *(f"{k}={v}" for k, v in args.items()),
                    "--out", str(tmp_path / "cert.json")])
         self.clean_exit(rc, capsys)
+
+    @pytest.mark.parametrize("verb, flag, value", [
+        (verb, flag, value) for verb in ("elliptic-check", "operator-check")
+        for flag, value in _flag_cases(verb)])
+    def test_flag_and_value_apart_read_as_joined(self, verb, flag, value,
+                                                 tmp_path, capsys):
+        # "--flag value" exits and prints as "--flag=value" does: a negative
+        # value in exponent form (-1e200) is a value, as -1 and -1.5 are,
+        # not an unknown option
+        if verb == "elliptic-check":
+            head, args = [verb], {"--n": "16", "--alphas": "0.5",
+                                  "--betas": "1"}
+        else:
+            head = [verb, "--config", "baseline", *TINY,
+                    "--out", str(tmp_path / "cert.json")]
+            args = {"--trials": "5"}
+        args[flag] = value
+        rc = main(head + [f"{k}={v}" for k, v in args.items()])
+        joined = rc, capsys.readouterr()
+        rc = main(head + [part for pair in args.items() for part in pair])
+        assert (rc, capsys.readouterr()) == joined
 
     @pytest.mark.parametrize("axis, message", [
         ("gains.mu1=2,1e200", "Lyapunov constants not finite for "),

@@ -826,6 +826,85 @@ class TestBatchRun:
         assert not np.array_equal(batch[0].E_tilde, batch[0].E)
 
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_energy_only_run_records_the_full_runs_energy(self, alpha):
+        # two (mu1, beta) systems and a row without Lyapunov parameters, in
+        # both boundary regimes: t, E, the final states and the warnings of
+        # an energy-only run are the full run's bit for bit, and its other
+        # columns are None
+        from degenwave.analysis import choose_epsilon
+
+        spec, mesh, ops = make_ops(n=32, alpha=alpha)
+        rows = [GainSet(2.0, 0.0, 1.0), GainSet(3.0, 0.3, 0.5),
+                GainSet(2.0, -0.2, 1.0)]
+        lyaps = [choose_epsilon(spec, rows[0], DELAY),
+                 choose_epsilon(spec, rows[1], DELAY), None]
+        kw = dict(t_final=0.8, dt=1e-3, record_every=3, lyap=lyaps,
+                  initial=initial(ops, "velocity-kick", "cosine"),
+                  n_delta=16)
+        full = run(ops, rows, DELAY, **kw)
+        energy = run(ops, rows, DELAY, energy_only=True, **kw)
+        for got, want in zip(energy, full):
+            assert np.array_equal(got.t, want.t)
+            assert np.array_equal(got.E, want.E)
+            for part in ("u", "v", "w"):
+                assert np.array_equal(getattr(got.final_state, part),
+                                      getattr(want.final_state, part))
+            assert got.warnings == want.warnings
+            for name in COLUMNS[2:]:
+                assert getattr(got, name) is None, name
+                assert getattr(want, name) is not None, name
+        assert not np.array_equal(full[0].E_tilde, full[0].E)
+
+    @pytest.mark.parametrize("energy_only", [False, True])
+    @pytest.mark.parametrize("n_lyap", [1, 3])
+    def test_lyap_needs_one_entry_per_row(self, monkeypatch, n_lyap,
+                                          energy_only):
+        # a short or a long `lyap` is a ValueError naming both lengths,
+        # raised before the first step
+        from degenwave.analysis import choose_epsilon
+
+        _, mesh, ops = make_ops(n=16)
+        rows = [GainSet(2.0, 0.2, 1.0), GainSet(1.5, -0.3, 0.5)]
+        lyap = [choose_epsilon(SPEC, rows[0], DELAY)] * n_lyap
+        solves = _channel_solves(monkeypatch)
+        with pytest.raises(ValueError, match=f"^lyap has {n_lyap} entries "
+                                             "for a batch of 2 rows$"):
+            run(ops, rows, DELAY, t_final=0.1, dt=1e-3, lyap=lyap,
+                initial=initial(ops, "velocity-kick"), n_delta=16,
+                energy_only=energy_only)
+        assert solves == []
+
+    def test_blocks_are_sized_by_the_whole_batch(self, monkeypatch):
+        # 6 rows at N = 256: the (instants, B, n) stacks of a block that
+        # reach lyapunov_raw hold the MIN_BLOCK_STEPS floor of 16 steps, 8
+        # instants at record_every = 2 (the first block also the initial
+        # instant), where a block sized by N alone would hold 31
+        from degenwave import analysis, config, stepper
+
+        cfg = config.apply_overrides(config.load_config("baseline"), [
+            "integrator.t_final=0.2", "integrator.record_every=2"])
+        setup = config.build_setup(cfg)
+        assert setup.ops.n_nodes == 257
+        assert stepper.BLOCK_DOUBLES // (257 * 6) * 2 < stepper.MIN_BLOCK_STEPS
+        real, instants = analysis.lyapunov_raw, []
+
+        def spy(u, *args):
+            instants.append(u.shape[0])
+            return real(u, *args)
+
+        monkeypatch.setattr(analysis, "lyapunov_raw", spy)
+        rows = [GainSet(2.0, mu2, beta) for mu2 in (0.0, 0.2, 0.4)
+                for beta in (0.5, 2.0)]
+        out = run(setup.ops, rows, setup.delay, t_final=0.2, dt=setup.dt,
+                  initial=setup.initial, record_every=2,
+                  n_delta=cfg.channel_n_delta)
+        assert all(traj.t.size == 101 for traj in out)
+        assert instants[0] == stepper.MIN_BLOCK_STEPS // 2 + 1
+        assert max(instants[1:]) == stepper.MIN_BLOCK_STEPS // 2
+        assert sum(instants) == 101
+
+
 class TestStepCount:
     def test_horizon_off_the_step_grid_warns(self, tmp_path, capsys):
         # 0.5 / 0.0007 = 714.3 steps: the run ends at 714 dt and says so

@@ -192,7 +192,7 @@ def build_report(sim: Simulation) -> dict:
     e0 = float(e[0])
     cert_ops = operator_checks.run_certificate(
         _probe_context(setup), _probe_times(traj),
-        seed=cfg.seed, diss_trials=200, res_trials=40,
+        seed=cfg.seed, res_trials=40,
     )
     cert = _decay_certificate(sim)
 
@@ -600,8 +600,7 @@ def cmd_operator_check(args) -> int:
     t_list = args.t if args.t else [0.0, cfg.integrator_t_final / 2.0,
                                     cfg.integrator_t_final]
     cert = operator_checks.run_certificate(
-        _probe_context(setup), t_list, seed=cfg.seed, diss_trials=args.trials,
-        res_trials=max(1, args.trials // 5),
+        _probe_context(setup), t_list, seed=cfg.seed, res_trials=args.trials,
     )
     text = reporting.report_json_text(cert)
     if args.out:
@@ -719,7 +718,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(sp, strict=True)
     sp.add_argument("--t", type=float, action="append", default=None,
                     help="probe time (repeatable; default 0, T/2, T)")
-    sp.add_argument("--trials", type=int, default=500)
+    sp.add_argument("--trials", type=int, default=100, help="claim 2's trials")
     sp.set_defaults(func=cmd_operator_check)
 
     sp = sub.add_parser("elliptic-check",

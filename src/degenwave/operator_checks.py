@@ -13,8 +13,10 @@ Three claims are checked, and a bound on the drift of A(t) in t
 (`dadt_bound`) is reported beside them:
 
 * dissipativity of the shifted operator A(t) - iota(t) I in the
-  time-dependent inner product, iota(t) = sqrt(1 + tau'(t)^2)/(2 tau(t));
-* surjectivity of I - A(t) by direct residuals on random right-hand sides;
+  time-dependent inner product, iota(t) = sqrt(1 + tau'(t)^2)/(2 tau(t)),
+  exact over the constrained space (`_claim1`);
+* surjectivity of I - A(t) by direct residuals on random right-hand sides
+  (`_claim2`);
 * the variable-norm ratio bound ||U||_t / ||U||_s <= e^{d |t-s| / (2 tau0)},
   whose supremum over the domain has a closed form (`_claim3`).
 
@@ -30,31 +32,24 @@ cell-midpoint rule, whose summation by parts is exact, so every inequality
 of the continuous dissipativity argument holds verbatim for the discrete
 form; the one-sided nodal differences are kept for operator application.
 
-The sampled claims' builders (`_claim1`, `_claim2`) take the list of
-their times and fill one row of the certificate's JSON per time.  The two
-run in one loop, `_run`: `run_certificate` runs them together, and `_run`
-of one claim runs it alone.  Both read one stream, default_rng([seed]), in
-which trial k is the k-th (u, v, w) chunk, and a claim of k trials checks
-the first k of them, so a run of k trials checks the first k of any longer
-run.  A trial is drawn once for both claims and every time, and a claim
-run alone returns exactly the rows the certificate reports for it.  Trials
-are evaluated in blocks of rows, as stacked (B, n) arrays of at most
+Claim 2 is the one claim that draws.  Its right-hand sides are the first
+`trials` (u, v, w) chunks of one stream, default_rng([seed]), so a run of k
+trials checks the first k of any longer run.  They are evaluated in blocks
+of rows (`_trial_blocks`), as stacked (B, n) arrays of at most
 BLOCK_DOUBLES entries (the budget `delay_channel.BLOCK_DOUBLES` that the
 stepper's blocks share), one standard_normal fill each.  A block is
-read-only and shared by the claims: claim 1 reads projected copies, and
-claim 2 zeroes the Dirichlet node of its load in a copy.  The operations
-are row-wise: the projection, the quadratic form, the squared norms
-||.||_t^2 and ||.||_H^2 and the residuals.  Each squared norm is twice the
-energy `analysis.lyapunov_raw` gives with tau = tau(t) or tau = 1, so
-||U||_t^2 of a recorded state is twice its recorded E.
+read-only: claim 2 zeroes the Dirichlet node of its load in a copy.  The
+operations are row-wise: the squared norms ||.||_t^2 and ||.||_H^2, the
+quadratic form and the residuals.  Each squared norm is twice the energy
+`analysis.lyapunov_raw` gives with tau = tau(t) or tau = 1, so ||U||_t^2
+of a recorded state is twice its recorded E.
 Row-wise sums (np.vecdot) and the multi-right-hand-side LAPACK solves give
 each row the bits it would get alone, so the rows do not depend on the
 block size.  The resolvent factors its SPD tridiagonal once per time, as
 `ops.factor(1, 1, a(1) (mu1 + mu2 A_d + beta))` with A_d the outflow of
 its unit channel profile, and solves a whole block with one ?tbtrs
 channel solve of the loads and one ?pttrs call.
-A sampled claim run alone or a certificate with fewer than one trial for
-either raises ValueError instead of passing.
+Claim 2 with fewer than one trial raises ValueError instead of passing.
 """
 
 from __future__ import annotations
@@ -104,27 +99,6 @@ def _trial_blocks(trials: int, seed: int, sizes: tuple):
         block = rng.standard_normal((min(rows, trials - k0), edges[-1]))
         block.flags.writeable = False
         yield k0, tuple(block[:, a:b] for a, b in itertools.pairwise(edges))
-
-
-def _run(ctx: ProbeContext, seed: int, claims: list) -> list:
-    """The certificate rows of each claim, all evaluated on the trials of
-    one stream, default_rng([seed]).
-
-    A claim is (trials, update, rows), as _claim1 and _claim2 build it:
-    update(k0, u, v, w) folds trials k0, k0 + 1, ... into the rows.  One pass of _trial_blocks covers the most trials any claim
-    needs, and each claim gets the first trials - k0 rows of a block while
-    that is positive, as read-only arrays.  Raises ValueError for a claim
-    with trials < 1: a claim that checked nothing must not pass.
-    """
-    counts = [trials for trials, _, _ in claims]
-    if min(counts) < 1:
-        raise ValueError(f"need at least one trial, got {min(counts)}")
-    n = ctx.mesh.N + 1
-    for k0, U in _trial_blocks(max(counts), seed, (n, n, ctx.n_delta + 1)):
-        for trials, update, _ in claims:
-            if k0 < trials:
-                update(k0, *(x[:trials - k0] for x in U))
-    return [rows for _, _, rows in claims]
 
 
 def _running_max(row: dict, key: str, values: np.ndarray) -> float:
@@ -224,34 +198,46 @@ def quadratic_form(U, times, ctx: ProbeContext):
     return val - shift * norm, norm
 
 
-def _claim1(times, ctx: ProbeContext, trials: int, seed: int):
-    """Claim 1 for _run: the max of the shifted quadratic form over random
-    domain-projected states, normalized by the squared state norm, at each
-    of the times; one certificate row per time.  PASS iff it stays below
-    tol = 1e-8."""
-    tol = 1e-8
-    rows = [{"max_form_ratio": -math.inf, "positive_trials": 0,
-             "trials": trials, "pass": True, "seed": seed} for _ in times]
+def _claim1(times, ctx: ProbeContext) -> list:
+    """Claim 1, exact over the constrained space: the supremum of
+    `quadratic_form` over ||U||_t^2, at each of the times; one certificate
+    row per time.  PASS iff it stays below tol = 1e-8.
 
-    def update(k0, *U):
-        u, v, w = project_to_domain(U, ctx)
-        # importance sampling: the form's sign is decided by the boundary
-        # traces, so every fourth trial concentrates its mass there.  The
-        # scaling leaves v(1) and w(0) alone and keeps the projection's
-        # zeros, so it gives the same states before or after projecting.
-        hit = np.arange(k0, k0 + len(u)) % 4 == 3
-        u[hit] *= 0.0
-        v[hit, :-1] *= 1e-3
-        w[hit, 1:-1] *= 1e-3
-        form, norm = quadratic_form((u, v, w), times, ctx)
-        for row, num, den in zip(rows, form, norm):
-            live = den != 0.0
-            ratio = num[live] / den[live]
-            worst = _running_max(row, "max_form_ratio", ratio)
-            row["positive_trials"] += int(np.count_nonzero(ratio > tol))
-            row["pass"] = worst <= tol
-
-    return trials, update, rows
+    In the form the stiffness cross terms cancel, and the unshifted form is
+    -a(1) v_N (mu1 v_N + mu2 w_M) + mu1 a(1) pair.  Summed by parts, the
+    midpoint pairing is diagonal in w_0..w_M, ||U||_t^2 is diagonal in the
+    same unknowns, with w_0 = v_N, and u and the interior v enter the norm
+    alone.  Only the feedback row couples two unknowns, v_N and w_M.  So
+    the supremum is the largest of three numbers, minus iota(t): 0, from a
+    state of u alone; -tau'/(2 tau), from one interior channel node; and the
+    top eigenvalue of the 2x2 pencil of the form against the norm on
+    (v_N, w_M).  All three are read off `quadratic_form` on five unit
+    states, the coupling of v_N and w_M by polarization.  With mu1 = 0 the
+    channel has no norm weight, and the supremum is +inf when mu2 != 0 and
+    -iota(t) when mu2 = 0.
+    """
+    n, m = ctx.ops.n_nodes, ctx.n_delta + 1
+    u, v, w = np.zeros((5, n)), np.zeros((5, n)), np.zeros((5, m))
+    # u alone, one interior channel node, the trace v_N = w_0, the outflow
+    # w_M, and the last two together
+    u[0, -1] = w[1, 1] = 1.0
+    v[2::2, -1] = w[2::2, 0] = w[3:, -1] = 1.0
+    shift = iota(ctx.delay, np.asarray(times, dtype=float)[:, None])
+    form, norm = quadratic_form((u, v, w), times, ctx)
+    # the unshifted form: exactly 0 on u alone
+    lone, node, a, c, both = (form + shift * norm).T
+    if ctx.gains.mu1 == 0.0:
+        top = np.full(len(times), math.inf if ctx.gains.mu2 != 0.0 else 0.0)
+    else:
+        p, q = norm[:, 2], norm[:, 3]
+        # the pencil scaled to unit norm weights, ((x, b), (b, y))
+        x, y = a / p, c / q
+        b = 0.5 * (both - a - c) / (np.sqrt(p) * np.sqrt(q))
+        top = np.maximum.reduce([
+            lone / norm[:, 0], node / norm[:, 1],
+            0.5 * (x + y) + np.hypot(0.5 * (x - y), b)])
+    return [{"max_form_ratio": value, "pass": value <= 1e-8}
+            for value in (top - shift[:, 0]).tolist()]
 
 
 class Resolvent:
@@ -314,15 +300,19 @@ class Resolvent:
         return u, v, w, residual, ident
 
 
-def _claim2(times, ctx: ProbeContext, trials: int, seed: int):
-    """Claim 2 for _run: the residual check of (I - A(t)) U = G for random
-    right-hand sides, at each of the times; one certificate row per time.
-    PASS iff both worst values stay below 1e-8."""
+def _claim2(times, ctx: ProbeContext, trials: int, seed: int) -> list:
+    """Claim 2: the residual check of (I - A(t)) U = G for the first
+    `trials` random right-hand sides of default_rng([seed]), at each of the
+    times; one certificate row per time.  PASS iff both worst values stay
+    below 1e-8.  Raises ValueError for trials < 1: a claim that checked
+    nothing must not pass."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     solvers = [Resolvent(float(t), ctx) for t in times]
     rows = [{"max_residual": 0.0, "max_boundary_identity": 0.0,
              "trials": trials, "pass": True, "seed": seed} for _ in times]
-
-    def update(k0, f, g, h):
+    n = ctx.ops.n_nodes
+    for _, (f, g, h) in _trial_blocks(trials, seed, (n, n, ctx.n_delta + 1)):
         # the constrained node of the Dirichlet regime carries no load
         f = f.copy()
         f[:, :ctx.ops.first_active] = 0.0
@@ -334,8 +324,15 @@ def _claim2(times, ctx: ProbeContext, trials: int, seed: int):
             r = _running_max(row, "max_residual", residual)
             i = _running_max(row, "max_boundary_identity", ident)
             row["pass"] = r <= 1e-8 and i <= 1e-8
+    return rows
 
-    return trials, update, rows
+
+def _exp(x: float) -> float:
+    """e^x, or inf where it overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _claim3(pairs, ctx: ProbeContext) -> list:
@@ -349,17 +346,18 @@ def _claim3(pairs, ctx: ProbeContext) -> list:
     is a weighted mean of 1 and tau(t)/tau(s): the supremum is
     sqrt(max(1, tau(t)/tau(s))) when mu1 > 0, and 1 when mu1 = 0, where Q
     vanishes.  A pure-channel state, u = v = 0 and w != 0 with w_0 = 0,
-    lies in the domain and attains it.
+    lies in the domain and attains it.  A bound past the float range is
+    inf, which holds trivially: its excess is 0.
     """
     d, tau0 = ctx.delay.d, ctx.delay.tau0
     rows = []
     for s, t in pairs:
         ratio = float(ctx.delay.tau(t)) / float(ctx.delay.tau(s))
         worst = math.sqrt(max(1.0, ratio if ctx.gains.mu1 > 0.0 else 1.0))
-        bound = math.exp(d / (2.0 * tau0) * abs(t - s))
+        bound = _exp(d / (2.0 * tau0) * abs(t - s))
         excess = max(0.0, worst - bound)
         rows.append({"max_ratio": worst, "bound_stated": bound,
-                     "bound_proof": math.exp(d / tau0 * abs(t - s)),
+                     "bound_proof": _exp(d / tau0 * abs(t - s)),
                      "excess": excess, "pass": excess <= 1e-12})
     return rows
 
@@ -390,23 +388,23 @@ def run_certificate(ctx: ProbeContext, t_list, seed: int = 0,
                     ratio_trials: int = 500) -> dict:
     """All probes at each requested time; JSON-ready aggregation.
 
-    The two sampled claims run as one pass over one stream,
-    default_rng([seed]), of max(diss_trials, res_trials) trials: trial k
-    serves every claim that covers it, and each claim's rows equal those of
-    the claim run alone with the same seed and trial count.  The norm ratio
-    (`_claim3`, exact) is checked on consecutive pairs of t_list and on its
-    first and last entries.  Each distinct time and each distinct pair is
-    evaluated once, so a repeated time adds no work and no key.  Rows are
-    keyed "t=<t>" and "s=<s>,t=<t>", a time printed with format(t, "g"), or
-    with repr(t) where distinct times would print alike and share a row.
+    Claim 1 (`_claim1`) is exact over the constrained space and draws
+    nothing.  Claim 2 (`_claim2`) checks the first res_trials trials of one
+    stream, default_rng([seed]), the only trials the certificate draws.
+    The norm ratio (`_claim3`, exact) is checked on consecutive pairs of
+    t_list and on its first and last entries.  Each distinct time and each
+    distinct pair is evaluated once, so a repeated time adds no work and no
+    key.  Rows are keyed "t=<t>" and "s=<s>,t=<t>", a time printed with
+    format(t, "g"), or with repr(t) where distinct times would print alike
+    and share a row.
 
     dAdt holds `dadt_bound` at each time, a bound on ||A'(t) U||_H over
     ||U||_graph that draws no trials.  It enters "pass" only in that it
     must be finite.
 
-    ratio_trials is accepted and unused: claim 3 draws nothing.  The
-    benchmark's certify workload still passes it, and ROADMAP item 9's
-    certify change deletes it.
+    diss_trials and ratio_trials are accepted and unused: claims 1 and 3
+    draw nothing.  The benchmark's certify workload still passes them, and
+    ROADMAP item 9's certify change deletes them.
     """
     t_list = [float(t) for t in t_list]
     if not t_list:
@@ -420,9 +418,8 @@ def run_certificate(ctx: ProbeContext, t_list, seed: int = 0,
     count = Counter(short.values())
     label = {t: x if count[x] == 1 else repr(t) for t, x in short.items()}
     keys = [f"t={label[t]}" for t in times]
-    claim1, claim2 = (dict(zip(keys, rows)) for rows in _run(ctx, seed, [
-        _claim1(times, ctx, diss_trials, seed),
-        _claim2(times, ctx, res_trials, seed)]))
+    claim1 = dict(zip(keys, _claim1(times, ctx)))
+    claim2 = dict(zip(keys, _claim2(times, ctx, res_trials, seed)))
     dadt = {key: {"bound": dadt_bound(t, ctx)} for key, t in zip(keys, times)}
     claim3 = dict(zip((f"s={label[s]},t={label[t]}" for s, t in pairs),
                       _claim3(pairs, ctx)))

@@ -153,7 +153,7 @@ def test_criterion_6_operator_certificates(baseline_run):
     t0 = time.perf_counter()
     # the pairs of [0, 5, 10] are (0, 5), (5, 10) and (0, 10)
     cert = run_certificate(ctx, [0.0, 5.0, 10.0], seed=setup.cfg.seed,
-                           diss_trials=500, res_trials=100)
+                           res_trials=100)
     assert list(cert["claim3"]) == ["s=0,t=5", "s=5,t=10", "s=0,t=10"]
     dreps, rreps, nreps = (cert[c].values()
                            for c in ("claim1", "claim2", "claim3"))

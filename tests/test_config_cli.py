@@ -1273,12 +1273,28 @@ class TestOperatorCheckCli:
                       "--out", str(out)])
         assert rc == EXIT_OK
         cert = json.loads(out.read_text())
-        assert any(v["positive_trials"] > 0 for v in cert["claim1"].values())
+        assert all(v["max_form_ratio"] > 1.0 and v["pass"] is False
+                   for v in cert["claim1"].values())
         rc = run_cli(["operator-check", "--config", "baseline",
                       "--set", "mesh.n=32", "--set", "channel.n_delta=16",
                       "--set", "gains.mu2=6.0", "--trials", "100",
                       "--strict", "--out", str(out)])
         assert rc == EXIT_AUDIT
+
+    def test_trials_are_claim2s(self, tmp_path):
+        # --trials counts claim 2's right-hand sides, 100 by default; claim 1
+        # is exact and reports its value and bit alone
+        out = tmp_path / "cert.json"
+        for args, trials in [([], 100), (["--trials", "7"], 7)]:
+            rc = run_cli(["operator-check", "--config", "baseline",
+                          "--set", "mesh.n=16", "--set", "channel.n_delta=8",
+                          *args, "--out", str(out)])
+            assert rc == EXIT_OK
+            cert = json.loads(out.read_text())
+            assert [v["trials"] for v in cert["claim2"].values()] == \
+                [trials] * 3
+            assert all(set(v) == {"max_form_ratio", "pass"}
+                       for v in cert["claim1"].values())
 
     def test_negative_seed_exit2(self, capsys):
         rc = run_cli(["operator-check", "--config", "baseline",
@@ -1397,6 +1413,34 @@ class TestNoTraceback:
                    *(f"{k}={v}" for k, v in args.items()),
                    "--out", str(tmp_path / "cert.json")])
         self.clean_exit(rc, capsys)
+
+    @pytest.mark.parametrize("far", ["5000", "1e200"])
+    def test_probe_times_far_apart(self, far, tmp_path, capsys):
+        # claim 3's bounds e^{d |t - s| / (2 tau0)} and e^{d |t - s| / tau0}
+        # pass the float range: each is inf, a bound that holds trivially
+        out = tmp_path / "cert.json"
+        rc = main(["operator-check", "--config", "baseline",
+                   "--set", "mesh.n=16", "--set", "channel.n_delta=8",
+                   "--t", "0", "--t", far, "--out", str(out)])
+        self.clean_exit(rc, capsys)
+        assert rc == EXIT_OK
+        [row] = json.loads(out.read_text())["claim3"].values()
+        assert (row["bound_stated"], row["bound_proof"]) == ("inf", "inf")
+        assert row["excess"] == 0.0 and row["pass"] is True
+
+    def test_long_coarse_simulate(self, tmp_path, capsys):
+        # T = 2000 probes the pairs (0, 1000), (1000, 2000) and (0, 2000):
+        # on baseline e^{0.4 T} passes the float range once T > 1774.5
+        rc = main(["simulate", "--config", "baseline", "--set", "mesh.n=16",
+                   "--set", "channel.n_delta=8", "--set", "integrator.dt=0.25",
+                   "--set", "integrator.t_final=2000",
+                   "--out", str(tmp_path / "long")])
+        self.clean_exit(rc, capsys)
+        assert rc == EXIT_OK
+        report = json.loads((tmp_path / "long.json").read_text())
+        rows = report["operator_certificate"]["claim3"]
+        assert rows["s=0,t=2000"]["bound_proof"] == "inf"
+        assert all(row["pass"] is True for row in rows.values())
 
     @pytest.mark.parametrize("verb, flag, value", [
         (verb, flag, value) for verb in ("elliptic-check", "operator-check")

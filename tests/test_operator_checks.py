@@ -30,7 +30,6 @@ from degenwave.operator_checks import (
     _claim1,
     _claim2,
     _claim3,
-    _run,
     _transport_block,
     dadt_bound,
     generator_apply,
@@ -114,34 +113,151 @@ class TestGeneratorApply:
                 assert c1 * h - 1e-12 <= nt <= c2 * h + 1e-12
 
 
+def unit_trace_state(ctx, x, y):
+    """The domain state whose only nonzero unknowns are v_N = w_0 = x and
+    w_M = y, as a stack of one."""
+    n, m = ctx.ops.n_nodes, ctx.n_delta + 1
+    u, v, w = np.zeros((1, n)), np.zeros((1, n)), np.zeros((1, m))
+    v[0, -1] = w[0, 0] = x
+    w[0, -1] = y
+    return u, v, w
+
+
+def form_ratio(U, t, ctx):
+    """quadratic_form over ||U||_t^2, row by row, at one time."""
+    form, norm = quadratic_form(U, [t], ctx)
+    return form[0] / norm[0]
+
+
+def pencil_top_state(ctx, t):
+    """The top eigenvector of the 2x2 pencil of the unshifted form against
+    ||.||_t^2 on (v_N, w_M), as the state it spans: numpy's eigh on the
+    form's matrix (by polarization of the states (1, 0), (0, 1) and
+    (1, 1)) scaled by the diagonal norm, apart from _claim1's closed-form
+    eigenvalue."""
+    shift = iota(ctx.delay, np.array([[t]]))
+    U = [np.concatenate(z) for z in zip(*(unit_trace_state(ctx, x, y)
+                                          for x, y in [(1, 0), (0, 1),
+                                                       (1, 1)]))]
+    form, norm = quadratic_form(U, [t], ctx)
+    a, c, both = (form + shift * norm)[0]
+    b = 0.5 * (both - a - c)
+    weights = np.sqrt(norm[0, :2])
+    _, vec = np.linalg.eigh(np.array([[a, b], [b, c]])
+                              / np.outer(weights, weights))
+    return unit_trace_state(ctx, *(vec[:, -1] / weights))
+
+
+def scenario_ctx(name, *overrides):
+    from degenwave import config
+
+    cfg = config.apply_overrides(config.load_config(name), list(overrides))
+    setup = config.build_setup(cfg)
+    return ProbeContext(mesh=setup.mesh, ops=setup.ops, gains=setup.gains,
+                        delay=setup.delay, n_delta=cfg.channel_n_delta)
+
+
 class TestDissipativity:
+    TIMES = [0.0, 0.7, 2.0, 8.0]
+
     def test_pass_under_gain_condition(self):
+        # inside the gain condition the supremum is 0 - iota(t), from a
+        # state of u alone, bit for bit
         ctx = make_ctx()
-        reps = _run(ctx, 7, [_claim1([0.0, 2.0, 8.0], ctx, 500, 7)])[0]
-        assert len(reps) == 3
-        for rep in reps:
-            assert rep["pass"]
-            assert rep["max_form_ratio"] <= 1e-8
+        reps = _claim1([0.0, 2.0, 8.0], ctx)
+        assert reps == [{"max_form_ratio": -float(iota(DELAY, t)),
+                         "pass": True} for t in (0.0, 2.0, 8.0)]
 
     def test_violating_gains_found(self):
-        # threefold violation of the gain condition: the randomized search
-        # finds states with positive form value (reported, not asserted as a
-        # theorem)
+        # threefold violation of the gain condition: the supremum is
+        # positive, and the claim fails
         ctx = make_ctx(gains=GainSet(2.0, 6.0, 1.0))
-        [rep] = _run(ctx, 7, [_claim1([0.0], ctx, 500, 7)])[0]
-        assert rep["positive_trials"] > 0
+        [rep] = _claim1([0.0], ctx)
+        assert set(rep) == {"max_form_ratio", "pass"}
+        assert rep["max_form_ratio"] > 1.0
         assert not rep["pass"]
 
     def test_pass_monotone_in_mu2(self):
-        # shrinking |mu2| at fixed seed never turns PASS into FAIL
-        passed_seen = False
-        for mu2 in [3.0, 1.5, 1.0, 0.5, 0.2, 0.0]:
-            ctx = make_ctx(gains=GainSet(2.0, mu2, 1.0))
-            [rep] = _run(ctx, 13, [_claim1([0.0], ctx, 200, 13)])[0]
-            if passed_seen:
-                assert rep["pass"]
-            passed_seen = passed_seen or rep["pass"]
-        assert passed_seen
+        # the value depends on |mu2| alone, grows with it, and the pass set
+        # is one interval around 0
+        mags = [0.0, 0.2, 1.0, 1.5, 1.8, 1.85, 1.9, 3.0, 6.0]
+        for alpha in (0.5, 1.5):
+            values, passes = [], []
+            for mu2 in mags:
+                pos, neg = (_claim1([0.0], make_ctx(
+                    alpha=alpha, gains=GainSet(2.0, x, 1.0)))[0]
+                    for x in (mu2, -mu2))
+                assert pos["pass"] == neg["pass"]
+                # equal up to the rounding of the pencil's entries
+                assert pos["max_form_ratio"] == pytest.approx(
+                    neg["max_form_ratio"], rel=1e-12)
+                values.append(pos["max_form_ratio"])
+                passes.append(pos["pass"])
+            assert values == sorted(values)
+            assert passes == sorted(passes, reverse=True)
+            assert passes[0] and not passes[-1]
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("scenario", ["baseline", "strong-degeneracy"])
+    def test_threshold_is_just_above_the_gain_gate(self, scenario, n):
+        # at t = 0 the claim passes at the paper's gate mu2 = mu1 sqrt(1 -
+        # d), 1.7889, and fails at 1.9: the discrete threshold lies between
+        # (1.8086 to 1.8357 over these meshes), and tends to the gate
+        ctx = scenario_ctx(scenario, f"mesh.n={n}")
+        gate = ctx.gains.mu1 * math.sqrt(1.0 - ctx.delay.d)
+        assert gate == pytest.approx(1.7889, abs=1e-4)
+        for mu2, ok in [(gate, True), (-gate, True), (1.9, False),
+                        (-1.9, False)]:
+            at = scenario_ctx(scenario, f"mesh.n={n}", f"gains.mu2={mu2!r}")
+            assert _claim1([0.0], at)[0]["pass"] is ok, mu2
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["weak", "strong"])
+    def test_value_is_attained(self, alpha):
+        # mu2 = 6: the pencil's top eigenvector; the shipped gains: a state
+        # of u alone.  quadratic_form's ratio on that state is the value.
+        rng = np.random.default_rng(2)
+        for mu2, attained in [(6.0, None), (0.2, "u")]:
+            ctx = make_ctx(alpha=alpha, gains=GainSet(2.0, mu2, 1.0))
+            reps = _claim1(self.TIMES, ctx)
+            for t, rep in zip(self.TIMES, reps):
+                if attained == "u":
+                    U = (rng.standard_normal((1, 65)), np.zeros((1, 65)),
+                         np.zeros((1, 33)))
+                    U = project_to_domain(U, ctx)
+                else:
+                    U = pencil_top_state(ctx, t)
+                generator_apply(U, t, ctx)  # asserts that U is in the domain
+                [ratio] = form_ratio(U, t, ctx)
+                assert ratio == pytest.approx(rep["max_form_ratio"],
+                                              rel=1e-12)
+            assert all(r["pass"] for r in reps) == (mu2 < 1.0)
+
+    def test_violating_value_on_the_shipped_scenario(self):
+        # margin-violation at t = 0: 500 states of the sampled search
+        # (oracle_dissipativity, seed 12345) reach 231.54; the supremum is
+        # 232.19...
+        ctx = scenario_ctx("margin-violation")
+        [rep] = _claim1([0.0], ctx)
+        assert rep["max_form_ratio"] == pytest.approx(232.19376850890825,
+                                                      rel=1e-13)
+        [ratio] = form_ratio(pencil_top_state(ctx, 0.0), 0.0, ctx)
+        assert ratio == pytest.approx(rep["max_form_ratio"], rel=1e-12)
+
+    def test_no_instantaneous_gain(self):
+        # mu1 = 0 leaves the channel without norm weight: with mu2 = 0 the
+        # form vanishes on it and the value is -iota(t); with mu2 != 0 the
+        # form grows without bound on w_M against a fixed trace
+        for mu2, value in [(0.0, None), (0.3, math.inf), (-0.3, math.inf)]:
+            ctx = make_ctx(gains=GainSet(0.0, mu2, 1.0))
+            reps = _claim1(self.TIMES, ctx)
+            for t, rep in zip(self.TIMES, reps):
+                expected = -float(iota(DELAY, t)) if value is None else value
+                assert rep == {"max_form_ratio": expected,
+                               "pass": value is None}
+        ctx = make_ctx(gains=GainSet(0.0, 0.3, 1.0))
+        ratios = [form_ratio(unit_trace_state(ctx, 1.0, -y), 0.0, ctx)[0]
+                  for y in (1.0, 1e3, 1e6)]
+        assert ratios == sorted(ratios) and ratios[-1] > 1e5
 
 
 class TestResolvent:
@@ -202,7 +318,7 @@ class TestResolvent:
             delay = (make_delay("constant", {"tau": 0.8})
                      if taup_case == "constant-delay" else DELAY)
             ctx = make_ctx(delay=delay)
-            [rep] = _run(ctx, 21, [_claim2([0.5], ctx, 50, 21)])[0]
+            [rep] = _claim2([0.5], ctx, 50, 21)
             assert rep["max_residual"] <= 1e-8
             assert rep["max_boundary_identity"] <= 1e-8
 
@@ -308,6 +424,25 @@ class TestNormRatio:
         assert rows[0] == dict(zip(
             ["s=0,t=1", "s=1,t=6", "s=0,t=6"],
             _claim3([(0.0, 1.0), (1.0, 6.0), (0.0, 6.0)], ctx)))
+
+    def test_bound_past_the_float_range_is_inf(self):
+        # baseline's d / (2 tau0) = 0.2: e^{0.2 |t - s|} overflows a float
+        # at |t - s| = 5000, and so does the proof's e^{0.4 |t - s|}; an
+        # infinite bound holds trivially
+        ctx = make_ctx()
+        assert DELAY.d / (2.0 * DELAY.tau0) == 0.2
+        rows = _claim3([(0.0, 5000.0), (5000.0, 0.0), (0.0, 1e200)], ctx)
+        for (s, t), row in zip([(0.0, 5000.0), (5000.0, 0.0), (0.0, 1e200)],
+                               rows):
+            assert row == {
+                "max_ratio": math.sqrt(max(1.0, float(DELAY.tau(t))
+                                           / float(DELAY.tau(s)))),
+                "bound_stated": math.inf, "bound_proof": math.inf,
+                "excess": 0.0, "pass": True}
+        # the last pair whose stated bound is finite
+        [row] = _claim3([(0.0, 3500.0)], ctx)
+        assert row["bound_stated"] == math.exp(700.0)
+        assert row["bound_proof"] == math.inf
 
     def test_channel_free_state_ratio_one(self):
         ctx = make_ctx()
@@ -420,7 +555,8 @@ class TestGeneratorDrift:
 
 # -- the one-trial-at-a-time algorithm, as the oracle of the stacked probes --
 # Every function below handles one state with 1-d arrays and Python floats;
-# the stacked probes must reproduce its maxima and counts bit for bit.
+# claim 2 must reproduce its maxima bit for bit, and no sampled state may
+# exceed claim 1's supremum.
 
 
 def oracle_norm_sq(u, v, w, tau, ctx):
@@ -564,19 +700,24 @@ class TestStackedAgainstPerTrial:
     @pytest.mark.parametrize("trials", [2 * ROWS_AT_64 + 11, 37])
     @pytest.mark.parametrize("case", sorted(ORACLE_CTX))
     def test_probes_equal_the_oracle(self, case, trials):
+        # claim 1: a sampled search that puts every fourth state's mass on
+        # the boundary traces never exceeds the supremum, and finds
+        # positive states only where it is positive; claim 2: the oracle's
+        # maxima, bit for bit
         assert trials % ROWS_AT_64 != 0 and 37 < ROWS_AT_64
         ctx = make_ctx(**ORACLE_CTX[case])
         seed = 4
-        reps = _run(ctx, seed, [_claim1(self.TIMES, ctx, trials, seed)])[0]
+        reps = _claim1(self.TIMES, ctx)
         npos = 0
         for t, rep in zip(self.TIMES, reps):
             worst, n_positive = oracle_dissipativity(t, ctx, trials, seed)
-            assert (rep["max_form_ratio"], rep["positive_trials"]) == \
-                (worst, n_positive)
+            value = rep["max_form_ratio"]
+            assert worst <= value + 1e-12 * abs(value)
+            assert rep["pass"] == (value <= 1e-8)
             npos += n_positive
-        assert (npos > 0) == (case == "violating")
+        assert (npos > 0) == (case == "violating") == (not reps[0]["pass"])
         res_trials = trials // 3
-        reps = _run(ctx, seed, [_claim2(self.TIMES, ctx, res_trials, seed)])[0]
+        reps = _claim2(self.TIMES, ctx, res_trials, seed)
         for t, rep in zip(self.TIMES, reps):
             assert (rep["max_residual"], rep["max_boundary_identity"]) == \
                 oracle_resolvent(t, ctx, res_trials, seed)
@@ -591,24 +732,35 @@ class TestStackedAgainstPerTrial:
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CTX))
     def test_certificate_equals_the_probes_alone(self, case):
-        # one stream for the two sampled claims, which stop in different
-        # blocks: claim 1 in the third, claim 2 in the first; each claim's
-        # rows equal those of the claim run alone through _run, claim 3's
-        # the closed form, and dAdt holds the bound at each time
+        # each claim's rows equal those of the claim alone: claim 1's and
+        # claim 3's closed forms, claim 2's sample of res_trials trials, and
+        # dAdt holds the bound at each time
         ctx = make_ctx(**ORACLE_CTX[case])
         seed = 4
-        diss, res = 2 * ROWS_AT_64 + 11, 37
-        assert res < ROWS_AT_64 < 2 * ROWS_AT_64 < diss
-        cert = run_certificate(ctx, self.TIMES, seed=seed, diss_trials=diss,
-                               res_trials=res)
-        assert list(cert["claim1"].values()) == _run(
-            ctx, seed, [_claim1(self.TIMES, ctx, diss, seed)])[0]
-        assert list(cert["claim2"].values()) == _run(
-            ctx, seed, [_claim2(self.TIMES, ctx, res, seed)])[0]
+        res = 37
+        cert = run_certificate(ctx, self.TIMES, seed=seed, res_trials=res)
+        assert list(cert["claim1"].values()) == _claim1(self.TIMES, ctx)
+        assert list(cert["claim2"].values()) == _claim2(
+            self.TIMES, ctx, res, seed)
         assert list(cert["claim3"].values()) == _claim3(self.PAIRS, ctx)
         assert list(cert["dAdt"].values()) == [
             {"bound": dadt_bound(t, ctx)} for t in self.TIMES]
         assert cert["pass"] == (case != "violating")
+
+    @pytest.mark.parametrize("res", [40, 100])
+    def test_claim2_does_not_read_diss_trials(self, res):
+        # claim 2's rows are the one-trial-at-a-time oracle's, bit for bit,
+        # whatever diss_trials is: it no longer sets how many trials the
+        # stream draws
+        ctx = make_ctx(**ORACLE_CTX["weak"])
+        certs = [run_certificate(ctx, self.TIMES, seed=4, diss_trials=diss,
+                                 res_trials=res)["claim2"]
+                 for diss in (1, res, 3000, 0, -5)]
+        assert all(cert == certs[0] for cert in certs)
+        for t, rep in zip(self.TIMES, certs[0].values()):
+            assert rep["trials"] == res and rep["seed"] == 4
+            assert (rep["max_residual"], rep["max_boundary_identity"]) == \
+                oracle_resolvent(t, ctx, res, 4)
 
     def test_norm_stack_equals_rows(self):
         # the certificate's (T, B) norms: a (B, n) stack against a column
@@ -707,29 +859,26 @@ class TestTrialStream:
             assert out == run()
             return [(c.seed, c.fills) for c in made]
 
-        # ratio_trials draws nothing: claim 3 is exact
+        # claim 2 alone draws, res_trials trials: diss_trials and
+        # ratio_trials draw nothing, as claims 1 and 3 are exact
         for diss, res, ratio in [(9, 9, 9), (2 * rows + 1, 3, rows + 2),
                                  (7, rows + 1, 2), (7, 2, 5 * rows)]:
             made = counted(lambda: run_certificate(
                 ctx, [0.0, 1.0, 2.0], seed=3, diss_trials=diss,
                 res_trials=res, ratio_trials=ratio))
-            assert made == [([3], -(-max(diss, res) // rows))]
-        # a claim run alone: the same one stream, for its own trials
-        for claim, entries in [(_claim1, [0.0, 1.0]), (_claim2, [0.0])]:
-            made = counted(lambda: _run(
-                ctx, 3, [claim(entries, ctx, rows + 1, 3)])[0])
-            assert made == [([3], 2)]
+            assert made == [([3], -(-res // rows))]
+        assert counted(lambda: _claim2([0.0], ctx, rows + 1, 3)) == [([3], 2)]
+        assert counted(lambda: _claim1([0.0, 1.0], ctx)) == []
 
 
-@pytest.mark.parametrize("claim, entries", [
-    (_claim1, [0.0]),
-    (_claim2, [0.0]),
-], ids=["dissipativity", "resolvent"])
+# claim 2 is the one sampled claim
+@pytest.mark.parametrize("claim, entries", [(_claim2, [0.0])],
+                         ids=["resolvent"])
 @pytest.mark.parametrize("trials", [0, -3])
 def test_no_trials_is_an_error_not_a_pass(claim, entries, trials):
     ctx = make_ctx(n=16, n_delta=8)
     with pytest.raises(ValueError, match="need at least one trial"):
-        _run(ctx, 0, [claim(entries, ctx, trials, 0)])
+        claim(entries, ctx, trials, 0)
 
 
 class TestRunCertificate:
@@ -758,7 +907,7 @@ class TestRunCertificate:
 
     def cert(self, t_list):
         return run_certificate(make_ctx(n=16, n_delta=8), t_list, seed=3,
-                               diss_trials=9, res_trials=3)
+                               res_trials=3)
 
     def test_each_distinct_time_and_pair_once(self, monkeypatch):
         seen = self.count(monkeypatch)
@@ -812,9 +961,8 @@ class TestRunCertificate:
         assert list(two["claim3"]) == ["s=1.0,t=1.0000001"]
         assert two["claim1"]["t=1.0"] == cert["claim1"]["t=1.0"]
 
-    @pytest.mark.parametrize("field", ["diss_trials", "res_trials"])
+    @pytest.mark.parametrize("field", ["res_trials"])
     def test_a_claim_without_trials_is_an_error(self, field):
-        # the other claims' trials do not cover a claim that has none
         with pytest.raises(ValueError, match="need at least one trial, got 0"):
             run_certificate(make_ctx(n=16, n_delta=8), [0.0, 1.0],
                             **{field: 0})
